@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import queue
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.aggregate import GroupSummary, TrialSummary
 
@@ -108,8 +108,9 @@ class EventBus:
         self.total_trials = int(total_trials)
         self._lock = threading.Lock()
         self._subscribers: List[queue.SimpleQueue] = []
-        self._aggregator = CellAggregator()
+        self._aggregator: Optional[CellAggregator] = CellAggregator()
         self._closed: Optional[dict] = None
+        self._final_snapshot: Optional[dict] = None
 
     # -- publisher side ----------------------------------------------------
 
@@ -150,17 +151,30 @@ class EventBus:
         """Broadcast a job lifecycle transition."""
         self.publish({"event": "state", "state": state})
 
-    def close(self, final_event: dict) -> None:
+    def close(self, final_event: dict, final_cells: Sequence[dict] = ()) -> None:
         """Broadcast the terminal event and mark the stream finished.
 
-        Subscribers attaching after close receive the snapshot plus the
+        The catch-up snapshot is frozen here and the per-trial summaries
+        behind it are released, so a finished job costs one snapshot;
+        subscribers attaching after close receive that snapshot plus the
         terminal event immediately.
 
         Args:
             final_event: The ``done`` event ending every subscriber's
                 stream.
+            final_cells: The job's final cell aggregates, if it kept them:
+                snapshot cells equal to one of these share its dict
+                instead of keeping a copy.
         """
         with self._lock:
+            if self._final_snapshot is None:
+                kept = {cell["label"]: cell for cell in final_cells}
+                snapshot = self._snapshot()
+                snapshot["cells"] = [
+                    kept[cell["label"]] if kept.get(cell["label"]) == cell else cell
+                    for cell in snapshot["cells"]]
+                self._final_snapshot = snapshot
+                self._aggregator = None
             self._closed = final_event
         self.publish(final_event)
 
@@ -176,15 +190,18 @@ class EventBus:
         """
         subscriber: "queue.SimpleQueue[dict]" = queue.SimpleQueue()
         with self._lock:
-            snapshot = {"event": "snapshot", "done": self._aggregator.done,
-                        "total": self.total_trials,
-                        "cells": self._aggregator.snapshot()}
+            snapshot = self._final_snapshot or self._snapshot()
             closed = self._closed
             self._subscribers.append(subscriber)
         subscriber.put(snapshot)
         if closed is not None:
             subscriber.put(closed)
         return subscriber
+
+    def _snapshot(self) -> dict:
+        """The catch-up snapshot of the live aggregates (lock held)."""
+        return {"event": "snapshot", "done": self._aggregator.done,
+                "total": self.total_trials, "cells": self._aggregator.snapshot()}
 
     def unsubscribe(self, subscriber: "queue.SimpleQueue[dict]") -> None:
         """Detach a subscriber (its queue stops receiving events).

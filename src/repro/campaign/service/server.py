@@ -72,10 +72,15 @@ TERMINAL_STATES = (JobState.COMPLETE, JobState.FAILED, JobState.CANCELLED)
 
 @dataclass
 class Job:
-    """One submitted campaign and everything the service knows about it."""
+    """One submitted campaign and everything the service knows about it.
+
+    ``spec`` and ``cancel`` are only needed until the job ends; :meth:`finish`
+    drops them, so a finished job keeps just its status fields and frozen
+    event snapshot.
+    """
 
     fingerprint: str
-    spec: CampaignSpec
+    spec: Optional[CampaignSpec]
     master_seed: int
     payload: str
     priority: int
@@ -85,11 +90,31 @@ class Job:
     pool_pids: Tuple[int, ...] = ()
     cells: List[dict] = field(default_factory=list)
     bus: EventBus = None  # type: ignore[assignment]  # set in __post_init__
-    cancel: threading.Event = field(default_factory=threading.Event)
+    cancel: Optional[threading.Event] = field(default_factory=threading.Event)
+    name: str = field(init=False)
+    total_trials: int = field(init=False)
 
     def __post_init__(self) -> None:
+        self.name = self.spec.name
+        self.total_trials = self.spec.total_trials
         if self.bus is None:
-            self.bus = EventBus(self.spec.total_trials)
+            self.bus = EventBus(self.total_trials)
+
+    def finish(self, state: JobState) -> None:
+        """Enter terminal ``state`` and release what only a live job needs.
+
+        Call with the service lock held.
+        """
+        self.state = state
+        self.spec = None
+        self.cancel = None
+
+    def done_event(self) -> dict:
+        """The terminal ``done`` event of a finished job."""
+        done = {"event": "done", "state": self.state.value}
+        if self.error is not None:
+            done["error"] = self.error
+        return done
 
     def to_json(self, store_status: Optional[dict] = None) -> dict:
         """Encode the job for a ``status`` response.
@@ -104,10 +129,10 @@ class Job:
         """
         body = {
             "job": self.fingerprint,
-            "name": self.spec.name,
+            "name": self.name,
             "state": self.state.value,
             "priority": self.priority,
-            "total_trials": self.spec.total_trials,
+            "total_trials": self.total_trials,
             "pool_pids": list(self.pool_pids),
             "cells": self.cells,
         }
@@ -202,8 +227,8 @@ class CampaignService:
                       seq=self._next_seq())
             status = statuses.get(self._store_path(fingerprint))
             if status is not None and status.complete:
-                job.state = JobState.COMPLETE
-                job.bus.close({"event": "done", "state": job.state.value})
+                job.finish(JobState.COMPLETE)
+                job.bus.close(job.done_event())
             else:
                 heapq.heappush(self._queue,
                                (-job.priority, job.seq, fingerprint))
@@ -265,11 +290,8 @@ class CampaignService:
             traceback.print_exc()
             final = JobState.FAILED
         with self._lock:
-            job.state = final
-        done = {"event": "done", "state": final.value}
-        if job.error is not None:
-            done["error"] = job.error
-        job.bus.close(done)
+            job.finish(final)
+        job.bus.close(job.done_event(), job.cells)
 
     # -- request handlers --------------------------------------------------
 
@@ -368,12 +390,11 @@ class CampaignService:
                                        state=job.state.value)
                 job.cancel.set()
                 if job.state is JobState.QUEUED:
-                    job.state = JobState.CANCELLED
+                    job.finish(JobState.CANCELLED)
         except KeyError as exc:
             return protocol.error(str(exc))
         if job.state is JobState.CANCELLED:
-            job.bus.close({"event": "done",
-                           "state": JobState.CANCELLED.value})
+            job.bus.close(job.done_event())
         return protocol.ok(job=job.fingerprint, state=job.state.value)
 
     def _handle_drain(self, message: dict) -> dict:
@@ -510,6 +531,7 @@ class CampaignService:
                 thread = threading.Thread(target=self._handle_connection,
                                           args=(sock,), daemon=True)
                 thread.start()
+                handlers = [t for t in handlers if t.is_alive()]
                 handlers.append(thread)
         finally:
             server.close()

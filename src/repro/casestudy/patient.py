@@ -23,9 +23,8 @@ from repro.casestudy.config import PATIENT, PatientModel
 from repro.hybrid.automaton import HybridAutomaton
 from repro.hybrid.flows import CallableFlow
 from repro.hybrid.locations import Location
-from repro.hybrid.variables import Valuation
 
-try:  # NumPy backs the lane-vectorized twin of the SpO2 ODE (batched kernel).
+try:  # NumPy backs the lane-wise convenience wrapper of the SpO2 kernel.
     import numpy as _np
 except ImportError:  # pragma: no cover - container images bake NumPy in
     _np = None
@@ -35,11 +34,13 @@ SPO2 = "spo2"
 VENTILATED = "ventilated"
 
 
-def spo2_derivative(valuation: Valuation, model: PatientModel) -> float:
-    """Right-hand side of the SpO2 ODE for the given patient model."""
-    spo2 = valuation.get(SPO2, model.initial_spo2)
-    ventilated = valuation.get(VENTILATED, 1.0) > 0.5
-    if ventilated:
+def spo2_derivative(spo2: float, ventilated: float, model: PatientModel) -> float:
+    """Right-hand side of the SpO2 ODE: the patient flow's float kernel.
+
+    This is the one declaration of the patient dynamics; every engine tier
+    integrates it (see :class:`~repro.hybrid.flows.CallableFlow`).
+    """
+    if ventilated > 0.5:
         if spo2 >= model.spo2_baseline:
             return 0.0
         return model.resaturation_gain * (model.spo2_baseline - spo2)
@@ -48,21 +49,19 @@ def spo2_derivative(valuation: Valuation, model: PatientModel) -> float:
     return -model.desaturation_rate
 
 
-def spo2_derivative_vector(valuation, model: PatientModel):
-    """Lane-vectorized twin of :func:`spo2_derivative` (batched kernel).
+def spo2_derivative_vector(spo2, ventilated, model: PatientModel):
+    """Lane-wise :func:`spo2_derivative` over arrays of SpO2 and ventilation.
 
-    ``valuation`` yields one NumPy array element per replicate lane.  Every
-    element-wise operation mirrors the scalar function exactly (same
-    multiplications, same branch selection), so batched integration stays
-    bit-identical to the reference engine per lane.
+    A convenience for analysing many replicate states at once; it applies
+    the scalar kernel to each lane, so its values are exactly the kernel's.
+    No engine calls it: the batched kernel integrates the scalar kernel
+    lane by lane.
     """
-    spo2 = valuation.get(SPO2, model.initial_spo2)
-    ventilated = valuation.get(VENTILATED, 1.0) > 0.5
-    saturating = model.resaturation_gain * (model.spo2_baseline - spo2)
-    while_ventilated = _np.where(spo2 >= model.spo2_baseline, 0.0, saturating)
-    while_paused = _np.where(spo2 <= model.spo2_floor, 0.0,
-                             -model.desaturation_rate)
-    return {SPO2: _np.where(ventilated, while_ventilated, while_paused)}
+    spo2, ventilated = _np.broadcast_arrays(_np.asarray(spo2, dtype=float),
+                                            _np.asarray(ventilated, dtype=float))
+    return _np.array([spo2_derivative(s, v, model)
+                      for s, v in zip(spo2.ravel().tolist(), ventilated.ravel().tolist())],
+                     dtype=float).reshape(spo2.shape)
 
 
 def build_patient(model: PatientModel, *, name: str = PATIENT,
@@ -79,12 +78,10 @@ def build_patient(model: PatientModel, *, name: str = PATIENT,
         ``ventilated``.
     """
     flow = CallableFlow(
-        lambda valuation: {SPO2: spo2_derivative(valuation, model)},
-        variables=(SPO2,),
+        spo2_derivative, inputs={SPO2: model.initial_spo2, VENTILATED: 1.0},
+        outputs=(SPO2,), params=(model,),
         description="first-order SpO2 saturation/desaturation",
-        substep=substep,
-        vector_func=(None if _np is None
-                     else lambda valuation: spo2_derivative_vector(valuation, model)))
+        substep=substep)
     automaton = HybridAutomaton(
         name,
         variables=[SPO2, VENTILATED],

@@ -140,7 +140,11 @@ class LinearInequality(Predicate):
     threshold: float
 
     def evaluate(self, valuation: Valuation) -> bool:
-        return self.op.evaluate(valuation.get(self.variable, 0.0), self.threshold)
+        return self.holds(valuation.get(self.variable, 0.0))
+
+    def holds(self, value: float) -> bool:
+        """Whether the predicate holds when its variable equals ``value``."""
+        return self.op.evaluate(value, self.threshold)
 
     def _crossing_delay(self, value: float, rate: float, target_state: bool) -> float | None:
         """Delay until the predicate equals ``target_state`` under ``rate``."""
@@ -327,32 +331,35 @@ class BoxPredicate(Predicate):
             raise ValueError("BoxPredicate requires low <= high")
 
     def evaluate(self, valuation: Valuation) -> bool:
-        value = valuation.get(self.variable, 0.0)
+        return self.holds(valuation.get(self.variable, 0.0))
+
+    def holds(self, value: float) -> bool:
+        """Whether the predicate holds when its variable equals ``value``."""
         return self.low - EPSILON <= value <= self.high + EPSILON
 
-    def time_until_false(self, valuation, rates):
-        value = valuation.get(self.variable, 0.0)
-        rate = rates.get(self.variable, 0.0)
-        if not self.evaluate(valuation):
+    def _crossing_delay(self, value: float, rate: float, target_state: bool) -> float:
+        """Delay until the predicate equals ``target_state`` under ``rate``."""
+        if self.holds(value) == target_state:
             return 0.0
         if abs(rate) <= EPSILON:
             return math.inf
-        if rate > 0:
-            return max((self.high - value) / rate, 0.0)
-        return max((self.low - value) / rate, 0.0)
-
-    def time_until_true(self, valuation, rates):
-        if self.evaluate(valuation):
-            return 0.0
-        value = valuation.get(self.variable, 0.0)
-        rate = rates.get(self.variable, 0.0)
-        if abs(rate) <= EPSILON:
-            return math.inf
+        if not target_state:
+            if rate > 0:
+                return max((self.high - value) / rate, 0.0)
+            return max((self.low - value) / rate, 0.0)
         if value < self.low and rate > 0:
             return (self.low - value) / rate
         if value > self.high and rate < 0:
             return (value - self.high) / (-rate)
         return math.inf
+
+    def time_until_false(self, valuation, rates):
+        return self._crossing_delay(valuation.get(self.variable, 0.0),
+                                    rates.get(self.variable, 0.0), False)
+
+    def time_until_true(self, valuation, rates):
+        return self._crossing_delay(valuation.get(self.variable, 0.0),
+                                    rates.get(self.variable, 0.0), True)
 
     def __repr__(self) -> str:
         return f"({self.low:g} <= {self.variable} <= {self.high:g})"

@@ -9,9 +9,10 @@ families of flows are supported:
   variables (rate 0) and the piecewise-constant ventilator cylinder motion
   of Fig. 2 (rate +-0.1 m/s).  Constant flows admit exact guard-crossing
   times, so the simulator never discretizes them.
-* :class:`CallableFlow` -- an arbitrary ODE right-hand side, integrated with
-  explicit fixed sub-steps (RK4).  Used for the patient SpO2 physiology in
-  the laser-tracheotomy case study.
+* :class:`CallableFlow` -- an arbitrary ODE right-hand side, declared once
+  as a float function over named inputs and integrated with explicit fixed
+  sub-steps (RK4).  Used for the patient SpO2 physiology in the
+  laser-tracheotomy case study.
 """
 
 from __future__ import annotations
@@ -103,46 +104,63 @@ def clock_flow(*clock_names: str, extra: Mapping[str, float] | None = None) -> C
 
 @dataclass(frozen=True)
 class CallableFlow(Flow):
-    """A flow defined by an arbitrary ODE right-hand side.
+    """A flow whose derivative is one float function over named inputs.
+
+    The declaration is the single source of the flow's dynamics: the
+    reference engine integrates it through the dict-returning :attr:`func`
+    derived here, and the compiled and batched kernels lower the same
+    ``kernel`` to RK4 over plain slot floats
+    (:mod:`repro.hybrid.simulate.compiled`), so every tier performs the same
+    float operations.
 
     Args:
-        func: Callable mapping a :class:`Valuation` to a dict of
-            derivatives for the driven variables.
-        variables: The set of variables driven by ``func`` (needed for
-            structural checks and elaboration).
+        kernel: Plain float code.  Called positionally with the value of
+            each input (in declaration order) followed by ``params``; returns
+            the derivative of the single output as a float, or a tuple with
+            one derivative per output when there are several.
+        inputs: ``name -> default`` for every variable the kernel reads, in
+            kernel-argument order; the default stands in for a variable the
+            valuation lacks.
+        outputs: The variables the flow drives, in kernel-result order.
+        params: Constant trailing kernel arguments (model parameters).
         description: Human-readable description for diagnostics.
         substep: Integration sub-step (seconds) used by :meth:`advance`.
-        vector_func: Optional lane-vectorized twin of ``func`` for the
-            batched kernel: it receives a valuation-like view whose
-            ``get``/``__getitem__`` return NumPy arrays (one element per
-            replicate lane) and must return a mapping of driven variable to
-            derivative array.  Element-wise it must perform *exactly* the
-            arithmetic of ``func`` so that batched runs stay bit-identical
-            to the reference engine; lanes fall back to per-lane scalar
-            integration when it is absent.
     """
 
-    func: Callable[[Valuation], Mapping[str, float]]
-    variables: tuple[str, ...]
+    kernel: Callable[..., object]
+    inputs: tuple[tuple[str, float], ...]
+    outputs: tuple[str, ...]
+    params: tuple = ()
     description: str = "<ode>"
     substep: float = 0.01
     is_affine: bool = False
-    vector_func: Callable | None = None
 
-    def __init__(self, func, variables, description="<ode>", substep=0.01,
-                 vector_func=None):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "variables", tuple(variables))
+    def __init__(self, kernel, inputs: Mapping[str, float], outputs, *, params=(),
+                 description="<ode>", substep=0.01):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "inputs", tuple((name, float(default))
+                                                 for name, default in inputs.items()))
+        object.__setattr__(self, "outputs", tuple(outputs))
+        object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "description", description)
         object.__setattr__(self, "substep", float(substep))
         object.__setattr__(self, "is_affine", False)
-        object.__setattr__(self, "vector_func", vector_func)
+        if not self.outputs:
+            raise ValueError("a CallableFlow needs at least one output")
+
+    def func(self, valuation: Valuation) -> Dict[str, float]:
+        """The kernel as a valuation -> ``{output: derivative}`` function."""
+        result = self.kernel(*[valuation.get(name, default)
+                               for name, default in self.inputs], *self.params)
+        if len(self.outputs) == 1:
+            result = (result,)
+        return dict(zip(self.outputs, result))
 
     def rates(self, valuation: Valuation) -> Dict[str, float]:
         return {k: float(v) for k, v in self.func(valuation).items()}
 
     def driven_variables(self) -> set[str]:
-        return set(self.variables)
+        return set(self.outputs)
 
     def advance(self, valuation: Valuation, dt: float) -> Valuation:
         """Integrate the ODE for ``dt`` seconds with classic RK4 sub-steps."""
@@ -162,13 +180,13 @@ class CallableFlow(Flow):
         k3 = self.rates(valuation.advanced(k2, h / 2.0))
         k4 = self.rates(valuation.advanced(k3, h))
         combined = {}
-        for name in self.variables:
-            combined[name] = (k1.get(name, 0.0) + 2.0 * k2.get(name, 0.0)
-                              + 2.0 * k3.get(name, 0.0) + k4.get(name, 0.0)) / 6.0
+        for name in self.outputs:
+            combined[name] = (k1[name] + 2.0 * k2[name]
+                              + 2.0 * k3[name] + k4[name]) / 6.0
         return valuation.advanced(combined, h)
 
     def __repr__(self) -> str:
-        return f"CallableFlow({self.description}, vars={list(self.variables)})"
+        return f"CallableFlow({self.description}, vars={list(self.outputs)})"
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ single process:
 * each outer iteration advances every live lane by one engine step, with the
   per-lane next-event times (one 2-D pass over the crossing table plus
   vectorized box/boolean-composition programs), constant-rate integration
-  (one masked matrix op), RK4 integration of
-  :class:`~repro.hybrid.flows.CallableFlow` dynamics (when the flow carries
-  a ``vector_func``) and the discrete-phase guard pre-check all computed
-  vectorized across lanes;
+  (one masked matrix op) and the discrete-phase guard pre-check all
+  computed vectorized across lanes, while
+  :class:`~repro.hybrid.flows.CallableFlow` dynamics run the compiled
+  kernel's float RK4 lane by lane (the same lowered declaration);
 * lanes that diverge — different edge firings, different event times,
   different finish times — keep advancing independently: every lane carries
   its own simulation clock, pending-event queues, RNG streams, network and
@@ -30,9 +30,9 @@ of the reference engine: each lane's trace, event log and samples are
 bit-identical to a serial :class:`~repro.hybrid.simulate.engine.SimulationEngine`
 run with the same seed (enforced by ``tests/hybrid/test_compiled_equivalence.py``).
 Anything the vector layer cannot prove it can reproduce exactly — generic
-predicates, callable flows without a vectorized twin, custom couplings,
-environment processes — falls back to the compiled kernel's per-lane scalar
-code path, so correctness never depends on vectorizability.
+predicates, non-affine flows, custom couplings, environment processes —
+falls back to the compiled kernel's per-lane scalar code path, so
+correctness never depends on vectorizability.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.errors import SimulationError, TimeBlockError, ZenoError
 from repro.hybrid.expressions import (And, BoxPredicate, Comparison, FalsePredicate,
                                       LinearInequality, Not, Or, Predicate,
                                       TruePredicate)
-from repro.hybrid.flows import CallableFlow
 from repro.hybrid.simulate.compiled import (CompiledAutomaton, CompiledEdge,
                                             CompiledLocation, CompiledSystem,
                                             CompiledSystemState, SlotValuation,
@@ -76,64 +75,6 @@ def _require_numpy() -> None:
         raise ImportError(
             "the batched simulation kernel requires numpy; install it or "
             "select engine='reference'/'compiled' instead")
-
-
-# ---------------------------------------------------------------------------
-# Vector-valued valuation views (for CallableFlow.vector_func)
-# ---------------------------------------------------------------------------
-
-class _VectorView:
-    """Valuation-shaped view returning one array element per lane.
-
-    Gathered columns are memoized: within one RK4 stage the same input
-    variables are read several times (base state plus every probe), and the
-    fancy-indexing gather dominates the read cost.
-    """
-
-    __slots__ = ("_arr", "_rows", "_slot_of", "_cache")
-
-    def __init__(self, arr, rows, slot_of: Dict[str, int]):
-        self._arr = arr
-        self._rows = rows
-        self._slot_of = slot_of
-        self._cache: Dict[str, object] = {}
-
-    def __getitem__(self, name: str):
-        column = self._cache.get(name)
-        if column is None:
-            column = self._arr[self._rows, self._slot_of[name]]
-            self._cache[name] = column
-        return column
-
-    def get(self, name: str, default: float = 0.0):
-        column = self._cache.get(name)
-        if column is None:
-            slot = self._slot_of.get(name)
-            if slot is None:
-                return default
-            column = self._arr[self._rows, slot]
-            self._cache[name] = column
-        return column
-
-
-class _VectorOverlay:
-    """A vector view with a few overridden entries (RK4 probe states)."""
-
-    __slots__ = ("_base", "_over")
-
-    def __init__(self, base, over: Dict[str, object]):
-        self._base = base
-        self._over = over
-
-    def __getitem__(self, name: str):
-        if name in self._over:
-            return self._over[name]
-        return self._base[name]
-
-    def get(self, name: str, default: float = 0.0):
-        if name in self._over:
-            return self._over[name]
-        return self._base.get(name, default)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +377,8 @@ _PAD_ENTRY = (0, math.inf, 1.0, 1.0, math.inf, False, False, False)
 class BatchedLocation:
     """Vector tables of one compiled location (built once per system)."""
 
-    __slots__ = ("cl", "n_slots", "sampling_only", "dynamic", "advance_kind",
-                 "rates_row", "driven_row", "ode_var_slots", "ode_substep",
-                 "ode_vector_func", "vec_cross", "scalar_cross",
+    __slots__ = ("cl", "n_slots", "sampling_only", "dynamic", "scalar_advance",
+                 "rates_row", "driven_row", "vec_cross", "scalar_cross",
                  "stack_entries",
                  "has_asap", "precheck_always", "precheck_guards")
 
@@ -452,27 +392,15 @@ class BatchedLocation:
         # Constant-rate locations contribute a dense per-slot rate row and a
         # driven mask; the engine folds those of every automaton into global
         # (B, total_slots) matrices so one masked vector op advances every
-        # constant-rate slot of every lane.
-        flow = cl.flow
+        # constant-rate slot of every lane.  Any other flow advances lane by
+        # lane through the compiled kernel's scalar program.
+        self.scalar_advance = cl.const_items is None
         self.rates_row = np.zeros(self.n_slots, dtype=np.float64)
         self.driven_row = np.zeros(self.n_slots, dtype=bool)
         if cl.const_items is not None:
-            self.advance_kind = "const"
             for slot, rate in cl.const_items:
                 self.rates_row[slot] = rate
                 self.driven_row[slot] = True
-        elif isinstance(flow, CallableFlow) and flow.vector_func is not None:
-            self.advance_kind = "vec_ode"
-            self.ode_var_slots = tuple((name, slot_of[name])
-                                       for name in flow.variables)
-            self.ode_substep = flow.substep
-            self.ode_vector_func = flow.vector_func
-        else:
-            self.advance_kind = "scalar"
-        if self.advance_kind != "vec_ode":
-            self.ode_var_slots = ()
-            self.ode_substep = 0.0
-            self.ode_vector_func = None
 
         # -- exact crossing schedule (static-rate affine locations only) -------
         # Plain linear crossings go into the engine's global per-lane
@@ -1063,7 +991,7 @@ class BatchedEngine:
         self._rebuild_matrices()
         self._nonconst_autos = [
             auto for auto in self._autos
-            if any(bl.advance_kind != "const" for bl in auto.tab.locations)]
+            if any(bl.scalar_advance for bl in auto.tab.locations)]
         for ctx in self._ctxs:
             runtimes = [auto.lanes[ctx.index] for auto in self._autos]
             ctx.state = CompiledSystemState(runtimes)
@@ -1425,71 +1353,35 @@ class BatchedEngine:
         for auto in self._nonconst_autos:
             for loc_index, rows in auto.groups(act_rows, version):
                 bl = auto.tab.locations[loc_index]
-                if bl.advance_kind == "const":
+                if not bl.scalar_advance:
                     continue
                 moving = rows if all_positive else rows[positive[rows]]
                 if moving.size == 0:
                     continue
-                if bl.advance_kind == "vec_ode":
-                    self._advance_vec_ode(auto, bl, moving, dt[moving])
-                else:
-                    self._advance_scalar(auto, loc_index, moving, dt)
-
-    def _advance_vec_ode(self, auto: _BatchedAutomaton, bl: BatchedLocation,
-                         rows, dts) -> None:
-        """Lane-vectorized RK4, operation-for-operation like the scalar path."""
-        arr = auto.arr
-        vector_func = bl.ode_vector_func
-        substep = bl.ode_substep
-        slot_of = auto.ca.slot_of
-        sub = rows
-        remaining = dts.copy()
-        while True:
-            live = remaining > 1e-12
-            if not live.any():
-                break
-            if not live.all():
-                sub = sub[live]
-                remaining = remaining[live]
-            base = _VectorView(arr, sub, slot_of)
-            h = np.minimum(substep, remaining)
-            half = h / 2.0
-            k1 = vector_func(base)
-            probe = _VectorOverlay(
-                base, {name: base.get(name, 0.0) + rate * half
-                       for name, rate in k1.items()})
-            k2 = vector_func(probe)
-            probe = _VectorOverlay(
-                base, {name: base.get(name, 0.0) + rate * half
-                       for name, rate in k2.items()})
-            k3 = vector_func(probe)
-            probe = _VectorOverlay(
-                base, {name: base.get(name, 0.0) + rate * h
-                       for name, rate in k3.items()})
-            k4 = vector_func(probe)
-            for name, slot in bl.ode_var_slots:
-                combined = (k1.get(name, 0.0) + 2.0 * k2.get(name, 0.0)
-                            + 2.0 * k3.get(name, 0.0) + k4.get(name, 0.0)) / 6.0
-                arr[sub, slot] = arr[sub, slot] + combined * h
-            remaining = remaining - h
+                self._advance_scalar(auto, loc_index, moving, dt)
 
     def _advance_scalar(self, auto: _BatchedAutomaton, loc_index: int,
                         rows, dt) -> None:
         """Per-lane fallback: the compiled kernel's advance, lane by lane."""
         cl = auto.ca.locations[loc_index]
-        for b in rows.tolist():
+        dts = dt.tolist()
+        lanes = rows.tolist()
+        if cl.advance_program is not None:
+            # The lowered RK4 runs on plain-float copies of the lanes' rows
+            # (exact round trip), written back in one assignment.
+            block = auto.arr[rows].tolist()
+            for values, b in zip(block, lanes):
+                cl.advance_program(values, dts[b], auto.lanes[b])
+            auto.arr[rows] = block
+            return
+        for b in lanes:
             rt = auto.lanes[b]
-            dtb = float(dt[b])
-            if cl.advance_program is not None:
-                cl.advance_program(rt, dtb)
-            else:
-                new_valuation = cl.flow.advance(rt.view, dtb)
-                # Every write goes through rt.set: a runtime-new variable
-                # can grow the state matrix mid-loop, which rebinds
-                # rt.values — a captured local would write into the
-                # detached old array.
-                for name, value in new_valuation.items():
-                    rt.set(name, value)
+            new_valuation = cl.flow.advance(rt.view, dts[b])
+            # Every write goes through rt.set: a runtime-new variable can
+            # grow the state matrix mid-loop, which rebinds rt.values — a
+            # captured local would write into the detached old array.
+            for name, value in new_valuation.items():
+                rt.set(name, value)
 
     # -- environment ----------------------------------------------------------------
     def _wake_processes(self, act_list) -> None:

@@ -40,13 +40,14 @@ and the kernel retains no per-step history at all.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from repro.errors import SimulationError, TimeBlockError, ZenoError
 from repro.hybrid.automaton import HybridAutomaton
 from repro.hybrid.edges import Edge
-from repro.hybrid.expressions import (BoxPredicate, FalsePredicate, LinearInequality,
-                                      Not, Predicate, TruePredicate)
+from repro.hybrid.expressions import (And, BoxPredicate, Comparison, FalsePredicate,
+                                      LinearInequality, Not, Or, Predicate, TruePredicate)
 from repro.hybrid.flows import CallableFlow, CompositeFlow, ConstantFlow, Flow
 from repro.hybrid.simulate.engine import _MIN_ADVANCE, Network, _PendingEvent
 from repro.hybrid.simulate.observers import TraceObserver, TraceRecorder
@@ -117,58 +118,6 @@ class SlotValuation(Mapping[str, float]):
         return f"SlotValuation({inner})"
 
 
-class _OverlayValuation(Mapping[str, float]):
-    """A base valuation with a few overridden entries (RK4 probe states).
-
-    Stands in for the intermediate ``Valuation.advanced`` copies the
-    reference RK4 integrator builds, without materialising the full dict.
-    """
-
-    __slots__ = ("_base", "_over")
-
-    def __init__(self, base: Mapping[str, float], over: Dict[str, float]):
-        self._base = base
-        self._over = over
-
-    def __getitem__(self, key: str) -> float:
-        if key in self._over:
-            return self._over[key]
-        return self._base[key]
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._base
-        for key in self._over:
-            if key not in self._base:
-                yield key
-
-    def __len__(self) -> int:
-        return len(self._base) + sum(1 for key in self._over
-                                     if key not in self._base)
-
-    def get(self, key: str, default: float = 0.0) -> float:
-        if key in self._over:
-            return self._over[key]
-        return self._base.get(key, default)
-
-    def as_dict(self) -> Dict[str, float]:
-        merged = dict(self._base)
-        merged.update(self._over)
-        return merged
-
-    def updated(self, changes: Mapping[str, float]) -> Valuation:
-        merged = self.as_dict()
-        merged.update({k: float(v) for k, v in changes.items()})
-        return Valuation(merged)
-
-    def advanced(self, rates: Mapping[str, float], dt: float) -> Valuation:
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        merged = self.as_dict()
-        for name, rate in rates.items():
-            merged[name] = merged.get(name, 0.0) + rate * dt
-        return Valuation(merged)
-
-
 # ---------------------------------------------------------------------------
 # Lowering (model layer): HybridSystem -> index-based tables
 # ---------------------------------------------------------------------------
@@ -215,6 +164,102 @@ def _static_rates(flow: Flow) -> Dict[str, float] | None:
     return None
 
 
+# -- predicate programs ------------------------------------------------------
+# Slot-indexed twins of Predicate.evaluate / time_until_true /
+# time_until_false for True/False/Linear/Box/Not/And/Or trees, built with the
+# rates already resolved.  Every program takes ``(values, view)`` and
+# performs the reference method's float operations in the same order, so
+# results are bit-identical; a node of any other predicate type runs the
+# generic method on ``view``.
+
+#: ``Comparison.evaluate(v, t)`` is ``compare(v, t + tolerance)`` for these.
+_BOUNDS = {Comparison.LE: (operator.le, EPSILON), Comparison.GE: (operator.ge, -EPSILON),
+           Comparison.LT: (operator.lt, -EPSILON), Comparison.GT: (operator.gt, EPSILON)}
+
+
+def _lower_eval(predicate: Predicate, slot_of: Mapping[str, int]):
+    """Program ``(values, view) -> bool`` reproducing ``predicate.evaluate``."""
+    if isinstance(predicate, (TruePredicate, FalsePredicate)):
+        value = isinstance(predicate, TruePredicate)
+        return lambda values, view: value
+    if isinstance(predicate, (LinearInequality, BoxPredicate)):
+        slot, holds = slot_of[predicate.variable], predicate.holds
+        if isinstance(predicate, LinearInequality) and predicate.op in _BOUNDS:
+            # Comparison.evaluate with its tolerance folded into the bound.
+            compare, tolerance = _BOUNDS[predicate.op]
+            bound = predicate.threshold + tolerance
+            return lambda values, view: compare(values[slot], bound)
+        return lambda values, view: holds(values[slot])
+    if isinstance(predicate, Not):
+        inner = _lower_eval(predicate.operand, slot_of)
+        return lambda values, view: not inner(values, view)
+    if isinstance(predicate, (And, Or)):
+        parts = tuple(_lower_eval(p, slot_of) for p in predicate.operands)
+        # And stops at the first false operand, Or at the first true one.
+        stop = isinstance(predicate, Or)
+
+        def fold(values, view):
+            for part in parts:
+                if (not part(values, view)) != stop:
+                    return stop
+            return not stop
+
+        return fold
+    return lambda values, view: predicate.evaluate(view)
+
+
+def _lower_delay(predicate: Predicate, rates: Mapping[str, float],
+                 slot_of: Mapping[str, int], want: bool):
+    """Program ``(values, view) -> float | None`` reproducing ``time_until_*``.
+
+    ``want`` selects ``time_until_true`` (True) or ``time_until_false``.
+    """
+    if isinstance(predicate, (TruePredicate, FalsePredicate)):
+        value = 0.0 if isinstance(predicate, TruePredicate) == want else math.inf
+        return lambda values, view: value
+    if isinstance(predicate, Not):
+        return _lower_delay(predicate.operand, rates, slot_of, not want)
+    if isinstance(predicate, (LinearInequality, BoxPredicate)):
+        slot, crossing = slot_of[predicate.variable], predicate._crossing_delay
+        rate = rates.get(predicate.variable, 0.0)
+        return lambda values, view: crossing(values[slot], rate, want)
+    if not isinstance(predicate, (And, Or)):
+        if want:
+            return lambda values, view: predicate.time_until_true(view, rates)
+        return lambda values, view: predicate.time_until_false(view, rates)
+    parts = tuple(_lower_delay(p, rates, slot_of, want) for p in predicate.operands)
+    # And-until-false and Or-until-true take the earliest operand crossing;
+    # And-until-true and Or-until-false the latest, kept only if the probe
+    # just after it confirms that it sticks (And holds there, Or does not).
+    latest = isinstance(predicate, And) == want
+    holds = _lower_eval(predicate, slot_of)
+    moving = tuple((slot_of[name], rate) for name, rate in rates.items()
+                   if name in slot_of)
+
+    def combined(values, view):
+        delays = []
+        for part in parts:
+            delay = part(values, view)
+            if delay is None:
+                return None
+            delays.append(delay)
+        if not latest:
+            return min(delays, default=math.inf)
+        candidate = max(delays, default=0.0)
+        if math.isinf(candidate):
+            return math.inf
+        # The probe is view.advanced(rates, candidate + EPSILON) in slots.
+        dt = candidate + EPSILON
+        probe = list(values)
+        for slot, rate in moving:
+            probe[slot] = probe[slot] + rate * dt
+        if holds(probe, SlotValuation(view._slots, probe)) == want:
+            return candidate
+        return None
+
+    return combined
+
+
 def _lower_crossing(predicate: Predicate, rates: Mapping[str, float],
                     slot_of: Mapping[str, int], want_true: bool):
     """Compile ``time_until_true``/``time_until_false`` under constant rates.
@@ -229,92 +274,75 @@ def _lower_crossing(predicate: Predicate, rates: Mapping[str, float],
         return _STATIC_SKIP
     if isinstance(predicate, Not):
         return _lower_crossing(predicate.operand, rates, slot_of, not want_true)
-    if isinstance(predicate, LinearInequality):
-        rate = rates.get(predicate.variable, 0.0)
-        if abs(rate) <= EPSILON:
-            # _crossing_delay returns 0.0 (already there) or inf (frozen):
-            # never a finite positive deadline, never a sampling request.
+    if isinstance(predicate, (LinearInequality, BoxPredicate)):
+        if abs(rates.get(predicate.variable, 0.0)) <= EPSILON:
+            # The delay is 0.0 (already there) or inf (frozen): never a
+            # finite positive deadline, never a sampling request.
             return _STATIC_SKIP
-        slot = slot_of[predicate.variable]
-
-        def linear_program(values, view, *, predicate=predicate, slot=slot,
-                           rate=rate, want=want_true):
-            return predicate._crossing_delay(values[slot], rate, want)
-
-        return linear_program
-    if isinstance(predicate, BoxPredicate):
-        rate = rates.get(predicate.variable, 0.0)
-        if abs(rate) <= EPSILON:
-            return _STATIC_SKIP
-
-    def generic_program(values, view, *, predicate=predicate, rates=rates,
-                        want=want_true):
-        if want:
-            return predicate.time_until_true(view, rates)
-        return predicate.time_until_false(view, rates)
-
-    return generic_program
+    return _lower_delay(predicate, rates, slot_of, want_true)
 
 
 def _lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
-    """Compile a :class:`CallableFlow` into an in-place RK4 integrator.
+    """Compile a :class:`CallableFlow` into an in-place RK4 over slot floats.
 
     Reproduces ``CallableFlow.advance`` / ``_rk4_step`` /
-    ``Valuation.advanced`` operation for operation over the slot array, so
-    the integrated values are bit-identical to the reference engine's.
+    ``Valuation.advanced`` operation for operation on plain floats: the
+    outputs live in locals for the whole advance, the other inputs are read
+    once (nothing else moves during a flow), and every stage calls the
+    declared float kernel with positional arguments.  The integrated values
+    are therefore bit-identical to the reference engine's.  The program is
+    generated as Python source for the flow's input/output layout, so the
+    kernel calls carry no argument packing.
+
+    The program is ``(values, dt, rt) -> None``: it integrates ``values``
+    (the runtime's slot list, or a plain-float copy of a batched lane's
+    row) in place; ``rt`` only serves inputs that had no slot at lowering
+    time.
     """
-    func = flow.func
-    substep = flow.substep
-    var_slots = tuple((name, slot_of[name]) for name in flow.variables)
+    outputs = flow.outputs
+    env = {"kernel": flow.kernel, "substep": flow.substep, "inputs": flow.inputs}
+    env.update((f"p{j}", param) for j, param in enumerate(flow.params))
+    lines = ["def advance_program(values, dt, rt):",
+             "    if not dt > 1e-12:",
+             "        return"]
+    for j, (name, _) in enumerate(flow.inputs):
+        if name not in outputs:
+            slot = slot_of.get(name)
+            lines.append(f"    u{j} = values[{slot}]" if slot is not None
+                         else f"    u{j} = rt.get(*inputs[{j}])")
+    lines += [f"    x{i} = values[{slot_of[name]}]" for i, name in enumerate(outputs)]
 
-    def advance_program(rt: "_AutomatonRuntime", dt: float) -> None:
-        if dt <= 0:
-            return
-        values = rt.values
-        view = rt.view
-        remaining = dt
-        while remaining > 1e-12:
-            h = min(substep, remaining)
-            half = h / 2.0
-            k1 = {k: float(v) for k, v in func(view).items()}
-            probe = _OverlayValuation(
-                view, {name: view.get(name, 0.0) + rate * half
-                       for name, rate in k1.items()})
-            k2 = {k: float(v) for k, v in func(probe).items()}
-            probe = _OverlayValuation(
-                view, {name: view.get(name, 0.0) + rate * half
-                       for name, rate in k2.items()})
-            k3 = {k: float(v) for k, v in func(probe).items()}
-            probe = _OverlayValuation(
-                view, {name: view.get(name, 0.0) + rate * h
-                       for name, rate in k3.items()})
-            k4 = {k: float(v) for k, v in func(probe).items()}
-            for name, slot in var_slots:
-                combined = (k1.get(name, 0.0) + 2.0 * k2.get(name, 0.0)
-                            + 2.0 * k3.get(name, 0.0) + k4.get(name, 0.0)) / 6.0
-                values[slot] = values[slot] + combined * h
-            remaining -= h
+    def stage(k, step):
+        """Source of RK4 stage k: outputs probed ``step`` along stage k-1."""
+        args = []
+        for j, (name, _) in enumerate(flow.inputs):
+            if name not in outputs:
+                args.append(f"u{j}")
+                continue
+            i = outputs.index(name)
+            args.append(f"x{i}" if step is None else f"x{i} + k{k - 1}_{i} * {step}")
+        args += [f"p{j}" for j in range(len(flow.params))]
+        targets = ", ".join(f"k{k}_{i}" for i in range(len(outputs)))
+        return f"        {targets} = kernel({', '.join(args)})"
 
-    return advance_program
+    lines += ["    remaining = dt",
+              "    while remaining > 1e-12:",
+              "        h = substep if substep <= remaining else remaining",
+              "        half = h / 2.0",
+              stage(1, None), stage(2, "half"), stage(3, "half"), stage(4, "h")]
+    lines += [f"        x{i} = x{i} + (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+              f" / 6.0 * h" for i in range(len(outputs))]
+    lines.append("        remaining -= h")
+    lines += [f"    values[{slot_of[name]}] = x{i}" for i, name in enumerate(outputs)]
+    exec("\n".join(lines), env)
+    return env["advance_program"]
 
 
 def _lower_guard_eval(predicate: Predicate, slot_of: Mapping[str, int]):
     """Compile a guard's boolean evaluation; ``None`` means "always true"."""
     if isinstance(predicate, TruePredicate):
         return None
-    if isinstance(predicate, LinearInequality):
-        slot = slot_of[predicate.variable]
-
-        def linear_eval(values, view, *, op=predicate.op, slot=slot,
-                        threshold=predicate.threshold):
-            return op.evaluate(values[slot], threshold)
-
-        return linear_eval
-
-    def generic_eval(values, view, *, predicate=predicate):
-        return predicate.evaluate(view)
-
-    return generic_eval
+    return _lower_eval(predicate, slot_of)
 
 
 class CompiledEdge:
@@ -836,7 +864,7 @@ class CompiledEngine:
                 for slot, rate in items:
                     values[slot] += rate * dt
             elif loc.advance_program is not None:
-                loc.advance_program(rt, dt)
+                loc.advance_program(rt.values, dt, rt)
             else:
                 new_valuation = loc.flow.advance(rt.view, dt)
                 values = rt.values

@@ -179,6 +179,31 @@ def test_two_jobs_share_one_warm_pool_bit_identically(service):
     assert again["job"] == job1 and again["duplicate"] is True
 
 
+def test_finished_job_keeps_only_a_frozen_snapshot(service):
+    svc, client = service
+    spec = _spec_interlock()
+    job = client.submit(spec, 7)["job"]
+    live = list(client.watch(job))
+    assert live[-1] == {"event": "done", "state": "complete"}
+    # The live stream's last aggregate of each cell.
+    cells = {e["cell"]["label"]: e["cell"] for e in live if e.get("event") == "trial"}
+
+    late = list(client.watch(job))
+    assert [e["event"] for e in late] == ["snapshot", "done"]
+    snapshot, done = late
+    assert snapshot["done"] == snapshot["total"] == spec.total_trials
+    assert sorted(snapshot["cells"], key=lambda c: c["label"]) == [
+        cells[label] for label in sorted(cells)]
+    assert done == live[-1]
+    assert list(client.watch(job)) == late
+
+    # No per-trial summaries, decoded spec or cancel flag outlive the job.
+    finished = svc._jobs[job]
+    assert finished.bus._aggregator is None
+    assert finished.spec is None and finished.cancel is None
+    assert client.status(job)["cells"] == _reference_cells(spec, 7)
+
+
 def test_cancel_queued_job_is_immediate(service):
     svc, client = service
     job1 = client.submit(_spec_table1(), 7)["job"]

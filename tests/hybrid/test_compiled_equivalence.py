@@ -84,8 +84,8 @@ def ode_automaton(name: str, gain: float) -> HybridAutomaton:
     """Non-affine automaton relaxing a value toward a coupled input."""
     out, target = f"y_{name}", f"u_{name}"
     flow = CallableFlow(
-        lambda v: {out: gain * (v.get(target, 0.0) - v.get(out, 0.0))},
-        variables=(out,), description="first-order relaxation", substep=0.05)
+        lambda y, u: gain * (u - y), inputs={out: 0.0, target: 0.0}, outputs=(out,),
+        description="first-order relaxation", substep=0.05)
     automaton = HybridAutomaton(name, variables=[out, target],
                                 initial_valuation={out: 0.0, target: 0.0})
     automaton.add_location(Location(f"{name}.Track", flow=flow))

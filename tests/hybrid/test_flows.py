@@ -6,6 +6,10 @@ from repro.hybrid.flows import CallableFlow, CompositeFlow, ConstantFlow, STATIO
 from repro.hybrid.variables import Valuation
 
 
+def decay(x):
+    return -x
+
+
 class TestConstantFlow:
     def test_advance(self):
         flow = ConstantFlow({"c": 1.0, "h": -0.1})
@@ -38,16 +42,16 @@ class TestConstantFlow:
 class TestCallableFlow:
     def test_exponential_decay_integration(self):
         # dx/dt = -x, x(0) = 1 -> x(1) = exp(-1)
-        flow = CallableFlow(lambda v: {"x": -v["x"]}, variables=("x",), substep=0.01)
+        flow = CallableFlow(decay, inputs={"x": 0.0}, outputs=("x",), substep=0.01)
         result = flow.advance(Valuation({"x": 1.0}), 1.0)
         assert result["x"] == pytest.approx(0.3678794, rel=1e-4)
 
     def test_not_affine(self):
-        flow = CallableFlow(lambda v: {"x": -v["x"]}, variables=("x",))
+        flow = CallableFlow(decay, inputs={"x": 0.0}, outputs=("x",))
         assert not flow.is_affine
 
     def test_zero_dt_is_identity(self):
-        flow = CallableFlow(lambda v: {"x": -v["x"]}, variables=("x",))
+        flow = CallableFlow(decay, inputs={"x": 0.0}, outputs=("x",))
         valuation = Valuation({"x": 5.0})
         assert flow.advance(valuation, 0.0) == valuation
 
@@ -72,7 +76,7 @@ class TestCompositeFlow:
 
     def test_mixed_affinity(self):
         mixed = CompositeFlow((ConstantFlow({"c": 1.0}),
-                               CallableFlow(lambda v: {"x": -v["x"]}, variables=("x",))))
+                               CallableFlow(decay, inputs={"x": 0.0}, outputs=("x",))))
         assert not mixed.is_affine
         result = mixed.advance(Valuation({"c": 0.0, "x": 1.0}), 0.5)
         assert result["c"] == pytest.approx(0.5)
