@@ -1,7 +1,7 @@
 """Parallel Monte-Carlo campaign runner for emulation trials.
 
-Declarative parameter sweeps (:mod:`repro.campaign.spec`), a process-pool
-executor with deterministic per-trial seeding
+Declarative parameter sweeps (:mod:`repro.campaign.spec`), a supervised
+executor (in-process or worker pool) with deterministic per-trial seeding
 (:mod:`repro.campaign.executor`), a shared-memory batch plane and
 zero-copy results ring for pooled runs (:mod:`repro.campaign.shm`),
 streaming aggregation into experiment-compatible summaries
@@ -23,8 +23,8 @@ from repro.campaign.executor import (DEFAULT_MAX_RESPAWNS, DEFAULT_MAX_RETRIES,
                                      CampaignExecutionError,
                                      CampaignInterrupted, CampaignPool,
                                      default_worker_count, execute_batch,
-                                     execute_trial, min_lockstep_lanes,
-                                     resolve_batch_size, run_campaign)
+                                     execute_trial, resolve_batch_size,
+                                     run_campaign)
 from repro.campaign.faults import (FAULT_PLAN_ENV_VAR, FaultPlan,
                                    FaultPlanError, InjectedTrialFault,
                                    TrialFailure, resolve_fault_plan)
@@ -44,7 +44,7 @@ __all__ = [
     "CampaignSpec", "TrialSpec", "TrialRun", "ChannelSpec", "SurgeonSpec",
     "expand_grid",
     "run_campaign", "execute_trial", "execute_batch", "resolve_batch_size",
-    "min_lockstep_lanes", "default_worker_count", "TRIAL_RUNNER_DEFAULT",
+    "default_worker_count", "TRIAL_RUNNER_DEFAULT",
     "CampaignCancelled", "CampaignExecutionError", "CampaignInterrupted",
     "CampaignPool",
     "DEFAULT_MAX_RETRIES", "DEFAULT_MAX_RESPAWNS",

@@ -1,21 +1,34 @@
-"""Parallel Monte-Carlo campaign execution with self-healing supervision.
+"""Monte-Carlo campaign execution with self-healing supervision.
 
-Fans independent emulation trials out across worker processes with
-:class:`concurrent.futures.ProcessPoolExecutor`, falling back to an
-in-process serial loop for ``max_workers=1`` (and for the degenerate
-single-trial case, where pool start-up would dominate).  Trials are
-embarrassingly parallel: every run's seed is derived from the campaign
-master seed and the run's position in the spec, never from scheduling, so
-any worker count yields bit-identical aggregates.
+Every campaign runs through one dispatch loop, the :class:`_Supervisor`,
+over one of two backends with the same ``make_pool``/``submit``/``close``
+contract:
+
+* the **in-process backend** (``max_workers=1``, or a single task without
+  ``pool=``) runs each batch in this process the moment it is submitted
+  and hands back an already-settled future, so the loop degenerates to a
+  plain serial loop: window 1, no deadline, no pickling;
+* a **pool lease** (:meth:`CampaignPool.lease`) runs batches on worker
+  processes.  A multi-worker run builds a private :class:`CampaignPool`
+  and shuts it down when it returns; the campaign service passes its one
+  warm pool in through ``pool=`` and keeps it across jobs.  Either way
+  the job's spec, payload mode, engine and fault plan reach the workers
+  once, through a pickled spool file each worker loads on its first batch
+  of the job (:func:`_run_batch_in_worker`, the single worker entry
+  point).
+
+Trials are embarrassingly parallel: every run's seed is derived from the
+campaign master seed and the run's position in the spec, never from
+scheduling, so any backend and worker count yields bit-identical
+aggregates.
 
 The unit of dispatch is a **batch**: a chunk of replicates of one campaign
-cell.  The campaign spec (configuration included) ships to each worker once
-through the pool initializer, so a task pickles only ``(spec_index,
-(index, replicate, seed), ...)`` tuples; each worker lowers a cell's hybrid
-model once (the per-process cache in :mod:`repro.casestudy.emulation`) and
-reuses it for every trial of that cell.  With ``engine="batched"`` the
-replicates of a chunk additionally execute in vectorized lockstep as lanes
-of one :class:`~repro.hybrid.simulate.batched.BatchedEngine`.
+cell, shipped as ``(spec_index, (index, replicate, seed), ...)`` tuples.
+Each worker lowers a cell's hybrid model once (the per-process cache in
+:mod:`repro.casestudy.emulation`) and reuses it for every trial of that
+cell.  With ``engine="batched"`` the replicates of a chunk additionally
+execute in vectorized lockstep as lanes of one
+:class:`~repro.hybrid.simulate.batched.BatchedEngine`.
 
 Results stream back as batches complete (``on_result`` fires once per trial
 in completion order, for progress reporting); the final
@@ -28,20 +41,19 @@ a resumed run replays the checkpointed prefix through the exact same
 aggregation path — see :mod:`repro.campaign.store` and
 ``docs/checkpoint-format.md``.
 
-Pooled runs execute under a **supervision loop** (:class:`_PoolSupervisor`)
-that survives the failure modes of long campaigns instead of aborting on
-them:
+The supervisor survives the failure modes of long campaigns instead of
+aborting on them:
 
-* a worker that dies mid-batch (``BrokenProcessPool``) gets the pool
-  respawned and its batch rescheduled, against a bounded respawn budget;
-* a worker that hangs past ``batch_deadline`` seconds is killed together
-  with its pool, the hung batch is charged a failure, and the innocent
-  in-flight batches are resubmitted without penalty;
 * a batch that *fails* (an exception from inside a trial) is bisected
   until the offending trial is isolated; the offender is retried up to
   ``max_retries`` times and then **quarantined** — recorded as a
   structured :class:`~repro.campaign.faults.TrialFailure` row in the
   store's ``failures`` table — while the campaign carries on;
+* a worker that dies mid-batch (``BrokenProcessPool``) gets the pool
+  respawned and its batch rescheduled, against a bounded respawn budget;
+* a worker that hangs past ``batch_deadline`` seconds is killed together
+  with its pool, the hung batch is charged a failure, and the innocent
+  in-flight batches are resubmitted without penalty;
 * when several batches are in flight at a pool break, blame is imprecise:
   the suspects are re-run one at a time (an *isolation* queue) without
   being charged an attempt, so an innocent batch can never be quarantined
@@ -52,9 +64,9 @@ rescheduled trial reproduces its original result exactly, and the
 aggregates of a faulted-but-recovered run are bit-identical to a clean
 serial reference (minus quarantined trials, which are reported, not
 silently dropped).  Deterministic fault injection for all of these paths
-lives in :mod:`repro.campaign.faults`.
+is one :class:`~repro.campaign.faults.FaultPlan`.
 
-**Service mode** (:mod:`repro.campaign.server`) runs many campaigns on one
+**Service mode** (:mod:`repro.campaign.service`) runs many campaigns on one
 warm :class:`CampaignPool`: ``run_campaign(pool=...)`` executes on the
 externally owned pool without tearing it down, ``stop=`` gives the caller
 a cooperative cancel (:class:`CampaignCancelled`, resumable store), and
@@ -73,7 +85,8 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Deque, Dict, List, Sequence, Tuple
 
@@ -111,22 +124,12 @@ _INFLIGHT_PER_WORKER = 4
 #: this the vector win flattens while latency and memory keep growing.
 _MAX_AUTO_BATCH = 64
 
-#: Environment override for the lockstep break-even lane count.
-BATCH_MIN_LANES_ENV_VAR = "REPRO_BATCH_MIN_LANES"
-
 #: Below this many lanes the auto heuristic keeps per-trial dispatch even
 #: with the batched kernel: micro-calibration (``benchmarks/bench_batched``)
 #: shows the vectorized dispatch overhead dominating below ~16 lanes, so a
 #: small cell is faster on the scalar path inside each worker.  Explicit
 #: ``batch_size`` values are always honoured as given.
-DEFAULT_BATCH_MIN_LANES = 16
-
-#: Environment variable read by the worker-crash injection harness: a
-#: positive integer N makes a pool worker SIGKILL itself when it picks up
-#: its N-th batch task.  Used by the shared-memory crash-cleanup tests and
-#: the CI smoke (a hard-killed worker must not leak ``/dev/shm`` segments).
-#: Structured crash scripting lives in :mod:`repro.campaign.faults`.
-CRASH_WORKER_ENV_VAR = "REPRO_CAMPAIGN_CRASH_WORKER"
+MIN_LOCKSTEP_LANES = 16
 
 #: Campaign-level engine default.  Direct engine construction stays on the
 #: reference kernel (the executable specification); campaigns default to
@@ -145,11 +148,8 @@ DEFAULT_MAX_RESPAWNS = 8
 
 #: One dispatched batch: a campaign-cell index plus (index, replicate,
 #: seed) triples of the chunk's runs.  Everything else a worker needs is in
-#: the spec it received through the pool initializer.
+#: the job context it loads once from the pool's spool file.
 _BatchTask = Tuple[int, Tuple[Tuple[int, int, int], ...]]
-
-#: Worker-process state installed by :func:`_init_worker`.
-_WORKER_CTX: tuple | None = None
 
 #: The default trial runner: the paper's laser-tracheotomy case study.
 #: :class:`~repro.campaign.spec.TrialSpec.runner` selects alternates from
@@ -289,11 +289,10 @@ def resolve_batch_size(batch_size: int | None, spec: CampaignSpec,
     ``None`` or ``0`` selects the auto heuristic: with the batched kernel,
     split each cell's replicates evenly across the workers (capped at
     ``_MAX_AUTO_BATCH`` lanes — the vector win saturates), unless the split
-    lands below the lockstep break-even (``REPRO_BATCH_MIN_LANES``,
-    default ``DEFAULT_BATCH_MIN_LANES``), where the vector dispatch
-    overhead outweighs the win and per-trial dispatch is faster; with the
-    scalar kernels there is nothing to put in lockstep, so dispatch per
-    trial.
+    lands below the lockstep break-even (:data:`MIN_LOCKSTEP_LANES`),
+    where the vector dispatch overhead outweighs the win and per-trial
+    dispatch is faster; with the scalar kernels there is nothing to put in
+    lockstep, so dispatch per trial.
 
     Args:
         batch_size: The requested batch size (``None``/``0`` = auto).
@@ -305,8 +304,7 @@ def resolve_batch_size(batch_size: int | None, spec: CampaignSpec,
         The concrete batch size, at least 1.
 
     Raises:
-        ValueError: If an explicit ``batch_size`` is negative, or the
-            ``REPRO_BATCH_MIN_LANES`` override is not a positive integer.
+        ValueError: If an explicit ``batch_size`` is negative.
     """
     if batch_size:
         if batch_size < 1:
@@ -316,25 +314,9 @@ def resolve_batch_size(batch_size: int | None, spec: CampaignSpec,
         return 1
     largest_cell = max(t.effective_replicates for t in spec.trials)
     per_worker = -(-largest_cell // max(1, workers))  # ceil division
-    if per_worker < min_lockstep_lanes():
+    if per_worker < MIN_LOCKSTEP_LANES:
         return 1
     return min(_MAX_AUTO_BATCH, per_worker)
-
-
-def min_lockstep_lanes() -> int:
-    """The smallest lane count worth vectorized lockstep (env-overridable)."""
-    raw = os.environ.get(BATCH_MIN_LANES_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_BATCH_MIN_LANES
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"{BATCH_MIN_LANES_ENV_VAR} must be a positive integer, "
-            f"got {raw!r}")
-    return value
 
 
 def _resolve_trial_runner(name: str) -> Callable[..., TrialResult]:
@@ -497,40 +479,78 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
             for offset, (index, replicate, seed) in enumerate(runs_lite)]
 
 
-def _init_worker(spec: CampaignSpec, payload: str, engine: str,
-                 plan: FaultPlan | None = None) -> None:
-    """Pool initializer: receive the campaign constants once per worker."""
-    global _WORKER_CTX
-    _WORKER_CTX = (spec, payload, engine, plan)
+#: Per-worker cache of job contexts, keyed by job token.  A pool serves one
+#: job at a time, so loading a new job's context evicts the previous one
+#: (and with it the old spec's lowered-model cache keys go cold naturally).
+_JOB_CTX: Dict[int, tuple] = {}
 
 
-#: Tasks this worker process has picked up (crash-injection bookkeeping).
-_WORKER_TASKS = 0
+def _watch_parent(parent_pid: int) -> None:
+    """Kill this worker the moment its parent disappears.
+
+    Pool workers block on the pool's call queue, so a SIGKILLed parent
+    (say, the service daemon) would otherwise leave them orphaned forever.
+    Polling the parent pid is cheap, portable and exactly as prompt as the
+    1-second period.
+
+    Args:
+        parent_pid: The pid of the process that owns the pool.
+    """
+    while True:
+        if os.getppid() != parent_pid:
+            os._exit(0)
+        time.sleep(1.0)
 
 
-def _maybe_crash_worker() -> None:
-    """SIGKILL this worker on its N-th task if the crash harness asks for it."""
-    global _WORKER_TASKS
-    raw = os.environ.get(CRASH_WORKER_ENV_VAR)
-    if not raw:
-        return
-    _WORKER_TASKS += 1
-    if _WORKER_TASKS >= int(raw):
-        os.kill(os.getpid(), signal.SIGKILL)
+def _init_pool_worker(parent_pid: int) -> None:
+    """Pool initializer (job-agnostic): start the orphan watchdog.
+
+    Workers receive no campaign context here — each job ships its context
+    once through a spool file (see :meth:`CampaignPool.lease`) — so one
+    warm pool can serve many campaigns without respawning.
+
+    Args:
+        parent_pid: Pid of the pool-owning process, watched so a
+            hard-killed parent never leaks worker processes.
+    """
+    threading.Thread(target=_watch_parent, args=(parent_pid,),
+                     daemon=True).start()
 
 
-def _execute_batch_in_worker(task: _BatchTask,
-                             token: "shm_plane.ShmToken | None" = None,
-                             ctx: BatchContext | None = None):
-    """Task entry point inside a pool worker (context from the initializer).
+def _load_job(job: Tuple[int, str]) -> tuple:
+    """Load (and cache) one job's worker context.
 
-    Without a token this is the classic pickled path: the full result
-    triples travel back through the pool's pipe.  With a token, the worker
-    binds the task's shared-plane lane range (if any) as the engine's
-    backing storage, writes each trial's summary record straight into the
-    shared results ring, and returns only the trial count — plus, for the
-    ``"stats"`` payload, the pickled ``TrialResult`` objects, whose
-    monitor reports and lease ledgers have no fixed-width encoding.
+    Args:
+        job: ``(job_token, spool_path)`` naming the pickled
+            ``(spec, payload, engine, plan)`` tuple of the job.
+
+    Returns:
+        The job's worker-context tuple.
+    """
+    token, path = job
+    ctx = _JOB_CTX.get(token)
+    if ctx is None:
+        with open(path, "rb") as handle:
+            ctx = pickle.load(handle)
+        _JOB_CTX.clear()
+        _JOB_CTX[token] = ctx
+    return ctx
+
+
+def _run_batch_in_worker(job: Tuple[int, str], task: _BatchTask,
+                         token: "shm_plane.ShmToken | None",
+                         ctx: BatchContext):
+    """The task entry point inside a pool worker.
+
+    Installs the job's context (loaded once per worker per job, then
+    cached by token) and runs the batch.  Without a shared-memory token
+    the full result triples travel back through the pool's pipe.  With a
+    token, the worker binds the task's shared-plane lane range (if any) as
+    the engine's backing storage, writes each trial's summary record
+    straight into the shared results ring, and returns only the trial
+    count — plus, for the ``"stats"`` payload, the pickled
+    ``TrialResult`` objects, whose monitor reports and lease ledgers have
+    no fixed-width encoding.
 
     This is also where the dispatch-keyed fault clauses land: ``crash``
     SIGKILLs the worker before any work happens, ``hang`` sleeps past the
@@ -540,14 +560,14 @@ def _execute_batch_in_worker(task: _BatchTask,
     of the same slots.
 
     Args:
+        job: The job-context reference (token + spool path).
         task: The batch to execute.
         token: Optional shared-memory reservation of the batch.
         ctx: Dispatch context (dispatch number + attempt counts) used by
             the fault plan's injection points.
     """
-    _maybe_crash_worker()
-    spec, payload, engine, plan = _WORKER_CTX
-    if plan is not None and ctx is not None:
+    spec, payload, engine, plan = _load_job(job)
+    if plan is not None:
         if plan.crash_at(ctx.dispatch):
             os.kill(os.getpid(), signal.SIGKILL)
         hang = plan.hang_secs(ctx.dispatch)
@@ -564,7 +584,7 @@ def _execute_batch_in_worker(task: _BatchTask,
     results = execute_batch(spec, task, payload, engine, buffers=buffers,
                             plan=plan, ctx=ctx)
     stamp = token.generation
-    if plan is not None and ctx is not None and plan.corrupt_at(ctx.dispatch):
+    if plan is not None and plan.corrupt_at(ctx.dispatch):
         stamp = -token.generation
     ring = shm_plane.attach_ring(token.ring_name, token.ring_capacity)
     for offset, (index, summary, _result) in enumerate(results):
@@ -574,110 +594,28 @@ def _execute_batch_in_worker(task: _BatchTask,
     return len(results), [result for _, _, result in results]
 
 
-#: Per-worker cache of service-job contexts, keyed by job token.  The
-#: shared pool serves one job at a time, so loading a new job's context
-#: evicts the previous one (and with it the old spec's lowered-model
-#: cache keys go cold naturally).
-_SERVICE_CTX: Dict[int, tuple] = {}
-
-
-def _watch_parent(parent_pid: int) -> None:
-    """Kill this worker the moment its service parent disappears.
-
-    Shared-pool workers outlive individual campaigns, so a SIGKILLed
-    service daemon would otherwise leave them orphaned forever, blocked on
-    the pool's call queue.  Polling the parent pid is cheap, portable and
-    exactly as prompt as the 1-second period.
-
-    Args:
-        parent_pid: The pid of the process that owns the pool.
-    """
-    while True:
-        if os.getppid() != parent_pid:
-            os._exit(0)
-        time.sleep(1.0)
-
-
-def _init_service_worker(parent_pid: int) -> None:
-    """Pool initializer of the shared service pool (job-agnostic).
-
-    Unlike :func:`_init_worker` this receives no campaign context — jobs
-    arrive later, each shipping its context once through a spool file (see
-    :meth:`CampaignPool.lease`) — so one warm pool serves many campaigns
-    without respawning.
-
-    Args:
-        parent_pid: Pid of the pool-owning service process, watched so a
-            hard-killed daemon never leaks worker processes.
-    """
-    global _WORKER_CTX
-    _WORKER_CTX = None
-    threading.Thread(target=_watch_parent, args=(parent_pid,),
-                     daemon=True).start()
-
-
-def _load_service_ctx(ctx_ref: Tuple[int, str]) -> tuple:
-    """Load (and cache) one service job's worker context.
-
-    Args:
-        ctx_ref: ``(job_token, spool_path)`` naming the pickled
-            ``(spec, payload, engine, plan)`` tuple of the job.
-
-    Returns:
-        The job's worker-context tuple.
-    """
-    token, path = ctx_ref
-    ctx = _SERVICE_CTX.get(token)
-    if ctx is None:
-        with open(path, "rb") as handle:
-            ctx = pickle.load(handle)
-        _SERVICE_CTX.clear()
-        _SERVICE_CTX[token] = ctx
-    return ctx
-
-
-def _run_service_batch(ctx_ref: Tuple[int, str], task: _BatchTask,
-                       token: "shm_plane.ShmToken | None" = None,
-                       ctx: BatchContext | None = None):
-    """Task entry point on the shared service pool.
-
-    Installs the job's context (loaded once per worker per job, then
-    cached by token) and delegates to :func:`_execute_batch_in_worker`, so
-    the execution semantics — shared-memory path, fault injection, crash
-    harness — are identical to a dedicated pool's.
-
-    Args:
-        ctx_ref: The job-context reference (token + spool path).
-        task: The batch to execute.
-        token: Optional shared-memory reservation of the batch.
-        ctx: Dispatch context used by the fault plan's injection points.
-    """
-    global _WORKER_CTX
-    _WORKER_CTX = _load_service_ctx(ctx_ref)
-    return _execute_batch_in_worker(task, token, ctx)
-
-
 class CampaignPool:
-    """A warm worker pool shared by consecutive campaign runs.
+    """A worker pool that campaign runs lease, one run at a time.
 
-    The campaign service holds exactly one of these: every queued job
-    executes on the same worker processes (``run_campaign(pool=...)``), so
-    jobs after the first skip process spin-up entirely and inherit warm
-    per-process lowered-model caches.  Per-job context travels through a
-    pickled spool file that each worker loads lazily on its first batch of
-    the job — the pool itself is job-agnostic and never restarts between
-    jobs.
+    A multi-worker ``run_campaign`` builds a private pool and shuts it down
+    when it returns.  The campaign service holds exactly one for its whole
+    life: every queued job executes on the same worker processes
+    (``run_campaign(pool=...)``), so jobs after the first skip process
+    spin-up entirely and inherit warm per-process lowered-model caches.
+    Per-job context travels through a pickled spool file that each worker
+    loads lazily on its first batch of the job — the pool itself is
+    job-agnostic and never restarts between jobs.
 
-    The executor's self-healing paths keep working: when the supervisor
-    kills a broken/hung pool, the job's lease transparently respawns the
-    shared executor, and subsequent jobs use the replacement.
+    The supervisor's self-healing paths keep working: when it kills a
+    broken/hung pool, the job's lease transparently respawns the executor,
+    and subsequent jobs use the replacement.
     """
 
     def __init__(self, max_workers: int):
         """Create the pool shell (workers spawn on first use).
 
         Args:
-            max_workers: Worker-process count of the shared pool.
+            max_workers: Worker-process count of the pool.
 
         Raises:
             ValueError: If ``max_workers`` is not positive.
@@ -701,20 +639,20 @@ class CampaignPool:
         return tuple(sorted(proc.pid for proc in procs))
 
     def _ensure(self) -> ProcessPoolExecutor:
-        """Return the live shared executor, spawning it if needed."""
+        """Return the live executor, spawning it if needed."""
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
-                initializer=_init_service_worker, initargs=(os.getpid(),))
+                initializer=_init_pool_worker, initargs=(os.getpid(),))
         return self._executor
 
     def lease(self, spec: CampaignSpec, payload: str, engine: str,
               plan: FaultPlan | None) -> "_PoolLease":
-        """Issue one campaign run's handle on the shared pool.
+        """Issue one campaign run's handle on the pool.
 
         Writes the job's worker context to a spool file (shipped by path,
         loaded once per worker) and returns the lease the executor wires
-        into its supervisor in place of a dedicated pool.
+        into its supervisor as the backend.
 
         Args:
             spec: The campaign about to run.
@@ -732,11 +670,11 @@ class CampaignPool:
         return _PoolLease(self, self._job_seq, path)
 
     def shutdown(self, *, kill: bool = False) -> None:
-        """Shut the shared pool down and remove its spool directory.
+        """Shut the pool down and remove its spool directory.
 
         Args:
             kill: ``False`` waits for in-flight work; ``True`` SIGKILLs
-                the workers (service hard-stop).
+                the workers (error unwinding, service hard-stop).
         """
         executor, self._executor = self._executor, None
         _shutdown_pool(executor, kill=kill)
@@ -744,12 +682,11 @@ class CampaignPool:
 
 
 class _PoolLease:
-    """One campaign run's view of a shared :class:`CampaignPool`.
+    """One campaign run's backend on a :class:`CampaignPool`.
 
-    Adapts the shared pool to the supervisor's contract: ``make_pool``
-    returns the live shared executor (respawning it only when the
+    ``make_pool`` returns the live executor (respawning it only when the
     supervisor killed the previous one), and ``submit`` routes batches
-    through :func:`_run_service_batch` so workers pick the job's context
+    through :func:`_run_batch_in_worker` so workers pick the job's context
     up from the spool file.
     """
 
@@ -757,13 +694,12 @@ class _PoolLease:
         """Bind the lease to its pool and spooled job context.
 
         Args:
-            pool: The shared pool.
+            pool: The leased pool.
             token: The job token keying the workers' context cache.
             ctx_path: Path of the spooled worker-context pickle.
         """
         self.pool = pool
-        self.token = token
-        self.ctx_path = ctx_path
+        self.job = (token, ctx_path)
         self._issued: ProcessPoolExecutor | None = None
 
     def make_pool(self) -> ProcessPoolExecutor:
@@ -771,11 +707,11 @@ class _PoolLease:
 
         The supervisor calls this once at start and again right after
         killing a broken/hung pool: if the executor it killed is still
-        the shared one, it is dropped so a fresh pool replaces it — for
-        this job and every one after it.
+        the pool's current one, it is dropped so a fresh executor replaces
+        it — for this job and every one after it.
 
         Returns:
-            The live shared executor.
+            The live executor.
         """
         if self._issued is not None and self._issued is self.pool._executor:
             self.pool._executor = None
@@ -783,8 +719,8 @@ class _PoolLease:
         return self._issued
 
     def submit(self, pool: ProcessPoolExecutor, task: _BatchTask,
-               token, ctx: BatchContext | None):
-        """Submit one batch through the service entry point.
+               token, ctx: BatchContext) -> Future:
+        """Submit one batch to the worker entry point.
 
         Args:
             pool: The executor issued by :meth:`make_pool`.
@@ -795,15 +731,65 @@ class _PoolLease:
         Returns:
             The batch future.
         """
-        return pool.submit(_run_service_batch, (self.token, self.ctx_path),
-                           task, token, ctx)
+        return pool.submit(_run_batch_in_worker, self.job, task, token, ctx)
 
     def close(self) -> None:
         """Delete the job's spool file (workers keep their cached copy)."""
         try:
-            os.unlink(self.ctx_path)
+            os.unlink(self.job[1])
         except OSError:
             pass
+
+
+class _InProcessBackend:
+    """Serial backend: each batch runs in this process as it is submitted.
+
+    ``submit`` returns an already-settled future, so the supervisor's loop
+    (window 1, no deadline) dispatches, bisects, retries and quarantines in
+    exactly the order of a plain serial loop.  Dispatch-keyed ``crash`` /
+    ``hang`` / ``corrupt`` clauses have no worker to act on and never fire.
+    """
+
+    def __init__(self, spec: CampaignSpec, payload: str, engine: str,
+                 plan: FaultPlan | None):
+        """Capture the run's constants.
+
+        Args:
+            spec: The campaign being run.
+            payload: The run's payload mode.
+            engine: The resolved simulation-kernel name.
+            plan: The run's fault plan, if any.
+        """
+        self.job = (spec, payload, engine, plan)
+
+    def make_pool(self) -> None:
+        """There is no pool to spawn (or respawn)."""
+        return None
+
+    def submit(self, pool: None, task: _BatchTask, token,
+               ctx: BatchContext) -> Future:
+        """Run one batch now and return its settled future.
+
+        Args:
+            pool: Unused (always ``None``).
+            task: The batch to run.
+            token: Unused (serial runs never take the shared-memory path).
+            ctx: The batch's dispatch context.
+
+        Returns:
+            A future already holding the batch's results or its failure.
+        """
+        spec, payload, engine, plan = self.job
+        future: Future = Future()
+        try:
+            future.set_result(execute_batch(spec, task, payload, engine,
+                                            plan=plan, ctx=ctx))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def close(self) -> None:
+        """Nothing to release."""
 
 
 def _chunk_runs(runs: Sequence[TrialRun], batch_size: int) -> List[_BatchTask]:
@@ -850,51 +836,6 @@ def _cell_plane_geometry(spec: CampaignSpec,
     return build_batched_tables(lowered).plane_columns()
 
 
-def _handle_batch_failure(pending: _Pending, exc: BaseException, *,
-                          max_retries: int,
-                          requeue: Callable[[_Pending], None],
-                          quarantine: Callable[[_Pending, BaseException], None],
-                          events: List[Tuple[str, str]]) -> None:
-    """Charge a failed batch and decide its fate: bisect, retry or give up.
-
-    Every trial of the batch is charged one failed attempt.  Multi-trial
-    batches are always *bisected* — never quarantined wholesale, so an
-    innocent replicate sharing a batch with a poison trial keeps its full
-    retry budget as the halves re-run.  A failing singleton retries until
-    its budget (``max_retries`` beyond the first attempt) is exhausted,
-    then goes to ``quarantine``.
-
-    Args:
-        pending: The failed batch with its pre-failure attempt counts.
-        exc: The failure.
-        max_retries: Per-trial retry budget.
-        requeue: Front-of-queue scheduler for the batch's successors
-            (called right-half first so the left half runs first).
-        quarantine: Sink for a trial whose budget is exhausted.
-        events: Recovery-event log to append to.
-    """
-    spec_index, runs_lite = pending.task
-    attempts = tuple(count + 1 for count in pending.attempts)
-    if len(runs_lite) > 1:
-        mid = len(runs_lite) // 2
-        events.append((
-            "bisect",
-            f"batch of {len(runs_lite)} trials (cell {spec_index}) failed "
-            f"({type(exc).__name__}: {exc}); splitting to isolate the "
-            f"offender"))
-        requeue(_Pending((spec_index, runs_lite[mid:]), attempts[mid:]))
-        requeue(_Pending((spec_index, runs_lite[:mid]), attempts[:mid]))
-        return
-    if attempts[0] > max_retries:
-        quarantine(_Pending(pending.task, attempts), exc)
-        return
-    events.append((
-        "retry",
-        f"trial {runs_lite[0][0]} failed attempt {attempts[0]} "
-        f"({type(exc).__name__}: {exc}); retrying"))
-    requeue(_Pending(pending.task, attempts))
-
-
 def _shutdown_pool(pool: ProcessPoolExecutor | None, *, kill: bool) -> None:
     """Shut a pool down, gracefully or by force.
 
@@ -918,14 +859,16 @@ def _shutdown_pool(pool: ProcessPoolExecutor | None, *, kill: bool) -> None:
         proc.join(timeout=5.0)
 
 
-class _PoolSupervisor:
-    """Self-healing scheduler of one campaign's pooled execution.
+class _Supervisor:
+    """The single, self-healing dispatch loop of every campaign run.
 
-    Owns the dispatch queue, the in-flight window, the pool lifecycle and
-    every recovery decision (see the module docs for the failure model).
-    The result/checkpoint plumbing stays in ``run_campaign``'s closures —
-    the supervisor only decides *what runs when* and *who is to blame*
-    when something breaks.
+    Owns the dispatch queue, the in-flight window and every recovery
+    decision (see the module docs for the failure model); the backend
+    (:class:`_InProcessBackend` or a :class:`_PoolLease`) only runs
+    batches, and whoever created a pool shuts it down.  The
+    result/checkpoint plumbing stays in ``run_campaign``'s closures — the
+    supervisor only decides *what runs when* and *who is to blame* when
+    something breaks.
     """
 
     #: Extra seconds granted past a batch deadline before declaring a
@@ -933,7 +876,7 @@ class _PoolSupervisor:
     _DEADLINE_SLACK = 0.05
 
     def __init__(self, *, tasks: Sequence[_BatchTask], window: int,
-                 make_pool: Callable[[], ProcessPoolExecutor],
+                 backend: "_InProcessBackend | _PoolLease",
                  acquire: Callable[[_BatchTask], tuple],
                  publish: Callable[[_BatchTask, object, object], None],
                  release: Callable[[object, int], None],
@@ -941,14 +884,15 @@ class _PoolSupervisor:
                  events: List[Tuple[str, str]],
                  max_retries: int, batch_deadline: float | None,
                  max_respawns: int, store_path: str | None,
-                 submit: Callable | None = None, owns_pool: bool = True,
-                 stop: Callable[[], bool] | None = None):
+                 stop: Callable[[], bool] | None):
         """Wire the supervisor to one campaign run.
 
         Args:
             tasks: The batches to execute (initial attempt counts zero).
             window: Maximum batches in flight at once.
-            make_pool: Factory for a fresh, initialized worker pool.
+            backend: Runs the batches: ``make_pool()`` returns a live
+                pool (again after a respawn) and ``submit(pool, task,
+                token, ctx)`` returns the batch's future.
             acquire: Shared-memory reservation hook; returns a
                 ``(ticket, token)`` pair (both ``None`` = pickled path).
             publish: Result sink (checkpoint + aggregate) for a finished
@@ -962,13 +906,6 @@ class _PoolSupervisor:
                 worker is declared hung (``None`` disables the watchdog).
             max_respawns: Pool-respawn budget for the whole run.
             store_path: Checkpoint-store path for error messages, if any.
-            submit: Batch dispatcher ``submit(pool, task, token, ctx)``;
-                ``None`` submits :func:`_execute_batch_in_worker`
-                directly (dedicated-pool runs).
-            owns_pool: Whether this run owns the pool's lifecycle.  With
-                an externally owned (service) pool, the supervisor never
-                shuts it down on completion — only a recovery respawn
-                replaces it, through ``make_pool``.
             stop: Cooperative-cancel poll; returning ``True`` between
                 batches raises :class:`CampaignCancelled`.
         """
@@ -977,7 +914,7 @@ class _PoolSupervisor:
         self.isolation: Deque[_Pending] = deque()
         self.inflight: Dict[object, _Flight] = {}
         self.window = window
-        self.make_pool = make_pool
+        self.backend = backend
         self.acquire = acquire
         self.publish = publish
         self.release = release
@@ -987,10 +924,6 @@ class _PoolSupervisor:
         self.batch_deadline = batch_deadline
         self.max_respawns = max_respawns
         self.store_path = store_path
-        self.submit = submit or (
-            lambda pool, task, token, ctx:
-            pool.submit(_execute_batch_in_worker, task, token, ctx))
-        self.owns_pool = owns_pool
         self.stop = stop
         self.dispatch = 0
         self.respawns = 0
@@ -999,7 +932,7 @@ class _PoolSupervisor:
 
     def run(self) -> None:
         """Execute every batch to completion (or quarantine)."""
-        pool = self.make_pool()
+        pool = self.backend.make_pool()
         try:
             while self.queue or self.isolation or self.inflight:
                 self._check_stop()
@@ -1012,19 +945,13 @@ class _PoolSupervisor:
                 for future in done:
                     pool = self._retire(pool, future)
                 pool = self._check_deadlines(pool)
-            if self.owns_pool:
-                _shutdown_pool(pool, kill=False)
         except BaseException:
-            if self.owns_pool:
-                _shutdown_pool(pool, kill=True)
-            else:
-                # An externally owned pool stays warm for the next job;
-                # just drop this run's pending work.  Batches already on a
-                # worker run to completion into discarded futures, which
-                # is harmless: nothing unpublished reaches the aggregates
-                # or the store, so a resume re-runs them exactly.
-                for future in self.inflight:
-                    future.cancel()
+            # Drop this run's pending work.  Batches already on a worker
+            # run to completion into discarded futures, which is harmless:
+            # nothing unpublished reaches the aggregates or the store, so
+            # a resume re-runs them exactly.
+            for future in self.inflight:
+                future.cancel()
             raise
 
     def _check_stop(self) -> None:
@@ -1060,7 +987,7 @@ class _PoolSupervisor:
         self.dispatch += 1
         ctx = BatchContext(dispatch=self.dispatch, attempts=pending.attempts)
         try:
-            future = self.submit(pool, pending.task, token, ctx)
+            future = self.backend.submit(pool, pending.task, token, ctx)
         except BrokenProcessPool:
             self.release(ticket, len(pending.task[1]))
             raise
@@ -1093,14 +1020,41 @@ class _PoolSupervisor:
     # -- retirement and blame ---------------------------------------------
 
     def _fail(self, pending: _Pending, exc: BaseException) -> None:
-        """Charge a precisely-blamed failure (bisect / retry / quarantine).
+        """Charge a precisely-blamed failure: bisect, retry or quarantine.
 
-        Successors go to the front of the isolation queue: they re-run one
-        at a time, so any further failure stays precisely attributable.
+        Every trial of the batch is charged one failed attempt.  A
+        multi-trial batch is always *bisected* — never quarantined
+        wholesale, so an innocent replicate sharing a batch with a poison
+        trial keeps its full retry budget as the halves re-run.  A failing
+        singleton retries until its budget (``max_retries`` beyond the
+        first attempt) is exhausted, then is quarantined.
+
+        Successors go to the front of the isolation queue (left half
+        first): they re-run one at a time, so any further failure stays
+        precisely attributable.
         """
-        _handle_batch_failure(pending, exc, max_retries=self.max_retries,
-                              requeue=self.isolation.appendleft,
-                              quarantine=self.quarantine, events=self.events)
+        spec_index, runs_lite = pending.task
+        attempts = tuple(count + 1 for count in pending.attempts)
+        if len(runs_lite) > 1:
+            mid = len(runs_lite) // 2
+            self.events.append((
+                "bisect",
+                f"batch of {len(runs_lite)} trials (cell {spec_index}) failed "
+                f"({type(exc).__name__}: {exc}); splitting to isolate the "
+                f"offender"))
+            self.isolation.appendleft(
+                _Pending((spec_index, runs_lite[mid:]), attempts[mid:]))
+            self.isolation.appendleft(
+                _Pending((spec_index, runs_lite[:mid]), attempts[:mid]))
+            return
+        if attempts[0] > self.max_retries:
+            self.quarantine(_Pending(pending.task, attempts), exc)
+            return
+        self.events.append((
+            "retry",
+            f"trial {runs_lite[0][0]} failed attempt {attempts[0]} "
+            f"({type(exc).__name__}: {exc}); retrying"))
+        self.isolation.appendleft(_Pending(pending.task, attempts))
 
     def _release_flight(self, flight: _Flight) -> None:
         """Return a flight's shared-memory reservation unconsumed."""
@@ -1222,7 +1176,7 @@ class _PoolSupervisor:
                 store_path=self.store_path) from exc
         self.events.append(
             ("pool-respawn", f"respawn #{self.respawns} after {why}"))
-        return self.make_pool()
+        return self.backend.make_pool()
 
 
 def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
@@ -1248,7 +1202,9 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         seed: Master seed; every trial derives its own sub-seed from it
             (unless the spec pins explicit seeds).
         max_workers: Worker processes; ``1`` runs the trials serially in
-            this process (no pool, no pickling).
+            this process (no pool, no pickling).  More builds a private
+            :class:`CampaignPool` of at most that many workers, shut down
+            before this call returns.
         payload: ``"summary"`` keeps only slim per-trial statistics;
             ``"stats"`` additionally collects each trial's
             :class:`~repro.casestudy.emulation.TrialResult` computed by the
@@ -1310,7 +1266,8 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             The run executes on its workers — even a single-task campaign
             goes through the pooled path, so consecutive jobs share one
             set of worker processes — and never shuts it down;
-            ``max_workers`` is ignored in favour of the pool's size.
+            ``max_workers`` is ignored in favour of the pool's size, which
+            also drives the auto batch size and ``CampaignResult.workers``.
         stop: Cooperative-cancel poll, checked between batches; returning
             ``True`` raises :class:`CampaignCancelled` after the store is
             flushed and shared memory unlinked, leaving a resumable
@@ -1389,6 +1346,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             on_result(summary)
 
     session: shm_plane.ShmSession | None = None
+    own_pool: CampaignPool | None = None
     try:
         live_runs: Sequence[TrialRun] = runs
         replayed_count = 0
@@ -1411,17 +1369,27 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
                 done_indices.add(failure.trial_index)
             live_runs = [run for run in runs if run.index not in done_indices]
 
-        batch = resolve_batch_size(batch_size, spec, max_workers,
-                                   resolved_engine)
+        workers = pool.max_workers if pool is not None else max_workers
+        batch = resolve_batch_size(batch_size, spec, workers, resolved_engine)
         tasks = _chunk_runs(live_runs, batch)
         started = time.perf_counter()
 
-        # An external (service) pool forces the pooled path even for a
-        # single-task job, so every job observably runs on the same warm
+        # An external (service) pool takes every job with work to do, even a
+        # single-task one, so every job observably runs on the same warm
         # worker processes.
-        pooled = bool(tasks) and (pool is not None
-                                  or (max_workers > 1 and len(tasks) > 1))
-        use_shm = _resolve_shm(shm, resolved_engine, payload, pooled)
+        serial = not tasks or (pool is None
+                               and (workers == 1 or len(tasks) == 1))
+        if not serial and pool is None:
+            pool = own_pool = CampaignPool(min(workers, len(tasks)))
+        window = 1 if serial else pool.max_workers * _INFLIGHT_PER_WORKER
+        cell_live: Dict[int, int] = {}
+        if _resolve_shm(shm, resolved_engine, payload, not serial):
+            ring_capacity = max(batch, min(len(live_runs),
+                                           (window + 1) * batch))
+            session = shm_plane.ShmSession(ring_capacity)
+            for spec_index, runs_lite in tasks:
+                cell_live[spec_index] = (cell_live.get(spec_index, 0)
+                                         + len(runs_lite))
 
         def record(batch_results) -> None:
             # Durability before publication: once a result is visible to
@@ -1458,103 +1426,60 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
                          results[offset] if results is not None else None)
             session.release(ticket, count)
 
+        def acquire(task: _BatchTask):
+            """Reserve shared-memory lanes/slots for one task, if any."""
+            if session is None:
+                return None, None
+            spec_index, runs_lite = task
+            count = len(runs_lite)
+            want_plane = (resolved_engine == "batched" and count > 1
+                          and payload != "full"
+                          and (spec.trials[spec_index].runner
+                               == TRIAL_RUNNER_DEFAULT))
+            if want_plane and session.plane(spec_index) is None:
+                state_cols, cross_cols = _cell_plane_geometry(
+                    spec, spec_index)
+                lanes = max(count, min(cell_live[spec_index],
+                                       (window + 1) * batch))
+                session.ensure_plane(spec_index, lanes, state_cols,
+                                     cross_cols)
+            ticket = session.acquire(spec_index, count, want_plane)
+            if ticket is None:
+                return None, None
+            return ticket, ticket.token(session)
+
+        def publish(task: _BatchTask, ticket, outcome) -> None:
+            """Checkpoint and aggregate one finished batch."""
+            if ticket is None:
+                record(outcome)
+            else:
+                record_shm(task, ticket, outcome)
+
+        def release(ticket, count: int) -> None:
+            """Return an unconsumed shared-memory reservation."""
+            if ticket is not None and session is not None:
+                session.release(ticket, count)
+
         if tasks:
             recovery.advance(RecoveryStage.LIVE)
-        if not pooled:
-            pending_q: Deque[_Pending] = deque(
-                _Pending(task, (0,) * len(task[1])) for task in tasks)
-            dispatch = 0
-            while pending_q:
-                if stop is not None and stop():
-                    raise CampaignCancelled()
-                pending = pending_q.popleft()
-                dispatch += 1
-                ctx = BatchContext(dispatch=dispatch,
-                                   attempts=pending.attempts)
-                try:
-                    outcome = execute_batch(spec, pending.task, payload,
-                                            resolved_engine, plan=plan,
-                                            ctx=ctx)
-                except Exception as exc:
-                    _handle_batch_failure(pending, exc,
-                                          max_retries=max_retries,
-                                          requeue=pending_q.appendleft,
-                                          quarantine=quarantine,
-                                          events=events)
-                    continue
-                record(outcome)
-        else:
-            workers = (pool.max_workers if pool is not None
-                       else min(max_workers, len(tasks)))
-            window = workers * _INFLIGHT_PER_WORKER
-            cell_live: Dict[int, int] = {}
-            if use_shm:
-                ring_capacity = max(batch, min(len(live_runs),
-                                               (window + 1) * batch))
-                session = shm_plane.ShmSession(ring_capacity)
-                for spec_index, runs_lite in tasks:
-                    cell_live[spec_index] = (cell_live.get(spec_index, 0)
-                                             + len(runs_lite))
-
-            def acquire(task: _BatchTask):
-                """Reserve shared-memory lanes/slots for one task, if any."""
-                if session is None:
-                    return None, None
-                spec_index, runs_lite = task
-                count = len(runs_lite)
-                want_plane = (resolved_engine == "batched" and count > 1
-                              and payload != "full"
-                              and (spec.trials[spec_index].runner
-                                   == TRIAL_RUNNER_DEFAULT))
-                if want_plane and session.plane(spec_index) is None:
-                    state_cols, cross_cols = _cell_plane_geometry(
-                        spec, spec_index)
-                    lanes = max(count, min(cell_live[spec_index],
-                                           (window + 1) * batch))
-                    session.ensure_plane(spec_index, lanes, state_cols,
-                                         cross_cols)
-                ticket = session.acquire(spec_index, count, want_plane)
-                if ticket is None:
-                    return None, None
-                return ticket, ticket.token(session)
-
-            def publish(task: _BatchTask, ticket, outcome) -> None:
-                """Checkpoint and aggregate one finished batch."""
-                if ticket is None:
-                    record(outcome)
-                else:
-                    record_shm(task, ticket, outcome)
-
-            def release(ticket, count: int) -> None:
-                """Return an unconsumed shared-memory reservation."""
-                if ticket is not None and session is not None:
-                    session.release(ticket, count)
-
-            def make_pool() -> ProcessPoolExecutor:
-                """Spawn a fresh, fully initialized worker pool."""
-                return ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker,
-                    initargs=(spec, payload, resolved_engine, plan))
-
-            lease = (pool.lease(spec, payload, resolved_engine, plan)
-                     if pool is not None else None)
-            supervisor = _PoolSupervisor(
-                tasks=tasks, window=window,
-                make_pool=(lease.make_pool if lease is not None
-                           else make_pool),
+        backend = (_InProcessBackend(spec, payload, resolved_engine, plan)
+                   if serial
+                   else pool.lease(spec, payload, resolved_engine, plan))
+        try:
+            _Supervisor(
+                tasks=tasks, window=window, backend=backend,
                 acquire=acquire, publish=publish, release=release,
                 quarantine=quarantine, events=events,
-                max_retries=max_retries, batch_deadline=batch_deadline,
+                max_retries=max_retries,
+                batch_deadline=None if serial else batch_deadline,
                 max_respawns=max_respawns,
                 store_path=(str(store_obj.path)
                             if store_obj is not None else None),
-                submit=(lease.submit if lease is not None else None),
-                owns_pool=(lease is None), stop=stop)
-            try:
-                supervisor.run()
-            finally:
-                if lease is not None:
-                    lease.close()
+                stop=stop).run()
+        finally:
+            backend.close()
+        if own_pool is not None:
+            own_pool.shutdown()
 
         wall_time = time.perf_counter() - started
         missing = {run.index for run in runs if summaries[run.index] is None}
@@ -1574,6 +1499,11 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         if store_obj is not None:
             store_obj.mark_complete()
         recovery.advance(RecoveryStage.COMPLETE)
+    except BaseException:
+        # A private pool dies with its run: no worker outlives an error.
+        if own_pool is not None:
+            own_pool.shutdown(kill=True)
+        raise
     finally:
         # Unlink shared segments even on a crashed/broken pool — the
         # session owns them and nothing else will.
@@ -1585,7 +1515,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
     return CampaignResult(
         spec=spec,
         master_seed=seed,
-        workers=max_workers,
+        workers=workers,
         wall_time=wall_time,
         summaries=tuple(s for s in summaries if s is not None),
         results=(tuple(full[i] for i, s in enumerate(summaries)

@@ -16,9 +16,15 @@ A plan comes from the ``REPRO_FAULT_PLAN`` environment variable (or the
 with five clause kinds, each consumed at one injection point:
 
 ``crash``
-    SIGKILL the pool worker as it picks up batch dispatch number
-    ``batch`` (1-based, counting every dispatch including reschedules).
-    Consumed in the worker task entry point; exercises pool respawn.
+    With ``batch=K``, SIGKILL the pool worker as it picks up batch
+    dispatch number ``K`` (1-based, counting every dispatch including
+    reschedules); consumed in the worker task entry point, it exercises
+    pool respawn.  With ``commit=N``, hard-exit the process
+    (``os._exit(86)``, no cleanup — the moral equivalent of SIGKILL)
+    right after durable store commit number ``N``, leaving a store that
+    holds exactly a partial prefix of the run; consumed inside
+    :class:`~repro.campaign.store.CampaignStore`, it exercises
+    crash/resume.
 ``hang``
     Sleep ``secs`` (default 30) inside the worker at dispatch ``batch``.
     Consumed in the worker task entry point; exercises the batch
@@ -29,7 +35,8 @@ with five clause kinds, each consumed at one injection point:
     eventually quarantined); ``times=N`` makes the fault transient — the
     first ``N`` attempts fail and the next retry succeeds.  Consumed
     inside :func:`repro.casestudy.emulation.run_trial` /
-    ``run_trial_batch`` via the executor's per-trial fault hook.
+    ``run_trial_batch`` via the executor's per-trial fault hook, so it
+    is the one clause that also fires in serial (in-process) runs.
 ``corrupt``
     Stamp-corrupt the shared results-ring generation of dispatch
     ``batch`` (the worker writes records with a wrong generation).
@@ -37,16 +44,23 @@ with five clause kinds, each consumed at one injection point:
     :class:`~repro.campaign.shm.ShmError` detect-and-reschedule path.
 ``lock``
     Raise a transient ``sqlite3.OperationalError("database is locked")``
-    on store commit number ``commit`` (1-based over every store commit of
-    the process) for the first ``times`` attempts (default 1).  Consumed
-    inside :class:`~repro.campaign.store.CampaignStore`; exercises the
+    on store commit number ``commit`` for the first ``times`` attempts
+    (default 1).  Consumed inside
+    :class:`~repro.campaign.store.CampaignStore`; exercises the
     bounded-backoff commit retry.
+
+Store commits are numbered 1-based over every commit of one store object
+(campaign metadata, trial batches, failure rows, estimator states and the
+completion mark), the same numbering for ``lock`` and ``crash@commit``.
+A store opened without a plan reads ``REPRO_FAULT_PLAN`` itself, so
+estimator stores and the campaign service see the plan too.
 
 ``crash``, ``hang`` and ``corrupt`` accept ``p=PROB`` (with an optional
 ``seed=N``) instead of ``batch=K``: the clause then fires on each
 dispatch with probability ``p``, decided by a counter-based hash of
 ``(seed, kind, dispatch)`` — deterministic and scheduling-independent,
-so probabilistic chaos runs replay exactly.
+so probabilistic chaos runs replay exactly.  ``crash@p=1`` kills every
+worker on its first task.
 
 Because a rescheduled batch gets a *fresh* dispatch number, a fault keyed
 by ``batch`` fires exactly once: the retry of a crashed or hung batch runs
@@ -65,7 +79,7 @@ FAULT_PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
 #: The clause kinds a plan may contain, and the keys each accepts.
 _CLAUSE_KEYS = {
-    "crash": {"batch", "p", "seed"},
+    "crash": {"batch", "p", "seed", "commit"},
     "hang": {"batch", "p", "seed", "secs"},
     "raise": {"trial", "times"},
     "corrupt": {"batch", "p", "seed"},
@@ -144,7 +158,12 @@ class FaultClause:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{sorted(_CLAUSE_KEYS)}")
-        if self.kind in ("crash", "hang", "corrupt"):
+        if self.kind == "crash":
+            if sum(key is not None
+                   for key in (self.batch, self.p, self.commit)) != 1:
+                raise FaultPlanError(
+                    "crash clause needs exactly one of batch=, p= or commit=")
+        elif self.kind in ("hang", "corrupt"):
             if (self.batch is None) == (self.p is None):
                 raise FaultPlanError(
                     f"{self.kind} clause needs exactly one of batch= or p=")
@@ -157,6 +176,8 @@ class FaultClause:
 
     def fires_at(self, dispatch: int) -> bool:
         """Whether this dispatch-keyed clause fires on dispatch ``dispatch``."""
+        if self.commit is not None:  # commit-keyed: never at a dispatch
+            return False
         if self.batch is not None:
             return dispatch == self.batch
         digest = hashlib.sha256(
@@ -211,11 +232,11 @@ class FaultPlan:
     """A deterministic, replayable script of faults for one campaign run.
 
     Frozen and built from primitives, so it pickles cleanly to pool
-    workers (via the executor's pool initializer) and hashes the same
-    everywhere.  All query methods are pure functions of the plan and the
-    injection-point coordinates — no hidden state, so any two runs with
-    the same plan and the same dispatch/commit sequence inject the same
-    faults.
+    workers (inside the executor's spooled job context) and hashes the
+    same everywhere.  All query methods are pure functions of the plan
+    and the injection-point coordinates — no hidden state, so any two
+    runs with the same plan and the same dispatch/commit sequence inject
+    the same faults.
     """
 
     clauses: Tuple[FaultClause, ...] = ()
@@ -279,11 +300,16 @@ class FaultPlan:
         """Whether the ring records of dispatch ``dispatch`` get bad stamps."""
         return self._dispatch_fires("corrupt", dispatch)
 
+    def crash_after_commit(self, commit: int) -> bool:
+        """Whether the process must hard-exit after store commit ``commit``."""
+        return any(c.kind == "crash" and c.commit == commit
+                   for c in self.clauses)
+
     def lock_commit(self, commit: int, attempt: int) -> bool:
         """Whether store commit ``commit`` must fail on try ``attempt``.
 
         Args:
-            commit: 1-based sequence number of the commit in this process.
+            commit: 1-based sequence number of the commit in its store.
             attempt: 0-based retry count of the commit so far.
 
         Returns:

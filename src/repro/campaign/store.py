@@ -42,11 +42,13 @@ use; ``LIVE`` executes and checkpoints the remaining trials; ``COMPLETE``
 marks the store finished (resuming a complete store replays everything and
 simulates nothing).
 
-The module also hosts the crash-injection harness used by the test suite
-and the CI resume smoke: setting ``REPRO_CAMPAIGN_CRASH_AFTER=N`` in the
-environment hard-kills the process (``os._exit``, no cleanup — the moral
-equivalent of ``SIGKILL``) immediately after the N-th checkpoint commit,
-leaving a store holding exactly a partial prefix of the campaign.
+Every commit also passes the store-side injection points of the fault
+plan (:mod:`repro.campaign.faults`): ``lock@commit=N`` fails commit N with
+a transient lock error, and ``crash@commit=N`` hard-kills the process
+(``os._exit``, no cleanup — the moral equivalent of ``SIGKILL``) right
+after commit N is durable, leaving a store holding exactly a partial
+prefix of the campaign.  The test suite and the CI resume smoke use the
+latter to prove resume is bit-identical.
 """
 
 from __future__ import annotations
@@ -101,13 +103,9 @@ _SQL_TYPE = {"i": "INTEGER", "b": "INTEGER", "f": "REAL"}
 #: The summary columns of the ``trials`` table, in record order.
 _SUMMARY_COLUMNS = tuple(name for name, _ in SUMMARY_RECORD_FIELDS)
 
-#: Environment variable read by the crash-injection harness: a positive
-#: integer N makes the process ``os._exit(CRASH_EXIT_CODE)`` right after
-#: the N-th checkpoint commit of this run.  Test/CI use only.
-CRASH_ENV_VAR = "REPRO_CAMPAIGN_CRASH_AFTER"
-
-#: Exit status of a crash-injected process, distinguishable from both
-#: success (0) and the CLI's check-failure (1) / usage-error (2) statuses.
+#: Exit status of a process killed by a ``crash@commit`` fault clause,
+#: distinguishable from both success (0) and the CLI's check-failure (1) /
+#: usage-error (2) statuses.
 CRASH_EXIT_CODE = 86
 
 #: One checkpointed trial as the executor and the replay path exchange it:
@@ -336,10 +334,12 @@ class CampaignStore:
                 ``mode=ro``) — the right mode for status queries against
                 a live run: the reader can never take a write lock, never
                 creates the file, and never touches the schema.
-            fault_plan: Optional deterministic fault plan whose ``lock``
-                clauses inject transient ``OperationalError`` failures
-                into commits (test/chaos harness; see
-                :mod:`repro.campaign.faults`).
+            fault_plan: Deterministic fault plan whose ``lock`` clauses
+                inject transient ``OperationalError`` failures into
+                commits and whose ``crash@commit`` clauses kill the
+                process after one (test/chaos harness; see
+                :mod:`repro.campaign.faults`).  ``None`` reads
+                ``REPRO_FAULT_PLAN``.
 
         Raises:
             CampaignStoreError: If ``read_only`` is requested for a path
@@ -347,7 +347,8 @@ class CampaignStore:
         """
         self.path = os.fspath(path)
         self.read_only = bool(read_only)
-        self._fault_plan = fault_plan
+        self._fault_plan = (fault_plan if fault_plan is not None
+                            else FaultPlan.from_env())
         #: Optional hook fired after every durable trial commit with the
         #: number of rows just committed — the service's event fan-out
         #: attaches here to stream checkpoint progress to ``watch``
@@ -396,16 +397,17 @@ class CampaignStore:
                     " identity TEXT NOT NULL,"
                     " state TEXT NOT NULL,"
                     " PRIMARY KEY (kind, identity))")
-        self._commits = 0
-        crash_after = os.environ.get(CRASH_ENV_VAR)
-        self._crash_after = int(crash_after) if crash_after else None
 
     def set_fault_plan(self, plan: "FaultPlan | None") -> None:
-        """Attach (or clear) the fault plan driving ``lock`` injections."""
+        """Attach (or clear) the fault plan driving commit injections."""
         self._fault_plan = plan
 
     def _commit(self, operation: Callable[[], None], what: str) -> None:
         """Run one commit with bounded backoff on transient lock errors.
+
+        A ``crash@commit`` clause matching this commit's number exits the
+        process the hard way (no cleanup, no atexit, nothing flushed)
+        right after the commit is durable.
 
         Args:
             operation: Zero-argument callable performing the transaction.
@@ -428,7 +430,7 @@ class CampaignStore:
                     raise sqlite3.OperationalError(
                         "database is locked (injected)")
                 operation()
-                return
+                break
             except sqlite3.OperationalError as exc:
                 text = str(exc)
                 if "locked" not in text and "busy" not in text:
@@ -441,6 +443,9 @@ class CampaignStore:
                 self.commit_retries += 1
                 time.sleep(min(_COMMIT_RETRY_CAP,
                                _COMMIT_RETRY_BASE * 2 ** (attempt - 1)))
+        if (self._fault_plan is not None
+                and self._fault_plan.crash_after_commit(commit_number)):
+            os._exit(CRASH_EXIT_CODE)
 
     # -- metadata ----------------------------------------------------------
 
@@ -626,7 +631,7 @@ class CampaignStore:
         self._insert_rows(rows)
 
     def _insert_rows(self, rows: List[tuple]) -> None:
-        """Commit prepared trial rows atomically, then run the crash hook."""
+        """Commit prepared trial rows atomically."""
         columns = ", ".join(_SUMMARY_COLUMNS)
         placeholders = ", ".join("?" * (len(_SUMMARY_COLUMNS) + 3))
 
@@ -637,11 +642,6 @@ class CampaignStore:
                     f"(trial_index, label, {columns}, result) "
                     f"VALUES ({placeholders})", rows)
         self._commit(operation, "checkpoint commit")
-        self._commits += 1
-        if self._crash_after is not None and self._commits >= self._crash_after:
-            # Crash-injection harness: die the hard way (no cleanup, no
-            # atexit, nothing flushed) right after a durable commit.
-            os._exit(CRASH_EXIT_CODE)
         if self.on_commit is not None:
             self.on_commit(len(rows))
 
@@ -710,11 +710,6 @@ class CampaignStore:
                     "INSERT OR REPLACE INTO estimator (kind, identity, state)"
                     " VALUES (?, ?, ?)", (kind, identity, encoded))
         self._commit(operation, "estimator-state commit")
-        self._commits += 1
-        if self._crash_after is not None and self._commits >= self._crash_after:
-            # Same crash-injection hook as the trial path, so resume tests
-            # can SIGKILL a splitting run between levels.
-            os._exit(CRASH_EXIT_CODE)
         if self.on_commit is not None:
             self.on_commit(0)
 

@@ -161,36 +161,27 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             resolve_batch_size(-1, spec, 1, "batched")
 
-    def test_min_lanes_threshold_env(self, monkeypatch):
-        from repro.campaign import min_lockstep_lanes, resolve_batch_size
-        from repro.campaign.executor import (BATCH_MIN_LANES_ENV_VAR,
-                                             DEFAULT_BATCH_MIN_LANES)
-
-        spec = table1_spec(duration=100.0, replicates=40)
-        assert min_lockstep_lanes() == DEFAULT_BATCH_MIN_LANES
-        # Lowering the break-even re-enables lockstep for the 10-lane split.
-        monkeypatch.setenv(BATCH_MIN_LANES_ENV_VAR, "4")
-        assert min_lockstep_lanes() == 4
-        assert resolve_batch_size(None, spec, 4, "batched") == 10
-        # Raising it past the largest cell forces per-trial dispatch even
-        # for a single worker.
-        monkeypatch.setenv(BATCH_MIN_LANES_ENV_VAR, "64")
-        assert resolve_batch_size(None, spec, 1, "batched") == 1
-        # Explicit batch sizes are always honoured as given.
-        monkeypatch.setenv(BATCH_MIN_LANES_ENV_VAR, "64")
-        assert resolve_batch_size(3, spec, 4, "batched") == 3
-        monkeypatch.setenv(BATCH_MIN_LANES_ENV_VAR, "not-a-number")
-        with pytest.raises(ValueError):
-            min_lockstep_lanes()
-        monkeypatch.setenv(BATCH_MIN_LANES_ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            min_lockstep_lanes()
-
-    def test_resolve_batch_size_edge_cases(self, monkeypatch):
+    def test_min_lanes_threshold(self):
         from repro.campaign import resolve_batch_size
-        from repro.campaign.executor import BATCH_MIN_LANES_ENV_VAR
+        from repro.campaign.executor import MIN_LOCKSTEP_LANES as lanes
 
-        monkeypatch.setenv(BATCH_MIN_LANES_ENV_VAR, "1")
+        # A split landing exactly on the break-even runs in lockstep...
+        at = table1_spec(duration=100.0, replicates=4 * lanes)
+        assert resolve_batch_size(None, at, 4, "batched") == lanes
+        # ...one lane short of it keeps per-trial dispatch.
+        below = table1_spec(duration=100.0, replicates=4 * lanes - 4)
+        assert resolve_batch_size(None, below, 4, "batched") == 1
+        # A cell smaller than the break-even dispatches per trial even for
+        # a single worker.
+        small = table1_spec(duration=100.0, replicates=lanes - 1)
+        assert resolve_batch_size(None, small, 1, "batched") == 1
+        # Explicit batch sizes are always honoured as given.
+        assert resolve_batch_size(3, small, 4, "batched") == 3
+
+    def test_resolve_batch_size_edge_cases(self):
+        from repro.campaign import resolve_batch_size
+        from repro.campaign.executor import MIN_LOCKSTEP_LANES as lanes
+
         one = table1_spec(duration=100.0, replicates=1)
         # One trial per cell: nothing to batch, but still a legal size.
         assert resolve_batch_size(None, one, 4, "batched") == 1
@@ -198,8 +189,30 @@ class TestDeterminism:
         # naturally clips it at the cell boundary.
         assert resolve_batch_size(100, one, 4, "batched") == 100
         # Worker count exceeding the total lane count still splits sanely.
-        small = table1_spec(duration=100.0, replicates=3)
-        assert resolve_batch_size(None, small, 64, "batched") == 1
+        cell = table1_spec(duration=100.0, replicates=lanes)
+        assert resolve_batch_size(None, cell, 1, "batched") == lanes
+        assert resolve_batch_size(None, cell, 64, "batched") == 1
+
+    def test_pool_size_drives_batching_and_reported_workers(self):
+        from repro.campaign import CampaignPool
+        from repro.campaign.executor import MIN_LOCKSTEP_LANES as lanes
+
+        # Two cells of 2 * lanes replicates on a 2-worker pool split into
+        # lanes-wide tasks; the default max_workers=1 would have sized
+        # them 2 * lanes wide.  A transient fault in trial 0 reports the
+        # width of the batch it was dispatched in.
+        spec = table1_spec(mean_toffs=(18.0,), duration=10.0,
+                           replicates=2 * lanes)
+        pool = CampaignPool(2)
+        try:
+            result = run_campaign(spec, seed=3, engine="batched", pool=pool,
+                                  fault_plan="raise@trial=0,times=1")
+        finally:
+            pool.shutdown()
+        assert result.workers == 2
+        assert result.recovery_events[0][1].startswith(
+            f"batch of {lanes} trials (cell 0) failed")
+        assert result.total_trials == spec.total_trials
 
     def test_chunk_runs_edge_cases(self):
         from repro.campaign.executor import _chunk_runs

@@ -74,6 +74,17 @@ class TestFaultPlanParsing:
         assert plan.corrupt_at(6) and not plan.corrupt_at(2)
         assert FaultPlan.parse(plan.describe()).describe() == plan.describe()
 
+    def test_crash_after_commit_round_trip(self):
+        plan = FaultPlan.parse("crash@commit=3;lock@commit=3")
+        assert plan.describe() == "crash@commit=3;lock@commit=3"
+        assert FaultPlan.parse(plan.describe()) == plan
+        assert plan.crash_after_commit(3)
+        assert not plan.crash_after_commit(2)
+        assert not plan.crash_after_commit(4)
+        # A commit-keyed crash never fires at a batch dispatch.
+        assert not any(plan.crash_at(d) for d in range(1, 10))
+        assert not FaultPlan.parse("crash@batch=3").crash_after_commit(3)
+
     def test_empty_and_env_resolution(self, monkeypatch):
         assert not FaultPlan.parse("  ")
         monkeypatch.delenv(FAULT_PLAN_ENV_VAR, raising=False)
@@ -91,6 +102,9 @@ class TestFaultPlanParsing:
         "crash",                    # missing @key=value
         "crash@batch=x",            # bad value
         "crash@batch=1,p=0.5",      # batch and p are exclusive
+        "crash@commit=2,batch=1",   # commit and batch are exclusive
+        "crash@commit=2,p=1",       # commit and p are exclusive
+        "hang@commit=2",            # commit only keys crash and lock
         "crash@p=1.5",              # p out of range
         "raise@times=2",            # raise needs trial=
         "lock@times=1",             # lock needs commit=
@@ -245,6 +259,17 @@ class TestPooledRecovery:
 
 
 class TestStoreFaults:
+    def test_store_without_a_plan_reads_the_environment(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "lock@commit=1")
+        with CampaignStore(tmp_path / "campaign.db") as store:
+            store.mark_complete()
+            assert store.commit_retries == 1
+        explicit = FaultPlan.parse("")
+        with CampaignStore(tmp_path / "other.db", fault_plan=explicit) as store:
+            store.mark_complete()
+            assert store.commit_retries == 0
+
     def test_locked_commits_retry_with_backoff(self, tmp_path):
         db = tmp_path / "campaign.db"
         with CampaignStore(db) as store:

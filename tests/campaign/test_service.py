@@ -22,11 +22,12 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.campaign.cli import main as campaign_main
+from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.presets import PRESETS
 from repro.campaign.service import (CampaignService, ProtocolError,
                                     ServiceClient, decode_spec, encode_spec,
                                     recv_frame, send_frame)
-from repro.campaign.store import CRASH_ENV_VAR, CRASH_EXIT_CODE, spec_fingerprint
+from repro.campaign.store import CRASH_EXIT_CODE, spec_fingerprint
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 _SRC = str(_REPO_ROOT / "src")
@@ -238,12 +239,12 @@ def _daemon_cmd(sock, stores):
             "--workers", "2"]
 
 
-def _daemon_env(crash_after=None):
+def _daemon_env(fault_plan=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop(CRASH_ENV_VAR, None)
-    if crash_after is not None:
-        env[CRASH_ENV_VAR] = str(crash_after)
+    env.pop(FAULT_PLAN_ENV_VAR, None)
+    if fault_plan is not None:
+        env[FAULT_PLAN_ENV_VAR] = fault_plan
     return env
 
 
@@ -253,9 +254,10 @@ def test_daemon_sigkill_mid_job_restart_resumes_bit_identically(tmp_path):
     spec1, spec2 = _spec_table1(), _spec_interlock()
 
     # First daemon: hard-dies (os._exit, the moral equivalent of SIGKILL)
-    # right after job 1's second checkpoint commit.
+    # right after job 1's second checkpoint commit (store commit 1 records
+    # the campaign identity).
     first = subprocess.Popen(_daemon_cmd(sock, stores),
-                             env=_daemon_env(crash_after=2))
+                             env=_daemon_env(fault_plan="crash@commit=3"))
     try:
         _wait_for_socket(sock)
         client = ServiceClient(str(sock))

@@ -20,7 +20,8 @@ import pytest
 
 from repro.campaign import run_campaign, table1_spec
 from repro.campaign.aggregate import SUMMARY_RECORD_FIELDS, TrialSummary
-from repro.campaign.executor import CRASH_WORKER_ENV_VAR, _resolve_shm
+from repro.campaign.executor import _resolve_shm
+from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.shm import (ResultsRing, ShmError, ShmSession, StatePlane,
                                 _RangeAllocator, leaked_segments, plane_layout,
                                 shared_memory_available, summary_record_dtype)
@@ -51,7 +52,7 @@ def _subprocess_env(**extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(_REPO_ROOT / "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
-    env.pop(CRASH_WORKER_ENV_VAR, None)
+    env.pop(FAULT_PLAN_ENV_VAR, None)
     env.update(extra)
     return env
 
@@ -292,10 +293,9 @@ class TestCampaignEquivalence:
 class TestCrashCleanup:
     def test_sigkilled_worker_leaks_no_segments(self, no_new_segments):
         # Run the campaign in a subprocess where *every* worker SIGKILLs
-        # itself on its first task: the supervisor retries until its
-        # respawn budget is exhausted, and the parent must still fail
-        # loudly and unlink every segment.
-        env = _subprocess_env(**{CRASH_WORKER_ENV_VAR: "1"})
+        # itself on its first task (crash@p=1): the supervisor retries
+        # until its respawn budget is exhausted, and the parent must still
+        # fail loudly and unlink every segment.
         code = (
             "from repro.campaign import CampaignExecutionError\n"
             "from repro.campaign import run_campaign, table1_spec\n"
@@ -303,13 +303,14 @@ class TestCrashCleanup:
             "                   duration=120.0, legacy_seed=None)\n"
             "try:\n"
             "    run_campaign(spec, seed=7, max_workers=2, engine='batched',\n"
-            "                 batch_size=4, shm=True, max_respawns=1)\n"
+            "                 batch_size=4, shm=True, max_respawns=1,\n"
+            "                 fault_plan='crash@p=1')\n"
             "except CampaignExecutionError:\n"
             "    raise SystemExit(86)\n"
             "raise SystemExit(1)\n")
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, cwd=_REPO_ROOT,
-            capture_output=True, text=True, timeout=300)
+            [sys.executable, "-c", code], env=_subprocess_env(),
+            cwd=_REPO_ROOT, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 86, proc.stderr
 
     def test_atexit_unlinks_unclosed_session(self, no_new_segments):

@@ -7,9 +7,9 @@ engines and for more than one worker count.  Interruption is exercised
 three ways:
 
 * a simulated store holding a partial prefix (rows deleted post hoc);
-* the deterministic crash-injection harness (``REPRO_CAMPAIGN_CRASH_AFTER``
-  hard-kills the CLI process via ``os._exit`` right after the N-th
-  checkpoint commit);
+* the deterministic crash-injection harness (a ``crash@commit=N`` fault
+  clause hard-kills the CLI process via ``os._exit`` right after the N-th
+  store commit);
 * a genuine ``SIGKILL`` of a running campaign process.
 """
 
@@ -27,7 +27,8 @@ from repro.campaign import (CampaignStore, CampaignStoreError, RecoveryStage,
                             RecoveryStateMachine, run_campaign, spec_fingerprint,
                             table1_spec)
 from repro.campaign.cli import main as campaign_main
-from repro.campaign.store import CRASH_ENV_VAR, CRASH_EXIT_CODE
+from repro.campaign.faults import FAULT_PLAN_ENV_VAR
+from repro.campaign.store import CRASH_EXIT_CODE
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 _SRC = str(_REPO_ROOT / "src")
@@ -50,7 +51,7 @@ def _truncate_store(path, keep: int) -> None:
 def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop(CRASH_ENV_VAR, None)
+    env.pop(FAULT_PLAN_ENV_VAR, None)
     return env
 
 
@@ -224,17 +225,18 @@ class TestProcessKillResume:
     def test_crash_injected_cli_run_resumes_bit_identically(self, tmp_path):
         baseline = self._baseline_json(tmp_path)
         db = tmp_path / "crash.db"
-        env = _cli_env()
-        env[CRASH_ENV_VAR] = "3"
+        # Commit 1 records the campaign identity; commits 2-4 are the
+        # first three trial checkpoints.
         proc = subprocess.run(
             _cli_cmd("--experiment", "table1", "--quiet", "--duration", "100",
-                     "--seed", "7", "--replicates", "2", "--store", str(db)),
-            cwd=_REPO_ROOT, env=env, capture_output=True, timeout=300)
+                     "--seed", "7", "--replicates", "2", "--store", str(db),
+                     "--fault-plan", "crash@commit=4"),
+            cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, timeout=300)
         assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
         with CampaignStore(db) as store:
             status = store.status()
         assert not status.complete
-        assert 0 < status.checkpointed < status.total_trials == 8
+        assert status.checkpointed == 3 and status.total_trials == 8
 
         out = tmp_path / "resumed.json"
         code = campaign_main(["--experiment", "table1", "--quiet",

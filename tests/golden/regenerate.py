@@ -22,9 +22,9 @@ def main(argv=None) -> int:
                         help="confirm that the simulated behaviour is meant to change")
     parser.parse_args(argv)
     sys.path[:0] = [str(HERE), str(HERE.parent.parent / "src")]
-    from runs import DIGESTS_PATH, RUNS, campaign_digest
+    from runs import DIGESTS_PATH, RUNS, run_digest
 
-    digests = {name: campaign_digest(name) for name in RUNS}
+    digests = {name: run_digest(name) for name in RUNS}
     DIGESTS_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
     for name, digest in sorted(digests.items()):

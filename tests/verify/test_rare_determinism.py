@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.spec import ChannelSpec
 from repro.campaign.store import CRASH_EXIT_CODE, CampaignStore
 from repro.casestudy.config import CaseStudyConfig, SurgeonModel
@@ -37,7 +38,7 @@ def _subprocess_env(**extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(_REPO_ROOT / "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
-    env.pop("REPRO_CAMPAIGN_CRASH_AFTER", None)
+    env.pop(FAULT_PLAN_ENV_VAR, None)
     env.update(extra)
     return env
 
@@ -121,11 +122,12 @@ class TestCrashResume:
         assert len(reference.factors) >= 4, "need a multi-level run"
 
         db = tmp_path / "estimators.db"
-        # Die via os._exit(86) right after the level-2 checkpoint commits:
-        # no context managers unwind, exactly like a SIGKILL mid-run.
+        # Die via os._exit(86) right after the level-2 checkpoint commits
+        # (the store reads the plan from the environment): no context
+        # managers unwind, exactly like a SIGKILL mid-run.
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, str(db)],
-            env=_subprocess_env(REPRO_CAMPAIGN_CRASH_AFTER="2"),
+            env=_subprocess_env(**{FAULT_PLAN_ENV_VAR: "crash@commit=2"}),
             cwd=_REPO_ROOT, capture_output=True, text=True, timeout=300)
         assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
 
