@@ -11,7 +11,8 @@ The library is organized as:
   monitor, Theorem 1's closed-form constraints, the lease-based design
   pattern, Theorem 2 compliance checking;
 * :mod:`repro.casestudy` -- the laser-tracheotomy wireless CPS of Section V;
-* :mod:`repro.verify` -- fault-injection verification campaigns;
+* :mod:`repro.verify` -- trace properties and rare-event estimators
+  (importance splitting, SPRT);
 * :mod:`repro.experiments` -- drivers reproducing every table and figure;
 * :mod:`repro.campaign` -- parallel Monte-Carlo campaign runner
   (``python -m repro.campaign``).

@@ -127,9 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="CSV", help="packet-loss probabilities "
                         "(loss_sweep/grid; e.g. 0,0.3,0.6,0.9)")
     parser.add_argument("--payload", choices=PAYLOAD_KINDS, default="summary",
-                        help="per-trial payload: slim summaries, streaming "
-                             "stats (full TrialResult, trace-free), or the "
-                             "legacy trace-scanning full mode "
+                        help="per-trial payload: slim summaries or "
+                             "streaming stats (full TrialResult, trace-free) "
                              "(default: summary)")
     parser.add_argument("--engine", choices=ENGINE_KINDS, default=None,
                         help="simulation kernel; default honours REPRO_ENGINE "

@@ -109,11 +109,8 @@ from repro.hybrid.simulate.batched import build_batched_tables
 #: * ``"stats"``  -- additionally the full :class:`TrialResult` per trial,
 #:   with monitor report and lease ledger computed by the streaming
 #:   observer pipeline (no trace is ever materialised, so worker memory
-#:   stays flat regardless of the horizon);
-#: * ``"full"``   -- like ``"stats"`` but through the legacy record-a-trace
-#:   path (the post-hoc oracle; heavier, numbers identical).  The trace is
-#:   dropped before the result leaves the worker.
-PAYLOAD_KINDS = ("summary", "stats", "full")
+#:   stays flat regardless of the horizon).
+PAYLOAD_KINDS = ("summary", "stats")
 
 #: Keep at most this many batch futures in flight per worker, so that
 #: expanding a 100x campaign does not materialize every pending future up
@@ -354,8 +351,7 @@ def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
         config: The campaign-wide case-study configuration.
         campaign_duration: The campaign-level duration default, if any.
         run: The concrete trial to execute (cell, replicate, seed).
-        payload: What to return per trial (``"summary"``, ``"stats"``
-            or ``"full"``).
+        payload: What to return per trial (``"summary"`` or ``"stats"``).
         engine: Simulation-kernel override (``None`` = resolve default).
         fault: Optional zero-argument fault-injection hook, invoked after
             the case study is assembled and before the engine runs (see
@@ -363,9 +359,8 @@ def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
 
     Returns:
         The run index (for order restoration), the slim summary, and —
-        for the ``"stats"`` / ``"full"`` payloads — the complete
-        :class:`TrialResult` (without its trace, which is memory heavy and
-        scheduling sensitive).
+        for the ``"stats"`` payload — the complete trace-free
+        :class:`TrialResult`.
     """
     if payload not in PAYLOAD_KINDS:
         raise ValueError(f"unknown payload kind {payload!r}")
@@ -382,10 +377,7 @@ def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
     surgeon = spec.surgeon.build() if spec.surgeon is not None else None
     result = run_trial(trial_config, with_lease=spec.with_lease, seed=run.seed,
                        duration=duration, channel=channel, surgeon=surgeon,
-                       keep_trace=(payload == "full"), engine=engine,
-                       fault=fault)
-    if result.trace is not None:
-        result.trace = None
+                       engine=engine, fault=fault)
     summary = TrialSummary.from_trial(run, result)
     return run.index, summary, (result if payload != "summary" else None)
 
@@ -427,14 +419,13 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
 
     With the batched kernel, multi-trial chunks run in vectorized lockstep
     through :func:`~repro.casestudy.emulation.run_trial_batch`; otherwise
-    (and for the trace-scanning ``"full"`` payload, which needs per-trial
-    traces) the chunk executes trial by trial — still amortizing the
-    per-worker lowered-model cache and the task pickling.
+    the chunk executes trial by trial — still amortizing the per-worker
+    lowered-model cache and the task pickling.
 
     Args:
         spec: The campaign spec (provides the cell and base config).
         task: The ``(spec_index, runs)`` batch to execute.
-        payload: Per-trial payload kind (``"summary"``/``"stats"``/``"full"``).
+        payload: Per-trial payload kind (``"summary"``/``"stats"``).
         engine: The resolved simulation-kernel name.
         buffers: Optional externally allocated engine storage (a
             shared-memory plane's lane range) for the lockstep path;
@@ -451,7 +442,7 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
     spec_index, runs_lite = task
     trial = spec.trials[spec_index]
     fault_for = _batch_fault_hook(plan, ctx, runs_lite)
-    if (engine == "batched" and len(runs_lite) > 1 and payload != "full"
+    if (engine == "batched" and len(runs_lite) > 1
             and trial.runner == TRIAL_RUNNER_DEFAULT):
         trial_config = trial.configure(spec.config)
         duration = trial.duration if trial.duration is not None else spec.duration
@@ -809,20 +800,15 @@ def _chunk_runs(runs: Sequence[TrialRun], batch_size: int) -> List[_BatchTask]:
     return tasks
 
 
-def _resolve_shm(shm: bool | None, engine: str, payload: str,
-                 pooled: bool) -> bool:
+def _resolve_shm(shm: bool | None, engine: str, pooled: bool) -> bool:
     """Decide whether the shared-memory fast path runs.
 
     ``None`` auto-enables for pooled batched runs; an explicit ``True``
     extends it to scalar-engine pools (ring only).  Either way the path
-    silently degrades to pickling when ``shared_memory`` is unavailable,
-    the run is serial (nothing crosses a process boundary), or the payload
-    is ``"full"`` (traces have no fixed-width encoding).
+    silently degrades to pickling when ``shared_memory`` is unavailable or
+    the run is serial (nothing crosses a process boundary).
     """
-    if shm is False:
-        return False
-    if not (pooled and payload != "full"
-            and shm_plane.shared_memory_available()):
+    if shm is False or not (pooled and shm_plane.shared_memory_available()):
         return False
     return True if shm else engine == "batched"
 
@@ -1208,9 +1194,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         payload: ``"summary"`` keeps only slim per-trial statistics;
             ``"stats"`` additionally collects each trial's
             :class:`~repro.casestudy.emulation.TrialResult` computed by the
-            streaming observer pipeline (trace-free, flat memory);
-            ``"full"`` collects the same results through the legacy
-            record-a-trace path.
+            streaming observer pipeline (trace-free, flat memory).
         engine: Simulation kernel executing the trials (``"reference"`` /
             ``"compiled"`` / ``"batched"``); ``None`` defers to
             ``REPRO_ENGINE`` and then to the compiled kernel (campaigns
@@ -1244,8 +1228,8 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             possible (including scalar-engine pools, ring only);
             ``False`` disables it.  The path silently falls back to
             pickling when ``multiprocessing.shared_memory`` is
-            unavailable, the run is serial, or ``payload="full"`` — and
-            per task when the ring/plane is momentarily exhausted.
+            unavailable or the run is serial — and per task when the
+            ring/plane is momentarily exhausted.
             Results are bit-identical in every mode.
         max_retries: How many times a failing trial is retried beyond its
             first attempt before it is quarantined (recorded as a
@@ -1383,7 +1367,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             pool = own_pool = CampaignPool(min(workers, len(tasks)))
         window = 1 if serial else pool.max_workers * _INFLIGHT_PER_WORKER
         cell_live: Dict[int, int] = {}
-        if _resolve_shm(shm, resolved_engine, payload, not serial):
+        if _resolve_shm(shm, resolved_engine, not serial):
             ring_capacity = max(batch, min(len(live_runs),
                                            (window + 1) * batch))
             session = shm_plane.ShmSession(ring_capacity)
@@ -1433,7 +1417,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             spec_index, runs_lite = task
             count = len(runs_lite)
             want_plane = (resolved_engine == "batched" and count > 1
-                          and payload != "full"
                           and (spec.trials[spec_index].runner
                                == TRIAL_RUNNER_DEFAULT))
             if want_plane and session.plane(spec_index) is None:

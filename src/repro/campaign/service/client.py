@@ -17,6 +17,7 @@ import socket
 import sys
 from typing import Iterator, List, Optional
 
+from repro.campaign.executor import PAYLOAD_KINDS
 from repro.campaign.service import protocol
 
 #: First-argument tokens that route ``python -m repro.campaign`` into the
@@ -216,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="campaign-level per-trial duration override "
                              "in seconds")
     submit.add_argument("--payload", default="summary",
-                        choices=("summary", "stats", "full"))
+                        choices=PAYLOAD_KINDS)
     submit.add_argument("--priority", type=int, default=0,
                         help="queue priority (higher runs earlier)")
 

@@ -44,8 +44,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.executor import (CampaignCancelled, CampaignPool,
-                                     run_campaign)
+from repro.campaign.executor import (PAYLOAD_KINDS, CampaignCancelled,
+                                     CampaignPool, run_campaign)
 from repro.campaign.service import protocol
 from repro.campaign.service.events import EventBus, cell_json
 from repro.campaign.spec import CampaignSpec
@@ -323,6 +323,9 @@ class CampaignService:
         spec = protocol.decode_spec(message["spec"])
         master_seed = int(message.get("master_seed", 0))
         payload = str(message.get("payload", "summary"))
+        if payload not in PAYLOAD_KINDS:
+            return protocol.error(f"unknown payload kind {payload!r}; "
+                                  f"expected one of {PAYLOAD_KINDS}")
         priority = int(message.get("priority", 0))
         fingerprint = spec_fingerprint(spec, master_seed)
         with self._lock:

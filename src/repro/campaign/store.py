@@ -302,7 +302,7 @@ class CampaignStore:
     completed trial — its position, label, one plain numeric column per
     :class:`~repro.campaign.aggregate.TrialSummary` field (the
     :data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS` layout), and
-    only for the ``"stats"`` / ``"full"`` payloads a pickled
+    only for the ``"stats"`` payload a pickled
     ``TrialResult`` blob.  The executor commits one transaction per
     retired batch, so after a crash the store holds exactly the batches
     that completed.
@@ -510,8 +510,8 @@ class CampaignStore:
         Args:
             spec: The campaign description about to run.
             master_seed: The run's master seed.
-            payload: The run's payload mode (``"summary"`` / ``"stats"`` /
-                ``"full"``); must match the checkpointed mode on resume.
+            payload: The run's payload mode (``"summary"`` /
+                ``"stats"``); must match the checkpointed mode on resume.
             resume: Whether the caller intends to continue a previous run.
 
         Returns:

@@ -208,7 +208,7 @@ class PatternConfiguration:
         return replace(self, entity_timing=tuple(timings))
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary of every parameter (for reports and EXPERIMENTS.md)."""
+        """Flat dictionary of every parameter (for reports)."""
         result: Dict[str, object] = {
             "N": self.n_entities,
             "T_fb_min": self.t_fallback_min,

@@ -83,7 +83,3 @@ class SafetyViolationError(ReproError):
     The monitor normally *records* violations; this exception is only raised
     when monitoring is run in strict mode.
     """
-
-
-class VerificationError(ReproError):
-    """A verification campaign could not be executed as requested."""

@@ -4,7 +4,7 @@ Each experiment module (one per paper table/figure plus the extensions)
 exposes a ``run_*`` function returning an :class:`ExperimentResult`: a
 named table of rows, optional time series, and free-form notes recording
 how the reproduction relates to the paper's artifact.  The benchmark
-harness prints these results; EXPERIMENTS.md summarizes them.
+harness prints these results.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Small shared utilities (RNG handling, formatting, time helpers)."""
 
-from repro.util.seeding import SeedSequenceFactory, derive_seed, spawn_rng
+from repro.util.seeding import derive_seed, spawn_rng
 from repro.util.tables import format_table
 from repro.util.timebase import TimePoint, almost_equal, almost_leq, almost_geq, EPSILON
 
 __all__ = [
-    "SeedSequenceFactory",
     "derive_seed",
     "spawn_rng",
     "format_table",

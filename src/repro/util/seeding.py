@@ -1,7 +1,7 @@
 """Deterministic random-number handling.
 
 Every stochastic component of the library (wireless channels, surgeon
-behaviour model, fault-injection campaigns) draws its randomness from a
+behaviour model, campaign trials) draws its randomness from a
 ``random.Random`` instance obtained through the helpers in this module, so
 that a single integer seed reproduces a whole experiment bit-for-bit.
 """
@@ -13,7 +13,7 @@ import hashlib
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 
 def _stable_mix(seed: int, stream: str) -> int:
@@ -222,11 +222,6 @@ class RngLedger:
 _ACTIVE_LEDGER: RngLedger | None = None
 
 
-def current_ledger() -> RngLedger | None:
-    """Return the active session's ledger, or ``None`` outside a session."""
-    return _ACTIVE_LEDGER
-
-
 @contextmanager
 def rng_session(plan: ForkPlan):
     """Run one trial under a :class:`RngLedger` (fork-aware randomness).
@@ -254,34 +249,3 @@ def rng_session(plan: ForkPlan):
     finally:
         _ACTIVE_LEDGER = None
 
-
-class SeedSequenceFactory:
-    """Produce reproducible child seeds for batches of trials.
-
-    Used by the verification explorer and the benchmark harness to run many
-    independent trials whose seeds are all derived from one master seed.
-    """
-
-    def __init__(self, master_seed: int):
-        self._master_seed = int(master_seed)
-        self._rng = random.Random(self._master_seed)
-
-    @property
-    def master_seed(self) -> int:
-        """The master seed this factory was created with."""
-        return self._master_seed
-
-    def child_seed(self, index: int) -> int:
-        """Return a deterministic child seed for trial number ``index``."""
-        return derive_seed(self._master_seed, f"trial:{int(index)}")
-
-    def child_seeds(self, count: int) -> list[int]:
-        """Return ``count`` deterministic child seeds."""
-        return [self.child_seed(i) for i in range(count)]
-
-    def iter_seeds(self) -> Iterator[int]:
-        """Yield an unbounded stream of child seeds."""
-        index = 0
-        while True:
-            yield self.child_seed(index)
-            index += 1

@@ -1,10 +1,5 @@
-"""Simulation-based verification harness (fault-injection campaigns)."""
+"""Simulation-based verification: trace properties and rare-event estimators."""
 
-from repro.verify.explorer import (RARE_METHODS, CampaignSettings,
-                                   compare_lease_vs_baseline,
-                                   estimate_violation_probability,
-                                   run_case_study_campaign)
-from repro.verify.faults import FaultScenario, blackout_scenario, standard_fault_scenarios
 from repro.verify.properties import (PropertyResult, TraceProperty, auto_reset_property,
                                      bounded_dwelling_property, pte_safety_property,
                                      single_risky_visit_per_round_property)
@@ -13,19 +8,14 @@ from repro.verify.rare import (CellTemplate, RareEventEstimate, ScoredTrial,
                                crude_estimate_for_cell, crude_trials_for,
                                fixed_effort_splitting, scored_case_trial,
                                split_estimate_for_cell)
-from repro.verify.report import CampaignReport, TrialRecord
 from repro.verify.sprt import (SequentialProbabilityRatioTest, SprtResult,
                                SprtSettings, run_sprt_campaign,
                                run_sprt_trials)
 
 __all__ = [
-    "CampaignSettings", "run_case_study_campaign", "compare_lease_vs_baseline",
-    "estimate_violation_probability", "RARE_METHODS",
-    "FaultScenario", "standard_fault_scenarios", "blackout_scenario",
     "TraceProperty", "PropertyResult", "pte_safety_property",
     "bounded_dwelling_property", "auto_reset_property",
     "single_risky_visit_per_round_property",
-    "CampaignReport", "TrialRecord",
     "ScoredTrial", "RareEventEstimate", "SplitSettings", "CellTemplate",
     "fixed_effort_splitting", "crude_estimate", "crude_trials_for",
     "scored_case_trial", "split_estimate_for_cell", "crude_estimate_for_cell",

@@ -1,8 +1,7 @@
-"""Trace properties used by verification campaigns.
+"""Trace properties over recorded case-study traces.
 
-A *property* is a named predicate over a recorded trace.  The campaign
-runner (:mod:`repro.verify.explorer`) evaluates every property on every
-trial and aggregates the outcomes into a report.  The two built-in property
+A *property* is a named predicate over a recorded trace (a
+``run_trial(..., keep_trace=True)`` result).  The built-in property
 families correspond directly to the paper's claims:
 
 * :func:`pte_safety_property` -- both PTE safety rules hold (Theorem 1 /

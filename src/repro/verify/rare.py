@@ -47,7 +47,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from repro.casestudy.config import CaseStudyConfig
 from repro.casestudy.emulation import _lowered_case_study, run_trial
@@ -55,6 +55,9 @@ from repro.casestudy.observers import RiskLevelObserver
 from repro.hybrid.simulate import resolve_engine_kind
 from repro.util.seeding import (ForkPlan, StreamKey, derive_seed, rng_session,
                                 spawn_rng)
+
+if TYPE_CHECKING:  # pragma: no cover - avoids importing the campaign package
+    from repro.campaign.spec import ChannelSpec, SurgeonSpec
 
 #: Marker-valued watermark type (draw counts per RNG stream), or ``None``
 #: when a trial ran without a ledger attached.
@@ -514,9 +517,8 @@ class CellTemplate:
             overrides already applied).
         with_lease: Trial mode.
         duration: Trial length (``None`` defers to the configuration).
-        channel: A :class:`~repro.campaign.spec.ChannelSpec`, a
-            :class:`~repro.verify.faults.FaultScenario`, or ``None`` for
-            the configuration's calibrated channel.
+        channel: A :class:`~repro.campaign.spec.ChannelSpec`, or ``None``
+            for the configuration's calibrated channel.
         surgeon: A :class:`~repro.campaign.spec.SurgeonSpec` or ``None``
             for the stochastic surgeon.
         engine: Simulation kernel (``None`` defers to ``REPRO_ENGINE``).
@@ -531,8 +533,8 @@ class CellTemplate:
     config: CaseStudyConfig
     with_lease: bool = True
     duration: float | None = None
-    channel: object | None = None
-    surgeon: object | None = None
+    channel: ChannelSpec | None = None
+    surgeon: SurgeonSpec | None = None
     engine: str | None = None
     event: str = "violation"
 
@@ -560,12 +562,8 @@ def scored_case_trial(template: CellTemplate, plan: ForkPlan) -> ScoredTrial:
         _lowered_case_study(config, template.with_lease)
     with rng_session(plan) as ledger:
         risk = RiskLevelObserver(config, ledger)
-        channel = None
-        if template.channel is not None:
-            build = getattr(template.channel, "build_channel", None)
-            if build is None:
-                build = template.channel.build
-            channel = build(plan.root_seed)
+        channel = (template.channel.build(plan.root_seed)
+                   if template.channel is not None else None)
         surgeon = template.surgeon.build() if template.surgeon is not None else None
         result = run_trial(config, with_lease=template.with_lease,
                            seed=plan.root_seed, duration=template.duration,

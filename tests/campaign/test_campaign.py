@@ -95,14 +95,6 @@ class TestDeterminism:
         assert len(seen) == result.total_trials == 4
         assert {s.label for s in seen} == {t.label for t in spec.trials}
 
-    def test_full_payload_collects_trial_results(self):
-        spec = table1_spec(duration=100.0)
-        result = run_campaign(spec, seed=3, max_workers=1, payload="full")
-        assert result.results is not None and len(result.results) == 4
-        assert all(r.trace is None for r in result.results)  # memory-safe
-        assert [r.failures for r in result.results] == [
-            s.failures for s in result.summaries]
-
     def test_stats_payload_streams_full_results(self):
         spec = table1_spec(duration=100.0)
         result = run_campaign(spec, seed=3, max_workers=1, payload="stats")

@@ -25,8 +25,8 @@ from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.presets import PRESETS
 from repro.campaign.service import (CampaignService, ProtocolError,
-                                    ServiceClient, decode_spec, encode_spec,
-                                    recv_frame, send_frame)
+                                    ServiceClient, ServiceError, decode_spec,
+                                    encode_spec, recv_frame, send_frame)
 from repro.campaign.store import CRASH_EXIT_CODE, spec_fingerprint
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -227,6 +227,23 @@ def test_service_status_lists_jobs(service):
     assert [j["job"] for j in overview["jobs"]] == [job]
     assert overview["queued"] == 0
     assert overview["jobs"][0]["state"] == "complete"
+
+
+@pytest.mark.parametrize("payload", ["full", "bogus"])
+def test_submit_rejects_unknown_payload(service, payload):
+    svc, client = service
+    spec = _spec_interlock()
+    with pytest.raises(ServiceError, match="unknown payload kind"):
+        client.submit(spec, 7, payload=payload)
+    # Refused before anything is written or queued ...
+    assert not [name for name in os.listdir(svc.stores_dir)
+                if name.endswith(".job.json")]
+    assert client.status()["jobs"] == []
+    # ... so a valid submit of the same spec and seed is a new job.
+    accepted = client.submit(spec, 7)
+    assert "duplicate" not in accepted
+    assert accepted["job"] == spec_fingerprint(spec, 7)
+    assert client.drain()["jobs"] == {accepted["job"]: "complete"}
 
 
 # --------------------------------------------------------------------------

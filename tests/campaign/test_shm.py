@@ -208,14 +208,12 @@ class TestRangeAllocator:
 
 class TestShmResolution:
     def test_auto_and_forced_modes(self):
-        assert _resolve_shm(None, "batched", "summary", True) is True
-        assert _resolve_shm(None, "compiled", "summary", True) is False
-        assert _resolve_shm(True, "compiled", "summary", True) is True
-        assert _resolve_shm(False, "batched", "summary", True) is False
-        # serial runs and "full" payload always fall back
-        assert _resolve_shm(True, "batched", "summary", False) is False
-        assert _resolve_shm(None, "batched", "full", True) is False
-        assert _resolve_shm(True, "batched", "full", True) is False
+        assert _resolve_shm(None, "batched", True) is True
+        assert _resolve_shm(None, "compiled", True) is False
+        assert _resolve_shm(True, "compiled", True) is True
+        assert _resolve_shm(False, "batched", True) is False
+        # serial runs always fall back
+        assert _resolve_shm(True, "batched", False) is False
 
 
 class TestCampaignEquivalence:
@@ -245,12 +243,6 @@ class TestCampaignEquivalence:
         # shm=True with the compiled kernel: no plane, ring-only transport.
         result = run_campaign(_tiny_spec(), seed=7, max_workers=2,
                               engine="compiled", shm=True)
-        assert _campaign_payload(result) == reference_payload
-
-    def test_full_payload_falls_back(self, reference_payload):
-        result = run_campaign(_tiny_spec(), seed=7, max_workers=2,
-                              engine="batched", batch_size=4,
-                              payload="full", shm=True)
         assert _campaign_payload(result) == reference_payload
 
     def test_store_commit_from_ring_and_resume(self, tmp_path,

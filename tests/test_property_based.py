@@ -9,7 +9,6 @@ from repro.core import (IntervalSet, PTEMonitor, check_conditions,
 from repro.core.intervals import Interval
 from repro.hybrid.expressions import var_ge, var_le
 from repro.hybrid.variables import Valuation
-from repro.util.seeding import SeedSequenceFactory
 from repro.wireless.channel import BernoulliChannel, GilbertElliottChannel
 
 finite_times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
@@ -159,14 +158,6 @@ class TestStochasticComponents:
                                         seed=seed)
         outcomes = [channel.attempt(float(t)) for t in range(0, 100, 5)]
         assert len(outcomes) == 20
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**20), st.integers(min_value=1, max_value=50))
-    def test_seed_factory_children_are_deterministic(self, master, count):
-        first = SeedSequenceFactory(master).child_seeds(count)
-        second = SeedSequenceFactory(master).child_seeds(count)
-        assert first == second
-        assert all(seed >= 0 for seed in first)
 
 
 class TestIntervalValueObjects:

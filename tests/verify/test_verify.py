@@ -1,30 +1,24 @@
-"""Tests for the fault-injection verification harness."""
+"""Tests for trace properties and the lease-vs-baseline fault sweep.
 
+The sweep is the ``loss_sweep`` campaign preset: memoryless loss levels x
+{with, without lease}, each cell pinned to the same explicit seeds, so the
+two arms of every loss level form paired trials.
+"""
+
+from repro.campaign import ChannelSpec, loss_sweep_spec, run_campaign
 from repro.casestudy import CaseStudyConfig, run_trial
-from repro.verify import (CampaignSettings, FaultScenario, blackout_scenario,
-                          bounded_dwelling_property, compare_lease_vs_baseline,
-                          pte_safety_property, run_case_study_campaign,
-                          single_risky_visit_per_round_property,
-                          standard_fault_scenarios)
+from repro.util.seeding import derive_seed
+from repro.verify import (bounded_dwelling_property, pte_safety_property,
+                          single_risky_visit_per_round_property)
 from repro.verify.properties import auto_reset_property
-from repro.wireless import PerfectChannel
-from repro.wireless.channel import BernoulliChannel, GilbertElliottChannel, ScriptedChannel
+from repro.wireless.channel import ScriptedChannel
 
 CONFIG = CaseStudyConfig()
 
 
 class TestFaultScenarios:
-    def test_standard_family_builds_channels(self):
-        scenarios = standard_fault_scenarios()
-        names = {s.name for s in scenarios}
-        assert "perfect" in names
-        kinds = {type(s.build_channel(seed=1)) for s in scenarios}
-        assert PerfectChannel in kinds or BernoulliChannel in kinds
-        assert any(isinstance(s.build_channel(1), GilbertElliottChannel)
-                   for s in scenarios)
-
     def test_blackout_scenario(self):
-        channel = blackout_scenario(10.0, 20.0).build_channel()
+        channel = ChannelSpec("scripted", windows=((10.0, 20.0),)).build(None)
         assert isinstance(channel, ScriptedChannel)
         assert not channel.attempt(15.0).received_by_application
         assert channel.attempt(25.0).received_by_application
@@ -69,62 +63,59 @@ class TestProperties:
         assert prop.evaluate(trace).holds
 
 
-class TestCampaigns:
-    def test_lease_campaign_passes_everywhere(self):
-        settings = CampaignSettings(
-            scenarios=[FaultScenario("perfect", "no loss", kind="perfect"),
-                       FaultScenario("heavy", "50% loss", {"loss_probability": 0.5},
-                                     kind="bernoulli")],
-            seeds_per_scenario=2, trial_duration=300.0, master_seed=11, with_lease=True)
-        report = run_case_study_campaign(CONFIG, settings)
-        assert report.total_trials == 4
-        assert report.all_passed, report.summary()
-        assert report.pass_rate() == 1.0
+class TestLossSweep:
+    """Lease-vs-baseline sweeps through ``run_campaign``."""
 
-    def test_report_bookkeeping(self):
-        settings = CampaignSettings(
-            scenarios=[FaultScenario("perfect", "no loss", kind="perfect")],
-            seeds_per_scenario=2, trial_duration=200.0, master_seed=5, with_lease=True)
-        report = run_case_study_campaign(CONFIG, settings)
-        by_scenario = report.by_scenario()
-        assert by_scenario["perfect"] == (2, 2)
-        assert "pass rate" in report.summary()
+    @staticmethod
+    def _arms(campaign):
+        """Map each loss level to its ``(with lease, without lease)`` groups."""
+        arms = {}
+        for group in campaign.groups():
+            loss = campaign.spec_of(group).param_dict["loss"]
+            pair = arms.setdefault(loss, [None, None])
+            pair[0 if group.with_lease else 1] = group
+        return arms
 
+    def test_lease_arm_never_fails(self):
+        seeds = (derive_seed(11, "trial:0"), derive_seed(11, "trial:1"))
+        campaign = run_campaign(loss_sweep_spec(loss_levels=(0.0, 0.5),
+                                                duration=300.0, seeds=seeds))
+        arms = self._arms(campaign)
+        assert sorted(arms) == [0.0, 0.5]
+        assert campaign.total_trials == 8
+        for with_lease, without_lease in arms.values():
+            assert with_lease.trials == without_lease.trials == 2
+            assert with_lease.failures == 0
+            assert with_lease.failing_trials == 0
 
-class TestCompareLeaseVsBaseline:
-    PERFECT = [FaultScenario("perfect", "no loss", kind="perfect")]
+    def test_arms_share_their_seeds(self):
+        seeds = (derive_seed(5, "trial:0"), derive_seed(5, "trial:1"))
+        campaign = run_campaign(loss_sweep_spec(loss_levels=(0.0,),
+                                                duration=200.0, seeds=seeds))
+        by_arm = {True: [], False: []}
+        for summary in campaign.summaries:
+            by_arm[summary.with_lease].append(summary.seed)
+        assert by_arm[True] == by_arm[False] == list(seeds)
 
-    def test_zero_violations_in_both_arms(self):
-        # Even without leases the baseline survives some no-loss trials
-        # (its failures are margin/dwell driven, not loss driven); with
-        # this seed both arms come back clean and the comparison must
-        # report that symmetric outcome, not divide by zero or invent a
-        # difference.
-        settings = CampaignSettings(scenarios=self.PERFECT,
-                                    seeds_per_scenario=1,
-                                    trial_duration=150.0, master_seed=1)
-        reports = compare_lease_vs_baseline(CONFIG, settings)
-        assert set(reports) == {"with_lease", "without_lease"}
-        for report in reports.values():
-            assert report.total_trials == 1
-            assert report.all_passed
-            assert report.pass_rate() == 1.0
-            assert report.failures == []
+    def test_baseline_fails_where_lease_holds(self):
+        # A no-loss pair the baseline loses on margin (its failures are
+        # dwell driven, not loss driven) while the lease design holds.
+        seed = derive_seed(2, "trial:0")
+        campaign = run_campaign(loss_sweep_spec(loss_levels=(0.0,),
+                                                duration=150.0, seeds=(seed,)))
+        with_lease, without_lease = self._arms(campaign)[0.0]
+        assert with_lease.trials == without_lease.trials == 1
+        assert with_lease.failures == 0
+        assert without_lease.failures == 1
+        assert without_lease.failing_trials == 1
 
-    def test_single_replicate_per_arm(self):
-        # seeds_per_scenario=1 is the degenerate campaign: one trial per
-        # arm, and both arms must draw the *same* seed so the comparison
-        # is paired.
-        settings = CampaignSettings(scenarios=self.PERFECT,
-                                    seeds_per_scenario=1,
-                                    trial_duration=150.0, master_seed=2)
-        reports = compare_lease_vs_baseline(CONFIG, settings)
-        with_arm = reports["with_lease"]
-        without_arm = reports["without_lease"]
-        assert with_arm.total_trials == without_arm.total_trials == 1
-        assert with_arm.trials[0].seed == without_arm.trials[0].seed
-        assert with_arm.all_passed
-        # master_seed=2 is a no-loss trial the baseline loses on margin.
-        assert not without_arm.all_passed
-        assert without_arm.by_scenario()["perfect"] == (0, 1)
-        assert without_arm.pass_rate() == 0.0
+    def test_both_arms_clean(self):
+        # The symmetric outcome: with this seed neither arm fails, and the
+        # sweep reports that rather than inventing a difference.
+        seed = derive_seed(1, "trial:0")
+        campaign = run_campaign(loss_sweep_spec(loss_levels=(0.0,),
+                                                duration=150.0, seeds=(seed,)))
+        for group in self._arms(campaign)[0.0]:
+            assert group.trials == 1
+            assert group.failures == 0
+            assert group.failing_trials == 0
