@@ -95,6 +95,19 @@ class TestDeterminism:
         assert len(seen) == result.total_trials == 4
         assert {s.label for s in seen} == {t.label for t in spec.trials}
 
+    def test_full_payload_is_refused(self, tmp_path):
+        spec = table1_spec(duration=100.0)
+        with pytest.raises(ValueError, match="unknown payload kind"):
+            run_campaign(spec, seed=3, max_workers=1, payload="full")
+        # A store checkpointed under the old mode fails the payload check.
+        from repro.campaign.store import CampaignStore, CampaignStoreError
+        db = tmp_path / "campaign.db"
+        with CampaignStore(db) as store:
+            store.begin(spec, 3, "full")
+        with pytest.raises(CampaignStoreError, match="payload mode 'full'"):
+            run_campaign(spec, seed=3, max_workers=1, payload="stats",
+                         store=db, resume=True)
+
     def test_stats_payload_streams_full_results(self):
         spec = table1_spec(duration=100.0)
         result = run_campaign(spec, seed=3, max_workers=1, payload="stats")

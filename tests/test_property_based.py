@@ -9,6 +9,7 @@ from repro.core import (IntervalSet, PTEMonitor, check_conditions,
 from repro.core.intervals import Interval
 from repro.hybrid.expressions import var_ge, var_le
 from repro.hybrid.variables import Valuation
+from repro.util.seeding import derive_seed
 from repro.wireless.channel import BernoulliChannel, GilbertElliottChannel
 
 finite_times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
@@ -158,6 +159,14 @@ class TestStochasticComponents:
                                         seed=seed)
         outcomes = [channel.attempt(float(t)) for t in range(0, 100, 5)]
         assert len(outcomes) == 20
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**20), st.integers(min_value=1, max_value=50))
+    def test_derive_seed_children_are_deterministic(self, master, count):
+        first = [derive_seed(master, f"trial:{i}") for i in range(count)]
+        second = [derive_seed(master, f"trial:{i}") for i in range(count)]
+        assert first == second
+        assert all(0 <= seed < 2**31 for seed in first)
 
 
 class TestIntervalValueObjects:

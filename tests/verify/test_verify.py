@@ -6,17 +6,29 @@ two arms of every loss level form paired trials.
 """
 
 from repro.campaign import ChannelSpec, loss_sweep_spec, run_campaign
+from repro.campaign.presets import loss_sweep_result
 from repro.casestudy import CaseStudyConfig, run_trial
 from repro.util.seeding import derive_seed
 from repro.verify import (bounded_dwelling_property, pte_safety_property,
                           single_risky_visit_per_round_property)
 from repro.verify.properties import auto_reset_property
-from repro.wireless.channel import ScriptedChannel
+from repro.wireless import PerfectChannel
+from repro.wireless.channel import (BernoulliChannel, GilbertElliottChannel,
+                                    ScriptedChannel)
 
 CONFIG = CaseStudyConfig()
 
 
 class TestFaultScenarios:
+    def test_channel_kinds_build_channels(self):
+        assert isinstance(ChannelSpec("perfect").build(1), PerfectChannel)
+        assert isinstance(ChannelSpec("bernoulli", loss=0.5).build(1),
+                          BernoulliChannel)
+        # The default kind defers to the calibrated burst interferer.
+        assert ChannelSpec().build(1) is None
+        assert isinstance(CONFIG.interference.to_channel(1),
+                          GilbertElliottChannel)
+
     def test_blackout_scenario(self):
         channel = ChannelSpec("scripted", windows=((10.0, 20.0),)).build(None)
         assert isinstance(channel, ScriptedChannel)
@@ -87,6 +99,19 @@ class TestLossSweep:
             assert with_lease.trials == without_lease.trials == 2
             assert with_lease.failures == 0
             assert with_lease.failing_trials == 0
+
+    def test_report_bookkeeping(self):
+        seeds = (derive_seed(5, "trial:0"), derive_seed(5, "trial:1"))
+        campaign = run_campaign(loss_sweep_spec(loss_levels=(0.0,),
+                                                duration=200.0, seeds=seeds))
+        with_lease, without_lease = self._arms(campaign)[0.0]
+        assert with_lease.trials == without_lease.trials == 2
+        assert with_lease.failing_trials == 0
+        report = loss_sweep_result(campaign)
+        assert len(report.rows) == 2
+        assert "each cell aggregates 2 trials of 200s" in report.notes
+        assert report.checks["lease_safe_at_every_loss_level"]
+        assert "loss probability" in report.render()
 
     def test_arms_share_their_seeds(self):
         seeds = (derive_seed(5, "trial:0"), derive_seed(5, "trial:1"))
