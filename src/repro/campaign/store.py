@@ -557,6 +557,13 @@ class CampaignStore:
                 f"seed it was created with — rerun with the original "
                 f"arguments, or point --store at a fresh path")
         if meta.get("payload") != payload:
+            from repro.campaign.executor import PAYLOAD_KINDS
+
+            if meta.get("payload") not in PAYLOAD_KINDS:
+                raise CampaignStoreError(
+                    f"{self.path}: store was checkpointed with payload mode "
+                    f"{meta.get('payload')!r}, which is no longer supported; "
+                    f"point --store at a fresh path")
             raise CampaignStoreError(
                 f"{self.path}: store was checkpointed with payload mode "
                 f"{meta.get('payload')!r}; resuming with {payload!r} would "

@@ -23,13 +23,64 @@ once per trial:
 :class:`CompiledEngine` executes those tables with the exact control flow
 and floating-point arithmetic of the reference engine, so for every seed it
 produces **bit-identical** traces, event logs and samples (enforced by
-``tests/hybrid/test_compiled_equivalence.py``).  Per-step invalidation is
+``tests/hybrid/test_compiled_equivalence.py`` and
+``tests/hybrid/test_quiet_steps.py``).  Per-step invalidation is
 structural rather than numeric: a guard whose watched variable cannot move
 in the current location is dropped from the schedule at compile time, and
 an automaton's deadline program only changes when its location does.
-Numeric deadlines are deliberately *not* cached across instants -- the
-reference engine re-derives them from the advanced valuation each scan, and
-caching absolute crossing times would diverge from it by ULPs.
+
+Quiet steps
+-----------
+When some runtime sits in a non-affine location (or couplings/recorded
+variables ask for sampling), the reference engine steps by ``dt_max``
+and, on every step, re-derives every crossing and wakeup, polls every
+process and scans every runtime's edges, although almost no step changes
+anything discrete.  The compiled engine instead caches the *deadline*:
+the earliest crossing or wakeup candidate of a full scan, before the
+``dt_max`` cap.  While the deadline is more than ``2*dt_max`` away, a
+step is *quiet*: its next time is ``min(now + dt_max, horizon)`` (the
+value the full scan would return, since every other candidate lies
+beyond it), no process is polled (any wakeup is part of the deadline),
+only the runtimes whose location can change state on a plain sample have
+their edges scanned, and the pre-step couplings are skipped when the
+previous step was quiet, fired nothing and the couplings are idempotent
+(lowered copy/indicator programs, none reading a slot that a later one
+writes).  From the first edge a quiet step fires, the same round goes on
+over every later runtime in order and the normal cascade follows, so the
+firing order is the reference's.
+
+A full scan caches its deadline only when sampling was requested, no
+runtime sits in a dynamic-affine location, and every crossing/invariant
+program is fully lowered (True/False/Linear/Box/Not/And/Or), reads no
+*hazard* slot and returned ``inf`` or a finite delay ``> EPSILON``.  A
+hazard slot is a coupling target (overwritten every step) or a slot whose
+rate ``r`` satisfies ``0 < |r| <= max(EPSILON, EPSILON/dt_max)``:
+``evaluate``'s ``EPSILON`` tolerance lets a leaf on such a slot turn true
+``EPSILON/|r|`` seconds before its computed crossing, or (at ``|r| <=
+EPSILON``) without any computed crossing at all.  The cache is
+invalidated by ``_take_edge``, a process ``wake``, ``inject_event``,
+``set_variable`` and ``_initialize``; so a process whose ``next_wakeup``
+is ``NaN`` or ``-inf`` (never a candidate, yet woken on every step) keeps
+every step full.  A runtime is scanned on quiet steps when its location
+is not static-affine and has ASAP edges, or when one of its ASAP guards
+is a generic predicate or reads a hazard slot; a slot with rate exactly 0
+that no coupling writes cannot change, so it needs no scan.
+
+Soundness rests on three facts.  *Monotone candidates:* under static
+rates a leaf's absolute candidate goes crossing -> now -> later crossing
+or ``inf``, and min/max/probes keep that order, so between invalidations
+no program's candidate moves earlier than the cached deadline except by
+the two effects below.  *Tolerance:* for a non-hazard rate a leaf can
+turn true at most ``EPSILON/|r| <= dt_max`` before its crossing, so while
+the deadline is ``2*dt_max`` away no guard of an unscanned runtime can
+hold at the landing time ``now + dt_max``.  *Rounding drift:*
+``values[slot] += rate*dt`` accumulates rounding, so a recomputed
+crossing drifts from the cached one by up to an ulp of ``|x|/|r|`` per
+step, plus a few ulps of ``|t| + (|x|+|theta|)/|r|`` for evaluating the
+crossing formula.  The cache stores the deadline minus
+:meth:`CompiledEngine._drift_margin`, a bound on that drift over every
+step left before it, computed from the live slot values.  The counters
+``steps``/``quiet_steps`` report how many steps took the quiet path.
 
 Observation goes through the same
 :class:`~repro.hybrid.simulate.observers.TraceObserver` pipeline as the
@@ -41,6 +92,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from repro.errors import SimulationError, TimeBlockError, ZenoError
@@ -282,6 +334,48 @@ def _lower_crossing(predicate: Predicate, rates: Mapping[str, float],
     return _lower_delay(predicate, rates, slot_of, want_true)
 
 
+def _lowered_leaves(predicate: Predicate) -> list | None:
+    """The Linear/Box leaves of a fully lowered predicate tree.
+
+    ``None`` when the tree holds any other node type: a generic
+    predicate's ``time_until_*``/``evaluate`` may read anything.
+    """
+    if isinstance(predicate, (TruePredicate, FalsePredicate)):
+        return []
+    if isinstance(predicate, (LinearInequality, BoxPredicate)):
+        return [predicate]
+    if isinstance(predicate, Not):
+        return _lowered_leaves(predicate.operand)
+    if isinstance(predicate, (And, Or)):
+        leaves = []
+        for operand in predicate.operands:
+            part = _lowered_leaves(operand)
+            if part is None:
+                return None
+            leaves += part
+        return leaves
+    return None
+
+
+def _leaf_bound(leaf: LinearInequality | BoxPredicate) -> float:
+    """Largest threshold magnitude of a Linear/Box leaf."""
+    if isinstance(leaf, BoxPredicate):
+        return max(abs(leaf.low), abs(leaf.high))
+    return abs(leaf.threshold)
+
+
+def _leaf_slots(predicates: Iterable[Predicate],
+                slot_of: Mapping[str, int]) -> frozenset | None:
+    """Slots the fully lowered ``predicates`` read (``None``: not lowered)."""
+    slots = set()
+    for predicate in predicates:
+        leaves = _lowered_leaves(predicate)
+        if leaves is None:
+            return None
+        slots.update(slot_of[leaf.variable] for leaf in leaves)
+    return frozenset(slots)
+
+
 def _lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
     """Compile a :class:`CallableFlow` into an in-place RK4 over slot floats.
 
@@ -376,7 +470,8 @@ class CompiledLocation:
 
     __slots__ = ("name", "index", "flow", "affine", "invariant", "risky",
                  "static_rates", "const_items", "advance_program", "edges",
-                 "asap_edges", "has_asap", "cross_programs", "inv_program")
+                 "asap_edges", "has_asap", "cross_programs", "inv_program",
+                 "program_slots", "guard_slots", "drift_terms")
 
     def __init__(self, automaton: HybridAutomaton, name: str, index: int,
                  loc_index: Mapping[str, int], slot_of: Mapping[str, int]):
@@ -407,16 +502,32 @@ class CompiledLocation:
         # generically by the scheduler.
         self.cross_programs = ()
         self.inv_program = None
+        # Quiet-step facts: slots read by the deadline programs / ASAP
+        # guards (None = some predicate is not fully lowered), and the
+        # (slot, |threshold|, 1/|rate|) of every moving program leaf.
+        self.guard_slots = _leaf_slots((ce.edge.guard for ce in self.asap_edges),
+                                       slot_of)
+        self.program_slots = frozenset()
+        self.drift_terms = ()
         if self.affine and self.static_rates is not None:
-            programs = []
+            programs, sources = [], []
             for ce in self.asap_edges:
                 program = _lower_crossing(ce.edge.guard, self.static_rates,
                                           slot_of, True)
                 if program is not _STATIC_SKIP:
                     programs.append(program)
+                    sources.append(ce.edge.guard)
             self.cross_programs = tuple(programs)
             inv = _lower_crossing(self.invariant, self.static_rates, slot_of, False)
             self.inv_program = None if inv is _STATIC_SKIP else inv
+            if self.inv_program is not None:
+                sources.append(self.invariant)
+            self.program_slots = _leaf_slots(sources, slot_of)
+            if self.program_slots is not None:
+                self.drift_terms = tuple(
+                    (slot_of[leaf.variable], _leaf_bound(leaf), 1.0 / abs(rate))
+                    for source in sources for leaf in _lowered_leaves(source)
+                    if (rate := self.static_rates.get(leaf.variable, 0.0)) != 0.0)
 
 
 class CompiledAutomaton:
@@ -524,6 +635,12 @@ def compile_system(system: HybridSystem) -> CompiledSystem:
     return CompiledSystem(system)
 
 
+def _is_lowered_coupling(coupling: Coupling) -> bool:
+    """Whether the engine runs ``coupling`` as a direct slot move."""
+    return (type(coupling) is LocationIndicatorCoupling
+            or (type(coupling) is VariableCopyCoupling and coupling.transform is None))
+
+
 # ---------------------------------------------------------------------------
 # State layer: array-backed mutable state behind the SystemState read API
 # ---------------------------------------------------------------------------
@@ -532,7 +649,7 @@ class _AutomatonRuntime:
     """Mutable hot-loop state of one member automaton (slots, not objects)."""
 
     __slots__ = ("ca", "name", "slots", "values", "view", "loc", "location",
-                 "entered_at", "pending")
+                 "entered_at", "pending", "cache_ok", "quiet_scan")
 
     def __init__(self, ca: CompiledAutomaton):
         self.ca = ca
@@ -544,6 +661,10 @@ class _AutomatonRuntime:
         self.location: CompiledLocation = ca.locations[self.loc]
         self.entered_at: float = 0.0
         self.pending: List[_PendingEvent] = []
+        # Per location index: may its deadline programs be cached, and must
+        # its edges be scanned on quiet steps (set by the engine).
+        self.cache_ok: tuple[bool, ...] = ()
+        self.quiet_scan: tuple[bool, ...] = ()
 
     def move_to(self, target_index: int, now: float) -> None:
         self.loc = target_index
@@ -679,6 +800,13 @@ class CompiledEngine:
         self._next_sample_time = 0.0
         self._time_of_last_wake: Dict[int, float] = {}
         self._base_needs_sampling = bool(self.couplings) or bool(self.record_variables)
+        #: Global steps of the last run, and how many of them were quiet.
+        self.steps = 0
+        self.quiet_steps = 0
+        self._deadline = -math.inf
+        self._settled = False
+        self._couplings_idempotent = False
+        self._quiet_watch: List[tuple[int, _AutomatonRuntime]] = []
 
     # -- public helpers ---------------------------------------------------------
     @property
@@ -693,10 +821,12 @@ class CompiledEngine:
 
     def set_variable(self, automaton_name: str, variable: str, value: float) -> None:
         """Overwrite one variable of one member automaton (used by couplings)."""
+        self._invalidate()
         self.state.runtime(automaton_name).set(variable, float(value))
 
     def inject_event(self, root: str, *, sender: str = "environment") -> None:
         """Broadcast an event from the environment at the current instant."""
+        self._invalidate()
         self._broadcast(root, sender)
 
     def location_of(self, automaton_name: str) -> str:
@@ -711,16 +841,35 @@ class CompiledEngine:
         self.network.reset(self.seed)
         self._initialize()
         state = self.state
+        dt_max = self.dt_max
         while state.time < horizon - EPSILON:
-            self._apply_couplings()
-            next_time = self._next_time(horizon)
-            dt = next_time - state.time
+            self.steps += 1
+            if not self._settled:
+                self._apply_couplings()
+            now = state.time
+            quiet = self._deadline > now + 2.0 * dt_max
+            if quiet:
+                # What _next_time returns when every candidate lies beyond
+                # the sampling cap.
+                self.quiet_steps += 1
+                next_time = min(now + dt_max, horizon)
+                if next_time <= now + EPSILON:
+                    next_time = min(now + _MIN_ADVANCE, horizon)
+            else:
+                next_time = self._next_time(horizon)
+            self._settled = False
+            dt = next_time - now
             if dt > 0:
                 self._advance_continuous(dt)
             state.time = next_time
             self._apply_couplings()
-            self._wake_processes()
-            self._process_discrete()
+            # A generic coupling's set_variable/inject_event invalidates.
+            if quiet and self._deadline > now + 2.0 * dt_max:
+                self._settled = (not self._quiet_discrete()
+                                 and self._couplings_idempotent)
+            else:
+                self._wake_processes()
+                self._process_discrete()
             self._maybe_sample()
         for observer in self.observers:
             observer.end_run(horizon)
@@ -737,6 +886,10 @@ class CompiledEngine:
         self._base_needs_sampling = bool(self.couplings) or bool(self.record_variables)
         self._next_sample_time = 0.0
         self._time_of_last_wake = {}
+        self.steps = 0
+        self.quiet_steps = 0
+        self._invalidate()
+        self._plan_quiet_steps()
         risky = self.system.risky_locations()
         for observer in self.observers:
             observer.begin_run(risky)
@@ -751,6 +904,87 @@ class CompiledEngine:
         self._process_discrete()
         self._maybe_sample(force=True)
 
+    # -- quiet steps ------------------------------------------------------------------
+    def _invalidate(self) -> None:
+        """Drop the cached deadline: state changed outside the step's plan."""
+        self._deadline = -math.inf
+        self._settled = False
+
+    def _plan_quiet_steps(self) -> None:
+        """Derive per-location cache/scan eligibility (see module docstring)."""
+        coupled: Dict[str, set] = {rt.name: set() for rt in self._runtimes}
+        written: List[tuple[str, str]] = []
+        idempotent = True
+        for coupling in reversed(self.couplings):
+            if not _is_lowered_coupling(coupling):
+                idempotent = False
+                continue
+            target = (coupling.target_automaton, coupling.target_variable)
+            coupled[target[0]].add(self.state.runtime(target[0]).slots[target[1]])
+            if (type(coupling) is VariableCopyCoupling
+                    and (coupling.source_automaton,
+                         coupling.source_variable) in written):
+                idempotent = False
+            written.append(target)
+        self._couplings_idempotent = idempotent
+        tiny = max(EPSILON, EPSILON / self.dt_max)
+        for rt in self._runtimes:
+            cache_ok, quiet_scan = [], []
+            for loc in rt.ca.locations:
+                if loc.static_rates is None:
+                    # Non-affine locations have no deadline programs;
+                    # dynamic-affine ones are never cached.
+                    cache_ok.append(not loc.affine)
+                    quiet_scan.append(loc.has_asap)
+                    continue
+                hazards = coupled[rt.name] | {
+                    rt.ca.slot_of[name] for name, rate in loc.static_rates.items()
+                    if rate != 0.0 and abs(rate) <= tiny}
+                cache_ok.append(loc.program_slots is not None
+                                and not loc.program_slots & hazards)
+                quiet_scan.append(loc.has_asap and (loc.guard_slots is None
+                                                    or bool(loc.guard_slots & hazards)))
+            rt.cache_ok = tuple(cache_ok)
+            rt.quiet_scan = tuple(quiet_scan)
+        self._quiet_watch = [(index, rt) for index, rt in enumerate(self._runtimes)
+                             if any(rt.quiet_scan)]
+
+    def _drift_margin(self, now: float, deadline: float) -> float:
+        """Bound on how far rounding moves any cached crossing before ``deadline``.
+
+        Each step adds at most an ulp of ``|x| <= |x0| + |r|*(deadline -
+        now)`` to a moving slot, i.e. an ulp of ``|x0|/|r| + (deadline -
+        now)`` seconds to its crossing, and evaluating a crossing costs a
+        few ulps of ``|t| + (|x| + |theta|)/|r|``; the margin is 16 ulps of
+        the largest such scale per remaining step, plus two steps.
+        """
+        scale = 0.0
+        for rt in self._runtimes:
+            values = rt.values
+            for slot, bound, inv_rate in rt.location.drift_terms:
+                term = (abs(values[slot]) + bound) * inv_rate
+                if term > scale:
+                    scale = term
+        scale += abs(deadline) + (deadline - now)
+        steps = (deadline - now) / self.dt_max + 2.0
+        return 16.0 * sys.float_info.epsilon * steps * scale
+
+    def _quiet_discrete(self) -> bool:
+        """The discrete phase of a quiet step; return True if anything fired.
+
+        Only runtimes that can change state on a plain sample are scanned.
+        From the first firing on, the round continues over every later
+        runtime and the normal cascade follows, exactly as in
+        :meth:`_process_discrete`.
+        """
+        for index, rt in self._quiet_watch:
+            if rt.quiet_scan[rt.loc] and self._fire_one(rt):
+                for later in self._runtimes[index + 1:]:
+                    self._fire_one(later)
+                self._process_discrete(rounds_done=1)
+                return True
+        return False
+
     # -- continuous phase -----------------------------------------------------------
     def _lower_coupling(self, coupling: Coupling):
         """Compile the two canonical coupling shapes into direct slot moves.
@@ -759,12 +993,13 @@ class CompiledEngine:
         the engine API; anything else (subclasses, transforms) falls back
         to ``coupling.apply(self)``.
         """
+        if not _is_lowered_coupling(coupling):
+            return lambda: coupling.apply(self)
+        source = self.state.runtime(coupling.source_automaton)
+        target = self.state.runtime(coupling.target_automaton)
+        target.set(coupling.target_variable, target.get(coupling.target_variable))
+        slot = target.slots[coupling.target_variable]
         if type(coupling) is LocationIndicatorCoupling:
-            source = self.state.runtime(coupling.source_automaton)
-            target = self.state.runtime(coupling.target_automaton)
-            target.set(coupling.target_variable,
-                       target.get(coupling.target_variable))
-            slot = target.slots[coupling.target_variable]
             wanted = frozenset(coupling.source_locations)
             true_value = float(coupling.true_value)
             false_value = float(coupling.false_value)
@@ -774,29 +1009,27 @@ class CompiledEngine:
                                 else false_value)
 
             return indicator_program
-        if type(coupling) is VariableCopyCoupling and coupling.transform is None:
-            source = self.state.runtime(coupling.source_automaton)
-            target = self.state.runtime(coupling.target_automaton)
-            target.set(coupling.target_variable,
-                       target.get(coupling.target_variable))
-            slot = target.slots[coupling.target_variable]
-            source_variable = coupling.source_variable
+        source_variable = coupling.source_variable
 
-            def copy_program(values=target.values, slot=slot):
-                values[slot] = source.get(source_variable, 0.0)
+        def copy_program(values=target.values, slot=slot):
+            values[slot] = source.get(source_variable, 0.0)
 
-            return copy_program
-        return lambda: coupling.apply(self)
+        return copy_program
 
     def _apply_couplings(self) -> None:
         for program in self._coupling_programs:
             program()
 
     def _next_time(self, horizon: float) -> float:
-        """Earliest relevant future instant (guard crossing, wakeup, sample cap)."""
+        """Earliest relevant future instant (guard crossing, wakeup, sample cap).
+
+        Also records the deadline that quiet steps run against (see the
+        module docstring), or ``-inf`` when the scan is not cacheable.
+        """
         now = self.state.time
-        best = horizon
+        best = math.inf
         needs_sampling = self._base_needs_sampling
+        cacheable = True
         for rt in self._runtimes:
             loc = rt.location
             if not loc.affine:
@@ -805,6 +1038,7 @@ class CompiledEngine:
             if loc.static_rates is None:
                 # Affine flow of unknown shape: reference semantics, with
                 # rates re-derived from the live valuation.
+                cacheable = False
                 rates = loc.flow.rates(rt.view)
                 for ce in loc.asap_edges:
                     delay = ce.edge.guard.time_until_true(rt.view, rates)
@@ -822,30 +1056,46 @@ class CompiledEngine:
                     if candidate < best:
                         best = candidate
                 continue
+            if not rt.cache_ok[loc.index]:
+                cacheable = False
             values = rt.values
             view = rt.view
             for program in loc.cross_programs:
                 delay = program(values, view)
                 if delay is None:
                     needs_sampling = True
-                elif math.isfinite(delay) and delay > EPSILON:
-                    candidate = now + delay
-                    if candidate < best:
-                        best = candidate
+                    cacheable = False
+                elif delay > EPSILON:
+                    if delay != math.inf:
+                        candidate = now + delay
+                        if candidate < best:
+                            best = candidate
+                else:
+                    cacheable = False
             if loc.inv_program is not None:
                 inv_delay = loc.inv_program(values, view)
                 if inv_delay is None:
                     needs_sampling = True
-                elif math.isfinite(inv_delay) and inv_delay > EPSILON:
-                    candidate = now + inv_delay
-                    if candidate < best:
-                        best = candidate
+                    cacheable = False
+                elif inv_delay > EPSILON:
+                    if inv_delay != math.inf:
+                        candidate = now + inv_delay
+                        if candidate < best:
+                            best = candidate
+                else:
+                    cacheable = False
         for process in self.processes:
             wakeup = process.next_wakeup(now)
             if wakeup is not None and math.isfinite(wakeup):
                 candidate = max(wakeup, now)
                 if candidate < best:
                     best = candidate
+        if not (cacheable and needs_sampling):
+            self._deadline = -math.inf
+        elif best > now + 2.0 * self.dt_max and best != math.inf:
+            self._deadline = best - self._drift_margin(now, best)
+        else:
+            self._deadline = best
         if needs_sampling:
             candidate = now + self.dt_max
             if candidate < best:
@@ -887,12 +1137,17 @@ class CompiledEngine:
             if self._time_of_last_wake.get(key) == now:
                 continue
             self._time_of_last_wake[key] = now
+            self._invalidate()
             process.wake(self, now)
 
     # -- discrete phase ----------------------------------------------------------------
-    def _process_discrete(self) -> None:
-        """Fire enabled transitions at the current instant until quiescent."""
-        for _ in range(self.max_cascade):
+    def _process_discrete(self, rounds_done: int = 0) -> None:
+        """Fire enabled transitions at the current instant until quiescent.
+
+        ``rounds_done`` counts cascade rounds already run (and fired) by
+        :meth:`_quiet_discrete`.
+        """
+        for _ in range(rounds_done, self.max_cascade):
             fired_any = False
             for rt in self._runtimes:
                 if self._fire_one(rt):
@@ -910,13 +1165,11 @@ class CompiledEngine:
     def _fire_one(self, rt: _AutomatonRuntime) -> bool:
         """Fire at most one enabled edge of ``rt``; return True if fired."""
         location = rt.location
-        edges = location.edges
-        if not edges:
-            return False
         pending = rt.pending
-        if not pending and not location.has_asap:
-            # Event-triggered edges need a pending event; with none queued
-            # nothing here can fire (exactly what the reference scan finds).
+        # Event-triggered edges need a pending event; with none queued only
+        # the ASAP edges can fire (exactly what the reference scan finds).
+        edges = location.edges if pending else location.asap_edges
+        if not edges:
             return False
         values = rt.values
         view = rt.view
@@ -947,6 +1200,7 @@ class CompiledEngine:
 
     def _take_edge(self, rt: _AutomatonRuntime, ce: CompiledEdge,
                    trigger_root: str | None) -> None:
+        self._invalidate()
         now = self.state.time
         if ce.assignments is not None:
             values = rt.values

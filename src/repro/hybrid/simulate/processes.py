@@ -33,6 +33,13 @@ class EnvironmentProcess:
     :meth:`SimulationEngine.inject_event` from :meth:`wake` to influence the
     hybrid system.  All randomness must come from the engine's RNG streams
     so runs stay reproducible.
+
+    :meth:`next_wakeup` is a side-effect-free query.  Its answer may change
+    only inside :meth:`initialize`, :meth:`wake` or
+    :meth:`notify_transition`, and may depend on ``now`` only through
+    ``max(·, now)``.  The compiled engine relies on this: it caches the
+    earliest wakeup as part of its next deadline and polls no process
+    until a transition, a wake or an injected event invalidates it.
     """
 
     #: Name used for trace records of injected events.

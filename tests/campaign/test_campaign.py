@@ -104,9 +104,12 @@ class TestDeterminism:
         db = tmp_path / "campaign.db"
         with CampaignStore(db) as store:
             store.begin(spec, 3, "full")
-        with pytest.raises(CampaignStoreError, match="payload mode 'full'"):
+        with pytest.raises(CampaignStoreError, match="payload mode 'full'") as info:
             run_campaign(spec, seed=3, max_workers=1, payload="stats",
                          store=db, resume=True)
+        assert "no longer supported" in str(info.value)
+        assert "fresh path" in str(info.value)
+        assert "--payload full" not in str(info.value)
 
     def test_stats_payload_streams_full_results(self):
         spec = table1_spec(duration=100.0)

@@ -80,6 +80,11 @@ RUNS = {
     "table1-reference": functools.partial(_campaign_payload, "table1", _TABLE1,
                                           "reference"),
     "table1-compiled": functools.partial(_campaign_payload, "table1", _TABLE1),
+    # One paper-horizon trial per E(Toff)=18 s cell: many lease cycles.
+    "table1-paper-horizon": functools.partial(
+        _campaign_payload, "table1",
+        {"mean_toffs": (18.0,), "replicates": 1, "duration": 1800.0,
+         "legacy_seed": SEED}),
     # Two lanes per batch, so the batched tier's lockstep path runs.
     "table1-batched": functools.partial(_campaign_payload, "table1", _TABLE1,
                                         "batched", 2),
