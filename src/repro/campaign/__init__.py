@@ -2,8 +2,8 @@
 
 Declarative parameter sweeps (:mod:`repro.campaign.spec`), a supervised
 executor (in-process or worker pool) with deterministic per-trial seeding
-(:mod:`repro.campaign.executor`), a shared-memory batch plane and
-zero-copy results ring for pooled runs (:mod:`repro.campaign.shm`),
+(:mod:`repro.campaign.executor`), a zero-copy shared-memory
+results ring for pooled runs (:mod:`repro.campaign.shm`),
 streaming aggregation into experiment-compatible summaries
 (:mod:`repro.campaign.aggregate`), a durable sqlite checkpoint store with
 crash/resume semantics (:mod:`repro.campaign.store`), deterministic
@@ -28,7 +28,7 @@ from repro.campaign.executor import (DEFAULT_MAX_RESPAWNS, DEFAULT_MAX_RETRIES,
 from repro.campaign.faults import (FAULT_PLAN_ENV_VAR, FaultPlan,
                                    FaultPlanError, InjectedTrialFault,
                                    TrialFailure, resolve_fault_plan)
-from repro.campaign.shm import (ResultsRing, ShmError, ShmSession, StatePlane,
+from repro.campaign.shm import (ResultsRing, ShmError, ShmSession,
                                 shared_memory_available)
 from repro.campaign.presets import (PRESETS, Preset, grid_spec, interlock_spec,
                                     loss_sweep_spec, scenarios_spec,
@@ -51,7 +51,7 @@ __all__ = [
     "FaultPlan", "FaultPlanError", "InjectedTrialFault", "TrialFailure",
     "resolve_fault_plan", "FAULT_PLAN_ENV_VAR",
     "CampaignResult", "GroupSummary", "TrialSummary", "SUMMARY_RECORD_FIELDS",
-    "ShmSession", "StatePlane", "ResultsRing", "ShmError",
+    "ShmSession", "ResultsRing", "ShmError",
     "shared_memory_available",
     "CampaignStore", "CampaignStoreError", "CheckpointStatus",
     "RecoveryStage", "RecoveryStateMachine", "enumerate_stores",

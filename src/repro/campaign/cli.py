@@ -67,7 +67,7 @@ from repro.campaign.presets import PRESETS
 from repro.campaign.service.client import SERVICE_COMMANDS, service_main
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, CampaignStoreError
-from repro.hybrid.simulate import ENGINE_ENV_VAR, ENGINE_KINDS
+from repro.hybrid.simulate import ENGINE_KINDS
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -137,15 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "'reference' is the executable-spec escape hatch)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="B",
                         help="replicates of one sweep cell dispatched as one "
-                             "unit and, with the batched kernel, executed in "
-                             "vectorized lockstep; 0 = auto heuristic "
-                             "(default). Implies --engine batched when no "
-                             "engine is chosen and B > 1")
+                             "unit (with --engine batched, the lanes of one "
+                             "engine); 0 = auto heuristic (default)")
     parser.add_argument("--shm", action=argparse.BooleanOptionalAction,
                         default=None,
-                        help="shared-memory fast path: batched lanes run on "
-                             "a parent-owned shared state plane (one cell's "
-                             "batch can span workers) and per-trial stats "
+                        help="shared-memory results path: per-trial stats "
                              "travel as fixed-width records in a shared "
                              "results ring instead of pickles. Default: "
                              "auto-on for multi-worker batched runs; "
@@ -593,11 +589,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     workers = args.workers or default_worker_count()
     engine = args.engine
-    if (engine is None and args.batch_size is not None and args.batch_size > 1
-            and not os.environ.get(ENGINE_ENV_VAR)):
-        # An explicit multi-trial batch only makes sense in lockstep — but
-        # never override the REPRO_ENGINE escape hatch.
-        engine = "batched"
 
     preset = PRESETS[args.experiment]
     spec = build_spec(args)

@@ -26,9 +26,9 @@ The unit of dispatch is a **batch**: a chunk of replicates of one campaign
 cell, shipped as ``(spec_index, (index, replicate, seed), ...)`` tuples.
 Each worker lowers a cell's hybrid model once (the per-process cache in
 :mod:`repro.casestudy.emulation`) and reuses it for every trial of that
-cell.  With ``engine="batched"`` the replicates of a chunk additionally
-execute in vectorized lockstep as lanes of one
-:class:`~repro.hybrid.simulate.batched.BatchedEngine`.
+cell.  With ``engine="batched"`` the replicates of a chunk run as lanes of
+one :class:`~repro.hybrid.simulate.batched.BatchedEngine`, one after
+another on the compiled kernel.
 
 Results stream back as batches complete (``on_result`` fires once per trial
 in completion order, for progress reporting); the final
@@ -98,10 +98,8 @@ from repro.campaign.spec import CampaignSpec, TrialRun
 from repro.campaign.store import (CampaignStore, CampaignStoreError,
                                   RecoveryStage, RecoveryStateMachine)
 from repro.casestudy.config import CaseStudyConfig
-from repro.casestudy.emulation import (TrialResult, _lowered_case_study,
-                                       run_trial, run_trial_batch)
+from repro.casestudy.emulation import TrialResult, run_trial, run_trial_batch
 from repro.hybrid.simulate import resolve_engine_kind
-from repro.hybrid.simulate.batched import build_batched_tables
 
 #: Payload modes, in increasing weight:
 #:
@@ -117,15 +115,14 @@ PAYLOAD_KINDS = ("summary", "stats")
 #: front.
 _INFLIGHT_PER_WORKER = 4
 
-#: Largest replicate batch the auto heuristic will put in lockstep; beyond
-#: this the vector win flattens while latency and memory keep growing.
+#: Largest replicate batch the auto heuristic gives the batched engine.
 _MAX_AUTO_BATCH = 64
 
-#: Below this many lanes the auto heuristic keeps per-trial dispatch even
-#: with the batched kernel: micro-calibration (``benchmarks/bench_batched``)
-#: shows the vectorized dispatch overhead dominating below ~16 lanes, so a
-#: small cell is faster on the scalar path inside each worker.  Explicit
-#: ``batch_size`` values are always honoured as given.
+#: Below this many lanes per worker the auto heuristic dispatches per trial
+#: even with the batched engine.  Both constants come from the retired
+#: lockstep kernel's calibration and now only shape the dispatched tasks
+#: (their sizes, never their results).  Explicit ``batch_size`` values are
+#: always honoured as given.
 MIN_LOCKSTEP_LANES = 16
 
 #: Campaign-level engine default.  Direct engine construction stays on the
@@ -283,13 +280,11 @@ def resolve_batch_size(batch_size: int | None, spec: CampaignSpec,
                        workers: int, engine: str) -> int:
     """Resolve the replicate-batch size for one campaign run.
 
-    ``None`` or ``0`` selects the auto heuristic: with the batched kernel,
+    ``None`` or ``0`` selects the auto heuristic: with the batched engine,
     split each cell's replicates evenly across the workers (capped at
-    ``_MAX_AUTO_BATCH`` lanes — the vector win saturates), unless the split
-    lands below the lockstep break-even (:data:`MIN_LOCKSTEP_LANES`),
-    where the vector dispatch overhead outweighs the win and per-trial
-    dispatch is faster; with the scalar kernels there is nothing to put in
-    lockstep, so dispatch per trial.
+    ``_MAX_AUTO_BATCH`` lanes), unless the split lands below
+    :data:`MIN_LOCKSTEP_LANES`, in which case dispatch per trial; with the
+    other engines, dispatch per trial.
 
     Args:
         batch_size: The requested batch size (``None``/``0`` = auto).
@@ -411,25 +406,22 @@ def _batch_fault_hook(plan: FaultPlan | None, ctx: BatchContext | None,
 
 
 def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
-                  engine: str, buffers=None,
+                  engine: str,
                   plan: FaultPlan | None = None,
                   ctx: BatchContext | None = None,
                   ) -> List[Tuple[int, TrialSummary, TrialResult | None]]:
     """Execute one batch of same-cell replicates (runs inside a worker).
 
-    With the batched kernel, multi-trial chunks run in vectorized lockstep
-    through :func:`~repro.casestudy.emulation.run_trial_batch`; otherwise
-    the chunk executes trial by trial — still amortizing the per-worker
-    lowered-model cache and the task pickling.
+    With the batched engine, multi-trial chunks run as the lanes of one
+    :func:`~repro.casestudy.emulation.run_trial_batch`; otherwise the chunk
+    executes trial by trial.  Either way the chunk amortizes the
+    per-worker lowered-model cache and the task pickling.
 
     Args:
         spec: The campaign spec (provides the cell and base config).
         task: The ``(spec_index, runs)`` batch to execute.
         payload: Per-trial payload kind (``"summary"``/``"stats"``).
         engine: The resolved simulation-kernel name.
-        buffers: Optional externally allocated engine storage (a
-            shared-memory plane's lane range) for the lockstep path;
-            ``None`` keeps private allocations.  Never changes results.
         plan: Optional fault plan; its ``raise`` clauses become the
             per-trial fault hooks of this batch.
         ctx: Dispatch context of the batch (dispatch number, per-trial
@@ -452,7 +444,7 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
             duration=duration, channel_builder=trial.channel.build,
             surgeon_builder=((lambda _seed: trial.surgeon.build())
                              if trial.surgeon is not None else None),
-            buffers=buffers, fault=fault_for)
+            fault=fault_for)
         out = []
         for (index, replicate, seed), result in zip(runs_lite, results):
             run = TrialRun(index=index, spec_index=spec_index,
@@ -536,12 +528,10 @@ def _run_batch_in_worker(job: Tuple[int, str], task: _BatchTask,
     Installs the job's context (loaded once per worker per job, then
     cached by token) and runs the batch.  Without a shared-memory token
     the full result triples travel back through the pool's pipe.  With a
-    token, the worker binds the task's shared-plane lane range (if any) as
-    the engine's backing storage, writes each trial's summary record
-    straight into the shared results ring, and returns only the trial
-    count — plus, for the ``"stats"`` payload, the pickled
-    ``TrialResult`` objects, whose monitor reports and lease ledgers have
-    no fixed-width encoding.
+    token, the worker writes each trial's summary record straight into
+    the shared results ring and returns only the trial count — plus, for
+    the ``"stats"`` payload, the pickled ``TrialResult`` objects, whose
+    monitor reports and lease ledgers have no fixed-width encoding.
 
     This is also where the dispatch-keyed fault clauses land: ``crash``
     SIGKILLs the worker before any work happens, ``hang`` sleeps past the
@@ -566,14 +556,7 @@ def _run_batch_in_worker(job: Tuple[int, str], task: _BatchTask,
             time.sleep(hang)
     if token is None:
         return execute_batch(spec, task, payload, engine, plan=plan, ctx=ctx)
-    buffers = None
-    if token.plane_name is not None:
-        plane = shm_plane.attach_plane(token.plane_name, token.plane_lanes,
-                                       token.state_columns,
-                                       token.cross_columns)
-        buffers = plane.buffers(token.lane_start, token.lane_count)
-    results = execute_batch(spec, task, payload, engine, buffers=buffers,
-                            plan=plan, ctx=ctx)
+    results = execute_batch(spec, task, payload, engine, plan=plan, ctx=ctx)
     stamp = token.generation
     if plan is not None and plan.corrupt_at(ctx.dispatch):
         stamp = -token.generation
@@ -804,22 +787,13 @@ def _resolve_shm(shm: bool | None, engine: str, pooled: bool) -> bool:
     """Decide whether the shared-memory fast path runs.
 
     ``None`` auto-enables for pooled batched runs; an explicit ``True``
-    extends it to scalar-engine pools (ring only).  Either way the path
+    extends it to every engine's pools.  Either way the path
     silently degrades to pickling when ``shared_memory`` is unavailable or
     the run is serial (nothing crosses a process boundary).
     """
     if shm is False or not (pooled and shm_plane.shared_memory_available()):
         return False
     return True if shm else engine == "batched"
-
-
-def _cell_plane_geometry(spec: CampaignSpec,
-                         spec_index: int) -> Tuple[int, int]:
-    """Column counts of one campaign cell's batched state plane."""
-    trial = spec.trials[spec_index]
-    config = trial.configure(spec.config)
-    _, lowered = _lowered_case_study(config, trial.with_lease)
-    return build_batched_tables(lowered).plane_columns()
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor | None, *, kill: bool) -> None:
@@ -1201,10 +1175,10 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             default fast; the reference engine remains the escape hatch).
             All kernels are bit-identical, so this only affects throughput.
         batch_size: Replicates of one cell dispatched (and, with the
-            batched kernel, executed in lockstep) as one unit.  ``None`` /
-            ``0`` = auto: per-trial dispatch for scalar kernels, an even
-            per-worker split of each cell (at most 64 lanes) for the
-            batched kernel.
+            batched engine, run as the lanes of one engine) as one
+            unit.  ``None`` / ``0`` = auto: per-trial dispatch for the
+            other engines, an even per-worker split of each cell (at
+            most 64 lanes) for the batched engine.
         on_result: Optional streaming callback, fired once per trial —
             first for replayed checkpoints in trial order, then for live
             trials in completion order (useful for progress reporting;
@@ -1219,17 +1193,15 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             remainder.  Aggregates are bit-identical to an uninterrupted
             run for any engine, batch size and worker count.  Trials
             quarantined by the interrupted run stay quarantined.
-        shm: Shared-memory fast path: workers run batched lanes on a
-            parent-owned shared state plane (so one cell's batch spans
-            workers) and publish per-trial statistics as fixed-width
-            records in a shared results ring instead of pickling them
-            through the pool's pipe.  ``None`` (default) auto-enables it
-            for multi-worker batched runs; ``True`` forces it on wherever
-            possible (including scalar-engine pools, ring only);
-            ``False`` disables it.  The path silently falls back to
-            pickling when ``multiprocessing.shared_memory`` is
-            unavailable or the run is serial — and per task when the
-            ring/plane is momentarily exhausted.
+        shm: Shared-memory results path: workers publish per-trial
+            statistics as fixed-width records in a shared results ring
+            instead of pickling them through the pool's pipe.  ``None``
+            (default) auto-enables it for multi-worker batched runs;
+            ``True`` forces it on for any engine's pool; ``False``
+            disables it.  The path silently falls back to pickling when
+            ``multiprocessing.shared_memory`` is unavailable or the run
+            is serial — and per task when the ring is momentarily
+            exhausted.
             Results are bit-identical in every mode.
         max_retries: How many times a failing trial is retried beyond its
             first attempt before it is quarantined (recorded as a
@@ -1366,14 +1338,10 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         if not serial and pool is None:
             pool = own_pool = CampaignPool(min(workers, len(tasks)))
         window = 1 if serial else pool.max_workers * _INFLIGHT_PER_WORKER
-        cell_live: Dict[int, int] = {}
         if _resolve_shm(shm, resolved_engine, not serial):
             ring_capacity = max(batch, min(len(live_runs),
                                            (window + 1) * batch))
             session = shm_plane.ShmSession(ring_capacity)
-            for spec_index, runs_lite in tasks:
-                cell_live[spec_index] = (cell_live.get(spec_index, 0)
-                                         + len(runs_lite))
 
         def record(batch_results) -> None:
             # Durability before publication: once a result is visible to
@@ -1411,22 +1379,10 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             session.release(ticket, count)
 
         def acquire(task: _BatchTask):
-            """Reserve shared-memory lanes/slots for one task, if any."""
+            """Reserve results-ring slots for one task, if any."""
             if session is None:
                 return None, None
-            spec_index, runs_lite = task
-            count = len(runs_lite)
-            want_plane = (resolved_engine == "batched" and count > 1
-                          and (spec.trials[spec_index].runner
-                               == TRIAL_RUNNER_DEFAULT))
-            if want_plane and session.plane(spec_index) is None:
-                state_cols, cross_cols = _cell_plane_geometry(
-                    spec, spec_index)
-                lanes = max(count, min(cell_live[spec_index],
-                                       (window + 1) * batch))
-                session.ensure_plane(spec_index, lanes, state_cols,
-                                     cross_cols)
-            ticket = session.acquire(spec_index, count, want_plane)
+            ticket = session.acquire(len(task[1]))
             if ticket is None:
                 return None, None
             return ticket, ticket.token(session)
@@ -1473,7 +1429,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             events.append((
                 "shm-fallback",
                 f"{session.fallbacks} task(s) fell back to the pickled "
-                f"results path (ring/plane momentarily exhausted)"))
+                f"results path (ring momentarily exhausted)"))
         if store_obj is not None and store_obj.commit_retries:
             events.append((
                 "store-retry",

@@ -1,35 +1,24 @@
-"""Shared-memory batch plane and zero-copy results ring for campaigns.
+"""Zero-copy results ring for pooled campaigns.
 
-This module is the allocation layer of the campaign's shared-memory fast
-path.  Two kinds of segments exist, both plain
-:mod:`multiprocessing.shared_memory` blocks wrapped with a small layout
-descriptor:
+One kind of segment exists: **the results ring** (:class:`ResultsRing`),
+a plain :mod:`multiprocessing.shared_memory` block holding a single array
+of fixed-width numeric records (the
+:data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS` columns plus a
+trial index and a generation stamp).  Workers write one record per
+finished trial straight into their task's slot range; the parent and the
+sqlite store read the records in place, so the executor's result pipe
+only ever carries tiny ``(ring slot, generation)`` tokens.
 
-* **State planes** (:class:`StatePlane`) — one per campaign cell, holding
-  the batched kernel's global ``(lanes, state_columns)`` state/rate/driven
-  matrices and ``(lanes, cross_columns)`` crossing tables.  The parent
-  allocates the plane, hands each worker a *lane range* of it (via
-  :meth:`StatePlane.buffers`, which yields the
-  :class:`~repro.hybrid.simulate.batched.ExternalBatchBuffers` row view
-  the engine binds to), and thereby lets one cell's batch span several
-  workers instead of being trapped inside one.
-* **The results ring** (:class:`ResultsRing`) — a single array of
-  fixed-width numeric records (the
-  :data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS` columns plus a
-  trial index and a generation stamp).  Workers write one record per
-  finished trial straight into their task's slot range; the parent and
-  the sqlite store read the records in place, so the executor's result
-  pipe only ever carries tiny ``(cell, lane-range, generation)`` tokens.
-
-Ownership is strictly parent-side: the process that *creates* a segment
-is the only one that ever unlinks it (enforced with an ``atexit`` hook so
-crashes don't leak ``/dev/shm`` entries), while workers attach without
-registering with the resource tracker (otherwise every forked worker
-would try to clean up — or double-free — the parent's segments on exit).
-Validity of ring records is established by the pipe token (happens-before
-via the pool's result future) and double-checked against the generation
-stamp; a mismatch means memory corruption or a protocol bug and raises
-:class:`ShmError` rather than silently aggregating garbage.
+Ownership is strictly parent-side: the process that *creates* the
+segment is the only one that ever unlinks it (enforced with an
+``atexit`` hook so crashes don't leak ``/dev/shm`` entries), while
+workers attach without registering with the resource tracker (otherwise
+every forked worker would try to clean up — or double-free — the
+parent's segment on exit).  Validity of ring records is established by
+the pipe token (happens-before via the pool's result future) and
+double-checked against the generation stamp; a mismatch means memory
+corruption or a protocol bug and raises :class:`ShmError` rather than
+silently aggregating garbage.
 
 Segment names carry the ``repro-`` prefix so tests and the CI
 crash-cleanup smoke can scan ``/dev/shm`` for leaks.
@@ -41,9 +30,9 @@ import atexit
 import operator
 import os
 import secrets
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - numpy is a hard dep of the batched tier anyway
+try:  # pragma: no cover - numpy is a declared dependency
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None
@@ -55,7 +44,6 @@ except ImportError:  # pragma: no cover
     shared_memory = None
 
 from repro.campaign.aggregate import SUMMARY_RECORD_FIELDS, TrialSummary
-from repro.hybrid.simulate.batched import ExternalBatchBuffers
 
 #: Name prefix of every segment this module creates (leak-scan anchor).
 SEGMENT_PREFIX = "repro-"
@@ -256,99 +244,6 @@ class ResultsRing:
 
 
 # ---------------------------------------------------------------------------
-# State planes
-# ---------------------------------------------------------------------------
-
-#: Array order inside a plane segment: all 8-byte dtypes first, then the
-#: bool tables, so every array is naturally aligned without padding.
-_PLANE_ORDER: Tuple[Tuple[str, str, str], ...] = (
-    ("X", "f8", "state"),
-    ("R", "f8", "state"),
-    ("C_col", "intp", "cross"),
-    ("C_thr", "f8", "cross"),
-    ("C_rate", "f8", "cross"),
-    ("C_sign", "f8", "cross"),
-    ("C_sthr", "f8", "cross"),
-    ("D", "?", "state"),
-    ("C_strict", "?", "cross"),
-    ("C_eq", "?", "cross"),
-    ("C_want", "?", "cross"),
-)
-
-
-def plane_layout(lanes: int, state_columns: int,
-                 cross_columns: int) -> Tuple[int, Dict[str, Tuple[int, Tuple[int, int], "np.dtype"]]]:
-    """Byte layout of one state-plane segment.
-
-    Returns:
-        ``(total_size, {array: (offset, shape, dtype)})`` for the eleven
-        engine tables of an ``ExternalBatchBuffers`` set.
-    """
-    layout: Dict[str, Tuple[int, Tuple[int, int], "np.dtype"]] = {}
-    offset = 0
-    for name, dtype_code, kind in _PLANE_ORDER:
-        dtype = np.dtype(dtype_code)
-        shape = (lanes, state_columns if kind == "state" else cross_columns)
-        layout[name] = (offset, shape, dtype)
-        offset += shape[0] * shape[1] * dtype.itemsize
-    return max(offset, 1), layout
-
-
-class StatePlane:
-    """One campaign cell's shared batch-state arena.
-
-    Holds full-width engine tables for up to ``lanes`` concurrent lanes of
-    one model geometry; workers bind disjoint row ranges of it.
-    """
-
-    def __init__(self, segment: SharedSegment, lanes: int,
-                 state_columns: int, cross_columns: int):
-        self.segment = segment
-        self.lanes = lanes
-        self.state_columns = state_columns
-        self.cross_columns = cross_columns
-        size, layout = plane_layout(lanes, state_columns, cross_columns)
-        if len(segment.buf) < size:
-            raise ShmError(
-                f"plane segment {segment.name!r} is {len(segment.buf)} bytes,"
-                f" need {size} for {lanes}x({state_columns},{cross_columns})")
-        self._arrays = {
-            name: np.ndarray(shape, dtype=dtype, buffer=segment.buf,
-                             offset=offset)
-            for name, (offset, shape, dtype) in layout.items()}
-
-    @classmethod
-    def create(cls, lanes: int, state_columns: int,
-               cross_columns: int) -> "StatePlane":
-        size, _ = plane_layout(lanes, state_columns, cross_columns)
-        return cls(SharedSegment.create(size), lanes, state_columns,
-                   cross_columns)
-
-    @classmethod
-    def attach(cls, name: str, lanes: int, state_columns: int,
-               cross_columns: int) -> "StatePlane":
-        return cls(SharedSegment.attach(name), lanes, state_columns,
-                   cross_columns)
-
-    def buffers(self, start: int, count: int) -> ExternalBatchBuffers:
-        """The engine-facing row view of lanes ``[start, start + count)``."""
-        if start < 0 or start + count > self.lanes:
-            raise ShmError(f"lane range [{start}, {start + count}) outside "
-                           f"plane of {self.lanes} lanes")
-        sl = slice(start, start + count)
-        return ExternalBatchBuffers(
-            **{name: arr[sl] for name, arr in self._arrays.items()})
-
-    def close(self) -> None:
-        self._arrays = {}  # drop views before unmapping
-        self.segment.close()
-
-    def destroy(self) -> None:
-        self._arrays = {}
-        self.segment.destroy()
-
-
-# ---------------------------------------------------------------------------
 # Range allocation
 # ---------------------------------------------------------------------------
 
@@ -402,91 +297,42 @@ class _RangeAllocator:
 # ---------------------------------------------------------------------------
 
 class PlaneTicket:
-    """One task's reservation on the shared plane + ring (parent-side)."""
+    """One task's reservation on the results ring (parent-side)."""
 
-    __slots__ = ("spec_index", "lane_start", "lane_count", "ring_start",
-                 "generation")
+    __slots__ = ("ring_start", "generation")
 
-    def __init__(self, spec_index: int, lane_start: int, lane_count: int,
-                 ring_start: int, generation: int):
-        self.spec_index = spec_index
-        self.lane_start = lane_start
-        self.lane_count = lane_count
+    def __init__(self, ring_start: int, generation: int):
         self.ring_start = ring_start
         self.generation = generation
 
     def token(self, session: "ShmSession") -> "ShmToken":
         """The picklable worker-facing handle for this reservation."""
-        plane = session.plane(self.spec_index)
-        return ShmToken(
-            ring_name=session.ring.segment.name,
-            ring_capacity=session.ring.capacity,
-            ring_start=self.ring_start,
-            generation=self.generation,
-            plane_name=plane.segment.name if plane is not None else None,
-            plane_lanes=plane.lanes if plane is not None else 0,
-            state_columns=plane.state_columns if plane is not None else 0,
-            cross_columns=plane.cross_columns if plane is not None else 0,
-            lane_start=self.lane_start,
-            lane_count=self.lane_count,
-        )
+        return ShmToken(ring_name=session.ring.segment.name,
+                        ring_capacity=session.ring.capacity,
+                        ring_start=self.ring_start,
+                        generation=self.generation)
 
 
-class ShmToken:
+class ShmToken(NamedTuple):
     """What actually travels down the pool's pipe for an shm task.
 
-    A few integers and two segment names — the ``(cell, lane-range,
-    generation)`` token of the zero-copy protocol.  ``plane_name`` is
-    ``None`` for ring-only tasks (scalar engines still benefit from the
-    zero-copy results path even without a state plane).
+    The ring's name and size plus the task's ``(ring slot, generation)``
+    token of the zero-copy protocol.
     """
 
-    __slots__ = ("ring_name", "ring_capacity", "ring_start", "generation",
-                 "plane_name", "plane_lanes", "state_columns",
-                 "cross_columns", "lane_start", "lane_count")
-
-    def __init__(self, *, ring_name: str, ring_capacity: int, ring_start: int,
-                 generation: int, plane_name: Optional[str], plane_lanes: int,
-                 state_columns: int, cross_columns: int, lane_start: int,
-                 lane_count: int):
-        self.ring_name = ring_name
-        self.ring_capacity = ring_capacity
-        self.ring_start = ring_start
-        self.generation = generation
-        self.plane_name = plane_name
-        self.plane_lanes = plane_lanes
-        self.state_columns = state_columns
-        self.cross_columns = cross_columns
-        self.lane_start = lane_start
-        self.lane_count = lane_count
-
-    def __reduce__(self):
-        return (_rebuild_token, (self.ring_name, self.ring_capacity,
-                                 self.ring_start, self.generation,
-                                 self.plane_name, self.plane_lanes,
-                                 self.state_columns, self.cross_columns,
-                                 self.lane_start, self.lane_count))
-
-
-def _rebuild_token(ring_name, ring_capacity, ring_start, generation,
-                   plane_name, plane_lanes, state_columns, cross_columns,
-                   lane_start, lane_count) -> ShmToken:
-    return ShmToken(ring_name=ring_name, ring_capacity=ring_capacity,
-                    ring_start=ring_start, generation=generation,
-                    plane_name=plane_name, plane_lanes=plane_lanes,
-                    state_columns=state_columns, cross_columns=cross_columns,
-                    lane_start=lane_start, lane_count=lane_count)
+    ring_name: str
+    ring_capacity: int
+    ring_start: int
+    generation: int
 
 
 class ShmSession:
-    """Parent-side owner of one campaign run's shared segments.
+    """Parent-side owner of one campaign run's results ring.
 
-    Creates the results ring eagerly and one state plane per campaign
-    cell lazily (cells differ in geometry when their models differ).
-    Capacities are bounded by the executor's in-flight window, not by the
-    campaign size, so a million-trial campaign still only maps a few
-    hundred kilobytes.  ``close()`` (or the atexit hook each segment
-    registers) unlinks everything.
+    The ring's capacity is bounded by the executor's in-flight window, not
+    by the campaign size, so a million-trial campaign still only maps a
+    few hundred kilobytes.  ``close()`` (or the atexit hook the segment
+    registers) unlinks it.
     """
 
     def __init__(self, ring_capacity: int):
@@ -494,63 +340,31 @@ class ShmSession:
             raise ShmError("multiprocessing.shared_memory is unavailable")
         self.ring = ResultsRing.create(ring_capacity)
         self._ring_alloc = _RangeAllocator(ring_capacity)
-        self._planes: Dict[int, Tuple[StatePlane, _RangeAllocator]] = {}
         self._generation = 0
         self._closed = False
-        #: Tasks that fell back to the pickled path because the ring or a
-        #: plane was momentarily exhausted (observability: the executor
-        #: surfaces this as an ``shm-fallback`` recovery event).
+        #: Tasks that fell back to the pickled path because the ring was
+        #: momentarily exhausted (observability: the executor surfaces
+        #: this as an ``shm-fallback`` recovery event).
         self.fallbacks = 0
 
-    def plane(self, spec_index: int) -> Optional[StatePlane]:
-        entry = self._planes.get(spec_index)
-        return entry[0] if entry is not None else None
-
-    def ensure_plane(self, spec_index: int, lanes: int, state_columns: int,
-                     cross_columns: int) -> StatePlane:
-        """Create (idempotently) the cell's plane sized for ``lanes`` lanes."""
-        entry = self._planes.get(spec_index)
-        if entry is None:
-            plane = StatePlane.create(lanes, state_columns, cross_columns)
-            entry = (plane, _RangeAllocator(lanes))
-            self._planes[spec_index] = entry
-        return entry[0]
-
-    def acquire(self, spec_index: int, count: int,
-                want_plane: bool) -> Optional[PlaneTicket]:
-        """Reserve ring slots (and plane lanes) for one ``count``-trial task.
+    def acquire(self, count: int) -> Optional[PlaneTicket]:
+        """Reserve ring slots for one ``count``-trial task.
 
         Returns:
-            The reservation, or ``None`` when the ring or plane cannot fit
-            the task right now — the caller then falls back to the pickled
-            path for this task (never blocks, never errors).
+            The reservation, or ``None`` when the ring cannot fit the task
+            right now — the caller then falls back to the pickled path for
+            this task (never blocks, never errors).
         """
         ring_start = self._ring_alloc.allocate(count)
         if ring_start is None:
             self.fallbacks += 1
             return None
-        lane_start = 0
-        if want_plane:
-            entry = self._planes.get(spec_index)
-            if entry is None:
-                self._ring_alloc.free(ring_start, count)
-                raise ShmError(f"no plane registered for cell {spec_index}")
-            lane_start = entry[1].allocate(count)
-            if lane_start is None:
-                self._ring_alloc.free(ring_start, count)
-                self.fallbacks += 1
-                return None
         self._generation += 1
-        return PlaneTicket(spec_index if want_plane else -1, lane_start,
-                           count if want_plane else 0, ring_start,
-                           self._generation)
+        return PlaneTicket(ring_start, self._generation)
 
     def release(self, ticket: PlaneTicket, count: int) -> None:
-        """Return a ticket's reservations after its records were consumed."""
+        """Return a ticket's reservation after its records were consumed."""
         self._ring_alloc.free(ticket.ring_start, count)
-        if ticket.lane_count:
-            self._planes[ticket.spec_index][1].free(ticket.lane_start,
-                                                    ticket.lane_count)
 
     def read(self, ticket: PlaneTicket, count: int,
              labels: Sequence[str]) -> List[TrialSummary]:
@@ -563,14 +377,11 @@ class ShmSession:
         return self.ring.records[ticket.ring_start:ticket.ring_start + count]
 
     def close(self) -> None:
-        """Unlink every segment this session owns.  Idempotent."""
+        """Unlink the ring.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         self.ring.destroy()
-        for plane, _ in self._planes.values():
-            plane.destroy()
-        self._planes = {}
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +389,6 @@ class ShmSession:
 # ---------------------------------------------------------------------------
 
 _ATTACHED_RINGS: Dict[str, ResultsRing] = {}
-_ATTACHED_PLANES: Dict[str, StatePlane] = {}
 
 
 def attach_ring(name: str, capacity: int) -> ResultsRing:
@@ -590,24 +400,11 @@ def attach_ring(name: str, capacity: int) -> ResultsRing:
     return ring
 
 
-def attach_plane(name: str, lanes: int, state_columns: int,
-                 cross_columns: int) -> StatePlane:
-    """Attach (once per worker process) to one cell's state plane."""
-    plane = _ATTACHED_PLANES.get(name)
-    if plane is None:
-        plane = StatePlane.attach(name, lanes, state_columns, cross_columns)
-        _ATTACHED_PLANES[name] = plane
-    return plane
-
-
 def detach_all() -> None:
     """Drop every cached worker-side attachment (tests / pool teardown)."""
     for ring in _ATTACHED_RINGS.values():
         ring.close()
-    for plane in _ATTACHED_PLANES.values():
-        plane.close()
     _ATTACHED_RINGS.clear()
-    _ATTACHED_PLANES.clear()
 
 
 def leaked_segments() -> List[str]:

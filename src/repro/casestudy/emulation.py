@@ -379,8 +379,8 @@ def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
                     seeds: Sequence[int], duration: float | None = None,
                     channel_builder=None, surgeon_builder=None,
                     record_variables: Sequence[tuple[str, str]] = (),
-                    buffers=None, fault=None) -> List[TrialResult]:
-    """Run one batch of replicate trials in vectorized lockstep.
+                    fault=None) -> List[TrialResult]:
+    """Run one batch of replicate trials as the lanes of one engine.
 
     The campaign counterpart of :func:`run_trial`: all trials share one
     cached, pre-lowered model (they are replicates of the same campaign
@@ -402,12 +402,6 @@ def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
             scripted surgeons; ``None`` uses the stochastic surgeon model
             seeded per trial.
         record_variables: ``(automaton, variable)`` pairs to sample.
-        buffers: Optional
-            :class:`~repro.hybrid.simulate.batched.ExternalBatchBuffers`
-            (e.g. a shared-memory plane's lane range from
-            :meth:`repro.campaign.shm.StatePlane.buffers`) for the engine
-            to run on; ``None`` keeps the engine's private allocations.
-            Results are bit-identical either way.
         fault: Optional per-lane fault hook ``fault(offset)``, invoked
             with each lane's position before the batch engine is built.
             Raising aborts the whole batch — by design: the campaign
@@ -442,8 +436,7 @@ def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
     # statistics match run_trial's streaming path sample for sample.
     engine = BatchedEngine(lowered, lanes=lanes, couplings=template.couplings,
                            dt_max=config.dt_max, record_variables=sampled,
-                           sample_interval=0.5, record_trace=False,
-                           buffers=buffers)
+                           sample_interval=0.5, record_trace=False)
     engine.run(duration)
     results = []
     for seed, stats, network, surgeon in zip(seeds, stats_list, networks,

@@ -54,8 +54,7 @@ def spo2_derivative_vector(spo2, ventilated, model: PatientModel):
 
     A convenience for analysing many replicate states at once; it applies
     the scalar kernel to each lane, so its values are exactly the kernel's.
-    No engine calls it: the batched kernel integrates the scalar kernel
-    lane by lane.
+    No engine calls it: every engine integrates the scalar kernel.
     """
     spo2, ventilated = _np.broadcast_arrays(_np.asarray(spo2, dtype=float),
                                             _np.asarray(ventilated, dtype=float))

@@ -108,8 +108,8 @@ class CallableFlow(Flow):
 
     The declaration is the single source of the flow's dynamics: the
     reference engine integrates it through the dict-returning :attr:`func`
-    derived here, and the compiled and batched kernels lower the same
-    ``kernel`` to RK4 over plain slot floats
+    derived here, and the compiled kernel (which also runs every batched
+    lane) lowers the same ``kernel`` to RK4 over plain slot floats
     (:mod:`repro.hybrid.simulate.compiled`), so every tier performs the same
     float operations.
 

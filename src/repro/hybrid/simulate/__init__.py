@@ -1,6 +1,6 @@
 """Simulation engines for hybrid systems (event-driven with exact clock crossings).
 
-Three interchangeable kernels execute the same semantics:
+Three interchangeable engines execute the same semantics:
 
 * :class:`SimulationEngine` -- the *reference* engine, a direct
   transcription of the paper's semantics (the executable specification and
@@ -8,10 +8,10 @@ Three interchangeable kernels execute the same semantics:
 * :class:`CompiledEngine` -- the *compiled* kernel, which lowers the model
   to index-based tables once per trial and mutates flat state in place,
   producing bit-identical traces several times faster;
-* :class:`BatchedEngine` -- the *batched* kernel, which runs B replicate
-  lanes of one compiled system in vectorized lockstep over NumPy
-  ``(B, n_slots)`` state, each lane bit-identical to a serial run with the
-  same seed (the campaign workhorse).
+* :class:`BatchedEngine` -- the *batched* lane driver, which runs B
+  replicate lanes of one compiled system one after another, each on its
+  own compiled engine and bit-identical to a serial run with the same
+  seed.
 
 All push observations through the :class:`TraceObserver` pipeline, so
 consumers can either record a full :class:`~repro.hybrid.trace.Trace` or
@@ -19,8 +19,7 @@ stream statistics without retaining the run.  :func:`build_engine` selects
 a kernel by name or via the ``REPRO_ENGINE`` environment variable.
 """
 
-from repro.hybrid.simulate.batched import (BatchedEngine, BatchedTables,
-                                           ExternalBatchBuffers, Lane)
+from repro.hybrid.simulate.batched import BatchedEngine, Lane
 from repro.hybrid.simulate.compiled import (CompiledEngine, CompiledSystem,
                                             ENGINE_ENV_VAR, ENGINE_KINDS,
                                             build_engine, compile_system,
@@ -35,8 +34,6 @@ __all__ = [
     "SimulationEngine",
     "CompiledEngine",
     "BatchedEngine",
-    "BatchedTables",
-    "ExternalBatchBuffers",
     "Lane",
     "CompiledSystem",
     "compile_system",

@@ -389,9 +389,8 @@ def _lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
     kernel calls carry no argument packing.
 
     The program is ``(values, dt, rt) -> None``: it integrates ``values``
-    (the runtime's slot list, or a plain-float copy of a batched lane's
-    row) in place; ``rt`` only serves inputs that had no slot at lowering
-    time.
+    (the runtime's slot list) in place; ``rt`` only serves inputs that had
+    no slot at lowering time.
     """
     outputs = flow.outputs
     env = {"kernel": flow.kernel, "substep": flow.substep, "inputs": flow.inputs}
@@ -592,42 +591,6 @@ class CompiledSystem:
             table = self._lower_receivers(root)
             self.receivers[root] = table
         return table
-
-    def batched_tables(self):
-        """Vector lowering tables for the batched kernel (built once, cached).
-
-        Lanes of every :class:`~repro.hybrid.simulate.batched.BatchedEngine`
-        sharing this compiled system reuse one table set, so a campaign cell
-        pays the batched lowering exactly once per process.
-        """
-        tables = getattr(self, "_batched_tables", None)
-        if tables is None:
-            from repro.hybrid.simulate.batched import build_batched_tables
-
-            tables = build_batched_tables(self)
-            self._batched_tables = tables
-        return tables
-
-    def slot_layout(self) -> tuple[tuple[str, int], ...]:
-        """Export the per-automaton slot layout of this lowered system.
-
-        The layout is what external allocators (the shared-memory batch
-        plane in :mod:`repro.campaign.shm`) need to size a ``(B,
-        total_slots)`` state matrix without rebuilding the lowering: one
-        ``(automaton_name, slot_count)`` pair per member automaton, in
-        automaton index order.  It is a pure function of the hybrid model,
-        so any process that lowers the same system computes the same
-        layout.
-
-        Returns:
-            ``(name, slots)`` pairs in automaton order.
-        """
-        return tuple((ca.name, len(ca.slot_of)) for ca in self.automata)
-
-    @property
-    def total_slots(self) -> int:
-        """Total state-variable slots across every member automaton."""
-        return sum(len(ca.slot_of) for ca in self.automata)
 
 
 def compile_system(system: HybridSystem) -> CompiledSystem:

@@ -131,7 +131,7 @@ class TestDeterminism:
         assert ref_payload == cmp_payload
 
     def test_batch_size_does_not_change_aggregates(self):
-        # The batched kernel at any batch width, the compiled kernel, and
+        # The batched engine at any batch width, the compiled kernel, and
         # the process pool must all produce byte-identical Table I
         # aggregates: batching is a throughput knob, never a semantics knob.
         spec = table1_spec(duration=120.0, replicates=5)
@@ -160,8 +160,8 @@ class TestDeterminism:
         spec = table1_spec(duration=100.0, replicates=40)
         assert resolve_batch_size(7, spec, 4, "batched") == 7
         assert resolve_batch_size(None, spec, 1, "compiled") == 1
-        # 40 replicates over 4 workers is a 10-lane split — below the
-        # lockstep break-even, so auto keeps per-trial dispatch.
+        # 40 replicates over 4 workers is a 10-lane split — below
+        # MIN_LOCKSTEP_LANES, so auto keeps per-trial dispatch.
         assert resolve_batch_size(None, spec, 4, "batched") == 1
         assert resolve_batch_size(None, spec, 1, "batched") == 40
         wide = table1_spec(duration=100.0, replicates=1000)
@@ -173,13 +173,13 @@ class TestDeterminism:
         from repro.campaign import resolve_batch_size
         from repro.campaign.executor import MIN_LOCKSTEP_LANES as lanes
 
-        # A split landing exactly on the break-even runs in lockstep...
+        # A split landing exactly on the threshold runs as lanes...
         at = table1_spec(duration=100.0, replicates=4 * lanes)
         assert resolve_batch_size(None, at, 4, "batched") == lanes
         # ...one lane short of it keeps per-trial dispatch.
         below = table1_spec(duration=100.0, replicates=4 * lanes - 4)
         assert resolve_batch_size(None, below, 4, "batched") == 1
-        # A cell smaller than the break-even dispatches per trial even for
+        # A cell smaller than the threshold dispatches per trial even for
         # a single worker.
         small = table1_spec(duration=100.0, replicates=lanes - 1)
         assert resolve_batch_size(None, small, 1, "batched") == 1
@@ -316,11 +316,12 @@ class TestCLI:
         assert "checks: PASS" in capsys.readouterr().out
 
     def test_batch_size_flag_smoke(self, tmp_path):
-        # --batch-size without --engine implies the batched kernel; the
-        # results must equal an explicit compiled run of the same campaign.
+        # --batch-size without --engine keeps the default engine and only
+        # chunks the dispatch; the results must equal an explicit compiled
+        # run of the same campaign.
         payloads = {}
         for name, extra in (("compiled", ["--engine", "compiled"]),
-                            ("batched", ["--batch-size", "4"])):
+                            ("chunked", ["--batch-size", "4"])):
             out = tmp_path / f"{name}.json"
             code = campaign_main(["--experiment", "table1", "--quiet",
                                   "--duration", "120", "--seed", "9",
@@ -330,7 +331,7 @@ class TestCLI:
             payload = json.loads(out.read_text())
             payload["run"] = None
             payloads[name] = json.dumps(payload, sort_keys=True)
-        assert payloads["compiled"] == payloads["batched"]
+        assert payloads["compiled"] == payloads["chunked"]
 
     def test_batch_size_rejects_negative(self):
         assert campaign_main(["--batch-size", "-2"]) == 2

@@ -166,7 +166,7 @@ class TestSerialRecovery:
         assert result.quarantined[0].attempts == 1
 
     def test_batched_serial_bisection_isolates_offender(self, clean_serial):
-        # One poison trial inside a 4-lane lockstep batch: the whole batch
+        # One poison trial inside a 4-lane batched task: the whole batch
         # aborts, bisection must isolate trial 5 and keep its batch mates.
         result = run_campaign(_tiny_spec(), seed=7, max_workers=1,
                               engine="batched", batch_size=4, max_retries=0,

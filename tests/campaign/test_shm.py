@@ -1,13 +1,12 @@
-"""Tests of the shared-memory batch plane and zero-copy results path.
+"""Tests of the zero-copy shared-memory results path.
 
 The load-bearing guarantee is unchanged from the rest of the campaign
 layer: aggregates must be bit-identical to the serial reference for every
 combination of worker count, batch size, payload, shm on/off and
-crash/resume split — the memory plane is a transport, never a semantics
-change.  On top of that, these tests pin the plane/ring plumbing itself:
-record round-trips, generation validation, lane-range isolation, external
-buffers driving the batched engine, and segment cleanup after crashes
-(including a SIGKILLed worker).
+crash/resume split — the results ring is a transport, never a semantics
+change.  On top of that, these tests pin the ring plumbing itself:
+record round-trips, generation validation, range allocation, and segment
+cleanup after crashes (including a SIGKILLed worker).
 """
 
 import json
@@ -22,13 +21,10 @@ from repro.campaign import run_campaign, table1_spec
 from repro.campaign.aggregate import SUMMARY_RECORD_FIELDS, TrialSummary
 from repro.campaign.executor import _resolve_shm
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
-from repro.campaign.shm import (ResultsRing, ShmError, ShmSession, StatePlane,
-                                _RangeAllocator, leaked_segments, plane_layout,
-                                shared_memory_available, summary_record_dtype)
+from repro.campaign.shm import (ResultsRing, ShmError, ShmSession, _RangeAllocator,
+                                leaked_segments, shared_memory_available,
+                                summary_record_dtype)
 from repro.campaign.store import CampaignStore
-from repro.casestudy import CaseStudyConfig
-from repro.casestudy.emulation import _lowered_case_study, run_trial_batch
-from repro.hybrid.simulate.batched import build_batched_tables
 
 pytestmark = pytest.mark.skipif(not shared_memory_available(),
                                 reason="multiprocessing.shared_memory missing")
@@ -146,47 +142,25 @@ class TestResultsRing:
             ring.destroy()
 
 
-class TestStatePlane:
-    def test_layout_is_aligned_and_disjoint(self):
-        size, layout = plane_layout(4, 10, 3)
-        spans = []
-        for name, (offset, shape, dtype) in layout.items():
-            assert offset % dtype.itemsize == 0, name
-            spans.append((offset, offset + shape[0] * shape[1] * dtype.itemsize))
-        spans.sort()
-        for (_, end), (start, _) in zip(spans, spans[1:]):
-            assert end <= start
-        assert size == spans[-1][1]
+class TestShmSession:
+    def test_acquire_falls_back_when_full_and_release_recycles(self):
+        import pickle
 
-    def test_plane_backed_engine_is_bit_identical(self):
-        config = CaseStudyConfig()
-        _, lowered = _lowered_case_study(config, True)
-        state, cross = build_batched_tables(lowered).plane_columns()
-        seeds = [11, 22, 33]
-        base = run_trial_batch(config, with_lease=True, seeds=seeds,
-                               duration=90.0)
-        plane = StatePlane.create(8, state, cross)
+        session = ShmSession(4)
         try:
-            # lanes [2, 5) of a larger plane, i.e. a worker's lane range
-            ext = run_trial_batch(config, with_lease=True, seeds=seeds,
-                                  duration=90.0,
-                                  buffers=plane.buffers(2, len(seeds)))
+            first = session.acquire(3)
+            assert session.acquire(2) is None and session.fallbacks == 1
+            second = session.acquire(1)
+            assert (first.ring_start, second.ring_start) == (0, 3)
+            assert second.generation > first.generation
+            token = second.token(session)
+            assert pickle.loads(pickle.dumps(token)) == token
+            assert (token.ring_name, token.ring_start) == (session.ring.segment.name, 3)
+            session.release(first, 3)
+            assert session.acquire(3).ring_start == 0
         finally:
-            plane.destroy()
-        for a, b in zip(base, ext):
-            for field in ("laser_emissions", "failures", "evt_to_stop",
-                          "ventilator_pauses", "max_emission_duration",
-                          "max_pause_duration", "min_spo2",
-                          "supervisor_aborts", "observed_loss_ratio"):
-                assert getattr(a, field) == getattr(b, field), field
-
-    def test_lane_range_out_of_bounds(self):
-        plane = StatePlane.create(4, 8, 2)
-        try:
-            with pytest.raises(ShmError):
-                plane.buffers(3, 2)
-        finally:
-            plane.destroy()
+            session.close()
+            session.close()  # idempotent
 
 
 class TestRangeAllocator:
@@ -219,8 +193,8 @@ class TestShmResolution:
 class TestCampaignEquivalence:
     def test_cross_worker_batch_is_bit_identical(self, reference_payload,
                                                  no_new_segments):
-        # One cell's 8 lanes split over 2 workers (batch 4): the tentpole
-        # cross-worker case, on the shared plane.
+        # One cell's 8 lanes split over 2 workers (batch 4), with the
+        # results of both workers' tasks coming back through the ring.
         result = run_campaign(_tiny_spec(), seed=7, max_workers=2,
                               engine="batched", batch_size=4, shm=True)
         assert _campaign_payload(result) == reference_payload
@@ -240,7 +214,7 @@ class TestCampaignEquivalence:
 
     def test_scalar_engine_ring_only(self, reference_payload,
                                      no_new_segments):
-        # shm=True with the compiled kernel: no plane, ring-only transport.
+        # shm=True with the compiled kernel (not auto-enabled for it).
         result = run_campaign(_tiny_spec(), seed=7, max_workers=2,
                               engine="compiled", shm=True)
         assert _campaign_payload(result) == reference_payload
@@ -309,9 +283,8 @@ class TestCrashCleanup:
         # A process that creates a session and exits without closing it:
         # the owner-side atexit hook must unlink every segment.
         code = (
-            "from repro.campaign.shm import ShmSession, StatePlane\n"
+            "from repro.campaign.shm import ShmSession\n"
             "session = ShmSession(32)\n"
-            "session.ensure_plane(0, 8, 41, 3)\n"
             "import sys; sys.stdout.write(session.ring.segment.name)\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               env=_subprocess_env(), cwd=_REPO_ROOT,

@@ -85,7 +85,7 @@ RUNS = {
         _campaign_payload, "table1",
         {"mean_toffs": (18.0,), "replicates": 1, "duration": 1800.0,
          "legacy_seed": SEED}),
-    # Two lanes per batch, so the batched tier's lockstep path runs.
+    # Two lanes per batch, so the batched engine's lane driver runs.
     "table1-batched": functools.partial(_campaign_payload, "table1", _TABLE1,
                                         "batched", 2),
     # Two worker processes retrying, then quarantining, a poison trial.

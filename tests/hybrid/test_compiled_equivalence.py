@@ -1,15 +1,15 @@
 """Property-based equivalence: the fast kernels vs the reference engine.
 
-The compiled and batched kernels are only allowed to be *faster*: for
-every seed, every loss process and every model shape they must produce
-bit-identical traces (transitions, event deliveries, samples, timestamps)
-and bit-identical trial statistics.  These tests pit the kernels against
-each other on randomized hybrid systems, on the laser-tracheotomy case
-study in both lease modes, and on the Table I campaign — the batched
-kernel additionally across batch widths, since its vectorized lockstep
-must leave every lane exactly equal to a serial run with the same seed —
-and also pin the streaming observer pipeline against the historical
-post-hoc trace scan.
+The compiled kernel and the batched lane driver are only allowed to be
+*faster*: for every seed, every loss process and every model shape they
+must produce bit-identical traces (transitions, event deliveries,
+samples, timestamps) and bit-identical trial statistics.  These tests pit
+the engines against each other on randomized hybrid systems, on the
+laser-tracheotomy case study in both lease modes, and on the Table I
+campaign — the batched engine additionally across batch widths, since
+every lane must stay exactly equal to a serial run with the same seed
+while sharing one lowered system with the other lanes — and also pin the
+streaming observer pipeline against the historical post-hoc trace scan.
 """
 
 import random
@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.casestudy import CaseStudyConfig, run_trial, run_trial_batch
+from repro.casestudy import CaseStudyConfig, emulation, run_trial, run_trial_batch
 from repro.casestudy.emulation import build_case_study, lease_ledger_from_trace
 from repro.core.monitor import PTEMonitor
 from repro.hybrid import (BatchedEngine, BoxPredicate, CallableFlow, CallbackProcess,
@@ -25,6 +25,7 @@ from repro.hybrid import (BatchedEngine, BoxPredicate, CallableFlow, CallbackPro
                           Location, Reset, SimulationEngine, VariableCopyCoupling,
                           clock_flow, compile_system, receive_lossy, var_ge, var_le)
 from repro.hybrid.simulate import TraceRecorder, build_engine, resolve_engine_kind
+from repro.errors import SimulationError
 from repro.hybrid.simulate.engine import Network
 from repro.util.seeding import derive_seed
 
@@ -160,8 +161,8 @@ class TestRandomizedEquivalence:
         assert reference.series("ode", "y_ode") == compiled.series("ode", "y_ode")
 
 
-#: Batch widths the lockstep tests sweep: the degenerate single lane, a
-#: small batch, and one spanning several vector-register granularities.
+#: Batch widths the lane tests sweep: the degenerate single lane, a small
+#: batch, and a wide one.
 BATCH_WIDTHS = (1, 3, 17)
 
 
@@ -217,6 +218,33 @@ class TestBatchedEquivalence:
             assert result.monitor.failure_count == reference.monitor.failure_count
             assert result.trace is None
 
+    @pytest.mark.parametrize("with_lease", [True, False])
+    def test_table1_lanes_equal_compiled_trials_and_stay_quiet(self, monkeypatch,
+                                                               with_lease):
+        # Four lanes of a 300 s Table I cell return exactly the results of
+        # four serial compiled trials, and the lanes keep the compiled
+        # kernel's quiet steps (a slower lane path would lose them).
+        engines = []
+
+        class RecordingEngine(BatchedEngine):
+            def run(self, horizon):
+                engines.append(self)
+                return super().run(horizon)
+
+        monkeypatch.setattr(emulation, "BatchedEngine", RecordingEngine)
+        config = CaseStudyConfig()
+        seeds = [derive_seed(1, f"lanes:{lane}") for lane in range(4)]
+        batch = run_trial_batch(config, with_lease=with_lease, seeds=seeds,
+                                duration=300.0)
+        assert batch == [run_trial(config, with_lease=with_lease, seed=seed,
+                                   duration=300.0, engine="compiled")
+                         for seed in seeds]
+        (engine,) = engines
+        assert engine.batch == 4
+        assert type(engine.steps) is int and type(engine.quiet_steps) is int
+        assert engine.steps == sum(lane.steps for lane in engine.engines)
+        assert engine.quiet_steps / engine.steps >= 0.85
+
     def test_single_lane_mode_is_a_drop_in_engine(self):
         system = HybridSystem()
         system.add(periodic_automaton("t", 1.0))
@@ -226,8 +254,25 @@ class TestBatchedEquivalence:
         trace = single.run(5.0)
         assert_traces_identical(reference, trace)
 
+    def test_single_lane_surface_is_lane_zero(self):
+        system = HybridSystem()
+        system.add(periodic_automaton("t", 1.0))
+        with pytest.raises(SimulationError):
+            BatchedEngine(system, lanes=[])
+        engine = BatchedEngine(system, lanes=[Lane(seed=3), Lane(seed=4)])
+        lead, other = engine.engines
+        assert engine.compiled is lead.compiled is other.compiled
+        assert (engine.seed, engine.rng, engine.network) == (3, lead.rng, lead.network)
+        engine.run(1.5)
+        assert engine.now == lead.now == 1.5
+        assert engine.state is lead.state
+        assert engine.location_of("t") == lead.location_of("t") == "t.B"
+        engine.set_variable("t", "c_t", 7.0)
+        assert lead.state.runtime("t").get("c_t") == 7.0
+        assert other.state.runtime("t").get("c_t") != 7.0
+
     def test_case_study_trace_path_matches_reference(self):
-        # keep_trace routes the batched kernel through its single-lane
+        # keep_trace routes the batched engine through its single-lane
         # recording mode; the trace-derived statistics must match too.
         config = CaseStudyConfig()
         reference = run_trial(config, with_lease=True, seed=11, duration=150.0,

@@ -3,8 +3,7 @@
 Two lowerings replace generic calls on the hot path of every fast tier:
 
 * a :class:`CallableFlow` declaration becomes an RK4 over plain slot
-  floats, run by the compiled kernel and, lane by lane, by the batched
-  kernel;
+  floats, run by the compiled kernel (and so by every batched lane);
 * True/False/Linear/Box/Not/And/Or predicate trees become slot-indexed
   ``evaluate`` / ``time_until_true`` / ``time_until_false`` programs.
 
@@ -19,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.casestudy.config import PatientModel
 from repro.casestudy.patient import SPO2, VENTILATED, build_patient
-from repro.hybrid import (And, BatchedEngine, BoxPredicate, CallableFlow, HybridAutomaton,
-                          HybridSystem, Lane, Location, Not, Or, compile_system)
+from repro.hybrid import (And, BoxPredicate, CallableFlow, HybridAutomaton, HybridSystem,
+                          Location, Not, Or, compile_system)
 from repro.hybrid.expressions import (FALSE, TRUE, Comparison, FunctionPredicate,
                                       LinearInequality)
 from repro.hybrid.simulate.compiled import (_STATIC_SKIP, SlotValuation, _AutomatonRuntime,
@@ -35,7 +34,7 @@ def bits(value):
 
 
 # ---------------------------------------------------------------------------
-# CallableFlow: reference advance vs compiled RK4 vs batched per-lane RK4
+# CallableFlow: reference advance vs compiled RK4
 # ---------------------------------------------------------------------------
 
 MODEL = PatientModel()
@@ -69,21 +68,6 @@ def compiled_advance(system, start, dt):
     return {name: rt.values[slot] for name, slot in ca.slot_of.items()}
 
 
-def batched_advance(system, starts, dt):
-    """Advance one lane per start state through the batched per-lane path."""
-    import numpy as np
-
-    engine = BatchedEngine(system, lanes=[Lane() for _ in starts])
-    auto = engine._autos[0]
-    for lane, start in enumerate(starts):
-        for name, value in start.items():
-            auto.arr[lane, auto.col_of[name]] = value
-    rows = np.arange(len(starts), dtype=np.intp)
-    engine._advance_scalar(auto, 0, rows, np.full(len(starts), dt))
-    return [{name: float(auto.arr[lane, col]) for name, col in auto.ca.slot_of.items()}
-            for lane in range(len(starts))]
-
-
 def patient_flow():
     return build_patient(MODEL, substep=SUBSTEP).location("Physiology").flow
 
@@ -99,10 +83,6 @@ def test_patient_rk4_is_bit_identical_on_every_tier(spo2, ventilated, dt):
     compiled = compiled_advance(system, start, dt)
     assert bits(compiled[SPO2]) == bits(expected)
     assert compiled[VENTILATED] == ventilated
-    other = {SPO2: MODEL.spo2_floor + 3.0, VENTILATED: 1.0 - ventilated}
-    lanes = batched_advance(system, [start, other], dt)
-    assert bits(lanes[0][SPO2]) == bits(expected)
-    assert bits(lanes[1][SPO2]) == bits(flow.advance(Valuation(other), dt)[SPO2])
 
 
 def oscillator(x, v, gain, damping):
@@ -122,10 +102,8 @@ def test_multi_output_rk4_is_bit_identical(x, v, drift, dt):
         expected = flow_.advance(Valuation(start), dt)
         system = flow_system(flow_, list(start), dict(start))
         compiled = compiled_advance(system, start, dt)
-        (lane,) = batched_advance(system, [start], dt)
         for name in start:
             assert bits(compiled[name]) == bits(expected[name])
-            assert bits(lane[name]) == bits(expected[name])
 
 
 def test_reference_func_is_derived_from_the_kernel():
