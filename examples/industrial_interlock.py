@@ -17,6 +17,7 @@ shows that the lease design keeps the PTE order intact anyway, and compares
 against the no-lease baseline under the same loss trace.
 
 Run with:  python examples/industrial_interlock.py
+(exits 1 if the lease-based design violates PTE; the baseline is expected to)
 """
 
 import sys
@@ -32,7 +33,8 @@ from repro.wireless import GilbertElliottChannel
 ENTITIES = ["exhaust_fan", "coolant_pump", "conveyor", "plasma_torch"]
 
 
-def run_variant(with_lease: bool, seed: int = 1) -> None:
+def run_variant(with_lease: bool, seed: int = 1) -> bool:
+    """Simulate one variant, print its verdict and return whether it is safe."""
     config = synthesize_configuration(
         n_entities=4,
         enter_safeguards=[4.0, 2.0, 2.0],
@@ -63,15 +65,17 @@ def run_variant(with_lease: bool, seed: int = 1) -> None:
     for violation in report.violations[:3]:
         print(f"    {violation}")
     print()
+    return report.safe
 
 
-def main() -> None:
+def main() -> int:
     print("Four-entity furnace interlock under bursty 90% loss\n")
-    run_variant(with_lease=True)
+    lease_safe = run_variant(with_lease=True)
     run_variant(with_lease=False)
     print("The lease design preserves the PTE order under the same bursty loss trace "
           "that breaks the no-lease baseline.")
+    return 0 if lease_safe else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

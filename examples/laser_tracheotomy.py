@@ -7,6 +7,7 @@ interference and prints the Table I statistics next to the paper's values.
 
 Run with:  python examples/laser_tracheotomy.py [--quick]
 (--quick uses 10-minute trials so the example finishes in a few seconds.)
+Exits 1 if any "with Lease" trial violates PTE.
 """
 
 import sys
@@ -19,7 +20,7 @@ from repro.experiments.table1 import PAPER_TABLE1
 from repro.util.tables import format_table
 
 
-def main() -> None:
+def main() -> int:
     quick = "--quick" in sys.argv
     duration = 600.0 if quick else None  # None -> the paper's 1800 s
     config = CaseStudyConfig()
@@ -45,9 +46,11 @@ def main() -> None:
         ["Trial Mode", "E(Toff)", "# Emissions", "# Failures", "# evtToStop"],
         PAPER_TABLE1, title="Paper's Table I (for comparison)"))
 
+    safe = all(r.failures == 0 for r in results if r.with_lease)
     print("\nheadline check: every 'with Lease' trial must have 0 failures ->",
-          "OK" if all(r.failures == 0 for r in results if r.with_lease) else "VIOLATED")
+          "OK" if safe else "VIOLATED")
+    return 0 if safe else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

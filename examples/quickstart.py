@@ -10,6 +10,7 @@ This example shows the core workflow of the library in ~60 lines:
 5. check the recorded trace against the PTE safety rules.
 
 Run with:  python examples/quickstart.py
+(exits 1 if the trace violates the PTE safety rules)
 """
 
 import sys
@@ -23,7 +24,7 @@ from repro.hybrid import CallbackProcess, SimulationEngine
 from repro.wireless import BernoulliChannel
 
 
-def main() -> None:
+def main() -> int:
     # 1+2. A three-entity CPS (two participants + one initializer) with a 2 s
     #      enter-risky safeguard and a 1 s exit-risky safeguard per pair.
     config = synthesize_configuration(
@@ -62,11 +63,12 @@ def main() -> None:
     print(f"observed wireless loss ratio: {network.observed_loss_ratio():.2f}")
     if report.safe:
         print("\nPTE safety rules SATISFIED under lossy wireless coordination.")
-    else:
-        print("\nPTE safety rules VIOLATED:")
-        for violation in report.violations:
-            print(f"  {violation}")
+        return 0
+    print("\nPTE safety rules VIOLATED:")
+    for violation in report.violations:
+        print(f"  {violation}")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

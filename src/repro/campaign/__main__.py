@@ -1,6 +1,6 @@
 """``python -m repro.campaign`` entry point.
 
-Everything — presets, engines, payloads, and the durable checkpoint store
+Everything — presets, engines and the durable checkpoint store
 (``--store`` / ``--resume`` / ``--status``) — is handled by
 :func:`repro.campaign.cli.main`; this module only provides the runnable
 module surface.

@@ -9,7 +9,7 @@ cell for table building.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.campaign.faults import TrialFailure
@@ -253,7 +253,6 @@ class CampaignResult:
     workers: int
     wall_time: float
     summaries: Tuple[TrialSummary, ...]
-    results: Tuple["TrialResult", ...] | None = field(default=None, repr=False)
     replayed_trials: int = 0
     quarantined: Tuple[TrialFailure, ...] = ()
     recovery_events: Tuple[Tuple[str, str], ...] = ()

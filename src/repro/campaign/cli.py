@@ -58,7 +58,7 @@ import sys
 from typing import Sequence
 
 from repro.campaign.aggregate import TrialSummary
-from repro.campaign.executor import (PAYLOAD_KINDS, CampaignExecutionError,
+from repro.campaign.executor import (CampaignExecutionError,
                                      CampaignInterrupted, DEFAULT_MAX_RESPAWNS,
                                      DEFAULT_MAX_RETRIES,
                                      default_worker_count, run_campaign)
@@ -126,13 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--loss-levels", type=_csv_floats, default=None,
                         metavar="CSV", help="packet-loss probabilities "
                         "(loss_sweep/grid; e.g. 0,0.3,0.6,0.9)")
-    parser.add_argument("--payload", choices=PAYLOAD_KINDS, default="summary",
-                        help="per-trial payload: slim summaries or "
-                             "streaming stats (full TrialResult, trace-free) "
-                             "(default: summary)")
     parser.add_argument("--engine", choices=ENGINE_KINDS, default=None,
-                        help="simulation kernel; default honours REPRO_ENGINE "
-                             "and falls back to the compiled kernel "
+                        help="simulation kernel; default: the compiled kernel "
                              "(all kernels are bit-identical; "
                              "'reference' is the executable-spec escape hatch)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="B",
@@ -622,7 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         campaign = run_campaign(spec, seed=args.seed, max_workers=workers,
-                                payload=args.payload, engine=engine,
+                                engine=engine,
                                 batch_size=args.batch_size,
                                 on_result=progress,
                                 store=args.store, resume=args.resume,

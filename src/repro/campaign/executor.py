@@ -12,7 +12,7 @@ contract:
   processes.  A multi-worker run builds a private :class:`CampaignPool`
   and shuts it down when it returns; the campaign service passes its one
   warm pool in through ``pool=`` and keeps it across jobs.  Either way
-  the job's spec, payload mode, engine and fault plan reach the workers
+  the job's spec, engine and fault plan reach the workers
   once, through a pickled spool file each worker loads on its first batch
   of the job (:func:`_run_batch_in_worker`, the single worker entry
   point).
@@ -30,10 +30,15 @@ cell.  With ``engine="batched"`` the replicates of a chunk run as lanes of
 one :class:`~repro.hybrid.simulate.batched.BatchedEngine`, one after
 another on the compiled kernel.
 
-Results stream back as batches complete (``on_result`` fires once per trial
-in completion order, for progress reporting); the final
-:class:`CampaignResult` orders summaries by trial index, making every
-derived statistic order-independent.
+Each trial comes back as one slim :class:`TrialSummary`, the only
+per-trial record a campaign produces, ships, checkpoints or returns.
+Summaries stream back as batches complete (``on_result`` fires once per
+trial in completion order, for progress reporting); the final
+:class:`CampaignResult` orders them by trial index, making every derived
+statistic order-independent.  The full
+:class:`~repro.casestudy.emulation.TrialResult` of one trial (monitor
+report, lease ledger, trace) comes from
+:func:`~repro.casestudy.emulation.run_trial`.
 
 With a :class:`~repro.campaign.store.CampaignStore` attached, every retired
 batch is additionally committed to the store *before* it is published, and
@@ -101,15 +106,6 @@ from repro.casestudy.config import CaseStudyConfig
 from repro.casestudy.emulation import TrialResult, run_trial, run_trial_batch
 from repro.hybrid.simulate import resolve_engine_kind
 
-#: Payload modes, in increasing weight:
-#:
-#: * ``"summary"`` -- slim :class:`TrialSummary` records only (default);
-#: * ``"stats"``  -- additionally the full :class:`TrialResult` per trial,
-#:   with monitor report and lease ledger computed by the streaming
-#:   observer pipeline (no trace is ever materialised, so worker memory
-#:   stays flat regardless of the horizon).
-PAYLOAD_KINDS = ("summary", "stats")
-
 #: Keep at most this many batch futures in flight per worker, so that
 #: expanding a 100x campaign does not materialize every pending future up
 #: front.
@@ -127,7 +123,7 @@ MIN_LOCKSTEP_LANES = 16
 
 #: Campaign-level engine default.  Direct engine construction stays on the
 #: reference kernel (the executable specification); campaigns default to
-#: the soaked compiled kernel.  ``REPRO_ENGINE=reference`` or
+#: the soaked compiled kernel.  ``engine="reference"`` or
 #: ``--engine reference`` are the escape hatches.
 DEFAULT_CAMPAIGN_ENGINE = "compiled"
 
@@ -336,45 +332,37 @@ def _resolve_trial_runner(name: str) -> Callable[..., TrialResult]:
 
 
 def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
-                  run: TrialRun, payload: str = "summary",
-                  engine: str | None = None,
+                  run: TrialRun, engine: str | None = None,
                   fault: Callable[[], None] | None = None,
-                  ) -> Tuple[int, TrialSummary, TrialResult | None]:
+                  ) -> Tuple[int, TrialSummary]:
     """Execute one concrete trial (runs inside a worker process).
 
     Args:
         config: The campaign-wide case-study configuration.
         campaign_duration: The campaign-level duration default, if any.
         run: The concrete trial to execute (cell, replicate, seed).
-        payload: What to return per trial (``"summary"`` or ``"stats"``).
         engine: Simulation-kernel override (``None`` = resolve default).
         fault: Optional zero-argument fault-injection hook, invoked after
             the case study is assembled and before the engine runs (see
             :mod:`repro.campaign.faults`).
 
     Returns:
-        The run index (for order restoration), the slim summary, and —
-        for the ``"stats"`` payload — the complete trace-free
-        :class:`TrialResult`.
+        The run index (for order restoration) and the trial's summary.
     """
-    if payload not in PAYLOAD_KINDS:
-        raise ValueError(f"unknown payload kind {payload!r}")
     spec = run.spec
     duration = spec.duration if spec.duration is not None else campaign_duration
     if spec.runner != TRIAL_RUNNER_DEFAULT:
         runner = _resolve_trial_runner(spec.runner)
         result = runner(with_lease=spec.with_lease, seed=run.seed,
                         duration=duration, engine=engine, fault=fault)
-        summary = TrialSummary.from_trial(run, result)
-        return run.index, summary, (result if payload != "summary" else None)
+        return run.index, TrialSummary.from_trial(run, result)
     trial_config = spec.configure(config)
     channel = spec.channel.build(run.seed)
     surgeon = spec.surgeon.build() if spec.surgeon is not None else None
     result = run_trial(trial_config, with_lease=spec.with_lease, seed=run.seed,
                        duration=duration, channel=channel, surgeon=surgeon,
                        engine=engine, fault=fault)
-    summary = TrialSummary.from_trial(run, result)
-    return run.index, summary, (result if payload != "summary" else None)
+    return run.index, TrialSummary.from_trial(run, result)
 
 
 def _batch_fault_hook(plan: FaultPlan | None, ctx: BatchContext | None,
@@ -405,11 +393,10 @@ def _batch_fault_hook(plan: FaultPlan | None, ctx: BatchContext | None,
     return hook
 
 
-def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
-                  engine: str,
+def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
                   plan: FaultPlan | None = None,
                   ctx: BatchContext | None = None,
-                  ) -> List[Tuple[int, TrialSummary, TrialResult | None]]:
+                  ) -> List[Tuple[int, TrialSummary]]:
     """Execute one batch of same-cell replicates (runs inside a worker).
 
     With the batched engine, multi-trial chunks run as the lanes of one
@@ -420,7 +407,6 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
     Args:
         spec: The campaign spec (provides the cell and base config).
         task: The ``(spec_index, runs)`` batch to execute.
-        payload: Per-trial payload kind (``"summary"``/``"stats"``).
         engine: The resolved simulation-kernel name.
         plan: Optional fault plan; its ``raise`` clauses become the
             per-trial fault hooks of this batch.
@@ -428,8 +414,8 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
             attempt counts); lets transient ``raise`` clauses expire.
 
     Returns:
-        One ``(index, summary, result-or-None)`` triple per trial of the
-        batch, in replicate order.
+        One ``(index, summary)`` pair per trial of the batch, in replicate
+        order.
     """
     spec_index, runs_lite = task
     trial = spec.trials[spec_index]
@@ -445,18 +431,15 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, payload: str,
             surgeon_builder=((lambda _seed: trial.surgeon.build())
                              if trial.surgeon is not None else None),
             fault=fault_for)
-        out = []
-        for (index, replicate, seed), result in zip(runs_lite, results):
-            run = TrialRun(index=index, spec_index=spec_index,
-                           replicate=replicate, seed=seed, spec=trial)
-            summary = TrialSummary.from_trial(run, result)
-            out.append((index, summary,
-                        result if payload != "summary" else None))
-        return out
+        runs = [TrialRun(index=index, spec_index=spec_index,
+                         replicate=replicate, seed=seed, spec=trial)
+                for index, replicate, seed in runs_lite]
+        return [(run.index, TrialSummary.from_trial(run, result))
+                for run, result in zip(runs, results)]
     return [execute_trial(spec.config, spec.duration,
                           TrialRun(index=index, spec_index=spec_index,
                                    replicate=replicate, seed=seed, spec=trial),
-                          payload, engine,
+                          engine,
                           fault=(None if fault_for is None
                                  else (lambda off=offset: fault_for(off))))
             for offset, (index, replicate, seed) in enumerate(runs_lite)]
@@ -505,7 +488,7 @@ def _load_job(job: Tuple[int, str]) -> tuple:
 
     Args:
         job: ``(job_token, spool_path)`` naming the pickled
-            ``(spec, payload, engine, plan)`` tuple of the job.
+            ``(spec, engine, plan)`` tuple of the job.
 
     Returns:
         The job's worker-context tuple.
@@ -527,11 +510,9 @@ def _run_batch_in_worker(job: Tuple[int, str], task: _BatchTask,
 
     Installs the job's context (loaded once per worker per job, then
     cached by token) and runs the batch.  Without a shared-memory token
-    the full result triples travel back through the pool's pipe.  With a
-    token, the worker writes each trial's summary record straight into
-    the shared results ring and returns only the trial count — plus, for
-    the ``"stats"`` payload, the pickled ``TrialResult`` objects, whose
-    monitor reports and lease ledgers have no fixed-width encoding.
+    the ``(index, summary)`` pairs travel back through the pool's pipe.
+    With a token, the worker writes each trial's summary record straight
+    into the shared results ring and returns only the trial count.
 
     This is also where the dispatch-keyed fault clauses land: ``crash``
     SIGKILLs the worker before any work happens, ``hang`` sleeps past the
@@ -547,25 +528,23 @@ def _run_batch_in_worker(job: Tuple[int, str], task: _BatchTask,
         ctx: Dispatch context (dispatch number + attempt counts) used by
             the fault plan's injection points.
     """
-    spec, payload, engine, plan = _load_job(job)
+    spec, engine, plan = _load_job(job)
     if plan is not None:
         if plan.crash_at(ctx.dispatch):
             os.kill(os.getpid(), signal.SIGKILL)
         hang = plan.hang_secs(ctx.dispatch)
         if hang > 0:
             time.sleep(hang)
+    results = execute_batch(spec, task, engine, plan=plan, ctx=ctx)
     if token is None:
-        return execute_batch(spec, task, payload, engine, plan=plan, ctx=ctx)
-    results = execute_batch(spec, task, payload, engine, plan=plan, ctx=ctx)
+        return results
     stamp = token.generation
     if plan is not None and plan.corrupt_at(ctx.dispatch):
         stamp = -token.generation
     ring = shm_plane.attach_ring(token.ring_name, token.ring_capacity)
-    for offset, (index, summary, _result) in enumerate(results):
+    for offset, (index, summary) in enumerate(results):
         ring.write(token.ring_start + offset, stamp, index, summary)
-    if payload == "summary":
-        return len(results), None
-    return len(results), [result for _, _, result in results]
+    return len(results)
 
 
 class CampaignPool:
@@ -620,7 +599,7 @@ class CampaignPool:
                 initializer=_init_pool_worker, initargs=(os.getpid(),))
         return self._executor
 
-    def lease(self, spec: CampaignSpec, payload: str, engine: str,
+    def lease(self, spec: CampaignSpec, engine: str,
               plan: FaultPlan | None) -> "_PoolLease":
         """Issue one campaign run's handle on the pool.
 
@@ -630,7 +609,6 @@ class CampaignPool:
 
         Args:
             spec: The campaign about to run.
-            payload: The run's payload mode.
             engine: The resolved simulation-kernel name.
             plan: The run's fault plan, if any.
 
@@ -640,7 +618,7 @@ class CampaignPool:
         self._job_seq += 1
         path = os.path.join(self._spool, f"job-{self._job_seq}.ctx")
         with open(path, "wb") as handle:
-            pickle.dump((spec, payload, engine, plan), handle)
+            pickle.dump((spec, engine, plan), handle)
         return _PoolLease(self, self._job_seq, path)
 
     def shutdown(self, *, kill: bool = False) -> None:
@@ -724,17 +702,16 @@ class _InProcessBackend:
     ``hang`` / ``corrupt`` clauses have no worker to act on and never fire.
     """
 
-    def __init__(self, spec: CampaignSpec, payload: str, engine: str,
+    def __init__(self, spec: CampaignSpec, engine: str,
                  plan: FaultPlan | None):
         """Capture the run's constants.
 
         Args:
             spec: The campaign being run.
-            payload: The run's payload mode.
             engine: The resolved simulation-kernel name.
             plan: The run's fault plan, if any.
         """
-        self.job = (spec, payload, engine, plan)
+        self.job = (spec, engine, plan)
 
     def make_pool(self) -> None:
         """There is no pool to spawn (or respawn)."""
@@ -753,10 +730,10 @@ class _InProcessBackend:
         Returns:
             A future already holding the batch's results or its failure.
         """
-        spec, payload, engine, plan = self.job
+        spec, engine, plan = self.job
         future: Future = Future()
         try:
-            future.set_result(execute_batch(spec, task, payload, engine,
+            future.set_result(execute_batch(spec, task, engine,
                                             plan=plan, ctx=ctx))
         except Exception as exc:
             future.set_exception(exc)
@@ -1140,7 +1117,6 @@ class _Supervisor:
 
 
 def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
-                 payload: str = "summary",
                  engine: str | None = None,
                  batch_size: int | None = None,
                  on_result: Callable[[TrialSummary], None] | None = None,
@@ -1165,14 +1141,10 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             this process (no pool, no pickling).  More builds a private
             :class:`CampaignPool` of at most that many workers, shut down
             before this call returns.
-        payload: ``"summary"`` keeps only slim per-trial statistics;
-            ``"stats"`` additionally collects each trial's
-            :class:`~repro.casestudy.emulation.TrialResult` computed by the
-            streaming observer pipeline (trace-free, flat memory).
         engine: Simulation kernel executing the trials (``"reference"`` /
-            ``"compiled"`` / ``"batched"``); ``None`` defers to
-            ``REPRO_ENGINE`` and then to the compiled kernel (campaigns
-            default fast; the reference engine remains the escape hatch).
+            ``"compiled"`` / ``"batched"``); ``None`` selects the compiled
+            kernel (campaigns default fast; the reference engine remains
+            the escape hatch).
             All kernels are bit-identical, so this only affects throughput.
         batch_size: Replicates of one cell dispatched (and, with the
             batched engine, run as the lanes of one engine) as one
@@ -1237,16 +1209,14 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         The ordered, aggregated :class:`CampaignResult`.
 
     Raises:
-        ValueError: If ``payload``, ``max_workers``, ``max_retries``,
+        ValueError: If ``max_workers``, ``max_retries``,
             ``batch_deadline`` or ``max_respawns`` is invalid.
-        CampaignStoreError: If ``store`` belongs to a different campaign,
-            a different master seed or payload mode, or holds checkpoints
-            while ``resume`` is false.
+        CampaignStoreError: If ``store`` belongs to a different campaign
+            or master seed, or holds checkpoints while ``resume`` is
+            false.
         CampaignExecutionError: If the pool-respawn budget is exhausted.
         CampaignCancelled: If ``stop`` returned ``True`` mid-run.
     """
-    if payload not in PAYLOAD_KINDS:
-        raise ValueError(f"unknown payload kind {payload!r}")
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
     if max_retries < 0:
@@ -1260,7 +1230,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
                                           default=DEFAULT_CAMPAIGN_ENGINE)
     runs = spec.expand(seed)
     summaries: List[TrialSummary | None] = [None] * len(runs)
-    full: List[TrialResult | None] = [None] * len(runs)
     quarantined: List[TrialFailure] = []
     events: List[Tuple[str, str]] = _EventLog(on_event)
     recovery = RecoveryStateMachine()
@@ -1287,8 +1256,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         quarantined.append(failure)
         events.append(("quarantine", failure.describe()))
 
-    def _publish(index: int, summary: TrialSummary,
-                 result: "TrialResult | None") -> None:
+    def _publish(index: int, summary: TrialSummary) -> None:
         """Publish one finished trial: aggregates, then the callback.
 
         The single publication path for replayed, pickled and
@@ -1297,7 +1265,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         here, which is also where the service's event fan-out hooks in.
         """
         summaries[index] = summary
-        full[index] = result
         if on_result is not None:
             on_result(summary)
 
@@ -1307,16 +1274,16 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         live_runs: Sequence[TrialRun] = runs
         replayed_count = 0
         if store_obj is not None:
-            replayed = store_obj.begin(spec, seed, payload, resume=resume)
+            replayed = store_obj.begin(spec, seed, resume=resume)
             if replayed:
                 recovery.advance(RecoveryStage.REPLAYING)
-            for index, summary, result in replayed:
+            for index, summary in replayed:
                 if not 0 <= index < len(runs) or summaries[index] is not None:
                     raise CampaignStoreError(
                         f"store replayed an impossible trial index {index}")
-                _publish(index, summary, result)
+                _publish(index, summary)
                 replayed_count += 1
-            done_indices = {index for index, _, _ in replayed}
+            done_indices = {index for index, _ in replayed}
             for failure in store_obj.failures():
                 # A trial the interrupted run already gave up on stays
                 # quarantined: replaying its failure keeps resumed
@@ -1348,15 +1315,14 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             # the aggregates or the progress callback, it has survived.
             if store_obj is not None:
                 store_obj.checkpoint_batch(batch_results)
-            for index, summary, result in batch_results:
-                _publish(index, summary, result)
+            for index, summary in batch_results:
+                _publish(index, summary)
 
-        def record_shm(task: _BatchTask, ticket, outcome) -> None:
+        def record_shm(task: _BatchTask, ticket, count: int) -> None:
             # Shared-memory counterpart: decode the task's ring records in
-            # place, commit them (straight from the ring for "summary"),
-            # publish, then recycle the reservation.
+            # place, commit them straight from the ring, publish, then
+            # recycle the reservation.
             spec_index, runs_lite = task
-            count, results = outcome
             label = spec.trials[spec_index].label
             labels = [label] * count
             block = session.records_view(ticket, count)
@@ -1368,14 +1334,9 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
                     f"indices {block['trial_index'].tolist()}, expected "
                     f"{expected}")
             if store_obj is not None:
-                if results is None:
-                    store_obj.checkpoint_ring(block, labels)
-                else:
-                    store_obj.checkpoint_batch(
-                        list(zip(expected, decoded, results)))
-            for offset, (index, summary) in enumerate(zip(expected, decoded)):
-                _publish(index, summary,
-                         results[offset] if results is not None else None)
+                store_obj.checkpoint_ring(block, labels)
+            for index, summary in zip(expected, decoded):
+                _publish(index, summary)
             session.release(ticket, count)
 
         def acquire(task: _BatchTask):
@@ -1401,9 +1362,9 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
 
         if tasks:
             recovery.advance(RecoveryStage.LIVE)
-        backend = (_InProcessBackend(spec, payload, resolved_engine, plan)
+        backend = (_InProcessBackend(spec, resolved_engine, plan)
                    if serial
-                   else pool.lease(spec, payload, resolved_engine, plan))
+                   else pool.lease(spec, resolved_engine, plan))
         try:
             _Supervisor(
                 tasks=tasks, window=window, backend=backend,
@@ -1457,9 +1418,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         workers=workers,
         wall_time=wall_time,
         summaries=tuple(s for s in summaries if s is not None),
-        results=(tuple(full[i] for i, s in enumerate(summaries)
-                       if s is not None)
-                 if payload != "summary" else None),
         replayed_trials=replayed_count,
         quarantined=tuple(quarantined),
         recovery_events=tuple(events),

@@ -17,7 +17,6 @@ import socket
 import sys
 from typing import Iterator, List, Optional
 
-from repro.campaign.executor import PAYLOAD_KINDS
 from repro.campaign.service import protocol
 
 #: First-argument tokens that route ``python -m repro.campaign`` into the
@@ -74,13 +73,12 @@ class ServiceClient:
         return _checked(response)
 
     def submit(self, spec, master_seed: int = 0, *,
-               payload: str = "summary", priority: int = 0) -> dict:
+               priority: int = 0) -> dict:
         """Submit a campaign; returns ``{"job": fingerprint, ...}``.
 
         Args:
             spec: The :class:`~repro.campaign.spec.CampaignSpec` to run.
             master_seed: The campaign master seed.
-            payload: Per-trial payload mode.
             priority: Queue priority (higher runs earlier).
 
         Returns:
@@ -88,8 +86,7 @@ class ServiceClient:
         """
         return self._roundtrip(protocol.request(
             "submit", spec=protocol.encode_spec(spec),
-            master_seed=int(master_seed), payload=payload,
-            priority=int(priority)))
+            master_seed=int(master_seed), priority=int(priority)))
 
     def status(self, job: Optional[str] = None) -> dict:
         """Fetch one job's status (by id or prefix), or the service's.
@@ -196,11 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="directory of per-job durable stores")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes in the shared warm pool")
-    serve.add_argument("--engine", default=None,
-                       choices=("reference", "compiled", "batched"),
-                       help="simulation kernel override for every job")
-    serve.add_argument("--batch-size", type=int, default=None,
-                       help="replicate batch size override for every job")
 
     submit = commands.add_parser(
         "submit", help="queue a preset campaign on a running service")
@@ -216,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--duration", type=float, default=None,
                         help="campaign-level per-trial duration override "
                              "in seconds")
-    submit.add_argument("--payload", default="summary",
-                        choices=PAYLOAD_KINDS)
     submit.add_argument("--priority", type=int, default=0,
                         help="queue priority (higher runs earlier)")
 
@@ -287,13 +277,11 @@ def service_main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         from repro.campaign.service.server import serve_main
         return serve_main(args.socket, args.stores_dir,
-                          max_workers=args.workers, engine=args.engine,
-                          batch_size=args.batch_size)
+                          max_workers=args.workers)
     client = ServiceClient(args.socket)
     try:
         if args.command == "submit":
             response = client.submit(_submit_spec(args), args.seed,
-                                     payload=args.payload,
                                      priority=args.priority)
             print(json.dumps(response, sort_keys=True))
             return 0

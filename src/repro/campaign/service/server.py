@@ -44,12 +44,12 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaign.executor import (PAYLOAD_KINDS, CampaignCancelled,
-                                     CampaignPool, run_campaign)
+from repro.campaign.executor import (CampaignCancelled, CampaignPool,
+                                     run_campaign)
 from repro.campaign.service import protocol
 from repro.campaign.service.events import EventBus, cell_json
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import (CampaignStore, CampaignStoreError,
+from repro.campaign.store import (PAYLOAD, CampaignStore, CampaignStoreError,
                                   enumerate_stores, spec_fingerprint)
 
 #: How often (seconds) blocking loops wake to check stop/cancel flags.
@@ -82,7 +82,6 @@ class Job:
     fingerprint: str
     spec: Optional[CampaignSpec]
     master_seed: int
-    payload: str
     priority: int
     seq: int
     state: JobState = JobState.QUEUED
@@ -155,8 +154,7 @@ class CampaignService:
 
     def __init__(self, socket_path: str | os.PathLike,
                  stores_dir: str | os.PathLike, *,
-                 max_workers: int = 2, engine: str | None = None,
-                 batch_size: int | None = None) -> None:
+                 max_workers: int = 2) -> None:
         """Configure the service (no sockets are opened yet).
 
         Args:
@@ -165,14 +163,9 @@ class CampaignService:
             stores_dir: Directory of per-job durable stores and submission
                 sidecars (created if missing).
             max_workers: Worker-process count of the shared warm pool.
-            engine: Simulation kernel override for every job (``None`` =
-                the campaign default).
-            batch_size: Replicate batch size override for every job.
         """
         self.socket_path = os.fspath(socket_path)
         self.stores_dir = os.fspath(stores_dir)
-        self.engine = engine
-        self.batch_size = batch_size
         self.pool = CampaignPool(max_workers)
         self._lock = threading.Condition()
         self._jobs: Dict[str, Job] = {}
@@ -222,7 +215,6 @@ class CampaignService:
                 continue
             job = Job(fingerprint=fingerprint, spec=spec,
                       master_seed=master_seed,
-                      payload=str(record.get("payload", "summary")),
                       priority=int(record.get("priority", 0)),
                       seq=self._next_seq())
             status = statuses.get(self._store_path(fingerprint))
@@ -271,9 +263,8 @@ class CampaignService:
             store.on_commit = job.bus.checkpoint
             try:
                 result = run_campaign(
-                    job.spec, seed=job.master_seed, payload=job.payload,
+                    job.spec, seed=job.master_seed,
                     max_workers=self.pool.max_workers,
-                    engine=self.engine, batch_size=self.batch_size,
                     store=store, resume=True, pool=self.pool,
                     stop=job.cancel.is_set,
                     on_result=job.bus.trial_done,
@@ -322,10 +313,10 @@ class CampaignService:
         """Queue one campaign submission (idempotent by fingerprint)."""
         spec = protocol.decode_spec(message["spec"])
         master_seed = int(message.get("master_seed", 0))
-        payload = str(message.get("payload", "summary"))
-        if payload not in PAYLOAD_KINDS:
+        payload = str(message.get("payload", PAYLOAD))
+        if payload != PAYLOAD:
             return protocol.error(f"unknown payload kind {payload!r}; "
-                                  f"expected one of {PAYLOAD_KINDS}")
+                                  f"only {PAYLOAD!r} is supported")
         priority = int(message.get("priority", 0))
         fingerprint = spec_fingerprint(spec, master_seed)
         with self._lock:
@@ -337,12 +328,11 @@ class CampaignService:
                                    state=existing.state.value,
                                    duplicate=True)
             job = Job(fingerprint=fingerprint, spec=spec,
-                      master_seed=master_seed, payload=payload,
+                      master_seed=master_seed,
                       priority=priority, seq=self._next_seq())
             sidecar = {"v": protocol.PROTOCOL_VERSION,
                        "spec": protocol.encode_spec(spec),
-                       "master_seed": master_seed, "payload": payload,
-                       "priority": priority}
+                       "master_seed": master_seed, "priority": priority}
             with open(self._sidecar_path(fingerprint), "w",
                       encoding="utf-8") as handle:
                 json.dump(sidecar, handle, sort_keys=True)
@@ -548,22 +538,18 @@ class CampaignService:
 
 
 def serve_main(socket_path: str, stores_dir: str, *,
-               max_workers: int = 2, engine: str | None = None,
-               batch_size: int | None = None) -> int:
+               max_workers: int = 2) -> int:
     """Run a campaign service daemon in the foreground.
 
     Args:
         socket_path: Unix socket path to listen on.
         stores_dir: Directory of per-job stores and sidecars.
         max_workers: Worker-process count of the shared warm pool.
-        engine: Simulation kernel override for every job.
-        batch_size: Replicate batch size override for every job.
 
     Returns:
         Process exit status (0 after a graceful shutdown).
     """
     service = CampaignService(socket_path, stores_dir,
-                              max_workers=max_workers, engine=engine,
-                              batch_size=batch_size)
+                              max_workers=max_workers)
     service.serve()
     return 0

@@ -18,9 +18,8 @@ them:
   ``(spec, master_seed)``.
 * **Streaming statistics** (PR 2): one trial's contribution to every
   aggregate is the slim :class:`~repro.campaign.aggregate.TrialSummary`
-  computed online by the ``TrialStatsObserver`` pipeline (plus a picklable
-  ``TrialResult`` for the richer payloads), so a checkpoint is a few
-  hundred bytes, not a trace.
+  computed online by the ``TrialStatsObserver`` pipeline, so a checkpoint
+  is one row of plain numeric columns, not a trace.
 * **Spec fingerprinting** (this module): the store binds itself to a
   SHA-256 digest of the canonical encoding of ``(spec, master_seed)``;
   resuming with anything that would change the trial set is rejected
@@ -59,7 +58,6 @@ import hashlib
 import json
 import os
 import pathlib
-import pickle
 import sqlite3
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
@@ -70,7 +68,6 @@ from repro.campaign.faults import FaultPlan, TrialFailure
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     import numpy as np
     from repro.campaign.spec import CampaignSpec
-    from repro.casestudy.emulation import TrialResult
 
 #: Version stamp of the sqlite layout; bumped on incompatible changes so a
 #: newer library refuses an older store loudly instead of misreading it.
@@ -108,9 +105,14 @@ _SUMMARY_COLUMNS = tuple(name for name, _ in SUMMARY_RECORD_FIELDS)
 #: usage-error (2) statuses.
 CRASH_EXIT_CODE = 86
 
+#: The only payload mode a store records.  Stores written in the removed
+#: ``"stats"`` mode (summaries plus a pickled ``TrialResult`` per row) are
+#: refused on resume.
+PAYLOAD = "summary"
+
 #: One checkpointed trial as the executor and the replay path exchange it:
-#: ``(trial_index, summary, full_result_or_None)``.
-CheckpointRecord = Tuple[int, TrialSummary, Optional["TrialResult"]]
+#: ``(trial_index, summary)``.
+CheckpointRecord = Tuple[int, TrialSummary]
 
 
 class CampaignStoreError(RuntimeError):
@@ -236,7 +238,6 @@ class CheckpointStatus:
     name: str
     fingerprint: str
     master_seed: int
-    payload: str
     total_trials: int
     checkpointed: int
     complete: bool
@@ -266,7 +267,6 @@ class CheckpointStatus:
             "name": self.name,
             "fingerprint": self.fingerprint,
             "master_seed": self.master_seed,
-            "payload": self.payload,
             "total_trials": self.total_trials,
             "checkpointed": self.checkpointed,
             "complete": self.complete,
@@ -287,7 +287,6 @@ class CheckpointStatus:
                  f"state:        {state}",
                  f"resume stage: {self.stage.value}",
                  f"master seed:  {self.master_seed}",
-                 f"payload:      {self.payload}",
                  f"fingerprint:  {self.fingerprint}"]
         if self.quarantined:
             lines.insert(2, f"quarantined:  {self.quarantined} trial(s)")
@@ -298,19 +297,17 @@ class CampaignStore:
     """Durable sqlite checkpoint store for one campaign run.
 
     One store file holds one campaign: identity metadata (spec fingerprint,
-    master seed, payload mode, expected trial count) plus one row per
-    completed trial — its position, label, one plain numeric column per
+    master seed, expected trial count) plus one row per completed trial —
+    its position, label and one plain numeric column per
     :class:`~repro.campaign.aggregate.TrialSummary` field (the
-    :data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS` layout), and
-    only for the ``"stats"`` payload a pickled
-    ``TrialResult`` blob.  The executor commits one transaction per
-    retired batch, so after a crash the store holds exactly the batches
-    that completed.
+    :data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS` layout).  The
+    executor commits one transaction per retired batch, so after a crash
+    the store holds exactly the batches that completed.
 
     Typical lifecycle (driven by ``run_campaign``)::
 
         store = CampaignStore("campaign.db")
-        replayed = store.begin(spec, seed, payload, resume=True)
+        replayed = store.begin(spec, seed, resume=True)
         ...                       # executor replays, then runs the rest
         store.checkpoint_batch(batch_results)   # once per retired batch
         store.mark_complete()
@@ -376,6 +373,8 @@ class CampaignStore:
                 self._conn.execute(
                     "CREATE TABLE IF NOT EXISTS meta ("
                     " key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+                # ``result`` is always NULL; it stays so the v4 layout
+                # does not change.
                 self._conn.execute(
                     "CREATE TABLE IF NOT EXISTS trials ("
                     " trial_index INTEGER PRIMARY KEY,"
@@ -468,11 +467,6 @@ class CampaignStore:
         (count,) = self._conn.execute("SELECT COUNT(*) FROM trials").fetchone()
         return int(count)
 
-    def completed_indices(self) -> set:
-        """Return the trial indices that already have durable checkpoints."""
-        rows = self._conn.execute("SELECT trial_index FROM trials").fetchall()
-        return {int(index) for (index,) in rows}
-
     def status(self) -> CheckpointStatus | None:
         """Return the store's progress snapshot, or ``None`` if it is empty.
 
@@ -487,7 +481,6 @@ class CampaignStore:
             name=meta.get("campaign_name", "?"),
             fingerprint=meta.get("fingerprint", "?"),
             master_seed=int(meta.get("master_seed", -1)),
-            payload=meta.get("payload", "?"),
             total_trials=int(meta.get("total_trials", -1)),
             checkpointed=self.checkpointed_count(),
             complete=meta.get("complete") == "1",
@@ -496,22 +489,19 @@ class CampaignStore:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def begin(self, spec: "CampaignSpec", master_seed: int, payload: str, *,
+    def begin(self, spec: "CampaignSpec", master_seed: int, *,
               resume: bool = False) -> List[CheckpointRecord]:
         """Bind the store to one campaign run and return the replayable prefix.
 
         A fresh (empty) store records the campaign's identity and returns
         nothing to replay.  A store that already holds this campaign is
-        validated against the spec fingerprint and payload mode; with
-        ``resume=True`` its checkpointed trials are returned for replay,
-        without it the call is rejected so a stale store is never
-        overwritten by accident.
+        validated against the spec fingerprint; with ``resume=True`` its
+        checkpointed trials are returned for replay, without it the call
+        is rejected so a stale store is never overwritten by accident.
 
         Args:
             spec: The campaign description about to run.
             master_seed: The run's master seed.
-            payload: The run's payload mode (``"summary"`` /
-                ``"stats"``); must match the checkpointed mode on resume.
             resume: Whether the caller intends to continue a previous run.
 
         Returns:
@@ -520,8 +510,8 @@ class CampaignStore:
 
         Raises:
             CampaignStoreError: If the store belongs to a different
-                campaign/seed (fingerprint mismatch), was written with a
-                different payload mode or schema version, or holds
+                campaign/seed (fingerprint mismatch), was written in a
+                removed payload mode or another schema version, or holds
                 checkpoints and ``resume`` was not requested.
         """
         if self.read_only:
@@ -536,7 +526,7 @@ class CampaignStore:
                 "campaign_name": spec.name,
                 "fingerprint": fingerprint,
                 "master_seed": int(master_seed),
-                "payload": payload,
+                "payload": PAYLOAD,
                 "total_trials": spec.total_trials,
                 "complete": 0,
             })
@@ -556,19 +546,12 @@ class CampaignStore:
                 f"checkpoint is only valid for the exact spec and master "
                 f"seed it was created with — rerun with the original "
                 f"arguments, or point --store at a fresh path")
-        if meta.get("payload") != payload:
-            from repro.campaign.executor import PAYLOAD_KINDS
-
-            if meta.get("payload") not in PAYLOAD_KINDS:
-                raise CampaignStoreError(
-                    f"{self.path}: store was checkpointed with payload mode "
-                    f"{meta.get('payload')!r}, which is no longer supported; "
-                    f"point --store at a fresh path")
+        if meta.get("payload") != PAYLOAD:
             raise CampaignStoreError(
                 f"{self.path}: store was checkpointed with payload mode "
-                f"{meta.get('payload')!r}; resuming with {payload!r} would "
-                f"replay incomplete per-trial records — rerun with "
-                f"--payload {meta.get('payload')}")
+                f"{meta.get('payload')!r}, which has been removed; only "
+                f"{PAYLOAD!r} stores can be resumed — point --store at a "
+                f"fresh path")
         if not resume and self.checkpointed_count():
             raise CampaignStoreError(
                 f"{self.path}: store already holds "
@@ -581,21 +564,14 @@ class CampaignStore:
         """Load every checkpointed trial back into executor-shaped records.
 
         Returns:
-            ``(trial_index, summary, result)`` tuples ordered by trial
-            index; ``result`` is ``None`` for rows checkpointed without a
-            full-result blob (the ``"summary"`` payload).
+            ``(trial_index, summary)`` pairs ordered by trial index.
         """
         columns = ", ".join(_SUMMARY_COLUMNS)
         rows = self._conn.execute(
-            f"SELECT trial_index, label, {columns}, result FROM trials "
+            f"SELECT trial_index, label, {columns} FROM trials "
             "ORDER BY trial_index").fetchall()
-        records: List[CheckpointRecord] = []
-        for row in rows:
-            summary = TrialSummary.from_record(row[2:-1], label=row[1])
-            blob = row[-1]
-            result = pickle.loads(blob) if blob is not None else None
-            records.append((int(row[0]), summary, result))
-        return records
+        return [(int(row[0]), TrialSummary.from_record(row[2:], label=row[1]))
+                for row in rows]
 
     def checkpoint_batch(self, results: List[CheckpointRecord]) -> None:
         """Durably commit one retired batch of trials, atomically.
@@ -605,16 +581,10 @@ class CampaignStore:
         user has seen reported is guaranteed to survive a crash.
 
         Args:
-            results: ``(trial_index, summary, result)`` records of the
-                batch; ``result`` may be ``None`` (``"summary"`` payload).
+            results: ``(trial_index, summary)`` records of the batch.
         """
-        rows = []
-        for index, summary, result in results:
-            blob = (sqlite3.Binary(pickle.dumps(result))
-                    if result is not None else None)
-            rows.append((int(index), summary.label) + summary.to_record()
-                        + (blob,))
-        self._insert_rows(rows)
+        self._insert_rows([(int(index), summary.label) + summary.to_record()
+                           for index, summary in results])
 
     def checkpoint_ring(self, records: "np.ndarray",
                         labels: List[str]) -> None:
@@ -624,8 +594,7 @@ class CampaignStore:
         is the task's structured-record block of the shared results ring
         (see :func:`repro.campaign.shm.summary_record_dtype`), read in
         place — no :class:`TrialSummary` objects, JSON, or pickling on the
-        commit path.  Only valid for the ``"summary"`` payload (the ring
-        carries no full-result blob).
+        commit path.
 
         Args:
             records: The task's record block, already generation-validated.
@@ -633,20 +602,20 @@ class CampaignStore:
         """
         # One C-level pass converts the whole block to Python scalars;
         # [2:] drops the generation stamp ([0] is the trial index).
-        rows = [(row[0], label) + tuple(row[2:]) + (None,)
+        rows = [(row[0], label) + tuple(row[2:])
                 for row, label in zip(records.tolist(), labels)]
         self._insert_rows(rows)
 
     def _insert_rows(self, rows: List[tuple]) -> None:
-        """Commit prepared trial rows atomically."""
+        """Commit prepared trial rows atomically (``result`` stays NULL)."""
         columns = ", ".join(_SUMMARY_COLUMNS)
-        placeholders = ", ".join("?" * (len(_SUMMARY_COLUMNS) + 3))
+        placeholders = ", ".join("?" * (len(_SUMMARY_COLUMNS) + 2))
 
         def operation() -> None:
             with self._conn:
                 self._conn.executemany(
                     f"INSERT OR REPLACE INTO trials "
-                    f"(trial_index, label, {columns}, result) "
+                    f"(trial_index, label, {columns}) "
                     f"VALUES ({placeholders})", rows)
         self._commit(operation, "checkpoint commit")
         if self.on_commit is not None:

@@ -1,8 +1,7 @@
 """Laser-tracheotomy wireless CPS case study (paper Section V)."""
 
 from repro.casestudy.config import (LASER, PATIENT, SUPERVISOR, VENTILATOR,
-                                    CaseStudyConfig, PatientModel, SurgeonModel,
-                                    paper_case_study)
+                                    CaseStudyConfig, PatientModel, SurgeonModel)
 from repro.casestudy.emulation import (CaseStudySystem, TrialResult, build_case_study,
                                        lease_ledger_from_trace, run_table1_trials,
                                        run_trial, run_trial_batch, summarize_trials)
@@ -16,7 +15,7 @@ from repro.casestudy.ventilator import (CYLINDER_HEIGHT, CYLINDER_SPEED, CYLINDE
                                         ventilating_locations)
 
 __all__ = [
-    "CaseStudyConfig", "PatientModel", "SurgeonModel", "paper_case_study",
+    "CaseStudyConfig", "PatientModel", "SurgeonModel",
     "SUPERVISOR", "VENTILATOR", "LASER", "PATIENT",
     "build_case_study", "run_trial", "run_trial_batch", "run_table1_trials",
     "summarize_trials",

@@ -134,9 +134,3 @@ class CaseStudyConfig:
     def pattern_with_resends(self) -> PatternConfiguration:
         """The pattern configuration with the supervisor resend limit applied."""
         return replace(self.pattern, supervisor_resend_limit=self.supervisor_resend_limit)
-
-
-def paper_case_study(mean_toff: float = 18.0, **overrides) -> CaseStudyConfig:
-    """The paper's trial configuration with the requested surgeon E(Toff)."""
-    config = CaseStudyConfig(**overrides)
-    return config.with_mean_toff(mean_toff)

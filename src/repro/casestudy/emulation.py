@@ -18,7 +18,7 @@ experiments and by the documentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.casestudy.config import (CaseStudyConfig, LASER, PATIENT, SUPERVISOR,
                                     VENTILATOR)
@@ -43,6 +43,9 @@ from repro.hybrid.system import HybridSystem
 from repro.hybrid.trace import Trace
 from repro.wireless.channel import Channel
 from repro.wireless.network import SinkWirelessNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - repro.campaign builds on this module
+    from repro.campaign.aggregate import TrialSummary
 
 __all__ = ["CaseStudySystem", "TrialResult", "VENTILATOR_RISKY_CORE",
            "build_case_study", "lease_ledger_from_trace", "run_trial",
@@ -79,7 +82,7 @@ class CaseStudySystem:
             record_variables: ``(automaton, variable)`` pairs to sample.
             sample_interval: Sampling period for ``record_variables``.
             kind: Simulation kernel (``"reference"`` / ``"compiled"``);
-                ``None`` defers to ``REPRO_ENGINE`` and then the reference.
+                ``None`` selects the reference kernel.
             observers: Streaming observers attached to the run.
             record_trace: When False no trace is recorded (observers only).
         """
@@ -279,8 +282,7 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
             derive the statistics from it instead of streaming.
         record_variables: ``(automaton, variable)`` pairs to sample.
         engine: Simulation kernel (``"reference"`` / ``"compiled"`` /
-            ``"batched"``); ``None`` defers to the ``REPRO_ENGINE``
-            environment variable and then to the reference kernel.
+            ``"batched"``); ``None`` selects the reference kernel.
         fault: Optional zero-argument fault hook, invoked once after the
             trial's system is assembled and before the engine runs.  The
             campaign fault-injection harness uses it to raise a
@@ -323,55 +325,71 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
         sim = case.engine(seed=seed, record_variables=sampled, kind=kind,
                           observers=[stats, *observers], record_trace=False)
         sim.run(duration)
-        measured = dict(
-            laser_emissions=stats.laser_emissions,
-            failures=stats.failures,
-            evt_to_stop=stats.evt_to_stop,
-            ventilator_pauses=stats.ventilator_pauses,
-            max_emission_duration=stats.max_emission_duration,
-            max_pause_duration=stats.max_pause_duration,
-            min_spo2=stats.min_spo2,
-            supervisor_aborts=stats.supervisor_aborts,
-            monitor=stats.report,
-            ledger=stats.ledger,
-            trace=None,
-        )
-    else:
-        sim = case.engine(seed=seed, record_variables=sampled, kind=kind)
-        trace = sim.run(duration)
+        return _streamed_result(config, with_lease=with_lease, seed=seed,
+                                duration=duration, stats=stats,
+                                network=case.network, surgeon=surgeon_process)
 
-        report = PTEMonitor(case.rules).check(trace)
-        emission_intervals = trace.dwell_intervals(LASER, {EMITTING_LOCATION})
-        pause_intervals = trace.risky_intervals(VENTILATOR)
-        spo2_times, spo2_values = trace.series(PATIENT, SPO2)
-        measured = dict(
-            laser_emissions=trace.count_entries(LASER, EMITTING_LOCATION),
-            failures=report.failure_count,
-            evt_to_stop=len(trace.transitions_of(LASER, reason="lease_expiry",
-                                                 source=EMITTING_LOCATION)),
-            ventilator_pauses=trace.count_entries(VENTILATOR,
-                                                  VENTILATOR_RISKY_CORE),
-            max_emission_duration=max((e - s for s, e in emission_intervals),
-                                      default=0.0),
-            max_pause_duration=max((e - s for s, e in pause_intervals),
-                                   default=0.0),
-            min_spo2=min(spo2_values, default=config.patient.initial_spo2),
-            supervisor_aborts=len([r for r in trace.transitions_of(SUPERVISOR)
-                                   if r.reason == "approval_violated"]),
-            monitor=report,
-            ledger=lease_ledger_from_trace(trace, config),
-            trace=trace,
-        )
-
+    sim = case.engine(seed=seed, record_variables=sampled, kind=kind)
+    trace = sim.run(duration)
+    report = PTEMonitor(case.rules).check(trace)
+    emission_intervals = trace.dwell_intervals(LASER, {EMITTING_LOCATION})
+    pause_intervals = trace.risky_intervals(VENTILATOR)
+    spo2_times, spo2_values = trace.series(PATIENT, SPO2)
     return TrialResult(
         with_lease=with_lease,
         mean_toff=config.surgeon.mean_toff,
         duration=duration,
         seed=seed,
+        laser_emissions=trace.count_entries(LASER, EMITTING_LOCATION),
+        failures=report.failure_count,
+        evt_to_stop=len(trace.transitions_of(LASER, reason="lease_expiry",
+                                             source=EMITTING_LOCATION)),
+        ventilator_pauses=trace.count_entries(VENTILATOR,
+                                              VENTILATOR_RISKY_CORE),
+        max_emission_duration=max((e - s for s, e in emission_intervals),
+                                  default=0.0),
+        max_pause_duration=max((e - s for s, e in pause_intervals),
+                               default=0.0),
+        min_spo2=min(spo2_values, default=config.patient.initial_spo2),
+        supervisor_aborts=len([r for r in trace.transitions_of(SUPERVISOR)
+                               if r.reason == "approval_violated"]),
         surgeon_requests=getattr(surgeon_process, "requests_issued", 0),
         surgeon_cancels=getattr(surgeon_process, "cancels_issued", 0),
         observed_loss_ratio=case.network.observed_loss_ratio(),
-        **measured,
+        monitor=report,
+        ledger=lease_ledger_from_trace(trace, config),
+        trace=trace,
+    )
+
+
+def _streamed_result(config: CaseStudyConfig, *, with_lease: bool,
+                     seed: int | None, duration: float,
+                     stats: TrialStatsObserver, network: SinkWirelessNetwork,
+                     surgeon: SurgeonProcess) -> TrialResult:
+    """The trace-free :class:`TrialResult` of one finished streamed trial.
+
+    The one place where :func:`run_trial`'s streaming path and each lane of
+    :func:`run_trial_batch` read a trial's statistics off its observer,
+    network and surgeon.
+    """
+    return TrialResult(
+        with_lease=with_lease,
+        mean_toff=config.surgeon.mean_toff,
+        duration=duration,
+        seed=seed,
+        laser_emissions=stats.laser_emissions,
+        failures=stats.failures,
+        evt_to_stop=stats.evt_to_stop,
+        ventilator_pauses=stats.ventilator_pauses,
+        max_emission_duration=stats.max_emission_duration,
+        max_pause_duration=stats.max_pause_duration,
+        min_spo2=stats.min_spo2,
+        supervisor_aborts=stats.supervisor_aborts,
+        surgeon_requests=getattr(surgeon, "requests_issued", 0),
+        surgeon_cancels=getattr(surgeon, "cancels_issued", 0),
+        observed_loss_ratio=network.observed_loss_ratio(),
+        monitor=stats.report,
+        ledger=stats.ledger,
     )
 
 
@@ -438,48 +456,28 @@ def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
                            dt_max=config.dt_max, record_variables=sampled,
                            sample_interval=0.5, record_trace=False)
     engine.run(duration)
-    results = []
-    for seed, stats, network, surgeon in zip(seeds, stats_list, networks,
-                                             surgeons):
-        results.append(TrialResult(
-            with_lease=with_lease,
-            mean_toff=config.surgeon.mean_toff,
-            duration=duration,
-            seed=seed,
-            laser_emissions=stats.laser_emissions,
-            failures=stats.failures,
-            evt_to_stop=stats.evt_to_stop,
-            ventilator_pauses=stats.ventilator_pauses,
-            max_emission_duration=stats.max_emission_duration,
-            max_pause_duration=stats.max_pause_duration,
-            min_spo2=stats.min_spo2,
-            supervisor_aborts=stats.supervisor_aborts,
-            surgeon_requests=getattr(surgeon, "requests_issued", 0),
-            surgeon_cancels=getattr(surgeon, "cancels_issued", 0),
-            observed_loss_ratio=network.observed_loss_ratio(),
-            monitor=stats.report,
-            ledger=stats.ledger,
-            trace=None,
-        ))
-    return results
+    return [_streamed_result(config, with_lease=with_lease, seed=seed,
+                             duration=duration, stats=stats, network=network,
+                             surgeon=surgeon)
+            for seed, stats, network, surgeon in zip(seeds, stats_list,
+                                                     networks, surgeons)]
 
 
 def run_table1_trials(config: CaseStudyConfig | None = None, *,
                       mean_toffs: Sequence[float] = (18.0, 6.0),
                       seed: int = 2013,
                       duration: float | None = None,
-                      max_workers: int = 1) -> List[TrialResult]:
+                      max_workers: int = 1) -> List["TrialSummary"]:
     """Run the four trials of Table I (with/without lease x E(Toff) values).
 
-    Routes through the campaign layer with the streaming ``"stats"``
-    payload (full per-trial results, statistics computed online, no traces
-    retained); trial seeds are pinned to the historical per-trial
-    derivation, so results are identical for any worker count and to the
-    pre-campaign serial loop.  Like every campaign entry point this now
-    defaults to the compiled kernel (bit-identical to the reference engine,
-    several times faster); set ``REPRO_ENGINE=reference`` — or pass
-    ``--engine reference`` on the campaign CLI — to fall back to the
-    executable specification.
+    Routes through the campaign layer and returns the campaign's per-trial
+    :class:`~repro.campaign.aggregate.TrialSummary` records: every scalar
+    statistic of a :class:`TrialResult`, without the monitor report, lease
+    ledger or trace (re-run one trial with :func:`run_trial` for those).
+    Trial seeds are pinned to the historical per-trial derivation, so
+    results are identical for any worker count and to the pre-campaign
+    serial loop.  Like every campaign entry point this runs the compiled
+    kernel (bit-identical to the reference engine, several times faster).
 
     Args:
         config: Base case-study configuration (paper defaults when omitted).
@@ -489,7 +487,7 @@ def run_table1_trials(config: CaseStudyConfig | None = None, *,
         max_workers: Worker processes (1 = serial in-process execution).
 
     Returns:
-        Trial results ordered exactly like the rows of Table I.
+        Trial summaries ordered exactly like the rows of Table I.
     """
     # Imported lazily: repro.campaign builds on this module.
     from repro.campaign.executor import run_campaign
@@ -497,12 +495,12 @@ def run_table1_trials(config: CaseStudyConfig | None = None, *,
 
     spec = table1_spec(config, mean_toffs=mean_toffs, duration=duration,
                        legacy_seed=seed)
-    campaign = run_campaign(spec, seed=seed, max_workers=max_workers,
-                            payload="stats")
-    return list(campaign.results)
+    campaign = run_campaign(spec, seed=seed, max_workers=max_workers)
+    return list(campaign.summaries)
 
 
-def summarize_trials(results: Sequence[TrialResult]) -> Dict[str, object]:
+def summarize_trials(results: Sequence["TrialResult | TrialSummary"],
+                     ) -> Dict[str, object]:
     """Aggregate check of the Table I reproduction shape.
 
     Returns a dictionary with the headline claims: every with-lease trial

@@ -100,9 +100,8 @@ def run_interlock_trial(*, with_lease: bool, seed: int | None,
         seed: Trial seed for the channel and the engine.
         duration: Trial horizon in seconds (``None`` =
             :data:`DEFAULT_HORIZON`).
-        engine: Simulation kernel (``None`` defers to ``REPRO_ENGINE``
-            and then the reference kernel; the campaign executor passes
-            its resolved default).
+        engine: Simulation kernel (``None`` selects the reference kernel;
+            the campaign executor passes its resolved default).
         fault: Optional zero-argument fault hook, invoked after the
             system is assembled and before the engine runs (the campaign
             fault-injection harness).

@@ -9,8 +9,7 @@ entry point).
 
 Nothing about the run is retained beyond per-entity maximal risky
 intervals (bounded by the number of lease rounds, not by the horizon), so
-a ``payload="stats"`` campaign's memory footprint is flat no matter how
-long the trials are.  Given the same execution, the numbers are
+a trial's memory footprint is flat no matter how long it runs.  Given the same execution, the numbers are
 bit-identical to the historical post-hoc scan over a recorded
 :class:`~repro.hybrid.trace.Trace` (asserted by the compiled-equivalence
 test suite).
@@ -48,23 +47,6 @@ OUTCOME_OF_REASON = {
     "cancel": LeaseOutcome.COMPLETED,
     "user_cancel": LeaseOutcome.COMPLETED,
 }
-
-#: The observer-owned columns of the campaign's fixed-width results record,
-#: as ``(field, kind)`` with ``kind`` ``"i"`` (int64) or ``"f"`` (float64).
-#: ``pte_satisfied`` is the PTE verdict (1 when no failure episode was
-#: found).  See :meth:`TrialStatsObserver.stats_record` and the results
-#: ring in :mod:`repro.campaign.shm`.
-STATS_RECORD_FIELDS = (
-    ("laser_emissions", "i"),
-    ("failures", "i"),
-    ("evt_to_stop", "i"),
-    ("ventilator_pauses", "i"),
-    ("supervisor_aborts", "i"),
-    ("max_emission_duration", "f"),
-    ("max_pause_duration", "f"),
-    ("min_spo2", "f"),
-    ("pte_satisfied", "i"),
-)
 
 
 def lease_contracts(config: CaseStudyConfig) -> Dict[str, float]:
@@ -176,29 +158,6 @@ class TrialStatsObserver(TraceObserver):
         tracker = self._risky_trackers.get(VENTILATOR)
         intervals = tracker.intervals if tracker is not None else []
         return max((end - start for start, end in intervals), default=0.0)
-
-    def stats_record(self) -> Dict[str, float]:
-        """The observer-owned Table-I statistics as a flat numeric mapping.
-
-        Every value is a plain Python ``int``/``float``, covering exactly
-        the ``STATS_RECORD_FIELDS`` columns — the observer's share of the
-        fixed-width record that the shared results ring
-        (:mod:`repro.campaign.shm`) carries instead of a pickle.  The
-        campaign-level fields (seed, mean_toff, surgeon counters, loss
-        ratio) are added by the executor when it completes the
-        :data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS` row.
-        """
-        return {
-            "laser_emissions": int(self.laser_emissions),
-            "failures": int(self.failures),
-            "evt_to_stop": int(self.evt_to_stop),
-            "ventilator_pauses": int(self.ventilator_pauses),
-            "supervisor_aborts": int(self.supervisor_aborts),
-            "max_emission_duration": float(self.max_emission_duration),
-            "max_pause_duration": float(self.max_pause_duration),
-            "min_spo2": float(self.min_spo2),
-            "pte_satisfied": int(self.failures == 0),
-        }
 
 
 class RiskLevelObserver(TraceObserver):

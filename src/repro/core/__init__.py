@@ -8,7 +8,7 @@ from repro.core.configuration import (EntityTiming, PatternConfiguration,
 from repro.core.constraints import (ConditionResult, ConstraintReport, assert_valid,
                                     check_conditions, guaranteed_dwelling_bound,
                                     theoretical_guarantees)
-from repro.core.intervals import Interval, IntervalSet, intervals_from_pairs
+from repro.core.intervals import Interval, IntervalSet
 from repro.core.leases import Lease, LeaseLedger, LeaseOutcome
 from repro.core.monitor import (EmbeddingMeasurement, MonitorReport, PTEMonitor,
                                 check_trace)
@@ -25,7 +25,7 @@ __all__ = [
     "PTEOrderSpec", "PTEPairRequirement", "PTERuleSet", "RuleKind",
     "EmbeddingProperty", "SafetyViolation", "laser_tracheotomy_rules", "uniform_rules",
     "PTEMonitor", "MonitorReport", "EmbeddingMeasurement", "check_trace",
-    "Interval", "IntervalSet", "intervals_from_pairs",
+    "Interval", "IntervalSet",
     # configuration and Theorem 1
     "EntityTiming", "PatternConfiguration", "laser_tracheotomy_configuration",
     "synthesize_configuration", "check_conditions", "assert_valid", "ConstraintReport",

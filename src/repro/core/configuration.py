@@ -49,15 +49,6 @@ class EntityTiming:
         """``T^max_enter + T^max_run + T_exit`` -- worst-case round trip."""
         return self.t_enter_max + self.t_run_max + self.t_exit
 
-    @property
-    def max_risky_dwell(self) -> float:
-        """Worst-case continuous dwell in risky locations of this entity.
-
-        Risky locations are "Risky Core" and "Exiting 1", so the bound is
-        ``T^max_run + T_exit``.
-        """
-        return self.t_run_max + self.t_exit
-
     def scaled(self, factor: float) -> "EntityTiming":
         """Return a copy with every duration multiplied by ``factor``."""
         return EntityTiming(self.t_enter_max * factor, self.t_run_max * factor,

@@ -39,10 +39,6 @@ class Interval:
         """True when this interval fully covers ``other`` (with tolerance)."""
         return self.start - eps <= other.start and other.end <= self.end + eps
 
-    def overlaps(self, other: "Interval", eps: float = EPSILON) -> bool:
-        """True when the two intervals share at least one point."""
-        return self.start - eps <= other.end and other.start - eps <= self.end
-
     def intersection(self, other: "Interval") -> "Interval | None":
         """The overlapping part of two intervals, or ``None`` when disjoint."""
         start = max(self.start, other.start)
@@ -161,8 +157,3 @@ class IntervalSet:
         if cursor < horizon.end - EPSILON:
             gaps.append(Interval(cursor, horizon.end))
         return IntervalSet(gaps)
-
-
-def intervals_from_pairs(pairs: Iterable[tuple[float, float]]) -> IntervalSet:
-    """Build an :class:`IntervalSet` from plain ``(start, end)`` tuples."""
-    return IntervalSet(Interval(start, end) for start, end in pairs)

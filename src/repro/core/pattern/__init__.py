@@ -11,7 +11,7 @@ from repro.core.pattern.roles import (ENTERING, EXITING_1, EXITING_2, FALL_BACK,
                                       REMOTE_RISKY_BASES, REMOTE_SAFE_BASES, REQUESTING,
                                       RISKY_CORE, SETTLE, Role, abort_location, base_name,
                                       cancel_location, lease_location, qualified)
-from repro.core.pattern.supervisor import build_supervisor, supervisor_location_names
+from repro.core.pattern.supervisor import build_supervisor
 
 __all__ = [
     "events",
@@ -26,7 +26,6 @@ __all__ = [
     "has_lease",
     "PatternSystem",
     "default_entity_names",
-    "supervisor_location_names",
     "qualified",
     "base_name",
     "lease_location",

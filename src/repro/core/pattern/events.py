@@ -155,16 +155,3 @@ class EventVocabulary:
     def exited(self, index: int) -> str:
         """Fall-Back confirmation from entity ``index``."""
         return exited(index)
-
-    def all_roots(self) -> set[str]:
-        """Every event root of this pattern instance."""
-        roots = {self.request, self.request_cancel, self.approve,
-                 self.command_request, self.command_cancel,
-                 self.exited(self.initializer_index),
-                 self.cancel(self.initializer_index),
-                 self.abort(self.initializer_index)}
-        for index in self.participant_indices:
-            roots |= {self.lease_request(index), self.lease_approve(index),
-                      self.lease_deny(index), self.cancel(index),
-                      self.abort(index), self.exited(index)}
-        return roots

@@ -35,7 +35,7 @@ Supervisor's details only affect liveness.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.configuration import PatternConfiguration
 from repro.core.pattern import events
@@ -265,14 +265,3 @@ def build_supervisor(config: PatternConfiguration, *,
 
     automaton.validate()
     return automaton
-
-
-def supervisor_location_names(config: PatternConfiguration,
-                              entity_id: str = "xi0") -> Sequence[str]:
-    """The qualified location names a Supervisor built from ``config`` will have."""
-    names = [qualified(entity_id, FALL_BACK), qualified(entity_id, SETTLE)]
-    for i in range(1, config.n_entities + 1):
-        names.append(qualified(entity_id, lease_location(i)))
-        names.append(qualified(entity_id, cancel_location(i)))
-        names.append(qualified(entity_id, abort_location(i)))
-    return names

@@ -7,7 +7,7 @@ validation.
 """
 
 from repro.hybrid.automaton import HybridAutomaton
-from repro.hybrid.edges import Edge, IDENTITY_RESET, Reset, reset_clock
+from repro.hybrid.edges import Edge, IDENTITY_RESET, Reset
 from repro.hybrid.elaboration import (are_independent, are_mutually_independent,
                                       assert_independent, elaborate, elaborate_parallel,
                                       elaboration_history, is_simple)
@@ -32,7 +32,7 @@ from repro.hybrid.simulate import (BatchedEngine, CallbackProcess, CompiledEngin
 
 __all__ = [
     # automaton building blocks
-    "HybridAutomaton", "Location", "Edge", "Reset", "IDENTITY_RESET", "reset_clock",
+    "HybridAutomaton", "Location", "Edge", "Reset", "IDENTITY_RESET",
     "Prefix", "SyncLabel", "send", "receive", "receive_lossy", "internal", "parse_label",
     # predicates and flows
     "Predicate", "TRUE", "FALSE", "And", "Or", "Not", "LinearInequality", "BoxPredicate",

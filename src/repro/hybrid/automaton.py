@@ -65,11 +65,6 @@ class HybridAutomaton:
             self.add_edge(edge)
 
     # -- construction ------------------------------------------------------
-    def add_variable(self, name: str) -> None:
-        """Declare a data state variable if not already declared."""
-        if name not in self.variables:
-            self.variables.append(name)
-
     def add_location(self, location: Location) -> Location:
         """Add a location; raises :class:`ModelError` on duplicate names."""
         if location.name in self.locations:
@@ -77,13 +72,6 @@ class HybridAutomaton:
                 f"automaton {self.name!r} already has a location named {location.name!r}")
         self.locations[location.name] = location
         return location
-
-    def replace_location(self, location: Location) -> None:
-        """Replace an existing location definition (same name)."""
-        if location.name not in self.locations:
-            raise ModelError(
-                f"automaton {self.name!r} has no location named {location.name!r}")
-        self.locations[location.name] = location
 
     def add_edge(self, edge: Edge) -> Edge:
         """Add an edge; source and target must refer to existing locations."""
@@ -159,10 +147,6 @@ class HybridAutomaton:
         for edge in self.edges:
             labels |= edge.sync_labels()
         return labels
-
-    def sync_roots(self) -> set[str]:
-        """All event roots referenced by this automaton."""
-        return {label.root for label in self.sync_labels()}
 
     def received_roots(self) -> set[str]:
         """Event roots this automaton can receive (``?`` or ``??`` labels)."""

@@ -66,11 +66,6 @@ class Reset:
 IDENTITY_RESET = Reset()
 
 
-def reset_clock(*names: str) -> Reset:
-    """Build a reset that sets each named clock back to zero."""
-    return Reset({name: 0.0 for name in names})
-
-
 @dataclass(frozen=True)
 class Edge:
     """A discrete transition between two locations.

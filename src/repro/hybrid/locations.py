@@ -45,14 +45,6 @@ class Location:
         """Return a copy of this location under a different name."""
         return replace(self, name=name)
 
-    def with_flow(self, flow: Flow) -> "Location":
-        """Return a copy of this location with a different flow map."""
-        return replace(self, flow=flow)
-
-    def with_invariant(self, invariant: Predicate) -> "Location":
-        """Return a copy of this location with a different invariant."""
-        return replace(self, invariant=invariant)
-
     def with_risky(self, risky: bool) -> "Location":
         """Return a copy of this location with the risky flag set to ``risky``."""
         return replace(self, risky=risky)

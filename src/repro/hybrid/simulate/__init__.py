@@ -16,14 +16,13 @@ Three interchangeable engines execute the same semantics:
 All push observations through the :class:`TraceObserver` pipeline, so
 consumers can either record a full :class:`~repro.hybrid.trace.Trace` or
 stream statistics without retaining the run.  :func:`build_engine` selects
-a kernel by name or via the ``REPRO_ENGINE`` environment variable.
+a kernel by name.
 """
 
 from repro.hybrid.simulate.batched import BatchedEngine, Lane
 from repro.hybrid.simulate.compiled import (CompiledEngine, CompiledSystem,
-                                            ENGINE_ENV_VAR, ENGINE_KINDS,
-                                            build_engine, compile_system,
-                                            resolve_engine_kind)
+                                            ENGINE_KINDS, build_engine,
+                                            compile_system, resolve_engine_kind)
 from repro.hybrid.simulate.engine import Network, PerfectNetwork, SimulationEngine, simulate
 from repro.hybrid.simulate.observers import DwellTracker, TraceObserver, TraceRecorder
 from repro.hybrid.simulate.processes import (CallbackProcess, Coupling, EnvironmentProcess,
@@ -40,7 +39,6 @@ __all__ = [
     "build_engine",
     "resolve_engine_kind",
     "ENGINE_KINDS",
-    "ENGINE_ENV_VAR",
     "simulate",
     "Network",
     "PerfectNetwork",

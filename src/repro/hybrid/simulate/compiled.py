@@ -1236,9 +1236,6 @@ class CompiledEngine:
 # Engine selection
 # ---------------------------------------------------------------------------
 
-#: Environment variable that selects the default simulation kernel.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
 #: Kernel names accepted by :func:`build_engine` and the campaign CLI.
 ENGINE_KINDS = ("reference", "compiled", "batched")
 
@@ -1247,18 +1244,13 @@ def resolve_engine_kind(kind: str | None = None, *,
                         default: str = "reference") -> str:
     """Resolve the simulation kernel to use.
 
-    Precedence: explicit ``kind`` argument, then the ``REPRO_ENGINE``
-    environment variable, then ``default``.  Direct engine construction
-    defaults to the reference engine (the executable specification); the
-    campaign layer passes ``default="compiled"`` so campaign-scale
-    workloads get the fast kernel unless the caller or the environment
-    opts out.
+    An explicit ``kind`` wins; ``None`` selects ``default``.  Direct engine
+    construction defaults to the reference engine (the executable
+    specification); the campaign layer passes ``default="compiled"`` so
+    campaign-scale workloads get the fast kernel unless the caller opts
+    out.
     """
-    import os
-
-    resolved = kind if kind is not None else os.environ.get(ENGINE_ENV_VAR)
-    if resolved is None or resolved == "":
-        resolved = default
+    resolved = default if kind is None else kind
     if resolved not in ENGINE_KINDS:
         raise ValueError(f"unknown simulation engine {resolved!r}; "
                          f"expected one of {ENGINE_KINDS}")

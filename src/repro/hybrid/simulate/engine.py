@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.errors import SimulationError, TimeBlockError, ZenoError
 from repro.hybrid.automaton import HybridAutomaton
@@ -232,11 +232,6 @@ class SimulationEngine:
     def _apply_couplings(self) -> None:
         for coupling in self.couplings:
             coupling.apply(self)
-
-    def _current_rates(self, name: str) -> Mapping[str, float]:
-        automaton = self.system.automata[name]
-        st = self.state.automata[name]
-        return automaton.location(st.location).flow.rates(st.valuation)
 
     def _next_time(self, horizon: float) -> float:
         """Earliest relevant future instant (guard crossing, wakeup, sample cap)."""

@@ -2,15 +2,12 @@
 
 from repro.util.seeding import derive_seed, spawn_rng
 from repro.util.tables import format_table
-from repro.util.timebase import TimePoint, almost_equal, almost_leq, almost_geq, EPSILON
+from repro.util.timebase import TimePoint, EPSILON
 
 __all__ = [
     "derive_seed",
     "spawn_rng",
     "format_table",
     "TimePoint",
-    "almost_equal",
-    "almost_leq",
-    "almost_geq",
     "EPSILON",
 ]

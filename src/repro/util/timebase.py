@@ -2,8 +2,8 @@
 
 The simulator jumps to exact guard-crossing times computed in floating
 point, so strict comparisons like ``clock >= threshold`` need a small
-tolerance to behave deterministically.  All tolerant comparisons used in
-the library live here so the tolerance is defined in exactly one place.
+tolerance to behave deterministically.  That tolerance is defined here,
+in exactly one place.
 """
 
 from __future__ import annotations
@@ -13,27 +13,3 @@ EPSILON: float = 1e-9
 
 #: Convenience alias: simulation timestamps are plain floats (seconds).
 TimePoint = float
-
-
-def almost_equal(a: float, b: float, eps: float = EPSILON) -> bool:
-    """Return True when ``a`` and ``b`` differ by at most ``eps``."""
-    return abs(a - b) <= eps
-
-
-def almost_leq(a: float, b: float, eps: float = EPSILON) -> bool:
-    """Return True when ``a`` is less than or equal to ``b`` within ``eps``."""
-    return a <= b + eps
-
-
-def almost_geq(a: float, b: float, eps: float = EPSILON) -> bool:
-    """Return True when ``a`` is greater than or equal to ``b`` within ``eps``."""
-    return a >= b - eps
-
-
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` to the closed interval ``[low, high]``."""
-    if value < low:
-        return low
-    if value > high:
-        return high
-    return value

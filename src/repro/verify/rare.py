@@ -521,7 +521,7 @@ class CellTemplate:
             for the configuration's calibrated channel.
         surgeon: A :class:`~repro.campaign.spec.SurgeonSpec` or ``None``
             for the stochastic surgeon.
-        engine: Simulation kernel (``None`` defers to ``REPRO_ENGINE``).
+        engine: Simulation kernel (``None`` selects the reference kernel).
         event: The rare event being estimated.  ``"violation"`` counts any
             monitor failure (sudden rule breaches are bumped onto the
             score boundary); ``"dwell"`` counts only exhaustion of the
@@ -633,7 +633,7 @@ def split_estimate_for_cell(spec, cell_index: int = 0, *,
         cell_index: Which trial cell to estimate.
         master_seed: Campaign master seed.
         settings: Estimator knobs; ``None`` = defaults.
-        engine: Simulation kernel (``None`` defers to ``REPRO_ENGINE``).
+        engine: Simulation kernel (``None`` selects the reference kernel).
         max_workers: Worker processes for each level's trials.
         store: Optional durable store (or path accepted by the caller);
             levels checkpoint into its ``estimator`` table.

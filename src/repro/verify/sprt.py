@@ -255,7 +255,7 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
         master_seed: Campaign master seed.
         settings: Hypotheses and error budget.
         max_workers: Worker processes.
-        engine: Simulation kernel (``None`` defers to ``REPRO_ENGINE``).
+        engine: Simulation kernel (``None`` selects the compiled kernel).
         batch_size: Executor replicate-batch size (``None`` = auto).
         store: Optional durable :class:`~repro.campaign.store.CampaignStore`:
             trial batches checkpoint as usual and the decided test state

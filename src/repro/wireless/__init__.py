@@ -5,7 +5,7 @@ from repro.wireless.channel import (BernoulliChannel, Channel, GilbertElliottCha
                                     TraceChannel)
 from repro.wireless.interference import InterferenceSource
 from repro.wireless.network import SinkWirelessNetwork
-from repro.wireless.packet import DeliveryOutcome, LinkDirection, Packet
+from repro.wireless.packet import DeliveryOutcome, LinkDirection
 from repro.wireless.stats import LinkStatistics, NetworkStatistics
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "TraceChannel",
     "InterferenceSource",
     "SinkWirelessNetwork",
-    "Packet",
     "DeliveryOutcome",
     "LinkDirection",
     "LinkStatistics",

@@ -141,11 +141,6 @@ class GilbertElliottChannel(Channel):
             mean = self.mean_bad_duration if self._in_bad else self.mean_good_duration
             self._next_switch += self._rng.expovariate(1.0 / mean)
 
-    def in_bad_state(self, now: float) -> bool:
-        """Whether the channel is inside an interference burst at ``now``."""
-        self._advance_state(now)
-        return self._in_bad
-
     def attempt(self, now: float) -> DeliveryOutcome:
         self._advance_state(now)
         loss_probability = self.loss_bad if self._in_bad else self.loss_good

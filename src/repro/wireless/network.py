@@ -10,9 +10,8 @@ real interference).
 :class:`SinkWirelessNetwork` implements the engine-facing
 :class:`~repro.hybrid.simulate.engine.Network` protocol: the simulation
 engine asks it whether a lossy (``??``) event between two entities gets
-through.  Every attempt is recorded both as a :class:`~repro.wireless.packet.Packet`
-counter in :class:`~repro.wireless.stats.NetworkStatistics` and available
-for post-trial reporting.
+through.  Every attempt is counted, by outcome, in the network's
+:class:`~repro.wireless.stats.NetworkStatistics` for post-trial reporting.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Dict, Iterable, Mapping
 from repro.errors import ModelError
 from repro.hybrid.simulate.engine import Network
 from repro.wireless.channel import Channel, PerfectChannel
-from repro.wireless.packet import DeliveryOutcome, LinkDirection, Packet
+from repro.wireless.packet import LinkDirection
 from repro.wireless.stats import NetworkStatistics
 
 
@@ -40,16 +39,15 @@ class SinkWirelessNetwork(Network):
             the uplink direction.
         downlink_channels: Optional per-remote-entity overrides for the
             downlink direction.
-        strict: When True (default), traffic between two remote entities
-            raises :class:`ModelError` -- the topology forbids such links.
-            When False, such traffic is simply dropped.
+
+    Traffic between two remote entities raises :class:`ModelError`: the
+    topology has no such links.
     """
 
     def __init__(self, *, base_station: str, remote_entities: Iterable[str],
                  default_channel: Channel | None = None,
                  uplink_channels: Mapping[str, Channel] | None = None,
-                 downlink_channels: Mapping[str, Channel] | None = None,
-                 strict: bool = True):
+                 downlink_channels: Mapping[str, Channel] | None = None):
         self.base_station = base_station
         self.remote_entities = list(dict.fromkeys(remote_entities))
         if base_station in self.remote_entities:
@@ -57,19 +55,15 @@ class SinkWirelessNetwork(Network):
         self.default_channel = default_channel or PerfectChannel()
         self._uplink: Dict[str, Channel] = dict(uplink_channels or {})
         self._downlink: Dict[str, Channel] = dict(downlink_channels or {})
-        self.strict = strict
         self.statistics = NetworkStatistics()
-        self._sequence = 0
-        self.packet_log: list[tuple[Packet, DeliveryOutcome]] = []
 
     # -- topology ---------------------------------------------------------------
     def direction(self, sender: str, receiver: str) -> LinkDirection:
         """Classify the link between two entities.
 
         Raises:
-            ModelError: For remote-to-remote traffic when ``strict`` is set,
-                since the system model forbids direct links between remote
-                entities.
+            ModelError: For remote-to-remote traffic, since the system
+                model forbids direct links between remote entities.
         """
         if sender == receiver:
             return LinkDirection.LOCAL
@@ -77,11 +71,9 @@ class SinkWirelessNetwork(Network):
             return LinkDirection.DOWNLINK
         if receiver == self.base_station and sender in self.remote_entities:
             return LinkDirection.UPLINK
-        if self.strict:
-            raise ModelError(
-                f"no wireless link exists between {sender!r} and {receiver!r}: "
-                "remote entities only communicate through the base station")
-        return LinkDirection.LOCAL
+        raise ModelError(
+            f"no wireless link exists between {sender!r} and {receiver!r}: "
+            "remote entities only communicate through the base station")
 
     def channel_for(self, sender: str, receiver: str) -> Channel:
         """The loss channel governing the directed link ``sender -> receiver``."""
@@ -92,10 +84,6 @@ class SinkWirelessNetwork(Network):
             return self._uplink.get(sender, self.default_channel)
         return self._downlink.get(receiver, self.default_channel)
 
-    def set_uplink_channel(self, remote_entity: str, channel: Channel) -> None:
-        """Override the uplink channel of one remote entity."""
-        self._uplink[remote_entity] = channel
-
     def set_downlink_channel(self, remote_entity: str, channel: Channel) -> None:
         """Override the downlink channel of one remote entity."""
         self._downlink[remote_entity] = channel
@@ -105,29 +93,20 @@ class SinkWirelessNetwork(Network):
                          root: str, now: float) -> bool:
         """Decide whether one lossy event delivery succeeds.
 
-        The attempt is logged as a packet transmission regardless of the
-        outcome so post-trial statistics reflect the offered load.
+        The attempt is counted regardless of the outcome so post-trial
+        statistics reflect the offered load.
         """
         direction = self.direction(sender_entity, receiver_entity)
         if direction is LinkDirection.LOCAL:
             return True
         channel = self.channel_for(sender_entity, receiver_entity)
         outcome = channel.attempt(now)
-        self._sequence += 1
-        packet = Packet.create(sequence=self._sequence, source=sender_entity,
-                               destination=receiver_entity, event_root=root,
-                               timestamp=now)
-        if outcome is DeliveryOutcome.CORRUPTED:
-            packet = packet.corrupted_copy()
-        self.packet_log.append((packet, outcome))
         self.statistics.record(sender_entity, receiver_entity, outcome)
         return outcome.received_by_application
 
     def reset(self, seed: int | None = None) -> None:
-        """Reset channels, statistics and the packet log for a new trial."""
+        """Reset channels and statistics for a new trial."""
         self.statistics.reset()
-        self.packet_log.clear()
-        self._sequence = 0
         self.default_channel.reset(seed, stream="default")
         for entity, channel in self._uplink.items():
             channel.reset(seed, stream=f"uplink:{entity}")

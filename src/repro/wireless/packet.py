@@ -1,18 +1,16 @@
-"""Packets and checksums for the wireless substrate.
+"""Link directions and delivery outcomes of the wireless substrate.
 
 The fault model of the paper (Section II-B) assumes every packet carries a
 checksum strong enough to detect any bit error; a corrupted packet is
 discarded at the receiver, which from the application's point of view is
 indistinguishable from a loss.  The channel models therefore fold
-corruption and outright loss into a single "not delivered" outcome, but the
-packet abstraction keeps both causes visible for statistics.
+corruption and outright loss into a single "not delivered" outcome, but
+:class:`DeliveryOutcome` keeps both causes visible for statistics.
 """
 
 from __future__ import annotations
 
 import enum
-import zlib
-from dataclasses import dataclass, field
 
 
 class LinkDirection(enum.Enum):
@@ -34,54 +32,3 @@ class DeliveryOutcome(enum.Enum):
     def received_by_application(self) -> bool:
         """True only when the application layer actually sees the packet."""
         return self is DeliveryOutcome.DELIVERED
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A single application event carried over the wireless network.
-
-    Attributes:
-        sequence: Monotonically increasing per-sender sequence number.
-        source: Sending entity name.
-        destination: Receiving entity name.
-        event_root: The synchronization-label root carried by the packet.
-        timestamp: Send time (simulation seconds).
-        payload: Optional opaque payload bytes (checksummed).
-    """
-
-    sequence: int
-    source: str
-    destination: str
-    event_root: str
-    timestamp: float
-    payload: bytes = b""
-    checksum: int = field(default=0)
-
-    @staticmethod
-    def compute_checksum(source: str, destination: str, event_root: str,
-                         payload: bytes) -> int:
-        """CRC32 over the addressing fields and payload."""
-        blob = b"|".join([source.encode(), destination.encode(),
-                          event_root.encode(), payload])
-        return zlib.crc32(blob) & 0xFFFFFFFF
-
-    @classmethod
-    def create(cls, *, sequence: int, source: str, destination: str,
-               event_root: str, timestamp: float, payload: bytes = b"") -> "Packet":
-        """Build a packet with its checksum filled in."""
-        checksum = cls.compute_checksum(source, destination, event_root, payload)
-        return cls(sequence=sequence, source=source, destination=destination,
-                   event_root=event_root, timestamp=timestamp, payload=payload,
-                   checksum=checksum)
-
-    def verify_checksum(self) -> bool:
-        """True when the stored checksum matches the packet contents."""
-        return self.checksum == self.compute_checksum(
-            self.source, self.destination, self.event_root, self.payload)
-
-    def corrupted_copy(self, flip: int = 0x1) -> "Packet":
-        """Return a copy whose checksum no longer matches (bit-error model)."""
-        return Packet(sequence=self.sequence, source=self.source,
-                      destination=self.destination, event_root=self.event_root,
-                      timestamp=self.timestamp, payload=self.payload,
-                      checksum=self.checksum ^ flip)

@@ -14,10 +14,29 @@ import pytest
 
 from repro.campaign import (CampaignSpec, ChannelSpec, SurgeonSpec, TrialSpec,
                             expand_grid, run_campaign, table1_spec)
+from repro.campaign.aggregate import SUMMARY_RECORD_FIELDS
 from repro.campaign.cli import main as campaign_main
 from repro.casestudy import CaseStudyConfig, run_table1_trials, run_trial
 from repro.experiments import run_table1
 from repro.util.seeding import derive_seed
+
+#: The per-trial statistics a TrialSummary shares with a TrialResult.
+_TRIAL_FIELDS = tuple(name for name, _ in SUMMARY_RECORD_FIELDS
+                      if name not in ("spec_index", "replicate"))
+
+
+def _scalars(trial):
+    """The shared scalar statistics of a TrialSummary or TrialResult."""
+    return {name: getattr(trial, name) for name in _TRIAL_FIELDS}
+
+
+def _run_trial_of(spec, run):
+    """``run_trial``'s full result for one expanded campaign trial."""
+    duration = (run.spec.duration if run.spec.duration is not None
+                else spec.duration)
+    return run_trial(run.spec.configure(spec.config),
+                     with_lease=run.spec.with_lease, seed=run.seed,
+                     duration=duration)
 
 
 class TestSpecExpansion:
@@ -97,30 +116,25 @@ class TestDeterminism:
 
     def test_full_payload_is_refused(self, tmp_path):
         spec = table1_spec(duration=100.0)
-        with pytest.raises(ValueError, match="unknown payload kind"):
+        with pytest.raises(TypeError, match="payload"):
             run_campaign(spec, seed=3, max_workers=1, payload="full")
         # A store checkpointed under the old mode fails the payload check.
         from repro.campaign.store import CampaignStore, CampaignStoreError
         db = tmp_path / "campaign.db"
         with CampaignStore(db) as store:
-            store.begin(spec, 3, "full")
+            store.begin(spec, 3)
+            store._write_meta({"payload": "full"})
         with pytest.raises(CampaignStoreError, match="payload mode 'full'") as info:
-            run_campaign(spec, seed=3, max_workers=1, payload="stats",
-                         store=db, resume=True)
-        assert "no longer supported" in str(info.value)
+            run_campaign(spec, seed=3, max_workers=1, store=db, resume=True)
+        assert "removed" in str(info.value)
         assert "fresh path" in str(info.value)
-        assert "--payload full" not in str(info.value)
+        assert "--payload" not in str(info.value)
 
-    def test_stats_payload_streams_full_results(self):
+    def test_summaries_match_run_trial(self):
         spec = table1_spec(duration=100.0)
-        result = run_campaign(spec, seed=3, max_workers=1, payload="stats")
-        assert result.results is not None and len(result.results) == 4
-        assert all(r.trace is None for r in result.results)
-        # The streaming observer populates monitor and ledger without a trace.
-        assert all(r.monitor is not None and r.ledger is not None
-                   for r in result.results)
-        assert [r.failures for r in result.results] == [
-            s.failures for s in result.summaries]
+        result = run_campaign(spec, seed=3, max_workers=1)
+        assert [s.failures for s in result.summaries] == [
+            _run_trial_of(spec, run).failures for run in spec.expand(3)]
 
     def test_compiled_engine_matches_reference_campaign(self):
         spec = table1_spec(duration=120.0, replicates=1)
@@ -143,16 +157,13 @@ class TestDeterminism:
             payload = json.dumps(campaign.to_json()["campaign"], sort_keys=True)
             assert payload == base_payload, (batch_size, workers)
 
-    def test_batched_stats_payload_streams_full_results(self):
+    def test_batched_summaries_match_run_trial(self):
         spec = table1_spec(duration=100.0, replicates=3)
         result = run_campaign(spec, seed=3, max_workers=1, engine="batched",
-                              payload="stats", batch_size=3)
-        assert result.results is not None and len(result.results) == 12
-        assert all(r.trace is None for r in result.results)
-        assert all(r.monitor is not None and r.ledger is not None
-                   for r in result.results)
-        assert [r.failures for r in result.results] == [
-            s.failures for s in result.summaries]
+                              batch_size=3)
+        assert len(result.summaries) == 12
+        assert [s.failures for s in result.summaries] == [
+            _run_trial_of(spec, run).failures for run in spec.expand(3)]
 
     def test_auto_batch_size_heuristic(self):
         from repro.campaign import resolve_batch_size
@@ -278,8 +289,20 @@ class TestTable1Compatibility:
     def test_run_table1_trials_parallel_equals_serial(self):
         serial = run_table1_trials(seed=11, duration=200.0, max_workers=1)
         parallel = run_table1_trials(seed=11, duration=200.0, max_workers=2)
-        assert [r.table_row() for r in serial] == [r.table_row() for r in parallel]
-        assert [r.seed for r in serial] == [r.seed for r in parallel]
+        assert len(serial) == 4
+        assert serial == parallel
+
+    def test_run_table1_trials_returns_run_trial_statistics(self):
+        summaries = run_table1_trials(seed=11, duration=200.0)
+        base = CaseStudyConfig()
+        expected = []
+        for toff_index, mean_toff in enumerate((18.0, 6.0)):
+            for mode_index, with_lease in enumerate((True, False)):
+                trial_seed = 11 + 101 * toff_index + 13 * mode_index
+                expected.append(_scalars(run_trial(
+                    base.with_mean_toff(mean_toff), with_lease=with_lease,
+                    seed=trial_seed, duration=200.0)))
+        assert [_scalars(s) for s in summaries] == expected
 
     def test_replicates_aggregate_per_cell(self):
         result = run_table1(seed=5, duration=120.0, replicates=2)
@@ -309,9 +332,9 @@ class TestCLI:
         assert campaign_main(["--replicates", "0"]) == 2
         assert campaign_main(["--workers", "-1"]) == 2
 
-    def test_payload_and_engine_flags_smoke(self, capsys):
+    def test_engine_flag_smoke(self, capsys):
         code = campaign_main(["--experiment", "scenarios", "--quiet",
-                              "--payload", "stats", "--engine", "compiled"])
+                              "--engine", "compiled"])
         assert code == 0
         assert "checks: PASS" in capsys.readouterr().out
 
@@ -332,6 +355,13 @@ class TestCLI:
             payload["run"] = None
             payloads[name] = json.dumps(payload, sort_keys=True)
         assert payloads["compiled"] == payloads["chunked"]
+
+    def test_payload_flag_is_refused(self, capsys):
+        # The removed --payload flag is a usage error, not silently ignored.
+        with pytest.raises(SystemExit) as info:
+            campaign_main(["--payload", "stats"])
+        assert info.value.code == 2
+        assert "--payload" in capsys.readouterr().err
 
     def test_batch_size_rejects_negative(self):
         assert campaign_main(["--batch-size", "-2"]) == 2

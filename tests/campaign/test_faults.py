@@ -306,7 +306,7 @@ class TestStoreFaults:
         with CampaignStore(db, read_only=True) as store:
             assert store.status().complete
             with pytest.raises(CampaignStoreError, match="read-only"):
-                store.begin(_tiny_spec(), 7, "summary")
+                store.begin(_tiny_spec(), 7)
         with pytest.raises(CampaignStoreError):
             CampaignStore(tmp_path / "missing.db", read_only=True)
 
@@ -414,7 +414,7 @@ class TestSchemaV4:
     def test_failures_and_estimator_tables_exist_with_schema_v4(self, tmp_path):
         db = tmp_path / "campaign.db"
         with CampaignStore(db) as store:
-            store.begin(_tiny_spec(2), 7, "summary")
+            store.begin(_tiny_spec(2), 7)
         conn = sqlite3.connect(db)
         try:
             version = conn.execute(

@@ -24,8 +24,8 @@ from repro.campaign import run_campaign
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.presets import PRESETS
-from repro.campaign.service import (CampaignService, ProtocolError,
-                                    ServiceClient, ServiceError, decode_spec,
+from repro.campaign.service import (PROTOCOL_VERSION, CampaignService,
+                                    ProtocolError, ServiceClient, decode_spec,
                                     encode_spec, recv_frame, send_frame)
 from repro.campaign.store import CRASH_EXIT_CODE, spec_fingerprint
 
@@ -137,7 +137,7 @@ def test_status_json_flag_matches_service_schema(tmp_path, capsys):
     assert status["complete"] is True
     assert status["checkpointed"] == status["total_trials"] == 2
     assert status["stage"] == "complete"
-    assert set(status) == {"name", "fingerprint", "master_seed", "payload",
+    assert set(status) == {"name", "fingerprint", "master_seed",
                            "total_trials", "checkpointed", "complete",
                            "quarantined", "stage"}
 
@@ -229,12 +229,20 @@ def test_service_status_lists_jobs(service):
     assert overview["jobs"][0]["state"] == "complete"
 
 
-@pytest.mark.parametrize("payload", ["full", "bogus"])
+@pytest.mark.parametrize("payload", ["full", "bogus", "stats"])
 def test_submit_rejects_unknown_payload(service, payload):
+    # ServiceClient sends no payload; a submit that names any mode but
+    # "summary" (say, from an older client) is refused.
     svc, client = service
     spec = _spec_interlock()
-    with pytest.raises(ServiceError, match="unknown payload kind"):
-        client.submit(spec, 7, payload=payload)
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.connect(svc.socket_path)
+        send_frame(sock, {"v": PROTOCOL_VERSION, "op": "submit",
+                          "spec": encode_spec(spec), "master_seed": 7,
+                          "payload": payload})
+        response = recv_frame(sock)
+    assert response["ok"] is False
+    assert "unknown payload kind" in response["error"]
     # Refused before anything is written or queued ...
     assert not [name for name in os.listdir(svc.stores_dir)
                 if name.endswith(".job.json")]

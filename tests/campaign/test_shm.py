@@ -2,7 +2,7 @@
 
 The load-bearing guarantee is unchanged from the rest of the campaign
 layer: aggregates must be bit-identical to the serial reference for every
-combination of worker count, batch size, payload, shm on/off and
+combination of worker count, batch size, shm on/off and
 crash/resume split — the results ring is a transport, never a semantics
 change.  On top of that, these tests pin the ring plumbing itself:
 record round-trips, generation validation, range allocation, and segment
@@ -25,6 +25,7 @@ from repro.campaign.shm import (ResultsRing, ShmError, ShmSession, _RangeAllocat
                                 leaked_segments, shared_memory_available,
                                 summary_record_dtype)
 from repro.campaign.store import CampaignStore
+from repro.casestudy import run_trial
 
 pytestmark = pytest.mark.skipif(not shared_memory_available(),
                                 reason="multiprocessing.shared_memory missing")
@@ -204,13 +205,20 @@ class TestCampaignEquivalence:
                               engine="batched", batch_size=4, shm=False)
         assert _campaign_payload(result) == reference_payload
 
-    def test_stats_payload_keeps_results(self, reference_payload):
-        result = run_campaign(_tiny_spec(), seed=7, max_workers=2,
-                              engine="batched", batch_size=4,
-                              payload="stats", shm=True)
-        assert _campaign_payload(result) == reference_payload
-        assert all(r is not None and r.monitor is not None
-                   for r in result.results)
+    def test_ring_summaries_match_run_trial(self):
+        # Every statistic a summary shares with run_trial's TrialResult
+        # survives the trip through the results ring.
+        spec = _tiny_spec(replicates=4)
+        result = run_campaign(spec, seed=7, max_workers=2, engine="batched",
+                              batch_size=2, shm=True)
+        fields = [name for name, _ in SUMMARY_RECORD_FIELDS
+                  if name not in ("spec_index", "replicate")]
+        expected = [run_trial(run.spec.configure(spec.config),
+                              with_lease=run.spec.with_lease, seed=run.seed,
+                              duration=spec.duration, engine="compiled")
+                    for run in spec.expand(7)]
+        assert ([[getattr(s, name) for name in fields] for s in result.summaries]
+                == [[getattr(r, name) for name in fields] for r in expected])
 
     def test_scalar_engine_ring_only(self, reference_payload,
                                      no_new_segments):
@@ -242,12 +250,12 @@ class TestCampaignEquivalence:
         spec = _tiny_spec()
         runs = spec.expand(7)
         with CampaignStore(db) as store:
-            store.begin(spec, 7, "summary")
+            store.begin(spec, 7)
             from repro.campaign.executor import execute_batch
             prefix = [(run.index, run.replicate, run.seed)
                       for run in runs[:6]]
             chunk = execute_batch(spec, (runs[0].spec_index, tuple(prefix)),
-                                  "summary", "batched")
+                                  "batched")
             store.checkpoint_batch(chunk)
         resumed = run_campaign(spec, seed=7, max_workers=2,
                                engine="batched", batch_size=4, shm=True,

@@ -134,13 +134,38 @@ class TestStoreLifecycle:
         with pytest.raises(CampaignStoreError, match="fingerprint"):
             run_campaign(other, seed=3, max_workers=1, store=db, resume=True)
 
-    def test_payload_mismatch_is_rejected(self, tmp_path):
+    def test_stats_store_is_refused(self, tmp_path):
+        # A v4 store written in the removed "stats" payload mode (summary
+        # rows plus a pickled TrialResult each) cannot be resumed.
         spec = table1_spec(duration=100.0, replicates=1)
         db = tmp_path / "campaign.db"
         run_campaign(spec, seed=3, max_workers=1, store=db)
-        with pytest.raises(CampaignStoreError, match="payload"):
-            run_campaign(spec, seed=3, max_workers=1, store=db, resume=True,
-                         payload="stats")
+        conn = sqlite3.connect(db)
+        conn.execute("UPDATE meta SET value = 'stats' WHERE key = 'payload'")
+        conn.commit()
+        conn.close()
+        with pytest.raises(CampaignStoreError,
+                           match="payload mode 'stats'") as info:
+            run_campaign(spec, seed=3, max_workers=1, store=db, resume=True)
+        assert "removed" in str(info.value)
+        assert "fresh path" in str(info.value)
+
+    def test_summary_store_from_schema_v4_resumes(self, tmp_path):
+        # A partial summary store written by the previous release (a
+        # crash@commit=3 kill of table1_spec(duration=100.0) at seed 3,
+        # dumped to SQL; its rows carry a NULL ``result`` column) resumes
+        # to the aggregates of an uninterrupted run.
+        spec = table1_spec(duration=100.0, replicates=1)
+        db = tmp_path / "campaign.db"
+        conn = sqlite3.connect(db)
+        conn.executescript(
+            (Path(__file__).parent / "data" / "v4_summary_store.sql").read_text())
+        conn.close()
+        resumed = run_campaign(spec, seed=3, max_workers=1, store=db,
+                               resume=True)
+        assert resumed.replayed_trials == 2
+        baseline = run_campaign(spec, seed=3, max_workers=1)
+        assert _campaign_payload(resumed) == _campaign_payload(baseline)
 
     def test_resume_on_empty_store_is_a_fresh_start(self, tmp_path):
         spec = table1_spec(duration=100.0, replicates=1)
@@ -192,23 +217,6 @@ class TestPartialPrefixResume:
                                    resume=True)
             assert resumed.replayed_trials == keep
             assert _campaign_payload(resumed) == base_payload, keep
-
-    def test_stats_payload_round_trips_full_results(self, tmp_path):
-        spec = table1_spec(duration=100.0, replicates=1)
-        baseline = run_campaign(spec, seed=5, max_workers=1, payload="stats")
-        db = tmp_path / "stats.db"
-        run_campaign(spec, seed=5, max_workers=1, payload="stats", store=db)
-        _truncate_store(db, keep=2)
-        resumed = run_campaign(spec, seed=5, max_workers=1, payload="stats",
-                               store=db, resume=True)
-        assert _campaign_payload(resumed) == _campaign_payload(baseline)
-        assert resumed.results is not None and len(resumed.results) == 4
-        # Replayed TrialResults come back through pickle with monitor and
-        # ledger intact, indistinguishable from live ones.
-        assert all(r.monitor is not None and r.ledger is not None
-                   for r in resumed.results)
-        assert [r.failures for r in resumed.results] == [
-            r.failures for r in baseline.results]
 
 
 class TestProcessKillResume:

@@ -386,16 +386,13 @@ class TestTable1CampaignEquivalence:
 
 
 class TestEngineSelection:
-    def test_resolve_engine_kind_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_resolve_engine_kind_precedence(self):
         assert resolve_engine_kind(None) == "reference"
+        assert resolve_engine_kind(None, default="compiled") == "compiled"
         assert resolve_engine_kind("compiled") == "compiled"
-        monkeypatch.setenv("REPRO_ENGINE", "compiled")
-        assert resolve_engine_kind(None) == "compiled"
-        assert resolve_engine_kind("reference") == "reference"
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
+        assert resolve_engine_kind("reference", default="compiled") == "reference"
         with pytest.raises(ValueError):
-            resolve_engine_kind(None)
+            resolve_engine_kind("turbo")
 
     def test_build_engine_returns_requested_kernel(self):
         system = HybridSystem()

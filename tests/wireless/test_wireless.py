@@ -1,25 +1,15 @@
-"""Tests for the wireless substrate: packets, channels, network, statistics."""
+"""Tests for the wireless substrate: outcomes, channels, network, statistics."""
 
 import pytest
 
 from repro.errors import ModelError
 from repro.wireless import (BernoulliChannel, DeliveryOutcome, GilbertElliottChannel,
                             InterferenceSource, LinkDirection, LossWindow,
-                            NetworkStatistics, Packet, PerfectChannel, ScriptedChannel,
+                            NetworkStatistics, PerfectChannel, ScriptedChannel,
                             SinkWirelessNetwork, TraceChannel)
 
 
-class TestPacket:
-    def test_checksum_round_trip(self):
-        packet = Packet.create(sequence=1, source="a", destination="b",
-                               event_root="evt", timestamp=0.0, payload=b"xyz")
-        assert packet.verify_checksum()
-
-    def test_corrupted_copy_fails_checksum(self):
-        packet = Packet.create(sequence=1, source="a", destination="b",
-                               event_root="evt", timestamp=0.0)
-        assert not packet.corrupted_copy().verify_checksum()
-
+class TestDeliveryOutcome:
     def test_delivery_outcome_semantics(self):
         assert DeliveryOutcome.DELIVERED.received_by_application
         assert not DeliveryOutcome.LOST.received_by_application
@@ -142,7 +132,6 @@ class TestSinkWirelessNetwork:
         network.attempt_delivery("base", "r1", "evt", 1.0)
         network.reset(seed=1)
         assert network.statistics.total_sent == 0
-        assert network.packet_log == []
 
     def test_base_station_cannot_be_remote(self):
         with pytest.raises(ModelError):
