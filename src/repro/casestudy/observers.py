@@ -148,16 +148,13 @@ class TrialStatsObserver(TraceObserver):
     @property
     def max_emission_duration(self) -> float:
         """Longest continuous laser emission observed."""
-        return max((end - start
-                    for start, end in self._emission_tracker.intervals),
-                   default=0.0)
+        return self._emission_tracker.longest
 
     @property
     def max_pause_duration(self) -> float:
         """Longest continuous ventilation pause (risky dwell) observed."""
         tracker = self._risky_trackers.get(VENTILATOR)
-        intervals = tracker.intervals if tracker is not None else []
-        return max((end - start for start, end in intervals), default=0.0)
+        return tracker.longest if tracker is not None else 0.0
 
 
 class RiskLevelObserver(TraceObserver):
@@ -226,9 +223,7 @@ class RiskLevelObserver(TraceObserver):
     def _heartbeat(self, now: float) -> None:
         score = 0.0
         for name, tracker in self._trackers.items():
-            dwell = max((end - start for start, end in tracker.intervals),
-                        default=0.0)
-            dwell = max(dwell, tracker.ongoing(now))
+            dwell = max(tracker.longest, tracker.ongoing(now))
             bound = self._bounds[name]
             if bound > 0:
                 score = max(score, dwell / bound)

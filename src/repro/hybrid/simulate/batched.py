@@ -121,6 +121,11 @@ class BatchedEngine:
         return sum(engine.quiet_steps for engine in self.engines)
 
     @property
+    def rescans(self) -> int:
+        """Per-automaton candidate derivations of the last run, summed over the lanes."""
+        return sum(engine.rescans for engine in self.engines)
+
+    @property
     def traces(self) -> List[Trace | None]:
         """Every lane's recorded trace, in lane order."""
         return [engine.trace for engine in self.engines]

@@ -35,52 +35,81 @@ When some runtime sits in a non-affine location (or couplings/recorded
 variables ask for sampling), the reference engine steps by ``dt_max``
 and, on every step, re-derives every crossing and wakeup, polls every
 process and scans every runtime's edges, although almost no step changes
-anything discrete.  The compiled engine instead caches the *deadline*:
-the earliest crossing or wakeup candidate of a full scan, before the
-``dt_max`` cap.  While the deadline is more than ``2*dt_max`` away, a
-step is *quiet*: its next time is ``min(now + dt_max, horizon)`` (the
-value the full scan would return, since every other candidate lies
-beyond it), no process is polled (any wakeup is part of the deadline),
-only the runtimes whose location can change state on a plain sample have
-their edges scanned, and the pre-step couplings are skipped when the
-previous step was quiet, fired nothing and the couplings are idempotent
-(lowered copy/indicator programs, none reading a slot that a later one
-writes).  From the first edge a quiet step fires, the same round goes on
-over every later runtime in order and the normal cascade follows, so the
-firing order is the reference's.
+anything discrete.  The compiled engine instead caches *candidates*: one
+per runtime (the earliest crossing of its deadline programs, minus a
+rounding-drift margin) and one for process wakeups.  While the earliest
+of them, the *deadline*, lies beyond ``now + cushion``, a step is
+*quiet*: its next time is ``min(now + dt_max, horizon)`` (the value the
+full scan would return, since every candidate lies beyond it), no process
+is polled, only the runtimes whose location can change state on a plain
+sample have their ASAP guards evaluated, and the pre-step couplings are
+skipped when the previous step was quiet, fired nothing and the couplings
+are idempotent (lowered copy/indicator programs, none reading a slot that
+a later one writes).  From the first edge a quiet step fires, the same
+round goes on over every later runtime and the normal cascade follows, so
+the firing order is the reference's.
 
-A full scan caches its deadline only when sampling was requested, no
-runtime sits in a dynamic-affine location, and every crossing/invariant
-program is fully lowered (True/False/Linear/Box/Not/And/Or), reads no
-*hazard* slot and returned ``inf`` or a finite delay ``> EPSILON``.  A
-hazard slot is a coupling target (overwritten every step) or a slot whose
-rate ``r`` satisfies ``0 < |r| <= max(EPSILON, EPSILON/dt_max)``:
-``evaluate``'s ``EPSILON`` tolerance lets a leaf on such a slot turn true
-``EPSILON/|r|`` seconds before its computed crossing, or (at ``|r| <=
-EPSILON``) without any computed crossing at all.  The cache is
-invalidated by ``_take_edge``, a process ``wake``, ``inject_event``,
-``set_variable`` and ``_initialize``; so a process whose ``next_wakeup``
-is ``NaN`` or ``-inf`` (never a candidate, yet woken on every step) keeps
-every step full.  A runtime is scanned on quiet steps when its location
-is not static-affine and has ASAP edges, or when one of its ASAP guards
-is a generic predicate or reads a hazard slot; a slot with rate exactly 0
-that no coupling writes cannot change, so it needs no scan.
+Consecutive quiet steps run as one *stretch*: a loop generated once per
+location vector (:func:`_lower_stretch`, kept on the
+:class:`CompiledSystem` for every later trial) with the locations' clock
+increments and RK4 programs, the couplings as slot moves, the watched
+guard programs and the sample-due test bound in.  It hands back to the
+run loop when a step fires, a generic coupling invalidates the cache, the
+horizon is reached or the next step is not quiet.
 
-Soundness rests on three facts.  *Monotone candidates:* under static
-rates a leaf's absolute candidate goes crossing -> now -> later crossing
-or ``inf``, and min/max/probes keep that order, so between invalidations
-no program's candidate moves earlier than the cached deadline except by
-the two effects below.  *Tolerance:* for a non-hazard rate a leaf can
-turn true at most ``EPSILON/|r| <= dt_max`` before its crossing, so while
-the deadline is ``2*dt_max`` away no guard of an unscanned runtime can
-hold at the landing time ``now + dt_max``.  *Rounding drift:*
-``values[slot] += rate*dt`` accumulates rounding, so a recomputed
-crossing drifts from the cached one by up to an ulp of ``|x|/|r|`` per
-step, plus a few ulps of ``|t| + (|x|+|theta|)/|r|`` for evaluating the
-crossing formula.  The cache stores the deadline minus
-:meth:`CompiledEngine._drift_margin`, a bound on that drift over every
-step left before it, computed from the live slot values.  The counters
-``steps``/``quiet_steps`` report how many steps took the quiet path.
+The *cushion* is ``dt_max + max(EPSILON, EPSILON/|r|)`` for the smallest
+rate ``|r|`` of a moving leaf in any cacheable location:
+``evaluate``'s ``EPSILON`` tolerance lets such a leaf turn true
+``EPSILON/|r|`` seconds before its computed crossing, and a process is
+woken up to ``EPSILON`` before its wakeup.  A *full* step derives again
+only the candidates that are invalid or within the cushion, polls the
+processes only when the wakeup candidate is, and its discrete phase scans
+only runtimes that have a pending event, an invalid or near candidate, or
+a location that needs quiet scans.  ``_take_edge`` drops the firing
+runtime's candidate and the wakeup candidate (``notify_transition`` may
+move a wakeup); ``set_variable``, ``inject_event``, a process ``wake``
+and ``_initialize`` drop every candidate.  When no runtime needs sampling
+any more while candidates are kept, all of them are derived again, since
+a kept one could now set the next time.
+
+A runtime's candidate is cached only when sampling is requested, its
+location is not dynamic-affine, and every crossing/invariant program is
+fully lowered (True/False/Linear/Box/Not/And/Or), reads no *hazard* slot
+and returned ``inf`` or a finite delay ``> EPSILON``.  A hazard slot is a
+coupling target (overwritten every step) or a slot whose rate ``r``
+satisfies ``0 < |r| <= max(EPSILON, EPSILON/dt_max)``: a leaf on it turns
+true ``EPSILON/|r| >= dt_max`` seconds before its computed crossing, or
+(at ``|r| <= EPSILON``) without any computed crossing at all.  The wakeup
+candidate is not cached while a process's ``next_wakeup`` is ``NaN`` or
+``-inf`` (never a candidate, yet woken on every step), so such a process
+keeps every step full.  A runtime is scanned on quiet steps when its
+location is not static-affine and has ASAP edges, or when one of its ASAP
+guards is a generic predicate or reads a hazard slot; a slot with rate
+exactly 0 that no coupling writes cannot change, so it needs no scan.
+
+Soundness rests on four facts.  *Monotone candidates:* under static rates
+a leaf's absolute candidate goes crossing -> now -> later crossing or
+``inf``, and min/max/probes keep that order, so between invalidations no
+program's candidate moves earlier than its cached value except by the
+effects below.  *Locality:* a runtime's candidate and guards read only its
+own slots; a transition resets only the firing runtime's slots, coupled
+slots are hazards, and every other write drops every candidate, so only
+the firing runtime's candidate can go stale, and a receiver of its events
+is scanned for them.  *Tolerance:* after its drift margin a kept candidate
+lies beyond ``now + dt_max + EPSILON/|r|``, so the sample cap, not the
+candidate, sets ``next_time``; no process wakes at the landing time; and
+no guard of an unscanned runtime can hold there within its ``EPSILON/|r|``
+tolerance.  *Rounding drift:* ``values[slot] += rate*dt`` accumulates
+rounding, so a recomputed crossing drifts from the cached one by up to an
+ulp of ``|x|/|r|`` per step, plus a few ulps of ``|t| + (|x|+|theta|)/|r|``
+for evaluating the crossing formula.  Each cached candidate is stored
+minus :meth:`CompiledEngine._drift_margin`, a bound on that drift over
+every step left before it, computed from the runtime's live slot values
+(a wakeup has only the time terms).  The counters ``steps``,
+``quiet_steps`` and ``rescans`` (candidate derivations) report the work
+of the last run.  ``tools/engine_mutants.py`` checks that the fixed
+systems of ``tests/hybrid/test_quiet_steps.py`` catch a breach of each
+rule.
 
 Observation goes through the same
 :class:`~repro.hybrid.simulate.observers.TraceObserver` pipeline as the
@@ -93,7 +122,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from repro.errors import SimulationError, TimeBlockError, ZenoError
 from repro.hybrid.automaton import HybridAutomaton
@@ -469,7 +498,7 @@ class CompiledLocation:
 
     __slots__ = ("name", "index", "flow", "affine", "invariant", "risky",
                  "static_rates", "const_items", "advance_program", "edges",
-                 "asap_edges", "has_asap", "cross_programs", "inv_program",
+                 "asap_edges", "has_asap", "deadline_programs",
                  "program_slots", "guard_slots", "drift_terms")
 
     def __init__(self, automaton: HybridAutomaton, name: str, index: int,
@@ -496,11 +525,11 @@ class CompiledLocation:
                            for order_index, edge in enumerate(source_edges))
         self.asap_edges = tuple(ce for ce in self.edges if ce.trigger_root is None)
         self.has_asap = bool(self.asap_edges)
-        # Deadline programs exist only for affine locations with static
-        # rates; dynamic-affine and non-affine locations are handled
-        # generically by the scheduler.
-        self.cross_programs = ()
-        self.inv_program = None
+        # Deadline programs (ASAP guard crossings, then the invariant's
+        # exit) exist only for affine locations with static rates;
+        # dynamic-affine and non-affine locations are handled generically
+        # by the scheduler.
+        self.deadline_programs = ()
         # Quiet-step facts: slots read by the deadline programs / ASAP
         # guards (None = some predicate is not fully lowered), and the
         # (slot, |threshold|, 1/|rate|) of every moving program leaf.
@@ -516,11 +545,11 @@ class CompiledLocation:
                 if program is not _STATIC_SKIP:
                     programs.append(program)
                     sources.append(ce.edge.guard)
-            self.cross_programs = tuple(programs)
             inv = _lower_crossing(self.invariant, self.static_rates, slot_of, False)
-            self.inv_program = None if inv is _STATIC_SKIP else inv
-            if self.inv_program is not None:
+            if inv is not _STATIC_SKIP:
+                programs.append(inv)
                 sources.append(self.invariant)
+            self.deadline_programs = tuple(programs)
             self.program_slots = _leaf_slots(sources, slot_of)
             if self.program_slots is not None:
                 self.drift_terms = tuple(
@@ -576,6 +605,11 @@ class CompiledSystem:
         self.entity_of: Dict[str, str] = {ca.name: ca.entity for ca in self.automata}
         #: root -> ((receiver automaton index, receiver name, lossy, entity), ...)
         self.receivers: Dict[str, tuple[tuple[int, str, bool, str], ...]] = {}
+        #: Quiet-stretch programs (:func:`_lower_stretch`), built on demand
+        #: per location vector and engine plan and kept for every later
+        #: trial, and their compiled sources (many vectors share one).
+        self.stretch_programs: Dict[tuple, Callable] = {}
+        self.stretch_code: Dict[str, object] = {}
         for ca in self.automata:
             for root in system.automata[ca.name].received_roots():
                 if root not in self.receivers:
@@ -604,6 +638,157 @@ def _is_lowered_coupling(coupling: Coupling) -> bool:
             or (type(coupling) is VariableCopyCoupling and coupling.transform is None))
 
 
+def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
+                   watched: tuple, sampling: bool, idempotent: bool,
+                   code_cache: Dict[str, object]):
+    """Generate the quiet-stretch loop for one location vector.
+
+    ``locations`` holds each runtime's current location, ``layout`` the
+    engine's couplings (see :meth:`CompiledEngine._plan_quiet_steps`),
+    ``watched`` the runtimes whose ASAP guards a quiet step evaluates.
+    Returns ``bind(engine) -> stretch``; ``stretch(horizon)`` runs quiet
+    steps with the run loop's exact operations -- clock increments, RK4
+    programs, couplings as slot moves (an indicator is a constant while no
+    location changes), the watched guards and the sample-due test -- until
+    a step fires, a coupling invalidates the cache, the horizon is reached
+    or the next step is not quiet.  It returns True in the last case, with
+    that step begun (counted, pre-step couplings applied).  Programs are
+    bound by name, so vectors with equal rates, couplings and watch lists
+    share one compiled source in ``code_cache``.
+    """
+    env: Dict[str, object] = {"EPSILON": EPSILON, "MIN_ADVANCE": _MIN_ADVANCE}
+
+    def literal(value: float) -> str:
+        if math.isfinite(value):
+            return repr(value)
+        name = f"k{len(env)}"
+        env[name] = value
+        return name
+
+    used: set[int] = set()
+    advance = []
+    for i, loc in enumerate(locations):
+        if loc.const_items is not None:
+            if loc.const_items:
+                used.add(i)
+            advance += [f"v{i}[{slot}] += dt" if rate == 1.0 else
+                        f"v{i}[{slot}] += {literal(rate)} * dt"
+                        for slot, rate in loc.const_items]
+        elif loc.advance_program is not None:
+            env[f"a{i}"] = loc.advance_program
+            used.add(i)
+            advance.append(f"a{i}(v{i}, dt, rt{i})")
+        else:
+            advance.append(f"advance_flow(rt{i}, dt)")
+    generic = False
+    couplings = []
+    for item in layout:
+        if item[0] == "indicator":
+            _, source, wanted, true_value, false_value, target, slot = item
+            value = true_value if locations[source].name in wanted else false_value
+            used.add(target)
+            couplings.append(f"v{target}[{slot}] = {literal(value)}")
+        elif item[0] == "copy":
+            _, source, source_slot, target, slot = item
+            used.update((source, target))
+            couplings.append(f"v{target}[{slot}] = v{source}[{source_slot}]")
+        else:
+            generic = True
+            couplings += [f"c{item[1]}()", "deadline = engine._deadline"]
+    tests = []
+    for i in watched:
+        used.add(i)
+        terms = []
+        for j, ce in enumerate(locations[i].asap_edges):
+            if ce.guard_program is None:
+                terms.append("True")
+            else:
+                env[f"g{i}_{j}"] = ce.guard_program
+                terms.append(f"g{i}_{j}(v{i}, w{i})")
+        tests.append((i, " or ".join(terms) or "False"))
+
+    def block(lines, depth):
+        pad = "    " * depth
+        return [pad + line for line in lines] or [pad + "pass"]
+
+    src = ["def bind(engine):",
+           "    runtimes = engine._runtimes",
+           "    state = engine.state",
+           "    dt_max = engine.dt_max",
+           "    cushion = engine._cushion",
+           "    process = engine._process_discrete",
+           "    wake = engine._wake_processes",
+           "    sample = engine._maybe_sample",
+           "    advance_flow = engine._advance_flow",
+           "    programs = engine._coupling_programs"]
+    src += [f"    rt{i} = runtimes[{i}]" for i in range(len(locations))]
+    src += [f"    v{i} = rt{i}.values" for i in sorted(used)]
+    src += [f"    w{i} = rt{i}.view" for i in watched]
+    src += [f"    c{item[1]} = programs[{item[1]}]" for item in layout if item[0] == "call"]
+    src += ["    def stretch(horizon):",
+            "        now = state.time",
+            "        deadline = engine._deadline",
+            "        next_sample = engine._next_sample_time",
+            "        steps = quiet = 0",
+            "        settled = begun = done = False",
+            "        while True:",
+            "            quiet += 1",
+            "            start = now",
+            "            next_time = now + dt_max",
+            "            if horizon < next_time:",
+            "                next_time = horizon",
+            "            if next_time <= now + EPSILON:",
+            "                next_time = min(now + MIN_ADVANCE, horizon)",
+            "            dt = next_time - now",
+            "            if dt > 0:"]
+    src += block(advance, 4)
+    src += ["            now = next_time",
+            "            state.time = now"]
+    src += block(couplings, 3)
+    discrete = []
+    for k, (i, test) in enumerate(tests):
+        discrete += [f"{'elif' if k else 'if'} {test}:",
+                     f"    process(start + cushion, {i})",
+                     "    settled = False",
+                     "    done = True"]
+    discrete += (["else:", f"    settled = {idempotent}"] if tests
+                 else [f"settled = {idempotent}"])
+    if generic:
+        # A generic coupling may have invalidated the cache: full discrete phase.
+        src += ["            if deadline > start + cushion:"]
+        src += block(discrete, 4)
+        src += ["            else:",
+                "                wake()",
+                "                process()",
+                "                settled = False",
+                "                done = True"]
+    else:
+        src += block(discrete, 3)
+    if sampling:
+        src += ["            if not now + EPSILON < next_sample:",
+                "                sample(True)",
+                "                next_sample = engine._next_sample_time"]
+    src += ["            if done or not now < horizon - EPSILON:",
+            "                break",
+            "            steps += 1",
+            "            if not settled:"]
+    src += block(couplings, 4)
+    src += ["            if not deadline > now + cushion:",
+            "                begun = True",
+            "                break",
+            "        engine.steps += steps",
+            "        engine.quiet_steps += quiet",
+            "        engine._settled = settled",
+            "        return begun",
+            "    return stretch"]
+    text = "\n".join(src)
+    code = code_cache.get(text)
+    if code is None:
+        code = code_cache[text] = compile(text, "<quiet stretch>", "exec")
+    exec(code, env)
+    return env["bind"]
+
+
 # ---------------------------------------------------------------------------
 # State layer: array-backed mutable state behind the SystemState read API
 # ---------------------------------------------------------------------------
@@ -612,7 +797,7 @@ class _AutomatonRuntime:
     """Mutable hot-loop state of one member automaton (slots, not objects)."""
 
     __slots__ = ("ca", "name", "slots", "values", "view", "loc", "location",
-                 "entered_at", "pending", "cache_ok", "quiet_scan")
+                 "entered_at", "pending", "cache_ok", "quiet_scan", "deadline")
 
     def __init__(self, ca: CompiledAutomaton):
         self.ca = ca
@@ -628,6 +813,9 @@ class _AutomatonRuntime:
         # its edges be scanned on quiet steps (set by the engine).
         self.cache_ok: tuple[bool, ...] = ()
         self.quiet_scan: tuple[bool, ...] = ()
+        #: Cached crossing candidate minus its drift margin; ``-inf`` when
+        #: it must be derived again.
+        self.deadline: float = -math.inf
 
     def move_to(self, target_index: int, now: float) -> None:
         self.loc = target_index
@@ -763,13 +951,22 @@ class CompiledEngine:
         self._next_sample_time = 0.0
         self._time_of_last_wake: Dict[int, float] = {}
         self._base_needs_sampling = bool(self.couplings) or bool(self.record_variables)
-        #: Global steps of the last run, and how many of them were quiet.
+        #: Global steps of the last run, how many of them were quiet, and
+        #: how many per-automaton candidate derivations its full steps made.
         self.steps = 0
         self.quiet_steps = 0
+        self.rescans = 0
+        #: Earliest cached candidate (runtimes and wakeups), the cached
+        #: wakeup candidate, and the distance quiet steps keep from both
+        #: (set per run by _plan_quiet_steps).
         self._deadline = -math.inf
+        self._wake_at = -math.inf
+        self._cushion = math.inf
         self._settled = False
         self._couplings_idempotent = False
-        self._quiet_watch: List[tuple[int, _AutomatonRuntime]] = []
+        self._coupling_layout: tuple = ()
+        #: Bound quiet-stretch loops of this run, by location vector.
+        self._stretches: Dict[tuple, Callable[[float], bool]] = {}
 
     # -- public helpers ---------------------------------------------------------
     @property
@@ -804,36 +1001,34 @@ class CompiledEngine:
         self.network.reset(self.seed)
         self._initialize()
         state = self.state
-        dt_max = self.dt_max
+        runtimes = self._runtimes
+        stretches = self._stretches
+        cushion = self._cushion
         while state.time < horizon - EPSILON:
             self.steps += 1
             if not self._settled:
                 self._apply_couplings()
+            if self._deadline > state.time + cushion:
+                key = tuple([rt.loc for rt in runtimes])
+                stretch = stretches.get(key) or self._bind_stretch(key)
+                if not stretch(horizon):
+                    continue
+            # A full step (possibly begun by the stretch).
             now = state.time
-            quiet = self._deadline > now + 2.0 * dt_max
-            if quiet:
-                # What _next_time returns when every candidate lies beyond
-                # the sampling cap.
-                self.quiet_steps += 1
-                next_time = min(now + dt_max, horizon)
-                if next_time <= now + EPSILON:
-                    next_time = min(now + _MIN_ADVANCE, horizon)
-            else:
-                next_time = self._next_time(horizon)
+            next_time = self._next_time(horizon)
             self._settled = False
             dt = next_time - now
             if dt > 0:
                 self._advance_continuous(dt)
             state.time = next_time
             self._apply_couplings()
-            # A generic coupling's set_variable/inject_event invalidates.
-            if quiet and self._deadline > now + 2.0 * dt_max:
-                self._settled = (not self._quiet_discrete()
-                                 and self._couplings_idempotent)
-            else:
+            threshold = now + cushion
+            if not self._wake_at > threshold:
                 self._wake_processes()
-                self._process_discrete()
+            self._process_discrete(threshold)
             self._maybe_sample()
+        # The bound stretches hold the engine: release them with the run.
+        stretches.clear()
         for observer in self.observers:
             observer.end_run(horizon)
         return self.trace
@@ -851,6 +1046,8 @@ class CompiledEngine:
         self._time_of_last_wake = {}
         self.steps = 0
         self.quiet_steps = 0
+        self.rescans = 0
+        self._stretches.clear()
         self._invalidate()
         self._plan_quiet_steps()
         risky = self.system.risky_locations()
@@ -869,12 +1066,15 @@ class CompiledEngine:
 
     # -- quiet steps ------------------------------------------------------------------
     def _invalidate(self) -> None:
-        """Drop the cached deadline: state changed outside the step's plan."""
+        """Drop every cached candidate: state changed outside the step's plan."""
         self._deadline = -math.inf
+        self._wake_at = -math.inf
         self._settled = False
+        for rt in self._runtimes:
+            rt.deadline = -math.inf
 
     def _plan_quiet_steps(self) -> None:
-        """Derive per-location cache/scan eligibility (see module docstring)."""
+        """Derive cache/scan eligibility and the cushion (see module docstring)."""
         coupled: Dict[str, set] = {rt.name: set() for rt in self._runtimes}
         written: List[tuple[str, str]] = []
         idempotent = True
@@ -890,7 +1090,10 @@ class CompiledEngine:
                 idempotent = False
             written.append(target)
         self._couplings_idempotent = idempotent
+        self._coupling_layout = tuple(self._layout_coupling(k, coupling)
+                                      for k, coupling in enumerate(self.couplings))
         tiny = max(EPSILON, EPSILON / self.dt_max)
+        inv_rate = 0.0
         for rt in self._runtimes:
             cache_ok, quiet_scan = [], []
             for loc in rt.ca.locations:
@@ -907,22 +1110,57 @@ class CompiledEngine:
                                 and not loc.program_slots & hazards)
                 quiet_scan.append(loc.has_asap and (loc.guard_slots is None
                                                     or bool(loc.guard_slots & hazards)))
+                if cache_ok[-1]:
+                    inv_rate = max([inv_rate, *(term[2] for term in loc.drift_terms)])
             rt.cache_ok = tuple(cache_ok)
             rt.quiet_scan = tuple(quiet_scan)
-        self._quiet_watch = [(index, rt) for index, rt in enumerate(self._runtimes)
-                             if any(rt.quiet_scan)]
+        # The widest EPSILON/|r| tolerance of a cached leaf, and at least
+        # EPSILON (a process wakes up to EPSILON early).
+        self._cushion = self.dt_max + max(EPSILON, EPSILON * inv_rate)
 
-    def _drift_margin(self, now: float, deadline: float) -> float:
-        """Bound on how far rounding moves any cached crossing before ``deadline``.
+    def _layout_coupling(self, index: int, coupling: Coupling) -> tuple:
+        """How a quiet stretch runs ``coupling``: a slot move or a call."""
+        if _is_lowered_coupling(coupling):
+            source = self.compiled.index_of[coupling.source_automaton]
+            target = self.compiled.index_of[coupling.target_automaton]
+            slot = self._runtimes[target].slots[coupling.target_variable]
+            if type(coupling) is LocationIndicatorCoupling:
+                return ("indicator", source, frozenset(coupling.source_locations),
+                        float(coupling.true_value), float(coupling.false_value),
+                        target, slot)
+            source_slot = self._runtimes[source].slots.get(coupling.source_variable)
+            if source_slot is not None:
+                return ("copy", source, source_slot, target, slot)
+        return ("call", index)
+
+    def _bind_stretch(self, key: tuple) -> Callable[[float], bool]:
+        """The quiet-stretch loop for location vector ``key``, bound to this run."""
+        watched = tuple(index for index, rt in enumerate(self._runtimes)
+                        if rt.quiet_scan[key[index]])
+        code_key = (key, self._coupling_layout, watched, bool(self.record_variables),
+                    self._couplings_idempotent)
+        programs = self.compiled.stretch_programs
+        bind = programs.get(code_key)
+        if bind is None:
+            locations = [ca.locations[loc] for ca, loc in zip(self.compiled.automata, key)]
+            bind = programs[code_key] = _lower_stretch(locations, *code_key[1:],
+                                                       self.compiled.stretch_code)
+        stretch = self._stretches[key] = bind(self)
+        return stretch
+
+    def _drift_margin(self, now: float, deadline: float,
+                      rt: _AutomatonRuntime | None = None) -> float:
+        """Bound on how far rounding moves ``rt``'s cached crossing before ``deadline``.
 
         Each step adds at most an ulp of ``|x| <= |x0| + |r|*(deadline -
         now)`` to a moving slot, i.e. an ulp of ``|x0|/|r| + (deadline -
         now)`` seconds to its crossing, and evaluating a crossing costs a
         few ulps of ``|t| + (|x| + |theta|)/|r|``; the margin is 16 ulps of
-        the largest such scale per remaining step, plus two steps.
+        the largest such scale per remaining step, plus two steps.  A
+        wakeup (``rt`` is ``None``) only needs the time terms.
         """
         scale = 0.0
-        for rt in self._runtimes:
+        if rt is not None:
             values = rt.values
             for slot, bound, inv_rate in rt.location.drift_terms:
                 term = (abs(values[slot]) + bound) * inv_rate
@@ -931,22 +1169,6 @@ class CompiledEngine:
         scale += abs(deadline) + (deadline - now)
         steps = (deadline - now) / self.dt_max + 2.0
         return 16.0 * sys.float_info.epsilon * steps * scale
-
-    def _quiet_discrete(self) -> bool:
-        """The discrete phase of a quiet step; return True if anything fired.
-
-        Only runtimes that can change state on a plain sample are scanned.
-        From the first firing on, the round continues over every later
-        runtime and the normal cascade follows, exactly as in
-        :meth:`_process_discrete`.
-        """
-        for index, rt in self._quiet_watch:
-            if rt.quiet_scan[rt.loc] and self._fire_one(rt):
-                for later in self._runtimes[index + 1:]:
-                    self._fire_one(later)
-                self._process_discrete(rounds_done=1)
-                return True
-        return False
 
     # -- continuous phase -----------------------------------------------------------
     def _lower_coupling(self, coupling: Coupling):
@@ -986,79 +1208,67 @@ class CompiledEngine:
     def _next_time(self, horizon: float) -> float:
         """Earliest relevant future instant (guard crossing, wakeup, sample cap).
 
-        Also records the deadline that quiet steps run against (see the
-        module docstring), or ``-inf`` when the scan is not cacheable.
+        Derives again only the candidates that are invalid or within the
+        cushion; a kept one lies beyond the sample cap.  Records each
+        derived candidate and the earliest of all for quiet steps (see
+        the module docstring).
         """
         now = self.state.time
+        near = now + self._cushion
         best = math.inf
         needs_sampling = self._base_needs_sampling
-        cacheable = True
+        kept = False
+        derived = []
         for rt in self._runtimes:
-            loc = rt.location
-            if not loc.affine:
+            if not rt.location.affine:
                 needs_sampling = True
+            if rt.deadline > near:
+                kept = True
                 continue
-            if loc.static_rates is None:
-                # Affine flow of unknown shape: reference semantics, with
-                # rates re-derived from the live valuation.
-                cacheable = False
-                rates = loc.flow.rates(rt.view)
-                for ce in loc.asap_edges:
-                    delay = ce.edge.guard.time_until_true(rt.view, rates)
-                    if delay is None:
-                        needs_sampling = True
-                    elif math.isfinite(delay) and delay > EPSILON:
-                        candidate = now + delay
-                        if candidate < best:
-                            best = candidate
-                inv_delay = loc.invariant.time_until_false(rt.view, rates)
-                if inv_delay is None:
-                    needs_sampling = True
-                elif math.isfinite(inv_delay) and inv_delay > EPSILON:
-                    candidate = now + inv_delay
-                    if candidate < best:
-                        best = candidate
-                continue
-            if not rt.cache_ok[loc.index]:
-                cacheable = False
-            values = rt.values
-            view = rt.view
-            for program in loc.cross_programs:
-                delay = program(values, view)
-                if delay is None:
-                    needs_sampling = True
-                    cacheable = False
-                elif delay > EPSILON:
-                    if delay != math.inf:
-                        candidate = now + delay
-                        if candidate < best:
-                            best = candidate
-                else:
-                    cacheable = False
-            if loc.inv_program is not None:
-                inv_delay = loc.inv_program(values, view)
-                if inv_delay is None:
-                    needs_sampling = True
-                    cacheable = False
-                elif inv_delay > EPSILON:
-                    if inv_delay != math.inf:
-                        candidate = now + inv_delay
-                        if candidate < best:
-                            best = candidate
-                else:
-                    cacheable = False
-        for process in self.processes:
-            wakeup = process.next_wakeup(now)
-            if wakeup is not None and math.isfinite(wakeup):
-                candidate = max(wakeup, now)
-                if candidate < best:
-                    best = candidate
-        if not (cacheable and needs_sampling):
-            self._deadline = -math.inf
-        elif best > now + 2.0 * self.dt_max and best != math.inf:
-            self._deadline = best - self._drift_margin(now, best)
+            self.rescans += 1
+            candidate, cacheable, samples = self._derive(rt, now)
+            if samples:
+                needs_sampling = True
+            if candidate < best:
+                best = candidate
+            derived.append((rt, candidate, cacheable))
+        wake_ok = True
+        if self._wake_at > near:
+            kept = True
         else:
-            self._deadline = best
+            wake_at = math.inf
+            for process in self.processes:
+                wakeup = process.next_wakeup(now)
+                if wakeup is None:
+                    continue
+                if math.isfinite(wakeup):
+                    candidate = max(wakeup, now)
+                    if candidate < wake_at:
+                        wake_at = candidate
+                elif not wakeup > now:
+                    # NaN or -inf: never a candidate, yet woken every step.
+                    wake_ok = False
+            if wake_at < best:
+                best = wake_at
+            derived.append((None, wake_at, wake_ok))
+        if kept and not needs_sampling:
+            # A kept candidate may now set the next time: derive them all.
+            self._invalidate()
+            return self._next_time(horizon)
+        for rt, candidate, cacheable in derived:
+            if not (cacheable and needs_sampling):
+                candidate = -math.inf
+            elif near < candidate < math.inf:
+                candidate -= self._drift_margin(now, candidate, rt)
+            if rt is None:
+                self._wake_at = candidate
+            else:
+                rt.deadline = candidate
+        deadline = self._wake_at
+        for rt in self._runtimes:
+            if rt.deadline < deadline:
+                deadline = rt.deadline
+        self._deadline = deadline
         if needs_sampling:
             candidate = now + self.dt_max
             if candidate < best:
@@ -1067,6 +1277,51 @@ class CompiledEngine:
         if next_time <= now + EPSILON:
             next_time = min(now + _MIN_ADVANCE, horizon)
         return next_time
+
+    def _derive(self, rt: _AutomatonRuntime, now: float) -> tuple[float, bool, bool]:
+        """``rt``'s earliest crossing candidate, whether it may be cached,
+        and whether its location needs sampling steps."""
+        loc = rt.location
+        best = math.inf
+        if not loc.affine:
+            return best, rt.cache_ok[loc.index], True
+        needs_sampling = False
+        if loc.static_rates is None:
+            # Affine flow of unknown shape: reference semantics, with
+            # rates re-derived from the live valuation; never cached.
+            rates = loc.flow.rates(rt.view)
+            for ce in loc.asap_edges:
+                delay = ce.edge.guard.time_until_true(rt.view, rates)
+                if delay is None:
+                    needs_sampling = True
+                elif math.isfinite(delay) and delay > EPSILON:
+                    candidate = now + delay
+                    if candidate < best:
+                        best = candidate
+            inv_delay = loc.invariant.time_until_false(rt.view, rates)
+            if inv_delay is None:
+                needs_sampling = True
+            elif math.isfinite(inv_delay) and inv_delay > EPSILON:
+                candidate = now + inv_delay
+                if candidate < best:
+                    best = candidate
+            return best, False, needs_sampling
+        cacheable = rt.cache_ok[loc.index]
+        values = rt.values
+        view = rt.view
+        for program in loc.deadline_programs:
+            delay = program(values, view)
+            if delay is None:
+                needs_sampling = True
+                cacheable = False
+            elif delay > EPSILON:
+                if delay != math.inf:
+                    candidate = now + delay
+                    if candidate < best:
+                        best = candidate
+            else:
+                cacheable = False
+        return best, cacheable, needs_sampling
 
     def _advance_continuous(self, dt: float) -> None:
         for rt in self._runtimes:
@@ -1079,15 +1334,19 @@ class CompiledEngine:
             elif loc.advance_program is not None:
                 loc.advance_program(rt.values, dt, rt)
             else:
-                new_valuation = loc.flow.advance(rt.view, dt)
-                values = rt.values
-                slots = rt.slots
-                for name, value in new_valuation.items():
-                    slot = slots.get(name)
-                    if slot is None:
-                        rt.set(name, value)
-                    else:
-                        values[slot] = value
+                self._advance_flow(rt, dt)
+
+    def _advance_flow(self, rt: _AutomatonRuntime, dt: float) -> None:
+        """Advance ``rt`` through its generic flow's own ``advance``."""
+        new_valuation = rt.location.flow.advance(rt.view, dt)
+        values = rt.values
+        slots = rt.slots
+        for name, value in new_valuation.items():
+            slot = slots.get(name)
+            if slot is None:
+                rt.set(name, value)
+            else:
+                values[slot] = value
 
     # -- environment ----------------------------------------------------------------
     def _wake_processes(self) -> None:
@@ -1104,17 +1363,23 @@ class CompiledEngine:
             process.wake(self, now)
 
     # -- discrete phase ----------------------------------------------------------------
-    def _process_discrete(self, rounds_done: int = 0) -> None:
+    def _process_discrete(self, threshold: float = math.inf, start: int = 0) -> None:
         """Fire enabled transitions at the current instant until quiescent.
 
-        ``rounds_done`` counts cascade rounds already run (and fired) by
-        :meth:`_quiet_discrete`.
+        A round skips every runtime that has no pending event, a cached
+        candidate beyond ``threshold`` (the step's start plus the cushion)
+        and a location that needs no quiet scan: none of its edges can be
+        enabled.  The first round begins at runtime ``start`` (a quiet
+        step found nothing enabled before it).
         """
-        for _ in range(rounds_done, self.max_cascade):
+        runtimes = self._runtimes
+        for _ in range(self.max_cascade):
             fired_any = False
-            for rt in self._runtimes:
-                if self._fire_one(rt):
+            for rt in runtimes[start:] if start else runtimes:
+                if ((rt.pending or not rt.deadline > threshold or rt.quiet_scan[rt.loc])
+                        and self._fire_one(rt)):
                     fired_any = True
+            start = 0
             if not fired_any:
                 break
         else:
@@ -1163,7 +1428,11 @@ class CompiledEngine:
 
     def _take_edge(self, rt: _AutomatonRuntime, ce: CompiledEdge,
                    trigger_root: str | None) -> None:
-        self._invalidate()
+        # Only this runtime's candidate and the wakeups (through
+        # notify_transition) can move; receivers of its events are scanned
+        # for their pending events.
+        rt.deadline = self._wake_at = self._deadline = -math.inf
+        self._settled = False
         now = self.state.time
         if ce.assignments is not None:
             values = rt.values

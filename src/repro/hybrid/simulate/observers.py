@@ -111,6 +111,8 @@ class DwellTracker:
     def __init__(self, watched: Iterable[str]):
         self.watched = set(watched)
         self.intervals: List[tuple[float, float]] = []
+        #: Length of the longest closed interval so far (``0.0`` if none).
+        self.longest = 0.0
         self._location: str | None = None
         self._entered_at: float = 0.0
 
@@ -151,6 +153,9 @@ class DwellTracker:
         # extends it -- this is what makes zero-dwell excursions invisible
         # to the "continuous dwelling time" of PTE Safety Rule 1.
         if self.intervals and abs(self.intervals[-1][1] - start) <= EPSILON:
-            self.intervals[-1] = (self.intervals[-1][0], end)
+            start = self.intervals[-1][0]
+            self.intervals[-1] = (start, end)
         else:
             self.intervals.append((start, end))
+        if end - start > self.longest:
+            self.longest = end - start

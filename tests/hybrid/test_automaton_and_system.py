@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ModelError
 from repro.hybrid import (Edge, HybridAutomaton, HybridSystem, Location, Reset,
                           clock_flow, receive_lossy, var_ge)
+from repro.hybrid.simulate.observers import DwellTracker
 from repro.hybrid.trace import EventRecord, Trace, TransitionRecord
 
 
@@ -162,6 +163,16 @@ class TestTrace:
         trace.record_transition(TransitionRecord(4.0, "a", "z", "x"))
         trace.close(5.0)
         assert trace.dwell_intervals("a", {"y", "z"}) == [(1.0, 4.0)]
+
+    def test_dwell_tracker_keeps_the_longest_merged_interval(self):
+        """A zero-duration excursion extends the last interval and its length."""
+        tracker = DwellTracker({"y"})
+        for location, time in (("x", 0.0), ("y", 1.0), ("x", 2.0), ("y", 2.0),
+                               ("x", 6.5), ("y", 7.0), ("x", 8.0)):
+            tracker.enter(location, time)
+        tracker.finish(9.0)
+        assert tracker.intervals == [(1.0, 6.5), (7.0, 8.0)]
+        assert tracker.longest == 5.5
 
     def test_event_queries(self):
         trace = self._simple_trace()

@@ -242,7 +242,9 @@ class TestBatchedEquivalence:
         (engine,) = engines
         assert engine.batch == 4
         assert type(engine.steps) is int and type(engine.quiet_steps) is int
+        assert type(engine.rescans) is int
         assert engine.steps == sum(lane.steps for lane in engine.engines)
+        assert engine.rescans == sum(lane.rescans for lane in engine.engines)
         assert engine.quiet_steps / engine.steps >= 0.85
 
     def test_single_lane_mode_is_a_drop_in_engine(self):

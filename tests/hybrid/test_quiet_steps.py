@@ -1,12 +1,14 @@
 """Differential tests of the compiled engine's quiet-step path.
 
 A quiet step skips the scheduler scan, process polling, the guard scans of
-runtimes that cannot fire and (when settled) the pre-step couplings.  Each
-test here runs the reference engine and the compiled engine on fresh
-ingredients and compares transitions, event deliveries and a sample of
-every step bit for bit (``sample_interval`` is below ``dt_max``, so every
+runtimes that cannot fire and (when settled) the pre-step couplings, and
+runs of quiet steps execute as one generated stretch loop.  Each test here
+runs the reference engine and the compiled engine on fresh ingredients
+and compares transitions, event deliveries and samples bit for bit
+(``sample_interval`` is below ``dt_max`` unless a test sets it, so every
 step time is sampled).  The fixed systems each break one eligibility rule
-of a naive quiet path; the generated ones mix long quiet stretches with
+of a naive quiet path; ``tools/engine_mutants.py`` checks that they catch
+a mutant of each rule.  The generated ones mix long quiet stretches with
 the constructs those rules guard.
 """
 
@@ -68,7 +70,8 @@ def one_shot(name: str, guard: Predicate, rates: dict, invariant=TRUE,
     return automaton
 
 
-def run_pair(build, *, horizon=HORIZON, record=(("src", "y"),), runs=1):
+def run_pair(build, *, horizon=HORIZON, record=(("src", "y"),), runs=1,
+             sample_interval=EVERY_STEP):
     """Run ``build()``'s system on both engines; return (reference, compiled).
 
     ``build`` returns ``(system, processes, couplings)`` and is called once
@@ -80,7 +83,7 @@ def run_pair(build, *, horizon=HORIZON, record=(("src", "y"),), runs=1):
         system, processes, couplings = build()
         engine = engine_cls(system, processes=processes, couplings=couplings,
                             seed=11, dt_max=DT_MAX, record_variables=list(record),
-                            sample_interval=EVERY_STEP)
+                            sample_interval=sample_interval)
         for _ in range(runs):
             trace = engine.run(horizon)
         results.append((engine, trace))
@@ -418,6 +421,223 @@ class TestRegressionSystems:
 
 
 # ---------------------------------------------------------------------------
+# Fixed systems for quiet stretches, the cushion and per-automaton deadlines
+# ---------------------------------------------------------------------------
+
+def event_listener(name: str, trigger: str, far: float = 300.0) -> HybridAutomaton:
+    """``Idle --trigger?--> Got --0.35 s--> Over``; ``Idle`` also times out at ``far``."""
+    clock = f"c_{name}"
+    automaton = HybridAutomaton(name, variables=[clock])
+    for loc in ("Idle", "Got", "Over", "Bored"):
+        automaton.add_location(Location(f"{name}.{loc}", flow=clock_flow(clock)))
+    automaton.initial_location = f"{name}.Idle"
+    automaton.add_edge(Edge(f"{name}.Idle", f"{name}.Got", trigger=receive(trigger),
+                            reset=Reset({clock: 0.0}), reason="got"))
+    automaton.add_edge(Edge(f"{name}.Got", f"{name}.Over", guard=var_ge(clock, 0.35),
+                            reason="over"))
+    automaton.add_edge(Edge(f"{name}.Idle", f"{name}.Bored", guard=var_ge(clock, far),
+                            reason="bored"))
+    return automaton
+
+
+class Alarm(EnvironmentProcess):
+    """Injects ``poke`` ``delay`` seconds after each transition of ``watched``."""
+
+    def __init__(self, watched: str, delay: float):
+        self.watched = watched
+        self.delay = delay
+
+    def initialize(self, engine):
+        self.at = None
+
+    def next_wakeup(self, now):
+        return self.at
+
+    def notify_transition(self, engine, record):
+        if record.automaton == self.watched:
+            self.at = record.time + self.delay
+
+    def wake(self, engine, now):
+        self.at = None
+        engine.inject_event("poke")
+
+
+def reasons(trace) -> list:
+    return [(r.automaton, r.reason) for r in trace.transitions]
+
+
+class TestStretchesAndDeadlines:
+    def test_guard_tolerance_reaches_past_the_sample_cap(self):
+        """``x >= r*20.02`` under ``x' = r = 3e-8`` holds from 19.9867 s.
+
+        The step from 19.9 s lands on 20.0 s, inside the guard's
+        ``EPSILON/r`` (1/30 s) tolerance although its crossing lies 0.12 s
+        away: the cushion must be ``dt_max`` plus that tolerance.
+        """
+        rate = 3e-8
+
+        def build():
+            system = HybridSystem("tolerance")
+            system.add(source_automaton())
+            system.add(one_shot("watch", var_ge("x", rate * 20.02), {"x": rate}))
+            return system, [], []
+
+        reference, compiled = run_pair(build)
+        assert fire_time(reference, "watch") == pytest.approx(20.0, abs=1e-6)
+        assert compiled.quiet_steps > 0.9 * compiled.steps
+
+    def test_broadcast_to_a_runtime_with_a_kept_candidate(self):
+        """``fire`` crosses at 5.05 s and emits ``go`` to the earlier ``hear``.
+
+        ``hear`` (timeout at 300 s) and ``far`` (200 s) keep candidates far
+        away.  ``hear`` must still be scanned for its pending event, and its
+        new location's 0.35 s deadline must replace its kept candidate.
+        """
+        def build():
+            system = HybridSystem("broadcast")
+            system.add(event_listener("hear", "go"), entity="hear")
+            system.add(one_shot("fire", var_ge("c_fire", 5.05), {"c_fire": 1.0},
+                                emits=["go"]), entity="fire")
+            system.add(one_shot("far", var_ge("c_far", 200.0), {"c_far": 1.0}), entity="far")
+            system.add(source_automaton(), entity="src")
+            return system, [], []
+
+        reference, compiled = run_pair(build)
+        assert reasons(reference) == [("fire", "fire"), ("hear", "got"), ("hear", "over")]
+        assert reference.transitions[2].time == pytest.approx(5.4)
+        assert compiled.quiet_steps > 0.9 * compiled.steps
+
+    def test_wakeup_moved_by_a_transition(self):
+        """``fire``'s transition at 5.05 s arms an alarm for 6.28 s.
+
+        The wakeup candidate cached before the transition (none) must not
+        survive it, while ``hear`` and ``far`` keep their far candidates.
+        """
+        def build():
+            system = HybridSystem("alarm")
+            system.add(one_shot("fire", var_ge("c_fire", 5.05), {"c_fire": 1.0}))
+            system.add(event_listener("hear", "poke"))
+            system.add(one_shot("far", var_ge("c_far", 200.0), {"c_far": 1.0}))
+            system.add(source_automaton())
+            return system, [Alarm("fire", 1.23)], []
+
+        reference, compiled = run_pair(build)
+        assert reasons(reference) == [("fire", "fire"), ("hear", "got"), ("hear", "over")]
+        assert reference.transitions[1].time == pytest.approx(6.28)
+        assert compiled.quiet_steps > 0.9 * compiled.steps
+
+    def test_horizon_ends_mid_stretch(self):
+        def build():
+            system = HybridSystem("horizon")
+            system.add(source_automaton())
+            system.add(one_shot("watch", var_ge("c", 100.0), {"c": 1.0}))
+            return system, [], []
+
+        reference, compiled = run_pair(build, horizon=40.05)
+        times, _ = reference.series("src", "y")
+        assert times[-1] == 40.05
+        assert compiled.steps - compiled.quiet_steps < 5
+
+    @pytest.mark.parametrize("interval", [0.25, 0.37])
+    def test_sample_interval_not_a_multiple_of_dt_max(self, interval):
+        def build():
+            system = HybridSystem("samples")
+            system.add(source_automaton())
+            system.add(one_shot("watch", var_ge("c", 17.33), {"c": 1.0}))
+            return system, [], []
+
+        reference, compiled = run_pair(build, sample_interval=interval)
+        times, _ = reference.series("src", "y")
+        assert len(times) < 0.5 * compiled.steps
+        assert compiled.quiet_steps > 0.9 * compiled.steps
+
+    def test_two_watched_automata_fire_in_one_quiet_step(self):
+        """``u`` and ``v`` copy the ramp ``y = 3t``; both guards turn true at 10 s.
+
+        ``second`` then waits, still watched, for ``v >= 45`` (15 s), which
+        it reaches alone on a quiet step.
+        """
+        def build():
+            first = one_shot("first", var_ge("u", 29.95), {"c1": 1.0}, initial={"u": 0.0})
+            first.add_edge(Edge("first.Done", "first.Wait", guard=var_ge("u", 1e9),
+                                reason="never"))
+            second = HybridAutomaton("second", variables=["c2", "v"])
+            for loc in ("Wait", "Mid", "Done"):
+                second.add_location(Location(f"second.{loc}", flow=clock_flow("c2")))
+            second.initial_location = "second.Wait"
+            second.add_edge(Edge("second.Wait", "second.Mid", guard=var_ge("v", 29.98),
+                                 reason="mid"))
+            second.add_edge(Edge("second.Mid", "second.Done", guard=var_ge("v", 45.0),
+                                 reason="done"))
+            system = HybridSystem("two-watched")
+            system.add(first)
+            system.add(second)
+            system.add(source_automaton())
+            couplings = [VariableCopyCoupling(source_automaton="src", source_variable="y",
+                                              target_automaton=name, target_variable=var)
+                         for name, var in (("first", "u"), ("second", "v"))]
+            return system, [], couplings
+
+        reference, compiled = run_pair(build)
+        assert reasons(reference) == [("first", "fire"), ("second", "mid"),
+                                      ("second", "done")]
+        first, mid, done = (r.time for r in reference.transitions)
+        assert first == mid == pytest.approx(10.0)
+        assert done == pytest.approx(15.0)
+        assert compiled.quiet_steps > 0.9 * compiled.steps
+
+    def test_quiet_firing_moves_an_indicator_source(self):
+        """``gate`` opens at 10 s on a quiet step; the ODE's input follows.
+
+        The indicator ``gate@Open -> ode.u`` changes with the firing, so
+        the next step must apply the pre-step couplings again.
+        """
+        def build():
+            gate = HybridAutomaton("gate", variables=["g", "s"])
+            for loc in ("Closed", "Open"):
+                gate.add_location(Location(f"gate.{loc}", flow=clock_flow("g")))
+            gate.initial_location = "gate.Closed"
+            gate.add_edge(Edge("gate.Closed", "gate.Open", guard=var_ge("s", 29.95),
+                               reason="open"))
+            system = HybridSystem("indicator-source")
+            system.add(gate)
+            system.add(relax_automaton())
+            system.add(source_automaton(output="z"))
+            couplings = [
+                VariableCopyCoupling(source_automaton="src", source_variable="z",
+                                     target_automaton="gate", target_variable="s"),
+                LocationIndicatorCoupling(source_automaton="gate",
+                                          source_locations={"gate.Open"},
+                                          target_automaton="ode", target_variable="u"),
+            ]
+            return system, [], couplings
+
+        reference, compiled = run_pair(build, record=(("ode", "y"),))
+        assert fire_time(reference, "gate") == pytest.approx(10.0)
+        assert compiled.quiet_steps > 0.9 * compiled.steps
+
+    def test_sampling_stops_while_a_candidate_is_kept(self):
+        """``src`` leaves its non-affine ramp at 5 s, and nothing samples after.
+
+        ``watch``'s crossing at 20 s was cached while steps were sampled;
+        once they are not, the next step must land exactly on it.
+        """
+        def build():
+            src = source_automaton()
+            src.add_location(Location("src.Still", flow=clock_flow("y")))
+            src.add_edge(Edge("src.Run", "src.Still", guard=var_ge("y", 15.0),
+                              reason="still"))
+            system = HybridSystem("stop-sampling")
+            system.add(src)
+            system.add(one_shot("watch", var_ge("c", 20.0), {"c": 1.0}))
+            return system, [], []
+
+        reference, compiled = run_pair(build, record=())
+        assert fire_time(reference, "watch") == pytest.approx(20.0)
+        assert compiled.quiet_steps > 0
+
+
+# ---------------------------------------------------------------------------
 # The R/C lung: inhale/pause/exhale phases over a non-affine volume flow
 # ---------------------------------------------------------------------------
 
@@ -527,6 +747,7 @@ def quiet_specs(draw):
         "other": times,
         "back": times,
         "invariant": st.sampled_from(INVARIANTS),
+        "reply": st.booleans(),
     }), min_size=1, max_size=3))
     wakes = draw(st.lists(st.tuples(st.floats(min_value=0.0, max_value=HORIZON),
                                     st.sampled_from(ACTIONS),
@@ -535,14 +756,18 @@ def quiet_specs(draw):
     return {"members": members, "wakes": wakes,
             "swapped_copies": draw(st.booleans()),
             "kick_at": draw(st.none() | st.floats(min_value=1.0, max_value=HORIZON)),
-            "kick": draw(st.sampled_from(ACTIONS))}
+            "kick": draw(st.sampled_from(ACTIONS)),
+            "echo": draw(st.none() | st.floats(min_value=0.5, max_value=5.0))}
 
 
 def build_generated(spec):
     """Build a fresh ``(system, processes, couplings)`` from ``spec``.
 
     Member ``a{i}`` owns clock ``c{i}``, the watched ``x{i}``, the coupled
-    ``u{i}`` and the copy chain's ``w{i}``.
+    ``u{i}`` and the copy chain's ``w{i}``.  Events cross between members
+    both ways: ``a{i}`` emits ``tick{i}``, which moves ``a{i+1}`` on and
+    (with ``reply``) sends ``a{i-1}`` back from ``B``; with ``echo``, an alarm pokes
+    every member that long after each transition of the last one.
     """
     system = HybridSystem("generated")
     count = len(spec["members"])
@@ -572,6 +797,12 @@ def build_generated(spec):
             automaton.add_edge(Edge(f"{name}.A", f"{name}.B",
                                     trigger=receive(f"tick{i - 1}"),
                                     reset=Reset({c: 0.0}), reason="chained"))
+        if member["reply"]:
+            # After 0.5 s in B only, so that replies cannot cycle (Zeno).
+            automaton.add_edge(Edge(f"{name}.B", f"{name}.A",
+                                    trigger=receive(f"tick{(i + 1) % count}"),
+                                    guard=var_ge(c, 0.5), reset=Reset({c: 0.0}),
+                                    reason="reply"))
         system.add(automaton, entity=name)
     system.add(relax_automaton(), entity="ode")
     last = count - 1
@@ -597,6 +828,8 @@ def build_generated(spec):
 
     processes = [CallbackProcess([(when, act(kind, index))
                                   for when, kind, index in spec["wakes"]])]
+    if spec["echo"] is not None:
+        processes.append(Alarm(f"a{last}", spec["echo"]))
     if spec["kick_at"] is not None:
         done, kick = [], act(spec["kick"], 0)
 
@@ -622,11 +855,11 @@ def test_generated_systems_are_bit_identical(spec):
 def test_generated_shape_goes_quiet():
     """The generator's systems do spend most steps on the quiet path."""
     spec = {"members": [{"rate": 1.0, "guard": "and", "at": 9.0, "other": 4.0,
-                         "back": 6.0, "invariant": "box"},
+                         "back": 6.0, "invariant": "box", "reply": True},
                         {"rate": 0.37, "guard": "box-enter", "at": 12.0,
-                         "other": 5.0, "back": 7.0, "invariant": "true"}],
+                         "other": 5.0, "back": 7.0, "invariant": "true", "reply": False}],
             "wakes": [(17.5, "set", 1), (26.0, "poke", 0)],
-            "swapped_copies": True, "kick_at": None, "kick": "set"}
+            "swapped_copies": True, "kick_at": None, "kick": "set", "echo": 2.5}
     _, compiled = run_pair(lambda: build_generated(spec), record=GENERATED_RECORD)
     assert compiled.quiet_steps > 0.6 * compiled.steps
 
@@ -646,3 +879,30 @@ def test_table1_trial_is_mostly_quiet():
     assert engine.quiet_steps / engine.steps >= 0.85
     engine.run(10.0)
     assert engine.steps < 3000
+
+
+def test_table1_serial_seed1_counters(monkeypatch):
+    """perfbench's table1-serial seed-1 campaign: two 1800 s Table I trials.
+
+    Step counts are fixed by the reference semantics (18102 and 18077).
+    Before the leaf-derived cushion and per-automaton deadlines the same
+    trials took 1871 and 1733 full steps, each deriving all three affine
+    automata's candidates.
+    """
+    from repro.campaign import run_campaign, table1_spec
+
+    counters = []
+    run = CompiledEngine.run
+
+    def counting_run(self, horizon):
+        trace = run(self, horizon)
+        counters.append((self.steps, self.steps - self.quiet_steps, self.rescans))
+        return trace
+
+    monkeypatch.setattr(CompiledEngine, "run", counting_run)
+    run_campaign(table1_spec(mean_toffs=(18.0,), duration=1800.0), seed=1,
+                 engine="compiled", max_workers=1)
+    assert [steps for steps, _, _ in counters] == [18102, 18077]
+    for (_, full, rescans), parent_full in zip(counters, (1871, 1733)):
+        assert full < parent_full
+        assert type(rescans) is int and rescans < 3 * full
