@@ -20,6 +20,7 @@ fingerprint.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import socket
 import struct
@@ -227,6 +228,17 @@ def decode_spec(data: dict) -> CampaignSpec:
         raise ProtocolError(f"undecodable campaign spec: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls: type) -> tuple[tuple[str, object], ...]:
+    """``(name, resolved type)`` of each field of dataclass ``cls``.
+
+    ``typing.get_type_hints`` re-evaluates every annotation string, which
+    costs more than decoding the field, so it runs once per class.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple((field.name, hints[field.name]) for field in dataclasses.fields(cls))
+
+
 def _decode(value: object, target: object) -> object:
     """Rebuild ``value`` (JSON primitives) as an instance of ``target``.
 
@@ -264,9 +276,8 @@ def _decode(value: object, target: object) -> object:
         if not isinstance(value, dict):
             raise TypeError(f"expected an object for {target.__name__}, "
                             f"got {type(value).__name__}")
-        hints = typing.get_type_hints(target)
-        kwargs = {f.name: _decode(value[f.name], hints[f.name])
-                  for f in dataclasses.fields(target) if f.name in value}
+        kwargs = {name: _decode(value[name], hint)
+                  for name, hint in _field_hints(target) if name in value}
         return target(**kwargs)
     if origin is tuple:
         args = typing.get_args(target)

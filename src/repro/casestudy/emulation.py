@@ -47,9 +47,9 @@ from repro.wireless.network import SinkWirelessNetwork
 if TYPE_CHECKING:  # pragma: no cover - repro.campaign builds on this module
     from repro.campaign.aggregate import TrialSummary
 
-__all__ = ["CaseStudySystem", "TrialResult", "VENTILATOR_RISKY_CORE",
-           "build_case_study", "lease_ledger_from_trace", "run_trial",
-           "run_trial_batch", "run_table1_trials", "summarize_trials"]
+__all__ = ["CaseStudySystem", "StreamedTrial", "TrialResult",
+           "VENTILATOR_RISKY_CORE", "build_case_study", "lease_ledger_from_trace",
+           "run_trial", "run_trial_batch", "run_table1_trials", "summarize_trials"]
 
 
 @dataclass
@@ -283,8 +283,8 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
         record_variables: ``(automaton, variable)`` pairs to sample.
         engine: Simulation kernel (``"reference"`` / ``"compiled"`` /
             ``"batched"``); ``None`` selects the reference kernel.
-        fault: Optional zero-argument fault hook, invoked once after the
-            trial's system is assembled and before the engine runs.  The
+        fault: Optional zero-argument fault hook, invoked once before the
+            trial is assembled and run.  The
             campaign fault-injection harness uses it to raise a
             deterministic in-trial failure
             (:class:`repro.campaign.faults.InjectedTrialFault`); ``None``
@@ -298,37 +298,23 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
     Returns:
         The trial's :class:`TrialResult`.
     """
-    duration = config.trial_duration if duration is None else float(duration)
-    kind = resolve_engine_kind(engine)
-    if kind == "reference":
-        case = build_case_study(config, with_lease=with_lease, seed=seed,
-                                channel=channel, surgeon=surgeon,
-                                extra_processes=extra_processes)
-    else:
-        # Fast kernels reuse the per-process lowered model of this campaign
-        # cell; only the trial's stochastic ingredients are rebuilt.
-        template, lowered = _lowered_case_study(config, with_lease)
-        case = CaseStudySystem(
-            system=template.system,
-            network=_trial_network(config, channel, seed),
-            surgeon=_trial_surgeon(config, surgeon, seed),
-            couplings=template.couplings, rules=template.rules,
-            config=config, with_lease=with_lease,
-            extra_processes=list(extra_processes), lowered=lowered)
-    sampled = list(record_variables) or [(PATIENT, SPO2)]
-    surgeon_process = case.surgeon
     if fault is not None:
         fault()
-
     if not keep_trace:
-        stats = TrialStatsObserver(config)
-        sim = case.engine(seed=seed, record_variables=sampled, kind=kind,
-                          observers=[stats, *observers], record_trace=False)
-        sim.run(duration)
-        return _streamed_result(config, with_lease=with_lease, seed=seed,
-                                duration=duration, stats=stats,
-                                network=case.network, surgeon=surgeon_process)
+        trial = StreamedTrial(config, with_lease=with_lease, seed=seed,
+                              duration=duration, channel=channel, surgeon=surgeon,
+                              extra_processes=extra_processes,
+                              record_variables=record_variables, engine=engine,
+                              observers=observers)
+        trial.engine.run(trial.duration)
+        return trial.result()
 
+    duration = config.trial_duration if duration is None else float(duration)
+    kind = resolve_engine_kind(engine)
+    case = _trial_case(config, with_lease=with_lease, seed=seed, channel=channel,
+                       surgeon=surgeon, extra_processes=extra_processes, kind=kind)
+    sampled = list(record_variables) or [(PATIENT, SPO2)]
+    surgeon_process = case.surgeon
     sim = case.engine(seed=seed, record_variables=sampled, kind=kind)
     trace = sim.run(duration)
     report = PTEMonitor(case.rules).check(trace)
@@ -362,13 +348,72 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
     )
 
 
+def _trial_case(config: CaseStudyConfig, *, with_lease: bool, seed: int | None,
+                channel: Channel | None, surgeon: SurgeonProcess | None,
+                extra_processes: Sequence[EnvironmentProcess],
+                kind: str) -> CaseStudySystem:
+    """The case study one trial runs on ``kind``'s kernel."""
+    if kind == "reference":
+        return build_case_study(config, with_lease=with_lease, seed=seed,
+                                channel=channel, surgeon=surgeon,
+                                extra_processes=extra_processes)
+    # Fast kernels reuse the per-process lowered model of this campaign
+    # cell; only the trial's stochastic ingredients are rebuilt.
+    template, lowered = _lowered_case_study(config, with_lease)
+    return CaseStudySystem(
+        system=template.system,
+        network=_trial_network(config, channel, seed),
+        surgeon=_trial_surgeon(config, surgeon, seed),
+        couplings=template.couplings, rules=template.rules,
+        config=config, with_lease=with_lease,
+        extra_processes=list(extra_processes), lowered=lowered)
+
+
+class StreamedTrial:
+    """One assembled trial whose statistics stream through observers.
+
+    :func:`run_trial`'s streaming path, with the run left to the caller:
+    ``engine`` runs it in one ``run(duration)`` or as ``start`` /
+    ``advance`` / ``finish`` with pauses in between, and :meth:`result`
+    reads the finished trial's :class:`TrialResult`.  The arguments are
+    :func:`run_trial`'s.
+    """
+
+    def __init__(self, config: CaseStudyConfig, *, with_lease: bool = True,
+                 seed: int | None = 0, duration: float | None = None,
+                 channel: Channel | None = None,
+                 surgeon: SurgeonProcess | None = None,
+                 extra_processes: Sequence[EnvironmentProcess] = (),
+                 record_variables: Sequence[tuple[str, str]] = (),
+                 engine: str | None = None,
+                 observers: Sequence[TraceObserver] = ()):
+        kind = resolve_engine_kind(engine)
+        self.seed = seed
+        self.duration = config.trial_duration if duration is None else float(duration)
+        self.case = _trial_case(config, with_lease=with_lease, seed=seed,
+                                channel=channel, surgeon=surgeon,
+                                extra_processes=extra_processes, kind=kind)
+        self.stats = TrialStatsObserver(config)
+        self.engine = self.case.engine(
+            seed=seed, record_variables=list(record_variables) or [(PATIENT, SPO2)],
+            kind=kind, observers=[self.stats, *observers], record_trace=False)
+
+    def result(self) -> TrialResult:
+        """The statistics of the finished trial."""
+        case = self.case
+        return _streamed_result(case.config, with_lease=case.with_lease,
+                                seed=self.seed, duration=self.duration,
+                                stats=self.stats, network=case.network,
+                                surgeon=case.surgeon)
+
+
 def _streamed_result(config: CaseStudyConfig, *, with_lease: bool,
                      seed: int | None, duration: float,
                      stats: TrialStatsObserver, network: SinkWirelessNetwork,
                      surgeon: SurgeonProcess) -> TrialResult:
     """The trace-free :class:`TrialResult` of one finished streamed trial.
 
-    The one place where :func:`run_trial`'s streaming path and each lane of
+    The one place where a :class:`StreamedTrial` and each lane of
     :func:`run_trial_batch` read a trial's statistics off its observer,
     network and surgeon.
     """

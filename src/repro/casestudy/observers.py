@@ -169,46 +169,54 @@ class RiskLevelObserver(TraceObserver):
 
     The score is a non-decreasing step function of time.  Each time the
     running maximum strictly increases, the observer records a
-    ``(score, watermark)`` staircase entry, where the watermark is the
-    active :class:`~repro.util.seeding.RngLedger`'s draw-count snapshot at
-    that instant (``None`` when no ledger is supplied).  The splitting
-    estimator later asks :meth:`watermark_at` for the first entry at or
-    above a threshold: replaying the trial's RNG streams up to that
-    watermark and diverging afterwards yields a child trial conditionally
-    distributed given "parent reached this risk level".
+    ``(score, watermark, step)`` staircase entry, where the watermark is
+    the active :class:`~repro.util.seeding.RngLedger`'s draw-count
+    snapshot at that instant (``None`` when no ledger is supplied) and the
+    step is ``engine.steps``, the engine step the heartbeat ran in (``0``
+    without an engine).  The splitting estimator later asks for the first
+    entry at or above a threshold: replaying the trial's RNG streams up to
+    that watermark and diverging afterwards yields a child trial
+    conditionally distributed given "parent reached this risk level", and
+    the step tells a fork group where it may pause the shared prefix.
 
     Heartbeats run *before* a transition is applied, so the watermark
     recorded for a level crossing never includes draws from events after
-    the crossing instant.
+    the crossing instant.  A heartbeat with no tracked entity in a watched
+    location skips the scan: every closed dwell was measured as an open
+    one by the heartbeat that closed it, so it cannot raise the score.
     """
 
-    def __init__(self, config: CaseStudyConfig, ledger: RngLedger | None = None):
+    def __init__(self, config: CaseStudyConfig, ledger: RngLedger | None = None,
+                 engine=None):
         self.config = config
         self._ledger = ledger
+        self.engine = engine
         rules = config.rules()
         self._bounds = {entity: rules.dwelling_bound(entity)
                         for entity in rules.entities}
         self._trackers: Dict[str, DwellTracker] = {}
-        #: Strictly increasing ``(score, watermark)`` records, in time order.
-        self.staircase: List[Tuple[float, Dict[StreamKey, int] | None]] = []
+        #: Tracked entities now in a watched location.
+        self._inside: set[str] = set()
+        #: Strictly increasing ``(score, watermark, step)`` records, in time order.
+        self.staircase: List[Tuple[float, Dict[StreamKey, int] | None, int]] = []
         self.score = 0.0
 
     # -- observer hooks ----------------------------------------------------------
     def begin_run(self, risky_locations: Mapping[str, set[str]]) -> None:
-        self.__init__(self.config, self._ledger)
+        self.__init__(self.config, self._ledger, self.engine)
 
     def register_automaton(self, name: str, initial_location: str,
                            risky_locations: Iterable[str] = ()) -> None:
         if name in self._bounds:
             tracker = DwellTracker(risky_locations)
-            tracker.enter(initial_location, 0.0)
             self._trackers[name] = tracker
+            self._enter(name, tracker, initial_location, 0.0)
 
     def on_transition(self, record: TransitionRecord) -> None:
         self._heartbeat(record.time)
         tracker = self._trackers.get(record.automaton)
         if tracker is not None:
-            tracker.enter(record.target, record.time)
+            self._enter(record.automaton, tracker, record.target, record.time)
 
     def on_sample(self, automaton: str, variable: str, time: float,
                   value: float) -> None:
@@ -220,7 +228,17 @@ class RiskLevelObserver(TraceObserver):
             tracker.finish(end_time)
 
     # -- scoring ---------------------------------------------------------------
+    def _enter(self, name: str, tracker: DwellTracker, location: str,
+               time: float) -> None:
+        tracker.enter(location, time)
+        if location in tracker.watched:
+            self._inside.add(name)
+        else:
+            self._inside.discard(name)
+
     def _heartbeat(self, now: float) -> None:
+        if not self._inside:
+            return
         score = 0.0
         for name, tracker in self._trackers.items():
             dwell = max(tracker.longest, tracker.ongoing(now))
@@ -230,16 +248,5 @@ class RiskLevelObserver(TraceObserver):
         if score > self.score:
             self.score = score
             marks = self._ledger.snapshot() if self._ledger is not None else None
-            self.staircase.append((score, marks))
-
-    def watermark_at(self, threshold: float) -> Dict[StreamKey, int] | None:
-        """RNG watermark of the first staircase step at/above ``threshold``.
-
-        Returns ``None`` when the trial never reached the threshold or no
-        ledger was attached; an empty dict (no draws yet) is a valid,
-        non-``None`` watermark.
-        """
-        for score, marks in self.staircase:
-            if score >= threshold:
-                return marks
-        return None
+            step = self.engine.steps if self.engine is not None else 0
+            self.staircase.append((score, marks, step))

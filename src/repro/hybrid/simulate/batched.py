@@ -57,8 +57,8 @@ class BatchedEngine:
     :class:`~repro.hybrid.simulate.compiled.CompiledEngine` (``network=``,
     ``processes=``, ``seed=``...), :meth:`run` returns the single trace —
     this is what ``build_engine(kind="batched")`` produces.  The
-    single-lane helpers (``now``, ``state``, ``inject_event``...) act on
-    lane 0.
+    single-lane helpers (``now``, ``state``, ``inject_event``, the paused
+    run's ``start``/``advance``/``finish``...) act on lane 0.
     """
 
     kind = "batched"
@@ -162,6 +162,15 @@ class BatchedEngine:
     @property
     def observers(self) -> List[TraceObserver]:
         return self._lead.observers
+
+    def start(self, horizon: float) -> None:
+        self._lead.start(horizon)
+
+    def advance(self, until: int | None = None) -> None:
+        self._lead.advance(until)
+
+    def finish(self) -> Trace | None:
+        return self._lead.finish()
 
     def location_of(self, automaton_name: str) -> str:
         return self._lead.location_of(automaton_name)

@@ -107,9 +107,14 @@ minus :meth:`CompiledEngine._drift_margin`, a bound on that drift over
 every step left before it, computed from the runtime's live slot values
 (a wakeup has only the time terms).  The counters ``steps``,
 ``quiet_steps`` and ``rescans`` (candidate derivations) report the work
-of the last run.  ``tools/engine_mutants.py`` checks that the fixed
-systems of ``tests/hybrid/test_quiet_steps.py`` catch a breach of each
-rule.
+of the last run; ``steps`` counts the reference engine's main-loop
+iterations, and a stretch brings it up to date before any firing or
+sample.  ``tools/engine_mutants.py`` checks that the fixed systems of
+``tests/hybrid/test_quiet_steps.py`` catch a breach of each rule.
+
+A run may pause on a step boundary (``start``, ``advance(until)``,
+``finish``) and be copied with :func:`copy.deepcopy`; the copy binds its
+own coupling programs and stretches.
 
 Observation goes through the same
 :class:`~repro.hybrid.simulate.observers.TraceObserver` pipeline as the
@@ -119,6 +124,7 @@ and the kernel retains no per-step history at all.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import sys
@@ -130,7 +136,8 @@ from repro.hybrid.edges import Edge
 from repro.hybrid.expressions import (And, BoxPredicate, Comparison, FalsePredicate,
                                       LinearInequality, Not, Or, Predicate, TruePredicate)
 from repro.hybrid.flows import CallableFlow, CompositeFlow, ConstantFlow, Flow
-from repro.hybrid.simulate.engine import _MIN_ADVANCE, Network, _PendingEvent
+from repro.hybrid.simulate.engine import (_MIN_ADVANCE, Network, _PendingEvent,
+                                          remap_wakes)
 from repro.hybrid.simulate.observers import TraceObserver, TraceRecorder
 from repro.hybrid.simulate.processes import (Coupling, EnvironmentProcess,
                                              LocationIndicatorCoupling,
@@ -646,13 +653,16 @@ def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
     ``locations`` holds each runtime's current location, ``layout`` the
     engine's couplings (see :meth:`CompiledEngine._plan_quiet_steps`),
     ``watched`` the runtimes whose ASAP guards a quiet step evaluates.
-    Returns ``bind(engine) -> stretch``; ``stretch(horizon)`` runs quiet
-    steps with the run loop's exact operations -- clock increments, RK4
-    programs, couplings as slot moves (an indicator is a constant while no
-    location changes), the watched guards and the sample-due test -- until
-    a step fires, a coupling invalidates the cache, the horizon is reached
-    or the next step is not quiet.  It returns True in the last case, with
-    that step begun (counted, pre-step couplings applied).  Programs are
+    Returns ``bind(engine) -> stretch``; ``stretch(horizon, until)`` runs
+    quiet steps with the run loop's exact operations -- clock increments,
+    RK4 programs, couplings as slot moves (an indicator is a constant while
+    no location changes), the watched guards and the sample-due test --
+    until a step fires, a coupling invalidates the cache, the horizon is
+    reached, step ``until`` (unless ``None``) is complete or the next step
+    is not quiet.  It
+    returns True in the last case, with that step begun (counted, pre-step
+    couplings applied).  ``engine.steps`` is brought up to date before any
+    firing or sample, so observers read the step they run in.  Programs are
     bound by name, so vectors with equal rates, couplings and watch lists
     share one compiled source in ``code_cache``.
     """
@@ -725,14 +735,18 @@ def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
     src += [f"    v{i} = rt{i}.values" for i in sorted(used)]
     src += [f"    w{i} = rt{i}.view" for i in watched]
     src += [f"    c{item[1]} = programs[{item[1]}]" for item in layout if item[0] == "call"]
-    src += ["    def stretch(horizon):",
+    src += ["    def stretch(horizon, until):",
             "        now = state.time",
+            "        end = horizon - EPSILON",
             "        deadline = engine._deadline",
             "        next_sample = engine._next_sample_time",
-            "        steps = quiet = 0",
+            "        base = engine.steps",
+            # -1 never matches: a step count small enough for the
+            # interpreter's fast integer compare.
+            "        room = -1 if until is None else until - base",
+            "        steps = 0",
             "        settled = begun = done = False",
             "        while True:",
-            "            quiet += 1",
             "            start = now",
             "            next_time = now + dt_max",
             "            if horizon < next_time:",
@@ -748,6 +762,7 @@ def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
     discrete = []
     for k, (i, test) in enumerate(tests):
         discrete += [f"{'elif' if k else 'if'} {test}:",
+                     "    engine.steps = base + steps",
                      f"    process(start + cushion, {i})",
                      "    settled = False",
                      "    done = True"]
@@ -758,6 +773,7 @@ def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
         src += ["            if deadline > start + cushion:"]
         src += block(discrete, 4)
         src += ["            else:",
+                "                engine.steps = base + steps",
                 "                wake()",
                 "                process()",
                 "                settled = False",
@@ -766,9 +782,10 @@ def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
         src += block(discrete, 3)
     if sampling:
         src += ["            if not now + EPSILON < next_sample:",
+                "                engine.steps = base + steps",
                 "                sample(True)",
                 "                next_sample = engine._next_sample_time"]
-    src += ["            if done or not now < horizon - EPSILON:",
+    src += ["            if done or steps == room or not now < end:",
             "                break",
             "            steps += 1",
             "            if not settled:"]
@@ -776,8 +793,10 @@ def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
     src += ["            if not deadline > now + cushion:",
             "                begun = True",
             "                break",
-            "        engine.steps += steps",
-            "        engine.quiet_steps += quiet",
+            "        engine.steps = base + steps",
+            # One quiet step per pass: ``steps`` counts the passes after
+            # the first, plus the step begun for the run loop.
+            "        engine.quiet_steps += steps if begun else steps + 1",
             "        engine._settled = settled",
             "        return begun",
             "    return stretch"]
@@ -927,7 +946,6 @@ class CompiledEngine:
                  record_trace: bool = True):
         self.compiled = (system if isinstance(system, CompiledSystem)
                          else compile_system(system))
-        self.system = self.compiled.system
         self.network = network or Network()
         self.processes: List[EnvironmentProcess] = list(processes)
         self.couplings: List[Coupling] = list(couplings)
@@ -950,6 +968,7 @@ class CompiledEngine:
         self._coupling_programs = [self._lower_coupling(c) for c in self.couplings]
         self._next_sample_time = 0.0
         self._time_of_last_wake: Dict[int, float] = {}
+        self._horizon = 0.0
         self._base_needs_sampling = bool(self.couplings) or bool(self.record_variables)
         #: Global steps of the last run, how many of them were quiet, and
         #: how many per-automaton candidate derivations its full steps made.
@@ -969,6 +988,14 @@ class CompiledEngine:
         self._stretches: Dict[tuple, Callable[[float], bool]] = {}
 
     # -- public helpers ---------------------------------------------------------
+    @property
+    def system(self) -> HybridSystem:
+        """The hybrid system the tables were lowered from."""
+        # A property, not an attribute: with 30 instance attributes CPython
+        # gives up the shared-key layout that keeps the hot loops' attribute
+        # access fast.
+        return self.compiled.system
+
     @property
     def now(self) -> float:
         """Current simulation time (seconds)."""
@@ -996,22 +1023,41 @@ class CompiledEngine:
     # -- main loop ----------------------------------------------------------------
     def run(self, horizon: float) -> Trace | None:
         """Run the simulation from time zero up to ``horizon`` seconds."""
+        self.start(horizon)
+        self.advance()
+        return self.finish()
+
+    def start(self, horizon: float) -> None:
+        """Begin a run to ``horizon``: reset the network and initialize at t=0.
+
+        Same contract as :meth:`SimulationEngine.start
+        <repro.hybrid.simulate.engine.SimulationEngine.start>`: a run
+        paused between two :meth:`advance` calls sits on a step boundary
+        and may be copied with :func:`copy.deepcopy`.
+        """
         if horizon <= 0:
             raise SimulationError("simulation horizon must be positive")
+        self._horizon = horizon
         self.network.reset(self.seed)
         self._initialize()
+
+    def advance(self, until: int | None = None) -> None:
+        """Run steps up to the horizon, or until ``until`` steps are complete."""
+        horizon = self._horizon
+        end = horizon - EPSILON
+        limit = sys.maxsize if until is None else until
         state = self.state
         runtimes = self._runtimes
         stretches = self._stretches
         cushion = self._cushion
-        while state.time < horizon - EPSILON:
+        while state.time < end and self.steps < limit:
             self.steps += 1
             if not self._settled:
                 self._apply_couplings()
             if self._deadline > state.time + cushion:
                 key = tuple([rt.loc for rt in runtimes])
                 stretch = stretches.get(key) or self._bind_stretch(key)
-                if not stretch(horizon):
+                if not stretch(horizon, until):
                     continue
             # A full step (possibly begun by the stretch).
             now = state.time
@@ -1027,11 +1073,27 @@ class CompiledEngine:
                 self._wake_processes()
             self._process_discrete(threshold)
             self._maybe_sample()
+
+    def finish(self) -> Trace | None:
+        """End the run at its horizon and return the trace (see :meth:`run`)."""
         # The bound stretches hold the engine: release them with the run.
-        stretches.clear()
+        self._stretches.clear()
         for observer in self.observers:
-            observer.end_run(horizon)
+            observer.end_run(self._horizon)
         return self.trace
+
+    def __deepcopy__(self, memo: dict) -> "CompiledEngine":
+        # Coupling programs and stretches are closures over this run's
+        # runtimes: the copy binds its own, never shares them.
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in self.__dict__.items():
+            if name not in ("_coupling_programs", "_stretches"):
+                setattr(clone, name, copy.deepcopy(value, memo))
+        clone._coupling_programs = [clone._lower_coupling(c) for c in clone.couplings]
+        clone._stretches = {}
+        clone._time_of_last_wake = remap_wakes(self._time_of_last_wake, memo)
+        return clone
 
     # -- initialization -----------------------------------------------------------
     def _initialize(self) -> None:

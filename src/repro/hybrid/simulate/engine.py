@@ -26,7 +26,9 @@ model (arbitrary loss is allowed by the fault model of Section II-B).
 
 from __future__ import annotations
 
+import copy
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
@@ -63,6 +65,12 @@ class Network:
 
 
 PerfectNetwork = Network
+
+
+def remap_wakes(wakes: Dict[int, float], memo: dict) -> Dict[int, float]:
+    """A deep copy's last-wake table: keyed by the copied processes' ids."""
+    return {id(memo[key]) if key in memo else key: time
+            for key, time in wakes.items()}
 
 
 @dataclass
@@ -134,6 +142,9 @@ class SimulationEngine:
         self._receivers: Dict[str, list[tuple[str, bool]]] = {}
         self._next_sample_time = 0.0
         self._time_of_last_wake: Dict[int, float] = {}
+        self._horizon = 0.0
+        #: Steps of the current run so far (one per main-loop iteration).
+        self.steps = 0
 
         for name, automaton in system.automata.items():
             automaton.validate()
@@ -176,11 +187,30 @@ class SimulationEngine:
         Returns the recorded :class:`Trace`, or ``None`` when the engine
         was built with ``record_trace=False`` (streaming observers only).
         """
+        self.start(horizon)
+        self.advance()
+        return self.finish()
+
+    def start(self, horizon: float) -> None:
+        """Begin a run to ``horizon``: reset the network and initialize at t=0.
+
+        :meth:`advance` then runs the steps and :meth:`finish` ends the
+        run.  Between two :meth:`advance` calls the run is paused on a
+        step boundary, and :func:`copy.deepcopy` of the engine (with its
+        network, processes and observers) continues independently.
+        """
         if horizon <= 0:
             raise SimulationError("simulation horizon must be positive")
+        self._horizon = horizon
         self.network.reset(self.seed)
         self._initialize()
-        while self.state.time < horizon - EPSILON:
+
+    def advance(self, until: int | None = None) -> None:
+        """Run steps up to the horizon, or until ``until`` steps are complete."""
+        horizon = self._horizon
+        limit = sys.maxsize if until is None else until
+        while self.state.time < horizon - EPSILON and self.steps < limit:
+            self.steps += 1
             self._apply_couplings()
             next_time = self._next_time(horizon)
             dt = next_time - self.state.time
@@ -191,15 +221,27 @@ class SimulationEngine:
             self._wake_processes()
             self._process_discrete()
             self._maybe_sample()
+
+    def finish(self) -> Trace | None:
+        """End the run at its horizon and return the trace (see :meth:`run`)."""
         for observer in self.observers:
-            observer.end_run(horizon)
+            observer.end_run(self._horizon)
         return self.trace
+
+    def __deepcopy__(self, memo: dict) -> "SimulationEngine":
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in self.__dict__.items():
+            setattr(clone, name, copy.deepcopy(value, memo))
+        clone._time_of_last_wake = remap_wakes(self._time_of_last_wake, memo)
+        return clone
 
     # -- initialization -----------------------------------------------------------
     def _initialize(self) -> None:
         self.state = SystemState(time=0.0)
         self._pending = {name: [] for name in self._order}
         self._next_sample_time = 0.0
+        self.steps = 0
         # A fresh run must re-enable every t=0 process wakeup: without this
         # reset a second run() on the same engine would skip them because
         # the previous run already recorded a wake at the same timestamps.

@@ -96,23 +96,31 @@ class ForkSegment:
         watermark: Per-stream draw counts at the fork point; streams absent
             from the mapping had made no draws yet (or did not exist) when
             the fork was recorded.
+        step: Engine step in which the fork point was recorded.  A fork
+            group replays its parent up to the boundary just before that
+            step and runs the children from copies of the paused trial;
+            ``0`` pauses before the run starts, so the children replay the
+            whole prefix themselves (same trial, longer prefix).
     """
 
     seed: int
     watermark: Dict[StreamKey, int]
+    step: int = 0
 
     def to_json(self) -> dict:
         """Encode the segment as JSON-ready primitives."""
         return {"seed": int(self.seed),
                 "watermark": [[stream, occ, count] for (stream, occ), count
-                              in sorted(self.watermark.items())]}
+                              in sorted(self.watermark.items())],
+                "step": int(self.step)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ForkSegment":
-        """Rebuild a segment encoded by :meth:`to_json`."""
+        """Rebuild a segment encoded by :meth:`to_json` (no step reads as 0)."""
         return cls(seed=int(data["seed"]),
                    watermark={(stream, int(occ)): int(count)
-                              for stream, occ, count in data["watermark"]})
+                              for stream, occ, count in data["watermark"]},
+                   step=int(data.get("step", 0)))
 
 
 @dataclass(frozen=True)
@@ -129,10 +137,16 @@ class ForkPlan:
     root_seed: int
     segments: Tuple[ForkSegment, ...] = ()
 
-    def fork(self, seed: int, watermark: Dict[StreamKey, int]) -> "ForkPlan":
+    def fork(self, seed: int, watermark: Dict[StreamKey, int],
+             step: int = 0) -> "ForkPlan":
         """Extend the lineage with one more fork point."""
         return ForkPlan(self.root_seed,
-                        self.segments + (ForkSegment(seed, dict(watermark)),))
+                        self.segments + (ForkSegment(seed, dict(watermark), step),))
+
+    @property
+    def parent(self) -> "ForkPlan":
+        """The lineage without its last fork (a root plan is its own parent)."""
+        return ForkPlan(self.root_seed, self.segments[:-1]) if self.segments else self
 
     def to_json(self) -> dict:
         """Encode the plan as JSON-ready primitives."""
@@ -160,11 +174,29 @@ class _ForkedStream(random.Random):
     """
 
     def __init__(self, generators: List[random.Random],
-                 boundaries: List[int]):
+                 boundaries: List[int], draws: int = 0):
         super().__init__(0)
         self._generators = generators
         self._boundaries = boundaries
-        self.draws = 0
+        self.draws = draws
+
+    def __reduce__(self):
+        # random.Random.__reduce__ rebuilds through a no-argument call.
+        return type(self), (self._generators, self._boundaries, self.draws)
+
+    def __deepcopy__(self, memo: dict) -> "_ForkedStream":
+        # The generators before the one serving the next draw are never
+        # drawn from again, so the copy shares them; the others are copied
+        # through their state tuples, not int by int.
+        current = bisect.bisect_right(self._boundaries, self.draws)
+        generators = self._generators[:current]
+        for generator in self._generators[current:]:
+            clone = random.Random.__new__(random.Random)
+            clone.setstate(generator.getstate())
+            generators.append(clone)
+        clone = memo[id(self)] = type(self)(generators, list(self._boundaries),
+                                            self.draws)
+        return clone
 
     def _generator(self) -> random.Random:
         index = bisect.bisect_right(self._boundaries, self.draws)
@@ -201,20 +233,41 @@ class RngLedger:
         occurrence = self._occurrences.get(stream, 0)
         self._occurrences[stream] = occurrence + 1
         key: StreamKey = (stream, occurrence)
-        generators: List[random.Random] = [random.Random(_stable_mix(seed, stream))]
-        boundaries: List[int] = []
+        forked = _ForkedStream([random.Random(_stable_mix(seed, stream))], [])
         for segment in self.plan.segments:
-            generators.append(random.Random(
-                _stable_mix(segment.seed, f"fork:{stream}#{occurrence}")))
-            boundaries.append(int(segment.watermark.get(key, 0)))
-        forked = _ForkedStream(generators, boundaries)
+            _extend(forked, key, segment)
         self._streams[key] = forked
         return forked
+
+    def fork(self, plan: ForkPlan) -> None:
+        """Continue a paused session as ``plan``, a one-segment extension of it.
+
+        Every stream gains the segment's generator and boundary exactly as
+        :meth:`spawn` would have built them under ``plan``, and later
+        spawns follow ``plan``.  While every stream's draw count is at or
+        below the segment's watermark, the session is then the one
+        replaying ``plan`` from the start would have reached.
+        """
+        if not plan.segments or plan.parent != self.plan:
+            raise ValueError("a session forks only into a one-segment extension "
+                             "of its plan")
+        segment = plan.segments[-1]
+        for key, forked in self._streams.items():
+            _extend(forked, key, segment)
+        self.plan = plan
 
     def snapshot(self) -> Dict[StreamKey, int]:
         """Current per-stream draw counts (streams with zero draws omitted)."""
         return {key: stream.draws for key, stream in self._streams.items()
                 if stream.draws}
+
+
+def _extend(forked: _ForkedStream, key: StreamKey, segment: ForkSegment) -> None:
+    """Append ``segment``'s generator and boundary to one stream."""
+    stream, occurrence = key
+    forked._generators.append(random.Random(
+        _stable_mix(segment.seed, f"fork:{stream}#{occurrence}")))
+    forked._boundaries.append(int(segment.watermark.get(key, 0)))
 
 
 #: The session ledger :func:`spawn_rng` consults; trials run one at a time
@@ -223,7 +276,7 @@ _ACTIVE_LEDGER: RngLedger | None = None
 
 
 @contextmanager
-def rng_session(plan: ForkPlan):
+def rng_session(plan: ForkPlan | RngLedger):
     """Run one trial under a :class:`RngLedger` (fork-aware randomness).
 
     Every :func:`spawn_rng` call inside the ``with`` block is adopted by
@@ -231,7 +284,8 @@ def rng_session(plan: ForkPlan):
     forking.
 
     Args:
-        plan: The trial's stochastic identity (root seed + fork lineage).
+        plan: The trial's stochastic identity (root seed + fork lineage),
+            or the ledger of a paused trial to continue.
 
     Yields:
         The session's :class:`RngLedger`.
@@ -242,7 +296,7 @@ def rng_session(plan: ForkPlan):
     global _ACTIVE_LEDGER
     if _ACTIVE_LEDGER is not None:
         raise RuntimeError("rng_session does not nest: a session is already active")
-    ledger = RngLedger(plan)
+    ledger = plan if isinstance(plan, RngLedger) else RngLedger(plan)
     _ACTIVE_LEDGER = ledger
     try:
         yield ledger

@@ -18,7 +18,10 @@ estimates the same probability from orders of magnitude fewer trials with
    seed (:func:`~repro.util.seeding.rng_session` fork-by-replay).  The
    child is therefore an exact sample of the trial distribution
    conditioned on reaching the level — on any engine tier and any worker
-   count.
+   count.  The children of one survivor at one threshold form a
+   :class:`ForkGroup`: one task replays the survivor's prefix once,
+   pauses on the step boundary before the crossing and runs every child
+   from a copy of the paused trial (:func:`run_fork_group`).
 3. The product of the per-level conditional probabilities estimates the
    violation probability, with the standard relative-error bound
    ``re^2 <= sum_j (1 - p_j) / (N * p_j)`` and a lognormal confidence
@@ -29,7 +32,8 @@ estimates the same probability from orders of magnitude fewer trials with
    statistical test suite pins both behaviours on the toy chain.
 
 The module is deliberately generic: a *trial function* maps a
-:class:`~repro.util.seeding.ForkPlan` to a :class:`ScoredTrial`.  The
+:class:`~repro.util.seeding.ForkPlan` to a :class:`ScoredTrial` and a
+:class:`ForkGroup` to the list of its plans' scored trials.  The
 case study's trial function is :func:`scored_case_trial`; an analytically
 solvable birth--death chain (:func:`run_chain_trial`) backs the
 statistical-correctness test suite.
@@ -41,20 +45,23 @@ bit-identically with ``--resume``.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
 import math
+import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from repro.casestudy.config import CaseStudyConfig
-from repro.casestudy.emulation import _lowered_case_study, run_trial
+from repro.casestudy.emulation import StreamedTrial, _lowered_case_study
 from repro.casestudy.observers import RiskLevelObserver
 from repro.hybrid.simulate import resolve_engine_kind
-from repro.util.seeding import (ForkPlan, StreamKey, derive_seed, rng_session,
-                                spawn_rng)
+from repro.util.seeding import (ForkPlan, RngLedger, StreamKey, derive_seed,
+                                rng_session, spawn_rng)
 
 if TYPE_CHECKING:  # pragma: no cover - avoids importing the campaign package
     from repro.campaign.spec import ChannelSpec, SurgeonSpec
@@ -63,11 +70,16 @@ if TYPE_CHECKING:  # pragma: no cover - avoids importing the campaign package
 #: when a trial ran without a ledger attached.
 Watermark = Dict[StreamKey, int]
 
-#: A trial function: deterministic map from a fork plan to a scored trial.
-TrialFn = Callable[[ForkPlan], "ScoredTrial"]
+#: A trial function: deterministic map from a fork plan to a scored trial,
+#: and from a fork group to its plans' scored trials (in plan order).
+TrialFn = Callable[["ForkPlan | ForkGroup"], "ScoredTrial | List[ScoredTrial]"]
 
-#: A map strategy: applies a trial function to many plans, order-preserving.
-MapFn = Callable[[TrialFn, Sequence[ForkPlan]], List["ScoredTrial"]]
+#: A map strategy: applies a trial function to many items, order-preserving.
+MapFn = Callable[[TrialFn, Sequence], list]
+
+#: Most children one task runs from one paused survivor.  Larger groups are
+#: cut into chunks so that a pool spreads a popular survivor over workers.
+FORK_CHUNK = 8
 
 
 # -- scored trials -----------------------------------------------------------
@@ -84,19 +96,23 @@ class ScoredTrial:
         staircase: Strictly increasing ``(score, watermark)`` records of
             every new running-maximum score, in time order.  Watermarks
             are ``None`` when the trial ran without an RNG ledger.
+        steps: The step each staircase record was made in, or empty when
+            unknown (a fork then pauses at step 0: the children replay the
+            whole prefix).
     """
 
     plan: ForkPlan
     score: float
     violation: bool
     staircase: Tuple[Tuple[float, Watermark | None], ...] = ()
+    steps: Tuple[int, ...] = ()
 
-    def watermark_at(self, threshold: float) -> Watermark | None:
-        """RNG watermark of the first score record at/above ``threshold``."""
-        for score, marks in self.staircase:
+    def fork_point(self, threshold: float) -> Tuple[Watermark | None, int]:
+        """Watermark and step of the first score record at/above ``threshold``."""
+        for index, (score, marks) in enumerate(self.staircase):
             if score >= threshold:
-                return marks
-        return None
+                return marks, self.steps[index] if self.steps else 0
+        return None, 0
 
 
 @dataclass(frozen=True)
@@ -223,15 +239,173 @@ def _build_estimate(method: str, factors: Sequence[float],
 # -- map strategies ----------------------------------------------------------
 def pool_map(trial_fn: TrialFn, plans: Sequence[ForkPlan], *,
              max_workers: int = 1) -> List[ScoredTrial]:
-    """Run plans through ``trial_fn``, optionally across worker processes.
+    """Run plans (or fork groups) through ``trial_fn``, optionally in a pool.
 
-    The pool's ``map`` preserves plan order and the plans fully determine
+    The pool's ``map`` preserves item order and the items fully determine
     their trials, so results are bit-identical for any ``max_workers``.
     """
     if max_workers <= 1:
         return [trial_fn(plan) for plan in plans]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(trial_fn, plans))
+
+
+# -- fork groups -------------------------------------------------------------
+def _segment_key(segment) -> tuple:
+    return (segment.seed, tuple(sorted(segment.watermark.items())), segment.step)
+
+
+def _prefix_key(plan: ForkPlan) -> tuple:
+    """What the plans of one fork group share: everything but the last seed."""
+    if not plan.segments:
+        return (plan.root_seed,)
+    *head, last = plan.segments
+    return (plan.root_seed, tuple(_segment_key(segment) for segment in head),
+            tuple(sorted(last.watermark.items())), last.step)
+
+
+@dataclass(frozen=True)
+class ForkGroup:
+    """Plans that fork one survivor at one threshold.
+
+    The plans share the root seed, every earlier segment and the last
+    segment's watermark and step; only the last segment's seed differs.
+    A root plan (no segments) is a group of its own.  :func:`run_fork_group`
+    replays the shared prefix once and runs each plan from a copy of it.
+    """
+
+    plans: Tuple[ForkPlan, ...]
+
+    def __post_init__(self):
+        if not self.plans:
+            raise ValueError("a fork group needs at least one plan")
+        key = _prefix_key(self.plans[0])
+        if any(_prefix_key(plan) != key for plan in self.plans[1:]):
+            raise ValueError("the plans of a fork group must fork one parent "
+                             "at one point")
+
+    @property
+    def parent(self) -> ForkPlan:
+        """The plan whose prefix every member replays."""
+        return self.plans[0].parent
+
+    @property
+    def step(self) -> int:
+        """The step the shared prefix pauses before (0: before the start)."""
+        segments = self.plans[0].segments
+        return segments[-1].step if segments else 0
+
+
+def fork_groups(plans: Sequence[ForkPlan]) -> Tuple[List[ForkGroup], List[List[int]]]:
+    """Cut one level's plans into fork groups of at most :data:`FORK_CHUNK`.
+
+    Returns the groups and each group's slots (the plans' positions in
+    ``plans``, in plan order).  Larger groups come first, ties by first
+    slot, so that a pool starts the longest tasks first.
+    """
+    members: Dict[tuple, List[int]] = {}
+    for slot, plan in enumerate(plans):
+        members.setdefault(_prefix_key(plan), []).append(slot)
+    chunks = [shared[first:first + FORK_CHUNK] for shared in members.values()
+              for first in range(0, len(shared), FORK_CHUNK)]
+    chunks.sort(key=lambda chunk: (-len(chunk), chunk[0]))
+    return [ForkGroup(tuple(plans[slot] for slot in chunk)) for chunk in chunks], chunks
+
+
+def _run_level(trial_fn: TrialFn, plans: Sequence[ForkPlan],
+               map_fn: MapFn) -> List[ScoredTrial]:
+    """Run one level as fork groups; results come back in slot order."""
+    groups, slots = fork_groups(plans)
+    results: List[ScoredTrial | None] = [None] * len(plans)
+    for group_slots, trials in zip(slots, map_fn(trial_fn, groups)):
+        for slot, trial in zip(group_slots, trials):
+            results[slot] = trial
+    return results
+
+
+def run_fork_group(group: ForkGroup,
+                   begin: Callable[[RngLedger], "PausableRun"]) -> List[ScoredTrial]:
+    """Run a fork group: replay the shared prefix once, then every plan.
+
+    ``begin(ledger)`` builds the parent's run inside its RNG session.  The
+    run advances to the boundary just before the group's step; each plan
+    but the last then continues on a :func:`copy.deepcopy` of the paused
+    run (the last one on the run itself), with the ledger forked into the
+    plan.  Every plan's scored trial is bit-identical to replaying it from
+    the start, because the pause lies at or before the fork point.
+    """
+    with rng_session(group.parent) as ledger:
+        run = begin(ledger)
+        if group.step:
+            run.advance(group.step - 1)
+    pins = run.pins() if len(group.plans) > 1 else {}
+    results = []
+    for index, plan in enumerate(group.plans):
+        child = run if index == len(group.plans) - 1 else copy.deepcopy(run, dict(pins))
+        if plan.segments:
+            child.ledger.fork(plan)
+        with rng_session(child.ledger):
+            child.advance()
+        results.append(child.scored(plan))
+    return results
+
+
+class PausableRun:
+    """What :func:`run_fork_group` drives: one scored trial that can pause.
+
+    Attributes:
+        ledger: The run's RNG ledger (copied along with the run).
+    """
+
+    ledger: RngLedger
+
+    def advance(self, until: int | None = None) -> None:
+        """Run until ``until`` steps are complete, or (``None``) to the end."""
+        raise NotImplementedError
+
+    def scored(self, plan: ForkPlan) -> ScoredTrial:
+        """The finished run's scored trial, under ``plan``."""
+        raise NotImplementedError
+
+    def pins(self) -> dict:
+        """A deepcopy memo of what copies of the run may share."""
+        return {}
+
+
+#: Objects :func:`pin_memo` neither pins nor walks into: deepcopy shares
+#: functions, types and modules, and copies scalars by value anyway.
+_UNPINNED = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+             types.MethodType, types.CodeType, int, float, complex, str, bytes,
+             bool, type(None))
+
+
+def pin_memo(*roots) -> dict:
+    """A deepcopy memo that maps everything reachable from ``roots`` to itself.
+
+    Copying a paused run with (a copy of) this memo shares the lowered
+    model, configuration and other per-cell objects instead of copying
+    them.  Only objects no run mutates may be pinned.
+    """
+    memo: dict = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _UNPINNED) or id(obj) in memo:
+            continue
+        memo[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack += obj.keys()
+            stack += obj.values()
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        else:
+            stack += getattr(obj, "__dict__", {}).values()
+            for cls in type(obj).__mro__:
+                names = cls.__dict__.get("__slots__", ())
+                for name in (names,) if isinstance(names, str) else names:
+                    if hasattr(obj, name):
+                        stack.append(getattr(obj, name))
+    return memo
 
 
 # -- the estimators ----------------------------------------------------------
@@ -320,20 +494,23 @@ def fixed_effort_splitting(trial_fn: TrialFn, *, master_seed: int,
     Each level runs ``settings.trials_per_level`` trials, selects the
     survivors at/above the level threshold, and builds the next level's
     plans by forking uniformly chosen survivors at their threshold-crossing
-    RNG watermark.  Every random choice (root seeds, survivor selection,
-    fork seeds) is derived deterministically from ``master_seed`` and the
-    level/slot position, so the estimate is invariant to worker count,
-    engine tier, and resume splits.
+    RNG watermark.  A level reaches ``map_fn`` as fork groups
+    (:func:`fork_groups`), and the results are put back in slot order.
+    Every random choice (root seeds, survivor selection, fork seeds) is
+    derived deterministically from ``master_seed`` and the level/slot
+    position, so the estimate is invariant to worker count, engine tier,
+    and resume splits.
 
     Args:
         trial_fn: Deterministic :class:`ForkPlan` -> :class:`ScoredTrial`
-            map (must be picklable if ``map_fn`` crosses processes).
+            and :class:`ForkGroup` -> ``[ScoredTrial, ...]`` map (must be
+            picklable if ``map_fn`` crosses processes).
         master_seed: Root of every derived seed.
         settings: Estimator knobs; ``None`` = defaults.
         name: Seed-derivation namespace; two estimators with different
             names draw decorrelated randomness from the same master seed.
-        map_fn: Order-preserving batch runner (defaults to serial;
-            :func:`pool_map` fans out over processes).
+        map_fn: Order-preserving batch runner over a level's fork groups
+            (defaults to serial; :func:`pool_map` fans out over processes).
         store: Optional :class:`~repro.campaign.store.CampaignStore`;
             completed levels checkpoint into its ``estimator`` table.
         identity: Estimator-state key within the store (required with
@@ -380,7 +557,7 @@ def fixed_effort_splitting(trial_fn: TrialFn, *, master_seed: int,
         })
 
     while True:
-        results = map_fn(trial_fn, plans)
+        results = _run_level(trial_fn, plans, map_fn)
         trials_used += len(results)
         scores = sorted(trial.score for trial in results)
         violations = sum(1 for trial in results if trial.violation)
@@ -405,16 +582,16 @@ def fixed_effort_splitting(trial_fn: TrialFn, *, master_seed: int,
             return estimate
 
         # Promote: each next-level slot forks a uniformly chosen survivor
-        # at its threshold-crossing watermark.  Selection draws through a
-        # level-keyed stream so the choice depends only on (master seed,
-        # level, slot) — never on scheduling.
+        # at its threshold-crossing watermark and step.  Selection draws
+        # through a level-keyed stream so the choice depends only on
+        # (master seed, level, slot) — never on scheduling.
         select = spawn_rng(master_seed, f"{name}:select:{level}")
         next_plans: List[ForkPlan] = []
         for i in range(n):
             parent = survivors[select.randrange(len(survivors))]
-            marks = parent.watermark_at(threshold) or {}
+            marks, step = parent.fork_point(threshold)
             child_seed = derive_seed(master_seed, f"{name}:fork:{level}:{i}")
-            next_plans.append(parent.plan.fork(child_seed, marks))
+            next_plans.append(parent.plan.fork(child_seed, marks or {}, step))
         plans = next_plans
         level += 1
         _save(False)
@@ -475,31 +652,52 @@ def chain_success_probability(*, up: float, size: int, start: int = 1) -> float:
     return (1.0 - rho ** start) / (1.0 - rho ** size)
 
 
-def run_chain_trial(plan: ForkPlan, *, up: float = 0.4, size: int = 12,
-                    start: int = 1) -> ScoredTrial:
+def run_chain_trial(item: ForkPlan | ForkGroup, *, up: float = 0.4, size: int = 12,
+                    start: int = 1) -> ScoredTrial | List[ScoredTrial]:
     """One trial of the toy birth--death chain, scored for splitting.
 
     The chain starts at ``start`` and steps until absorbed at 0 (no
     violation) or ``size`` (violation).  The score is the maximum state
-    reached as a fraction of ``size``, with the RNG watermark recorded at
-    every new maximum — exactly the staircase protocol of the case-study
-    observer, but with a closed-form true probability
-    (:func:`chain_success_probability`) for unbiasedness tests.
+    reached as a fraction of ``size``, with the RNG watermark and move
+    count recorded at every new maximum — exactly the staircase protocol
+    of the case-study observer, but with a closed-form true probability
+    (:func:`chain_success_probability`) for unbiasedness tests.  A
+    :class:`ForkGroup` returns one scored trial per plan.
     """
-    with rng_session(plan) as ledger:
-        rng = spawn_rng(plan.root_seed, "chain")
-        state = start
-        best = start
-        staircase: List[Tuple[float, Watermark]] = [(start / size,
-                                                     ledger.snapshot())]
-        while 0 < state < size:
-            state += 1 if rng.random() < up else -1
-            if state > best:
-                best = state
-                staircase.append((best / size, ledger.snapshot()))
-    return ScoredTrial(plan=plan, score=best / size,
-                       violation=(state == size),
-                       staircase=tuple(staircase))
+    group = item if isinstance(item, ForkGroup) else ForkGroup((item,))
+    results = run_fork_group(group, lambda ledger: _ChainRun(ledger, up, size, start))
+    return results if isinstance(item, ForkGroup) else results[0]
+
+
+class _ChainRun(PausableRun):
+    """The toy chain as a pausable run; a step is one move."""
+
+    def __init__(self, ledger: RngLedger, up: float, size: int, start: int):
+        self.ledger = ledger
+        self.up = up
+        self.size = size
+        self.rng = spawn_rng(ledger.plan.root_seed, "chain")
+        self.state = self.best = start
+        self.steps = 0
+        self.staircase: List[Tuple[float, Watermark]] = [(start / size,
+                                                          ledger.snapshot())]
+        self.entry_steps = [0]
+
+    def advance(self, until: int | None = None) -> None:
+        limit = sys.maxsize if until is None else until
+        while 0 < self.state < self.size and self.steps < limit:
+            self.steps += 1
+            self.state += 1 if self.rng.random() < self.up else -1
+            if self.state > self.best:
+                self.best = self.state
+                self.staircase.append((self.best / self.size, self.ledger.snapshot()))
+                self.entry_steps.append(self.steps)
+
+    def scored(self, plan: ForkPlan) -> ScoredTrial:
+        return ScoredTrial(plan=plan, score=self.best / self.size,
+                           violation=(self.state == self.size),
+                           staircase=tuple(self.staircase),
+                           steps=tuple(self.entry_steps))
 
 
 # -- the case-study trial function -------------------------------------------
@@ -544,44 +742,99 @@ class CellTemplate:
                              f"expected one of {CELL_EVENTS}")
 
 
-def scored_case_trial(template: CellTemplate, plan: ForkPlan) -> ScoredTrial:
+def scored_case_trial(template: CellTemplate,
+                      item: ForkPlan | ForkGroup) -> ScoredTrial | List[ScoredTrial]:
     """Run one case-study trial under a fork plan and score its risk level.
 
     Designed for ``functools.partial(scored_case_trial, template)`` as the
-    splitting estimator's (picklable) trial function.  Rule-2 violations
-    that never consumed a full Rule-1 dwelling budget are bumped onto the
-    violation boundary with an end-of-trial watermark: forking such a
-    survivor replays it verbatim, which keeps the estimator unbiased (the
-    clone is a valid — if maximally correlated — conditional sample).
+    splitting estimator's (picklable) trial function; a :class:`ForkGroup`
+    returns one scored trial per plan (see :func:`run_fork_group`).
+    Rule-2 violations that never consumed a full Rule-1 dwelling budget
+    are bumped onto the violation boundary with an end-of-trial watermark:
+    forking such a survivor replays it verbatim, which keeps the estimator
+    unbiased (the clone is a valid — if maximally correlated — conditional
+    sample).
     """
-    config = template.config
     if resolve_engine_kind(template.engine) != "reference":
         # Warm the per-process lowered-model cache *outside* the RNG
         # session: a cache miss draws template randomness, and workers
         # with cold caches must not count draws that warm workers skip.
-        _lowered_case_study(config, template.with_lease)
-    with rng_session(plan) as ledger:
-        risk = RiskLevelObserver(config, ledger)
-        channel = (template.channel.build(plan.root_seed)
+        _lowered_case_study(template.config, template.with_lease)
+    group = item if isinstance(item, ForkGroup) else ForkGroup((item,))
+    results = run_fork_group(group, functools.partial(_CaseRun, template))
+    return results if isinstance(item, ForkGroup) else results[0]
+
+
+#: Pins of each lowered case study (see :meth:`_CaseRun.pins`), kept with
+#: the lowered object so that its id cannot be reused while cached.
+_PINS: Dict[int, Tuple[object, dict]] = {}
+_PINS_LIMIT = 8
+
+
+class _CaseRun(PausableRun):
+    """One scored case-study trial, pausable between engine steps."""
+
+    def __init__(self, template: CellTemplate, ledger: RngLedger):
+        seed = ledger.plan.root_seed
+        self.template = template
+        self.ledger = ledger
+        self.risk = RiskLevelObserver(template.config, ledger)
+        channel = (template.channel.build(seed)
                    if template.channel is not None else None)
         surgeon = template.surgeon.build() if template.surgeon is not None else None
-        result = run_trial(config, with_lease=template.with_lease,
-                           seed=plan.root_seed, duration=template.duration,
-                           channel=channel, surgeon=surgeon,
-                           engine=template.engine, observers=[risk])
-    score = risk.score
-    staircase = list(risk.staircase)
-    if template.event == "dwell":
-        # The dwelling-budget event is exactly "the risk score reached
-        # 1.0", so no boundary bump is ever needed.
-        violation = score >= 1.0
-    else:
-        violation = result.failures > 0
-        if violation and score < 1.0:
-            score = 1.0
-            staircase.append((1.0, ledger.snapshot()))
-    return ScoredTrial(plan=plan, score=score, violation=violation,
-                       staircase=tuple(staircase))
+        self.trial = StreamedTrial(template.config, with_lease=template.with_lease,
+                                   seed=seed, duration=template.duration,
+                                   channel=channel, surgeon=surgeon,
+                                   engine=template.engine, observers=[self.risk])
+        self.risk.engine = self.trial.engine
+        self.started = False
+
+    def advance(self, until: int | None = None) -> None:
+        engine = self.trial.engine
+        if not self.started:
+            engine.start(self.trial.duration)
+            self.started = True
+        engine.advance(until)
+        if until is None:
+            engine.finish()
+
+    def scored(self, plan: ForkPlan) -> ScoredTrial:
+        risk = self.risk
+        score = risk.score
+        staircase = [(level, marks) for level, marks, _ in risk.staircase]
+        steps = [step for _, _, step in risk.staircase]
+        if self.template.event == "dwell":
+            # The dwelling-budget event is exactly "the risk score reached
+            # 1.0", so no boundary bump is ever needed.
+            violation = score >= 1.0
+        else:
+            violation = self.trial.stats.failures > 0
+            if violation and score < 1.0:
+                score = 1.0
+                staircase.append((1.0, self.ledger.snapshot()))
+                steps.append(self.trial.engine.steps)
+        return ScoredTrial(plan=plan, score=score, violation=violation,
+                           staircase=tuple(staircase), steps=tuple(steps))
+
+    def pins(self) -> dict:
+        # The model, couplings, rules and template are per cell; the
+        # reference tier builds its system per trial, so only the lowered
+        # tiers' pins are cached.  The monitor is read-only and staircase
+        # records never change once made, so the copies share them too.
+        case = self.trial.case
+        if case.lowered is None:
+            pins = pin_memo(case.system, case.couplings, case.rules)
+        else:
+            hit = _PINS.get(id(case.lowered))
+            if hit is None:
+                if len(_PINS) >= _PINS_LIMIT:
+                    _PINS.pop(next(iter(_PINS)))
+                hit = _PINS[id(case.lowered)] = (
+                    case.lowered, pin_memo(case.lowered, case.couplings, case.rules))
+            pins = dict(hit[1])
+        pins.update(pin_memo(self.template, self.ledger.plan, self.trial.stats.monitor,
+                             *self.risk.staircase))
+        return pins
 
 
 def cell_template(spec, cell_index: int, *,

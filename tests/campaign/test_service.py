@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,21 @@ def test_spec_codec_roundtrips_every_preset(name):
     back = decode_spec(wire)
     assert back == spec
     assert spec_fingerprint(back, 7) == spec_fingerprint(spec, 7)
+
+
+def test_spec_decoding_resolves_type_hints_once_per_class(monkeypatch):
+    from repro.campaign.service import protocol
+    protocol._field_hints.cache_clear()
+    calls = []
+    resolve = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints",
+                        lambda cls: calls.append(cls) or resolve(cls))
+    wire = encode_spec(_spec_interlock())
+    first = decode_spec(wire)
+    resolved = len(calls)
+    assert resolved == len(set(calls))
+    assert decode_spec(wire) == first == _spec_interlock()
+    assert len(calls) == resolved
 
 
 def test_decode_rejects_malformed_spec():

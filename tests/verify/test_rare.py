@@ -9,6 +9,7 @@ nominal rate, and Wald's SPRT respects its alpha/beta error budgets
 empirically.  They run in CI's ``rare`` job with fixed seeds.
 """
 
+import dataclasses
 import functools
 import math
 import statistics
@@ -119,13 +120,16 @@ class TestScoredTrial:
         assert trial.score == scores[-1]
         assert all(marks is not None for _, marks in trial.staircase)
 
-    def test_watermark_at_returns_first_crossing(self):
+    def test_fork_point_returns_first_crossing(self):
         trial = ScoredTrial(plan=ForkPlan(1), score=0.8, violation=False,
                             staircase=((0.2, {"a": 1}), (0.5, {"a": 3}),
-                                       (0.8, {"a": 9})))
-        assert trial.watermark_at(0.4) == {"a": 3}
-        assert trial.watermark_at(0.8) == {"a": 9}
-        assert trial.watermark_at(0.9) is None
+                                       (0.8, {"a": 9})), steps=(4, 17, 30))
+        assert trial.fork_point(0.4) == ({"a": 3}, 17)
+        assert trial.fork_point(0.8) == ({"a": 9}, 30)
+        assert trial.fork_point(0.9) == (None, 0)
+        # Without steps a fork pauses at step 0.
+        stepless = dataclasses.replace(trial, steps=())
+        assert stepless.fork_point(0.4) == ({"a": 3}, 0)
 
 
 # -- the statistical harness (CI `rare` job) ---------------------------------

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Mutation check of the compiled engine's quiet-step rules.
+"""Mutation check of the compiled engine's quiet steps and of fork groups.
 
-Each mutant below breaks one rule of ``src/repro/hybrid/simulate/compiled.py``
-that bit-identity rests on: the cushion, per-automaton deadlines, wakeup
-invalidation, the discrete-phase scan filter or the quiet-stretch loop.
+Each mutant below breaks one rule that bit-identity rests on: in
+``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
+deadlines, wakeup invalidation, the discrete-phase scan filter, the
+quiet-stretch loop or the copy of a paused run; in
+``src/repro/util/seeding.py`` and ``src/repro/verify/rare.py`` how a fork
+group pauses, copies and forks a survivor and puts the results back.
 The tool copies the repository's ``src/`` and ``tests/`` into a temporary
 directory, checks that the unmutated copy passes, then applies each mutant
-in turn and asserts that the fixed regression systems of
-``tests/hybrid/test_quiet_steps.py`` plus ``tests/golden`` fail on it.
-The hypothesis-generated test is deselected, so every kill comes from a
-fixed system.  Exit status is 0 when every mutant is killed, 1 otherwise.
+in turn and asserts that the fixed tests listed in ``TESTS`` fail on it.
+The hypothesis-generated test and the slow perfbench-pin test are
+deselected, so every kill comes from a fixed system.  Exit status is 0
+when every mutant is killed, 1 otherwise.
 
 Usage::
 
@@ -30,68 +33,104 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ENGINE = Path("src/repro/hybrid/simulate/compiled.py")
-TESTS = ["tests/hybrid/test_quiet_steps.py", "tests/golden"]
-GENERATED = "tests/hybrid/test_quiet_steps.py::test_generated_systems_are_bit_identical"
+ENGINE = "src/repro/hybrid/simulate/compiled.py"
+SEEDING = "src/repro/util/seeding.py"
+RARE = "src/repro/verify/rare.py"
+TESTS = ["tests/hybrid/test_quiet_steps.py", "tests/golden",
+         "tests/verify/test_fork_groups.py",
+         "tests/verify/test_rare_determinism.py::TestEngineTierInvariance"
+         "::test_scored_trial_is_engine_tier_invariant"]
+DESELECTED = ["tests/hybrid/test_quiet_steps.py::test_generated_systems_are_bit_identical",
+              "tests/verify/test_fork_groups.py"
+              "::test_perfbench_pin_simulates_at_most_87000_seconds"]
 COPIED = ["src", "tests", "conftest.py", "bootstrap_src.py", "pyproject.toml"]
 
-#: name -> (what the mutant breaks, [(exact text, replacement), ...]).
+#: name -> (file, what the mutant breaks, [(exact text, replacement), ...]).
 MUTANTS = {
     "keep-firing-candidate": (
-        "_take_edge keeps the firing runtime's cached candidate",
+        ENGINE, "_take_edge keeps the firing runtime's cached candidate",
         [("        rt.deadline = self._wake_at = self._deadline = -math.inf\n",
           "        self._wake_at = self._deadline = -math.inf\n")]),
     "skip-wake-invalidation": (
-        "_take_edge keeps the cached wakeup candidate",
+        ENGINE, "_take_edge keeps the cached wakeup candidate",
         [("        rt.deadline = self._wake_at = self._deadline = -math.inf\n",
           "        rt.deadline = self._deadline = -math.inf\n")]),
     "skip-pending-receivers": (
-        "the discrete phase skips runtimes whose only reason to fire is a pending event",
+        ENGINE, "the discrete phase skips runtimes whose only reason to fire is a pending event",
         [("                if ((rt.pending or not rt.deadline > threshold"
           " or rt.quiet_scan[rt.loc])\n",
           "                if ((not rt.deadline > threshold or rt.quiet_scan[rt.loc])\n")]),
     "drop-sample-due-test": (
-        "a quiet stretch samples on every step",
+        ENGINE, "a quiet stretch samples on every step",
         [('"            if not now + EPSILON < next_sample:",',
           '"            if True:",')]),
     "kept-candidate-sets-next-time": (
-        "a kept candidate's margin-reduced value sets the next time when nothing samples",
+        ENGINE, "a kept candidate's margin-reduced value sets the next time when nothing samples",
         [("            if rt.deadline > near:\n                kept = True\n",
           "            if rt.deadline > near:\n                best = min(best, rt.deadline)\n"),
          ("        if kept and not needs_sampling:\n",
           "        if False:\n")]),
     "cushion-dt-max": (
-        "the cushion is dt_max, without the leaves' EPSILON/|r| tolerance",
+        ENGINE, "the cushion is dt_max, without the leaves' EPSILON/|r| tolerance",
         [("        self._cushion = self.dt_max + max(EPSILON, EPSILON * inv_rate)\n",
           "        self._cushion = self.dt_max\n")]),
     "keep-near-candidates": (
-        "a full step keeps valid candidates inside the cushion",
+        ENGINE, "a full step keeps valid candidates inside the cushion",
         [("            if rt.deadline > near:\n", "            if rt.deadline > now:\n")]),
     "cache-nonfinite-wakeups": (
-        "a NaN/-inf wakeup (woken on every step) does not stop caching",
+        ENGINE, "a NaN/-inf wakeup (woken on every step) does not stop caching",
         [("                    wake_ok = False\n", "                    pass\n")]),
     "stale-deadline-after-coupling": (
-        "a quiet stretch ignores a generic coupling's invalidation",
+        ENGINE, "a quiet stretch ignores a generic coupling's invalidation",
         [('            couplings += [f"c{item[1]}()", "deadline = engine._deadline"]\n',
           '            couplings += [f"c{item[1]}()"]\n')]),
     "stretch-ignores-horizon": (
-        "a quiet stretch steps past the horizon",
+        ENGINE, "a quiet stretch steps past the horizon",
         [('"            if horizon < next_time:",', '"            if False:",')]),
     "quiet-firing-keeps-settled": (
-        "the step after a quiet step's firing skips the pre-step couplings",
+        ENGINE, "the step after a quiet step's firing skips the pre-step couplings",
         [('''                     f"    process(start + cushion, {i})",
                      "    settled = False",
 ''', '''                     f"    process(start + cushion, {i})",
 ''')]),
     "watch-first-runtime-only": (
-        "a quiet step evaluates only the first watched runtime's guards",
+        ENGINE, "a quiet step evaluates only the first watched runtime's guards",
         [("    for i in watched:\n", "    for i in watched[:1]:\n")]),
+    "fork-keeps-parent-generators": (
+        SEEDING, "a forked ledger keeps drawing from the parent's generators",
+        [("        for key, forked in self._streams.items():\n"
+          "            _extend(forked, key, segment)\n", "")]),
+    "pause-one-step-late": (
+        RARE, "a fork group pauses after the crossing step, not before it",
+        [("            run.advance(group.step - 1)\n", "            run.advance(group.step)\n")]),
+    "stretch-ignores-step-limit": (
+        ENGINE, "a quiet stretch runs on past the step a pause asked for",
+        [('"            if done or steps == room or not now < end:",',
+          '"            if done or not now < end:",')]),
+    "stale-step-at-sample": (
+        ENGINE, "a quiet stretch samples without bringing engine.steps up to date",
+        [('''                "                engine.steps = base + steps",
+                "                sample(True)",''', '''                "                sample(True)",''')]),
+    "copy-shares-coupling-programs": (
+        ENGINE, "a copied engine keeps the coupling programs bound to the original",
+        [("        clone._coupling_programs = [clone._lower_coupling(c) for c in clone.couplings]\n",
+          "        clone._coupling_programs = self._coupling_programs\n")]),
+    "copy-shares-boundaries": (
+        SEEDING, "a copied stream shares its boundary list with the original",
+        [("        clone = memo[id(self)] = type(self)(generators, list(self._boundaries),\n",
+          "        clone = memo[id(self)] = type(self)(generators, self._boundaries,\n")]),
+    "scatter-in-group-order": (
+        RARE, "a level's results come back in group order, not slot order",
+        [("        for slot, trial in zip(group_slots, trials):\n"
+          "            results[slot] = trial\n",
+          "        for trial in trials:\n"
+          "            results[results.index(None)] = trial\n")]),
 }
 
 
 def apply(source: str, name: str) -> str:
     """``source`` with mutant ``name`` applied; each text must occur exactly once."""
-    for old, new in MUTANTS[name][1]:
+    for old, new in MUTANTS[name][2]:
         count = source.count(old)
         if count != 1:
             raise SystemExit(f"mutant {name}: expected one match, found {count}:\n{old}")
@@ -105,8 +144,9 @@ def run_tests(tree: Path) -> tuple[int, float, str]:
     The summary is the first failed test's id, or pytest's last line.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    deselect = [arg for test in DESELECTED for arg in ("--deselect", test)]
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "-rf", *TESTS, "--deselect", GENERATED]
+               "-rf", *TESTS, *deselect]
     started = time.perf_counter()
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines() or [done.stderr.strip()]
@@ -120,8 +160,8 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
     if args.list:
-        for name, (what, _) in MUTANTS.items():
-            print(f"{name}: {what}")
+        for name, (path, what, _) in MUTANTS.items():
+            print(f"{name} ({path}): {what}")
         return 0
     unknown = sorted(set(args.names) - set(MUTANTS))
     if unknown:
@@ -136,9 +176,9 @@ def main(argv=None) -> int:
                 shutil.copytree(source, tree / entry, ignore=ignore)
             else:
                 shutil.copy2(source, tree / entry)
-        engine = tree / ENGINE
-        original = engine.read_text(encoding="utf-8")
-        mutated = {name: apply(original, name) for name in names}
+        originals = {path: (tree / path).read_text(encoding="utf-8")
+                     for path in {MUTANTS[name][0] for name in names}}
+        mutated = {name: apply(originals[MUTANTS[name][0]], name) for name in names}
         status, seconds, line = run_tests(tree)
         print(f"unmutated: exit {status} in {seconds:.1f}s ({line})", flush=True)
         if status != 0:
@@ -146,8 +186,10 @@ def main(argv=None) -> int:
             return 1
         survivors = []
         for name in names:
-            engine.write_text(mutated[name], encoding="utf-8")
+            path = tree / MUTANTS[name][0]
+            path.write_text(mutated[name], encoding="utf-8")
             status, seconds, line = run_tests(tree)
+            path.write_text(originals[MUTANTS[name][0]], encoding="utf-8")
             # Exit status 1 means tests ran and failed; anything else
             # (collection error, usage error) does not count as a kill.
             killed = status == 1
@@ -155,7 +197,6 @@ def main(argv=None) -> int:
                   f"(exit {status}, {seconds:.1f}s)", flush=True)
             if not killed:
                 survivors.append(name)
-        engine.write_text(original, encoding="utf-8")
     if survivors:
         print(f"{len(survivors)} of {len(names)} mutants survived: {', '.join(survivors)}")
         return 1
