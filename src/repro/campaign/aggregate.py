@@ -187,11 +187,15 @@ class GroupSummary:
     def from_summaries(cls, summaries: Sequence[TrialSummary]) -> "GroupSummary":
         """Aggregate one cell's replicates.
 
-        Every reduction is order-independent (sums, maxima, minima and a
-        mean), so the aggregate is invariant to completion order.
+        The counts, maxima and minima are order-independent, but
+        ``mean_loss_ratio`` is a float sum and depends on summation order.
+        Callers pass the replicates in replicate order (as
+        :meth:`CampaignResult.groups` and the service's streamed cells do),
+        which makes the aggregate independent of completion order.
 
         Args:
-            summaries: The cell's trial summaries (non-empty, same cell).
+            summaries: The cell's trial summaries (non-empty, same cell),
+                in replicate order.
 
         Returns:
             The cell aggregate.

@@ -131,9 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(all kernels are bit-identical; "
                              "'reference' is the executable-spec escape hatch)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="B",
-                        help="replicates of one sweep cell dispatched as one "
-                             "unit (with --engine batched, the lanes of one "
-                             "engine); 0 = auto heuristic (default)")
+                        help="consecutive trials dispatched and committed "
+                             "as one task, possibly spanning sweep cells "
+                             "(with --engine batched, each cell's trials run "
+                             "as the lanes of one engine); 0 = auto "
+                             "heuristic (default)")
     parser.add_argument("--shm", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="shared-memory results path: per-trial stats "

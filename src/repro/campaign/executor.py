@@ -22,13 +22,17 @@ campaign master seed and the run's position in the spec, never from
 scheduling, so any backend and worker count yields bit-identical
 aggregates.
 
-The unit of dispatch is a **batch**: a chunk of replicates of one campaign
-cell, shipped as ``(spec_index, (index, replicate, seed), ...)`` tuples.
-Each worker lowers a cell's hybrid model once (the per-process cache in
-:mod:`repro.casestudy.emulation`) and reuses it for every trial of that
-cell.  With ``engine="batched"`` the replicates of a chunk run as lanes of
-one :class:`~repro.hybrid.simulate.batched.BatchedEngine`, one after
-another on the compiled kernel.
+The unit of dispatch is a **batch**: a run of consecutive trials in
+expansion order, shipped as ``(index, spec_index, replicate, seed)``
+tuples, so one batch may span several campaign cells.  Auto sizing gives a
+batch about :data:`TASK_SIM_SECONDS` of simulated time, capped so every
+worker gets work (:func:`resolve_batch_size`); each retired batch is one
+store commit.  Each worker lowers a cell's hybrid model once (the
+per-process cache in :mod:`repro.casestudy.emulation`) and reuses it for
+every trial of that cell.  With ``engine="batched"`` each cell's replicates
+within a chunk run as lanes of one
+:class:`~repro.hybrid.simulate.batched.BatchedEngine`, one after another on
+the compiled kernel.
 
 Each trial comes back as one slim :class:`TrialSummary`, the only
 per-trial record a campaign produces, ships, checkpoints or returns.
@@ -64,7 +68,7 @@ aborting on them:
   being charged an attempt, so an innocent batch can never be quarantined
   by a neighbour's crash.
 
-Because every trial's seed travels inside its task triple, a retried or
+Because every trial's seed travels inside its task tuple, a retried or
 rescheduled trial reproduces its original result exactly, and the
 aggregates of a faulted-but-recovered run are bit-identical to a clean
 serial reference (minus quarantined trials, which are reported, not
@@ -82,6 +86,7 @@ result.  Results are bit-identical to a dedicated-pool run.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import pickle
 import shutil
@@ -93,13 +98,14 @@ from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
+from operator import itemgetter
 from typing import Callable, Deque, Dict, List, Sequence, Tuple
 
 from repro.campaign import shm as shm_plane
 from repro.campaign.aggregate import CampaignResult, TrialSummary
 from repro.campaign.faults import (BatchContext, FaultPlan, InjectedTrialFault,
                                    TrialFailure, resolve_fault_plan)
-from repro.campaign.spec import CampaignSpec, TrialRun
+from repro.campaign.spec import CampaignSpec, TrialRun, TrialSpec
 from repro.campaign.store import (CampaignStore, CampaignStoreError,
                                   RecoveryStage, RecoveryStateMachine)
 from repro.casestudy.config import CaseStudyConfig
@@ -110,6 +116,12 @@ from repro.hybrid.simulate import resolve_engine_kind
 #: expanding a 100x campaign does not materialize every pending future up
 #: front.
 _INFLIGHT_PER_WORKER = 4
+
+#: Simulated seconds the auto heuristic packs into one task of the
+#: non-batched engines: enough short trials to amortize a dispatch and a
+#: store commit, while a paper-horizon (1800 s) trial still gets a task of
+#: its own.
+TASK_SIM_SECONDS = 1000.0
 
 #: Largest replicate batch the auto heuristic gives the batched engine.
 _MAX_AUTO_BATCH = 64
@@ -136,10 +148,11 @@ DEFAULT_MAX_RETRIES = 2
 #: checkpoint store still holds everything retired so far).
 DEFAULT_MAX_RESPAWNS = 8
 
-#: One dispatched batch: a campaign-cell index plus (index, replicate,
-#: seed) triples of the chunk's runs.  Everything else a worker needs is in
-#: the job context it loads once from the pool's spool file.
-_BatchTask = Tuple[int, Tuple[Tuple[int, int, int], ...]]
+#: One dispatched batch: ``(index, spec_index, replicate, seed)`` of each
+#: of its runs, in expansion order; consecutive runs may belong to
+#: different cells.  Everything else a worker needs is in the job context
+#: it loads once from the pool's spool file.
+_BatchTask = Tuple[Tuple[int, int, int, int], ...]
 
 #: The default trial runner: the paper's laser-tracheotomy case study.
 #: :class:`~repro.campaign.spec.TrialSpec.runner` selects alternates from
@@ -272,21 +285,36 @@ def default_worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def resolve_batch_size(batch_size: int | None, spec: CampaignSpec,
-                       workers: int, engine: str) -> int:
-    """Resolve the replicate-batch size for one campaign run.
+def _cell_horizon(spec: CampaignSpec, trial: TrialSpec) -> float:
+    """Simulated seconds one trial of the cell ``trial`` runs for."""
+    if trial.duration is not None:
+        return float(trial.duration)
+    if spec.duration is not None:
+        return float(spec.duration)
+    return float(spec.config.trial_duration)
 
-    ``None`` or ``0`` selects the auto heuristic: with the batched engine,
-    split each cell's replicates evenly across the workers (capped at
+
+def resolve_batch_size(batch_size: int | None, spec: CampaignSpec,
+                       workers: int, engine: str, *,
+                       live_trials: int | None = None) -> int:
+    """Resolve the trials-per-task size for one campaign run.
+
+    ``None`` or ``0`` selects the auto heuristic.  With the batched engine
+    it splits each cell's replicates evenly across the workers (capped at
     ``_MAX_AUTO_BATCH`` lanes), unless the split lands below
-    :data:`MIN_LOCKSTEP_LANES`, in which case dispatch per trial; with the
-    other engines, dispatch per trial.
+    :data:`MIN_LOCKSTEP_LANES`, in which case it dispatches per trial.
+    With the other engines a task gets ``TASK_SIM_SECONDS`` of simulated
+    time at the longest cell horizon, at least one trial and at most an
+    even share of the live trials per worker.
 
     Args:
         batch_size: The requested batch size (``None``/``0`` = auto).
-        spec: The campaign being run (its largest cell bounds the split).
+        spec: The campaign being run (its largest cell bounds the split,
+            its longest horizon the simulated time per task).
         workers: The worker-process count of the run.
         engine: The resolved simulation-kernel name.
+        live_trials: Trials left to run (fewer than the campaign's on a
+            resume); ``None`` means all of them.
 
     Returns:
         The concrete batch size, at least 1.
@@ -299,7 +327,11 @@ def resolve_batch_size(batch_size: int | None, spec: CampaignSpec,
             raise ValueError("batch size must be at least 1")
         return int(batch_size)
     if engine != "batched":
-        return 1
+        live = spec.total_trials if live_trials is None else live_trials
+        per_worker = -(-live // max(1, workers))  # ceil division
+        longest = max(_cell_horizon(spec, trial) for trial in spec.trials)
+        per_task = int(TASK_SIM_SECONDS // longest) if longest > 0 else per_worker
+        return max(1, min(per_task, per_worker))
     largest_cell = max(t.effective_replicates for t in spec.trials)
     per_worker = -(-largest_cell // max(1, workers))  # ceil division
     if per_worker < MIN_LOCKSTEP_LANES:
@@ -366,17 +398,16 @@ def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
 
 
 def _batch_fault_hook(plan: FaultPlan | None, ctx: BatchContext | None,
-                      runs_lite: Tuple[Tuple[int, int, int], ...],
-                      ) -> Callable[[int], None] | None:
+                      task: _BatchTask) -> Callable[[int], None] | None:
     """Build the per-trial fault hook of one batch from the fault plan.
 
     Args:
         plan: The run's fault plan (``None``/empty disables injection).
         ctx: Dispatch context carrying the batch's attempt counts.
-        runs_lite: The batch's ``(index, replicate, seed)`` triples.
+        task: The batch's ``(index, spec_index, replicate, seed)`` runs.
 
     Returns:
-        A hook mapping a lane offset to a possible
+        A hook mapping an offset into the batch to a possible
         :class:`~repro.campaign.faults.InjectedTrialFault`, or ``None``
         when the plan scripts no in-trial faults.
     """
@@ -384,7 +415,7 @@ def _batch_fault_hook(plan: FaultPlan | None, ctx: BatchContext | None,
         return None
 
     def hook(offset: int) -> None:
-        index = runs_lite[offset][0]
+        index = task[offset][0]
         attempt = ctx.attempts[offset] if ctx is not None else 0
         if plan.raise_in_trial(index, attempt):
             raise InjectedTrialFault(
@@ -397,16 +428,19 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
                   plan: FaultPlan | None = None,
                   ctx: BatchContext | None = None,
                   ) -> List[Tuple[int, TrialSummary]]:
-    """Execute one batch of same-cell replicates (runs inside a worker).
+    """Execute one batch of trials (runs inside a worker).
 
-    With the batched engine, multi-trial chunks run as the lanes of one
-    :func:`~repro.casestudy.emulation.run_trial_batch`; otherwise the chunk
-    executes trial by trial.  Either way the chunk amortizes the
-    per-worker lowered-model cache and the task pickling.
+    The batch's runs execute in order, each as a trial of its own cell.
+    With the batched engine, each cell's consecutive runs within the batch
+    run as the lanes of one
+    :func:`~repro.casestudy.emulation.run_trial_batch`; otherwise the
+    batch executes trial by trial.  Either way the batch amortizes the
+    per-worker lowered-model cache, the task pickling and the store
+    commit.
 
     Args:
-        spec: The campaign spec (provides the cell and base config).
-        task: The ``(spec_index, runs)`` batch to execute.
+        spec: The campaign spec (provides the cells and base config).
+        task: The ``(index, spec_index, replicate, seed)`` runs to execute.
         engine: The resolved simulation-kernel name.
         plan: Optional fault plan; its ``raise`` clauses become the
             per-trial fault hooks of this batch.
@@ -414,35 +448,39 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
             attempt counts); lets transient ``raise`` clauses expire.
 
     Returns:
-        One ``(index, summary)`` pair per trial of the batch, in replicate
+        One ``(index, summary)`` pair per trial of the batch, in batch
         order.
     """
-    spec_index, runs_lite = task
-    trial = spec.trials[spec_index]
-    fault_for = _batch_fault_hook(plan, ctx, runs_lite)
-    if (engine == "batched" and len(runs_lite) > 1
-            and trial.runner == TRIAL_RUNNER_DEFAULT):
-        trial_config = trial.configure(spec.config)
-        duration = trial.duration if trial.duration is not None else spec.duration
-        seeds = [seed for _, _, seed in runs_lite]
-        results = run_trial_batch(
-            trial_config, with_lease=trial.with_lease, seeds=seeds,
-            duration=duration, channel_builder=trial.channel.build,
-            surgeon_builder=((lambda _seed: trial.surgeon.build())
-                             if trial.surgeon is not None else None),
-            fault=fault_for)
+    fault_for = _batch_fault_hook(plan, ctx, task)
+    results: List[Tuple[int, TrialSummary]] = []
+    start = 0
+    for spec_index, cell_runs in itertools.groupby(task, key=itemgetter(1)):
+        trial = spec.trials[spec_index]
         runs = [TrialRun(index=index, spec_index=spec_index,
                          replicate=replicate, seed=seed, spec=trial)
-                for index, replicate, seed in runs_lite]
-        return [(run.index, TrialSummary.from_trial(run, result))
-                for run, result in zip(runs, results)]
-    return [execute_trial(spec.config, spec.duration,
-                          TrialRun(index=index, spec_index=spec_index,
-                                   replicate=replicate, seed=seed, spec=trial),
-                          engine,
-                          fault=(None if fault_for is None
-                                 else (lambda off=offset: fault_for(off))))
-            for offset, (index, replicate, seed) in enumerate(runs_lite)]
+                for index, _, replicate, seed in cell_runs]
+        if (engine == "batched" and len(runs) > 1
+                and trial.runner == TRIAL_RUNNER_DEFAULT):
+            duration = (trial.duration if trial.duration is not None
+                        else spec.duration)
+            lanes = run_trial_batch(
+                trial.configure(spec.config), with_lease=trial.with_lease,
+                seeds=[run.seed for run in runs], duration=duration,
+                channel_builder=trial.channel.build,
+                surgeon_builder=((lambda _seed: trial.surgeon.build())
+                                 if trial.surgeon is not None else None),
+                fault=(None if fault_for is None
+                       else (lambda lane, base=start: fault_for(base + lane))))
+            results += [(run.index, TrialSummary.from_trial(run, result))
+                        for run, result in zip(runs, lanes)]
+        else:
+            results += [execute_trial(
+                spec.config, spec.duration, run, engine,
+                fault=(None if fault_for is None
+                       else (lambda off=start + offset: fault_for(off))))
+                for offset, run in enumerate(runs)]
+        start += len(runs)
+    return results
 
 
 #: Per-worker cache of job contexts, keyed by job token.  A pool serves one
@@ -744,20 +782,20 @@ class _InProcessBackend:
 
 
 def _chunk_runs(runs: Sequence[TrialRun], batch_size: int) -> List[_BatchTask]:
-    """Chunk expanded runs into same-cell batches of at most ``batch_size``."""
-    tasks: List[_BatchTask] = []
-    current: List[TrialRun] = []
-    for run in runs:
-        if current and (run.spec_index != current[0].spec_index
-                        or len(current) >= batch_size):
-            tasks.append((current[0].spec_index,
-                          tuple((r.index, r.replicate, r.seed) for r in current)))
-            current = []
-        current.append(run)
-    if current:
-        tasks.append((current[0].spec_index,
-                      tuple((r.index, r.replicate, r.seed) for r in current)))
-    return tasks
+    """Chunk expanded runs, in order, into batches of at most ``batch_size``.
+
+    Chunks split on size only, so one batch may span several cells.
+    """
+    lite = [(run.index, run.spec_index, run.replicate, run.seed)
+            for run in runs]
+    return [tuple(lite[start:start + batch_size])
+            for start in range(0, len(lite), batch_size)]
+
+
+def _describe_cells(task: _BatchTask) -> str:
+    """Name the cells a batch spans, for recovery events ("cell 0", "cells 0-2")."""
+    first, last = task[0][1], task[-1][1]
+    return f"cell {first}" if first == last else f"cells {first}-{last}"
 
 
 def _resolve_shm(shm: bool | None, engine: str, pooled: bool) -> bool:
@@ -847,7 +885,7 @@ class _Supervisor:
                 batches raises :class:`CampaignCancelled`.
         """
         self.queue: Deque[_Pending] = deque(
-            _Pending(task, (0,) * len(task[1])) for task in tasks)
+            _Pending(task, (0,) * len(task)) for task in tasks)
         self.isolation: Deque[_Pending] = deque()
         self.inflight: Dict[object, _Flight] = {}
         self.window = window
@@ -926,7 +964,7 @@ class _Supervisor:
         try:
             future = self.backend.submit(pool, pending.task, token, ctx)
         except BrokenProcessPool:
-            self.release(ticket, len(pending.task[1]))
+            self.release(ticket, len(pending.task))
             raise
         deadline = (time.monotonic() + self.batch_deadline
                     if self.batch_deadline is not None else None)
@@ -970,32 +1008,30 @@ class _Supervisor:
         first): they re-run one at a time, so any further failure stays
         precisely attributable.
         """
-        spec_index, runs_lite = pending.task
+        task = pending.task
         attempts = tuple(count + 1 for count in pending.attempts)
-        if len(runs_lite) > 1:
-            mid = len(runs_lite) // 2
+        if len(task) > 1:
+            mid = len(task) // 2
             self.events.append((
                 "bisect",
-                f"batch of {len(runs_lite)} trials (cell {spec_index}) failed "
-                f"({type(exc).__name__}: {exc}); splitting to isolate the "
-                f"offender"))
-            self.isolation.appendleft(
-                _Pending((spec_index, runs_lite[mid:]), attempts[mid:]))
-            self.isolation.appendleft(
-                _Pending((spec_index, runs_lite[:mid]), attempts[:mid]))
+                f"batch of {len(task)} trials ({_describe_cells(task)}) "
+                f"failed ({type(exc).__name__}: {exc}); splitting to isolate "
+                f"the offender"))
+            self.isolation.appendleft(_Pending(task[mid:], attempts[mid:]))
+            self.isolation.appendleft(_Pending(task[:mid], attempts[:mid]))
             return
         if attempts[0] > self.max_retries:
-            self.quarantine(_Pending(pending.task, attempts), exc)
+            self.quarantine(_Pending(task, attempts), exc)
             return
         self.events.append((
             "retry",
-            f"trial {runs_lite[0][0]} failed attempt {attempts[0]} "
+            f"trial {task[0][0]} failed attempt {attempts[0]} "
             f"({type(exc).__name__}: {exc}); retrying"))
-        self.isolation.appendleft(_Pending(pending.task, attempts))
+        self.isolation.appendleft(_Pending(task, attempts))
 
     def _release_flight(self, flight: _Flight) -> None:
         """Return a flight's shared-memory reservation unconsumed."""
-        self.release(flight.ticket, len(flight.pending.task[1]))
+        self.release(flight.ticket, len(flight.pending.task))
 
     def _publish_flight(self, flight: _Flight, outcome) -> None:
         """Publish a finished flight, demoting ring corruption to a retry."""
@@ -1087,7 +1123,7 @@ class _Supervisor:
             if future in hung:
                 self.events.append((
                     "deadline-kill",
-                    f"batch of {len(flight.pending.task[1])} trials exceeded "
+                    f"batch of {len(flight.pending.task)} trials exceeded "
                     f"the {self.batch_deadline:g}s deadline; killing its "
                     f"worker"))
                 self._fail(flight.pending,
@@ -1146,11 +1182,15 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             kernel (campaigns default fast; the reference engine remains
             the escape hatch).
             All kernels are bit-identical, so this only affects throughput.
-        batch_size: Replicates of one cell dispatched (and, with the
-            batched engine, run as the lanes of one engine) as one
-            unit.  ``None`` / ``0`` = auto: per-trial dispatch for the
-            other engines, an even per-worker split of each cell (at
-            most 64 lanes) for the batched engine.
+        batch_size: Consecutive trials dispatched and committed to the
+            store as one task, possibly spanning cells (with the batched
+            engine each cell's trials in a task run as the lanes of one
+            engine).  ``None`` / ``0`` = auto: for the compiled and
+            reference engines, ``TASK_SIM_SECONDS`` (1000 s) of simulated
+            time at the longest cell horizon, at least 1 trial and at most
+            an even share of the live trials per worker; for the batched
+            engine, an even per-worker split of each cell (at most 64
+            lanes).
         on_result: Optional streaming callback, fired once per trial —
             first for replayed checkpoints in trial order, then for live
             trials in completion order (useful for progress reporting;
@@ -1244,8 +1284,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
 
     def quarantine(pending: _Pending, exc: BaseException) -> None:
         """Record a trial that exhausted its retry budget and move on."""
-        spec_index, runs_lite = pending.task
-        index, replicate, seed_value = runs_lite[0]
+        (index, spec_index, replicate, seed_value), = pending.task
         failure = TrialFailure(
             trial_index=index, label=spec.trials[spec_index].label,
             replicate=replicate, seed=seed_value,
@@ -1293,7 +1332,8 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             live_runs = [run for run in runs if run.index not in done_indices]
 
         workers = pool.max_workers if pool is not None else max_workers
-        batch = resolve_batch_size(batch_size, spec, workers, resolved_engine)
+        batch = resolve_batch_size(batch_size, spec, workers, resolved_engine,
+                                   live_trials=len(live_runs))
         tasks = _chunk_runs(live_runs, batch)
         started = time.perf_counter()
 
@@ -1322,17 +1362,16 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             # Shared-memory counterpart: decode the task's ring records in
             # place, commit them straight from the ring, publish, then
             # recycle the reservation.
-            spec_index, runs_lite = task
-            label = spec.trials[spec_index].label
-            labels = [label] * count
+            labels = [spec.trials[spec_index].label
+                      for _, spec_index, _, _ in task]
             block = session.records_view(ticket, count)
             decoded = session.read(ticket, count, labels)
-            expected = [index for index, _, _ in runs_lite]
+            expected = [index for index, _, _, _ in task]
             if block["trial_index"].tolist() != expected:
                 raise shm_plane.ShmError(
-                    f"results-ring records for cell {spec_index} carry trial "
-                    f"indices {block['trial_index'].tolist()}, expected "
-                    f"{expected}")
+                    f"results-ring records of a task on "
+                    f"{_describe_cells(task)} carry trial indices "
+                    f"{block['trial_index'].tolist()}, expected {expected}")
             if store_obj is not None:
                 store_obj.checkpoint_ring(block, labels)
             for index, summary in zip(expected, decoded):
@@ -1343,7 +1382,7 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             """Reserve results-ring slots for one task, if any."""
             if session is None:
                 return None, None
-            ticket = session.acquire(len(task[1]))
+            ticket = session.acquire(len(task))
             if ticket is None:
                 return None, None
             return ticket, ticket.token(session)

@@ -24,22 +24,33 @@ Event shapes (all JSON-ready dicts, ``"event"`` discriminates):
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import queue
 import threading
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.aggregate import GroupSummary, TrialSummary
 
+#: Sort key of a cell's summaries: the order ``CampaignResult.groups`` folds.
+_REPLICATE = attrgetter("replicate")
+
+#: The fields of a cell aggregate, all JSON primitives.
+_CELL_FIELDS = tuple(field.name for field in dataclasses.fields(GroupSummary))
+
 
 class CellAggregator:
-    """Order-independent per-cell (per-label) aggregate accumulator.
+    """Completion-order-independent per-cell (per-label) aggregates.
 
     Keeps each cell's :class:`~repro.campaign.aggregate.TrialSummary`
-    list and folds it through the same
+    list in replicate order, whatever order trials retire in, and folds it
+    through the same
     :meth:`~repro.campaign.aggregate.GroupSummary.from_summaries`
-    reduction the final campaign result uses, so a streamed snapshot at
-    100% equals the completed job's group rows.
+    reduction the final campaign result uses.  The float mean of that
+    reduction depends on summation order, so folding in replicate order is
+    what makes a streamed snapshot at 100% equal the completed job's group
+    rows bit for bit.
     """
 
     def __init__(self) -> None:
@@ -60,7 +71,7 @@ class CellAggregator:
             self._cells[summary.label] = []
             self._order.append(summary.label)
         cell = self._cells[summary.label]
-        cell.append(summary)
+        bisect.insort(cell, summary, key=_REPLICATE)
         return GroupSummary.from_summaries(cell)
 
     @property
@@ -85,9 +96,10 @@ def cell_json(group: GroupSummary) -> dict:
         group: The cell's aggregate.
 
     Returns:
-        The aggregate's fields as JSON primitives.
+        The aggregate's fields as JSON primitives: a flat dict equal to
+        ``dataclasses.asdict(group)``, without its recursive deep copy.
     """
-    return dataclasses.asdict(group)
+    return {name: getattr(group, name) for name in _CELL_FIELDS}
 
 
 class EventBus:

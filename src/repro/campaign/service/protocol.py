@@ -29,7 +29,7 @@ import typing
 from typing import Optional
 
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import _canonical
+from repro.campaign.store import canonical_spec
 
 #: Version stamp carried by every frame; a server rejects requests from a
 #: different major version loudly instead of misreading them.
@@ -196,16 +196,18 @@ def encode_spec(spec: CampaignSpec) -> dict:
     """Encode a campaign spec as canonical JSON-ready primitives.
 
     Delegates to the store's fingerprint canonicalization, so the wire
-    encoding and the identity digest can never drift apart.
+    encoding and the identity digest can never drift apart, and a spec
+    object is canonicalized only once however often it is encoded or
+    fingerprinted.
 
     Args:
         spec: The campaign description.
 
     Returns:
         A dict of JSON primitives (tuples as lists, dataclasses as
-        field dicts).
+        field dicts), shared with other callers: do not mutate it.
     """
-    return _canonical(spec)
+    return canonical_spec(spec)
 
 
 def decode_spec(data: dict) -> CampaignSpec:

@@ -330,12 +330,15 @@ class CampaignService:
             job = Job(fingerprint=fingerprint, spec=spec,
                       master_seed=master_seed,
                       priority=priority, seq=self._next_seq())
-            sidecar = {"v": protocol.PROTOCOL_VERSION,
-                       "spec": protocol.encode_spec(spec),
-                       "master_seed": master_seed, "priority": priority}
+            # The fingerprint above canonicalized the spec; the sidecar and
+            # the store's binding check reuse that encoding.
+            sidecar = json.dumps({"v": protocol.PROTOCOL_VERSION,
+                                  "spec": protocol.encode_spec(spec),
+                                  "master_seed": master_seed,
+                                  "priority": priority}, sort_keys=True)
             with open(self._sidecar_path(fingerprint), "w",
                       encoding="utf-8") as handle:
-                json.dump(sidecar, handle, sort_keys=True)
+                handle.write(sidecar)
                 handle.flush()
                 os.fsync(handle.fileno())
             self._jobs[fingerprint] = job

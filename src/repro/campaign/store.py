@@ -59,7 +59,9 @@ import json
 import os
 import pathlib
 import sqlite3
+import threading
 import time
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.campaign.aggregate import SUMMARY_RECORD_FIELDS, TrialSummary
@@ -208,6 +210,40 @@ def _canonical(value: object) -> object:
         f"{value!r} ({type(value).__name__})")
 
 
+#: Canonical encodings of the specs encoded most recently, keyed by object
+#: identity.  Each entry holds its spec, so an id cannot be reused while it
+#: is cached, and specs are frozen, so an entry never goes stale.  This is
+#: what lets a service job's submit fingerprint, its sidecar and its
+#: store's binding check share one encoding.
+_RECENT_ENCODINGS: "OrderedDict[int, Tuple[CampaignSpec, object]]" = OrderedDict()
+_RECENT_LIMIT = 64
+_RECENT_LOCK = threading.Lock()
+
+
+def canonical_spec(spec: "CampaignSpec") -> object:
+    """Return the canonical encoding of a spec, encoding each spec object once.
+
+    The result is shared with later callers passing the same spec object,
+    so it must not be mutated.
+
+    Args:
+        spec: The campaign description.
+
+    Returns:
+        The :func:`_canonical` encoding of ``spec``.
+    """
+    with _RECENT_LOCK:
+        hit = _RECENT_ENCODINGS.get(id(spec))
+    if hit is not None:
+        return hit[1]
+    encoded = _canonical(spec)
+    with _RECENT_LOCK:
+        _RECENT_ENCODINGS[id(spec)] = (spec, encoded)
+        while len(_RECENT_ENCODINGS) > _RECENT_LIMIT:
+            _RECENT_ENCODINGS.popitem(last=False)
+    return encoded
+
+
 def spec_fingerprint(spec: "CampaignSpec", master_seed: int) -> str:
     """Compute the identity digest a checkpoint store binds itself to.
 
@@ -226,7 +262,7 @@ def spec_fingerprint(spec: "CampaignSpec", master_seed: int) -> str:
     Returns:
         A 64-character lowercase hex digest.
     """
-    payload = {"master_seed": int(master_seed), "spec": _canonical(spec)}
+    payload = {"master_seed": int(master_seed), "spec": canonical_spec(spec)}
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 

@@ -167,12 +167,35 @@ class TestDeterminism:
 
     def test_auto_batch_size_heuristic(self):
         from repro.campaign import resolve_batch_size
+        from repro.campaign.executor import TASK_SIM_SECONDS
 
         spec = table1_spec(duration=100.0, replicates=40)
+        # Explicit batch sizes are honoured for every engine.
         assert resolve_batch_size(7, spec, 4, "batched") == 7
-        assert resolve_batch_size(None, spec, 1, "compiled") == 1
-        # 40 replicates over 4 workers is a 10-lane split — below
-        # MIN_LOCKSTEP_LANES, so auto keeps per-trial dispatch.
+        assert resolve_batch_size(7, spec, 4, "compiled") == 7
+        # The non-batched engines pack TASK_SIM_SECONDS of simulated time
+        # into a task, across cells: 1000 s / 100 s = 10 trials.
+        assert TASK_SIM_SECONDS == 1000.0
+        assert resolve_batch_size(None, spec, 1, "compiled") == 10
+        assert resolve_batch_size(None, spec, 4, "reference") == 10
+        # ...capped at an even share of the live trials per worker: an
+        # 8-trial 60 s job on 2 workers is two tasks of 4, and a resume
+        # with 3 trials left is two tasks of at most 2.
+        job = table1_spec(duration=60.0, replicates=2)
+        assert resolve_batch_size(None, job, 2, "compiled") == 4
+        assert resolve_batch_size(None, job, 2, "compiled", live_trials=3) == 2
+        assert resolve_batch_size(None, job, 16, "compiled") == 1
+        # The longest cell horizon sets the size, and a paper-horizon
+        # (1800 s) trial still gets a task of its own.
+        mixed = CampaignSpec(name="mixed", duration=100.0, trials=(
+            TrialSpec(label="short", replicates=20),
+            TrialSpec(label="long", duration=300.0, replicates=20)))
+        assert resolve_batch_size(None, mixed, 1, "compiled") == 3
+        paper = table1_spec(replicates=4)
+        assert resolve_batch_size(None, paper, 1, "compiled") == 1
+        # The batched engine keeps its per-cell lane split: 40 replicates
+        # over 4 workers is a 10-lane split — below MIN_LOCKSTEP_LANES, so
+        # auto keeps per-trial dispatch.
         assert resolve_batch_size(None, spec, 4, "batched") == 1
         assert resolve_batch_size(None, spec, 1, "batched") == 40
         wide = table1_spec(duration=100.0, replicates=1000)
@@ -238,31 +261,25 @@ class TestDeterminism:
 
         spec = table1_spec(duration=100.0, replicates=5)
         runs = spec.expand(7)
-        per_cell = 5
+        lite = [(run.index, run.spec_index, run.replicate, run.seed)
+                for run in runs]
 
-        # batch_size larger than the cell: one task per cell, cells never mix.
-        tasks = _chunk_runs(runs, 100)
-        assert len(tasks) == len(spec.trials)
-        for spec_index, chunk in tasks:
-            assert len(chunk) == per_cell
-            assert {index for index, _, _ in chunk} == {
-                run.index for run in runs if run.spec_index == spec_index}
+        # batch_size larger than the campaign: one task, all cells share it.
+        assert _chunk_runs(runs, 100) == [tuple(lite)]
 
         # batch_size 1: one task per trial, in expansion order.
-        singles = _chunk_runs(runs, 1)
-        assert [chunk[0][0] for _, chunk in singles] == [r.index for r in runs]
+        assert _chunk_runs(runs, 1) == [(run,) for run in lite]
 
-        # Uneven split: 5 replicates in batches of 2 -> 2+2+1 per cell.
-        uneven = _chunk_runs(runs, 2)
-        sizes = [len(chunk) for _, chunk in uneven]
-        assert sizes == [2, 2, 1] * len(spec.trials)
-        # Every trial appears exactly once across the lane ranges.
-        seen = [index for _, chunk in uneven for index, _, _ in chunk]
-        assert sorted(seen) == [run.index for run in runs]
+        # Uneven split: 20 runs in tasks of 3 -> six of 3 and one of 2,
+        # split on size only, so tasks cross cell boundaries.
+        uneven = _chunk_runs(runs, 3)
+        assert [len(task) for task in uneven] == [3] * 6 + [2]
+        assert [run for task in uneven for run in task] == lite
+        assert [sorted({run[1] for run in task}) for task in uneven[:4]] == [
+            [0], [0, 1], [1], [1, 2]]
 
         # Empty input chunks to no tasks.
         assert _chunk_runs([], 4) == []
-
 
 class TestTable1Compatibility:
     def test_campaign_matches_pre_refactor_serial_loop(self):

@@ -137,9 +137,13 @@ class TestFaultPlanParsing:
 
 
 class TestSerialRecovery:
+    # The attempt counts below are per-trial dispatch (batch_size=1): one
+    # attempt per execution of the trial.  The twins at the auto task size
+    # follow them; there a trial is also charged each bisection step.
+
     def test_poison_trial_is_quarantined_and_rest_is_exact(self, clean_serial):
         result = run_campaign(_tiny_spec(), seed=7, max_workers=1,
-                              engine="reference", max_retries=1,
+                              engine="reference", batch_size=1, max_retries=1,
                               fault_plan="raise@trial=3")
         assert len(result.quarantined) == 1
         failure = result.quarantined[0]
@@ -151,6 +155,22 @@ class TestSerialRecovery:
         kinds = [kind for kind, _ in result.recovery_events]
         assert "retry" in kinds and "quarantine" in kinds
 
+    def test_poison_trial_at_auto_task_size(self, clean_serial):
+        # 16 trials of 120 s on one worker: two auto-sized tasks of 8.
+        # Trial 3 fails in its task of 8 and in the halves of 4, 2 and 1,
+        # so it is quarantined on its fourth attempt without a retry.
+        result = run_campaign(_tiny_spec(), seed=7, max_workers=1,
+                              engine="reference", max_retries=1,
+                              fault_plan="raise@trial=3")
+        assert [f.trial_index for f in result.quarantined] == [3]
+        assert result.quarantined[0].kind == "InjectedTrialFault"
+        assert result.quarantined[0].attempts == 4
+        assert _payload(result) == _payload_without(clean_serial, 3)
+        kinds = [kind for kind, _ in result.recovery_events]
+        assert kinds == ["bisect"] * 3 + ["quarantine"]
+        assert result.recovery_events[0][1].startswith(
+            "batch of 8 trials (cell 0) failed")
+
     def test_transient_fault_retries_to_bit_identical(self, clean_serial):
         result = run_campaign(_tiny_spec(), seed=7, max_workers=1,
                               engine="reference", max_retries=2,
@@ -160,10 +180,40 @@ class TestSerialRecovery:
 
     def test_zero_retries_quarantines_after_first_failure(self):
         result = run_campaign(_tiny_spec(), seed=7, max_workers=1,
-                              engine="reference", max_retries=0,
+                              engine="reference", batch_size=1, max_retries=0,
                               fault_plan="raise@trial=0")
         assert len(result.quarantined) == 1
         assert result.quarantined[0].attempts == 1
+
+    def test_zero_retries_at_auto_task_size(self):
+        # Bisection of the auto-sized task of 8 charges trial 0 three
+        # times before its singleton fails: quarantined at attempt 4.
+        result = run_campaign(_tiny_spec(), seed=7, max_workers=1,
+                              engine="reference", max_retries=0,
+                              fault_plan="raise@trial=0")
+        assert len(result.quarantined) == 1
+        assert result.quarantined[0].attempts == 4
+
+    def test_poison_trial_in_cross_cell_task_keeps_its_own_cell(self, tmp_path):
+        # 3 replicates of 2 cells at 120 s: one auto-sized task spans both
+        # cells.  Trial 4 (cell 1, replicate 1) is poison; it must be
+        # quarantined under its own cell, replicate and seed, and every
+        # other trial must match a clean run bit for bit.
+        spec = _tiny_spec(3)
+        runs = spec.expand(7)
+        clean = run_campaign(spec, seed=7, max_workers=1)
+        db = tmp_path / "campaign.db"
+        result = run_campaign(spec, seed=7, max_workers=1, max_retries=0,
+                              store=db, fault_plan="raise@trial=4")
+        expected = (4, spec.trials[1].label, 1, runs[4].seed)
+        assert [(f.trial_index, f.label, f.replicate, f.seed)
+                for f in result.quarantined] == [expected]
+        with CampaignStore(db) as store:
+            assert [(f.trial_index, f.label, f.replicate, f.seed)
+                    for f in store.failures()] == [expected]
+        assert _payload(result) == _payload_without(clean, 4)
+        assert result.recovery_events[0][1].startswith(
+            "batch of 6 trials (cells 0-1) failed")
 
     def test_batched_serial_bisection_isolates_offender(self, clean_serial):
         # One poison trial inside a 4-lane batched task: the whole batch

@@ -10,6 +10,7 @@ consecutive jobs share one warm worker pool (identical worker PIDs).
 import dataclasses
 import json
 import os
+import random
 import socket
 import sqlite3
 import subprocess
@@ -21,13 +22,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import run_campaign
+from repro.campaign import loss_sweep_spec, run_campaign
+from repro.campaign.aggregate import GroupSummary
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.presets import PRESETS
 from repro.campaign.service import (PROTOCOL_VERSION, CampaignService,
                                     ProtocolError, ServiceClient, decode_spec,
                                     encode_spec, recv_frame, send_frame)
+from repro.campaign.service.events import EventBus, cell_json
 from repro.campaign.store import CRASH_EXIT_CODE, spec_fingerprint
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -245,6 +248,103 @@ def test_service_status_lists_jobs(service):
     assert overview["jobs"][0]["state"] == "complete"
 
 
+def test_small_job_commits_once_per_task(service, monkeypatch):
+    # 8 trials of 60 s on the 2-worker pool: two auto-sized tasks of 4.
+    # The job's store commits its identity, one row batch per task and
+    # its completion: 4 commits, not one per trial.
+    from repro.campaign.store import CampaignStore
+
+    commits = []
+    original = CampaignStore._commit
+
+    def counting(store, operation, what):
+        commits.append(what)
+        return original(store, operation, what)
+
+    monkeypatch.setattr(CampaignStore, "_commit", counting)
+    svc, client = service
+    spec = PRESETS["table1"].build(replicates=2, duration=60.0)
+    job = client.submit(spec, 7)["job"]
+    assert client.drain()["jobs"] == {job: "complete"}
+    assert commits == ["meta commit", "checkpoint commit",
+                       "checkpoint commit", "completion commit"]
+    assert client.status(job)["cells"] == _reference_cells(spec, 7)
+
+
+def test_daemon_canonicalizes_each_job_spec_once(service, monkeypatch):
+    # The submit fingerprint, the sidecar and the store's binding check at
+    # job start share one canonical encoding of the decoded spec; the
+    # client's own encode of its spec object is the only other one.
+    from repro.campaign import store as store_module
+    from repro.campaign.spec import CampaignSpec
+
+    encoded = []
+    original = store_module._canonical
+
+    def counting(value):
+        if isinstance(value, CampaignSpec):
+            encoded.append(value)
+        return original(value)
+
+    monkeypatch.setattr(store_module, "_canonical", counting)
+    svc, client = service
+    spec = _spec_interlock()
+    job = client.submit(spec, 7)["job"]
+    assert client.drain()["jobs"] == {job: "complete"}
+    assert len(encoded) == 2 and encoded[0] is spec and encoded[1] is not spec
+    with open(os.path.join(svc.stores_dir, f"{job}.job.json")) as handle:
+        sidecar = json.load(handle)
+    assert sidecar == {"v": PROTOCOL_VERSION, "spec": encode_spec(spec),
+                       "master_seed": 7, "priority": 0}
+
+
+def test_cell_json_equals_asdict():
+    group = GroupSummary(label="with lease, E(Toff)=18s", spec_index=1,
+                         trials=5, with_lease=True, mean_toff=18.0,
+                         laser_emissions=31, failures=0, evt_to_stop=4,
+                         failing_trials=0, max_emission_duration=12.5,
+                         max_pause_duration=21.25, min_spo2=0.931,
+                         mean_loss_ratio=0.1)
+    cell = cell_json(group)
+    assert cell == dataclasses.asdict(group)
+    assert list(cell) == list(dataclasses.asdict(group))
+
+
+def test_streamed_cells_do_not_depend_on_completion_order():
+    # A lossy sweep, 5 replicates per cell: mean_loss_ratio is a float
+    # sum, so folding a cell's summaries in completion order can change
+    # its last bit.  Whatever order trials retire in, the last streamed
+    # aggregate of each cell and the frozen snapshot must equal
+    # CampaignResult.groups() bit for bit.
+    spec = loss_sweep_spec(loss_levels=(0.3, 0.6), duration=60.0,
+                           replicates=5)
+    result = run_campaign(spec, seed=11, max_workers=1)
+    expected = {group.label: cell_json(group) for group in result.groups()}
+    rng = random.Random(5)
+    for _ in range(40):
+        order = list(result.summaries)
+        rng.shuffle(order)
+        bus = EventBus(len(order))
+        subscriber = bus.subscribe()
+        for summary in order:
+            bus.trial_done(summary)
+        bus.close({"event": "done", "state": "complete"},
+                  list(expected.values()))
+        streamed = {event["cell"]["label"]: event["cell"]
+                    for event in _drain(subscriber) if event["event"] == "trial"}
+        assert streamed == expected
+        (snapshot, _) = list(_drain(bus.subscribe()))
+        # Equal cells: the frozen snapshot shares the final cell dicts.
+        assert all(cell is expected[cell["label"]]
+                   for cell in snapshot["cells"])
+        assert len(snapshot["cells"]) == len(expected)
+
+
+def _drain(subscriber):
+    while not subscriber.empty():
+        yield subscriber.get()
+
+
 @pytest.mark.parametrize("payload", ["full", "bogus", "stats"])
 def test_submit_rejects_unknown_payload(service, payload):
     # ServiceClient sends no payload; a submit that names any mode but
@@ -295,10 +395,11 @@ def test_daemon_sigkill_mid_job_restart_resumes_bit_identically(tmp_path):
     spec1, spec2 = _spec_table1(), _spec_interlock()
 
     # First daemon: hard-dies (os._exit, the moral equivalent of SIGKILL)
-    # right after job 1's second checkpoint commit (store commit 1 records
-    # the campaign identity).
+    # right after job 1's first checkpoint commit (store commit 1 records
+    # the campaign identity; job 1's 8 trials of 100 s run on 2 workers as
+    # two auto-sized tasks of 4, one commit each).
     first = subprocess.Popen(_daemon_cmd(sock, stores),
-                             env=_daemon_env(fault_plan="crash@commit=3"))
+                             env=_daemon_env(fault_plan="crash@commit=2"))
     try:
         _wait_for_socket(sock)
         client = ServiceClient(str(sock))

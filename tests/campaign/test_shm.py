@@ -227,6 +227,15 @@ class TestCampaignEquivalence:
                               engine="compiled", shm=True)
         assert _campaign_payload(result) == reference_payload
 
+    def test_cross_cell_tasks_label_each_record(self, no_new_segments):
+        # Tasks of 4 over two 3-replicate cells: the first task spans both
+        # cells, and each ring record keeps its own cell's label.
+        spec = _tiny_spec(replicates=3)
+        reference = run_campaign(spec, seed=7, max_workers=1)
+        result = run_campaign(spec, seed=7, max_workers=2, engine="compiled",
+                              batch_size=4, shm=True)
+        assert _campaign_payload(result) == _campaign_payload(reference)
+
     def test_store_commit_from_ring_and_resume(self, tmp_path,
                                                reference_payload):
         db = tmp_path / "campaign.db"
@@ -252,10 +261,9 @@ class TestCampaignEquivalence:
         with CampaignStore(db) as store:
             store.begin(spec, 7)
             from repro.campaign.executor import execute_batch
-            prefix = [(run.index, run.replicate, run.seed)
-                      for run in runs[:6]]
-            chunk = execute_batch(spec, (runs[0].spec_index, tuple(prefix)),
-                                  "batched")
+            prefix = tuple((run.index, run.spec_index, run.replicate, run.seed)
+                           for run in runs[:6])
+            chunk = execute_batch(spec, prefix, "batched")
             store.checkpoint_batch(chunk)
         resumed = run_campaign(spec, seed=7, max_workers=2,
                                engine="batched", batch_size=4, shm=True,

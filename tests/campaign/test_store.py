@@ -108,6 +108,21 @@ class TestStoreLifecycle:
         assert status.stage is RecoveryStage.COMPLETE
         assert status.fingerprint == spec_fingerprint(spec, 7)
 
+    def test_results_are_published_only_after_their_commit(self, tmp_path):
+        # A trial reaches on_result only once the commit holding it is
+        # durable: at every callback the store already holds at least as
+        # many rows as have been published.
+        spec = table1_spec(duration=100.0, replicates=2)
+        published = []
+        with CampaignStore(tmp_path / "campaign.db") as store:
+            def on_result(summary):
+                published.append(store.checkpointed_count())
+                assert published[-1] >= len(published)
+
+            run_campaign(spec, seed=7, max_workers=1, store=store,
+                         on_result=on_result)
+        assert published == [8] * 8  # one auto-sized task of 8
+
     def test_resuming_a_complete_store_simulates_nothing(self, tmp_path):
         spec = table1_spec(duration=100.0, replicates=1)
         db = tmp_path / "campaign.db"
@@ -233,12 +248,13 @@ class TestProcessKillResume:
     def test_crash_injected_cli_run_resumes_bit_identically(self, tmp_path):
         baseline = self._baseline_json(tmp_path)
         db = tmp_path / "crash.db"
-        # Commit 1 records the campaign identity; commits 2-4 are the
-        # first three trial checkpoints.
+        # Written for per-trial tasks (--batch-size 1): commit 1 records
+        # the campaign identity; commits 2-4 are the first three trial
+        # checkpoints.
         proc = subprocess.run(
             _cli_cmd("--experiment", "table1", "--quiet", "--duration", "100",
                      "--seed", "7", "--replicates", "2", "--store", str(db),
-                     "--fault-plan", "crash@commit=4"),
+                     "--batch-size", "1", "--fault-plan", "crash@commit=4"),
             cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, timeout=300)
         assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
         with CampaignStore(db) as store:
@@ -254,12 +270,40 @@ class TestProcessKillResume:
         assert code in (0, 1)
         assert json.loads(out.read_text())["campaign"] == baseline
 
+    def test_crash_at_auto_task_size_resumes_bit_identically(self, tmp_path):
+        baseline = self._baseline_json(tmp_path)
+        db = tmp_path / "crash-auto.db"
+        # 8 trials of 100 s on 2 workers: two auto-sized tasks of 4.
+        # Commit 1 records the campaign identity and commit 2 holds the
+        # first task, so the crash lands halfway through the campaign.
+        proc = subprocess.run(
+            _cli_cmd("--experiment", "table1", "--quiet", "--duration", "100",
+                     "--seed", "7", "--replicates", "2", "--workers", "2",
+                     "--store", str(db), "--fault-plan", "crash@commit=2"),
+            cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, timeout=300)
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
+        with CampaignStore(db) as store:
+            status = store.status()
+        assert not status.complete
+        assert status.checkpointed == 4 and status.total_trials == 8
+
+        out = tmp_path / "resumed.json"
+        code = campaign_main(["--experiment", "table1", "--quiet",
+                              "--duration", "100", "--seed", "7",
+                              "--replicates", "2", "--store", str(db),
+                              "--resume", "--json", str(out)])
+        assert code in (0, 1)
+        assert json.loads(out.read_text())["campaign"] == baseline
+
     def test_sigkilled_cli_run_resumes_bit_identically(self, tmp_path):
         baseline = self._baseline_json(tmp_path)
         db = tmp_path / "sigkill.db"
+        # Per-trial tasks (--batch-size 1), so the kill lands between
+        # commits rather than after the single auto-sized task.
         proc = subprocess.Popen(
             _cli_cmd("--experiment", "table1", "--duration", "100",
-                     "--seed", "7", "--replicates", "2", "--store", str(db)),
+                     "--seed", "7", "--replicates", "2", "--batch-size", "1",
+                     "--store", str(db)),
             cwd=_REPO_ROOT, env=_cli_env(), stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL, text=True)
         # Progress lines print only after the batch behind them has been

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Mutation check of the compiled engine's quiet steps and of fork groups.
+"""Mutation check of the compiled engine, of fork groups and of task dispatch.
 
 Each mutant below breaks one rule that bit-identity rests on: in
 ``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
 deadlines, wakeup invalidation, the discrete-phase scan filter, the
 quiet-stretch loop or the copy of a paused run; in
 ``src/repro/util/seeding.py`` and ``src/repro/verify/rare.py`` how a fork
-group pauses, copies and forks a survivor and puts the results back.
+group pauses, copies and forks a survivor and puts the results back; in
+``src/repro/campaign/executor.py`` how trials are sized into tasks that
+span cells, attributed to their own cell and published after their commit.
 The tool copies the repository's ``src/`` and ``tests/`` into a temporary
 directory, checks that the unmutated copy passes, then applies each mutant
-in turn and asserts that the fixed tests listed in ``TESTS`` fail on it.
-The hypothesis-generated test and the slow perfbench-pin test are
-deselected, so every kill comes from a fixed system.  Exit status is 0
-when every mutant is killed, 1 otherwise.
+in turn and asserts that the fixed tests listed in ``TESTS`` for the
+mutated file fail on it.  The hypothesis-generated test and the slow
+perfbench-pin test are deselected, so every kill comes from a fixed
+system.  Exit status is 0 when every mutant is killed, 1 otherwise.
 
 Usage::
 
@@ -36,10 +38,18 @@ ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/repro/hybrid/simulate/compiled.py"
 SEEDING = "src/repro/util/seeding.py"
 RARE = "src/repro/verify/rare.py"
-TESTS = ["tests/hybrid/test_quiet_steps.py", "tests/golden",
-         "tests/verify/test_fork_groups.py",
-         "tests/verify/test_rare_determinism.py::TestEngineTierInvariance"
-         "::test_scored_trial_is_engine_tier_invariant"]
+EXECUTOR = "src/repro/campaign/executor.py"
+ENGINE_TESTS = ["tests/hybrid/test_quiet_steps.py", "tests/golden",
+                "tests/verify/test_fork_groups.py",
+                "tests/verify/test_rare_determinism.py::TestEngineTierInvariance"
+                "::test_scored_trial_is_engine_tier_invariant"]
+CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
+                  "tests/campaign/test_faults.py::TestSerialRecovery",
+                  "tests/campaign/test_store.py::TestStoreLifecycle",
+                  "tests/campaign/test_shm.py::TestCampaignEquivalence"]
+#: The fixed tests that must kill a mutant of each file.
+TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS, RARE: ENGINE_TESTS,
+         EXECUTOR: CAMPAIGN_TESTS}
 DESELECTED = ["tests/hybrid/test_quiet_steps.py::test_generated_systems_are_bit_identical",
               "tests/verify/test_fork_groups.py"
               "::test_perfbench_pin_simulates_at_most_87000_seconds"]
@@ -125,6 +135,32 @@ MUTANTS = {
           "            results[slot] = trial\n",
           "        for trial in trials:\n"
           "            results[results.index(None)] = trial\n")]),
+    "ignore-per-worker-cap": (
+        EXECUTOR, "auto task sizing ignores the even share of live trials per worker",
+        [("        return max(1, min(per_task, per_worker))\n",
+          "        return max(1, per_task)\n")]),
+    "bisect-keeps-first-cell": (
+        EXECUTOR, "bisection files a half under its task's first cell, so an offender is"
+        " quarantined there",
+        [("            self.isolation.appendleft(_Pending(task[mid:], attempts[mid:]))\n",
+          "            self.isolation.appendleft(_Pending(tuple(\n"
+          "                (i, task[0][1], r, s) for i, _, r, s in task[mid:]),"
+          " attempts[mid:]))\n")]),
+    "publish-before-commit": (
+        EXECUTOR, "a task's results are published before the commit that holds them",
+        [("            if store_obj is not None:\n"
+          "                store_obj.checkpoint_batch(batch_results)\n"
+          "            for index, summary in batch_results:\n"
+          "                _publish(index, summary)\n",
+          "            for index, summary in batch_results:\n"
+          "                _publish(index, summary)\n"
+          "            if store_obj is not None:\n"
+          "                store_obj.checkpoint_batch(batch_results)\n")]),
+    "ring-labels-first-cell": (
+        EXECUTOR, "every results-ring record of a task gets the label of its first cell",
+        [("            labels = [spec.trials[spec_index].label\n"
+          "                      for _, spec_index, _, _ in task]\n",
+          "            labels = [spec.trials[task[0][1]].label] * count\n")]),
 }
 
 
@@ -138,15 +174,15 @@ def apply(source: str, name: str) -> str:
     return source
 
 
-def run_tests(tree: Path) -> tuple[int, float, str]:
-    """Run the fixed tests in ``tree``; return (exit status, seconds, summary).
+def run_tests(tree: Path, tests: list[str]) -> tuple[int, float, str]:
+    """Run the fixed ``tests`` in ``tree``; return (exit status, seconds, summary).
 
     The summary is the first failed test's id, or pytest's last line.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     deselect = [arg for test in DESELECTED for arg in ("--deselect", test)]
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "-rf", *TESTS, *deselect]
+               "-rf", *tests, *deselect]
     started = time.perf_counter()
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines() or [done.stderr.strip()]
@@ -179,7 +215,9 @@ def main(argv=None) -> int:
         originals = {path: (tree / path).read_text(encoding="utf-8")
                      for path in {MUTANTS[name][0] for name in names}}
         mutated = {name: apply(originals[MUTANTS[name][0]], name) for name in names}
-        status, seconds, line = run_tests(tree)
+        suites = {MUTANTS[name][0]: TESTS[MUTANTS[name][0]] for name in names}
+        unmutated = list(dict.fromkeys(test for tests in suites.values() for test in tests))
+        status, seconds, line = run_tests(tree, unmutated)
         print(f"unmutated: exit {status} in {seconds:.1f}s ({line})", flush=True)
         if status != 0:
             print("the unmutated copy must pass before mutants mean anything")
@@ -188,7 +226,7 @@ def main(argv=None) -> int:
         for name in names:
             path = tree / MUTANTS[name][0]
             path.write_text(mutated[name], encoding="utf-8")
-            status, seconds, line = run_tests(tree)
+            status, seconds, line = run_tests(tree, suites[MUTANTS[name][0]])
             path.write_text(originals[MUTANTS[name][0]], encoding="utf-8")
             # Exit status 1 means tests ran and failed; anything else
             # (collection error, usage error) does not count as a kill.
