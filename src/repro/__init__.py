@@ -17,18 +17,25 @@ The library is organized as:
 * :mod:`repro.campaign` -- parallel Monte-Carlo campaign runner
   (``python -m repro.campaign``).
 
-The most common entry points are re-exported here.
+The most common entry points are re-exported here, each imported on first
+access.
 """
 
-from repro.core import (PatternConfiguration, PTEMonitor, PTERuleSet,
-                        build_baseline_system, build_pattern_system, check_conditions,
-                        check_trace, laser_tracheotomy_configuration,
-                        laser_tracheotomy_rules, synthesize_configuration)
-from repro.hybrid import (Edge, HybridAutomaton, HybridSystem, Location,
-                          SimulationEngine, elaborate, simulate)
-from repro.casestudy import CaseStudyConfig, run_table1_trials, run_trial
-from repro.campaign import (CampaignResult, CampaignSpec, TrialSpec,
-                            run_campaign)
+from repro._lazy import lazy_exports
+
+#: Subpackage -> the names this facade re-exports from it (imported on first
+#: access, so importing one subpackage does not load the others).
+_EXPORTS = {
+    "repro.core": ("PatternConfiguration", "PTEMonitor", "PTERuleSet",
+                   "build_baseline_system", "build_pattern_system",
+                   "check_conditions", "check_trace",
+                   "laser_tracheotomy_configuration", "laser_tracheotomy_rules",
+                   "synthesize_configuration"),
+    "repro.hybrid": ("Edge", "HybridAutomaton", "HybridSystem", "Location",
+                     "SimulationEngine", "elaborate", "simulate"),
+    "repro.casestudy": ("CaseStudyConfig", "run_table1_trials", "run_trial"),
+    "repro.campaign": ("CampaignResult", "CampaignSpec", "TrialSpec", "run_campaign"),
+}
 
 __version__ = "1.0.0"
 
@@ -47,3 +54,5 @@ __all__ = [
     # campaign runner
     "CampaignSpec", "TrialSpec", "CampaignResult", "run_campaign",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,30 +15,33 @@ warm worker pool (:mod:`repro.campaign.service`), and a CLI
 service subcommands).
 """
 
-from repro.campaign.aggregate import (SUMMARY_RECORD_FIELDS, CampaignResult,
-                                      GroupSummary, TrialSummary)
-from repro.campaign.executor import (DEFAULT_MAX_RESPAWNS, DEFAULT_MAX_RETRIES,
-                                     TRIAL_RUNNER_DEFAULT,
-                                     CampaignCancelled,
-                                     CampaignExecutionError,
-                                     CampaignInterrupted, CampaignPool,
-                                     default_worker_count, execute_batch,
-                                     execute_trial, resolve_batch_size,
-                                     run_campaign)
-from repro.campaign.faults import (FAULT_PLAN_ENV_VAR, FaultPlan,
-                                   FaultPlanError, InjectedTrialFault,
-                                   TrialFailure, resolve_fault_plan)
-from repro.campaign.shm import (ResultsRing, ShmError, ShmSession,
-                                shared_memory_available)
-from repro.campaign.presets import (PRESETS, Preset, grid_spec, interlock_spec,
-                                    loss_sweep_spec, scenarios_spec,
-                                    table1_spec)
-from repro.campaign.spec import (CampaignSpec, ChannelSpec, SurgeonSpec, TrialRun,
-                                 TrialSpec, expand_grid)
-from repro.campaign.store import (CampaignStore, CampaignStoreError,
-                                  CheckpointStatus, RecoveryStage,
-                                  RecoveryStateMachine, enumerate_stores,
-                                  spec_fingerprint)
+from repro._lazy import lazy_exports
+
+#: Defining module -> the names this facade re-exports from it (imported on
+#: first access, so ``import repro.campaign.spec`` stays cheap).
+_EXPORTS = {
+    "repro.campaign.aggregate": ("SUMMARY_RECORD_FIELDS", "CampaignResult",
+                                 "GroupSummary", "TrialSummary"),
+    "repro.campaign.executor": ("DEFAULT_MAX_RESPAWNS", "DEFAULT_MAX_RETRIES",
+                                "TRIAL_RUNNER_DEFAULT", "CampaignCancelled",
+                                "CampaignExecutionError", "CampaignInterrupted",
+                                "CampaignPool", "default_worker_count",
+                                "execute_batch", "execute_trial",
+                                "resolve_batch_size", "run_campaign"),
+    "repro.campaign.faults": ("FAULT_PLAN_ENV_VAR", "FaultPlan", "FaultPlanError",
+                              "InjectedTrialFault", "TrialFailure",
+                              "resolve_fault_plan"),
+    "repro.campaign.shm": ("ResultsRing", "ShmError", "ShmSession",
+                           "shared_memory_available"),
+    "repro.campaign.presets": ("PRESETS", "Preset", "grid_spec", "interlock_spec",
+                               "loss_sweep_spec", "scenarios_spec", "table1_spec"),
+    "repro.campaign.spec": ("CampaignSpec", "ChannelSpec", "SurgeonSpec", "TrialRun",
+                            "TrialSpec", "expand_grid"),
+    "repro.campaign.store": ("CampaignStore", "CampaignStoreError",
+                             "CheckpointStatus", "RecoveryStage",
+                             "RecoveryStateMachine", "enumerate_stores",
+                             "spec_fingerprint"),
+}
 
 __all__ = [
     "CampaignSpec", "TrialSpec", "TrialRun", "ChannelSpec", "SurgeonSpec",
@@ -60,3 +63,5 @@ __all__ = [
     "table1_spec", "loss_sweep_spec", "scenarios_spec", "grid_spec",
     "interlock_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -806,9 +806,8 @@ def _resolve_shm(shm: bool | None, engine: str, pooled: bool) -> bool:
     silently degrades to pickling when ``shared_memory`` is unavailable or
     the run is serial (nothing crosses a process boundary).
     """
-    if shm is False or not (pooled and shm_plane.shared_memory_available()):
-        return False
-    return True if shm else engine == "batched"
+    wanted = pooled and (shm if shm is not None else engine == "batched")
+    return wanted and shm_plane.shared_memory_available()
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor | None, *, kill: bool) -> None:

@@ -27,15 +27,11 @@ crash-cleanup smoke can scan ``/dev/shm`` for leaks.
 from __future__ import annotations
 
 import atexit
+import importlib.util
 import operator
 import os
 import secrets
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - numpy is a declared dependency
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - absent on exotic/embedded builds
     from multiprocessing import resource_tracker, shared_memory
@@ -44,6 +40,9 @@ except ImportError:  # pragma: no cover
     shared_memory = None
 
 from repro.campaign.aggregate import SUMMARY_RECORD_FIELDS, TrialSummary
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    import numpy as np
 
 #: Name prefix of every segment this module creates (leak-scan anchor).
 SEGMENT_PREFIX = "repro-"
@@ -61,8 +60,13 @@ class ShmError(RuntimeError):
 
 
 def shared_memory_available() -> bool:
-    """Whether the zero-copy path can run on this interpreter/platform."""
-    return shared_memory is not None and np is not None
+    """Whether the zero-copy path can run on this interpreter/platform.
+
+    NumPy is looked up, not imported: only the ring itself imports it, so
+    a run that never creates a ring never pays for NumPy.
+    """
+    return (shared_memory is not None
+            and importlib.util.find_spec("numpy") is not None)
 
 
 def summary_record_dtype() -> "np.dtype":
@@ -73,6 +77,8 @@ def summary_record_dtype() -> "np.dtype":
     slot range is recycled); the remaining columns are exactly
     :data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS`.
     """
+    import numpy as np
+
     fields = [("trial_index", "i8"), ("generation", "i8")]
     fields.extend((name, "f8" if kind == "f" else "i8")
                   for name, kind in SUMMARY_RECORD_FIELDS)
@@ -180,6 +186,8 @@ class ResultsRing:
     """
 
     def __init__(self, segment: SharedSegment, capacity: int):
+        import numpy as np
+
         self.segment = segment
         self.capacity = capacity
         self.records = np.ndarray((capacity,), dtype=summary_record_dtype(),

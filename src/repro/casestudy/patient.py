@@ -24,11 +24,6 @@ from repro.hybrid.automaton import HybridAutomaton
 from repro.hybrid.flows import CallableFlow
 from repro.hybrid.locations import Location
 
-try:  # NumPy backs the lane-wise convenience wrapper of the SpO2 kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - container images bake NumPy in
-    _np = None
-
 #: Variable names of the patient automaton.
 SPO2 = "spo2"
 VENTILATED = "ventilated"
@@ -56,11 +51,13 @@ def spo2_derivative_vector(spo2, ventilated, model: PatientModel):
     the scalar kernel to each lane, so its values are exactly the kernel's.
     No engine calls it: every engine integrates the scalar kernel.
     """
-    spo2, ventilated = _np.broadcast_arrays(_np.asarray(spo2, dtype=float),
-                                            _np.asarray(ventilated, dtype=float))
-    return _np.array([spo2_derivative(s, v, model)
-                      for s, v in zip(spo2.ravel().tolist(), ventilated.ravel().tolist())],
-                     dtype=float).reshape(spo2.shape)
+    import numpy as np
+
+    spo2, ventilated = np.broadcast_arrays(np.asarray(spo2, dtype=float),
+                                           np.asarray(ventilated, dtype=float))
+    return np.array([spo2_derivative(s, v, model)
+                     for s, v in zip(spo2.ravel().tolist(), ventilated.ravel().tolist())],
+                    dtype=float).reshape(spo2.shape)
 
 
 def build_patient(model: PatientModel, *, name: str = PATIENT,
