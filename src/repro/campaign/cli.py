@@ -62,7 +62,7 @@ from repro.campaign.executor import (CampaignExecutionError,
                                      CampaignInterrupted, DEFAULT_MAX_RESPAWNS,
                                      DEFAULT_MAX_RETRIES,
                                      default_worker_count, run_campaign)
-from repro.campaign.faults import FaultPlanError, resolve_fault_plan
+from repro.campaign.faults import FaultPlan, FaultPlanError, resolve_fault_plan
 from repro.campaign.presets import PRESETS
 from repro.campaign.service.client import SERVICE_COMMANDS, service_main
 from repro.campaign.spec import CampaignSpec
@@ -325,7 +325,8 @@ def _rare_json(args: argparse.Namespace, payload: dict) -> int:
 
 
 def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
-              engine: str | None, argv: Sequence[str] | None) -> int:
+              engine: str | None, fault_plan: FaultPlan | None,
+              argv: Sequence[str] | None) -> int:
     """Execute the ``--method`` rare-event estimation path.
 
     Estimates one campaign cell's PTE-violation probability by crude
@@ -338,6 +339,8 @@ def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
         spec: The campaign spec built from the preset arguments.
         workers: Resolved worker count.
         engine: Resolved engine choice (may be ``None``).
+        fault_plan: The resolved fault plan, handed to the store this
+            opens and, for SPRT, to the executor.
         argv: Original argument vector, for the resume-hint line.
 
     Returns:
@@ -386,7 +389,8 @@ def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
     }
     store = None
     try:
-        store = CampaignStore(args.store) if args.store else None
+        store = (CampaignStore(args.store, fault_plan=fault_plan)
+                 if args.store else None)
         if args.method == "sprt":
             settings = SprtSettings(p0=args.p0, p1=args.p1, alpha=args.alpha,
                                     beta=args.beta,
@@ -397,7 +401,8 @@ def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
                                         max_workers=workers,
                                         engine=resolved_engine,
                                         batch_size=args.batch_size,
-                                        store=store, resume=args.resume)
+                                        store=store, resume=args.resume,
+                                        fault_plan=fault_plan)
         elif args.method == "split":
             try:
                 settings = SplitSettings(
@@ -537,6 +542,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("error: --trials-per-level must be at least 2",
                   file=sys.stderr)
             return 2
+        if args.method == "crude" and args.fault_plan is not None:
+            print("error: --fault-plan does not apply to --method crude "
+                  "(no store or supervisor to inject into)", file=sys.stderr)
+            return 2
         if args.method == "sprt":
             if not 0.0 < args.p0 < args.p1 < 1.0:
                 print("error: SPRT hypotheses must satisfy 0 < --p0 < --p1 "
@@ -590,7 +599,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     preset = PRESETS[args.experiment]
     spec = build_spec(args)
     if args.method is not None:
-        return _run_rare(args, spec, workers, engine, argv)
+        return _run_rare(args, spec, workers, engine, fault_plan, argv)
     total = spec.total_trials
     print(f"campaign {spec.name!r}: {total} trials across {len(spec.trials)} "
           f"cells, {workers} worker(s), master seed {args.seed}")

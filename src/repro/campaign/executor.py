@@ -350,7 +350,7 @@ def _resolve_trial_runner(name: str) -> Callable[..., TrialResult]:
 
     Returns:
         A callable with the keyword signature ``(with_lease, seed,
-        duration, engine, fault)`` returning a
+        duration, engine)`` returning a
         :class:`~repro.casestudy.emulation.TrialResult`.
 
     Raises:
@@ -365,7 +365,6 @@ def _resolve_trial_runner(name: str) -> Callable[..., TrialResult]:
 
 def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
                   run: TrialRun, engine: str | None = None,
-                  fault: Callable[[], None] | None = None,
                   ) -> Tuple[int, TrialSummary]:
     """Execute one concrete trial (runs inside a worker process).
 
@@ -374,9 +373,6 @@ def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
         campaign_duration: The campaign-level duration default, if any.
         run: The concrete trial to execute (cell, replicate, seed).
         engine: Simulation-kernel override (``None`` = resolve default).
-        fault: Optional zero-argument fault-injection hook, invoked after
-            the case study is assembled and before the engine runs (see
-            :mod:`repro.campaign.faults`).
 
     Returns:
         The run index (for order restoration) and the trial's summary.
@@ -386,42 +382,37 @@ def execute_trial(config: CaseStudyConfig, campaign_duration: float | None,
     if spec.runner != TRIAL_RUNNER_DEFAULT:
         runner = _resolve_trial_runner(spec.runner)
         result = runner(with_lease=spec.with_lease, seed=run.seed,
-                        duration=duration, engine=engine, fault=fault)
+                        duration=duration, engine=engine)
         return run.index, TrialSummary.from_trial(run, result)
     trial_config = spec.configure(config)
     channel = spec.channel.build(run.seed)
     surgeon = spec.surgeon.build() if spec.surgeon is not None else None
     result = run_trial(trial_config, with_lease=spec.with_lease, seed=run.seed,
                        duration=duration, channel=channel, surgeon=surgeon,
-                       engine=engine, fault=fault)
+                       engine=engine)
     return run.index, TrialSummary.from_trial(run, result)
 
 
-def _batch_fault_hook(plan: FaultPlan | None, ctx: BatchContext | None,
-                      task: _BatchTask) -> Callable[[int], None] | None:
-    """Build the per-trial fault hook of one batch from the fault plan.
+def _inject_trial_fault(plan: FaultPlan | None, ctx: BatchContext | None,
+                        task: _BatchTask, offset: int) -> None:
+    """Apply the plan's ``raise`` clauses to the trial at ``offset``.
 
     Args:
-        plan: The run's fault plan (``None``/empty disables injection).
+        plan: The run's fault plan (``None``/empty injects nothing).
         ctx: Dispatch context carrying the batch's attempt counts.
         task: The batch's ``(index, spec_index, replicate, seed)`` runs.
+        offset: Position of the trial in ``task``.
 
-    Returns:
-        A hook mapping an offset into the batch to a possible
-        :class:`~repro.campaign.faults.InjectedTrialFault`, or ``None``
-        when the plan scripts no in-trial faults.
+    Raises:
+        InjectedTrialFault: When the plan fails this attempt of the trial.
     """
     if not plan:
-        return None
-
-    def hook(offset: int) -> None:
-        index = task[offset][0]
-        attempt = ctx.attempts[offset] if ctx is not None else 0
-        if plan.raise_in_trial(index, attempt):
-            raise InjectedTrialFault(
-                f"injected fault in trial {index} (attempt {attempt + 1})")
-
-    return hook
+        return
+    index = task[offset][0]
+    attempt = ctx.attempts[offset] if ctx is not None else 0
+    if plan.raise_in_trial(index, attempt):
+        raise InjectedTrialFault(
+            f"injected fault in trial {index} (attempt {attempt + 1})")
 
 
 def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
@@ -438,12 +429,17 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
     per-worker lowered-model cache, the task pickling and the store
     commit.
 
+    This is the fault plan's in-trial injection point: a ``raise`` clause
+    fails a trial right before it is handed to its runner, and a batched
+    cell checks all of its lanes first, so one poison lane aborts the
+    whole batch.
+
     Args:
         spec: The campaign spec (provides the cells and base config).
         task: The ``(index, spec_index, replicate, seed)`` runs to execute.
         engine: The resolved simulation-kernel name.
-        plan: Optional fault plan; its ``raise`` clauses become the
-            per-trial fault hooks of this batch.
+        plan: Optional fault plan; its ``raise`` clauses fail trials of
+            this batch.
         ctx: Dispatch context of the batch (dispatch number, per-trial
             attempt counts); lets transient ``raise`` clauses expire.
 
@@ -451,7 +447,6 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
         One ``(index, summary)`` pair per trial of the batch, in batch
         order.
     """
-    fault_for = _batch_fault_hook(plan, ctx, task)
     results: List[Tuple[int, TrialSummary]] = []
     start = 0
     for spec_index, cell_runs in itertools.groupby(task, key=itemgetter(1)):
@@ -459,8 +454,12 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
         runs = [TrialRun(index=index, spec_index=spec_index,
                          replicate=replicate, seed=seed, spec=trial)
                 for index, _, replicate, seed in cell_runs]
+        offsets = range(start, start + len(runs))
+        start += len(runs)
         if (engine == "batched" and len(runs) > 1
                 and trial.runner == TRIAL_RUNNER_DEFAULT):
+            for offset in offsets:
+                _inject_trial_fault(plan, ctx, task, offset)
             duration = (trial.duration if trial.duration is not None
                         else spec.duration)
             lanes = run_trial_batch(
@@ -468,18 +467,14 @@ def execute_batch(spec: CampaignSpec, task: _BatchTask, engine: str,
                 seeds=[run.seed for run in runs], duration=duration,
                 channel_builder=trial.channel.build,
                 surgeon_builder=((lambda _seed: trial.surgeon.build())
-                                 if trial.surgeon is not None else None),
-                fault=(None if fault_for is None
-                       else (lambda lane, base=start: fault_for(base + lane))))
+                                 if trial.surgeon is not None else None))
             results += [(run.index, TrialSummary.from_trial(run, result))
                         for run, result in zip(runs, lanes)]
         else:
-            results += [execute_trial(
-                spec.config, spec.duration, run, engine,
-                fault=(None if fault_for is None
-                       else (lambda off=start + offset: fault_for(off))))
-                for offset, run in enumerate(runs)]
-        start += len(runs)
+            for offset, run in zip(offsets, runs):
+                _inject_trial_fault(plan, ctx, task, offset)
+                results.append(execute_trial(spec.config, spec.duration,
+                                             run, engine))
     return results
 
 
@@ -1228,7 +1223,8 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         fault_plan: Deterministic fault-injection plan — a
             :class:`~repro.campaign.faults.FaultPlan`, a plan string, or
             ``None`` to defer to the ``REPRO_FAULT_PLAN`` environment
-            variable (the usual case: no faults).
+            variable (the usual case: no faults).  The resolved plan also
+            drives the commit faults of ``store``.
         pool: Externally owned warm :class:`CampaignPool` (service mode).
             The run executes on its workers — even a single-task campaign
             goes through the pooled path, so consecutive jobs share one

@@ -7,9 +7,10 @@ that contract: a :class:`FaultPlan` is a declarative, fully deterministic
 script of faults to inject at named points of a run, so every recovery
 path has a replayable test.
 
-A plan comes from the ``REPRO_FAULT_PLAN`` environment variable (or the
-``--fault-plan`` CLI flag / the ``fault_plan=`` argument of
-``run_campaign``) and is a semicolon-separated list of clauses::
+A plan comes from the ``--fault-plan`` CLI flag or the ``fault_plan=``
+argument of ``run_campaign``, else from the ``REPRO_FAULT_PLAN``
+environment variable, which only :func:`resolve_fault_plan` reads.  It is
+a semicolon-separated list of clauses::
 
     kind@key=value[,key=value...]
 
@@ -33,10 +34,11 @@ with five clause kinds, each consumed at one injection point:
     Raise :class:`InjectedTrialFault` inside trial index ``trial``.
     Without ``times`` the trial is *poison* (fails every attempt and is
     eventually quarantined); ``times=N`` makes the fault transient — the
-    first ``N`` attempts fail and the next retry succeeds.  Consumed
-    inside :func:`repro.casestudy.emulation.run_trial` /
-    ``run_trial_batch`` via the executor's per-trial fault hook, so it
-    is the one clause that also fires in serial (in-process) runs.
+    first ``N`` attempts fail and the next retry succeeds.  Consumed in
+    :func:`repro.campaign.executor.execute_batch` right before the trial
+    is handed to its runner (a batched cell checks all its lanes first),
+    so it is the one clause that also fires in serial (in-process) runs
+    and it reaches every trial runner alike.
 ``corrupt``
     Stamp-corrupt the shared results-ring generation of dispatch
     ``batch`` (the worker writes records with a wrong generation).
@@ -52,8 +54,11 @@ with five clause kinds, each consumed at one injection point:
 Store commits are numbered 1-based over every commit of one store object
 (campaign metadata, trial batches, failure rows, estimator states and the
 completion mark), the same numbering for ``lock`` and ``crash@commit``.
-A store opened without a plan reads ``REPRO_FAULT_PLAN`` itself, so
-estimator stores and the campaign service see the plan too.
+A store gets its plan only from whoever opens it (the ``fault_plan=``
+argument, or ``run_campaign`` attaching its resolved plan); it never
+reads the environment.  The CLI hands the resolved plan to the estimator
+stores it opens, and the campaign service's jobs go through
+``run_campaign``.
 
 ``crash``, ``hang`` and ``corrupt`` accept ``p=PROB`` (with an optional
 ``seed=N``) instead of ``batch=K``: the clause then fires on each

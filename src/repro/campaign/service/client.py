@@ -11,7 +11,6 @@ one-shot invocation is untouched.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import socket
 import sys
@@ -200,16 +199,19 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--experiment", "--preset", dest="experiment",
                         required=True,
                         help="campaign preset to submit")
-    submit.add_argument("--seed", type=int, default=0,
-                        help="campaign master seed")
-    submit.add_argument("--replicates", type=int, default=None,
-                        help="scale the preset to this many replicates "
-                             "per cell (derived seeding)")
+    submit.add_argument("--seed", type=int, default=2013,
+                        help="campaign master seed (default: 2013)")
+    submit.add_argument("--replicates", type=int, default=1,
+                        help="independent trials per sweep cell "
+                             "(default: 1)")
     submit.add_argument("--duration", type=float, default=None,
                         help="campaign-level per-trial duration override "
                              "in seconds")
     submit.add_argument("--priority", type=int, default=0,
                         help="queue priority (higher runs earlier)")
+    # The one-shot runner's spec builder reads these; submit keeps the
+    # presets' own sweeps.
+    submit.set_defaults(mean_toffs=None, loss_levels=None)
 
     for name, needs_job in (("status", False), ("watch", True),
                             ("cancel", True)):
@@ -225,20 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name)
         sub.add_argument("--socket", default=DEFAULT_SOCKET)
     return parser
-
-
-def _submit_spec(args: argparse.Namespace):
-    """Build the campaign spec a ``submit`` invocation describes."""
-    from repro.campaign.presets import PRESETS
-    if args.experiment not in PRESETS:
-        raise SystemExit(f"unknown preset {args.experiment!r}; expected one "
-                         f"of {', '.join(sorted(PRESETS))}")
-    spec = PRESETS[args.experiment].build()
-    if args.replicates is not None:
-        spec = spec.scaled(args.replicates)
-    if args.duration is not None:
-        spec = dataclasses.replace(spec, duration=float(args.duration))
-    return spec
 
 
 def _print_event(event: dict) -> None:
@@ -281,7 +269,14 @@ def service_main(argv: Optional[List[str]] = None) -> int:
     client = ServiceClient(args.socket)
     try:
         if args.command == "submit":
-            response = client.submit(_submit_spec(args), args.seed,
+            # Imported here: the one-shot CLI imports this module.
+            from repro.campaign.cli import build_spec
+            from repro.campaign.presets import PRESETS
+            if args.experiment not in PRESETS:
+                raise SystemExit(f"unknown preset {args.experiment!r}; "
+                                 f"expected one of "
+                                 f"{', '.join(sorted(PRESETS))}")
+            response = client.submit(build_spec(args), args.seed,
                                      priority=args.priority)
             print(json.dumps(response, sort_keys=True))
             return 0

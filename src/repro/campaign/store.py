@@ -371,8 +371,10 @@ class CampaignStore:
                 inject transient ``OperationalError`` failures into
                 commits and whose ``crash@commit`` clauses kill the
                 process after one (test/chaos harness; see
-                :mod:`repro.campaign.faults`).  ``None`` reads
-                ``REPRO_FAULT_PLAN``.
+                :mod:`repro.campaign.faults`).  ``None`` injects nothing;
+                the store never reads ``REPRO_FAULT_PLAN`` itself, so
+                whoever opens it resolves the plan (``run_campaign``
+                attaches its own through :meth:`set_fault_plan`).
 
         Raises:
             CampaignStoreError: If ``read_only`` is requested for a path
@@ -380,8 +382,7 @@ class CampaignStore:
         """
         self.path = os.fspath(path)
         self.read_only = bool(read_only)
-        self._fault_plan = (fault_plan if fault_plan is not None
-                            else FaultPlan.from_env())
+        self._fault_plan = fault_plan
         #: Optional hook fired after every durable trial commit with the
         #: number of rows just committed — the service's event fan-out
         #: attaches here to stream checkpoint progress to ``watch``

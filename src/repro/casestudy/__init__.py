@@ -4,7 +4,7 @@ from repro.casestudy.config import (LASER, PATIENT, SUPERVISOR, VENTILATOR,
                                     CaseStudyConfig, PatientModel, SurgeonModel)
 from repro.casestudy.emulation import (CaseStudySystem, TrialResult, build_case_study,
                                        lease_ledger_from_trace, run_table1_trials,
-                                       run_trial, run_trial_batch, summarize_trials)
+                                       run_trial, run_trial_batch)
 from repro.casestudy.laser import EMITTING_LOCATION, SHUTOFF_LOCATION, build_laser
 from repro.casestudy.observers import VENTILATOR_RISKY_CORE, TrialStatsObserver
 from repro.casestudy.patient import SPO2, VENTILATED, build_patient, time_to_threshold
@@ -18,7 +18,6 @@ __all__ = [
     "CaseStudyConfig", "PatientModel", "SurgeonModel",
     "SUPERVISOR", "VENTILATOR", "LASER", "PATIENT",
     "build_case_study", "run_trial", "run_trial_batch", "run_table1_trials",
-    "summarize_trials",
     "CaseStudySystem", "TrialResult", "lease_ledger_from_trace",
     "TrialStatsObserver", "VENTILATOR_RISKY_CORE",
     "build_standalone_ventilator", "build_ventilator", "ventilating_locations",

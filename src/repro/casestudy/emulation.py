@@ -36,8 +36,7 @@ from repro.core.rules import PTERuleSet
 from repro.hybrid.simulate import (BatchedEngine, Lane, TraceObserver, build_engine,
                                    compile_system, resolve_engine_kind)
 from repro.hybrid.simulate.compiled import CompiledSystem
-from repro.hybrid.simulate.processes import (Coupling, EnvironmentProcess,
-                                             LocationIndicatorCoupling,
+from repro.hybrid.simulate.processes import (Coupling, LocationIndicatorCoupling,
                                              VariableCopyCoupling)
 from repro.hybrid.system import HybridSystem
 from repro.hybrid.trace import Trace
@@ -49,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - repro.campaign builds on this module
 
 __all__ = ["CaseStudySystem", "StreamedTrial", "TrialResult",
            "VENTILATOR_RISKY_CORE", "build_case_study", "lease_ledger_from_trace",
-           "run_trial", "run_trial_batch", "run_table1_trials", "summarize_trials"]
+           "run_trial", "run_trial_batch", "run_table1_trials"]
 
 
 @dataclass
@@ -63,7 +62,6 @@ class CaseStudySystem:
     rules: PTERuleSet
     config: CaseStudyConfig
     with_lease: bool
-    extra_processes: List[EnvironmentProcess] = field(default_factory=list)
     #: Pre-lowered system shared across trials of one campaign cell (set by
     #: the per-worker cache); compiled/batched engines reuse it instead of
     #: lowering the model again for every trial.
@@ -90,7 +88,7 @@ class CaseStudySystem:
             self.lowered if self.lowered is not None else self.system,
             kind=kind,
             network=self.network,
-            processes=[self.surgeon, *self.extra_processes],
+            processes=[self.surgeon],
             couplings=self.couplings,
             seed=seed,
             dt_max=self.config.dt_max,
@@ -103,8 +101,7 @@ class CaseStudySystem:
 def build_case_study(config: CaseStudyConfig, *, with_lease: bool = True,
                      seed: int | None = None,
                      channel: Channel | None = None,
-                     surgeon: SurgeonProcess | None = None,
-                     extra_processes: Sequence[EnvironmentProcess] = ()) -> CaseStudySystem:
+                     surgeon: SurgeonProcess | None = None) -> CaseStudySystem:
     """Assemble the laser-tracheotomy wireless CPS.
 
     Args:
@@ -118,7 +115,6 @@ def build_case_study(config: CaseStudyConfig, *, with_lease: bool = True,
         surgeon: Optional replacement surgeon process (e.g. a
             :class:`~repro.casestudy.surgeon.ScriptedSurgeon` for scenario
             experiments).
-        extra_processes: Additional environment processes (fault scripts).
 
     Returns:
         A :class:`CaseStudySystem` ready to produce simulation engines.
@@ -155,7 +151,7 @@ def build_case_study(config: CaseStudyConfig, *, with_lease: bool = True,
     return CaseStudySystem(
         system=system, network=network, surgeon=surgeon_process,
         couplings=couplings, rules=config.rules(), config=config,
-        with_lease=with_lease, extra_processes=list(extra_processes))
+        with_lease=with_lease)
 
 
 #: Per-process cache of lowered case studies, keyed by the (hashable)
@@ -255,11 +251,9 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
               seed: int | None = 0, duration: float | None = None,
               channel: Channel | None = None,
               surgeon: SurgeonProcess | None = None,
-              extra_processes: Sequence[EnvironmentProcess] = (),
               keep_trace: bool = False,
               record_variables: Sequence[tuple[str, str]] = (),
               engine: str | None = None,
-              fault=None,
               observers: Sequence = ()) -> TrialResult:
     """Run one emulation trial and collect the Table I statistics.
 
@@ -277,18 +271,11 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
         duration: Trial length; defaults to ``config.trial_duration`` (30 min).
         channel: Optional wireless loss model override.
         surgeon: Optional surgeon process override.
-        extra_processes: Additional environment processes.
         keep_trace: Keep the full trace on the result (memory heavy) and
             derive the statistics from it instead of streaming.
         record_variables: ``(automaton, variable)`` pairs to sample.
         engine: Simulation kernel (``"reference"`` / ``"compiled"`` /
             ``"batched"``); ``None`` selects the reference kernel.
-        fault: Optional zero-argument fault hook, invoked once before the
-            trial is assembled and run.  The
-            campaign fault-injection harness uses it to raise a
-            deterministic in-trial failure
-            (:class:`repro.campaign.faults.InjectedTrialFault`); ``None``
-            (the default, and every production path) is a no-op.
         observers: Extra :class:`~repro.hybrid.simulate.observers.TraceObserver`
             instances attached after the statistics observer (streaming
             path only; ignored with ``keep_trace=True``).  The rare-event
@@ -298,12 +285,9 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
     Returns:
         The trial's :class:`TrialResult`.
     """
-    if fault is not None:
-        fault()
     if not keep_trace:
         trial = StreamedTrial(config, with_lease=with_lease, seed=seed,
                               duration=duration, channel=channel, surgeon=surgeon,
-                              extra_processes=extra_processes,
                               record_variables=record_variables, engine=engine,
                               observers=observers)
         trial.engine.run(trial.duration)
@@ -312,7 +296,7 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
     duration = config.trial_duration if duration is None else float(duration)
     kind = resolve_engine_kind(engine)
     case = _trial_case(config, with_lease=with_lease, seed=seed, channel=channel,
-                       surgeon=surgeon, extra_processes=extra_processes, kind=kind)
+                       surgeon=surgeon, kind=kind)
     sampled = list(record_variables) or [(PATIENT, SPO2)]
     surgeon_process = case.surgeon
     sim = case.engine(seed=seed, record_variables=sampled, kind=kind)
@@ -350,13 +334,11 @@ def run_trial(config: CaseStudyConfig, *, with_lease: bool = True,
 
 def _trial_case(config: CaseStudyConfig, *, with_lease: bool, seed: int | None,
                 channel: Channel | None, surgeon: SurgeonProcess | None,
-                extra_processes: Sequence[EnvironmentProcess],
                 kind: str) -> CaseStudySystem:
     """The case study one trial runs on ``kind``'s kernel."""
     if kind == "reference":
         return build_case_study(config, with_lease=with_lease, seed=seed,
-                                channel=channel, surgeon=surgeon,
-                                extra_processes=extra_processes)
+                                channel=channel, surgeon=surgeon)
     # Fast kernels reuse the per-process lowered model of this campaign
     # cell; only the trial's stochastic ingredients are rebuilt.
     template, lowered = _lowered_case_study(config, with_lease)
@@ -365,8 +347,7 @@ def _trial_case(config: CaseStudyConfig, *, with_lease: bool, seed: int | None,
         network=_trial_network(config, channel, seed),
         surgeon=_trial_surgeon(config, surgeon, seed),
         couplings=template.couplings, rules=template.rules,
-        config=config, with_lease=with_lease,
-        extra_processes=list(extra_processes), lowered=lowered)
+        config=config, with_lease=with_lease, lowered=lowered)
 
 
 class StreamedTrial:
@@ -383,7 +364,6 @@ class StreamedTrial:
                  seed: int | None = 0, duration: float | None = None,
                  channel: Channel | None = None,
                  surgeon: SurgeonProcess | None = None,
-                 extra_processes: Sequence[EnvironmentProcess] = (),
                  record_variables: Sequence[tuple[str, str]] = (),
                  engine: str | None = None,
                  observers: Sequence[TraceObserver] = ()):
@@ -391,8 +371,7 @@ class StreamedTrial:
         self.seed = seed
         self.duration = config.trial_duration if duration is None else float(duration)
         self.case = _trial_case(config, with_lease=with_lease, seed=seed,
-                                channel=channel, surgeon=surgeon,
-                                extra_processes=extra_processes, kind=kind)
+                                channel=channel, surgeon=surgeon, kind=kind)
         self.stats = TrialStatsObserver(config)
         self.engine = self.case.engine(
             seed=seed, record_variables=list(record_variables) or [(PATIENT, SPO2)],
@@ -441,8 +420,8 @@ def _streamed_result(config: CaseStudyConfig, *, with_lease: bool,
 def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
                     seeds: Sequence[int], duration: float | None = None,
                     channel_builder=None, surgeon_builder=None,
-                    record_variables: Sequence[tuple[str, str]] = (),
-                    fault=None) -> List[TrialResult]:
+                    record_variables: Sequence[tuple[str, str]] = ()
+                    ) -> List[TrialResult]:
     """Run one batch of replicate trials as the lanes of one engine.
 
     The campaign counterpart of :func:`run_trial`: all trials share one
@@ -465,11 +444,6 @@ def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
             scripted surgeons; ``None`` uses the stochastic surgeon model
             seeded per trial.
         record_variables: ``(automaton, variable)`` pairs to sample.
-        fault: Optional per-lane fault hook ``fault(offset)``, invoked
-            with each lane's position before the batch engine is built.
-            Raising aborts the whole batch — by design: the campaign
-            supervisor then bisects the batch to isolate the poisoned
-            trial.  ``None`` (the default) is a no-op.
 
     Returns:
         One :class:`TrialResult` per seed, in seed order.
@@ -481,9 +455,7 @@ def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
     stats_list: List[TrialStatsObserver] = []
     networks: List[SinkWirelessNetwork] = []
     surgeons: List[SurgeonProcess] = []
-    for offset, seed in enumerate(seeds):
-        if fault is not None:
-            fault(offset)
+    for seed in seeds:
         channel = channel_builder(seed) if channel_builder is not None else None
         network = _trial_network(config, channel, seed)
         surgeon = _trial_surgeon(
@@ -542,24 +514,3 @@ def run_table1_trials(config: CaseStudyConfig | None = None, *,
                        legacy_seed=seed)
     campaign = run_campaign(spec, seed=seed, max_workers=max_workers)
     return list(campaign.summaries)
-
-
-def summarize_trials(results: Sequence["TrialResult | TrialSummary"],
-                     ) -> Dict[str, object]:
-    """Aggregate check of the Table I reproduction shape.
-
-    Returns a dictionary with the headline claims: every with-lease trial
-    must be failure-free, and the without-lease trials should exhibit
-    failures (given enough interference).
-    """
-    with_lease = [r for r in results if r.with_lease]
-    without_lease = [r for r in results if not r.with_lease]
-    return {
-        "with_lease_failures": sum(r.failures for r in with_lease),
-        "without_lease_failures": sum(r.failures for r in without_lease),
-        "with_lease_emissions": sum(r.laser_emissions for r in with_lease),
-        "without_lease_emissions": sum(r.laser_emissions for r in without_lease),
-        "with_lease_evt_to_stop": sum(r.evt_to_stop for r in with_lease),
-        "lease_always_safe": all(r.failures == 0 for r in with_lease),
-        "baseline_fails": any(r.failures > 0 for r in without_lease),
-    }

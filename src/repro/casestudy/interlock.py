@@ -23,7 +23,7 @@ traces bit-identical to the reference engine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.casestudy.emulation import TrialResult
 from repro.core import (build_baseline_system, build_pattern_system, check_trace,
@@ -84,9 +84,7 @@ def _interlock_system(with_lease: bool):
 
 def run_interlock_trial(*, with_lease: bool, seed: int | None,
                         duration: float | None = None,
-                        engine: str | None = None,
-                        fault: Callable[[], None] | None = None,
-                        ) -> TrialResult:
+                        engine: str | None = None) -> TrialResult:
     """Run one furnace-interlock trial under bursty wireless loss.
 
     The trial places the four-entity line under a Gilbert-Elliott channel
@@ -102,9 +100,6 @@ def run_interlock_trial(*, with_lease: bool, seed: int | None,
             :data:`DEFAULT_HORIZON`).
         engine: Simulation kernel (``None`` selects the reference kernel;
             the campaign executor passes its resolved default).
-        fault: Optional zero-argument fault hook, invoked after the
-            system is assembled and before the engine runs (the campaign
-            fault-injection harness).
 
     Returns:
         The trial's statistics in the campaign's
@@ -126,8 +121,6 @@ def run_interlock_trial(*, with_lease: bool, seed: int | None,
     network = pattern.build_network(default_channel=channel)
     sim = build_engine(system, kind=kind, network=network,
                        processes=[operator], seed=seed)
-    if fault is not None:
-        fault()
     trace = sim.run(horizon)
     report = check_trace(trace, pattern.rules)
     torch_intervals = trace.risky_intervals(INITIALIZER)

@@ -238,7 +238,8 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
                       max_workers: int = 1, engine: str | None = None,
                       batch_size: int | None = None,
                       store=None, resume: bool = False,
-                      on_result: Callable | None = None) -> SprtResult:
+                      on_result: Callable | None = None,
+                      fault_plan=None) -> SprtResult:
     """Sequentially test one campaign cell through the real executor.
 
     The cell's replicates stream back through the executor's
@@ -265,6 +266,9 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
             outright without touching the pool.
         on_result: Optional passthrough observer of every raw
             :class:`~repro.campaign.aggregate.TrialSummary`.
+        fault_plan: The fault plan handed to
+            :func:`~repro.campaign.executor.run_campaign` (``None``
+            defers to ``REPRO_FAULT_PLAN``).
 
     Returns:
         The :class:`SprtResult`.
@@ -297,7 +301,7 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
         run_campaign(sub_spec, seed=master_seed, max_workers=max_workers,
                      engine=engine, batch_size=batch_size, store=store,
                      resume=resume, on_result=consume,
-                     stop=lambda: test.decided)
+                     stop=lambda: test.decided, fault_plan=fault_plan)
     except CampaignCancelled:
         pass  # The decided test cancelled the remaining batches.
 

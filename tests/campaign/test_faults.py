@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import run_campaign, table1_spec
+from repro.campaign import interlock_spec, run_campaign, table1_spec
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.executor import (CampaignExecutionError,
                                      CampaignInterrupted)
@@ -25,7 +25,8 @@ from repro.campaign.faults import (FAULT_PLAN_ENV_VAR, FaultClause, FaultPlan,
                                    FaultPlanError, TrialFailure,
                                    resolve_fault_plan)
 from repro.campaign.shm import shared_memory_available
-from repro.campaign.store import CampaignStore, CampaignStoreError
+from repro.campaign.store import (CRASH_EXIT_CODE, CampaignStore,
+                                  CampaignStoreError)
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -49,10 +50,10 @@ def _payload_without(result, *trial_indices):
     counts are recomputed exactly as a faulted run would report them.
     """
     spec_runs = result.spec.expand(result.master_seed)
-    dropped = {(spec_runs[i].replicate, spec_runs[i].seed)
+    dropped = {(spec_runs[i].spec_index, spec_runs[i].replicate)
                for i in trial_indices}
     keep = tuple(s for s in result.summaries
-                 if (s.replicate, s.seed) not in dropped)
+                 if (s.spec_index, s.replicate) not in dropped)
     return _payload(dataclasses.replace(result, summaries=keep))
 
 
@@ -194,9 +195,11 @@ class TestSerialRecovery:
         assert len(result.quarantined) == 1
         assert result.quarantined[0].attempts == 4
 
-    def test_poison_trial_in_cross_cell_task_keeps_its_own_cell(self, tmp_path):
+    @pytest.mark.parametrize("poison", [4, 5])
+    def test_poison_trial_in_cross_cell_task_keeps_its_own_cell(self, tmp_path,
+                                                                poison):
         # 3 replicates of 2 cells at 120 s: one auto-sized task spans both
-        # cells.  Trial 4 (cell 1, replicate 1) is poison; it must be
+        # cells.  The poison trial (cell 1, replicate 1 or 2) must be
         # quarantined under its own cell, replicate and seed, and every
         # other trial must match a clean run bit for bit.
         spec = _tiny_spec(3)
@@ -204,14 +207,15 @@ class TestSerialRecovery:
         clean = run_campaign(spec, seed=7, max_workers=1)
         db = tmp_path / "campaign.db"
         result = run_campaign(spec, seed=7, max_workers=1, max_retries=0,
-                              store=db, fault_plan="raise@trial=4")
-        expected = (4, spec.trials[1].label, 1, runs[4].seed)
+                              store=db, fault_plan=f"raise@trial={poison}")
+        expected = (poison, spec.trials[1].label, poison - 3,
+                    runs[poison].seed)
         assert [(f.trial_index, f.label, f.replicate, f.seed)
                 for f in result.quarantined] == [expected]
         with CampaignStore(db) as store:
             assert [(f.trial_index, f.label, f.replicate, f.seed)
                     for f in store.failures()] == [expected]
-        assert _payload(result) == _payload_without(clean, 4)
+        assert _payload(result) == _payload_without(clean, poison)
         assert result.recovery_events[0][1].startswith(
             "batch of 6 trials (cells 0-1) failed")
 
@@ -235,6 +239,26 @@ class TestSerialRecovery:
             run_campaign(spec, batch_deadline=0.0)
         with pytest.raises(FaultPlanError):
             run_campaign(spec, fault_plan="bogus@x=1")
+
+
+class TestAlternateRunner:
+    @pytest.fixture(scope="class")
+    def clean_interlock(self):
+        return run_campaign(interlock_spec(replicates=3), seed=7,
+                            max_workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interlock_poison_trial_is_quarantined(self, clean_interlock,
+                                                   workers):
+        # The interlock runner gets the fault from the executor like the
+        # default runner: trial 3 (first of cell 1) sits in a task that
+        # spans both cells and is the only trial lost.
+        result = run_campaign(interlock_spec(replicates=3), seed=7,
+                              max_workers=workers, batch_size=4,
+                              max_retries=0, fault_plan="raise@trial=3")
+        assert [f.trial_index for f in result.quarantined] == [3]
+        assert result.quarantined[0].kind == "InjectedTrialFault"
+        assert _payload(result) == _payload_without(clean_interlock, 3)
 
 
 class TestPooledRecovery:
@@ -309,16 +333,19 @@ class TestPooledRecovery:
 
 
 class TestStoreFaults:
-    def test_store_without_a_plan_reads_the_environment(self, tmp_path,
-                                                       monkeypatch):
+    def test_bare_store_ignores_the_environment_run_campaign_applies_it(
+            self, tmp_path, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "lock@commit=1")
-        with CampaignStore(tmp_path / "campaign.db") as store:
-            store.mark_complete()
-            assert store.commit_retries == 1
-        explicit = FaultPlan.parse("")
-        with CampaignStore(tmp_path / "other.db", fault_plan=explicit) as store:
+        with CampaignStore(tmp_path / "bare.db") as store:
             store.mark_complete()
             assert store.commit_retries == 0
+        explicit = FaultPlan.parse("lock@commit=1")
+        with CampaignStore(tmp_path / "opened.db", fault_plan=explicit) as store:
+            store.mark_complete()
+            assert store.commit_retries == 1
+        with CampaignStore(tmp_path / "campaign.db") as store:
+            run_campaign(_tiny_spec(1), seed=7, max_workers=1, store=store)
+            assert store.commit_retries == 1
 
     def test_locked_commits_retry_with_backoff(self, tmp_path):
         db = tmp_path / "campaign.db"
@@ -398,6 +425,28 @@ class TestCliRecovery:
     def test_bad_fault_plan_is_a_usage_error(self, capsys):
         assert campaign_main(["--fault-plan", "explode@batch=1"]) == 2
         assert "fault plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("method", ["split", "sprt"])
+    def test_method_runs_apply_the_fault_plan(self, tmp_path, method, via):
+        # The flag and the environment reach the estimator's store alike:
+        # the process dies right after the store's first commit.
+        plan = "crash@commit=1"
+        env = _cli_env()
+        args = ["--method", method, "--store", str(tmp_path / "rare.db"),
+                "--duration", "60", "--trials-per-level", "4", "--quiet"]
+        if via == "flag":
+            args += ["--fault-plan", plan]
+        else:
+            env[FAULT_PLAN_ENV_VAR] = plan
+        proc = subprocess.run(_cli_cmd(*args), cwd=_REPO_ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+
+    def test_fault_plan_with_crude_method_is_a_usage_error(self, capsys):
+        assert campaign_main(["--method", "crude",
+                              "--fault-plan", "raise@trial=1"]) == 2
+        assert "--fault-plan" in capsys.readouterr().err
 
     def test_recovery_flag_validation(self, capsys):
         assert campaign_main(["--max-retries", "-1"]) == 2

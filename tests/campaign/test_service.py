@@ -24,6 +24,7 @@ import pytest
 
 from repro.campaign import loss_sweep_spec, run_campaign
 from repro.campaign.aggregate import GroupSummary
+from repro.campaign.cli import build_parser, build_spec
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.presets import PRESETS
@@ -368,6 +369,25 @@ def test_submit_rejects_unknown_payload(service, payload):
     assert "duplicate" not in accepted
     assert accepted["job"] == spec_fingerprint(spec, 7)
     assert client.drain()["jobs"] == {accepted["job"]: "complete"}
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--replicates", "2", "--duration", "150", "--seed", "7"]])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_submit_builds_the_one_shot_spec(monkeypatch, capsys, preset, flags):
+    # The same flags name the same campaign through either front end, so
+    # a submitted job's id is the one-shot store's fingerprint.
+    sent = []
+
+    def fake_submit(client, spec, master_seed, *, priority=0):
+        sent.append((spec, master_seed))
+        return {"job": spec_fingerprint(spec, master_seed)}
+
+    monkeypatch.setattr(ServiceClient, "submit", fake_submit)
+    assert campaign_main(["submit", "--preset", preset, *flags]) == 0
+    capsys.readouterr()
+    one_shot = build_parser().parse_args(["--experiment", preset, *flags])
+    assert sent == [(build_spec(one_shot), one_shot.seed)]
 
 
 # --------------------------------------------------------------------------

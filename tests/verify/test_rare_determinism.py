@@ -105,11 +105,13 @@ class TestCrashResume:
 
     CHILD = textwrap.dedent("""
         import functools, sys
+        from repro.campaign.faults import resolve_fault_plan
         from repro.campaign.store import CampaignStore
         from repro.verify.rare import (SplitSettings, fixed_effort_splitting,
                                        run_chain_trial)
         chain = functools.partial(run_chain_trial, up=0.4, size=12)
-        with CampaignStore(sys.argv[1]) as store:
+        with CampaignStore(sys.argv[1],
+                           fault_plan=resolve_fault_plan(None)) as store:
             fixed_effort_splitting(
                 chain, master_seed=9,
                 settings=SplitSettings(trials_per_level=64, max_levels=15),
@@ -123,8 +125,8 @@ class TestCrashResume:
 
         db = tmp_path / "estimators.db"
         # Die via os._exit(86) right after the level-2 checkpoint commits
-        # (the store reads the plan from the environment): no context
-        # managers unwind, exactly like a SIGKILL mid-run.
+        # (the child opens its store with the environment's plan): no
+        # context managers unwind, exactly like a SIGKILL mid-run.
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, str(db)],
             env=_subprocess_env(**{FAULT_PLAN_ENV_VAR: "crash@commit=2"}),

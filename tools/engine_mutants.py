@@ -8,7 +8,8 @@ quiet-stretch loop or the copy of a paused run; in
 ``src/repro/util/seeding.py`` and ``src/repro/verify/rare.py`` how a fork
 group pauses, copies and forks a survivor and puts the results back; in
 ``src/repro/campaign/executor.py`` how trials are sized into tasks that
-span cells, attributed to their own cell and published after their commit.
+span cells, attributed to their own cell, failed by the fault plan's
+``raise`` clauses and published after their commit.
 The tool copies the repository's ``src/`` and ``tests/`` into a temporary
 directory, checks that the unmutated copy passes, then applies each mutant
 in turn and asserts that the fixed tests listed in ``TESTS`` for the
@@ -161,6 +162,15 @@ MUTANTS = {
         [("            labels = [spec.trials[spec_index].label\n"
           "                      for _, spec_index, _, _ in task]\n",
           "            labels = [spec.trials[task[0][1]].label] * count\n")]),
+    "fault-check-first-attempt": (
+        EXECUTOR, "the in-trial fault check always sees attempt 0, so a transient fault never"
+        " expires",
+        [("    attempt = ctx.attempts[offset] if ctx is not None else 0\n",
+          "    attempt = 0\n")]),
+    "fault-offset-off-by-one": (
+        EXECUTOR, "past a cell boundary the in-trial fault check reads the previous trial's"
+        " offset",
+        [("        start += len(runs)\n", "        start += len(runs) - 1\n")]),
 }
 
 
