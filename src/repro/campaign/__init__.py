@@ -39,8 +39,7 @@ _EXPORTS = {
                             "TrialSpec", "expand_grid"),
     "repro.campaign.store": ("CampaignStore", "CampaignStoreError",
                              "CheckpointStatus", "RecoveryStage",
-                             "RecoveryStateMachine", "enumerate_stores",
-                             "spec_fingerprint"),
+                             "RecoveryStateMachine", "spec_fingerprint"),
 }
 
 __all__ = [
@@ -57,8 +56,7 @@ __all__ = [
     "ShmSession", "ResultsRing", "ShmError",
     "shared_memory_available",
     "CampaignStore", "CampaignStoreError", "CheckpointStatus",
-    "RecoveryStage", "RecoveryStateMachine", "enumerate_stores",
-    "spec_fingerprint",
+    "RecoveryStage", "RecoveryStateMachine", "spec_fingerprint",
     "PRESETS", "Preset",
     "table1_spec", "loss_sweep_spec", "scenarios_spec", "grid_spec",
     "interlock_spec",

@@ -291,6 +291,8 @@ def _cell_horizon(spec: CampaignSpec, trial: TrialSpec) -> float:
         return float(trial.duration)
     if spec.duration is not None:
         return float(spec.duration)
+    if trial.runner != TRIAL_RUNNER_DEFAULT:
+        return float(_resolve_trial_runner(trial.runner).default_horizon)
     return float(spec.config.trial_duration)
 
 
@@ -351,7 +353,9 @@ def _resolve_trial_runner(name: str) -> Callable[..., TrialResult]:
     Returns:
         A callable with the keyword signature ``(with_lease, seed,
         duration, engine)`` returning a
-        :class:`~repro.casestudy.emulation.TrialResult`.
+        :class:`~repro.casestudy.emulation.TrialResult`, whose
+        ``default_horizon`` attribute is the trial length it runs when
+        ``duration`` is ``None``.
 
     Raises:
         ValueError: If no runner is registered under ``name``.

@@ -189,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--socket", default=DEFAULT_SOCKET,
                        help="unix socket path to listen on")
     serve.add_argument("--stores-dir", required=True,
-                       help="directory of per-job durable stores")
+                       help="directory of the service's job database")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes in the shared warm pool")
 
@@ -276,6 +276,10 @@ def service_main(argv: Optional[List[str]] = None) -> int:
                 raise SystemExit(f"unknown preset {args.experiment!r}; "
                                  f"expected one of "
                                  f"{', '.join(sorted(PRESETS))}")
+            if args.replicates < 1:
+                print("error: --replicates must be at least 1",
+                      file=sys.stderr)
+                return 2
             response = client.submit(build_spec(args), args.seed,
                                      priority=args.priority)
             print(json.dumps(response, sort_keys=True))

@@ -174,18 +174,22 @@ class EventBus:
         Args:
             final_event: The ``done`` event ending every subscriber's
                 stream.
-            final_cells: The job's final cell aggregates, if it kept them:
-                snapshot cells equal to one of these share its dict
-                instead of keeping a copy.
+            final_cells: The job's final cell aggregates, if it has them.
+                They become the frozen snapshot's cells: a completed job's
+                streamed cells equal them, and a job restored from its
+                checkpoints streamed nothing.  Without them the snapshot
+                freezes the streamed aggregates.
         """
         with self._lock:
             if self._final_snapshot is None:
-                kept = {cell["label"]: cell for cell in final_cells}
-                snapshot = self._snapshot()
-                snapshot["cells"] = [
-                    kept[cell["label"]] if kept.get(cell["label"]) == cell else cell
-                    for cell in snapshot["cells"]]
-                self._final_snapshot = snapshot
+                if final_cells:
+                    self._final_snapshot = {
+                        "event": "snapshot",
+                        "done": sum(cell["trials"] for cell in final_cells),
+                        "total": self.total_trials,
+                        "cells": list(final_cells)}
+                else:
+                    self._final_snapshot = self._snapshot()
                 self._aggregator = None
             self._closed = final_event
         self.publish(final_event)

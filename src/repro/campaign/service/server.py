@@ -10,12 +10,14 @@ worker PIDs are identical across jobs).
 
 Job identity *is* the spec fingerprint
 (:func:`~repro.campaign.store.spec_fingerprint` over the canonical
-``(spec, master_seed)`` encoding): each job owns one durable store at
-``<stores-dir>/<fingerprint>.db`` plus a sidecar ``<fingerprint>.job.json``
-recording the submission.  That makes submission idempotent (re-submitting
-a spec returns the existing job) and makes restart recovery trivial: on
-startup the service scans the stores directory, registers finished stores
-as COMPLETE, and re-enqueues every sidecar whose store is incomplete —
+``(spec, master_seed)`` encoding).  The service opens one WAL database,
+``<stores-dir>/jobs.db``, when it is constructed and keeps it until
+shutdown: a submission is one durable ``jobs`` row, and each job's
+checkpoints are rows keyed by that job's id.  That makes submission
+idempotent (re-submitting a spec returns the existing job) and makes
+restart recovery trivial: on startup the service reads the ``jobs``
+rows, registers finished jobs as COMPLETE with their aggregates rebuilt
+from their checkpoints, and re-enqueues the rest —
 ``run_campaign(resume=True)`` then replays the checkpointed prefix
 through the executor's ``RecoveryStateMachine`` and simulates only the
 remainder, preserving the repo's bit-identity contract across a mid-job
@@ -44,16 +46,19 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.campaign.aggregate import CampaignResult
 from repro.campaign.executor import (CampaignCancelled, CampaignPool,
                                      run_campaign)
 from repro.campaign.service import protocol
 from repro.campaign.service.events import EventBus, cell_json
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import (PAYLOAD, CampaignStore, CampaignStoreError,
-                                  enumerate_stores, spec_fingerprint)
+from repro.campaign.store import PAYLOAD, StoreDatabase, spec_fingerprint
 
 #: How often (seconds) blocking loops wake to check stop/cancel flags.
 _POLL_INTERVAL = 0.2
+
+#: File name of the service's database inside its stores directory.
+DATABASE_NAME = "jobs.db"
 
 
 class JobState(enum.Enum):
@@ -80,6 +85,7 @@ class Job:
     """
 
     fingerprint: str
+    job_id: int
     spec: Optional[CampaignSpec]
     master_seed: int
     priority: int
@@ -146,22 +152,25 @@ class CampaignService:
     """A long-running campaign job server on a unix socket.
 
     One instance owns the socket, the priority queue, the warm worker
-    pool, and the stores directory.  :meth:`serve` runs the accept loop
-    in the calling thread until a ``shutdown`` request (or SIGTERM /
-    SIGINT) stops it; jobs execute sequentially on a dedicated runner
-    thread so a slow campaign never blocks status queries.
+    pool, and the stores directory's database.  :meth:`serve` runs the
+    accept loop in the calling thread until a ``shutdown`` request (or
+    SIGTERM / SIGINT) stops it; jobs execute sequentially on a dedicated
+    runner thread so a slow campaign never blocks status queries.
     """
 
     def __init__(self, socket_path: str | os.PathLike,
                  stores_dir: str | os.PathLike, *,
                  max_workers: int = 2) -> None:
-        """Configure the service (no sockets are opened yet).
+        """Open the stores directory's database and recover its jobs.
+
+        No socket is opened yet; :meth:`serve` binds it and closes the
+        database on the way out.
 
         Args:
             socket_path: Unix socket path to listen on; a stale socket
                 file from a killed daemon is replaced on startup.
-            stores_dir: Directory of per-job durable stores and submission
-                sidecars (created if missing).
+            stores_dir: Directory of the service's database (created if
+                missing).
             max_workers: Worker-process count of the shared warm pool.
         """
         self.socket_path = os.fspath(socket_path)
@@ -174,53 +183,38 @@ class CampaignService:
         self._stopping = False
         self._runner: Optional[threading.Thread] = None
         os.makedirs(self.stores_dir, exist_ok=True)
+        self._db = StoreDatabase(os.path.join(self.stores_dir,
+                                              DATABASE_NAME))
         self._recover()
-
-    # -- paths -------------------------------------------------------------
-
-    def _store_path(self, fingerprint: str) -> str:
-        """Return the durable store path of a job."""
-        return os.path.join(self.stores_dir, f"{fingerprint}.db")
-
-    def _sidecar_path(self, fingerprint: str) -> str:
-        """Return the submission-sidecar path of a job."""
-        return os.path.join(self.stores_dir, f"{fingerprint}.job.json")
 
     # -- startup recovery --------------------------------------------------
 
     def _recover(self) -> None:
-        """Re-register every job found in the stores directory.
+        """Re-register every job recorded in the database.
 
-        Finished stores come back as COMPLETE entries; incomplete stores
-        whose sidecar survives are re-enqueued for a ``resume=True`` run
-        (the store replays its checkpointed prefix, so nothing simulated
-        before the crash is simulated again).
+        Finished jobs come back as COMPLETE entries whose cells are
+        folded from their checkpoints; the others are re-enqueued for a
+        ``resume=True`` run (the store replays its checkpointed prefix,
+        so nothing simulated before the crash is simulated again).
         """
-        statuses = {path: status
-                    for path, status in enumerate_stores(self.stores_dir)}
-        for name in sorted(os.listdir(self.stores_dir)):
-            if not name.endswith(".job.json"):
-                continue
-            sidecar = os.path.join(self.stores_dir, name)
+        for (job_id, fingerprint, encoded, master_seed, priority,
+             complete) in self._db.jobs():
             try:
-                with open(sidecar, "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-                spec = protocol.decode_spec(record["spec"])
-                master_seed = int(record["master_seed"])
-            except (OSError, ValueError, KeyError,
-                    protocol.ProtocolError):
+                spec = protocol.decode_spec(json.loads(encoded))
+            except (TypeError, ValueError, protocol.ProtocolError):
                 continue
-            fingerprint = spec_fingerprint(spec, master_seed)
-            if fingerprint != name[:-len(".job.json")]:
-                continue
-            job = Job(fingerprint=fingerprint, spec=spec,
-                      master_seed=master_seed,
-                      priority=int(record.get("priority", 0)),
+            job = Job(fingerprint=fingerprint, job_id=job_id, spec=spec,
+                      master_seed=master_seed, priority=priority,
                       seq=self._next_seq())
-            status = statuses.get(self._store_path(fingerprint))
-            if status is not None and status.complete:
+            if complete:
+                summaries = tuple(summary for _, summary
+                                  in self._db.store(job_id).replay())
+                result = CampaignResult(spec=spec, master_seed=master_seed,
+                                        workers=0, wall_time=0.0,
+                                        summaries=summaries)
+                job.cells = [cell_json(group) for group in result.groups()]
                 job.finish(JobState.COMPLETE)
-                job.bus.close(job.done_event())
+                job.bus.close(job.done_event(), job.cells)
             else:
                 heapq.heappush(self._queue,
                                (-job.priority, job.seq, fingerprint))
@@ -259,7 +253,7 @@ class CampaignService:
         """
         final: JobState
         try:
-            store = CampaignStore(self._store_path(job.fingerprint))
+            store = self._db.store(job.job_id)
             store.on_commit = job.bus.checkpoint
             try:
                 result = run_campaign(
@@ -327,20 +321,13 @@ class CampaignService:
                 return protocol.ok(job=fingerprint,
                                    state=existing.state.value,
                                    duplicate=True)
-            job = Job(fingerprint=fingerprint, spec=spec,
+            # The fingerprint above canonicalized the spec; the jobs row
+            # and the store's binding check reuse that encoding.
+            job_id = self._db.add_job(fingerprint, spec, master_seed,
+                                      priority)
+            job = Job(fingerprint=fingerprint, job_id=job_id, spec=spec,
                       master_seed=master_seed,
                       priority=priority, seq=self._next_seq())
-            # The fingerprint above canonicalized the spec; the sidecar and
-            # the store's binding check reuse that encoding.
-            sidecar = json.dumps({"v": protocol.PROTOCOL_VERSION,
-                                  "spec": protocol.encode_spec(spec),
-                                  "master_seed": master_seed,
-                                  "priority": priority}, sort_keys=True)
-            with open(self._sidecar_path(fingerprint), "w",
-                      encoding="utf-8") as handle:
-                handle.write(sidecar)
-                handle.flush()
-                os.fsync(handle.fileno())
             self._jobs[fingerprint] = job
             heapq.heappush(self._queue, (-priority, job.seq, fingerprint))
             position = len(self._queue)
@@ -364,17 +351,9 @@ class CampaignService:
                 job = self._find_job(str(token))
         except KeyError as exc:
             return protocol.error(str(exc))
-        store_status = None
-        store_path = self._store_path(job.fingerprint)
-        if os.path.exists(store_path):
-            try:
-                with CampaignStore(store_path, read_only=True) as store:
-                    snapshot = store.status()
-                store_status = (snapshot.to_json()
-                                if snapshot is not None else None)
-            except CampaignStoreError:
-                store_status = None
-        return protocol.ok(**job.to_json(store_status))
+        snapshot = self._db.store(job.job_id).status()
+        return protocol.ok(**job.to_json(
+            snapshot.to_json() if snapshot is not None else None))
 
     def _handle_cancel(self, message: dict) -> dict:
         """Cancel one job: immediately if queued, cooperatively if running."""
@@ -484,8 +463,8 @@ class CampaignService:
         """Ask the accept loop and the runner to stop.
 
         Graceful: the currently running job (if any) finishes first;
-        still-queued jobs stay durably recorded in the stores directory
-        and are re-enqueued by the next daemon start.
+        still-queued jobs stay durably recorded in the database and are
+        re-enqueued by the next daemon start.
         """
         with self._lock:
             self._stopping = True
@@ -496,8 +475,8 @@ class CampaignService:
 
         Installs SIGTERM/SIGINT handlers (main thread only) that trigger
         the same graceful shutdown as the ``shutdown`` operation.  The
-        socket file is unlinked and the warm pool torn down on the way
-        out.
+        socket file is unlinked, the warm pool torn down and the
+        database closed on the way out.
         """
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
@@ -538,6 +517,7 @@ class CampaignService:
             for thread in handlers:
                 thread.join(timeout=1.0)
             self.pool.shutdown()
+            self._db.close()
 
 
 def serve_main(socket_path: str, stores_dir: str, *,
@@ -546,7 +526,7 @@ def serve_main(socket_path: str, stores_dir: str, *,
 
     Args:
         socket_path: Unix socket path to listen on.
-        stores_dir: Directory of per-job stores and sidecars.
+        stores_dir: Directory of the service's database.
         max_workers: Worker-process count of the shared warm pool.
 
     Returns:

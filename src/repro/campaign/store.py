@@ -41,6 +41,11 @@ use; ``LIVE`` executes and checkpoints the remaining trials; ``COMPLETE``
 marks the store finished (resuming a complete store replays everything and
 simulates nothing).
 
+A :class:`StoreDatabase` is one sqlite file whose rows are keyed by job:
+a one-shot ``--store`` file holds one campaign, and the service daemon
+keeps one database per stores directory open for its whole life, with a
+:class:`CampaignStore` handle per job on the shared connection.
+
 Every commit also passes the store-side injection points of the fault
 plan (:mod:`repro.campaign.faults`): ``lock@commit=N`` fails commit N with
 a transient lock error, and ``crash@commit=N`` hard-kills the process
@@ -82,8 +87,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 #: Version 4 added the ``estimator`` table: keyed JSON state documents of
 #: the rare-event estimators (importance-splitting level checkpoints,
 #: decided SPRT verdicts), so ``--method split`` / ``--method sprt`` runs
-#: resume bit-identically alongside the trial rows.
-SCHEMA_VERSION = 4
+#: resume bit-identically alongside the trial rows.  Version 5 keys every
+#: table by an integer job id from a new ``jobs`` table (fingerprint and
+#: submission record), so one database holds many campaigns: the service
+#: keeps one per stores directory, and a one-shot file is job 1 of its
+#: own.  The version moved from the ``meta`` table into sqlite's
+#: ``user_version`` header field.
+SCHEMA_VERSION = 5
+
+#: The job id of a one-shot store file's only campaign (and of a
+#: version-4 store migrated to version 5).
+ONE_SHOT_JOB = 1
+
+#: Page-cache bound of every store connection, in KiB.  The service keeps
+#: its one connection for its whole life, and sqlite's default 2 MiB cache
+#: would fill up and stay resident.
+_CACHE_KIB = 128
+
+#: Version-4 ``meta`` keys that version 5 keeps elsewhere: the version in
+#: ``user_version``, the identity in the ``jobs`` row.
+_IDENTITY_KEYS = ("schema_version", "fingerprint", "master_seed")
 
 #: Bounded exponential backoff applied to commits that hit a transient
 #: ``sqlite3.OperationalError`` ("database is locked" / "database is
@@ -213,7 +236,7 @@ def _canonical(value: object) -> object:
 #: Canonical encodings of the specs encoded most recently, keyed by object
 #: identity.  Each entry holds its spec, so an id cannot be reused while it
 #: is cached, and specs are frozen, so an entry never goes stale.  This is
-#: what lets a service job's submit fingerprint, its sidecar and its
+#: what lets a service job's submit fingerprint, its ``jobs`` row and its
 #: store's binding check share one encoding.
 _RECENT_ENCODINGS: "OrderedDict[int, Tuple[CampaignSpec, object]]" = OrderedDict()
 _RECENT_LIMIT = 64
@@ -329,16 +352,278 @@ class CheckpointStatus:
         return "\n".join(lines)
 
 
-class CampaignStore:
-    """Durable sqlite checkpoint store for one campaign run.
+def _encode_spec(spec: "CampaignSpec") -> str:
+    """Return the JSON text of a spec's canonical encoding (a ``jobs`` row)."""
+    return json.dumps(canonical_spec(spec), sort_keys=True,
+                      separators=(",", ":"))
 
-    One store file holds one campaign: identity metadata (spec fingerprint,
-    master seed, expected trial count) plus one row per completed trial —
-    its position, label and one plain numeric column per
+
+def _removed_payload_error(path: str, payload: object) -> CampaignStoreError:
+    """The error refusing a store checkpointed in a removed payload mode."""
+    return CampaignStoreError(
+        f"{path}: store was checkpointed with payload mode {payload!r}, "
+        f"which has been removed; only {PAYLOAD!r} stores can be resumed — "
+        f"point --store at a fresh path")
+
+
+def _create_schema(conn: sqlite3.Connection) -> None:
+    """Create the version-5 tables (inside the caller's transaction)."""
+    summary_cols = ", ".join(f"{name} {_SQL_TYPE[kind]} NOT NULL"
+                             for name, kind in SUMMARY_RECORD_FIELDS)
+    conn.execute(
+        "CREATE TABLE jobs ("
+        " id INTEGER PRIMARY KEY,"
+        " fingerprint TEXT NOT NULL UNIQUE,"
+        " spec TEXT,"
+        " master_seed INTEGER NOT NULL,"
+        " priority INTEGER NOT NULL DEFAULT 0)")
+    conn.execute(
+        "CREATE TABLE meta ("
+        " job_id INTEGER NOT NULL, key TEXT NOT NULL, value TEXT NOT NULL,"
+        " PRIMARY KEY (job_id, key)) WITHOUT ROWID")
+    conn.execute(
+        "CREATE TABLE trials ("
+        " job_id INTEGER NOT NULL,"
+        " trial_index INTEGER NOT NULL,"
+        " label TEXT NOT NULL,"
+        f" {summary_cols},"
+        " PRIMARY KEY (job_id, trial_index)) WITHOUT ROWID")
+    conn.execute(
+        "CREATE TABLE failures ("
+        " job_id INTEGER NOT NULL,"
+        " trial_index INTEGER NOT NULL,"
+        " label TEXT NOT NULL,"
+        " replicate INTEGER NOT NULL,"
+        " seed INTEGER NOT NULL,"
+        " attempts INTEGER NOT NULL,"
+        " kind TEXT NOT NULL,"
+        " message TEXT NOT NULL,"
+        " PRIMARY KEY (job_id, trial_index)) WITHOUT ROWID")
+    conn.execute(
+        "CREATE TABLE estimator ("
+        " job_id INTEGER NOT NULL,"
+        " kind TEXT NOT NULL,"
+        " identity TEXT NOT NULL,"
+        " state TEXT NOT NULL,"
+        " PRIMARY KEY (job_id, kind, identity)) WITHOUT ROWID")
+    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+
+
+def _legacy_tables(conn: sqlite3.Connection) -> List[str]:
+    """Names of a pre-v5 file's store tables (empty for a new file)."""
+    return [name for (name,) in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table' AND name IN"
+        " ('meta', 'trials', 'failures', 'estimator')")]
+
+
+def _migrate_v4(conn: sqlite3.Connection, path: str,
+                tables: List[str]) -> None:
+    """Rewrite a version-4 store as job 1 of a version-5 file.
+
+    Runs inside the caller's transaction, so a crash leaves the file in
+    one layout or the other.  Only a ``summary`` store of version 4 (or
+    one never bound to a campaign) migrates; anything else is refused
+    untouched.
+    """
+    meta = dict(conn.execute("SELECT key, value FROM meta"))
+    version = meta.get("schema_version", "4")
+    if version != "4":
+        raise CampaignStoreError(
+            f"{path}: store schema version {version!r} is not the supported "
+            f"version {SCHEMA_VERSION}")
+    if meta.get("payload", PAYLOAD) != PAYLOAD:
+        raise _removed_payload_error(path, meta["payload"])
+    for name in tables:
+        conn.execute(f"ALTER TABLE {name} RENAME TO v4_{name}")
+    _create_schema(conn)
+    job = ONE_SHOT_JOB
+    if "fingerprint" in meta:
+        conn.execute(
+            "INSERT INTO jobs (id, fingerprint, master_seed) VALUES (?, ?, ?)",
+            (job, meta["fingerprint"], int(meta["master_seed"])))
+    conn.executemany(
+        "INSERT INTO meta (job_id, key, value) VALUES (?, ?, ?)",
+        [(job, key, value) for key, value in meta.items()
+         if key not in _IDENTITY_KEYS])
+    columns = ", ".join(("trial_index", "label") + _SUMMARY_COLUMNS)
+    copies = {"trials": columns,
+              "failures": "trial_index, label, replicate, seed, attempts,"
+                          " kind, message",
+              "estimator": "kind, identity, state"}
+    for name, columns in copies.items():
+        if name in tables:
+            conn.execute(f"INSERT INTO {name} (job_id, {columns}) "
+                         f"SELECT {job}, {columns} FROM v4_{name}")
+    for name in tables:
+        conn.execute(f"DROP TABLE v4_{name}")
+
+
+def _view_legacy(conn: sqlite3.Connection, tables: List[str]) -> None:
+    """Show a read-only pre-v5 file's tables as job 1 of the v5 layout.
+
+    Temporary views live in the connection's own temp schema and shadow
+    the file's tables, so the read queries stay those of the v5 layout
+    while the file itself is never written.
+    """
+    for name in tables:
+        conn.execute(f"CREATE TEMP VIEW {name} AS "
+                     f"SELECT {ONE_SHOT_JOB} AS job_id, * FROM main.{name}")
+    conn.execute(
+        f"CREATE TEMP VIEW jobs AS SELECT {ONE_SHOT_JOB} AS id,"
+        " f.value AS fingerprint, NULL AS spec,"
+        " CAST(s.value AS INTEGER) AS master_seed, 0 AS priority"
+        " FROM main.meta AS f, main.meta AS s"
+        " WHERE f.key = 'fingerprint' AND s.key = 'master_seed'")
+
+
+class StoreDatabase:
+    """One sqlite database file of campaign stores: job-keyed rows.
+
+    Every table but ``jobs`` carries a ``job_id``; a
+    :class:`CampaignStore` handle reads and writes one job's rows.  A
+    one-shot ``--store`` file holds one job (:data:`ONE_SHOT_JOB`); the
+    service daemon keeps one database per stores directory open for its
+    lifetime and adds a job per submission.  The connection may be used
+    from several threads: every transaction and every read runs under
+    :attr:`lock`.
+    """
+
+    def __init__(self, path: str | os.PathLike, *,
+                 read_only: bool = False) -> None:
+        """Open (creating or migrating if necessary) the database at ``path``.
+
+        Writable databases run in WAL journal mode with a 5-second
+        ``busy_timeout``, so a writer and a concurrent ``--status`` reader
+        coexist instead of racing into "database is locked", and with a
+        page cache bounded to :data:`_CACHE_KIB` KiB, so a long-lived
+        connection does not grow the process.  A version-4 file is
+        migrated in place, in one transaction, on its first writable
+        open; a read-only open shows it through temporary views instead.
+
+        Args:
+            path: Filesystem path of the sqlite database.  Parent
+                directories must exist.
+            read_only: Open the database read-only (sqlite URI
+                ``mode=ro``) — the right mode for status queries against
+                a live run: the reader can never take a write lock, never
+                creates the file, and never touches the schema.
+
+        Raises:
+            CampaignStoreError: If ``read_only`` is requested for a path
+                that does not exist, or the file holds a store layout
+                this version cannot migrate.
+        """
+        self.path = os.fspath(path)
+        self.read_only = bool(read_only)
+        self.lock = threading.RLock()
+        if read_only:
+            if not os.path.exists(self.path):
+                raise CampaignStoreError(
+                    f"{self.path}: no checkpoint store at this path")
+            uri = pathlib.Path(self.path).resolve().as_uri() + "?mode=ro"
+            self.conn = sqlite3.connect(uri, uri=True,
+                                        check_same_thread=False)
+            version = self._version()
+            tables = _legacy_tables(self.conn) if version == 0 else []
+            if version != SCHEMA_VERSION and "meta" not in tables:
+                self.conn.close()
+                raise CampaignStoreError(
+                    f"{self.path}: not a campaign store of a supported "
+                    f"version (file version {version})")
+            if tables:
+                _view_legacy(self.conn, tables)
+            return
+        self.conn = sqlite3.connect(self.path, check_same_thread=False)
+        self.conn.execute("PRAGMA busy_timeout = 5000")
+        self.conn.execute("PRAGMA journal_mode = WAL")
+        self.conn.execute(f"PRAGMA cache_size = -{_CACHE_KIB}")
+        if self._version() == SCHEMA_VERSION:
+            return
+        self.conn.execute("BEGIN IMMEDIATE")
+        try:
+            version = self._version()
+            if version != SCHEMA_VERSION:
+                if version:
+                    raise CampaignStoreError(
+                        f"{self.path}: not a campaign store of a supported "
+                        f"version (file version {version})")
+                tables = _legacy_tables(self.conn)
+                if tables:
+                    _migrate_v4(self.conn, self.path, tables)
+                else:
+                    _create_schema(self.conn)
+            self.conn.commit()
+        except BaseException:
+            self.conn.rollback()
+            self.conn.close()
+            raise
+
+    def _version(self) -> int:
+        """Return the file's ``user_version`` (0 before version 5)."""
+        (version,) = self.conn.execute("PRAGMA user_version").fetchone()
+        return int(version)
+
+    def add_job(self, fingerprint: str, spec: "CampaignSpec",
+                master_seed: int, priority: int = 0) -> int:
+        """Durably record one job submission and return its job id.
+
+        Args:
+            fingerprint: The job's :func:`spec_fingerprint`.
+            spec: The submitted campaign.
+            master_seed: The campaign master seed.
+            priority: The job's queue priority.
+
+        Returns:
+            The job's integer id.
+        """
+        with self.lock, self.conn:
+            return self.conn.execute(
+                "INSERT INTO jobs (fingerprint, spec, master_seed, priority)"
+                " VALUES (?, ?, ?, ?)", (fingerprint, _encode_spec(spec),
+                                         int(master_seed), int(priority))
+            ).lastrowid
+
+    def jobs(self) -> List[Tuple[int, str, Optional[str], int, int, bool]]:
+        """Return every job's submission record and whether it completed.
+
+        Returns:
+            ``(id, fingerprint, encoded spec, master seed, priority,
+            complete)`` tuples in id (submission) order.
+        """
+        with self.lock:
+            rows = self.conn.execute(
+                "SELECT j.id, j.fingerprint, j.spec, j.master_seed,"
+                " j.priority, m.value IS '1' FROM jobs AS j"
+                " LEFT JOIN meta AS m ON m.job_id = j.id AND m.key = 'complete'"
+                " ORDER BY j.id").fetchall()
+        return [(int(job_id), fingerprint, spec, int(seed), int(priority),
+                 bool(complete))
+                for job_id, fingerprint, spec, seed, priority, complete in rows]
+
+    def store(self, job_id: int) -> "CampaignStore":
+        """Return a store handle on one job's rows of this database."""
+        return CampaignStore._on(self, job_id)
+
+    def close(self) -> None:
+        """Close the connection."""
+        with self.lock:
+            self.conn.close()
+
+
+class CampaignStore:
+    """Durable checkpoint store of one campaign run: one job's rows.
+
+    A store holds a campaign's identity (spec fingerprint, master seed,
+    expected trial count) plus one row per completed trial — its
+    position, label and one plain numeric column per
     :class:`~repro.campaign.aggregate.TrialSummary` field (the
     :data:`~repro.campaign.aggregate.SUMMARY_RECORD_FIELDS` layout).  The
     executor commits one transaction per retired batch, so after a crash
     the store holds exactly the batches that completed.
+
+    ``CampaignStore(path)`` opens a one-shot store file, which holds one
+    job; :meth:`StoreDatabase.store` returns a handle on one job of a
+    shared database, whose :meth:`close` leaves the database open.
 
     Typical lifecycle (driven by ``run_campaign``)::
 
@@ -352,21 +637,16 @@ class CampaignStore:
 
     def __init__(self, path: str | os.PathLike, *, read_only: bool = False,
                  fault_plan: "FaultPlan | None" = None) -> None:
-        """Open (creating if necessary) the store database at ``path``.
+        """Open (creating if necessary) the one-shot store file at ``path``.
 
-        Writable stores run in WAL journal mode with a 5-second
-        ``busy_timeout``, so a writer and a concurrent ``--status`` reader
-        coexist instead of racing into "database is locked"; commits that
-        still hit a transient lock retry with bounded exponential backoff
-        (observable via :attr:`commit_retries`).
+        Commits that hit a transient lock retry with bounded exponential
+        backoff (observable via :attr:`commit_retries`).
 
         Args:
             path: Filesystem path of the sqlite database.  Parent
                 directories must exist.
-            read_only: Open the database read-only (sqlite URI
-                ``mode=ro``) — the right mode for status queries against
-                a live run: the reader can never take a write lock, never
-                creates the file, and never touches the schema.
+            read_only: Open the database read-only (see
+                :class:`StoreDatabase`).
             fault_plan: Deterministic fault plan whose ``lock`` clauses
                 inject transient ``OperationalError`` failures into
                 commits and whose ``crash@commit`` clauses kill the
@@ -378,11 +658,39 @@ class CampaignStore:
 
         Raises:
             CampaignStoreError: If ``read_only`` is requested for a path
-                that does not exist.
+                that does not exist, or the file holds more than one job
+                (a service database).
         """
-        self.path = os.fspath(path)
-        self.read_only = bool(read_only)
+        database = StoreDatabase(path, read_only=read_only)
+        (jobs,) = database.conn.execute(
+            "SELECT COUNT(*) FROM jobs WHERE id != ?",
+            (ONE_SHOT_JOB,)).fetchone()
+        if jobs:
+            database.close()
+            raise CampaignStoreError(
+                f"{database.path}: this database holds service jobs; it "
+                f"is not a one-shot campaign store")
+        self._attach(database, ONE_SHOT_JOB, owned=True)
         self._fault_plan = fault_plan
+
+    @classmethod
+    def _on(cls, database: StoreDatabase, job_id: int) -> "CampaignStore":
+        """Return a handle on job ``job_id`` of a shared ``database``."""
+        store = cls.__new__(cls)
+        store._attach(database, job_id, owned=False)
+        return store
+
+    def _attach(self, database: StoreDatabase, job_id: int, *,
+                owned: bool) -> None:
+        """Bind this handle to one job of ``database``."""
+        self._database = database
+        self._owned = owned
+        self._conn = database.conn
+        self._lock = database.lock
+        self._job = job_id
+        self.path = database.path
+        self.read_only = database.read_only
+        self._fault_plan: "FaultPlan | None" = None
         #: Optional hook fired after every durable trial commit with the
         #: number of rows just committed — the service's event fan-out
         #: attaches here to stream checkpoint progress to ``watch``
@@ -393,46 +701,6 @@ class CampaignStore:
         #: observability counter; the executor reports it as an event).
         self.commit_retries = 0
         self._commit_seq = 0
-        if read_only:
-            if not os.path.exists(self.path):
-                raise CampaignStoreError(
-                    f"{self.path}: no checkpoint store at this path")
-            uri = pathlib.Path(self.path).resolve().as_uri() + "?mode=ro"
-            self._conn = sqlite3.connect(uri, uri=True)
-        else:
-            self._conn = sqlite3.connect(self.path)
-            self._conn.execute("PRAGMA busy_timeout = 5000")
-            self._conn.execute("PRAGMA journal_mode = WAL")
-            summary_cols = ", ".join(
-                f"{name} {_SQL_TYPE[kind]} NOT NULL"
-                for name, kind in SUMMARY_RECORD_FIELDS)
-            with self._conn:
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS meta ("
-                    " key TEXT PRIMARY KEY, value TEXT NOT NULL)")
-                # ``result`` is always NULL; it stays so the v4 layout
-                # does not change.
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS trials ("
-                    " trial_index INTEGER PRIMARY KEY,"
-                    " label TEXT NOT NULL,"
-                    f" {summary_cols},"
-                    " result BLOB)")
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS failures ("
-                    " trial_index INTEGER PRIMARY KEY,"
-                    " label TEXT NOT NULL,"
-                    " replicate INTEGER NOT NULL,"
-                    " seed INTEGER NOT NULL,"
-                    " attempts INTEGER NOT NULL,"
-                    " kind TEXT NOT NULL,"
-                    " message TEXT NOT NULL)")
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS estimator ("
-                    " kind TEXT NOT NULL,"
-                    " identity TEXT NOT NULL,"
-                    " state TEXT NOT NULL,"
-                    " PRIMARY KEY (kind, identity))")
 
     def set_fault_plan(self, plan: "FaultPlan | None") -> None:
         """Attach (or clear) the fault plan driving commit injections."""
@@ -441,9 +709,10 @@ class CampaignStore:
     def _commit(self, operation: Callable[[], None], what: str) -> None:
         """Run one commit with bounded backoff on transient lock errors.
 
-        A ``crash@commit`` clause matching this commit's number exits the
-        process the hard way (no cleanup, no atexit, nothing flushed)
-        right after the commit is durable.
+        The transaction runs under the database lock; the backoff sleeps
+        outside it.  A ``crash@commit`` clause matching this commit's
+        number exits the process the hard way (no cleanup, no atexit,
+        nothing flushed) right after the commit is durable.
 
         Args:
             operation: Zero-argument callable performing the transaction.
@@ -465,7 +734,8 @@ class CampaignStore:
                                                          attempt)):
                     raise sqlite3.OperationalError(
                         "database is locked (injected)")
-                operation()
+                with self._lock, self._conn:
+                    operation()
                 break
             except sqlite3.OperationalError as exc:
                 text = str(exc)
@@ -483,25 +753,47 @@ class CampaignStore:
                 and self._fault_plan.crash_after_commit(commit_number)):
             os._exit(CRASH_EXIT_CODE)
 
+    def _read(self, sql: str, *params: object) -> List[tuple]:
+        """Run one read query on this job's rows (``?`` 1 is the job id)."""
+        with self._lock:
+            return self._conn.execute(sql, (self._job,) + params).fetchall()
+
     # -- metadata ----------------------------------------------------------
 
     def _read_meta(self) -> dict:
-        """Return the meta table as a plain dict (empty for a fresh store)."""
-        rows = self._conn.execute("SELECT key, value FROM meta").fetchall()
-        return dict(rows)
+        """Return the job's meta rows as a plain dict (empty for a fresh job)."""
+        return dict(self._read("SELECT key, value FROM meta WHERE job_id = ?"))
 
-    def _write_meta(self, meta: dict) -> None:
-        """Replace the meta table contents with ``meta`` in one transaction."""
+    def _identity(self) -> Tuple[str, int] | None:
+        """Return the job's ``(fingerprint, master_seed)``, if recorded."""
+        rows = self._read(
+            "SELECT fingerprint, master_seed FROM jobs WHERE id = ?")
+        return (rows[0][0], int(rows[0][1])) if rows else None
+
+    def _write_meta(self, meta: dict,
+                    new_job: Tuple[str, str, int] | None = None) -> None:
+        """Upsert meta rows in one commit, recording a new job row first.
+
+        Args:
+            meta: Keys and values to write.
+            new_job: ``(fingerprint, encoded spec, master seed)`` of a
+                job row to insert in the same transaction, if any.
+        """
         def operation() -> None:
-            with self._conn:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                    [(key, str(value)) for key, value in meta.items()])
+            if new_job is not None:
+                self._conn.execute(
+                    "INSERT INTO jobs (id, fingerprint, spec, master_seed)"
+                    " VALUES (?, ?, ?, ?)", (self._job,) + new_job)
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO meta (job_id, key, value)"
+                " VALUES (?, ?, ?)",
+                [(self._job, key, str(value)) for key, value in meta.items()])
         self._commit(operation, "meta commit")
 
     def checkpointed_count(self) -> int:
         """Return how many trials have durable checkpoints."""
-        (count,) = self._conn.execute("SELECT COUNT(*) FROM trials").fetchone()
+        ((count,),) = self._read(
+            "SELECT COUNT(*) FROM trials WHERE job_id = ?")
         return int(count)
 
     def status(self) -> CheckpointStatus | None:
@@ -511,18 +803,20 @@ class CampaignStore:
             A :class:`CheckpointStatus`, or ``None`` when no campaign has
             been bound to this store yet.
         """
-        meta = self._read_meta()
-        if not meta:
-            return None
-        return CheckpointStatus(
-            name=meta.get("campaign_name", "?"),
-            fingerprint=meta.get("fingerprint", "?"),
-            master_seed=int(meta.get("master_seed", -1)),
-            total_trials=int(meta.get("total_trials", -1)),
-            checkpointed=self.checkpointed_count(),
-            complete=meta.get("complete") == "1",
-            quarantined=len(self.failures()),
-        )
+        with self._lock:
+            meta = self._read_meta()
+            if not meta:
+                return None
+            fingerprint, master_seed = self._identity() or ("?", -1)
+            return CheckpointStatus(
+                name=meta.get("campaign_name", "?"),
+                fingerprint=fingerprint,
+                master_seed=master_seed,
+                total_trials=int(meta.get("total_trials", -1)),
+                checkpointed=self.checkpointed_count(),
+                complete=meta.get("complete") == "1",
+                quarantined=len(self.failures()),
+            )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -548,47 +842,36 @@ class CampaignStore:
         Raises:
             CampaignStoreError: If the store belongs to a different
                 campaign/seed (fingerprint mismatch), was written in a
-                removed payload mode or another schema version, or holds
-                checkpoints and ``resume`` was not requested.
+                removed payload mode, or holds checkpoints and ``resume``
+                was not requested.
         """
         if self.read_only:
             raise CampaignStoreError(
                 f"{self.path}: store was opened read-only (status mode); "
                 f"it cannot be bound to a campaign run")
         fingerprint = spec_fingerprint(spec, master_seed)
-        meta = self._read_meta()
-        if not meta:
-            self._write_meta({
-                "schema_version": SCHEMA_VERSION,
-                "campaign_name": spec.name,
-                "fingerprint": fingerprint,
-                "master_seed": int(master_seed),
-                "payload": PAYLOAD,
-                "total_trials": spec.total_trials,
-                "complete": 0,
-            })
+        with self._lock:
+            meta = self._read_meta()
+            identity = self._identity()
+        if not meta and (identity is None or identity[0] == fingerprint):
+            self._write_meta(
+                {"campaign_name": spec.name, "payload": PAYLOAD,
+                 "total_trials": spec.total_trials, "complete": 0},
+                new_job=(None if identity is not None else
+                         (fingerprint, _encode_spec(spec), int(master_seed))))
             return []
-        version = meta.get("schema_version")
-        if version != str(SCHEMA_VERSION):
-            raise CampaignStoreError(
-                f"{self.path}: store schema version {version!r} is not the "
-                f"supported version {SCHEMA_VERSION}")
-        if meta.get("fingerprint") != fingerprint:
+        if identity is None or identity[0] != fingerprint:
+            held, seed = identity or ("?", "?")
             raise CampaignStoreError(
                 f"{self.path}: store holds campaign "
-                f"{meta.get('campaign_name')!r} (master seed "
-                f"{meta.get('master_seed')}, fingerprint "
-                f"{meta.get('fingerprint')[:12]}…) but this run is "
-                f"{spec.name!r} with fingerprint {fingerprint[:12]}…; a "
-                f"checkpoint is only valid for the exact spec and master "
-                f"seed it was created with — rerun with the original "
-                f"arguments, or point --store at a fresh path")
+                f"{meta.get('campaign_name')!r} (master seed {seed}, "
+                f"fingerprint {held[:12]}…) but this run is {spec.name!r} "
+                f"with fingerprint {fingerprint[:12]}…; a checkpoint is only "
+                f"valid for the exact spec and master seed it was created "
+                f"with — rerun with the original arguments, or point --store "
+                f"at a fresh path")
         if meta.get("payload") != PAYLOAD:
-            raise CampaignStoreError(
-                f"{self.path}: store was checkpointed with payload mode "
-                f"{meta.get('payload')!r}, which has been removed; only "
-                f"{PAYLOAD!r} stores can be resumed — point --store at a "
-                f"fresh path")
+            raise _removed_payload_error(self.path, meta.get("payload"))
         if not resume and self.checkpointed_count():
             raise CampaignStoreError(
                 f"{self.path}: store already holds "
@@ -604,9 +887,9 @@ class CampaignStore:
             ``(trial_index, summary)`` pairs ordered by trial index.
         """
         columns = ", ".join(_SUMMARY_COLUMNS)
-        rows = self._conn.execute(
+        rows = self._read(
             f"SELECT trial_index, label, {columns} FROM trials "
-            "ORDER BY trial_index").fetchall()
+            "WHERE job_id = ? ORDER BY trial_index")
         return [(int(row[0]), TrialSummary.from_record(row[2:], label=row[1]))
                 for row in rows]
 
@@ -620,7 +903,9 @@ class CampaignStore:
         Args:
             results: ``(trial_index, summary)`` records of the batch.
         """
-        self._insert_rows([(int(index), summary.label) + summary.to_record()
+        job = self._job
+        self._insert_rows([(job, int(index), summary.label)
+                           + summary.to_record()
                            for index, summary in results])
 
     def checkpoint_ring(self, records: "np.ndarray",
@@ -639,21 +924,21 @@ class CampaignStore:
         """
         # One C-level pass converts the whole block to Python scalars;
         # [2:] drops the generation stamp ([0] is the trial index).
-        rows = [(row[0], label) + tuple(row[2:])
+        job = self._job
+        rows = [(job, row[0], label) + tuple(row[2:])
                 for row, label in zip(records.tolist(), labels)]
         self._insert_rows(rows)
 
     def _insert_rows(self, rows: List[tuple]) -> None:
-        """Commit prepared trial rows atomically (``result`` stays NULL)."""
+        """Commit prepared ``(job_id, trial_index, label, ...)`` rows atomically."""
         columns = ", ".join(_SUMMARY_COLUMNS)
-        placeholders = ", ".join("?" * (len(_SUMMARY_COLUMNS) + 2))
+        placeholders = ", ".join("?" * (len(_SUMMARY_COLUMNS) + 3))
 
         def operation() -> None:
-            with self._conn:
-                self._conn.executemany(
-                    f"INSERT OR REPLACE INTO trials "
-                    f"(trial_index, label, {columns}) "
-                    f"VALUES ({placeholders})", rows)
+            self._conn.executemany(
+                f"INSERT OR REPLACE INTO trials "
+                f"(job_id, trial_index, label, {columns}) "
+                f"VALUES ({placeholders})", rows)
         self._commit(operation, "checkpoint commit")
         if self.on_commit is not None:
             self.on_commit(len(rows))
@@ -666,14 +951,13 @@ class CampaignStore:
                 re-recording after a resume is idempotent.
         """
         def operation() -> None:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO failures "
-                    "(trial_index, label, replicate, seed, attempts, kind,"
-                    " message) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (int(failure.trial_index), failure.label,
-                     int(failure.replicate), int(failure.seed),
-                     int(failure.attempts), failure.kind, failure.message))
+            self._conn.execute(
+                "INSERT OR REPLACE INTO failures "
+                "(job_id, trial_index, label, replicate, seed, attempts,"
+                " kind, message) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (self._job, int(failure.trial_index), failure.label,
+                 int(failure.replicate), int(failure.seed),
+                 int(failure.attempts), failure.kind, failure.message))
         self._commit(operation, "failure-row commit")
 
     def failures(self) -> List[TrialFailure]:
@@ -685,9 +969,9 @@ class CampaignStore:
             read-only view of a pre-v3 database).
         """
         try:
-            rows = self._conn.execute(
+            rows = self._read(
                 "SELECT trial_index, label, replicate, seed, attempts, kind,"
-                " message FROM failures ORDER BY trial_index").fetchall()
+                " message FROM failures WHERE job_id = ? ORDER BY trial_index")
         except sqlite3.OperationalError:
             return []
         return [TrialFailure(trial_index=int(row[0]), label=row[1],
@@ -718,10 +1002,10 @@ class CampaignStore:
         encoded = json.dumps(state, sort_keys=True, separators=(",", ":"))
 
         def operation() -> None:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO estimator (kind, identity, state)"
-                    " VALUES (?, ?, ?)", (kind, identity, encoded))
+            self._conn.execute(
+                "INSERT OR REPLACE INTO estimator"
+                " (job_id, kind, identity, state) VALUES (?, ?, ?, ?)",
+                (self._job, kind, identity, encoded))
         self._commit(operation, "estimator-state commit")
         if self.on_commit is not None:
             self.on_commit(0)
@@ -735,29 +1019,30 @@ class CampaignStore:
 
         Returns:
             The decoded state document, or ``None`` when this estimator
-            has no checkpoint (including stores from pre-v4 databases,
-            which lack the table entirely).
+            has no checkpoint (including read-only views of pre-v4
+            databases, which lack the table entirely).
         """
         try:
-            row = self._conn.execute(
-                "SELECT state FROM estimator WHERE kind = ? AND identity = ?",
-                (kind, identity)).fetchone()
+            rows = self._read(
+                "SELECT state FROM estimator"
+                " WHERE job_id = ? AND kind = ? AND identity = ?",
+                kind, identity)
         except sqlite3.OperationalError:
             return None
-        return json.loads(row[0]) if row is not None else None
+        return json.loads(rows[0][0]) if rows else None
 
     def mark_complete(self) -> None:
         """Record that every runnable trial of the campaign is checkpointed."""
         def operation() -> None:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES "
-                    "('complete', '1')")
+            self._conn.execute(
+                "INSERT OR REPLACE INTO meta (job_id, key, value) VALUES "
+                "(?, 'complete', '1')", (self._job,))
         self._commit(operation, "completion commit")
 
     def close(self) -> None:
-        """Close the underlying sqlite connection."""
-        self._conn.close()
+        """Close a one-shot store's database; a shared one stays open."""
+        if self._owned:
+            self._database.close()
 
     def __enter__(self) -> "CampaignStore":
         """Return the store itself (context-manager support)."""
@@ -766,35 +1051,3 @@ class CampaignStore:
     def __exit__(self, *exc_info: object) -> None:
         """Close the store on context exit."""
         self.close()
-
-
-def enumerate_stores(directory: str | os.PathLike,
-                     ) -> List[Tuple[str, CheckpointStatus]]:
-    """Scan a directory for campaign stores and snapshot each one's status.
-
-    The service's restart recovery walks its stores directory with this:
-    every ``*.db`` file that opens as a campaign store and has been bound
-    to a campaign contributes one ``(path, status)`` pair.  Files that are
-    not sqlite databases, stores nobody has bound yet, and unreadable
-    files are skipped silently — a stores directory is allowed to contain
-    strays (WAL side files, half-created databases from a crash).
-
-    Args:
-        directory: The directory to scan (non-recursive).
-
-    Returns:
-        ``(path, status)`` pairs sorted by path for determinism.
-    """
-    found: List[Tuple[str, CheckpointStatus]] = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".db"):
-            continue
-        path = os.path.join(os.fspath(directory), name)
-        try:
-            with CampaignStore(path, read_only=True) as store:
-                status = store.status()
-        except (CampaignStoreError, sqlite3.Error):
-            continue
-        if status is not None:
-            found.append((path, status))
-    return found

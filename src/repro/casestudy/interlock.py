@@ -146,3 +146,8 @@ def run_interlock_trial(*, with_lease: bool, seed: int | None,
         observed_loss_ratio=network.observed_loss_ratio(),
         monitor=report,
     )
+
+
+#: The horizon a trial runs when its campaign sets none; the executor's
+#: task sizing reads it from the runner.
+run_interlock_trial.default_horizon = DEFAULT_HORIZON

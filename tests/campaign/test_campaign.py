@@ -8,6 +8,7 @@ The two load-bearing guarantees:
   pre-campaign serial loop's numbers exactly.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -202,6 +203,18 @@ class TestDeterminism:
         assert resolve_batch_size(None, wide, 1, "batched") == 64  # capped
         with pytest.raises(ValueError):
             resolve_batch_size(-1, spec, 1, "batched")
+
+    def test_auto_batch_size_reads_the_runner_default_horizon(self):
+        # An interlock trial runs its runner's 250 s unless the campaign
+        # sets a duration, so 1000 simulated seconds per task are 4 trials.
+        from repro.campaign import interlock_spec, resolve_batch_size
+        from repro.casestudy.interlock import DEFAULT_HORIZON
+
+        assert DEFAULT_HORIZON == 250.0
+        spec = interlock_spec(replicates=8)
+        assert resolve_batch_size(None, spec, 1, "compiled") == 4
+        longer = dataclasses.replace(spec, duration=500.0)
+        assert resolve_batch_size(None, longer, 1, "compiled") == 2
 
     def test_min_lanes_threshold(self):
         from repro.campaign import resolve_batch_size

@@ -509,23 +509,25 @@ class TestCliRecovery:
         assert payload["campaign"]["total_trials"] == 8
 
 
-class TestSchemaV4:
-    def test_failures_and_estimator_tables_exist_with_schema_v4(self, tmp_path):
+class TestSchemaV5:
+    def test_failures_and_estimator_tables_exist_with_schema_v5(self, tmp_path):
         db = tmp_path / "campaign.db"
         with CampaignStore(db) as store:
             store.begin(_tiny_spec(2), 7)
         conn = sqlite3.connect(db)
         try:
-            version = conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
             tables = {row[0] for row in conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table'")}
+            keys = {name: sorted((row[5], row[1]) for row in conn.execute(
+                        f"PRAGMA table_info({name})") if row[5])
+                    for name in ("meta", "trials", "failures", "estimator")}
         finally:
             conn.close()
-        assert version is not None and int(version[0]) == 4
-        assert "failures" in tables
-        assert "estimator" in tables
+        assert version == 5
+        assert tables == {"jobs", "meta", "trials", "failures", "estimator"}
+        # Every table but jobs is keyed by job first.
+        assert all(columns[0] == (1, "job_id") for columns in keys.values())
 
     def test_interrupted_error_message_carries_signal(self):
         exc = CampaignInterrupted(signal.SIGTERM)

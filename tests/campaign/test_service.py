@@ -56,6 +56,19 @@ def _reference_cells(spec, seed):
     return [dataclasses.asdict(group) for group in result.groups()]
 
 
+def _job_rows(stores):
+    """The ``jobs`` rows of a stores directory's database, by fingerprint."""
+    conn = sqlite3.connect(Path(stores) / "jobs.db")
+    try:
+        rows = conn.execute(
+            "SELECT fingerprint, spec, master_seed, priority FROM jobs").fetchall()
+    finally:
+        conn.close()
+    return {fingerprint: {"spec": json.loads(spec), "master_seed": seed,
+                          "priority": priority}
+            for fingerprint, spec, seed, priority in rows}
+
+
 def _wait_for_socket(path, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -273,7 +286,7 @@ def test_small_job_commits_once_per_task(service, monkeypatch):
 
 
 def test_daemon_canonicalizes_each_job_spec_once(service, monkeypatch):
-    # The submit fingerprint, the sidecar and the store's binding check at
+    # The submit fingerprint, the jobs row and the store's binding check at
     # job start share one canonical encoding of the decoded spec; the
     # client's own encode of its spec object is the only other one.
     from repro.campaign import store as store_module
@@ -293,10 +306,51 @@ def test_daemon_canonicalizes_each_job_spec_once(service, monkeypatch):
     job = client.submit(spec, 7)["job"]
     assert client.drain()["jobs"] == {job: "complete"}
     assert len(encoded) == 2 and encoded[0] is spec and encoded[1] is not spec
-    with open(os.path.join(svc.stores_dir, f"{job}.job.json")) as handle:
-        sidecar = json.load(handle)
-    assert sidecar == {"v": PROTOCOL_VERSION, "spec": encode_spec(spec),
-                       "master_seed": 7, "priority": 0}
+    assert _job_rows(svc.stores_dir) == {
+        job: {"spec": encode_spec(spec), "master_seed": 7, "priority": 0}}
+
+
+def test_status_polled_while_a_job_commits(service):
+    # 600 s trials are one task each: the runner thread commits ten times
+    # while three handler threads read the job's store through status,
+    # with thread switches forced far more often than by default.
+    svc, client = service
+    spec = PRESETS["table1"].build(replicates=2, duration=600.0)
+    stop = threading.Event()
+    seen = [[], [], []]
+    errors = []
+
+    def poll(progress):
+        try:
+            while not stop.is_set():
+                store = client.status(job).get("store") or {}
+                progress.append(store.get("checkpointed", 0))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        job = client.submit(spec, 7)["job"]
+        pollers = [threading.Thread(target=poll, args=(progress,))
+                   for progress in seen]
+        for thread in pollers:
+            thread.start()
+        try:
+            assert client.drain()["jobs"] == {job: "complete"}
+        finally:
+            stop.set()
+            for thread in pollers:
+                thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not errors
+    assert not any(thread.is_alive() for thread in pollers)
+    for progress in seen:
+        assert progress and progress == sorted(progress)
+    final = client.status(job)
+    assert final["store"]["checkpointed"] == spec.total_trials
+    assert final["cells"] == _reference_cells(spec, 7)
 
 
 def test_cell_json_equals_asdict():
@@ -361,8 +415,7 @@ def test_submit_rejects_unknown_payload(service, payload):
     assert response["ok"] is False
     assert "unknown payload kind" in response["error"]
     # Refused before anything is written or queued ...
-    assert not [name for name in os.listdir(svc.stores_dir)
-                if name.endswith(".job.json")]
+    assert _job_rows(svc.stores_dir) == {}
     assert client.status()["jobs"] == []
     # ... so a valid submit of the same spec and seed is a new job.
     accepted = client.submit(spec, 7)
@@ -390,9 +443,87 @@ def test_submit_builds_the_one_shot_spec(monkeypatch, capsys, preset, flags):
     assert sent == [(build_spec(one_shot), one_shot.seed)]
 
 
+def test_submit_rejects_zero_replicates(tmp_path, capsys):
+    # A usage error, like the one-shot CLI's, before any connection.
+    assert campaign_main(["submit", "--socket", str(tmp_path / "none.sock"),
+                          "--preset", "table1", "--replicates", "0"]) == 2
+    assert "--replicates must be at least 1" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # Restart recovery: SIGKILL the daemon mid-job, resume bit-identically
 # --------------------------------------------------------------------------
+
+def test_restart_restores_finished_jobs_and_resumes_partial_ones(
+        tmp_path, monkeypatch):
+    from repro.campaign.store import CampaignStore
+
+    sock = str(tmp_path / "svc.sock")
+    stores = tmp_path / "stores"
+    finished_spec, partial_spec = _spec_interlock(), _spec_table1()
+
+    def start():
+        svc = CampaignService(sock, str(stores), max_workers=2)
+        thread = threading.Thread(target=svc.serve, daemon=True)
+        thread.start()
+        _wait_for_socket(sock)
+        return svc, thread, ServiceClient(sock)
+
+    def stop(svc, thread):
+        svc.initiate_shutdown()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+
+    svc, thread, client = start()
+    try:
+        finished = client.submit(finished_spec, 7)["job"]
+        partial = client.submit(partial_spec, 7)["job"]
+        assert client.drain()["jobs"] == {finished: "complete",
+                                          partial: "complete"}
+        cells = client.status(finished)["cells"]
+    finally:
+        stop(svc, thread)
+
+    # Cut the second job back to a 3-trial prefix, as a crash leaves it.
+    conn = sqlite3.connect(stores / "jobs.db")
+    (job_id,) = conn.execute("SELECT id FROM jobs WHERE fingerprint = ?",
+                             (partial,)).fetchone()
+    conn.execute("DELETE FROM trials WHERE job_id = ? AND trial_index >= 3",
+                 (job_id,))
+    conn.execute("UPDATE meta SET value = '0' WHERE job_id = ? AND"
+                 " key = 'complete'", (job_id,))
+    conn.commit()
+    conn.close()
+
+    committed = []
+    original = CampaignStore.checkpoint_batch
+
+    def counting(store, results):
+        committed.extend(index for index, _ in results)
+        return original(store, results)
+
+    monkeypatch.setattr(CampaignStore, "checkpoint_batch", counting)
+    svc, thread, client = start()
+    try:
+        restored = client.status(finished)
+        assert restored["state"] == "complete"
+        assert restored["cells"] == cells == _reference_cells(finished_spec, 7)
+        late = list(client.watch(finished))
+        assert [event["event"] for event in late] == ["snapshot", "done"]
+        assert late[0]["cells"] == cells
+        assert client.drain()["jobs"] == {finished: "complete",
+                                          partial: "complete"}
+        # Only the trials past the prefix were simulated and committed.
+        assert sorted(committed) == list(range(3, partial_spec.total_trials))
+        resumed = client.status(partial)
+        assert resumed["cells"] == _reference_cells(partial_spec, 7)
+        assert resumed["store"]["checkpointed"] == partial_spec.total_trials
+    finally:
+        stop(svc, thread)
+    names = os.listdir(stores)
+    assert [name for name in names if name.endswith(".db")] == ["jobs.db"]
+    assert not [name for name in names if name.endswith(".job.json")]
+
 
 def _daemon_cmd(sock, stores):
     return [sys.executable, "-u", "-m", "repro.campaign", "serve",
@@ -433,8 +564,10 @@ def test_daemon_sigkill_mid_job_restart_resumes_bit_identically(tmp_path):
 
     # The dead daemon left a partially checkpointed store for job 1 and an
     # untouched queue entry for job 2.
-    conn = sqlite3.connect(stores / f"{job1}.db")
-    (partial,) = conn.execute("SELECT COUNT(*) FROM trials").fetchone()
+    conn = sqlite3.connect(stores / "jobs.db")
+    (partial,) = conn.execute(
+        "SELECT COUNT(*) FROM trials JOIN jobs ON jobs.id = trials.job_id"
+        " WHERE jobs.fingerprint = ?", (job1,)).fetchone()
     conn.close()
     assert 0 < partial < spec1.total_trials
 

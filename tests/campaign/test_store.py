@@ -23,12 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (CampaignStore, CampaignStoreError, RecoveryStage,
-                            RecoveryStateMachine, run_campaign, spec_fingerprint,
-                            table1_spec)
+from repro.campaign import (CampaignStore, CampaignStoreError, CheckpointStatus,
+                            RecoveryStage, RecoveryStateMachine, run_campaign,
+                            spec_fingerprint, table1_spec)
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
-from repro.campaign.store import CRASH_EXIT_CODE
+from repro.campaign.service import decode_spec
+from repro.campaign.store import CRASH_EXIT_CODE, StoreDatabase
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 _SRC = str(_REPO_ROOT / "src")
@@ -46,6 +47,26 @@ def _truncate_store(path, keep: int) -> None:
     conn.execute("UPDATE meta SET value = '0' WHERE key = 'complete'")
     conn.commit()
     conn.close()
+
+
+def _load_v4_fixture(path) -> None:
+    """Write the previous release's partial summary store to ``path``."""
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        (Path(__file__).parent / "data" / "v4_summary_store.sql").read_text())
+    conn.close()
+
+
+def _file_layout(path):
+    """``(user_version, table names)`` of a sqlite file."""
+    conn = sqlite3.connect(path)
+    try:
+        (version,) = conn.execute("PRAGMA user_version").fetchone()
+        tables = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    finally:
+        conn.close()
+    return version, tables
 
 
 def _cli_env():
@@ -172,15 +193,96 @@ class TestStoreLifecycle:
         # to the aggregates of an uninterrupted run.
         spec = table1_spec(duration=100.0, replicates=1)
         db = tmp_path / "campaign.db"
-        conn = sqlite3.connect(db)
-        conn.executescript(
-            (Path(__file__).parent / "data" / "v4_summary_store.sql").read_text())
-        conn.close()
+        _load_v4_fixture(db)
         resumed = run_campaign(spec, seed=3, max_workers=1, store=db,
                                resume=True)
         assert resumed.replayed_trials == 2
         baseline = run_campaign(spec, seed=3, max_workers=1)
         assert _campaign_payload(resumed) == _campaign_payload(baseline)
+        # The first writable open migrated the file to job 1 of version 5.
+        assert _file_layout(db) == (5, {"jobs", "meta", "trials", "failures",
+                                        "estimator"})
+
+    def test_status_json_reads_a_v4_store_without_migrating_it(
+            self, tmp_path, capsys):
+        db = tmp_path / "campaign.db"
+        _load_v4_fixture(db)
+        assert campaign_main(["--store", str(db), "--status", "--json",
+                              "-"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body == {"store": str(db), "status": {
+            "name": "table1",
+            "fingerprint": "177f72d4c02f6b6df8cf636973f5d44b3a1cd629f0e226ab89"
+                           "d4634563cca7f5",
+            "master_seed": 3, "total_trials": 4, "checkpointed": 2,
+            "complete": False, "quarantined": 0, "stage": "replaying"}}
+        assert _file_layout(db) == (0, {"meta", "trials", "failures",
+                                        "estimator"})
+
+    def test_stats_v4_store_is_refused_untouched(self, tmp_path):
+        db = tmp_path / "campaign.db"
+        _load_v4_fixture(db)
+        conn = sqlite3.connect(db)
+        conn.execute("UPDATE meta SET value = 'stats' WHERE key = 'payload'")
+        conn.commit()
+        conn.close()
+        with pytest.raises(CampaignStoreError, match="payload mode 'stats'"):
+            CampaignStore(db)
+        assert _file_layout(db)[0] == 0
+
+    def test_one_shot_store_round_trips(self, tmp_path):
+        # A version-5 one-shot file holds its campaign as job 1: the jobs
+        # row records the submission, and a reopen replays every summary.
+        spec = table1_spec(duration=100.0, replicates=1)
+        db = tmp_path / "campaign.db"
+        first = run_campaign(spec, seed=3, max_workers=1, store=db)
+        with CampaignStore(db) as store:
+            records = store.replay()
+            status = store.status()
+        assert [index for index, _ in records] == list(range(4))
+        assert [summary for _, summary in records] == list(first.summaries)
+        assert status == CheckpointStatus(
+            name="table1", fingerprint=spec_fingerprint(spec, 3),
+            master_seed=3, total_trials=4, checkpointed=4, complete=True)
+        conn = sqlite3.connect(db)
+        ((job_id, fingerprint, encoded, seed, priority),) = conn.execute(
+            "SELECT id, fingerprint, spec, master_seed, priority FROM jobs"
+        ).fetchall()
+        conn.close()
+        assert (job_id, fingerprint, seed, priority) == (
+            1, spec_fingerprint(spec, 3), 3, 0)
+        assert decode_spec(json.loads(encoded)) == spec
+        resumed = run_campaign(spec, seed=3, max_workers=1, store=db,
+                               resume=True)
+        assert _campaign_payload(resumed) == _campaign_payload(first)
+
+    def test_two_jobs_in_one_database_keep_their_own_rows(self, tmp_path):
+        # Both campaigns checkpoint trial indices 0..3 into one database;
+        # each job's replay and resume see only its own rows.
+        specs = (table1_spec(duration=100.0, replicates=1),
+                 table1_spec(duration=60.0, replicates=2))
+        database = StoreDatabase(tmp_path / "jobs.db")
+        try:
+            ids = [database.add_job(spec_fingerprint(spec, 5), spec, 5)
+                   for spec in specs]
+            results = [run_campaign(spec, seed=5, max_workers=1,
+                                    store=database.store(job_id))
+                       for spec, job_id in zip(specs, ids)]
+            for spec, job_id, result in zip(specs, ids, results):
+                store = database.store(job_id)
+                assert ([summary for _, summary in store.replay()]
+                        == list(result.summaries))
+                assert store.status().fingerprint == spec_fingerprint(spec, 5)
+                resumed = run_campaign(spec, seed=5, max_workers=1,
+                                       store=store, resume=True)
+                assert resumed.replayed_trials == spec.total_trials
+                assert _campaign_payload(resumed) == _campaign_payload(result)
+            assert [(row[0], row[5]) for row in database.jobs()] == [
+                (job_id, True) for job_id in ids]
+        finally:
+            database.close()
+        with pytest.raises(CampaignStoreError, match="service jobs"):
+            CampaignStore(tmp_path / "jobs.db")
 
     def test_resume_on_empty_store_is_a_fresh_start(self, tmp_path):
         spec = table1_spec(duration=100.0, replicates=1)

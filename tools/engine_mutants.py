@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the compiled engine, of fork groups and of task dispatch.
+"""Mutation check of the compiled engine, fork groups, task dispatch and the service.
 
 Each mutant below breaks one rule that bit-identity rests on: in
 ``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
@@ -9,7 +9,10 @@ quiet-stretch loop or the copy of a paused run; in
 group pauses, copies and forks a survivor and puts the results back; in
 ``src/repro/campaign/executor.py`` how trials are sized into tasks that
 span cells, attributed to their own cell, failed by the fault plan's
-``raise`` clauses and published after their commit.
+``raise`` clauses and published after their commit; in
+``src/repro/campaign/store.py`` and ``src/repro/campaign/service/server.py``
+how a job's rows stay its own, when a submission becomes durable and which
+jobs a restarted daemon takes back.
 The tool copies the repository's ``src/`` and ``tests/`` into a temporary
 directory, checks that the unmutated copy passes, then applies each mutant
 in turn and asserts that the fixed tests listed in ``TESTS`` for the
@@ -40,6 +43,8 @@ ENGINE = "src/repro/hybrid/simulate/compiled.py"
 SEEDING = "src/repro/util/seeding.py"
 RARE = "src/repro/verify/rare.py"
 EXECUTOR = "src/repro/campaign/executor.py"
+STORE = "src/repro/campaign/store.py"
+SERVER = "src/repro/campaign/service/server.py"
 ENGINE_TESTS = ["tests/hybrid/test_quiet_steps.py", "tests/golden",
                 "tests/verify/test_fork_groups.py",
                 "tests/verify/test_rare_determinism.py::TestEngineTierInvariance"
@@ -50,7 +55,9 @@ CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
                   "tests/campaign/test_shm.py::TestCampaignEquivalence"]
 #: The fixed tests that must kill a mutant of each file.
 TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS, RARE: ENGINE_TESTS,
-         EXECUTOR: CAMPAIGN_TESTS}
+         EXECUTOR: CAMPAIGN_TESTS,
+         STORE: ["tests/campaign/test_store.py::TestStoreLifecycle"],
+         SERVER: ["tests/campaign/test_service.py"]}
 DESELECTED = ["tests/hybrid/test_quiet_steps.py::test_generated_systems_are_bit_identical",
               "tests/verify/test_fork_groups.py"
               "::test_perfbench_pin_simulates_at_most_87000_seconds"]
@@ -171,6 +178,25 @@ MUTANTS = {
         EXECUTOR, "past a cell boundary the in-trial fault check reads the previous trial's"
         " offset",
         [("        start += len(runs)\n", "        start += len(runs) - 1\n")]),
+    "replay-ignores-job": (
+        STORE, "a store's replay returns every job's trial rows, not its own",
+        [('            "WHERE job_id = ? ORDER BY trial_index")\n',
+          '            "WHERE ? IS NOT NULL ORDER BY trial_index")\n')]),
+    "jobs-row-before-payload-check": (
+        SERVER, "a submission's jobs row is written before its payload is checked",
+        [('        payload = str(message.get("payload", PAYLOAD))\n',
+          '        job_id = self._db.add_job(spec_fingerprint(spec, master_seed), spec,\n'
+          '                                  master_seed, int(message.get("priority", 0)))\n'
+          '        payload = str(message.get("payload", PAYLOAD))\n'),
+         ("            job_id = self._db.add_job(fingerprint, spec, master_seed,\n"
+          "                                      priority)\n", "")]),
+    "recover-skips-incomplete": (
+        SERVER, "a restarted daemon takes back only its finished jobs",
+        [("            else:\n"
+          "                heapq.heappush(self._queue,\n"
+          "                               (-job.priority, job.seq, fingerprint))\n",
+          "            else:\n"
+          "                continue\n")]),
 }
 
 
