@@ -93,6 +93,30 @@ def _levels_arg(text: str) -> int | tuple[float, ...]:
     return _csv_floats(text)
 
 
+def add_preset_flags(parser: argparse.ArgumentParser, *,
+                     sweeps: bool = True) -> None:
+    """Add the flags preset axes read to the one-shot or (without the
+    sweep flags) the ``submit`` parser.  Which axis each sets, its default
+    and what a valid value is are the presets' declarations; an unset
+    flag (``None``) keeps the axis default."""
+    parser.add_argument("--replicates", type=int, default=1, metavar="N",
+                        help="independent trials per sweep cell (default: 1)")
+    parser.add_argument("--seed", type=int, default=2013,
+                        help="campaign master seed; table1 also pins its "
+                             "serial per-cell seeds to it (default: 2013)")
+    parser.add_argument("--duration", type=float, default=None,
+                        metavar="SECONDS",
+                        help="per-trial duration in seconds (default: the "
+                             "preset's)")
+    if sweeps:
+        parser.add_argument("--mean-toffs", type=_csv_floats, default=None,
+                            metavar="CSV", help="surgeon E(Toff) values, "
+                            "e.g. 18,6")
+        parser.add_argument("--loss-levels", type=_csv_floats, default=None,
+                            metavar="CSV", help="packet-loss probabilities, "
+                            "e.g. 0,0.3,0.6,0.9")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the campaign CLI's argument parser.
 
@@ -100,32 +124,26 @@ def build_parser() -> argparse.ArgumentParser:
         The configured :class:`argparse.ArgumentParser` (its epilog lists
         every registered preset).
     """
-    preset_lines = "\n".join(f"  {name:<12s} {preset.description}"
-                             for name, preset in PRESETS.items())
+    preset_lines = "\n".join(
+        f"  {name:<12s} {preset.description}\n"
+        f"  {'':<12s} flags: "
+        + " ".join("--" + flag.replace("_", "-") for flag in preset.flags)
+        for name, preset in PRESETS.items())
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description=__doc__,
-        epilog=f"experiments:\n{preset_lines}",
+        epilog=f"experiments:\n{preset_lines}\n\n"
+               "A sweep flag that the chosen preset does not list is a usage "
+               "error; --seed is\nevery preset's campaign master seed.",
     )
     parser.add_argument("--experiment", "--preset", dest="experiment",
                         choices=sorted(PRESETS), default="table1",
                         help="campaign preset to run (default: table1)")
-    parser.add_argument("--replicates", type=int, default=1, metavar="N",
-                        help="independent trials per sweep cell (default: 1)")
+    add_preset_flags(parser)
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker processes; 1 = serial, 0 = one per CPU "
                              "(default: 1)")
-    parser.add_argument("--seed", type=int, default=2013,
-                        help="campaign master seed (default: 2013)")
-    parser.add_argument("--duration", type=float, default=None, metavar="SECONDS",
-                        help="per-trial duration override")
-    parser.add_argument("--mean-toffs", type=_csv_floats, default=None,
-                        metavar="CSV", help="surgeon E(Toff) values "
-                        "(table1/grid; e.g. 18,6)")
-    parser.add_argument("--loss-levels", type=_csv_floats, default=None,
-                        metavar="CSV", help="packet-loss probabilities "
-                        "(loss_sweep/grid; e.g. 0,0.3,0.6,0.9)")
     parser.add_argument("--engine", choices=ENGINE_KINDS, default=None,
                         help="simulation kernel; default: the compiled kernel "
                              "(all kernels are bit-identical; "
@@ -238,51 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_spec(args: argparse.Namespace) -> CampaignSpec:
-    """Translate parsed CLI arguments into the requested campaign spec.
-
-    Args:
-        args: The parsed CLI namespace (``--experiment`` selects the
-            preset; sweep arguments are forwarded to its builder).
-
-    Returns:
-        The campaign spec the selected preset builds for these arguments.
-    """
-    name = args.experiment
-    if name == "table1":
-        kwargs = {"replicates": args.replicates, "duration": args.duration,
-                  "legacy_seed": args.seed}
-        if args.mean_toffs:
-            kwargs["mean_toffs"] = args.mean_toffs
-        return PRESETS[name].build(**kwargs)
-    if name == "loss_sweep":
-        kwargs = {"replicates": args.replicates}
-        if args.loss_levels:
-            kwargs["loss_levels"] = args.loss_levels
-        if args.duration is not None:
-            kwargs["duration"] = args.duration
-        return PRESETS[name].build(**kwargs)
-    if name == "grid":
-        kwargs = {"replicates": args.replicates}
-        if args.loss_levels:
-            kwargs["loss_levels"] = args.loss_levels
-        if args.mean_toffs:
-            kwargs["mean_toffs"] = args.mean_toffs
-        if args.duration is not None:
-            kwargs["duration"] = args.duration
-        return PRESETS[name].build(**kwargs)
-    if name == "interlock":
-        kwargs = {"replicates": args.replicates}
-        if args.duration is not None:
-            kwargs["horizon"] = args.duration
-        return PRESETS[name].build(**kwargs)
-    # scenarios: deterministic, ignores replicates (every trial is scripted).
-    kwargs = {}
-    if args.duration is not None:
-        kwargs["horizon"] = args.duration
-    return PRESETS[name].build(**kwargs)
-
-
 def _resume_command(argv: Sequence[str] | None) -> str:
     """Reconstruct the exact shell command that resumes this invocation.
 
@@ -300,8 +273,8 @@ def _resume_command(argv: Sequence[str] | None) -> str:
     return f"python -m repro.campaign {quoted}"
 
 
-def _rare_json(args: argparse.Namespace, payload: dict) -> int:
-    """Emit a rare-event result as JSON per the ``--json`` destination.
+def _write_json(args: argparse.Namespace, payload: dict) -> int:
+    """Emit a JSON document per the ``--json`` destination.
 
     Args:
         args: The parsed CLI namespace.
@@ -487,7 +460,7 @@ def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
                    "cell": cell_index, "label": cell.label,
                    "master_seed": args.seed, "engine": resolved_engine,
                    "result": outcome.to_json(), "passed": passed}
-        status = _rare_json(args, payload)
+        status = _write_json(args, payload)
         if status:
             return status
     return 0 if passed else 1
@@ -509,8 +482,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv_list and argv_list[0] in SERVICE_COMMANDS:
         return service_main(argv_list)
     args = build_parser().parse_args(argv)
-    if args.replicates < 1:
-        print("error: --replicates must be at least 1", file=sys.stderr)
+    preset = PRESETS[args.experiment]
+    try:
+        spec = preset.from_flags(vars(args))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workers < 0:
         print("error: --workers must be non-negative", file=sys.stderr)
@@ -576,28 +552,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         if args.json is not None:
             body = status.to_json() if status is not None else None
-            text = json.dumps({"store": args.store, "status": body},
-                              indent=2, sort_keys=True)
-            if args.json == "-":
-                print(text)
-            else:
-                try:
-                    with open(args.json, "w", encoding="utf-8") as handle:
-                        handle.write(text + "\n")
-                except OSError as exc:
-                    print(f"error: cannot write {args.json}: {exc}",
-                          file=sys.stderr)
-                    return 2
-        elif status is None:
-            print(f"{args.store}: empty store (no campaign bound yet)")
-        else:
-            print(status.describe())
+            return _write_json(args, {"store": args.store, "status": body})
+        print(status.describe() if status is not None else
+              f"{args.store}: empty store (no campaign bound yet)")
         return 0
     workers = args.workers or default_worker_count()
     engine = args.engine
 
-    preset = PRESETS[args.experiment]
-    spec = build_spec(args)
     if args.method is not None:
         return _run_rare(args, spec, workers, engine, fault_plan, argv)
     total = spec.total_trials
@@ -690,16 +651,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "headers": list(result.headers),
             "rows": [list(row) for row in result.rows],
         }
-        if args.json == "-":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            try:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, indent=2, sort_keys=True)
-            except OSError as exc:
-                print(f"error: cannot write {args.json}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"wrote {args.json}")
-
+        status = _write_json(args, payload)
+        if status:
+            return status
     return 0 if result.passed else 1

@@ -1,21 +1,24 @@
-"""Campaign presets: the paper's experiments as :class:`CampaignSpec` data.
+"""Campaign presets: the paper's experiments, each declared once.
 
-Each preset pairs a spec builder (the sweep as data) with a result builder
-that folds the campaign's aggregates into the repo's common
-:class:`~repro.experiments.runner.ExperimentResult` container, so the
-campaign layer plugs straight into the existing rendering, benchmark and
-test machinery.
+A :class:`Preset` declares its :class:`Axis` inputs (after cadCAD's typed
+``Param`` / ``ParamSweep`` tables), lays out its cells and folds a
+finished campaign into an :class:`~repro.experiments.runner.ExperimentResult`.
+One builder serves every entry point: ``PRESETS[name].build(**axes)`` (and
+the ``*_spec`` aliases), the one-shot CLI and ``submit`` through
+:meth:`Preset.from_flags`, and the :mod:`repro.experiments` drivers
+through :meth:`Preset.run`.  Adding or changing a preset touches only its
+declaration in :data:`PRESETS`.
 
-The serial experiment drivers in :mod:`repro.experiments` are thin wrappers
-over these presets; the CLI (``python -m repro.campaign``) exposes them
-directly, including the joint loss-rate x E(Toff) grid that only exists as
-a campaign.
+Swept presets (table1, loss_sweep, grid) share one cross-product builder:
+every point of their sweep axes x {with, without lease}.  Scripted presets
+(scenarios, interlock) lay out their cells by hand: they are stories, not
+a sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.campaign.aggregate import CampaignResult
 from repro.campaign.spec import (CampaignSpec, ChannelSpec, SurgeonSpec, TrialSpec,
@@ -31,52 +34,210 @@ if TYPE_CHECKING:  # pragma: no cover - avoids campaign <-> experiments cycle
 _TABLE1_TOFF_STRIDE = 101
 _TABLE1_MODE_STRIDE = 13
 
+#: What a valid value is: ``(description, predicate)``.
+POSITIVE = ("positive and finite", lambda value: 0.0 < value < float("inf"))
+AT_LEAST_ONE = ("at least 1", lambda value: value >= 1)
+PROBABILITY = ("within [0, 1]", lambda value: 0.0 <= value <= 1.0)
+INTEGER = ("an integer", lambda value: True)
+SEEDS = ("a non-empty sequence of seeds", lambda value: len(value) > 0)
 
-# --------------------------------------------------------------------------
-# Table I
-# --------------------------------------------------------------------------
 
-def table1_spec(config: CaseStudyConfig | None = None, *,
-                mean_toffs: Sequence[float] = (18.0, 6.0),
-                duration: float | None = None, replicates: int = 1,
-                legacy_seed: int | None = None) -> CampaignSpec:
-    """Build the Table I campaign: {with, without lease} x E(Toff) values.
-
-    When ``legacy_seed`` is given, each cell's first replicate pins the
-    exact seed the historical serial loop used, so the campaign reproduces
-    the pre-campaign numbers bit-for-bit (additional replicates derive
-    their seeds from the campaign master seed).
-
-    Args:
-        config: Base case-study configuration (``None`` = paper defaults).
-        mean_toffs: Surgeon E(Toff) values, one sweep column each.
-        duration: Per-trial duration override (``None`` = config default).
-        replicates: Independent trials per cell.
-        legacy_seed: Pin each cell's first replicate to the historical
-            serial seeds (``None`` = fully derived seeding).
-
-    Returns:
-        The Table I campaign spec.
+@dataclass(frozen=True)
+class Axis:
+    """One declared input of a preset: its keyword ``name``, the ``type``
+    each value is coerced to (an ``int`` refuses fractions), the Python
+    ``default`` (``None``: unset, landing nowhere), the ``rule`` a valid
+    value meets, the CLI ``flag`` (``argparse`` dest) it reads, whether it
+    is a ``sweep`` (a sequence, one point per value) and where it
+    ``lands``: ``"campaign.<field>"`` of the :class:`CampaignSpec`,
+    ``"cell.<field>"`` of each cell (a swept field names the parameter; a
+    ``loss`` is a Bernoulli channel), or ``None`` when only the preset's
+    seed rule or script reads it.
     """
-    base = config or CaseStudyConfig()
-    trials = []
-    for toff_index, mean_toff in enumerate(mean_toffs):
-        for mode_index, with_lease in enumerate((True, False)):
-            seeds = None
-            if legacy_seed is not None:
-                seeds = (int(legacy_seed) + _TABLE1_TOFF_STRIDE * toff_index
-                         + _TABLE1_MODE_STRIDE * mode_index,)
-            trials.append(TrialSpec(
-                label=f"{mode_label(with_lease)}, E(Toff)={mean_toff:g}s",
-                with_lease=with_lease,
-                mean_toff=mean_toff,
-                replicates=replicates,
-                seeds=seeds,
-                params=(("mean_toff", float(mean_toff)),),
-            ))
-    return CampaignSpec(name="table1", trials=tuple(trials), config=base,
-                        duration=duration)
 
+    name: str
+    type: type
+    default: object
+    rule: Tuple[str, Callable[[object], bool]]
+    flag: Optional[str] = None
+    sweep: bool = False
+    lands: Optional[str] = None
+
+    def check(self, value: object, spelled: str) -> object:
+        """Return ``value`` coerced to this axis, or raise ``ValueError``
+        naming the axis as ``spelled``."""
+        if value is None and self.default is None:
+            return None
+        values = tuple(value) if self.sweep else (value,)
+        if not values:
+            raise ValueError(f"{spelled} needs at least one value")
+        description, valid = self.rule
+        coerced = []
+        for item in values:
+            try:
+                coerced.append(self.type(item))
+            except (TypeError, ValueError):
+                coerced.append(None)
+            if (coerced[-1] is None or not valid(coerced[-1])
+                    or (self.type is int and coerced[-1] != item)):
+                raise ValueError(f"{spelled} must be {description} "
+                                 f"(got {item!r})")
+        return tuple(coerced) if self.sweep else coerced[0]
+
+
+def _fields(field: str, value: object) -> Dict[str, object]:
+    """Spec keywords for one landed value: a ``loss`` is a Bernoulli channel."""
+    if field == "loss":
+        return {"channel": ChannelSpec("bernoulli", loss=value)}
+    return {field: value}
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A named campaign recipe: its ``name`` (the campaign's), a one-line
+    ``description``, its ``axes`` (sweeps nest in this order), the
+    ``to_result`` fold and the cell layout: a swept preset's ``label``
+    format (``{mode}`` plus each swept parameter) and ``pin`` seed rule
+    (``(axes, point index, mode index)`` to pinned seeds or ``None``), or
+    a scripted preset's ``script`` from ``(axes, cell fields)``.
+    """
+
+    name: str
+    description: str
+    axes: Tuple[Axis, ...]
+    to_result: Callable[[CampaignResult], "ExperimentResult"]
+    label: str = ""
+    pin: Optional[Callable[[dict, int, int], Optional[Tuple[int, ...]]]] = None
+    script: Optional[Callable[[dict, dict], Tuple[TrialSpec, ...]]] = None
+
+    @property
+    def flags(self) -> Dict[str, Axis]:
+        """The axes the CLI sets, by flag."""
+        return {axis.flag: axis for axis in self.axes if axis.flag}
+
+    def resolve(self, values: Mapping[str, object], *,
+                by_flag: bool = False) -> Dict[str, object]:
+        """Every axis's checked value, omitted ones at their defaults; a
+        ``ValueError`` names a malformed value's axis by flag if ``by_flag``."""
+        unknown = sorted(set(values) - {axis.name for axis in self.axes})
+        if unknown:
+            raise TypeError(f"preset {self.name!r} has no axis {unknown[0]!r}")
+        return {axis.name: axis.check(
+                    values.get(axis.name, axis.default),
+                    "--" + axis.flag.replace("_", "-")
+                    if by_flag and axis.flag else axis.name)
+                for axis in self.axes}
+
+    def build(self, config: CaseStudyConfig | None = None,
+              **values: object) -> CampaignSpec:
+        """The campaign these axis values name (``config=None``: the paper's)."""
+        return self._spec(config, self.resolve(values))
+
+    def from_flags(self, flags: Mapping[str, object]) -> CampaignSpec:
+        """The campaign parsed CLI flags name (unset: ``None``); a
+        ``ValueError`` names a malformed flag or an undeclared sweep flag."""
+        for flag in SWEEP_FLAGS:
+            if flags.get(flag) is not None and flag not in self.flags:
+                raise ValueError(f"--{flag.replace('_', '-')} does not apply "
+                                 f"to preset {self.name!r}")
+        values = {axis.name: flags[flag] for flag, axis in self.flags.items()
+                  if flags.get(flag) is not None}
+        return self._spec(None, self.resolve(values, by_flag=True))
+
+    def run(self, config: CaseStudyConfig | None = None, *, seed: int,
+            max_workers: int = 1, **values: object) -> "ExperimentResult":
+        """Build, run and fold the campaign at master seed ``seed``."""
+        from repro.campaign.executor import run_campaign
+
+        campaign = run_campaign(self.build(config, **values), seed=seed,
+                                max_workers=max_workers)
+        return self.to_result(campaign)
+
+    def _spec(self, config: CaseStudyConfig | None,
+              axes: Dict[str, object]) -> CampaignSpec:
+        """Land every resolved axis value in one campaign spec."""
+        campaign: Dict[str, object] = {}
+        cell: Dict[str, object] = {}
+        for axis in self.axes:
+            value = axes[axis.name]
+            if axis.lands and not axis.sweep and value is not None:
+                scope, _, field = axis.lands.partition(".")
+                (campaign if scope == "campaign" else cell).update(
+                    _fields(field, value))
+        trials = (self.script(axes, cell) if self.script is not None
+                  else self._sweep(axes, cell))
+        return CampaignSpec(name=self.name, trials=trials,
+                            config=config or CaseStudyConfig(), **campaign)
+
+    def _sweep(self, axes: Dict[str, object],
+               cell: Dict[str, object]) -> Tuple[TrialSpec, ...]:
+        """Every point of the sweep axes x {with, without lease}."""
+        sweeps = {axis.lands.partition(".")[2]: axes[axis.name]
+                  for axis in self.axes if axis.sweep}
+        trials = []
+        for index, point in enumerate(expand_grid(**sweeps)):
+            fields = dict(cell)
+            for name, value in point.items():
+                fields.update(_fields(name, value))
+            for mode, with_lease in enumerate((True, False)):
+                trials.append(TrialSpec(
+                    label=self.label.format(mode=mode_label(with_lease),
+                                            **point),
+                    with_lease=with_lease,
+                    seeds=self.pin(axes, index, mode) if self.pin else None,
+                    params=tuple(point.items()), **fields))
+        return tuple(trials)
+
+
+def _legacy_seeds(axes: dict, point: int, mode: int) -> Optional[Tuple[int, ...]]:
+    """Table I: each cell's first replicate runs the historical serial seed."""
+    seed = axes["legacy_seed"]
+    if seed is None:
+        return None
+    return (seed + _TABLE1_TOFF_STRIDE * point + _TABLE1_MODE_STRIDE * mode,)
+
+
+def _pinned_seeds(axes: dict, point: int, mode: int) -> Optional[Tuple[int, ...]]:
+    """Loss sweep: every cell runs the explicit seeds unless replicates is set."""
+    if axes["replicates"] is not None:
+        return None
+    return tuple(int(seed) for seed in axes["seeds"])
+
+
+def _scenario_cells(axes: dict, cell: dict) -> Tuple[TrialSpec, ...]:
+    """The Section V failure stories: scripted surgeons and loss windows up
+    to the horizon, pinned seeds, and single sends (no supervisor resends)."""
+    horizon = axes["horizon"]
+    stories = (
+        ("forgetful surgeon", (14.0,), (), ((30.0, horizon),)),
+        ("lost cancel", (14.0,), (40.0,), ((38.0, horizon),)),
+    )
+    return tuple(
+        TrialSpec(label=f"{scenario}, {mode_label(with_lease)}",
+                  with_lease=with_lease,
+                  channel=ChannelSpec("scripted", windows=windows),
+                  surgeon=SurgeonSpec(requests_at=requests_at,
+                                      cancels_at=cancels_at),
+                  supervisor_resend_limit=0, seeds=(0,),
+                  params=(("scenario", scenario),), **cell)
+        for scenario, requests_at, cancels_at, windows in stories
+        for with_lease in (True, False))
+
+
+def _interlock_cells(axes: dict, cell: dict) -> Tuple[TrialSpec, ...]:
+    """The furnace line of ``examples/industrial_interlock.py``, lease and
+    baseline, each pinning the example's seed 1 so the preset reproduces
+    its outcome (lease SAFE, baseline VIOLATED).  The interlock runner
+    builds its own system and ignores the case-study configuration."""
+    return tuple(TrialSpec(label=f"interlock, {mode_label(with_lease)}",
+                           with_lease=with_lease, seeds=(1,),
+                           runner="interlock", **cell)
+                 for with_lease in (True, False))
+
+
+# --------------------------------------------------------------------------
+# Result builders: each folds its campaign into its table and checks
+# --------------------------------------------------------------------------
 
 def table1_result(campaign: CampaignResult) -> ExperimentResult:
     """Fold a Table I campaign into the Table I experiment result.
@@ -135,50 +296,6 @@ def table1_result(campaign: CampaignResult) -> ExperimentResult:
     )
 
 
-# --------------------------------------------------------------------------
-# Loss sweep
-# --------------------------------------------------------------------------
-
-def loss_sweep_spec(config: CaseStudyConfig | None = None, *,
-                    loss_levels: Sequence[float] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9),
-                    duration: float = 900.0,
-                    seeds: Sequence[int] = (1, 2),
-                    replicates: int | None = None) -> CampaignSpec:
-    """Build the loss-rate sweep: memoryless loss x {with, without lease}.
-
-    With ``replicates=None`` every cell pins the explicit ``seeds`` list
-    (the historical serial behaviour); passing a replicate count instead
-    derives all seeds from the campaign master seed, which is how the CLI
-    scales the sweep to 10-100x the seed trial counts.
-
-    Args:
-        config: Base case-study configuration (``None`` = paper defaults).
-        loss_levels: Bernoulli packet-loss probabilities to sweep.
-        duration: Per-trial duration in seconds.
-        seeds: Explicit per-cell seed list (used when ``replicates`` is
-            ``None``).
-        replicates: Derived-seed replicate count per cell, or ``None`` for
-            the pinned historical seeds.
-
-    Returns:
-        The loss-sweep campaign spec.
-    """
-    base = config or CaseStudyConfig()
-    trials = []
-    for loss in loss_levels:
-        for with_lease in (True, False):
-            trials.append(TrialSpec(
-                label=f"loss={loss:g}, {mode_label(with_lease)}",
-                with_lease=with_lease,
-                duration=float(duration),
-                channel=ChannelSpec("bernoulli", loss=float(loss)),
-                replicates=replicates if replicates is not None else 1,
-                seeds=tuple(int(s) for s in seeds) if replicates is None else None,
-                params=(("loss", float(loss)),),
-            ))
-    return CampaignSpec(name="loss_sweep", trials=tuple(trials), config=base)
-
-
 def loss_sweep_result(campaign: CampaignResult) -> ExperimentResult:
     """Fold a loss-sweep campaign into the loss-sweep experiment result.
 
@@ -219,47 +336,6 @@ def loss_sweep_result(campaign: CampaignResult) -> ExperimentResult:
     )
 
 
-# --------------------------------------------------------------------------
-# Section V scenarios
-# --------------------------------------------------------------------------
-
-def scenarios_spec(config: CaseStudyConfig | None = None, *,
-                   horizon: float = 240.0) -> CampaignSpec:
-    """Build the scripted Section V failure stories, with and without leases.
-
-    Deterministic by construction: scripted surgeons, scripted loss
-    windows, pinned seeds, and no supervisor retransmissions (the paper's
-    stories assume single sends).
-
-    Args:
-        config: Base case-study configuration (``None`` = paper defaults).
-        horizon: Story horizon in seconds.
-
-    Returns:
-        The scenarios campaign spec.
-    """
-    base = config or CaseStudyConfig()
-    stories = (
-        ("forgetful surgeon", (14.0,), (), ((30.0, horizon),)),
-        ("lost cancel", (14.0,), (40.0,), ((38.0, horizon),)),
-    )
-    trials = []
-    for scenario, requests_at, cancels_at, windows in stories:
-        for with_lease in (True, False):
-            trials.append(TrialSpec(
-                label=f"{scenario}, {mode_label(with_lease)}",
-                with_lease=with_lease,
-                duration=horizon,
-                channel=ChannelSpec("scripted", windows=windows),
-                surgeon=SurgeonSpec(requests_at=requests_at,
-                                    cancels_at=cancels_at),
-                supervisor_resend_limit=0,
-                seeds=(0,),
-                params=(("scenario", scenario),),
-            ))
-    return CampaignSpec(name="scenarios", trials=tuple(trials), config=base)
-
-
 def scenarios_result(campaign: CampaignResult) -> ExperimentResult:
     """Fold a scenarios campaign into the scenarios experiment result.
 
@@ -295,45 +371,6 @@ def scenarios_result(campaign: CampaignResult) -> ExperimentResult:
     )
 
 
-# --------------------------------------------------------------------------
-# Joint loss-rate x E(Toff) grid (campaign-only sweep)
-# --------------------------------------------------------------------------
-
-def grid_spec(config: CaseStudyConfig | None = None, *,
-              loss_levels: Sequence[float] = (0.0, 0.3, 0.6),
-              mean_toffs: Sequence[float] = (18.0, 6.0),
-              duration: float = 600.0, replicates: int = 1) -> CampaignSpec:
-    """Build the joint loss-rate x surgeon E(Toff) grid sweep.
-
-    Args:
-        config: Base case-study configuration (``None`` = paper defaults).
-        loss_levels: Bernoulli packet-loss probabilities (grid axis 1).
-        mean_toffs: Surgeon E(Toff) values (grid axis 2).
-        duration: Per-trial duration in seconds.
-        replicates: Independent trials per grid cell.
-
-    Returns:
-        The grid campaign spec (the "one spec away" sweep).
-    """
-    base = config or CaseStudyConfig()
-    trials = []
-    for point in expand_grid(loss=loss_levels, mean_toff=mean_toffs):
-        loss = float(point["loss"])
-        mean_toff = float(point["mean_toff"])
-        for with_lease in (True, False):
-            trials.append(TrialSpec(
-                label=(f"loss={loss:g}, E(Toff)={mean_toff:g}s, "
-                       f"{mode_label(with_lease)}"),
-                with_lease=with_lease,
-                mean_toff=mean_toff,
-                duration=float(duration),
-                channel=ChannelSpec("bernoulli", loss=loss),
-                replicates=replicates,
-                params=(("loss", loss), ("mean_toff", mean_toff)),
-            ))
-    return CampaignSpec(name="grid", trials=tuple(trials), config=base)
-
-
 def grid_result(campaign: CampaignResult) -> ExperimentResult:
     """Fold a grid campaign into a generic experiment result.
 
@@ -364,47 +401,6 @@ def grid_result(campaign: CampaignResult) -> ExperimentResult:
                f"{campaign.master_seed}, {campaign.workers} worker(s)"],
         checks={"lease_safe_across_grid": lease_failures == 0},
     )
-
-
-# --------------------------------------------------------------------------
-# Industrial interlock (the paper's beyond-surgery motivation)
-# --------------------------------------------------------------------------
-
-def interlock_spec(config: CaseStudyConfig | None = None, *,
-                   horizon: float | None = None,
-                   replicates: int = 1) -> CampaignSpec:
-    """Build the four-entity industrial-interlock campaign.
-
-    The furnace line of ``examples/industrial_interlock.py`` as campaign
-    cells: the lease design and the no-lease baseline under the same
-    bursty 90%-loss Gilbert-Elliott channel.  Each cell's first replicate
-    pins seed 1 (the example's seed) so the preset reproduces the
-    example's outcome — lease SAFE, baseline VIOLATED — exactly;
-    additional replicates derive their seeds from the master seed.
-
-    Args:
-        config: Accepted for registry uniformity; the interlock runner
-            builds its own pattern system and ignores case-study
-            configuration.
-        horizon: Per-trial horizon in seconds (``None`` = the runner's
-            250 s default).
-        replicates: Independent trials per cell.
-
-    Returns:
-        The interlock campaign spec.
-    """
-    trials = []
-    for with_lease in (True, False):
-        trials.append(TrialSpec(
-            label=f"interlock, {mode_label(with_lease)}",
-            with_lease=with_lease,
-            duration=horizon,
-            replicates=replicates,
-            seeds=(1,),
-            runner="interlock",
-        ))
-    return CampaignSpec(name="interlock", trials=tuple(trials),
-                        config=config or CaseStudyConfig())
 
 
 def interlock_result(campaign: CampaignResult) -> ExperimentResult:
@@ -450,48 +446,97 @@ def interlock_result(campaign: CampaignResult) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------------
-# Registry
+# Registry: each preset's one declaration
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Preset:
-    """A named campaign recipe: spec builder + experiment-result builder."""
-
-    name: str
-    description: str
-    build: Callable[..., CampaignSpec]
-    to_result: Callable[[CampaignResult], ExperimentResult]
-
-
-PRESETS: Dict[str, Preset] = {
-    "table1": Preset(
-        name="table1",
-        description="Table I: {with, without lease} x E(Toff) under burst interference",
-        build=table1_spec,
+PRESETS: Dict[str, Preset] = {preset.name: preset for preset in (
+    Preset(
+        "table1",
+        "Table I: {with, without lease} x E(Toff) under burst interference",
+        axes=(
+            Axis("mean_toffs", float, (18.0, 6.0), POSITIVE, "mean_toffs",
+                 sweep=True, lands="cell.mean_toff"),
+            # The campaign-level default (unset: the config's 1800 s).
+            Axis("duration", float, None, POSITIVE, "duration",
+                 lands="campaign.duration"),
+            Axis("replicates", int, 1, AT_LEAST_ONE, "replicates",
+                 lands="cell.replicates"),
+            # The CLI pins the serial seeds to --seed; Python callers opt in.
+            Axis("legacy_seed", int, None, INTEGER, "seed"),
+        ),
+        label="{mode}, E(Toff)={mean_toff:g}s",
+        pin=_legacy_seeds,
         to_result=table1_result,
     ),
-    "loss_sweep": Preset(
-        name="loss_sweep",
-        description="Failures vs. memoryless packet-loss probability",
-        build=loss_sweep_spec,
+    Preset(
+        "loss_sweep",
+        "Failures vs. memoryless packet-loss probability",
+        axes=(
+            Axis("loss_levels", float, (0.0, 0.1, 0.3, 0.5, 0.7, 0.9),
+                 PROBABILITY, "loss_levels", sweep=True, lands="cell.loss"),
+            Axis("duration", float, 900.0, POSITIVE, "duration",
+                 lands="cell.duration"),
+            Axis("seeds", tuple, (1, 2), SEEDS),
+            # Unset in Python: every cell runs the explicit seeds.  The CLI
+            # always sets it, so its seeds are derived.
+            Axis("replicates", int, None, AT_LEAST_ONE, "replicates",
+                 lands="cell.replicates"),
+        ),
+        label="loss={loss:g}, {mode}",
+        pin=_pinned_seeds,
         to_result=loss_sweep_result,
     ),
-    "scenarios": Preset(
-        name="scenarios",
-        description="Section V scripted failure stories (deterministic)",
-        build=scenarios_spec,
+    Preset(
+        "scenarios",
+        "Section V scripted failure stories (deterministic)",
+        axes=(
+            Axis("horizon", float, 240.0, POSITIVE, "duration",
+                 lands="cell.duration"),
+            # Each story runs once; only --method crude/sprt read the flag,
+            # as their trial budget.
+            Axis("replicates", int, 1, AT_LEAST_ONE, "replicates"),
+        ),
+        script=_scenario_cells,
         to_result=scenarios_result,
     ),
-    "grid": Preset(
-        name="grid",
-        description="Joint loss-rate x E(Toff) grid (campaign-only sweep)",
-        build=grid_spec,
+    Preset(
+        "grid",
+        "Joint loss-rate x E(Toff) grid (campaign-only sweep)",
+        axes=(
+            Axis("loss_levels", float, (0.0, 0.3, 0.6), PROBABILITY,
+                 "loss_levels", sweep=True, lands="cell.loss"),
+            Axis("mean_toffs", float, (18.0, 6.0), POSITIVE, "mean_toffs",
+                 sweep=True, lands="cell.mean_toff"),
+            Axis("duration", float, 600.0, POSITIVE, "duration",
+                 lands="cell.duration"),
+            Axis("replicates", int, 1, AT_LEAST_ONE, "replicates",
+                 lands="cell.replicates"),
+        ),
+        label="loss={loss:g}, E(Toff)={mean_toff:g}s, {mode}",
         to_result=grid_result,
     ),
-    "interlock": Preset(
-        name="interlock",
-        description="Four-entity industrial interlock under bursty loss",
-        build=interlock_spec,
+    Preset(
+        "interlock",
+        "Four-entity industrial interlock under bursty loss",
+        axes=(
+            # Unset: the interlock runner's own 250 s horizon.
+            Axis("horizon", float, None, POSITIVE, "duration",
+                 lands="cell.duration"),
+            Axis("replicates", int, 1, AT_LEAST_ONE, "replicates",
+                 lands="cell.replicates"),
+        ),
+        script=_interlock_cells,
         to_result=interlock_result,
     ),
-}
+)}
+
+#: Every preset's sweep flags: one that the chosen preset does not declare
+#: is a usage error rather than silently ignored.
+SWEEP_FLAGS = sorted({axis.flag for preset in PRESETS.values()
+                      for axis in preset.axes if axis.sweep})
+
+table1_spec = PRESETS["table1"].build
+loss_sweep_spec = PRESETS["loss_sweep"].build
+scenarios_spec = PRESETS["scenarios"].build
+grid_spec = PRESETS["grid"].build
+interlock_spec = PRESETS["interlock"].build

@@ -193,25 +193,19 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes in the shared warm pool")
 
+    # Imported here: the one-shot CLI imports this module.
+    from repro.campaign.cli import add_preset_flags
+    from repro.campaign.presets import PRESETS
+
     submit = commands.add_parser(
         "submit", help="queue a preset campaign on a running service")
     submit.add_argument("--socket", default=DEFAULT_SOCKET)
     submit.add_argument("--experiment", "--preset", dest="experiment",
-                        required=True,
+                        required=True, choices=sorted(PRESETS),
                         help="campaign preset to submit")
-    submit.add_argument("--seed", type=int, default=2013,
-                        help="campaign master seed (default: 2013)")
-    submit.add_argument("--replicates", type=int, default=1,
-                        help="independent trials per sweep cell "
-                             "(default: 1)")
-    submit.add_argument("--duration", type=float, default=None,
-                        help="campaign-level per-trial duration override "
-                             "in seconds")
+    add_preset_flags(submit, sweeps=False)
     submit.add_argument("--priority", type=int, default=0,
                         help="queue priority (higher runs earlier)")
-    # The one-shot runner's spec builder reads these; submit keeps the
-    # presets' own sweeps.
-    submit.set_defaults(mean_toffs=None, loss_levels=None)
 
     for name, needs_job in (("status", False), ("watch", True),
                             ("cancel", True)):
@@ -269,19 +263,13 @@ def service_main(argv: Optional[List[str]] = None) -> int:
     client = ServiceClient(args.socket)
     try:
         if args.command == "submit":
-            # Imported here: the one-shot CLI imports this module.
-            from repro.campaign.cli import build_spec
             from repro.campaign.presets import PRESETS
-            if args.experiment not in PRESETS:
-                raise SystemExit(f"unknown preset {args.experiment!r}; "
-                                 f"expected one of "
-                                 f"{', '.join(sorted(PRESETS))}")
-            if args.replicates < 1:
-                print("error: --replicates must be at least 1",
-                      file=sys.stderr)
+            try:
+                spec = PRESETS[args.experiment].from_flags(vars(args))
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
                 return 2
-            response = client.submit(build_spec(args), args.seed,
-                                     priority=args.priority)
+            response = client.submit(spec, args.seed, priority=args.priority)
             print(json.dumps(response, sort_keys=True))
             return 0
         if args.command == "status":

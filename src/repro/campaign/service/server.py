@@ -17,7 +17,8 @@ checkpoints are rows keyed by that job's id.  That makes submission
 idempotent (re-submitting a spec returns the existing job) and makes
 restart recovery trivial: on startup the service reads the ``jobs``
 rows, registers finished jobs as COMPLETE with their aggregates rebuilt
-from their checkpoints, and re-enqueues the rest —
+from their checkpoints and cancelled jobs as CANCELLED, and re-enqueues
+the rest —
 ``run_campaign(resume=True)`` then replays the checkpointed prefix
 through the executor's ``RecoveryStateMachine`` and simulates only the
 remainder, preserving the repo's bit-identity contract across a mid-job
@@ -28,6 +29,9 @@ Job lifecycle::
     QUEUED ──▶ RUNNING ──▶ COMPLETE
       │            ├─────▶ FAILED
       └────────────┴─────▶ CANCELLED
+
+COMPLETE and CANCELLED are durable (``complete`` and ``cancelled`` meta
+rows); a FAILED job is re-enqueued by the next start.
 
 See ``docs/service.md`` for the wire protocol and operational guidance.
 """
@@ -193,12 +197,13 @@ class CampaignService:
         """Re-register every job recorded in the database.
 
         Finished jobs come back as COMPLETE entries whose cells are
-        folded from their checkpoints; the others are re-enqueued for a
-        ``resume=True`` run (the store replays its checkpointed prefix,
-        so nothing simulated before the crash is simulated again).
+        folded from their checkpoints, and cancelled jobs as CANCELLED;
+        the others are re-enqueued for a ``resume=True`` run (the store
+        replays its checkpointed prefix, so nothing simulated before the
+        crash is simulated again).
         """
         for (job_id, fingerprint, encoded, master_seed, priority,
-             complete) in self._db.jobs():
+             complete, cancelled) in self._db.jobs():
             try:
                 spec = protocol.decode_spec(json.loads(encoded))
             except (TypeError, ValueError, protocol.ProtocolError):
@@ -215,6 +220,9 @@ class CampaignService:
                 job.cells = [cell_json(group) for group in result.groups()]
                 job.finish(JobState.COMPLETE)
                 job.bus.close(job.done_event(), job.cells)
+            elif cancelled:
+                job.finish(JobState.CANCELLED)
+                job.bus.close(job.done_event())
             else:
                 heapq.heappush(self._queue,
                                (-job.priority, job.seq, fingerprint))
@@ -269,6 +277,7 @@ class CampaignService:
             job.pool_pids = self.pool.worker_pids()
             final = JobState.COMPLETE
         except CampaignCancelled:
+            self._db.mark_cancelled(job.job_id)
             final = JobState.CANCELLED
         except Exception as exc:  # noqa: BLE001 - a job must never kill the daemon
             job.error = f"{type(exc).__name__}: {exc}"
@@ -365,6 +374,7 @@ class CampaignService:
                                        state=job.state.value)
                 job.cancel.set()
                 if job.state is JobState.QUEUED:
+                    self._db.mark_cancelled(job.job_id)
                     job.finish(JobState.CANCELLED)
         except KeyError as exc:
             return protocol.error(str(exc))
@@ -424,6 +434,8 @@ class CampaignService:
                     except OSError:
                         pass
                     return
+                except OSError:
+                    return  # the client went away (say, mid-watch)
                 if message is None:
                     return
                 try:

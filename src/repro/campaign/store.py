@@ -583,22 +583,33 @@ class StoreDatabase:
                                          int(master_seed), int(priority))
             ).lastrowid
 
-    def jobs(self) -> List[Tuple[int, str, Optional[str], int, int, bool]]:
-        """Return every job's submission record and whether it completed.
+    def jobs(self) -> List[Tuple[int, str, Optional[str], int, int, bool,
+                                 bool]]:
+        """Return every job's submission record and how it ended, if it did.
 
         Returns:
             ``(id, fingerprint, encoded spec, master seed, priority,
-            complete)`` tuples in id (submission) order.
+            complete, cancelled)`` tuples in id (submission) order.
         """
         with self.lock:
             rows = self.conn.execute(
                 "SELECT j.id, j.fingerprint, j.spec, j.master_seed,"
-                " j.priority, m.value IS '1' FROM jobs AS j"
+                " j.priority, m.value IS '1', c.value IS '1' FROM jobs AS j"
                 " LEFT JOIN meta AS m ON m.job_id = j.id AND m.key = 'complete'"
-                " ORDER BY j.id").fetchall()
+                " LEFT JOIN meta AS c ON c.job_id = j.id"
+                " AND c.key = 'cancelled' ORDER BY j.id").fetchall()
         return [(int(job_id), fingerprint, spec, int(seed), int(priority),
-                 bool(complete))
-                for job_id, fingerprint, spec, seed, priority, complete in rows]
+                 bool(complete), bool(cancelled))
+                for job_id, fingerprint, spec, seed, priority, complete,
+                cancelled in rows]
+
+    def mark_cancelled(self, job_id: int) -> None:
+        """Durably record that job ``job_id`` was cancelled (a plain
+        transaction, not one of the job's numbered store commits)."""
+        with self.lock, self.conn:
+            self.conn.execute(
+                "INSERT OR REPLACE INTO meta (job_id, key, value)"
+                " VALUES (?, 'cancelled', '1')", (job_id,))
 
     def store(self, job_id: int) -> "CampaignStore":
         """Return a store handle on one job's rows of this database."""
@@ -805,7 +816,7 @@ class CampaignStore:
         """
         with self._lock:
             meta = self._read_meta()
-            if not meta:
+            if "campaign_name" not in meta:  # at most a cancel mark
                 return None
             fingerprint, master_seed = self._identity() or ("?", -1)
             return CheckpointStatus(

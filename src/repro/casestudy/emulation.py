@@ -481,10 +481,8 @@ def run_trial_batch(config: CaseStudyConfig, *, with_lease: bool = True,
 
 
 def run_table1_trials(config: CaseStudyConfig | None = None, *,
-                      mean_toffs: Sequence[float] = (18.0, 6.0),
-                      seed: int = 2013,
-                      duration: float | None = None,
-                      max_workers: int = 1) -> List["TrialSummary"]:
+                      seed: int = 2013, max_workers: int = 1,
+                      **axes: object) -> List["TrialSummary"]:
     """Run the four trials of Table I (with/without lease x E(Toff) values).
 
     Routes through the campaign layer and returns the campaign's per-trial
@@ -498,19 +496,18 @@ def run_table1_trials(config: CaseStudyConfig | None = None, *,
 
     Args:
         config: Base case-study configuration (paper defaults when omitted).
-        mean_toffs: Surgeon E(Toff) values, one pair of trials per value.
         seed: Master seed; each trial derives its own sub-seed.
-        duration: Optional trial-length override (the paper uses 30 minutes).
         max_workers: Worker processes (1 = serial in-process execution).
+        **axes: The ``table1`` preset's other axes, at its defaults when
+            omitted.
 
     Returns:
         Trial summaries ordered exactly like the rows of Table I.
     """
     # Imported lazily: repro.campaign builds on this module.
     from repro.campaign.executor import run_campaign
-    from repro.campaign.presets import table1_spec
+    from repro.campaign.presets import PRESETS
 
-    spec = table1_spec(config, mean_toffs=mean_toffs, duration=duration,
-                       legacy_seed=seed)
+    spec = PRESETS["table1"].build(config, legacy_seed=seed, **axes)
     campaign = run_campaign(spec, seed=seed, max_workers=max_workers)
     return list(campaign.summaries)

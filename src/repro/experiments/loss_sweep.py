@@ -14,21 +14,18 @@ fanning out across processes is a parameter change, not new code.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.campaign.executor import run_campaign
-from repro.campaign.presets import loss_sweep_result, loss_sweep_spec
+from repro.campaign.presets import PRESETS
 from repro.casestudy.config import CaseStudyConfig
 from repro.experiments.runner import ExperimentResult
 
 
 def run_loss_sweep(*, config: CaseStudyConfig | None = None,
-                   loss_levels: Sequence[float] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9),
-                   duration: float = 900.0, seeds: Sequence[int] = (1, 2),
-                   max_workers: int = 1) -> ExperimentResult:
-    """Sweep loss probability and compare lease vs. no-lease outcomes."""
-    spec = loss_sweep_spec(config, loss_levels=loss_levels, duration=duration,
-                           seeds=seeds)
-    campaign = run_campaign(spec, seed=min(seeds, default=0),
-                            max_workers=max_workers)
-    return loss_sweep_result(campaign)
+                   max_workers: int = 1, **axes: object) -> ExperimentResult:
+    """Sweep loss probability and compare lease vs. no-lease outcomes.
+
+    ``axes`` are the ``loss_sweep`` preset's; the campaign's master seed is
+    the smallest of its pinned ``seeds``.
+    """
+    preset = PRESETS["loss_sweep"]
+    seed = min(preset.resolve(axes)["seeds"], default=0)
+    return preset.run(config, seed=seed, max_workers=max_workers, **axes)

@@ -24,8 +24,7 @@ pinned seed) executed through the campaign layer.
 
 from __future__ import annotations
 
-from repro.campaign.executor import run_campaign
-from repro.campaign.presets import scenarios_result, scenarios_spec
+from repro.campaign.presets import PRESETS
 from repro.casestudy.config import CaseStudyConfig
 from repro.experiments.runner import ExperimentResult
 
@@ -33,6 +32,4 @@ from repro.experiments.runner import ExperimentResult
 def run_scenarios(*, config: CaseStudyConfig | None = None,
                   max_workers: int = 1) -> ExperimentResult:
     """Run the scripted Section V scenarios with and without leases."""
-    spec = scenarios_spec(config)
-    campaign = run_campaign(spec, seed=0, max_workers=max_workers)
-    return scenarios_result(campaign)
+    return PRESETS["scenarios"].run(config, seed=0, max_workers=max_workers)

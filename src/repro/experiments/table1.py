@@ -24,10 +24,7 @@ knobs on the command line).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.campaign.executor import run_campaign
-from repro.campaign.presets import table1_result, table1_spec
+from repro.campaign.presets import PRESETS
 from repro.casestudy.config import CaseStudyConfig
 from repro.experiments.runner import ExperimentResult
 
@@ -41,23 +38,16 @@ PAPER_TABLE1 = (
 
 
 def run_table1(*, config: CaseStudyConfig | None = None, seed: int = 42,
-               duration: float | None = None,
-               mean_toffs: Sequence[float] = (18.0, 6.0),
-               replicates: int = 1, max_workers: int = 1) -> ExperimentResult:
+               max_workers: int = 1, **axes: object) -> ExperimentResult:
     """Run the Table I reproduction and compare its shape against the paper.
 
     Args:
         config: Case-study configuration (paper defaults when omitted).
-        seed: Master seed for the trials.
-        duration: Trial length override (defaults to the paper's 30 minutes;
-            tests use shorter trials).
-        mean_toffs: Surgeon E(Toff) values, one trial pair per value.
-        replicates: Independent trials per Table I cell (1 reproduces the
-            paper's single-trial table; more turns each row into a
-            Monte-Carlo aggregate).
+        seed: Master seed, and the legacy seed that pins each cell's first
+            replicate to the historical serial trial.
         max_workers: Worker processes for the campaign executor.
+        **axes: The ``table1`` preset's other axes (``mean_toffs``,
+            ``duration``, ``replicates``), at its defaults when omitted.
     """
-    spec = table1_spec(config, mean_toffs=mean_toffs, duration=duration,
-                       replicates=replicates, legacy_seed=seed)
-    campaign = run_campaign(spec, seed=seed, max_workers=max_workers)
-    return table1_result(campaign)
+    return PRESETS["table1"].run(config, seed=seed, max_workers=max_workers,
+                                 legacy_seed=seed, **axes)

@@ -412,3 +412,34 @@ class TestCLI:
             payloads[engine] = json.dumps(payload, sort_keys=True)
         assert codes["reference"] == codes["compiled"]
         assert payloads["reference"] == payloads["compiled"]
+
+
+@pytest.mark.parametrize("front_end, flags", [
+    ("run", ["--experiment", "table1", "--duration", "-5"]),
+    ("run", ["--mean-toffs", "0"]),
+    ("run", ["--mean-toffs", "-3"]),
+    ("run", ["--experiment", "loss_sweep", "--loss-levels", "1.5"]),
+    ("run", ["--experiment", "table1", "--loss-levels", "0.3"]),
+    ("run", ["--experiment", "scenarios", "--mean-toffs", "12"]),
+    ("run", ["--experiment", "scenarios", "--replicates", "0"]),
+    ("submit", ["--preset", "table1", "--duration", "-5"]),
+    ("submit", ["--preset", "grid", "--duration", "0"]),
+    ("submit", ["--preset", "interlock", "--replicates", "0"]),
+])
+def test_malformed_axis_value_is_a_usage_error(monkeypatch, capsys, tmp_path,
+                                               front_end, flags):
+    # Checked at the preset's declaration, before any trial runs or any
+    # socket connects: exit 2 with one error line.
+    from repro.campaign import cli
+    from repro.campaign.service import ServiceClient
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a malformed value got past validation")
+
+    monkeypatch.setattr(cli, "run_campaign", unreachable)
+    monkeypatch.setattr(ServiceClient, "_connect", unreachable)
+    argv = (["submit", "--socket", str(tmp_path / "none.sock"), *flags]
+            if front_end == "submit" else [*flags, "--quiet"])
+    assert campaign_main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --"), err

@@ -8,6 +8,7 @@ consecutive jobs share one warm worker pool (identical worker PIDs).
 """
 
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -24,7 +25,7 @@ import pytest
 
 from repro.campaign import loss_sweep_spec, run_campaign
 from repro.campaign.aggregate import GroupSummary
-from repro.campaign.cli import build_parser, build_spec
+from repro.campaign.cli import build_parser
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.presets import PRESETS
@@ -440,7 +441,7 @@ def test_submit_builds_the_one_shot_spec(monkeypatch, capsys, preset, flags):
     assert campaign_main(["submit", "--preset", preset, *flags]) == 0
     capsys.readouterr()
     one_shot = build_parser().parse_args(["--experiment", preset, *flags])
-    assert sent == [(build_spec(one_shot), one_shot.seed)]
+    assert sent == [(PRESETS[preset].from_flags(vars(one_shot)), one_shot.seed)]
 
 
 def test_submit_rejects_zero_replicates(tmp_path, capsys):
@@ -454,6 +455,68 @@ def test_submit_rejects_zero_replicates(tmp_path, capsys):
 # Restart recovery: SIGKILL the daemon mid-job, resume bit-identically
 # --------------------------------------------------------------------------
 
+def _start(sock, stores):
+    """An in-process service on ``stores``, serving on a thread."""
+    svc = CampaignService(sock, str(stores), max_workers=2)
+    thread = threading.Thread(target=svc.serve, daemon=True)
+    thread.start()
+    _wait_for_socket(sock)
+    return svc, thread, ServiceClient(sock)
+
+
+def _stop(svc, thread):
+    svc.initiate_shutdown()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+
+
+def test_cancelled_job_stays_cancelled_after_restart(tmp_path):
+    sock = str(tmp_path / "svc.sock")
+    stores = tmp_path / "stores"
+    svc, thread, client = _start(sock, stores)
+    try:
+        job1 = client.submit(_spec_table1(), 7)["job"]
+        job2 = client.submit(_spec_interlock(), 7, priority=-1)["job"]
+        assert client.cancel(job2)["state"] == "cancelled"
+        assert client.drain()["jobs"] == {job1: "complete", job2: "cancelled"}
+    finally:
+        _stop(svc, thread)
+    svc, thread, client = _start(sock, stores)
+    try:
+        assert client.drain()["jobs"] == {job1: "complete", job2: "cancelled"}
+        assert client.status(job2)["state"] == "cancelled"
+        assert "store" not in client.status(job2)
+        assert list(client.watch(job2))[-1] == {"event": "done",
+                                                "state": "cancelled"}
+    finally:
+        _stop(svc, thread)
+
+
+def test_running_job_cancelled_stays_cancelled_after_restart(tmp_path):
+    # 80 interlock trials in tasks of 4: the cancel lands between tasks.
+    sock = str(tmp_path / "svc.sock")
+    stores = tmp_path / "stores"
+    svc, thread, client = _start(sock, stores)
+    try:
+        job = client.submit(PRESETS["interlock"].build(replicates=40), 7)["job"]
+        events = client.watch(job)
+        for event in events:
+            if event["event"] == "checkpoint":
+                break
+        events.close()
+        client.cancel(job)
+        assert client.drain()["jobs"] == {job: "cancelled"}
+    finally:
+        _stop(svc, thread)
+    svc, thread, client = _start(sock, stores)
+    try:
+        assert client.drain()["jobs"] == {job: "cancelled"}
+        store = client.status(job)["store"]
+        assert 0 < store["checkpointed"] < 80 and not store["complete"]
+    finally:
+        _stop(svc, thread)
+
+
 def test_restart_restores_finished_jobs_and_resumes_partial_ones(
         tmp_path, monkeypatch):
     from repro.campaign.store import CampaignStore
@@ -461,18 +524,8 @@ def test_restart_restores_finished_jobs_and_resumes_partial_ones(
     sock = str(tmp_path / "svc.sock")
     stores = tmp_path / "stores"
     finished_spec, partial_spec = _spec_interlock(), _spec_table1()
-
-    def start():
-        svc = CampaignService(sock, str(stores), max_workers=2)
-        thread = threading.Thread(target=svc.serve, daemon=True)
-        thread.start()
-        _wait_for_socket(sock)
-        return svc, thread, ServiceClient(sock)
-
-    def stop(svc, thread):
-        svc.initiate_shutdown()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
+    start = functools.partial(_start, sock, stores)
+    stop = _stop
 
     svc, thread, client = start()
     try:

@@ -445,6 +445,14 @@ class TestStoreCLI:
         assert "complete" in stdout
         assert "table1" in stdout
 
+    def test_status_of_an_empty_store(self, tmp_path, capsys):
+        db = tmp_path / "campaign.db"
+        CampaignStore(db).close()
+        assert campaign_main(["--store", str(db), "--status"]) == 0
+        assert "empty store" in capsys.readouterr().out
+        assert campaign_main(["--store", str(db), "--status", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] is None
+
     def test_usage_errors(self, tmp_path, capsys):
         assert campaign_main(["--resume"]) == 2
         assert campaign_main(["--status"]) == 2

@@ -1,7 +1,8 @@
-"""Rewrite ``tests/golden/digests.json`` from the code as it stands.
+"""Rewrite ``tests/golden/digests.json`` and ``presets.json`` from the code as it stands.
 
-The digests pin behaviour, so rewriting them accepts a behaviour change;
-the script refuses to run without saying so::
+The digests pin behaviour and the preset fingerprints pin the campaign each
+entry point names, so rewriting them accepts a behaviour change; the script
+refuses to run without saying so::
 
     python tests/golden/regenerate.py --accept-behaviour-change
 """
@@ -22,13 +23,16 @@ def main(argv=None) -> int:
                         help="confirm that the simulated behaviour is meant to change")
     parser.parse_args(argv)
     sys.path[:0] = [str(HERE), str(HERE.parent.parent / "src")]
-    from runs import DIGESTS_PATH, RUNS, run_digest
+    from runs import (DIGESTS_PATH, FINGERPRINTS_PATH, RUNS, preset_fingerprints,
+                      run_digest)
 
     digests = {name: run_digest(name) for name in RUNS}
-    DIGESTS_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    for name, digest in sorted(digests.items()):
-        print(f"{name}: {digest}")
+    fingerprints = preset_fingerprints()
+    for path, values in ((DIGESTS_PATH, digests), (FINGERPRINTS_PATH, fingerprints)):
+        path.write_text(json.dumps(values, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        for name, value in sorted(values.items()):
+            print(f"{name}: {value}")
     return 0
 
 

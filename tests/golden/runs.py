@@ -23,11 +23,12 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.campaign import PRESETS, run_campaign, table1_spec
+from repro.campaign import PRESETS, run_campaign, spec_fingerprint, table1_spec
 from repro.verify.rare import SplitSettings, split_estimate_for_cell
 from repro.verify.sprt import SprtSettings, run_sprt_campaign
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "digests.json"
+FINGERPRINTS_PATH = Path(__file__).resolve().parent / "presets.json"
 
 #: Master seed of every pinned run (also the Table I legacy seed).
 SEED = 7
@@ -111,3 +112,60 @@ def run_digest(name: str) -> str:
 def load_digests() -> dict:
     """The checked-in digests, by run name."""
     return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+
+
+#: Non-default one-shot flags, plus the sweep flags each preset declares.
+_FLAGS = ("--replicates", "3", "--duration", "150", "--seed", "7")
+_SWEEP_FLAGS = {"table1": ("--mean-toffs", "12,6"),
+                "loss_sweep": ("--loss-levels", "0.2,0.4"),
+                "grid": ("--mean-toffs", "12,6", "--loss-levels", "0.2,0.4"),
+                "scenarios": (), "interlock": ()}
+
+
+class _Captured(Exception):
+    """Raised by the stand-in ``run_campaign`` with the spec and seed it got."""
+
+
+def _capture(spec, seed=0, **_):
+    raise _Captured(spec, seed)
+
+
+def _captured_fingerprint(module, run, *args) -> str:
+    """The fingerprint of the campaign ``run(*args)`` hands to ``module.run_campaign``."""
+    original = module.run_campaign
+    module.run_campaign = _capture
+    try:
+        run(*args)
+    except _Captured as captured:
+        return spec_fingerprint(*captured.args)
+    finally:
+        module.run_campaign = original
+    raise AssertionError(f"{run.__name__} ran no campaign")
+
+
+def preset_fingerprints() -> dict:
+    """The spec fingerprint of every preset at every entry point.
+
+    Fingerprints key stores and service jobs, so each entry point must keep
+    naming the same campaign: the one-shot CLI at default and non-default
+    flags (at its ``--seed``), ``PRESETS[name].build()`` (at master seed 0)
+    and each experiment driver at its defaults (at its own master seed).
+    """
+    from repro.campaign import cli, executor
+    from repro.experiments import run_loss_sweep, run_scenarios, run_table1
+
+    fingerprints = {}
+    for name in sorted(PRESETS):
+        for case, flags in (("defaults", ()), ("flags", _FLAGS + _SWEEP_FLAGS[name])):
+            fingerprints[f"{name}: one-shot {case}"] = _captured_fingerprint(
+                cli, cli.main, ["--experiment", name, "--quiet", *flags])
+        fingerprints[f"{name}: build()"] = spec_fingerprint(PRESETS[name].build(), 0)
+    for driver in (run_loss_sweep, run_scenarios, run_table1):
+        fingerprints[f"experiments: {driver.__name__}()"] = _captured_fingerprint(
+            executor, driver)
+    return fingerprints
+
+
+def load_fingerprints() -> dict:
+    """The checked-in preset fingerprints, by entry point."""
+    return json.loads(FINGERPRINTS_PATH.read_text(encoding="utf-8"))

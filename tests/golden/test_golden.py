@@ -3,7 +3,8 @@
 import pytest
 
 from repro.campaign import run_campaign, table1_spec
-from tests.golden.runs import RUNS, load_digests, run_digest
+from tests.golden.runs import (RUNS, load_digests, load_fingerprints,
+                               preset_fingerprints, run_digest)
 
 
 def test_every_run_has_a_digest():
@@ -14,6 +15,14 @@ def test_every_run_has_a_digest():
 def test_pinned_run_matches_golden_digest(name):
     assert run_digest(name) == load_digests()[name], (
         f"{name} changed behaviour; if intended, rerun "
+        "tests/golden/regenerate.py --accept-behaviour-change")
+
+
+def test_preset_fingerprints_are_frozen():
+    # Every entry point of every preset still names the same campaign: the
+    # fingerprints key stores and service jobs.
+    assert preset_fingerprints() == load_fingerprints(), (
+        "a preset's spec changed; if intended, rerun "
         "tests/golden/regenerate.py --accept-behaviour-change")
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the compiled engine, fork groups, task dispatch and the service.
+"""Mutation check of the compiled engine, fork groups, task dispatch, the service and presets.
 
 Each mutant below breaks one rule that bit-identity rests on: in
 ``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
@@ -11,8 +11,10 @@ group pauses, copies and forks a survivor and puts the results back; in
 span cells, attributed to their own cell, failed by the fault plan's
 ``raise`` clauses and published after their commit; in
 ``src/repro/campaign/store.py`` and ``src/repro/campaign/service/server.py``
-how a job's rows stay its own, when a submission becomes durable and which
-jobs a restarted daemon takes back.
+how a job's rows stay its own, when a submission becomes durable, which
+jobs a restarted daemon takes back and that a cancel holds across a
+restart; in ``src/repro/campaign/presets.py`` that a preset's declared
+defaults name the same campaign.
 The tool copies the repository's ``src/`` and ``tests/`` into a temporary
 directory, checks that the unmutated copy passes, then applies each mutant
 in turn and asserts that the fixed tests listed in ``TESTS`` for the
@@ -45,6 +47,7 @@ RARE = "src/repro/verify/rare.py"
 EXECUTOR = "src/repro/campaign/executor.py"
 STORE = "src/repro/campaign/store.py"
 SERVER = "src/repro/campaign/service/server.py"
+PRESETS = "src/repro/campaign/presets.py"
 ENGINE_TESTS = ["tests/hybrid/test_quiet_steps.py", "tests/golden",
                 "tests/verify/test_fork_groups.py",
                 "tests/verify/test_rare_determinism.py::TestEngineTierInvariance"
@@ -57,7 +60,8 @@ CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
 TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS, RARE: ENGINE_TESTS,
          EXECUTOR: CAMPAIGN_TESTS,
          STORE: ["tests/campaign/test_store.py::TestStoreLifecycle"],
-         SERVER: ["tests/campaign/test_service.py"]}
+         SERVER: ["tests/campaign/test_service.py"],
+         PRESETS: ["tests/golden/test_golden.py::test_preset_fingerprints_are_frozen"]}
 DESELECTED = ["tests/hybrid/test_quiet_steps.py::test_generated_systems_are_bit_identical",
               "tests/verify/test_fork_groups.py"
               "::test_perfbench_pin_simulates_at_most_87000_seconds"]
@@ -197,6 +201,25 @@ MUTANTS = {
           "                               (-job.priority, job.seq, fingerprint))\n",
           "            else:\n"
           "                continue\n")]),
+    "cancel-ignored": (
+        SERVER, "a cancel neither stops a job nor finishes a queued one",
+        [("                job.cancel.set()\n"
+          "                if job.state is JobState.QUEUED:\n"
+          "                    self._db.mark_cancelled(job.job_id)\n"
+          "                    job.finish(JobState.CANCELLED)\n",
+          "                pass\n")]),
+    "cancel-not-durable": (
+        SERVER, "a cancelled job's cancel mark is never written, so a restart runs it",
+        [("                    self._db.mark_cancelled(job.job_id)\n"
+          "                    job.finish(JobState.CANCELLED)\n",
+          "                    job.finish(JobState.CANCELLED)\n"),
+         ("        except CampaignCancelled:\n"
+          "            self._db.mark_cancelled(job.job_id)\n",
+          "        except CampaignCancelled:\n")]),
+    "preset-axis-default-drift": (
+        PRESETS, "the grid's declared default duration drifts from 600 to 900 s",
+        [('            Axis("duration", float, 600.0, POSITIVE, "duration",\n',
+          '            Axis("duration", float, 900.0, POSITIVE, "duration",\n')]),
 }
 
 
