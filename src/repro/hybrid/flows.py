@@ -110,8 +110,22 @@ class CallableFlow(Flow):
     reference engine integrates it through the dict-returning :attr:`func`
     derived here, and the compiled kernel (which also runs every batched
     lane) lowers the same ``kernel`` to RK4 over plain slot floats
-    (:mod:`repro.hybrid.simulate.compiled`), so every tier performs the same
+    (:mod:`repro.hybrid.simulate.rk4`), so every tier performs the same
     float operations.
+
+    The compiled RK4 inlines the kernel's body into its stages when it can
+    show the inlined code is the kernel's: a plain ``def`` (no lambda,
+    builtin, closure, decorator or ``__wrapped__``) whose source compiles
+    to its bytecode, whose body holds only assignments to locals,
+    ``if``/``elif``/``else`` and a ``return`` on every path, over numbers,
+    arithmetic, comparisons, ``and``/``or``/``not`` and conditional
+    expressions, and whose names are its own arguments and locals.  A
+    parameter is bound at lowering when it is a number or, read by field,
+    a frozen dataclass; a test over inputs that are not outputs and
+    parameters only, with no operator that can raise, is decided once per
+    advance.  Any other kernel -- one that calls a function, reads a
+    global or takes a mutable parameter -- is called at each stage, with
+    the same results.
 
     Args:
         kernel: Plain float code.  Called positionally with the value of

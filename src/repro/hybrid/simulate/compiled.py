@@ -142,6 +142,7 @@ from repro.hybrid.simulate.observers import TraceObserver, TraceRecorder
 from repro.hybrid.simulate.processes import (Coupling, EnvironmentProcess,
                                              LocationIndicatorCoupling,
                                              VariableCopyCoupling)
+from repro.hybrid.simulate.rk4 import lower_callable_advance
 from repro.hybrid.system import HybridSystem
 from repro.hybrid.trace import EventRecord, Trace, TransitionRecord
 from repro.hybrid.variables import Valuation
@@ -412,61 +413,6 @@ def _leaf_slots(predicates: Iterable[Predicate],
     return frozenset(slots)
 
 
-def _lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
-    """Compile a :class:`CallableFlow` into an in-place RK4 over slot floats.
-
-    Reproduces ``CallableFlow.advance`` / ``_rk4_step`` /
-    ``Valuation.advanced`` operation for operation on plain floats: the
-    outputs live in locals for the whole advance, the other inputs are read
-    once (nothing else moves during a flow), and every stage calls the
-    declared float kernel with positional arguments.  The integrated values
-    are therefore bit-identical to the reference engine's.  The program is
-    generated as Python source for the flow's input/output layout, so the
-    kernel calls carry no argument packing.
-
-    The program is ``(values, dt, rt) -> None``: it integrates ``values``
-    (the runtime's slot list) in place; ``rt`` only serves inputs that had
-    no slot at lowering time.
-    """
-    outputs = flow.outputs
-    env = {"kernel": flow.kernel, "substep": flow.substep, "inputs": flow.inputs}
-    env.update((f"p{j}", param) for j, param in enumerate(flow.params))
-    lines = ["def advance_program(values, dt, rt):",
-             "    if not dt > 1e-12:",
-             "        return"]
-    for j, (name, _) in enumerate(flow.inputs):
-        if name not in outputs:
-            slot = slot_of.get(name)
-            lines.append(f"    u{j} = values[{slot}]" if slot is not None
-                         else f"    u{j} = rt.get(*inputs[{j}])")
-    lines += [f"    x{i} = values[{slot_of[name]}]" for i, name in enumerate(outputs)]
-
-    def stage(k, step):
-        """Source of RK4 stage k: outputs probed ``step`` along stage k-1."""
-        args = []
-        for j, (name, _) in enumerate(flow.inputs):
-            if name not in outputs:
-                args.append(f"u{j}")
-                continue
-            i = outputs.index(name)
-            args.append(f"x{i}" if step is None else f"x{i} + k{k - 1}_{i} * {step}")
-        args += [f"p{j}" for j in range(len(flow.params))]
-        targets = ", ".join(f"k{k}_{i}" for i in range(len(outputs)))
-        return f"        {targets} = kernel({', '.join(args)})"
-
-    lines += ["    remaining = dt",
-              "    while remaining > 1e-12:",
-              "        h = substep if substep <= remaining else remaining",
-              "        half = h / 2.0",
-              stage(1, None), stage(2, "half"), stage(3, "half"), stage(4, "h")]
-    lines += [f"        x{i} = x{i} + (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-              f" / 6.0 * h" for i in range(len(outputs))]
-    lines.append("        remaining -= h")
-    lines += [f"    values[{slot_of[name]}] = x{i}" for i, name in enumerate(outputs)]
-    exec("\n".join(lines), env)
-    return env["advance_program"]
-
-
 def _lower_guard_eval(predicate: Predicate, slot_of: Mapping[str, int]):
     """Compile a guard's boolean evaluation; ``None`` means "always true"."""
     if isinstance(predicate, TruePredicate):
@@ -524,7 +470,7 @@ class CompiledLocation:
                                      if rate != 0.0)
         else:
             self.const_items = None
-        self.advance_program = (_lower_callable_advance(location.flow, slot_of)
+        self.advance_program = (lower_callable_advance(location.flow, slot_of)
                                 if isinstance(location.flow, CallableFlow) else None)
         source_edges = [e for e in automaton.edges if e.source == name]
         self.edges = tuple(CompiledEdge(edge, order_index, loc_index[edge.target],
@@ -617,6 +563,9 @@ class CompiledSystem:
         #: trial, and their compiled sources (many vectors share one).
         self.stretch_programs: Dict[tuple, Callable] = {}
         self.stretch_code: Dict[str, object] = {}
+        #: Quiet-step plans (:meth:`CompiledEngine._plan_quiet_steps`) by
+        #: coupling layout and ``dt_max``.
+        self.quiet_plans: Dict[tuple, tuple] = {}
         for ca in self.automata:
             for root in system.automata[ca.name].received_roots():
                 if root not in self.receivers:
@@ -962,14 +911,15 @@ class CompiledEngine:
             + list(observers))
         if self._recorder is not None:
             self._recorder.trace = Trace(self.system.risky_locations())
-        self._runtimes: List[_AutomatonRuntime] = [
-            _AutomatonRuntime(ca) for ca in self.compiled.automata]
+        # Runtimes, state and coupling programs are built per run by
+        # _initialize.
+        self._runtimes: List[_AutomatonRuntime] = []
         self.state = CompiledSystemState(self._runtimes)
-        self._coupling_programs = [self._lower_coupling(c) for c in self.couplings]
+        self._coupling_programs: List[Callable[[], None]] = []
         self._next_sample_time = 0.0
         self._time_of_last_wake: Dict[int, float] = {}
         self._horizon = 0.0
-        self._base_needs_sampling = bool(self.couplings) or bool(self.record_variables)
+        self._base_needs_sampling = False
         #: Global steps of the last run, how many of them were quiet, and
         #: how many per-automaton candidate derivations its full steps made.
         self.steps = 0
@@ -1090,7 +1040,9 @@ class CompiledEngine:
         for name, value in self.__dict__.items():
             if name not in ("_coupling_programs", "_stretches"):
                 setattr(clone, name, copy.deepcopy(value, memo))
-        clone._coupling_programs = [clone._lower_coupling(c) for c in clone.couplings]
+        # A copy made before start() has no runtimes, so no programs yet.
+        clone._coupling_programs = ([clone._lower_coupling(c) for c in clone.couplings]
+                                    if clone._runtimes else [])
         clone._stretches = {}
         clone._time_of_last_wake = remap_wakes(self._time_of_last_wake, memo)
         return clone
@@ -1136,27 +1088,41 @@ class CompiledEngine:
             rt.deadline = -math.inf
 
     def _plan_quiet_steps(self) -> None:
-        """Derive cache/scan eligibility and the cushion (see module docstring)."""
-        coupled: Dict[str, set] = {rt.name: set() for rt in self._runtimes}
-        written: List[tuple[str, str]] = []
+        """Set cache/scan eligibility and the cushion (see module docstring).
+
+        The plan reads only the coupling layout and ``dt_max``, so it is
+        derived once per pair and kept on the :class:`CompiledSystem`.
+        """
+        layout = tuple(self._layout_coupling(k, coupling)
+                       for k, coupling in enumerate(self.couplings))
+        key = (layout, self.dt_max)
+        plan = self.compiled.quiet_plans.get(key)
+        if plan is None:
+            plan = self.compiled.quiet_plans[key] = self._derive_plan(layout)
+        self._coupling_layout = layout
+        self._couplings_idempotent, tables, self._cushion = plan
+        for rt, (cache_ok, quiet_scan) in zip(self._runtimes, tables):
+            rt.cache_ok = cache_ok
+            rt.quiet_scan = quiet_scan
+
+    def _derive_plan(self, layout: tuple) -> tuple:
+        """``(idempotent, ((cache_ok, quiet_scan) per runtime), cushion)``."""
+        coupled: List[set] = [set() for _ in self._runtimes]
+        written: set[tuple[int, int]] = set()
         idempotent = True
-        for coupling in reversed(self.couplings):
-            if not _is_lowered_coupling(coupling):
+        for item in reversed(layout):
+            if item[0] == "call" and len(item) == 2:
                 idempotent = False
                 continue
-            target = (coupling.target_automaton, coupling.target_variable)
-            coupled[target[0]].add(self.state.runtime(target[0]).slots[target[1]])
-            if (type(coupling) is VariableCopyCoupling
-                    and (coupling.source_automaton,
-                         coupling.source_variable) in written):
+            target = (item[-2], item[-1])
+            coupled[target[0]].add(target[1])
+            if item[0] == "copy" and (item[1], item[2]) in written:
                 idempotent = False
-            written.append(target)
-        self._couplings_idempotent = idempotent
-        self._coupling_layout = tuple(self._layout_coupling(k, coupling)
-                                      for k, coupling in enumerate(self.couplings))
+            written.add(target)
         tiny = max(EPSILON, EPSILON / self.dt_max)
         inv_rate = 0.0
-        for rt in self._runtimes:
+        tables = []
+        for rt, hazards_of_rt in zip(self._runtimes, coupled):
             cache_ok, quiet_scan = [], []
             for loc in rt.ca.locations:
                 if loc.static_rates is None:
@@ -1165,7 +1131,7 @@ class CompiledEngine:
                     cache_ok.append(not loc.affine)
                     quiet_scan.append(loc.has_asap)
                     continue
-                hazards = coupled[rt.name] | {
+                hazards = hazards_of_rt | {
                     rt.ca.slot_of[name] for name, rate in loc.static_rates.items()
                     if rate != 0.0 and abs(rate) <= tiny}
                 cache_ok.append(loc.program_slots is not None
@@ -1174,14 +1140,18 @@ class CompiledEngine:
                                                     or bool(loc.guard_slots & hazards)))
                 if cache_ok[-1]:
                     inv_rate = max([inv_rate, *(term[2] for term in loc.drift_terms)])
-            rt.cache_ok = tuple(cache_ok)
-            rt.quiet_scan = tuple(quiet_scan)
+            tables.append((tuple(cache_ok), tuple(quiet_scan)))
         # The widest EPSILON/|r| tolerance of a cached leaf, and at least
         # EPSILON (a process wakes up to EPSILON early).
-        self._cushion = self.dt_max + max(EPSILON, EPSILON * inv_rate)
+        cushion = self.dt_max + max(EPSILON, EPSILON * inv_rate)
+        return idempotent, tuple(tables), cushion
 
     def _layout_coupling(self, index: int, coupling: Coupling) -> tuple:
-        """How a quiet stretch runs ``coupling``: a slot move or a call."""
+        """How a quiet stretch runs ``coupling``: a slot move or a call.
+
+        A lowered coupling's item ends with the ``target, slot`` it writes
+        on every step; only a generic coupling's item is ``("call", index)``.
+        """
         if _is_lowered_coupling(coupling):
             source = self.compiled.index_of[coupling.source_automaton]
             target = self.compiled.index_of[coupling.target_automaton]
@@ -1193,6 +1163,8 @@ class CompiledEngine:
             source_slot = self._runtimes[source].slots.get(coupling.source_variable)
             if source_slot is not None:
                 return ("copy", source, source_slot, target, slot)
+            # No coupling writes the source: its program copies the default.
+            return ("call", index, target, slot)
         return ("call", index)
 
     def _bind_stretch(self, key: tuple) -> Callable[[float], bool]:

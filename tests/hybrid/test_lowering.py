@@ -3,7 +3,9 @@
 Two lowerings replace generic calls on the hot path of every fast tier:
 
 * a :class:`CallableFlow` declaration becomes an RK4 over plain slot
-  floats, run by the compiled kernel (and so by every batched lane);
+  floats, run by the compiled kernel (and so by every batched lane), with
+  the kernel's body inlined into the stages when the translator can
+  reproduce it and a call per stage otherwise;
 * True/False/Linear/Box/Not/And/Or predicate trees become slot-indexed
   ``evaluate`` / ``time_until_true`` / ``time_until_false`` programs.
 
@@ -11,8 +13,10 @@ Both must agree with the reference methods bit for bit, ``None``
 ("sample instead") results included.
 """
 
+import functools
 import math
 import struct
+from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +28,7 @@ from repro.hybrid.expressions import (FALSE, TRUE, Comparison, FunctionPredicate
                                       LinearInequality)
 from repro.hybrid.simulate.compiled import (_STATIC_SKIP, SlotValuation, _AutomatonRuntime,
                                             _lower_crossing, _lower_delay, _lower_eval)
+from repro.hybrid.simulate.rk4 import KernelTranslation
 from repro.hybrid.variables import Valuation
 from repro.util.timebase import EPSILON
 
@@ -68,6 +73,16 @@ def compiled_advance(system, start, dt):
     return {name: rt.values[slot] for name, slot in ca.slot_of.items()}
 
 
+def advance_program(system):
+    """The lowered RK4 program of the system's first automaton."""
+    return compile_system(system).automata[0].locations[0].advance_program
+
+
+def calls_kernel(program):
+    """Whether a lowered RK4 program calls its kernel (rather than inlining it)."""
+    return "kernel" in program.__code__.co_names
+
+
 def patient_flow():
     return build_patient(MODEL, substep=SUBSTEP).location("Physiology").flow
 
@@ -83,6 +98,16 @@ def test_patient_rk4_is_bit_identical_on_every_tier(spo2, ventilated, dt):
     compiled = compiled_advance(system, start, dt)
     assert bits(compiled[SPO2]) == bits(expected)
     assert compiled[VENTILATED] == ventilated
+
+
+def test_patient_program_inlines_the_kernel():
+    system = HybridSystem("patient")
+    system.add(build_patient(MODEL, substep=SUBSTEP), entity="patient")
+    program = advance_program(system)
+    # No kernel call and no global read but the substep: the model's fields
+    # are literals and ``ventilated`` is decided once per advance.
+    assert program.__code__.co_names == ("substep",)
+    assert KernelTranslation(patient_flow()).decided == ["(u1 > 0.5)"]
 
 
 def oscillator(x, v, gain, damping):
@@ -104,6 +129,209 @@ def test_multi_output_rk4_is_bit_identical(x, v, drift, dt):
         compiled = compiled_advance(system, start, dt)
         for name in start:
             assert bits(compiled[name]) == bits(expected[name])
+
+
+# ---------------------------------------------------------------------------
+# Kernel translation: fixed kernel shapes, inlined or called
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Limits:
+    low: float = -1.0
+    high: float = 2.0
+    drift: float = 0.3
+    damping: float = 0.4
+
+
+@dataclass
+class MutableRate:
+    rate: float = 0.5
+
+
+def gated_decay(x, gate, rate):
+    """Decays while the gate is open and holds otherwise."""
+    if gate > 0.5:
+        return -rate * x
+    return 0.0
+
+
+def ramp_then_hold(x):
+    if x < 1.0:
+        return 1.0
+    return 0.25 * x
+
+
+def piecewise(x, mode, limits):
+    if mode > 0.5:
+        if x > limits.high:
+            return limits.high - x
+        elif x < limits.low:
+            return limits.low - x
+        return 0.0
+    if mode < -0.5 and x > 0.0:
+        return -x
+    if limits.drift > 0.0:
+        return limits.drift if x < limits.high else -limits.drift
+    return 0.0
+
+
+def braked_oscillator(x, v, brake, gain, limits):
+    spring = -gain * x
+    if brake > 0.5:
+        friction = limits.damping * v
+    else:
+        friction = limits.damping * v * 0.5
+    return v, spring - friction
+
+
+def guarded_ratio(x, u):
+    if u == 0.0:
+        return 0.0
+    if 1.0 / u > 2.0:
+        return -x
+    return x
+
+
+GLOBAL_RATE = 0.5
+
+
+def global_decay(x):
+    return -GLOBAL_RATE * x
+
+
+def builtin_clip(x):
+    return min(x, 1.0)
+
+
+def mutable_decay(x, params):
+    return -params.rate * x
+
+
+def make_scaled(scale):
+    def scaled(x):
+        return -scale * x
+    return scaled
+
+
+@dataclass
+class Scale:
+    """A callable (and, comparing by value, unhashable) kernel object."""
+    gain: float = 0.5
+
+    def __call__(self, x):
+        return -self.gain * x
+
+
+def counting(kernel):
+    """``kernel`` wrapped with a call counter, as a tracer wraps one."""
+    calls = [0]
+
+    @functools.wraps(kernel)
+    def wrapper(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    wrapper.calls = calls
+    return wrapper
+
+
+TRANSLATION_DTS = (0.0, 5e-13, 0.03, 0.1, 0.37, 1.3)
+
+
+def one_variable_flow(kernel, params=(), **inputs):
+    return CallableFlow(kernel, inputs={"x": 0.0, **inputs}, outputs=("x",),
+                        params=params, substep=0.05)
+
+
+class TestKernelTranslation:
+    """Each shape's compiled RK4 matches ``CallableFlow.advance`` bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(flow, starts, dts=TRANSLATION_DTS):
+        names = [name for name, _ in flow.inputs] + [
+            name for name in flow.outputs if name not in dict(flow.inputs)]
+        system = flow_system(flow, names, dict.fromkeys(names, 0.0))
+        for start in starts:
+            for dt in dts:
+                expected = flow.advance(Valuation(start), dt)
+                compiled = compiled_advance(system, start, dt)
+                for name in start:
+                    assert bits(compiled[name]) == bits(expected[name]), (start, dt, name)
+        return advance_program(system)
+
+    def test_branch_on_a_step_constant_input(self):
+        flow = one_variable_flow(gated_decay, params=(0.7,), gate=1.0)
+        starts = [{"x": x, "gate": gate} for x in (2.0, -0.3) for gate in (0.0, 0.5, 1.0)]
+        assert not calls_kernel(self.assert_bit_identical(flow, starts))
+        assert KernelTranslation(flow).decided == ["(u1 > 0.5)"]
+
+    def test_branch_on_an_output_stays_in_the_stages(self):
+        # x crosses 1.0 inside one advance, so a test decided once is wrong.
+        flow = one_variable_flow(ramp_then_hold)
+        starts = [{"x": x} for x in (0.9, 0.99, 1.0, 3.0)]
+        assert not calls_kernel(self.assert_bit_identical(flow, starts))
+        assert KernelTranslation(flow).decided == []
+
+    def test_nested_branches(self):
+        flow = one_variable_flow(piecewise, params=(Limits(),), mode=0.0)
+        starts = [{"x": x, "mode": mode} for x in (-1.5, 0.5, 1.95, 2.5)
+                  for mode in (-1.0, 0.0, 1.0)]
+        assert not calls_kernel(self.assert_bit_identical(flow, starts))
+        # The parameter-only test is decided too; the And on x is not.
+        assert KernelTranslation(flow).decided == ["(u1 > 0.5)", "(0.3 > 0.0)"]
+
+    def test_tuple_returns_and_locals(self):
+        flow = CallableFlow(braked_oscillator, inputs={"x": 0.0, "v": 0.0, "brake": 0.0},
+                            outputs=("x", "v"), params=(3.0, Limits()), substep=0.03)
+        starts = [{"x": x, "v": v, "brake": brake} for x, v in ((1.0, 0.0), (-0.4, 2.5))
+                  for brake in (0.0, 1.0)]
+        assert not calls_kernel(self.assert_bit_identical(flow, starts))
+
+    def test_frozen_parameters_are_bound_as_constants(self):
+        flow = one_variable_flow(piecewise, params=(Limits(low=-0.0, drift=math.inf),),
+                                 mode=1.0)
+        starts = [{"x": x, "mode": 1.0} for x in (-0.5, 0.5, 3.0)]
+        program = self.assert_bit_identical(flow, starts)
+        # -0.0 and inf have no exact literal: they are bound by name.
+        assert set(program.__code__.co_names) == {"c0", "c1", "substep"}
+
+    def test_a_test_that_may_raise_stays_in_the_stages(self):
+        flow = one_variable_flow(guarded_ratio, u=0.0)
+        starts = [{"x": 1.5, "u": u} for u in (0.0, 0.25, 1.0)]
+        assert not calls_kernel(self.assert_bit_identical(flow, starts))
+        assert KernelTranslation(flow).decided == ["(u1 == 0.0)"]
+
+    def test_closures_lambdas_globals_and_builtins_keep_the_call(self):
+        for kernel in (make_scaled(0.5), lambda x: -0.5 * x, global_decay, builtin_clip,
+                       abs, Scale()):
+            flow = one_variable_flow(kernel)
+            program = self.assert_bit_identical(flow, [{"x": 0.7}, {"x": -2.0}])
+            assert calls_kernel(program), kernel
+
+    def test_a_wrapped_kernel_is_called_once_per_stage(self):
+        kernel = counting(gated_decay)
+        flow = one_variable_flow(kernel, params=(0.7,), gate=1.0)
+        program = self.assert_bit_identical(flow, [{"x": 2.0, "gate": 1.0}])
+        assert calls_kernel(program)
+        system = flow_system(flow, ["x", "gate"], {"x": 2.0, "gate": 1.0})
+        kernel.calls[0] = 0
+        flow.advance(Valuation({"x": 2.0, "gate": 1.0}), 0.1)
+        reference = kernel.calls[0]
+        kernel.calls[0] = 0
+        compiled_advance(system, {"x": 2.0, "gate": 1.0}, 0.1)
+        assert kernel.calls[0] == reference == 4 * 2
+
+    def test_a_mutable_parameter_is_read_at_every_call(self):
+        params = MutableRate()
+        flow = one_variable_flow(mutable_decay, params=(params,))
+        system = flow_system(flow, ["x"], {"x": 1.0})
+        program = advance_program(system)
+        assert calls_kernel(program)
+        params.rate = 2.0
+        values = [1.0]
+        program(values, 0.2, None)
+        expected = flow.advance(Valuation({"x": 1.0}), 0.2)["x"]
+        assert bits(values[0]) == bits(expected)
 
 
 def test_reference_func_is_derived_from_the_kernel():

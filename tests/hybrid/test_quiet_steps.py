@@ -23,7 +23,8 @@ from repro.hybrid import (And, BoxPredicate, CallableFlow, CallbackProcess,
                           CompiledEngine, Edge, EnvironmentProcess, FunctionCoupling,
                           HybridAutomaton, HybridSystem, LocationIndicatorCoupling,
                           Location, Not, Or, Predicate, Reset, SimulationEngine, TRUE,
-                          VariableCopyCoupling, clock_flow, receive, var_ge, var_le)
+                          VariableCopyCoupling, clock_flow, compile_system, receive, var_ge,
+                          var_le)
 from repro.util.timebase import EPSILON
 
 DT_MAX = 0.1
@@ -120,6 +121,33 @@ class TestRegressionSystems:
         reference, compiled = run_pair(build)
         assert fire_time(reference, "watch") == pytest.approx(16.7, abs=0.05)
         assert compiled.quiet_steps > 0
+
+    def test_plan_follows_couplings_changed_between_runs(self):
+        """One lowered system and one engine per tier, run without, with and
+        again without the coupling that makes the guard's ``x`` a hazard,
+        then at another ``dt_max``: each run gets its own quiet-step plan."""
+        system = HybridSystem("coupled-guard")
+        system.add(source_automaton())
+        system.add(one_shot("watch", var_ge("x", 50.0), {"x": 1.0}))
+        lowered = compile_system(system)
+        copy = VariableCopyCoupling(source_automaton="src", source_variable="y",
+                                    target_automaton="watch", target_variable="x")
+        options = dict(seed=11, record_variables=[("src", "y")], sample_interval=EVERY_STEP)
+        engines = (SimulationEngine(system, dt_max=DT_MAX, **options),
+                   CompiledEngine(lowered, dt_max=DT_MAX, **options))
+        for couplings in ([], [copy], []):
+            for engine in engines:
+                engine.couplings[:] = couplings
+            reference, trace = (engine.run(HORIZON) for engine in engines)
+            assert reference.transitions == trace.transitions
+            assert reference.series("src", "y") == trace.series("src", "y")
+            assert len(trace.transitions) == len(couplings)
+        engines = (SimulationEngine(system, dt_max=0.3, couplings=[copy], **options),
+                   CompiledEngine(lowered, dt_max=0.3, couplings=[copy], **options))
+        reference, trace = (engine.run(HORIZON) for engine in engines)
+        assert reference.transitions == trace.transitions
+        assert reference.series("src", "y") == trace.series("src", "y")
+        assert len(lowered.quiet_plans) == 3
 
     def test_guard_on_tiny_rate(self):
         """``x >= 1e-7`` under ``x' = 4e-9`` turns true 0.25 s early."""

@@ -4,7 +4,9 @@
 Each mutant below breaks one rule that bit-identity rests on: in
 ``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
 deadlines, wakeup invalidation, the discrete-phase scan filter, the
-quiet-stretch loop or the copy of a paused run; in
+quiet-stretch loop, the copy of a paused run or the key of a kept
+quiet-step plan; in ``src/repro/hybrid/simulate/rk4.py`` which kernel
+tests and parameters the flow-kernel translator fixes once; in
 ``src/repro/util/seeding.py`` and ``src/repro/verify/rare.py`` how a fork
 group pauses, copies and forks a survivor and puts the results back; in
 ``src/repro/campaign/executor.py`` how trials are sized into tasks that
@@ -42,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/repro/hybrid/simulate/compiled.py"
+RK4 = "src/repro/hybrid/simulate/rk4.py"
 SEEDING = "src/repro/util/seeding.py"
 RARE = "src/repro/verify/rare.py"
 EXECUTOR = "src/repro/campaign/executor.py"
@@ -58,6 +61,9 @@ CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
                   "tests/campaign/test_shm.py::TestCampaignEquivalence"]
 #: The fixed tests that must kill a mutant of each file.
 TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS, RARE: ENGINE_TESTS,
+         RK4: ["tests/hybrid/test_lowering.py::TestKernelTranslation",
+               "tests/hybrid/test_lowering.py::test_patient_program_inlines_the_kernel",
+               "tests/golden"],
          EXECUTOR: CAMPAIGN_TESTS,
          STORE: ["tests/campaign/test_store.py::TestStoreLifecycle"],
          SERVER: ["tests/campaign/test_service.py"],
@@ -94,8 +100,8 @@ MUTANTS = {
           "        if False:\n")]),
     "cushion-dt-max": (
         ENGINE, "the cushion is dt_max, without the leaves' EPSILON/|r| tolerance",
-        [("        self._cushion = self.dt_max + max(EPSILON, EPSILON * inv_rate)\n",
-          "        self._cushion = self.dt_max\n")]),
+        [("        cushion = self.dt_max + max(EPSILON, EPSILON * inv_rate)\n",
+          "        cushion = self.dt_max\n")]),
     "keep-near-candidates": (
         ENGINE, "a full step keeps valid candidates inside the cushion",
         [("            if rt.deadline > near:\n", "            if rt.deadline > now:\n")]),
@@ -118,6 +124,22 @@ MUTANTS = {
     "watch-first-runtime-only": (
         ENGINE, "a quiet step evaluates only the first watched runtime's guards",
         [("    for i in watched:\n", "    for i in watched[:1]:\n")]),
+    "plan-ignores-couplings": (
+        ENGINE, "a lowered system's kept quiet-step plan is reused for another coupling layout",
+        [("        key = (layout, self.dt_max)\n", "        key = self.dt_max\n")]),
+    "decide-output-test": (
+        RK4, "the kernel translator decides a test that reads an output once per advance",
+        [('            return (f"x{value}" if k == 1 else f"s{k}_{value}"), False\n',
+          '            return (f"x{value}" if k == 1 else f"s{k}_{value}"), True\n')]),
+    "bind-mutable-parameter": (
+        RK4, "the kernel translator binds a field of a mutable parameter at lowering",
+        [('            if (kind == "param" and _frozen_dataclass(value)\n',
+          '            if (kind == "param" and dataclasses.is_dataclass(value)\n')]),
+    "decide-raising-test": (
+        RK4, "the kernel translator decides a test with a division up front, where it may"
+        " raise on a path the kernel never takes",
+        [("_NONRAISING = (ast.Add, ast.Sub, ast.Mult)\n",
+          "_NONRAISING = (ast.Add, ast.Sub, ast.Mult, ast.Div)\n")]),
     "fork-keeps-parent-generators": (
         SEEDING, "a forked ledger keeps drawing from the parent's generators",
         [("        for key, forked in self._streams.items():\n"
@@ -135,8 +157,8 @@ MUTANTS = {
                 "                sample(True)",''', '''                "                sample(True)",''')]),
     "copy-shares-coupling-programs": (
         ENGINE, "a copied engine keeps the coupling programs bound to the original",
-        [("        clone._coupling_programs = [clone._lower_coupling(c) for c in clone.couplings]\n",
-          "        clone._coupling_programs = self._coupling_programs\n")]),
+        [("        clone._coupling_programs = ([clone._lower_coupling(c) for c in clone.couplings]\n",
+          "        clone._coupling_programs = (self._coupling_programs\n")]),
     "copy-shares-boundaries": (
         SEEDING, "a copied stream shares its boundary list with the original",
         [("        clone = memo[id(self)] = type(self)(generators, list(self._boundaries),\n",
