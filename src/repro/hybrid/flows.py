@@ -114,18 +114,18 @@ class CallableFlow(Flow):
     float operations.
 
     The compiled RK4 inlines the kernel's body into its stages when it can
-    show the inlined code is the kernel's: a plain ``def`` (no lambda,
-    builtin, closure, decorator or ``__wrapped__``) whose source compiles
-    to its bytecode, whose body holds only assignments to locals,
-    ``if``/``elif``/``else`` and a ``return`` on every path, over numbers,
-    arithmetic, comparisons, ``and``/``or``/``not`` and conditional
-    expressions, and whose names are its own arguments and locals.  A
-    parameter is bound at lowering when it is a number or, read by field,
-    a frozen dataclass; a test over inputs that are not outputs and
-    parameters only, with no operator that can raise, is decided once per
-    advance.  Any other kernel -- one that calls a function, reads a
-    global or takes a mutable parameter -- is called at each stage, with
-    the same results.
+    show the inlined code is the kernel's: an undecorated ``def`` whose
+    source compiles to its bytecode, whose body holds only
+    ``if``/``elif``/``else`` and a ``return`` (a value, or a tuple with one
+    value per output) on every path, whose expressions are numbers,
+    ``+ - * /``, unary minus and single comparisons, and whose names are
+    its own arguments.  A parameter is bound at lowering when it is a
+    number or, read by field, a frozen dataclass; the first test over
+    inputs that are not outputs and parameters only, with no operator that
+    can raise, is decided once per advance.  Any other kernel -- a lambda,
+    builtin, closure or wrapper, one that assigns a local, calls a
+    function, reads a global or takes a mutable parameter -- is called at
+    each stage, with the same results.
 
     Args:
         kernel: Plain float code.  Called positionally with the value of

@@ -8,7 +8,7 @@ bit-identical to the reference engine.
 
 When :class:`KernelTranslation` can show that it reproduces the flow's
 kernel, the kernel's body is inlined into the four RK4 stages: arguments
-become the stage's locals, frozen parameters become constants, and each
+become the stage's locals, frozen parameters become constants, and one
 test over step-constant values is decided once per advance, with one RK4
 loop per outcome.  Any other kernel is called once per stage.  The
 contract is spelled out in the ``CallableFlow`` docstring.
@@ -21,7 +21,6 @@ import ast
 import dataclasses
 import functools
 import inspect
-import linecache
 import math
 import textwrap
 import types
@@ -32,16 +31,10 @@ from repro.hybrid.flows import CallableFlow
 
 #: Operators a translated kernel may use, by their source text; a test
 #: decided once per advance uses only those that cannot raise on numbers.
-_ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-               ast.FloorDiv: "//", ast.Mod: "%", ast.Pow: "**"}
+_ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _NONRAISING = (ast.Add, ast.Sub, ast.Mult)
 _ORDERINGS = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">",
               ast.GtE: ">="}
-_UNARY = {ast.USub: "-", ast.UAdd: "+", ast.Not: "not "}
-_BOOLEAN = {ast.And: " and ", ast.Or: " or "}
-#: Step-constant tests decided per advance (one RK4 loop per outcome); a
-#: kernel's further ones stay in its stages.
-_MAX_DECIDED = 3
 #: Statement blocks one translated stage may expand to before the kernel
 #: keeps its call (a fall-through ``if`` copies the statements after it).
 _MAX_BLOCKS = 256
@@ -66,13 +59,12 @@ def _frozen_dataclass(value) -> bool:
 def _kernel_definition(kernel) -> ast.FunctionDef | None:
     """The parsed ``def`` of a plain kernel function, or ``None`` (keep the call).
 
-    Only an undecorated ``def`` without closure or ``__wrapped__`` qualifies
-    (a wrapper, such as a tracer's call counter, must keep running), and its
-    source must compile to the kernel's own bytecode, so the tree is the
-    code that runs.
+    The source must be one undecorated ``def`` that compiles to the
+    kernel's own bytecode, so the tree is the code that runs; a wrapper
+    (whose source :func:`inspect.getsource` reports as the wrapped
+    function's) fails that comparison and keeps running.
     """
-    if (type(kernel) is not types.FunctionType or kernel.__name__ == "<lambda>"
-            or kernel.__closure__ is not None or hasattr(kernel, "__wrapped__")):
+    if type(kernel) is not types.FunctionType:
         return None
     return _parse_kernel(kernel)
 
@@ -81,15 +73,7 @@ def _kernel_definition(kernel) -> ast.FunctionDef | None:
 def _parse_kernel(kernel: types.FunctionType) -> ast.FunctionDef | None:
     own = kernel.__code__
     try:
-        if hasattr(own, "co_positions"):
-            # The def line through the last line any instruction spans.
-            last = max((end for _, end, _, _ in own.co_positions() if end is not None),
-                       default=0)
-            lines = linecache.getlines(own.co_filename)[own.co_firstlineno - 1:last]
-            source = "".join(lines)
-        else:  # Python 3.10
-            source = inspect.getsource(kernel)
-        module = ast.parse(textwrap.dedent(source))
+        module = ast.parse(textwrap.dedent(inspect.getsource(kernel)))
         code = compile(module, own.co_filename, "exec", dont_inherit=True,
                        flags=own.co_flags & __future__.annotations.compiler_flag)
     except (OSError, TypeError, SyntaxError):
@@ -109,22 +93,23 @@ def _parse_kernel(kernel: types.FunctionType) -> ast.FunctionDef | None:
 class KernelTranslation:
     """A :class:`CallableFlow` kernel's body as inline RK4 stage source.
 
+    The kernel's statements are ``if``/``elif``/``else`` and ``return``.
     A kernel argument that is an output reads its stage probe (``x{i}`` at
     stage 1, ``s{k}_{i}`` after), another input its value read once per
     advance (``u{j}``), a number parameter and a field of a
     frozen-dataclass parameter their value at lowering (a literal, or
-    ``c{n}`` in :attr:`constants`), and an assigned local ``l_{name}``.
-    Anything else -- a call, a global or builtin, a subscript, a mutable
-    parameter, a local read before assignment, a path that returns
+    ``c{n}`` in :attr:`constants`).  Anything else -- an assignment, a
+    call, a global or builtin, a mutable parameter, a path that returns
     nothing -- raises :class:`_KeepCall`.  Every expression is emitted
     fully parenthesized, so it parses to the kernel's own tree and performs
     the kernel's operations in the kernel's order; a ``return`` assigns the
     stage's ``k{k}_{i}``.
 
-    :attr:`decided` lists the tests that read only step-constant values
-    (inputs that are not outputs, parameters, literals) with operators
-    that cannot raise: the program evaluates them once per advance and
-    runs one RK4 loop per outcome, whose stages take the decided branch.
+    :attr:`decided` is the first test (outermost first) that reads only
+    step-constant values (inputs that are not outputs, parameters,
+    literals) with operators that cannot raise, or ``None``: the program
+    evaluates it once per advance and runs one RK4 loop per outcome, whose
+    stages take the decided branch.  Other tests stay in the stages.
     """
 
     def __init__(self, flow: CallableFlow):
@@ -157,53 +142,35 @@ class KernelTranslation:
                              if kind == "state" and name in read)
         self.fixed = sorted(value for name, (kind, value) in self.bindings.items()
                             if kind == "fixed" and name in read)
-        local = frozenset(node.id for node in ast.walk(definition)
-                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
-        self.decided: List[str] = []
-        for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-            if isinstance(node, ast.If) and len(self.decided) < _MAX_DECIDED:
-                text, decidable = self.expression(node.test, 1, local)
-                if decidable and text not in self.decided:
-                    self.decided.append(text)
+        tests = (self.expression(node.test, 1)
+                 for node in ast.walk(ast.Module(body=body, type_ignores=[]))
+                 if isinstance(node, ast.If))
+        self.decided: str | None = next((text for text, decidable in tests if decidable),
+                                        None)
 
-    def stage(self, k: int, decided: Mapping[str, bool]) -> List[str]:
-        """Source lines of RK4 stage ``k`` under the ``decided`` test outcomes."""
+    def stage(self, k: int, outcome: bool | None) -> List[str]:
+        """Source lines of RK4 stage ``k`` where :attr:`decided` is ``outcome``."""
         self.budget = _MAX_BLOCKS
-        return self.block(self.body, k, frozenset(), decided)
+        return self.block(self.body, k, outcome)
 
-    def block(self, statements: list, k: int, assigned: frozenset,
-              decided: Mapping[str, bool]) -> List[str]:
+    def block(self, statements: list, k: int, outcome: bool | None) -> List[str]:
         """Lines running ``statements`` to the ``return`` that ends every path."""
         self.budget -= 1
-        if self.budget < 0:
+        if self.budget < 0 or not statements:
+            raise _KeepCall  # too many copies, or a path that returns None
+        statement, rest = statements[0], statements[1:]
+        if isinstance(statement, ast.Return) and statement.value is not None:
+            return [self.result(statement.value, k)]
+        if not isinstance(statement, ast.If):
             raise _KeepCall
-        lines = []
-        for index, statement in enumerate(statements):
-            rest = statements[index + 1:]
-            if isinstance(statement, ast.Return) and statement.value is not None:
-                return lines + [self.result(statement.value, k, assigned)]
-            if isinstance(statement, ast.If):
-                text, _ = self.expression(statement.test, k, assigned)
-                if text in decided:
-                    taken = statement.body if decided[text] else statement.orelse
-                    return lines + self.block(taken + rest, k, assigned, decided)
-                return lines + [f"if {text}:",
-                                *_indent(self.block(statement.body + rest, k, assigned,
-                                                    decided)),
-                                "else:",
-                                *_indent(self.block(statement.orelse + rest, k, assigned,
-                                                    decided))]
-            if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1
-                    and isinstance(statement.targets[0], ast.Name)
-                    and statement.targets[0].id not in self.bindings):
-                raise _KeepCall
-            value, _ = self.expression(statement.value, k, assigned)
-            name = statement.targets[0].id
-            lines.append(f"l_{name} = {value}")
-            assigned = assigned | {name}
-        raise _KeepCall  # a path that returns None
+        text, _ = self.expression(statement.test, k)
+        if text == self.decided:
+            taken = statement.body if outcome else statement.orelse
+            return self.block(taken + rest, k, outcome)
+        return [f"if {text}:", *_indent(self.block(statement.body + rest, k, outcome)),
+                "else:", *_indent(self.block(statement.orelse + rest, k, outcome))]
 
-    def result(self, value: ast.expr, k: int, assigned: frozenset) -> str:
+    def result(self, value: ast.expr, k: int) -> str:
         """The stage's ``k{k}_{i} = ...`` assignment for a returned value."""
         if self.outputs == 1:
             values = [value]
@@ -211,17 +178,17 @@ class KernelTranslation:
             values = value.elts
         else:
             raise _KeepCall
-        sources = [self.expression(item, k, assigned)[0] for item in values]
+        sources = [self.expression(item, k)[0] for item in values]
         targets = ", ".join(f"k{k}_{i}" for i in range(self.outputs))
         return f"{targets} = {', '.join(sources)}"
 
-    def expression(self, node: ast.expr, k: int, assigned: frozenset) -> tuple[str, bool]:
+    def expression(self, node: ast.expr, k: int) -> tuple[str, bool]:
         """Source of ``node`` with its names bound for stage ``k``, and whether
         it is decidable once per advance (step-constant and unable to raise)."""
         if isinstance(node, ast.Constant) and _is_number(node.value):
             return repr(node.value), True
         if isinstance(node, ast.Name):
-            return self.name(node.id, k, assigned)
+            return self.name(node.id, k)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             kind, value = self.bindings.get(node.value.id, (None, None))
             if (kind == "param" and _frozen_dataclass(value)
@@ -229,32 +196,21 @@ class KernelTranslation:
                 return self.constant(getattr(value, node.attr)), True
             raise _KeepCall
         if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
-            left, a = self.expression(node.left, k, assigned)
-            right, b = self.expression(node.right, k, assigned)
+            left, a = self.expression(node.left, k)
+            right, b = self.expression(node.right, k)
             return (f"({left} {_ARITHMETIC[type(node.op)]} {right})",
                     a and b and isinstance(node.op, _NONRAISING))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-            operand, decidable = self.expression(node.operand, k, assigned)
-            return f"({_UNARY[type(node.op)]}{operand})", decidable
-        if isinstance(node, ast.Compare) and all(type(op) in _ORDERINGS for op in node.ops):
-            text, decidable = self.expression(node.left, k, assigned)
-            for op, item in zip(node.ops, node.comparators):
-                source, item_decidable = self.expression(item, k, assigned)
-                text += f" {_ORDERINGS[type(op)]} {source}"
-                decidable = decidable and item_decidable
-            return f"({text})", decidable
-        if isinstance(node, ast.BoolOp):
-            parts = [self.expression(item, k, assigned) for item in node.values]
-            return (f"({_BOOLEAN[type(node.op)].join(text for text, _ in parts)})",
-                    all(decidable for _, decidable in parts))
-        if isinstance(node, ast.IfExp):
-            (test, a), (body, b), (orelse, c) = (
-                self.expression(item, k, assigned)
-                for item in (node.test, node.body, node.orelse))
-            return f"({body} if {test} else {orelse})", a and b and c
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand, decidable = self.expression(node.operand, k)
+            return f"(-{operand})", decidable
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _ORDERINGS):
+            left, a = self.expression(node.left, k)
+            right, b = self.expression(node.comparators[0], k)
+            return f"({left} {_ORDERINGS[type(node.ops[0])]} {right})", a and b
         raise _KeepCall
 
-    def name(self, name: str, k: int, assigned: frozenset) -> tuple[str, bool]:
+    def name(self, name: str, k: int) -> tuple[str, bool]:
         """What kernel name ``name`` reads at stage ``k``."""
         kind, value = self.bindings.get(name, (None, None))
         if kind == "state":
@@ -263,9 +219,7 @@ class KernelTranslation:
             return f"u{value}", True
         if kind == "param" and _is_number(value):
             return self.constant(value), True
-        if kind is None and name in assigned:
-            return f"l_{name}", False
-        raise _KeepCall  # a global, a builtin, a local read before assignment
+        raise _KeepCall  # a global, a builtin, a free variable
 
     def constant(self, value) -> str:
         """A value bound at lowering: a literal when its text is exact."""
@@ -292,8 +246,8 @@ def lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
     outputs live in locals for the whole advance, the other inputs are read
     once (nothing else moves during a flow), and every stage runs the
     declared float kernel.  The kernel's body is inlined into the stages
-    when :class:`KernelTranslation` can reproduce it, with its
-    step-constant tests decided once per advance; otherwise each stage
+    when :class:`KernelTranslation` can reproduce it, with one
+    step-constant test decided once per advance; otherwise each stage
     calls the kernel with positional arguments.  Either way the integrated
     values are bit-identical to the reference engine's.
 
@@ -326,23 +280,23 @@ def _generate_advance(flow: CallableFlow, slot_of: Mapping[str, int],
         env["kernel"] = flow.kernel
         env.update((f"p{j}", param) for j, param in enumerate(flow.params))
         fixed = [j for j, (name, _) in enumerate(flow.inputs) if name not in outputs]
-        tests: List[str] = []
+        test = None
     else:
         fixed = translation.fixed
-        tests = translation.decided
+        test = translation.decided
     for j in fixed:
         slot = slot_of.get(flow.inputs[j][0])
         lines.append(f"    u{j} = values[{slot}]" if slot is not None
                      else f"    u{j} = rt.get(*inputs[{j}])")
     lines += [f"    x{i} = values[{slot_of[name]}]" for i, name in enumerate(outputs)]
 
-    def stage(k, step, decided):
+    def stage(k, step, outcome):
         """Source of RK4 stage k: outputs probed ``step`` along stage k-1."""
         if translation is not None:
             probes = ([] if step is None else
                       [f"s{k}_{i} = x{i} + k{k - 1}_{i} * {step}"
                        for i in translation.probes])
-            return probes + translation.stage(k, decided)
+            return probes + translation.stage(k, outcome)
         args = []
         for j, (name, _) in enumerate(flow.inputs):
             if name not in outputs:
@@ -354,23 +308,23 @@ def _generate_advance(flow: CallableFlow, slot_of: Mapping[str, int],
         targets = ", ".join(f"k{k}_{i}" for i in range(len(outputs)))
         return [f"{targets} = kernel({', '.join(args)})"]
 
-    def loops(decided):
-        """One RK4 loop per outcome of the tests not yet ``decided``."""
-        if len(decided) < len(tests):
-            test = tests[len(decided)]
-            return [f"if {test}:", *_indent(loops({**decided, test: True})),
-                    "else:", *_indent(loops({**decided, test: False}))]
+    def loop(outcome):
+        """The RK4 loop whose stages take the decided test's ``outcome``."""
         body = ["h = substep if substep <= remaining else remaining",
                 "half = h / 2.0"]
         for k, step in ((1, None), (2, "half"), (3, "half"), (4, "h")):
-            body += stage(k, step, decided)
+            body += stage(k, step, outcome)
         body += [f"x{i} = x{i} + (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
                  f" / 6.0 * h" for i in range(len(outputs))]
         body.append("remaining -= h")
         return ["while remaining > 1e-12:", *_indent(body)]
 
     lines.append("    remaining = dt")
-    lines += _indent(loops({}))
+    if test is None:
+        lines += _indent(loop(None))
+    else:
+        lines += _indent([f"if {test}:", *_indent(loop(True)),
+                          "else:", *_indent(loop(False))])
     lines += [f"    values[{slot_of[name]}] = x{i}" for i, name in enumerate(outputs)]
     if translation is not None:
         env.update(translation.constants)

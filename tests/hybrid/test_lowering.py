@@ -107,7 +107,7 @@ def test_patient_program_inlines_the_kernel():
     # No kernel call and no global read but the substep: the model's fields
     # are literals and ``ventilated`` is decided once per advance.
     assert program.__code__.co_names == ("substep",)
-    assert KernelTranslation(patient_flow()).decided == ["(u1 > 0.5)"]
+    assert KernelTranslation(patient_flow()).decided == "(u1 > 0.5)"
 
 
 def oscillator(x, v, gain, damping):
@@ -168,28 +168,26 @@ def piecewise(x, mode, limits):
         elif x < limits.low:
             return limits.low - x
         return 0.0
-    if mode < -0.5 and x > 0.0:
-        return -x
-    if limits.drift > 0.0:
-        return limits.drift if x < limits.high else -limits.drift
-    return 0.0
+    if mode < -0.5:
+        if x > 0.0:
+            return -x
+    if x < limits.high:
+        return limits.drift
+    return -limits.drift
 
 
 def braked_oscillator(x, v, brake, gain, limits):
-    spring = -gain * x
     if brake > 0.5:
-        friction = limits.damping * v
-    else:
-        friction = limits.damping * v * 0.5
-    return v, spring - friction
+        return v, -gain * x - limits.damping * v
+    return v, -gain * x - limits.damping * v * 0.5
 
 
 def guarded_ratio(x, u):
-    if u == 0.0:
-        return 0.0
-    if 1.0 / u > 2.0:
-        return -x
-    return x
+    if x > 0.0:
+        if 1.0 / u > 2.0:
+            return -x
+        return x
+    return 0.0
 
 
 GLOBAL_RATE = 0.5
@@ -263,24 +261,24 @@ class TestKernelTranslation:
         flow = one_variable_flow(gated_decay, params=(0.7,), gate=1.0)
         starts = [{"x": x, "gate": gate} for x in (2.0, -0.3) for gate in (0.0, 0.5, 1.0)]
         assert not calls_kernel(self.assert_bit_identical(flow, starts))
-        assert KernelTranslation(flow).decided == ["(u1 > 0.5)"]
+        assert KernelTranslation(flow).decided == "(u1 > 0.5)"
 
     def test_branch_on_an_output_stays_in_the_stages(self):
         # x crosses 1.0 inside one advance, so a test decided once is wrong.
         flow = one_variable_flow(ramp_then_hold)
         starts = [{"x": x} for x in (0.9, 0.99, 1.0, 3.0)]
         assert not calls_kernel(self.assert_bit_identical(flow, starts))
-        assert KernelTranslation(flow).decided == []
+        assert KernelTranslation(flow).decided is None
 
     def test_nested_branches(self):
         flow = one_variable_flow(piecewise, params=(Limits(),), mode=0.0)
         starts = [{"x": x, "mode": mode} for x in (-1.5, 0.5, 1.95, 2.5)
                   for mode in (-1.0, 0.0, 1.0)]
         assert not calls_kernel(self.assert_bit_identical(flow, starts))
-        # The parameter-only test is decided too; the And on x is not.
-        assert KernelTranslation(flow).decided == ["(u1 > 0.5)", "(0.3 > 0.0)"]
+        # The outermost step-constant test is decided; the others stay.
+        assert KernelTranslation(flow).decided == "(u1 > 0.5)"
 
-    def test_tuple_returns_and_locals(self):
+    def test_tuple_returns(self):
         flow = CallableFlow(braked_oscillator, inputs={"x": 0.0, "v": 0.0, "brake": 0.0},
                             outputs=("x", "v"), params=(3.0, Limits()), substep=0.03)
         starts = [{"x": x, "v": v, "brake": brake} for x, v in ((1.0, 0.0), (-0.4, 2.5))
@@ -296,10 +294,12 @@ class TestKernelTranslation:
         assert set(program.__code__.co_names) == {"c0", "c1", "substep"}
 
     def test_a_test_that_may_raise_stays_in_the_stages(self):
+        # 1.0 / u raises at u == 0.0, which the kernel never divides by
+        # while x <= 0.0; decided up front it would.
         flow = one_variable_flow(guarded_ratio, u=0.0)
-        starts = [{"x": 1.5, "u": u} for u in (0.0, 0.25, 1.0)]
+        starts = [{"x": -1.5, "u": 0.0}] + [{"x": 1.5, "u": u} for u in (0.25, 1.0)]
         assert not calls_kernel(self.assert_bit_identical(flow, starts))
-        assert KernelTranslation(flow).decided == ["(u1 == 0.0)"]
+        assert KernelTranslation(flow).decided is None
 
     def test_closures_lambdas_globals_and_builtins_keep_the_call(self):
         for kernel in (make_scaled(0.5), lambda x: -0.5 * x, global_decay, builtin_clip,
