@@ -39,7 +39,7 @@ _EXPORTS = {
                             "TrialSpec", "expand_grid"),
     "repro.campaign.store": ("CampaignStore", "CampaignStoreError",
                              "CheckpointStatus", "RecoveryStage",
-                             "RecoveryStateMachine", "spec_fingerprint"),
+                             "spec_fingerprint"),
 }
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
     "ShmSession", "ResultsRing", "ShmError",
     "shared_memory_available",
     "CampaignStore", "CampaignStoreError", "CheckpointStatus",
-    "RecoveryStage", "RecoveryStateMachine", "spec_fingerprint",
+    "RecoveryStage", "spec_fingerprint",
     "PRESETS", "Preset",
     "table1_spec", "loss_sweep_spec", "scenarios_spec", "grid_spec",
     "interlock_spec",

@@ -106,8 +106,7 @@ from repro.campaign.aggregate import CampaignResult, TrialSummary
 from repro.campaign.faults import (BatchContext, FaultPlan, InjectedTrialFault,
                                    TrialFailure, resolve_fault_plan)
 from repro.campaign.spec import CampaignSpec, TrialRun, TrialSpec
-from repro.campaign.store import (CampaignStore, CampaignStoreError,
-                                  RecoveryStage, RecoveryStateMachine)
+from repro.campaign.store import CampaignStore, CampaignStoreError
 from repro.casestudy.config import CaseStudyConfig
 from repro.casestudy.emulation import TrialResult, run_trial, run_trial_batch
 from repro.hybrid.simulate import resolve_engine_kind
@@ -1271,7 +1270,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
     summaries: List[TrialSummary | None] = [None] * len(runs)
     quarantined: List[TrialFailure] = []
     events: List[Tuple[str, str]] = _EventLog(on_event)
-    recovery = RecoveryStateMachine()
 
     own_store: CampaignStore | None = None
     if store is None or isinstance(store, CampaignStore):
@@ -1313,8 +1311,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         replayed_count = 0
         if store_obj is not None:
             replayed = store_obj.begin(spec, seed, resume=resume)
-            if replayed:
-                recovery.advance(RecoveryStage.REPLAYING)
             for index, summary in replayed:
                 if not 0 <= index < len(runs) or summaries[index] is not None:
                     raise CampaignStoreError(
@@ -1398,8 +1394,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             if ticket is not None and session is not None:
                 session.release(ticket, count)
 
-        if tasks:
-            recovery.advance(RecoveryStage.LIVE)
         backend = (_InProcessBackend(spec, resolved_engine, plan)
                    if serial
                    else pool.lease(spec, resolved_engine, plan))
@@ -1436,7 +1430,6 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
                 f"after transient sqlite lock/busy errors"))
         if store_obj is not None:
             store_obj.mark_complete()
-        recovery.advance(RecoveryStage.COMPLETE)
     except BaseException:
         # A private pool dies with its run: no worker outlives an error.
         if own_pool is not None:

@@ -19,10 +19,9 @@ restart recovery trivial: on startup the service reads the ``jobs``
 rows, registers finished jobs as COMPLETE with their aggregates rebuilt
 from their checkpoints and cancelled jobs as CANCELLED, and re-enqueues
 the rest —
-``run_campaign(resume=True)`` then replays the checkpointed prefix
-through the executor's ``RecoveryStateMachine`` and simulates only the
-remainder, preserving the repo's bit-identity contract across a mid-job
-SIGKILL of the daemon itself.
+``run_campaign(resume=True)`` then replays the checkpointed prefix and
+simulates only the remainder, preserving the repo's bit-identity contract
+across a mid-job SIGKILL of the daemon itself.
 
 Job lifecycle::
 

@@ -27,8 +27,9 @@ them:
   count are deliberately *excluded* — they are throughput knobs that the
   bit-identical equivalence contract guarantees cannot change results.
 
-Recovery follows an explicit state machine (the
-:class:`RecoveryStateMachine`)::
+A campaign's recovery passes through the stages of :class:`RecoveryStage`
+in order, as straight-line code in ``run_campaign``;
+:attr:`CheckpointStatus.stage` reports where a resume would start::
 
     FRESH ──▶ REPLAYING ──▶ LIVE ──▶ COMPLETE
       │            │                    ▲
@@ -145,63 +146,12 @@ class CampaignStoreError(RuntimeError):
 
 
 class RecoveryStage(enum.Enum):
-    """Stages of the campaign recovery state machine, in lifecycle order."""
+    """Stages of a campaign's recovery, in lifecycle order."""
 
     FRESH = "fresh"
     REPLAYING = "replaying"
     LIVE = "live"
     COMPLETE = "complete"
-
-
-#: Legal stage transitions.  ``FRESH -> LIVE`` skips replay for store-less
-#: and empty-store runs; ``REPLAYING -> COMPLETE`` skips the live phase
-#: when every trial was already checkpointed.
-_RECOVERY_TRANSITIONS = {
-    RecoveryStage.FRESH: (RecoveryStage.REPLAYING, RecoveryStage.LIVE,
-                          RecoveryStage.COMPLETE),
-    RecoveryStage.REPLAYING: (RecoveryStage.LIVE, RecoveryStage.COMPLETE),
-    RecoveryStage.LIVE: (RecoveryStage.COMPLETE,),
-    RecoveryStage.COMPLETE: (),
-}
-
-
-class RecoveryStateMachine:
-    """Explicit ``FRESH -> REPLAYING -> LIVE -> COMPLETE`` stage tracker.
-
-    The executor drives one instance per ``run_campaign`` call; the machine
-    exists so the recovery flow is a checked protocol rather than implicit
-    control flow — an illegal transition (e.g. replaying twice, or going
-    live after completion) raises instead of silently corrupting results.
-    """
-
-    def __init__(self) -> None:
-        """Start a machine in the ``FRESH`` stage."""
-        self._stage = RecoveryStage.FRESH
-
-    @property
-    def stage(self) -> RecoveryStage:
-        """Return the current recovery stage."""
-        return self._stage
-
-    def advance(self, next_stage: RecoveryStage) -> RecoveryStage:
-        """Move to ``next_stage``, enforcing the legal transition graph.
-
-        Args:
-            next_stage: The stage to enter.
-
-        Returns:
-            The new (now current) stage.
-
-        Raises:
-            CampaignStoreError: If the transition is not legal from the
-                current stage.
-        """
-        if next_stage not in _RECOVERY_TRANSITIONS[self._stage]:
-            raise CampaignStoreError(
-                f"illegal recovery transition {self._stage.value!r} -> "
-                f"{next_stage.value!r}")
-        self._stage = next_stage
-        return self._stage
 
 
 def _canonical(value: object) -> object:

@@ -7,7 +7,7 @@ with its delivery outcome per receiver, and (optionally) sampled values of
 continuous variables.
 
 The PTE safety monitor (:mod:`repro.core.monitor`), the Table I statistics
-(:mod:`repro.casestudy.emulation`) and the figure benchmarks all operate on
+(:mod:`repro.casestudy.emulation`) and the figure experiments all operate on
 traces, never on live simulator state, so analysis is reproducible and can
 be done offline.
 """

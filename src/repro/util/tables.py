@@ -1,6 +1,6 @@
-"""Plain-text table formatting used by the benchmark harness.
+"""Plain-text table formatting used by the experiment drivers.
 
-The benchmarks print the rows of the paper's Table I (and of the derived
+The experiments render the rows of the paper's Table I (and of the derived
 figures) as aligned ASCII tables; no plotting library is required.
 """
 
@@ -56,10 +56,10 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
 
 def format_series(name: str, times: Sequence[float], values: Sequence[float],
                   max_points: int = 20) -> str:
-    """Render a time series compactly (used for figure benchmarks).
+    """Render a time series compactly (used for the figure experiments).
 
     Long series are down-sampled to at most ``max_points`` points so that a
-    benchmark log stays readable while still conveying the shape of the
+    rendered figure stays readable while still conveying the shape of the
     curve.
     """
     if len(times) != len(values):

@@ -13,7 +13,7 @@ can span the whole spectrum:
   qualitative failure mode of the no-lease baseline requires bursts long
   enough to swallow several retransmissions.
 * :class:`ScriptedChannel` -- deterministic loss windows, used by the
-  scenario benchmarks to re-create the paper's qualitative failure stories
+  scenario experiments to re-create the paper's qualitative failure stories
   ("the surgeon's cancel is lost", "the supervisor's abort is lost").
 * :class:`TraceChannel` -- replay an explicit per-packet loss sequence.
 

@@ -269,6 +269,8 @@ class TestPooledRecovery:
         assert not result.quarantined
         assert _payload(result) == _payload(clean_serial)
         assert "pool-respawn" in [kind for kind, _ in result.recovery_events]
+        # Recovery costs a respawn and the lost batches, not a restart.
+        assert result.wall_time <= 2.0 * clean_serial.wall_time + 15.0
 
     def test_hung_worker_is_killed_at_the_deadline(self, clean_serial):
         result = run_campaign(_tiny_spec(), seed=7, max_workers=2,
@@ -298,11 +300,17 @@ class TestPooledRecovery:
         assert _payload(result) == _payload(clean_serial)
 
     def test_respawn_budget_exhaustion_names_the_store(self, tmp_path):
+        # Every pool breaks: the run respawns exactly max_respawns times
+        # and gives up on the next break.
         db = tmp_path / "campaign.db"
+        kinds = []
         with pytest.raises(CampaignExecutionError) as info:
             run_campaign(_tiny_spec(), seed=7, max_workers=2,
                          engine="reference", batch_size=2, max_respawns=1,
-                         store=db, fault_plan="crash@p=1.0")
+                         store=db, fault_plan="crash@p=1.0",
+                         on_event=lambda kind, _: kinds.append(kind))
+        assert kinds.count("pool-respawn") == 1
+        assert "worker pool failed 2 times" in str(info.value)
         assert info.value.store_path == str(db)
         assert "--resume" in str(info.value)
         # Whatever retired before the abort survives for --resume.

@@ -24,8 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import (CampaignStore, CampaignStoreError, CheckpointStatus,
-                            RecoveryStage, RecoveryStateMachine, run_campaign,
-                            spec_fingerprint, table1_spec)
+                            RecoveryStage, run_campaign, spec_fingerprint, table1_spec)
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.service import decode_spec
@@ -80,7 +79,7 @@ def _cli_cmd(*args: str):
     return [sys.executable, "-u", "-m", "repro.campaign", *args]
 
 
-class TestFingerprintAndStateMachine:
+class TestFingerprint:
     def test_fingerprint_is_stable_and_spec_sensitive(self):
         spec = table1_spec(duration=100.0, replicates=2)
         same = table1_spec(duration=100.0, replicates=2)
@@ -90,28 +89,6 @@ class TestFingerprintAndStateMachine:
                 != spec_fingerprint(table1_spec(duration=101.0, replicates=2), 7))
         assert (spec_fingerprint(spec, 7)
                 != spec_fingerprint(table1_spec(duration=100.0, replicates=3), 7))
-
-    def test_recovery_transitions(self):
-        machine = RecoveryStateMachine()
-        assert machine.stage is RecoveryStage.FRESH
-        machine.advance(RecoveryStage.REPLAYING)
-        machine.advance(RecoveryStage.LIVE)
-        machine.advance(RecoveryStage.COMPLETE)
-        with pytest.raises(CampaignStoreError):
-            machine.advance(RecoveryStage.LIVE)
-
-    def test_fresh_can_skip_straight_to_live_or_complete(self):
-        RecoveryStateMachine().advance(RecoveryStage.LIVE)
-        RecoveryStateMachine().advance(RecoveryStage.COMPLETE)
-        replay_only = RecoveryStateMachine()
-        replay_only.advance(RecoveryStage.REPLAYING)
-        replay_only.advance(RecoveryStage.COMPLETE)
-
-    def test_illegal_transitions_raise(self):
-        machine = RecoveryStateMachine()
-        machine.advance(RecoveryStage.LIVE)
-        with pytest.raises(CampaignStoreError):
-            machine.advance(RecoveryStage.REPLAYING)
 
 
 class TestStoreLifecycle:

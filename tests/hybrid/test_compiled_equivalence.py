@@ -13,6 +13,7 @@ streaming observer pipeline against the historical post-hoc trace scan.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -385,6 +386,21 @@ class TestTable1CampaignEquivalence:
             payloads[engine] = json.dumps(campaign.to_json()["campaign"],
                                           sort_keys=True)
         assert payloads["reference"] == payloads["compiled"]
+
+        # The compiled tier must not cost more CPU than the reference on a
+        # Table I trial (best of three; it costs about 1/30 as much).
+        best, rows = {}, set()
+        for engine in ("reference", "compiled"):
+            times = []
+            for _ in range(3):
+                started = time.process_time()
+                result = run_trial(CONFIG, with_lease=True, seed=2013,
+                                   duration=200.0, engine=engine)
+                times.append(time.process_time() - started)
+                rows.add(result.table_row())
+            best[engine] = min(times)
+        assert len(rows) == 1
+        assert best["compiled"] <= best["reference"]
 
 
 class TestEngineSelection:

@@ -23,7 +23,7 @@ from repro.hybrid.simulate import compiled
 from repro.util.seeding import ForkPlan, derive_seed, rng_session, spawn_rng
 from repro.verify import rare
 from repro.verify.rare import (FORK_CHUNK, CellTemplate, ForkGroup, SplitSettings,
-                               fixed_effort_splitting, fork_groups,
+                               crude_trials_for, fixed_effort_splitting, fork_groups,
                                run_chain_trial, scored_case_trial)
 
 CONFIG = dataclasses.replace(CaseStudyConfig(),
@@ -276,7 +276,11 @@ def test_a_group_rejects_plans_of_different_forks():
 
 
 def test_perfbench_pin_simulates_at_most_87000_seconds(monkeypatch):
-    """The rare-split pin (seed 1): same estimate, a third less simulation."""
+    """The rare-split pin (seed 1): same estimate, a third less simulation.
+
+    It also holds splitting's efficiency bar: at least 10x fewer trials
+    than crude Monte Carlo at equal relative error.
+    """
     simulated = []
     advance = compiled.CompiledEngine.advance
 
@@ -294,5 +298,8 @@ def test_perfbench_pin_simulates_at_most_87000_seconds(monkeypatch):
         settings=SplitSettings(trials_per_level=64, max_levels=20), name="bench-split")
     assert [estimate.probability, estimate.rel_error, estimate.trials_used] == [
         0.00023508071899414062, 0.5283842434461019, 448]
+    # Crude Monte Carlo needs about 34x the trials for the same relative error.
+    crude = crude_trials_for(estimate.probability, estimate.rel_error)
+    assert crude >= 10 * estimate.trials_used
     # Replaying every fork from t=0 simulated 448 * 300 = 134,400 s.
     assert sum(simulated) <= 87_000

@@ -16,12 +16,14 @@ import statistics
 
 import pytest
 
+from repro.campaign.spec import ChannelSpec
+from repro.casestudy.config import CaseStudyConfig, SurgeonModel
 from repro.util.seeding import ForkPlan, derive_seed, rng_session, spawn_rng
 from repro.verify.rare import (CELL_EVENTS, CellTemplate, RareEventEstimate,
                                ScoredTrial, SplitSettings,
                                chain_success_probability, crude_estimate,
                                crude_trials_for, fixed_effort_splitting,
-                               run_chain_trial, z_value)
+                               run_chain_trial, scored_case_trial, z_value)
 from repro.verify.sprt import (SequentialProbabilityRatioTest, SprtResult,
                                SprtSettings, run_sprt_trials)
 
@@ -266,3 +268,22 @@ class TestSprtMechanics:
             test.update(False)
         assert test.decision == "H0"
         assert test.count < 1000
+
+
+def test_sprt_accepts_h0_early_on_the_low_loss_cell():
+    # perfbench's rare-split cell (baseline, E(Toff)=6 s, loss 1e-4, 300 s),
+    # where the 60 s dwell has p ~ 2e-4: sequential testing certifies
+    # p <= 1e-3 in a small fraction of its 2000-trial budget (59 trials).
+    config = dataclasses.replace(
+        CaseStudyConfig(), surgeon=SurgeonModel(mean_toff=6.0, resample_quantum=2.0))
+    template = CellTemplate(config=config, with_lease=False, duration=300.0,
+                            channel=ChannelSpec(kind="bernoulli", loss=1e-4),
+                            engine="compiled", event="dwell")
+    settings = SprtSettings(p0=1e-3, p1=5e-2, alpha=0.05, beta=0.05,
+                            max_trials=2000)
+    result = run_sprt_trials(functools.partial(scored_case_trial, template),
+                             master_seed=1, settings=settings, name="bench-sprt",
+                             batch=32)
+    assert result.decided_early
+    assert result.decision == "H0"
+    assert result.trials_used <= 400

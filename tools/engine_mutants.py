@@ -11,7 +11,8 @@ tests and parameters the flow-kernel translator fixes once; in
 group pauses, copies and forks a survivor and puts the results back; in
 ``src/repro/campaign/executor.py`` how trials are sized into tasks that
 span cells, attributed to their own cell, failed by the fault plan's
-``raise`` clauses and published after their commit; in
+``raise`` clauses and published after their commit, and how the
+supervisor times out, respawns, bisects and retries; in
 ``src/repro/campaign/store.py`` and ``src/repro/campaign/service/server.py``
 how a job's rows stay its own, when a submission becomes durable, which
 jobs a restarted daemon takes back and that a cancel holds across a
@@ -57,6 +58,10 @@ ENGINE_TESTS = ["tests/hybrid/test_quiet_steps.py", "tests/golden",
                 "::test_scored_trial_is_engine_tier_invariant"]
 CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
                   "tests/campaign/test_faults.py::TestSerialRecovery",
+                  "tests/campaign/test_faults.py::TestPooledRecovery"
+                  "::test_respawn_budget_exhaustion_names_the_store",
+                  "tests/campaign/test_faults.py::TestPooledRecovery"
+                  "::test_hung_worker_is_killed_at_the_deadline",
                   "tests/campaign/test_store.py::TestStoreLifecycle",
                   "tests/campaign/test_shm.py::TestCampaignEquivalence"]
 #: The fixed tests that must kill a mutant of each file.
@@ -71,7 +76,7 @@ TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS, RARE: ENGINE_TESTS,
 DESELECTED = ["tests/hybrid/test_quiet_steps.py::test_generated_systems_are_bit_identical",
               "tests/verify/test_fork_groups.py"
               "::test_perfbench_pin_simulates_at_most_87000_seconds"]
-COPIED = ["src", "tests", "conftest.py", "bootstrap_src.py", "pyproject.toml"]
+COPIED = ["src", "tests", "conftest.py", "pyproject.toml"]
 
 #: name -> (file, what the mutant breaks, [(exact text, replacement), ...]).
 MUTANTS = {
@@ -204,6 +209,24 @@ MUTANTS = {
         EXECUTOR, "past a cell boundary the in-trial fault check reads the previous trial's"
         " offset",
         [("        start += len(runs)\n", "        start += len(runs) - 1\n")]),
+    "deadline-never-fires": (
+        EXECUTOR, "an in-flight batch never gets a deadline, so a hung worker is never killed",
+        [("        deadline = (time.monotonic() + self.batch_deadline\n"
+          "                    if self.batch_deadline is not None else None)\n",
+          "        deadline = None\n")]),
+    "respawn-budget-off-by-one": (
+        EXECUTOR, "the run gives up on the break that should use its last respawn",
+        [("        if self.respawns > self.max_respawns:\n",
+          "        if self.respawns >= self.max_respawns:\n")]),
+    "quarantine-without-bisection": (
+        EXECUTOR, "a failing multi-trial batch is quarantined whole instead of bisected",
+        [("            self.isolation.appendleft(_Pending(task[mid:], attempts[mid:]))\n"
+          "            self.isolation.appendleft(_Pending(task[:mid], attempts[:mid]))\n",
+          "            for k in range(len(task)):\n"
+          "                self.quarantine(_Pending(task[k:k + 1], attempts[k:k + 1]), exc)\n")]),
+    "retry-skips-failed-trial": (
+        EXECUTOR, "a failed trial with retries left is logged as retried but never re-run",
+        [("        self.isolation.appendleft(_Pending(task, attempts))\n", "")]),
     "replay-ignores-job": (
         STORE, "a store's replay returns every job's trial rows, not its own",
         [('            "WHERE job_id = ? ORDER BY trial_index")\n',
