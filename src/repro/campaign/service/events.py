@@ -29,7 +29,7 @@ import dataclasses
 import queue
 import threading
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.campaign.aggregate import GroupSummary, TrialSummary
 
@@ -120,17 +120,17 @@ class EventBus:
         self.total_trials = int(total_trials)
         self._lock = threading.Lock()
         self._subscribers: List[queue.SimpleQueue] = []
-        self._aggregator: Optional[CellAggregator] = CellAggregator()
+        self._aggregator = CellAggregator()
         self._closed: Optional[dict] = None
-        self._final_snapshot: Optional[dict] = None
 
     # -- publisher side ----------------------------------------------------
 
-    def publish(self, event: dict) -> None:
+    def publish(self, event: Optional[dict]) -> None:
         """Broadcast one event dict to every current subscriber.
 
         Args:
-            event: A JSON-ready event (see the module docstring shapes).
+            event: A JSON-ready event (see the module docstring shapes),
+                or ``None`` to end each stream without a terminal event.
         """
         with self._lock:
             subscribers = list(self._subscribers)
@@ -163,34 +163,17 @@ class EventBus:
         """Broadcast a job lifecycle transition."""
         self.publish({"event": "state", "state": state})
 
-    def close(self, final_event: dict, final_cells: Sequence[dict] = ()) -> None:
+    def close(self, final_event: dict) -> None:
         """Broadcast the terminal event and mark the stream finished.
 
-        The catch-up snapshot is frozen here and the per-trial summaries
-        behind it are released, so a finished job costs one snapshot;
-        subscribers attaching after close receive that snapshot plus the
-        terminal event immediately.
+        Subscribers attaching after close receive the catch-up snapshot
+        plus the terminal event immediately.
 
         Args:
             final_event: The ``done`` event ending every subscriber's
                 stream.
-            final_cells: The job's final cell aggregates, if it has them.
-                They become the frozen snapshot's cells: a completed job's
-                streamed cells equal them, and a job restored from its
-                checkpoints streamed nothing.  Without them the snapshot
-                freezes the streamed aggregates.
         """
         with self._lock:
-            if self._final_snapshot is None:
-                if final_cells:
-                    self._final_snapshot = {
-                        "event": "snapshot",
-                        "done": sum(cell["trials"] for cell in final_cells),
-                        "total": self.total_trials,
-                        "cells": list(final_cells)}
-                else:
-                    self._final_snapshot = self._snapshot()
-                self._aggregator = None
             self._closed = final_event
         self.publish(final_event)
 
@@ -206,18 +189,15 @@ class EventBus:
         """
         subscriber: "queue.SimpleQueue[dict]" = queue.SimpleQueue()
         with self._lock:
-            snapshot = self._final_snapshot or self._snapshot()
+            snapshot = {"event": "snapshot", "done": self._aggregator.done,
+                        "total": self.total_trials,
+                        "cells": self._aggregator.snapshot()}
             closed = self._closed
             self._subscribers.append(subscriber)
         subscriber.put(snapshot)
         if closed is not None:
             subscriber.put(closed)
         return subscriber
-
-    def _snapshot(self) -> dict:
-        """The catch-up snapshot of the live aggregates (lock held)."""
-        return {"event": "snapshot", "done": self._aggregator.done,
-                "total": self.total_trials, "cells": self._aggregator.snapshot()}
 
     def unsubscribe(self, subscriber: "queue.SimpleQueue[dict]") -> None:
         """Detach a subscriber (its queue stops receiving events).

@@ -15,13 +15,15 @@ Job identity *is* the spec fingerprint
 shutdown: a submission is one durable ``jobs`` row, and each job's
 checkpoints are rows keyed by that job's id.  That makes submission
 idempotent (re-submitting a spec returns the existing job) and makes
-restart recovery trivial: on startup the service reads the ``jobs``
-rows, registers finished jobs as COMPLETE with their aggregates rebuilt
-from their checkpoints and cancelled jobs as CANCELLED, and re-enqueues
-the rest —
+restart recovery trivial: on startup the service reads the ``jobs`` rows
+and re-enqueues every job that neither completed nor was cancelled —
 ``run_campaign(resume=True)`` then replays the checkpointed prefix and
 simulates only the remainder, preserving the repo's bit-identity contract
 across a mid-job SIGKILL of the daemon itself.
+
+A finished job lives only in the database: a job that completes or is
+cancelled leaves memory, and every later read of it resolves its
+``jobs`` row and rebuilds its cells from its checkpoints.
 
 Job lifecycle::
 
@@ -32,6 +34,9 @@ Job lifecycle::
 COMPLETE and CANCELLED are durable (``complete`` and ``cancelled`` meta
 rows); a FAILED job is re-enqueued by the next start.
 
+Stopping wakes what it waits for instead of polling (see
+:meth:`CampaignService.initiate_shutdown`).
+
 See ``docs/service.md`` for the wire protocol and operational guidance.
 """
 
@@ -41,13 +46,13 @@ import enum
 import heapq
 import json
 import os
-import queue
 import signal
 import socket
+from contextlib import suppress
 import threading
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.campaign.aggregate import CampaignResult
 from repro.campaign.executor import (CampaignCancelled, CampaignPool,
@@ -55,10 +60,8 @@ from repro.campaign.executor import (CampaignCancelled, CampaignPool,
 from repro.campaign.service import protocol
 from repro.campaign.service.events import EventBus, cell_json
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import PAYLOAD, StoreDatabase, spec_fingerprint
-
-#: How often (seconds) blocking loops wake to check stop/cancel flags.
-_POLL_INTERVAL = 0.2
+from repro.campaign.store import (PAYLOAD, JobRow, StoreDatabase,
+                                  spec_fingerprint)
 
 #: File name of the service's database inside its stores directory.
 DATABASE_NAME = "jobs.db"
@@ -77,45 +80,41 @@ class JobState(enum.Enum):
 #: States from which a job can never leave.
 TERMINAL_STATES = (JobState.COMPLETE, JobState.FAILED, JobState.CANCELLED)
 
+#: The durable terminal states: a job in one lives only in the database.
+FINISHED_STATES = (JobState.COMPLETE, JobState.CANCELLED)
+
+
+def _finished_state(row: JobRow) -> Optional[JobState]:
+    """The durable terminal state a ``jobs`` row records, if any."""
+    if row.complete:
+        return JobState.COMPLETE
+    return JobState.CANCELLED if row.cancelled else None
+
 
 @dataclass
 class Job:
-    """One submitted campaign and everything the service knows about it.
-
-    ``spec`` and ``cancel`` are only needed until the job ends; :meth:`finish`
-    drops them, so a finished job keeps just its status fields and frozen
-    event snapshot.
-    """
+    """One submitted campaign; the service keeps only live ones in memory."""
 
     fingerprint: str
     job_id: int
-    spec: Optional[CampaignSpec]
+    spec: CampaignSpec
     master_seed: int
     priority: int
-    seq: int
     state: JobState = JobState.QUEUED
     error: Optional[str] = None
-    pool_pids: Tuple[int, ...] = ()
-    cells: List[dict] = field(default_factory=list)
-    bus: EventBus = None  # type: ignore[assignment]  # set in __post_init__
-    cancel: Optional[threading.Event] = field(default_factory=threading.Event)
-    name: str = field(init=False)
-    total_trials: int = field(init=False)
+    bus: EventBus = field(init=False)
+    cancel: threading.Event = field(default_factory=threading.Event)
 
     def __post_init__(self) -> None:
-        self.name = self.spec.name
-        self.total_trials = self.spec.total_trials
-        if self.bus is None:
-            self.bus = EventBus(self.total_trials)
+        self.bus = EventBus(self.spec.total_trials)
 
-    def finish(self, state: JobState) -> None:
-        """Enter terminal ``state`` and release what only a live job needs.
-
-        Call with the service lock held.
-        """
-        self.state = state
-        self.spec = None
-        self.cancel = None
+    @classmethod
+    def from_row(cls, row: JobRow) -> "Job":
+        """Decode a job from its ``jobs`` row, in the state the row records."""
+        return cls(fingerprint=row.fingerprint, job_id=row.id,
+                   spec=protocol.decode_spec(json.loads(row.spec)),
+                   master_seed=row.master_seed, priority=row.priority,
+                   state=_finished_state(row) or JobState.QUEUED)
 
     def done_event(self) -> dict:
         """The terminal ``done`` event of a finished job."""
@@ -124,25 +123,20 @@ class Job:
             done["error"] = self.error
         return done
 
-    def to_json(self, store_status: Optional[dict] = None) -> dict:
+    def to_json(self, cells: List[dict],
+                store_status: Optional[dict] = None) -> dict:
         """Encode the job for a ``status`` response.
 
-        Args:
-            store_status: The job store's
-                :meth:`~repro.campaign.store.CheckpointStatus.to_json`
-                snapshot, when the caller read one.
-
-        Returns:
-            The JSON-ready job description.
+        ``cells`` are empty while the job is live; ``store_status`` is its
+        store's ``CheckpointStatus`` JSON, when the caller read one.
         """
         body = {
             "job": self.fingerprint,
-            "name": self.name,
+            "name": self.spec.name,
             "state": self.state.value,
             "priority": self.priority,
-            "total_trials": self.total_trials,
-            "pool_pids": list(self.pool_pids),
-            "cells": self.cells,
+            "total_trials": self.spec.total_trials,
+            "cells": cells,
         }
         if self.error is not None:
             body["error"] = self.error
@@ -166,7 +160,7 @@ class CampaignService:
                  max_workers: int = 2) -> None:
         """Open the stores directory's database and recover its jobs.
 
-        No socket is opened yet; :meth:`serve` binds it and closes the
+        The socket is not bound yet; :meth:`serve` binds it and closes the
         database on the way out.
 
         Args:
@@ -180,57 +174,38 @@ class CampaignService:
         self.stores_dir = os.fspath(stores_dir)
         self.pool = CampaignPool(max_workers)
         self._lock = threading.Condition()
-        self._jobs: Dict[str, Job] = {}
-        self._queue: List[Tuple[int, int, str]] = []  # (-priority, seq, fp)
-        self._seq = 0
+        self._jobs: Dict[str, Job] = {}  # the live jobs only
+        #: (-priority, job id, fingerprint): the job id orders submissions.
+        self._queue: List[Tuple[int, int, str]] = []
         self._stopping = False
         self._runner: Optional[threading.Thread] = None
+        self._idle: Set[socket.socket] = set()  # connections awaiting a request
         os.makedirs(self.stores_dir, exist_ok=True)
         self._db = StoreDatabase(os.path.join(self.stores_dir,
                                               DATABASE_NAME))
         self._recover()
+        self._server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 
     # -- startup recovery --------------------------------------------------
 
     def _recover(self) -> None:
-        """Re-register every job recorded in the database.
+        """Re-enqueue every job the ``jobs`` rows record as unfinished.
 
-        Finished jobs come back as COMPLETE entries whose cells are
-        folded from their checkpoints, and cancelled jobs as CANCELLED;
-        the others are re-enqueued for a ``resume=True`` run (the store
-        replays its checkpointed prefix, so nothing simulated before the
-        crash is simulated again).
+        Its run replays its checkpointed prefix (``resume=True``), so
+        nothing simulated before a crash is simulated again.
         """
-        for (job_id, fingerprint, encoded, master_seed, priority,
-             complete, cancelled) in self._db.jobs():
+        for row in self._db.jobs():
             try:
-                spec = protocol.decode_spec(json.loads(encoded))
+                if not _finished_state(row):
+                    self._enqueue(Job.from_row(row))
             except (TypeError, ValueError, protocol.ProtocolError):
-                continue
-            job = Job(fingerprint=fingerprint, job_id=job_id, spec=spec,
-                      master_seed=master_seed, priority=priority,
-                      seq=self._next_seq())
-            if complete:
-                summaries = tuple(summary for _, summary
-                                  in self._db.store(job_id).replay())
-                result = CampaignResult(spec=spec, master_seed=master_seed,
-                                        workers=0, wall_time=0.0,
-                                        summaries=summaries)
-                job.cells = [cell_json(group) for group in result.groups()]
-                job.finish(JobState.COMPLETE)
-                job.bus.close(job.done_event(), job.cells)
-            elif cancelled:
-                job.finish(JobState.CANCELLED)
-                job.bus.close(job.done_event())
-            else:
-                heapq.heappush(self._queue,
-                               (-job.priority, job.seq, fingerprint))
-            self._jobs[fingerprint] = job
+                pass
 
-    def _next_seq(self) -> int:
-        """Return the next submission sequence number (FIFO tiebreaker)."""
-        self._seq += 1
-        return self._seq
+    def _enqueue(self, job: Job) -> None:
+        """Register a queued job and push it onto the priority queue."""
+        self._jobs[job.fingerprint] = job
+        heapq.heappush(self._queue, (-job.priority, job.job_id,
+                                     job.fingerprint))
 
     # -- job execution -----------------------------------------------------
 
@@ -239,31 +214,23 @@ class CampaignService:
         while True:
             with self._lock:
                 while not self._queue and not self._stopping:
-                    self._lock.wait(_POLL_INTERVAL)
+                    self._lock.wait()
                 if self._stopping:
                     return
                 _, _, fingerprint = heapq.heappop(self._queue)
                 job = self._jobs[fingerprint]
-                if job.state is not JobState.QUEUED:
-                    continue
                 job.state = JobState.RUNNING
             job.bus.state(JobState.RUNNING.value)
             self._run_job(job)
-            with self._lock:
-                self._lock.notify_all()
 
     def _run_job(self, job: Job) -> None:
-        """Run one job to a terminal state on the shared warm pool.
-
-        Args:
-            job: The job to execute (already marked RUNNING).
-        """
+        """Run one RUNNING job to a terminal state on the warm pool."""
         final: JobState
         try:
             store = self._db.store(job.job_id)
             store.on_commit = job.bus.checkpoint
             try:
-                result = run_campaign(
+                run_campaign(
                     job.spec, seed=job.master_seed,
                     max_workers=self.pool.max_workers,
                     store=store, resume=True, pool=self.pool,
@@ -272,8 +239,6 @@ class CampaignService:
                     on_event=job.bus.recovery)
             finally:
                 store.close()
-            job.cells = [cell_json(group) for group in result.groups()]
-            job.pool_pids = self.pool.worker_pids()
             final = JobState.COMPLETE
         except CampaignCancelled:
             self._db.mark_cancelled(job.job_id)
@@ -283,27 +248,60 @@ class CampaignService:
             traceback.print_exc()
             final = JobState.FAILED
         with self._lock:
-            job.finish(final)
-        job.bus.close(job.done_event(), job.cells)
+            self._end(job, final)
+
+    def _end(self, job: Job, state: JobState) -> None:
+        """Move a live job to terminal ``state`` (service lock held).
+
+        Its bus closes and a finished job leaves memory under the lock
+        :meth:`_handle_watch` subscribes under, so a watcher either gets
+        this ``done`` event or reads the job from the database.
+        """
+        job.state = state
+        job.bus.close(job.done_event())
+        if state in FINISHED_STATES:
+            del self._jobs[job.fingerprint]
+        self._lock.notify_all()
+
+    # -- finished jobs -----------------------------------------------------
+
+    def _cells(self, job: Job) -> List[dict]:
+        """A job's cells: a finished job's rebuilt from its checkpoints.
+
+        The one rebuild: replay the checkpointed trials and fold them
+        through ``CampaignResult.groups()``, as the job's own run did.
+        """
+        if job.state not in FINISHED_STATES:
+            return []
+        summaries = tuple(summary for _, summary
+                          in self._db.store(job.job_id).replay())
+        result = CampaignResult(spec=job.spec, master_seed=job.master_seed,
+                                workers=0, wall_time=0.0, summaries=summaries)
+        return [cell_json(group) for group in result.groups()]
+
+    def _jobs_like(self, prefix: str = "") -> List[Job]:
+        """Return the jobs whose fingerprint starts with ``prefix``.
+
+        Call with the service lock held.  Jobs come in submission order, a
+        finished one decoded from its row.
+        """
+        return [self._jobs.get(row.fingerprint) or Job.from_row(row)
+                for row in self._db.jobs(prefix)
+                if row.fingerprint in self._jobs or _finished_state(row)]
 
     # -- request handlers --------------------------------------------------
 
     def _find_job(self, token: str) -> Job:
         """Resolve a job by full fingerprint or unambiguous prefix.
 
-        Args:
-            token: A fingerprint, or a prefix of one.
-
-        Returns:
-            The matching job.
+        Call with the service lock held.
 
         Raises:
             KeyError: If no job matches, or the prefix is ambiguous.
         """
         if token in self._jobs:
             return self._jobs[token]
-        matches = [job for fp, job in self._jobs.items()
-                   if fp.startswith(token)]
+        matches = self._jobs_like(token)
         if not matches:
             raise KeyError(f"no job matches {token!r}")
         if len(matches) > 1:
@@ -324,8 +322,11 @@ class CampaignService:
         with self._lock:
             if self._stopping:
                 return protocol.error("service is shutting down")
-            existing = self._jobs.get(fingerprint)
-            if existing is not None:
+            try:
+                existing = self._find_job(fingerprint)
+            except KeyError:
+                pass
+            else:
                 return protocol.ok(job=fingerprint,
                                    state=existing.state.value,
                                    duplicate=True)
@@ -333,11 +334,9 @@ class CampaignService:
             # and the store's binding check reuse that encoding.
             job_id = self._db.add_job(fingerprint, spec, master_seed,
                                       priority)
-            job = Job(fingerprint=fingerprint, job_id=job_id, spec=spec,
-                      master_seed=master_seed,
-                      priority=priority, seq=self._next_seq())
-            self._jobs[fingerprint] = job
-            heapq.heappush(self._queue, (-priority, job.seq, fingerprint))
+            self._enqueue(Job(fingerprint=fingerprint, job_id=job_id,
+                              spec=spec, master_seed=master_seed,
+                              priority=priority))
             position = len(self._queue)
             self._lock.notify_all()
         return protocol.ok(job=fingerprint, state=JobState.QUEUED.value,
@@ -348,10 +347,11 @@ class CampaignService:
         token = message.get("job")
         if token is None:
             with self._lock:
-                jobs = [job.to_json() for job in
-                        sorted(self._jobs.values(), key=lambda j: j.seq)]
+                jobs = self._jobs_like()
                 queued = len(self._queue)
-            return protocol.ok(jobs=jobs, queued=queued,
+            return protocol.ok(jobs=[job.to_json(self._cells(job))
+                                     for job in jobs],
+                               queued=queued,
                                pool_pids=list(self.pool.worker_pids()),
                                stores_dir=self.stores_dir)
         try:
@@ -361,6 +361,7 @@ class CampaignService:
             return protocol.error(str(exc))
         snapshot = self._db.store(job.job_id).status()
         return protocol.ok(**job.to_json(
+            self._cells(job),
             snapshot.to_json() if snapshot is not None else None))
 
     def _handle_cancel(self, message: dict) -> dict:
@@ -374,50 +375,67 @@ class CampaignService:
                 job.cancel.set()
                 if job.state is JobState.QUEUED:
                     self._db.mark_cancelled(job.job_id)
-                    job.finish(JobState.CANCELLED)
+                    self._queue.remove((-job.priority, job.job_id,
+                                        job.fingerprint))
+                    heapq.heapify(self._queue)
+                    self._end(job, JobState.CANCELLED)
         except KeyError as exc:
             return protocol.error(str(exc))
-        if job.state is JobState.CANCELLED:
-            job.bus.close(job.done_event())
         return protocol.ok(job=job.fingerprint, state=job.state.value)
 
     def _handle_drain(self, message: dict) -> dict:
         """Block until every accepted job reaches a terminal state."""
         with self._lock:
-            while any(job.state not in TERMINAL_STATES
-                      for job in self._jobs.values()):
-                self._lock.wait(_POLL_INTERVAL)
+            while not self._stopping and any(
+                    job.state not in TERMINAL_STATES
+                    for job in self._jobs.values()):
+                self._lock.wait()
+            if self._stopping:
+                return protocol.error("service is shutting down")
             states = {job.fingerprint: job.state.value
-                      for job in self._jobs.values()}
+                      for job in self._jobs_like()}
         return protocol.ok(jobs=states)
 
     def _handle_watch(self, sock: socket.socket, message: dict) -> None:
-        """Stream one job's events until its terminal event (or EOF)."""
+        """Stream one job's events until its terminal event (or EOF).
+
+        A finished job is served from the database: its rebuilt cells as
+        the snapshot, then its ``done`` event.
+        """
+        subscriber = None
         try:
             with self._lock:
                 job = self._find_job(str(message.get("job", "")))
+                if job.state not in FINISHED_STATES:
+                    subscriber = job.bus.subscribe()
+                    if self._stopping and job.state is JobState.QUEUED:
+                        subscriber.put(None)  # this job will not run here
         except KeyError as exc:
             protocol.send_frame(sock, protocol.error(str(exc)))
             return
-        protocol.send_frame(sock, protocol.ok(job=job.fingerprint,
-                                              state=job.state.value))
-        subscriber = job.bus.subscribe()
         try:
+            protocol.send_frame(sock, protocol.ok(job=job.fingerprint,
+                                                  state=job.state.value))
+            if subscriber is None:
+                cells = self._cells(job)
+                protocol.send_frame(sock, {
+                    "event": "snapshot",
+                    "done": sum(cell["trials"] for cell in cells),
+                    "total": job.spec.total_trials, "cells": cells})
+                protocol.send_frame(sock, job.done_event())
+                return
             while True:
-                try:
-                    event = subscriber.get(timeout=_POLL_INTERVAL)
-                except queue.Empty:
-                    with self._lock:
-                        if self._stopping:
-                            return
-                    continue
+                event = subscriber.get()
+                if event is None:
+                    return  # the service is stopping
                 protocol.send_frame(sock, event)
                 if event.get("event") == "done":
                     return
         except OSError:
-            return  # subscriber went away; nothing to clean up but the queue
+            return  # the client went away
         finally:
-            job.bus.unsubscribe(subscriber)
+            if subscriber is not None:
+                job.bus.unsubscribe(subscriber)
 
     # -- socket plumbing ---------------------------------------------------
 
@@ -425,16 +443,21 @@ class CampaignService:
         """Serve one client connection (one or more request frames)."""
         with sock:
             while True:
+                with self._lock:
+                    if self._stopping:
+                        return
+                    self._idle.add(sock)
                 try:
                     message = protocol.recv_frame(sock)
                 except protocol.ProtocolError as exc:
-                    try:
+                    with suppress(OSError):
                         protocol.send_frame(sock, protocol.error(str(exc)))
-                    except OSError:
-                        pass
                     return
                 except OSError:
                     return  # the client went away (say, mid-watch)
+                finally:
+                    with self._lock:
+                        self._idle.discard(sock)
                 if message is None:
                     return
                 try:
@@ -443,22 +466,16 @@ class CampaignService:
                     if op == "watch":
                         self._handle_watch(sock, message)
                         continue
-                    if op == "submit":
-                        response = self._handle_submit(message)
-                    elif op == "status":
-                        response = self._handle_status(message)
-                    elif op == "cancel":
-                        response = self._handle_cancel(message)
-                    elif op == "drain":
-                        response = self._handle_drain(message)
-                    elif op == "shutdown":
-                        response = protocol.ok(stopping=True)
-                        protocol.send_frame(sock, response)
+                    if op == "shutdown":
+                        protocol.send_frame(sock, protocol.ok(stopping=True))
                         self.initiate_shutdown()
                         return
-                    else:
-                        response = protocol.error(
-                            f"unknown operation {op!r}")
+                    handler = {"submit": self._handle_submit,
+                               "status": self._handle_status,
+                               "cancel": self._handle_cancel,
+                               "drain": self._handle_drain}.get(op)
+                    response = (handler(message) if handler is not None else
+                                protocol.error(f"unknown operation {op!r}"))
                 except protocol.ProtocolError as exc:
                     response = protocol.error(str(exc))
                 except Exception as exc:  # noqa: BLE001 - report, don't die
@@ -471,15 +488,23 @@ class CampaignService:
                     return
 
     def initiate_shutdown(self) -> None:
-        """Ask the accept loop and the runner to stop.
+        """Stop accepting requests and wake everything that waits.
 
-        Graceful: the currently running job (if any) finishes first;
-        still-queued jobs stay durably recorded in the database and are
-        re-enqueued by the next daemon start.
+        Graceful: the running job (if any) finishes first; queued jobs stay
+        durably recorded for the next start.  Shutting the listening socket
+        down fails a blocked ``accept``, and shutting down each connection
+        awaiting a request ends its read, even where forked pool workers
+        hold copies of the client's end.
         """
         with self._lock:
             self._stopping = True
             self._lock.notify_all()
+            for job in self._jobs.values():
+                if job.state is JobState.QUEUED:
+                    job.bus.publish(None)
+            for sock in (self._server, *self._idle):
+                with suppress(OSError):  # not listening yet, or peer gone
+                    sock.shutdown(socket.SHUT_RDWR)
 
     def serve(self) -> None:
         """Bind the socket and serve requests until shutdown.
@@ -491,10 +516,9 @@ class CampaignService:
         """
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
-        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        server = self._server
         server.bind(self.socket_path)
         server.listen(16)
-        server.settimeout(_POLL_INTERVAL)
         self._runner = threading.Thread(target=self._runner_loop,
                                         name="campaign-runner", daemon=True)
         self._runner.start()
@@ -504,16 +528,11 @@ class CampaignService:
                               lambda *_: self.initiate_shutdown())
         handlers: List[threading.Thread] = []
         try:
-            while True:
-                with self._lock:
-                    if self._stopping:
-                        break
+            while not self._stopping:
                 try:
                     sock, _ = server.accept()
-                except socket.timeout:
-                    continue
                 except OSError:
-                    break
+                    break  # initiate_shutdown shut the socket down
                 thread = threading.Thread(target=self._handle_connection,
                                           args=(sock,), daemon=True)
                 thread.start()
@@ -523,10 +542,9 @@ class CampaignService:
             server.close()
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
-            if self._runner is not None:
-                self._runner.join(timeout=30.0)
+            self._runner.join(timeout=30.0)
             for thread in handlers:
-                thread.join(timeout=1.0)
+                thread.join()
             self.pool.shutdown()
             self._db.close()
 

@@ -27,20 +27,18 @@ them:
   count are deliberately *excluded* — they are throughput knobs that the
   bit-identical equivalence contract guarantees cannot change results.
 
-A campaign's recovery passes through the stages of :class:`RecoveryStage`
-in order, as straight-line code in ``run_campaign``;
-:attr:`CheckpointStatus.stage` reports where a resume would start::
+:attr:`CheckpointStatus.stage` reports where a resume of a store would
+start, as one of the stages of :class:`RecoveryStage`::
 
-    FRESH ──▶ REPLAYING ──▶ LIVE ──▶ COMPLETE
-      │            │                    ▲
-      │            └────────────────────┤   (everything was checkpointed)
-      └─────────────────────────────────┘   (fresh store: nothing to replay)
+    FRESH ──▶ REPLAYING ──▶ COMPLETE
+      │                        ▲
+      └────────────────────────┘   (fresh store: nothing to replay)
 
-``FRESH`` covers store-less runs and empty stores; ``REPLAYING`` loads the
-checkpointed records back through the exact aggregation path live results
-use; ``LIVE`` executes and checkpoints the remaining trials; ``COMPLETE``
-marks the store finished (resuming a complete store replays everything and
-simulates nothing).
+``FRESH`` covers empty stores; ``REPLAYING`` means ``run_campaign``
+loads the checkpointed records back through the exact aggregation path
+live results use, then executes and checkpoints the remaining trials;
+``COMPLETE`` marks the store finished (resuming a complete store replays
+everything and simulates nothing).
 
 A :class:`StoreDatabase` is one sqlite file whose rows are keyed by job:
 a one-shot ``--store`` file holds one campaign, and the service daemon
@@ -67,7 +65,7 @@ import pathlib
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.campaign.aggregate import SUMMARY_RECORD_FIELDS, TrialSummary
@@ -141,6 +139,12 @@ PAYLOAD = "summary"
 CheckpointRecord = Tuple[int, TrialSummary]
 
 
+#: One job's submission record and how it ended, if it did (``complete``
+#: and ``cancelled`` are sqlite's 0/1 truth values).
+JobRow = namedtuple("JobRow", "id fingerprint spec master_seed priority"
+                              " complete cancelled")
+
+
 class CampaignStoreError(RuntimeError):
     """A checkpoint store refused an operation (mismatch, misuse, corruption)."""
 
@@ -150,7 +154,6 @@ class RecoveryStage(enum.Enum):
 
     FRESH = "fresh"
     REPLAYING = "replaying"
-    LIVE = "live"
     COMPLETE = "complete"
 
 
@@ -533,13 +536,12 @@ class StoreDatabase:
                                          int(master_seed), int(priority))
             ).lastrowid
 
-    def jobs(self) -> List[Tuple[int, str, Optional[str], int, int, bool,
-                                 bool]]:
-        """Return every job's submission record and how it ended, if it did.
+    def jobs(self, prefix: str = "") -> List[JobRow]:
+        """Return the jobs whose fingerprint starts with ``prefix``, by id.
 
-        Returns:
-            ``(id, fingerprint, encoded spec, master seed, priority,
-            complete, cancelled)`` tuples in id (submission) order.
+        Fingerprints are hex digests, so each one that starts with
+        ``prefix`` sorts between it and ``prefix + "\\uffff"``: the
+        ``fingerprint`` column's unique index serves the lookup.
         """
         with self.lock:
             rows = self.conn.execute(
@@ -547,11 +549,9 @@ class StoreDatabase:
                 " j.priority, m.value IS '1', c.value IS '1' FROM jobs AS j"
                 " LEFT JOIN meta AS m ON m.job_id = j.id AND m.key = 'complete'"
                 " LEFT JOIN meta AS c ON c.job_id = j.id"
-                " AND c.key = 'cancelled' ORDER BY j.id").fetchall()
-        return [(int(job_id), fingerprint, spec, int(seed), int(priority),
-                 bool(complete), bool(cancelled))
-                for job_id, fingerprint, spec, seed, priority, complete,
-                cancelled in rows]
+                " AND c.key = 'cancelled' WHERE j.fingerprint BETWEEN ? AND ?"
+                " ORDER BY j.id", (prefix, prefix + "\uffff")).fetchall()
+        return [JobRow._make(row) for row in rows]
 
     def mark_cancelled(self, job_id: int) -> None:
         """Durably record that job ``job_id`` was cancelled (a plain

@@ -3,8 +3,10 @@
 Each experiment module (one per paper table/figure plus the extensions)
 exposes a ``run_*`` function returning an :class:`ExperimentResult`: a
 named table of rows, optional time series, and free-form notes recording
-how the reproduction relates to the paper's artifact.  The benchmark
-harness prints these results.
+how the reproduction relates to the paper's artifact.  The campaign CLI
+(``python -m repro.campaign --experiment NAME``) prints the preset
+experiments' results through :meth:`ExperimentResult.render`; the figure
+drivers' results are read by the tests.
 """
 
 from __future__ import annotations

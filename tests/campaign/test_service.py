@@ -195,15 +195,17 @@ def test_two_jobs_share_one_warm_pool_bit_identically(service):
     assert trial_events, "watch streamed no per-trial aggregate snapshots"
     assert trial_events[-1]["done"] == spec1.total_trials
     assert any(e.get("event") == "checkpoint" for e in events)
+    pids1 = client.status()["pool_pids"]
 
     drained = client.drain()["jobs"]
     assert drained == {job1: "complete", job2: "complete"}
+    pids2 = client.status()["pool_pids"]
 
     status1 = client.status(job1)
     status2 = client.status(job2)
     # One warm pool across both jobs: identical, non-empty worker PIDs.
-    assert status1["pool_pids"] == status2["pool_pids"]
-    assert status1["pool_pids"], "no worker PIDs recorded"
+    assert pids1 == pids2
+    assert pids1, "no worker PIDs recorded"
     assert status1["store"]["complete"] and status2["store"]["complete"]
     # Aggregates bit-identical to the serial reference runs.
     assert status1["cells"] == _reference_cells(spec1, 7)
@@ -214,29 +216,44 @@ def test_two_jobs_share_one_warm_pool_bit_identically(service):
     assert again["job"] == job1 and again["duplicate"] is True
 
 
-def test_finished_job_keeps_only_a_frozen_snapshot(service):
-    svc, client = service
+def test_finished_job_is_read_from_the_database(tmp_path):
+    # A finished job leaves memory: its status and a late watch rebuild
+    # it from its checkpoints, and give the same cells and done event as
+    # the live stream, before and after a restart.
+    sock = str(tmp_path / "svc.sock")
+    stores = tmp_path / "stores"
     spec = _spec_interlock()
-    job = client.submit(spec, 7)["job"]
-    live = list(client.watch(job))
-    assert live[-1] == {"event": "done", "state": "complete"}
-    # The live stream's last aggregate of each cell.
-    cells = {e["cell"]["label"]: e["cell"] for e in live if e.get("event") == "trial"}
-
-    late = list(client.watch(job))
+    svc, thread, client = _start(sock, stores)
+    try:
+        job = client.submit(spec, 7)["job"]
+        live = list(client.watch(job))
+        assert live[-1] == {"event": "done", "state": "complete"}
+        assert job not in svc._jobs
+        # The live stream's last aggregate of each cell.
+        streamed = {e["cell"]["label"]: e["cell"]
+                    for e in live if e.get("event") == "trial"}
+        cells = [streamed[label] for label in sorted(streamed)]
+        assert cells == sorted(_reference_cells(spec, 7),
+                               key=lambda c: c["label"])
+        late = list(client.watch(job))
+        status = client.status(job)
+    finally:
+        _stop(svc, thread)
     assert [e["event"] for e in late] == ["snapshot", "done"]
     snapshot, done = late
     assert snapshot["done"] == snapshot["total"] == spec.total_trials
-    assert sorted(snapshot["cells"], key=lambda c: c["label"]) == [
-        cells[label] for label in sorted(cells)]
+    assert sorted(snapshot["cells"], key=lambda c: c["label"]) == cells
     assert done == live[-1]
-    assert list(client.watch(job)) == late
+    assert status["state"] == "complete"
+    assert sorted(status["cells"], key=lambda c: c["label"]) == cells
 
-    # No per-trial summaries, decoded spec or cancel flag outlive the job.
-    finished = svc._jobs[job]
-    assert finished.bus._aggregator is None
-    assert finished.spec is None and finished.cancel is None
-    assert client.status(job)["cells"] == _reference_cells(spec, 7)
+    svc, thread, client = _start(sock, stores)
+    try:
+        assert svc._jobs == {}
+        assert list(client.watch(job)) == late
+        assert client.status(job) == status
+    finally:
+        _stop(svc, thread)
 
 
 def test_cancel_queued_job_is_immediate(service):
@@ -370,8 +387,8 @@ def test_streamed_cells_do_not_depend_on_completion_order():
     # A lossy sweep, 5 replicates per cell: mean_loss_ratio is a float
     # sum, so folding a cell's summaries in completion order can change
     # its last bit.  Whatever order trials retire in, the last streamed
-    # aggregate of each cell and the frozen snapshot must equal
-    # CampaignResult.groups() bit for bit.
+    # aggregate of each cell must equal CampaignResult.groups() bit for
+    # bit.
     spec = loss_sweep_spec(loss_levels=(0.3, 0.6), duration=60.0,
                            replicates=5)
     result = run_campaign(spec, seed=11, max_workers=1)
@@ -384,15 +401,11 @@ def test_streamed_cells_do_not_depend_on_completion_order():
         subscriber = bus.subscribe()
         for summary in order:
             bus.trial_done(summary)
-        bus.close({"event": "done", "state": "complete"},
-                  list(expected.values()))
+        bus.close({"event": "done", "state": "complete"})
         streamed = {event["cell"]["label"]: event["cell"]
                     for event in _drain(subscriber) if event["event"] == "trial"}
         assert streamed == expected
         (snapshot, _) = list(_drain(bus.subscribe()))
-        # Equal cells: the frozen snapshot shares the final cell dicts.
-        assert all(cell is expected[cell["label"]]
-                   for cell in snapshot["cells"])
         assert len(snapshot["cells"]) == len(expected)
 
 
@@ -515,6 +528,60 @@ def test_running_job_cancelled_stays_cancelled_after_restart(tmp_path):
         assert 0 < store["checkpointed"] < 80 and not store["complete"]
     finally:
         _stop(svc, thread)
+
+
+def test_serve_returns_promptly_with_an_idle_connection_open(tmp_path):
+    # The idle connection opens before the job runs, so the pool's forked
+    # workers hold copies of its client end and its close could never
+    # reach the daemon as EOF: stopping has to shut it down.
+    sock = str(tmp_path / "svc.sock")
+    svc, thread, client = _start(sock, tmp_path / "stores")
+    idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        idle.connect(sock)
+        job = client.submit(_spec_interlock(), 7)["job"]
+        assert client.drain()["jobs"] == {job: "complete"}
+        started = time.monotonic()
+        svc.initiate_shutdown()
+        thread.join(timeout=10.0)
+        elapsed = time.monotonic() - started
+    finally:
+        idle.close()
+    assert not thread.is_alive()
+    assert elapsed < 0.2, f"serve() took {elapsed:.3f} s to return"
+
+
+def test_drain_in_flight_at_shutdown_gets_an_error_reply(tmp_path):
+    # A job is running and another is queued behind it when shutdown
+    # arrives, so the queued one never ends here: the drain waiting on it
+    # must be answered instead of left waiting.
+    sock = str(tmp_path / "svc.sock")
+    svc, thread, client = _start(sock, tmp_path / "stores")
+    try:
+        running = client.submit(
+            PRESETS["table1"].build(replicates=2, duration=600.0), 7)["job"]
+        client.submit(_spec_interlock(), 7, priority=-1)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as drain:
+            drain.connect(sock)
+            drain.settimeout(10.0)
+            send_frame(drain, {"v": PROTOCOL_VERSION, "op": "drain"})
+            # Waiting on the service's condition: the drain, nothing else.
+            deadline = time.monotonic() + 30.0
+            while (client.status(running)["state"] != "running"
+                   or len(svc._lock._waiters) != 1):
+                assert time.monotonic() < deadline, "drain never waited"
+                time.sleep(0.01)
+            started = time.monotonic()
+            svc.initiate_shutdown()
+            reply = recv_frame(drain)
+            elapsed = time.monotonic() - started
+        for job in list(svc._jobs.values()):  # end the graceful stop early
+            job.cancel.set()
+    finally:
+        _stop(svc, thread)
+    assert reply == {"v": PROTOCOL_VERSION, "ok": False,
+                     "error": "service is shutting down"}
+    assert elapsed < 0.2, f"drain took {elapsed:.3f} s to answer"
 
 
 def test_restart_restores_finished_jobs_and_resumes_partial_ones(
@@ -648,6 +715,44 @@ def test_daemon_sigkill_mid_job_restart_resumes_bit_identically(tmp_path):
     leaked = [name for name in os.listdir("/dev/shm")
               if name.startswith("repro-")] if os.path.isdir("/dev/shm") else []
     assert not leaked, f"leaked shared-memory segments: {leaked}"
+
+
+def _vm_hwm_kib(pid):
+    """The peak resident set size of process ``pid``, in KiB."""
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no VmHWM line for process {pid}")
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/<pid>/status")
+def test_daemon_memory_stays_flat_over_a_thousand_jobs(tmp_path):
+    # A finished job lives only in jobs.db, so the daemon's peak RSS must
+    # not grow with the number of jobs it has run.
+    sock = tmp_path / "svc.sock"
+    spec = PRESETS["table1"].build(replicates=2, duration=1.0)
+    daemon = subprocess.Popen(_daemon_cmd(sock, tmp_path / "stores"),
+                              env=_daemon_env())
+    peaks = {}
+    try:
+        _wait_for_socket(sock)
+        client = ServiceClient(str(sock))
+        for index in range(1, 1001):
+            job = client.submit(spec, index)["job"]
+            assert list(client.watch(job))[-1] == {"event": "done",
+                                                   "state": "complete"}
+            if index in (100, 1000):
+                peaks[index] = _vm_hwm_kib(daemon.pid)
+        client.shutdown()
+        assert daemon.wait(timeout=60) == 0
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+    assert peaks[1000] - peaks[100] <= 1024, peaks
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,9 @@ span cells, attributed to their own cell, failed by the fault plan's
 supervisor times out, respawns, bisects and retries; in
 ``src/repro/campaign/store.py`` and ``src/repro/campaign/service/server.py``
 how a job's rows stay its own, when a submission becomes durable, which
-jobs a restarted daemon takes back and that a cancel holds across a
-restart; in ``src/repro/campaign/presets.py`` that a preset's declared
+jobs a restarted daemon takes back, that a cancel holds across a restart,
+that a finished job is read back with its checkpoints' cells and that
+stopping wakes idle connections and drains; in ``src/repro/campaign/presets.py`` that a preset's declared
 defaults name the same campaign.
 The tool copies the repository's ``src/`` and ``tests/`` into a temporary
 directory, checks that the unmutated copy passes, then applies each mutant
@@ -240,27 +241,45 @@ MUTANTS = {
          ("            job_id = self._db.add_job(fingerprint, spec, master_seed,\n"
           "                                      priority)\n", "")]),
     "recover-skips-incomplete": (
-        SERVER, "a restarted daemon takes back only its finished jobs",
-        [("            else:\n"
-          "                heapq.heappush(self._queue,\n"
-          "                               (-job.priority, job.seq, fingerprint))\n",
-          "            else:\n"
-          "                continue\n")]),
+        SERVER, "a restarted daemon takes back none of its unfinished jobs",
+        [("                    self._enqueue(Job.from_row(row))\n",
+          "                    pass\n")]),
     "cancel-ignored": (
         SERVER, "a cancel neither stops a job nor finishes a queued one",
         [("                job.cancel.set()\n"
           "                if job.state is JobState.QUEUED:\n"
           "                    self._db.mark_cancelled(job.job_id)\n"
-          "                    job.finish(JobState.CANCELLED)\n",
+          "                    self._queue.remove((-job.priority, job.job_id,\n"
+          "                                        job.fingerprint))\n"
+          "                    heapq.heapify(self._queue)\n"
+          "                    self._end(job, JobState.CANCELLED)\n",
           "                pass\n")]),
     "cancel-not-durable": (
         SERVER, "a cancelled job's cancel mark is never written, so a restart runs it",
         [("                    self._db.mark_cancelled(job.job_id)\n"
-          "                    job.finish(JobState.CANCELLED)\n",
-          "                    job.finish(JobState.CANCELLED)\n"),
+          "                    self._queue.remove(",
+          "                    self._queue.remove("),
          ("        except CampaignCancelled:\n"
           "            self._db.mark_cancelled(job.job_id)\n",
           "        except CampaignCancelled:\n")]),
+    "stop-leaves-idle-connections": (
+        SERVER, "stopping skips the shutdown of open connections",
+        [("            for sock in (self._server, *self._idle):\n",
+          "            for sock in (self._server,):\n")]),
+    "finished-status-without-cells": (
+        SERVER, "a finished job's status is built without its checkpoints' cells",
+        [("        return protocol.ok(**job.to_json(\n"
+          "            self._cells(job),\n",
+          "        return protocol.ok(**job.to_json(\n"
+          "            [],\n")]),
+    "drain-ignores-stopping": (
+        SERVER, "drain waits out a stop and never answers",
+        [("            while not self._stopping and any(\n",
+          "            while any(\n"),
+         ("            if self._stopping:\n"
+          "                return protocol.error(\"service is shutting down\")\n"
+          "            states = {",
+          "            states = {")]),
     "preset-axis-default-drift": (
         PRESETS, "the grid's declared default duration drifts from 600 to 900 s",
         [('            Axis("duration", float, 600.0, POSITIVE, "duration",\n',
@@ -281,16 +300,17 @@ def apply(source: str, name: str) -> str:
 def run_tests(tree: Path, tests: list[str]) -> tuple[int, float, str]:
     """Run the fixed ``tests`` in ``tree``; return (exit status, seconds, summary).
 
-    The summary is the first failed test's id, or pytest's last line.
+    The summary is the first failed or erroring test's id, or pytest's last line.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     deselect = [arg for test in DESELECTED for arg in ("--deselect", test)]
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "-rf", *tests, *deselect]
+               "-rfE", *tests, *deselect]
     started = time.perf_counter()
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines() or [done.stderr.strip()]
-    failed = [line.split()[1] for line in lines if line.startswith("FAILED ")]
+    failed = [line.split()[1] for line in lines
+              if line.startswith(("FAILED ", "ERROR "))]
     return done.returncode, time.perf_counter() - started, (failed or lines)[-1]
 
 
