@@ -23,7 +23,9 @@ across a mid-job SIGKILL of the daemon itself.
 
 A finished job lives only in the database: a job that completes or is
 cancelled leaves memory, and every later read of it resolves its
-``jobs`` row and rebuilds its cells from its checkpoints.
+``jobs`` row and rebuilds its cells from its checkpoints.  Stopping wakes
+what it waits for instead of polling (see
+:meth:`CampaignService.initiate_shutdown`).
 
 Job lifecycle::
 
@@ -33,9 +35,6 @@ Job lifecycle::
 
 COMPLETE and CANCELLED are durable (``complete`` and ``cancelled`` meta
 rows); a FAILED job is re-enqueued by the next start.
-
-Stopping wakes what it waits for instead of polling (see
-:meth:`CampaignService.initiate_shutdown`).
 
 See ``docs/service.md`` for the wire protocol and operational guidance.
 """
@@ -50,6 +49,7 @@ import signal
 import socket
 from contextlib import suppress
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -80,9 +80,6 @@ class JobState(enum.Enum):
 #: States from which a job can never leave.
 TERMINAL_STATES = (JobState.COMPLETE, JobState.FAILED, JobState.CANCELLED)
 
-#: The durable terminal states: a job in one lives only in the database.
-FINISHED_STATES = (JobState.COMPLETE, JobState.CANCELLED)
-
 
 def _finished_state(row: JobRow) -> Optional[JobState]:
     """The durable terminal state a ``jobs`` row records, if any."""
@@ -102,17 +99,21 @@ class Job:
     priority: int
     state: JobState = JobState.QUEUED
     error: Optional[str] = None
-    bus: EventBus = field(init=False)
+    bus: Optional[EventBus] = field(init=False)  # until the job ends
     cancel: threading.Event = field(default_factory=threading.Event)
 
     def __post_init__(self) -> None:
-        self.bus = EventBus(self.spec.total_trials)
+        self.bus = (None if self.state in TERMINAL_STATES
+                    else EventBus(self.spec.total_trials))
 
     @classmethod
-    def from_row(cls, row: JobRow) -> "Job":
-        """Decode a job from its ``jobs`` row, in the state the row records."""
-        return cls(fingerprint=row.fingerprint, job_id=row.id,
-                   spec=protocol.decode_spec(json.loads(row.spec)),
+    def from_row(cls, row: JobRow) -> Optional["Job"]:
+        """Decode a job in the state its row records (``None``: bad spec)."""
+        try:
+            spec = protocol.decode_spec(json.loads(row.spec))
+        except (TypeError, ValueError, protocol.ProtocolError):
+            return None
+        return cls(fingerprint=row.fingerprint, job_id=row.id, spec=spec,
                    master_seed=row.master_seed, priority=row.priority,
                    state=_finished_state(row) or JobState.QUEUED)
 
@@ -127,7 +128,7 @@ class Job:
                 store_status: Optional[dict] = None) -> dict:
         """Encode the job for a ``status`` response.
 
-        ``cells`` are empty while the job is live; ``store_status`` is its
+        ``cells`` are empty until the job ends; ``store_status`` is its
         store's ``CheckpointStatus`` JSON, when the caller read one.
         """
         body = {
@@ -175,11 +176,10 @@ class CampaignService:
         self.pool = CampaignPool(max_workers)
         self._lock = threading.Condition()
         self._jobs: Dict[str, Job] = {}  # the live jobs only
-        #: (-priority, job id, fingerprint): the job id orders submissions.
-        self._queue: List[Tuple[int, int, str]] = []
+        self._queue: List[Tuple[int, int, str]] = []  # (-priority, id, fp)
         self._stopping = False
         self._runner: Optional[threading.Thread] = None
-        self._idle: Set[socket.socket] = set()  # connections awaiting a request
+        self._waiting: Set[socket.socket] = set()  # idle or watching
         os.makedirs(self.stores_dir, exist_ok=True)
         self._db = StoreDatabase(os.path.join(self.stores_dir,
                                               DATABASE_NAME))
@@ -189,17 +189,12 @@ class CampaignService:
     # -- startup recovery --------------------------------------------------
 
     def _recover(self) -> None:
-        """Re-enqueue every job the ``jobs`` rows record as unfinished.
-
-        Its run replays its checkpointed prefix (``resume=True``), so
-        nothing simulated before a crash is simulated again.
-        """
+        """Re-enqueue every unfinished job: its ``resume=True`` run replays
+        its checkpoints, so nothing simulated before a crash runs again."""
         for row in self._db.jobs():
-            try:
-                if not _finished_state(row):
-                    self._enqueue(Job.from_row(row))
-            except (TypeError, ValueError, protocol.ProtocolError):
-                pass
+            job = None if _finished_state(row) else Job.from_row(row)
+            if job is not None:
+                self._enqueue(job)
 
     def _enqueue(self, job: Job) -> None:
         """Register a queued job and push it onto the priority queue."""
@@ -225,7 +220,6 @@ class CampaignService:
 
     def _run_job(self, job: Job) -> None:
         """Run one RUNNING job to a terminal state on the warm pool."""
-        final: JobState
         try:
             store = self._db.store(job.job_id)
             store.on_commit = job.bus.checkpoint
@@ -255,23 +249,25 @@ class CampaignService:
 
         Its bus closes and a finished job leaves memory under the lock
         :meth:`_handle_watch` subscribes under, so a watcher either gets
-        this ``done`` event or reads the job from the database.
+        this ``done`` event or reads the job from the database.  A FAILED
+        job stays in memory, but is read as a finished one.
         """
         job.state = state
         job.bus.close(job.done_event())
-        if state in FINISHED_STATES:
+        job.bus = None
+        if state is not JobState.FAILED:
             del self._jobs[job.fingerprint]
         self._lock.notify_all()
 
     # -- finished jobs -----------------------------------------------------
 
     def _cells(self, job: Job) -> List[dict]:
-        """A job's cells: a finished job's rebuilt from its checkpoints.
+        """A job's cells: an ended job's rebuilt from its checkpoints.
 
         The one rebuild: replay the checkpointed trials and fold them
         through ``CampaignResult.groups()``, as the job's own run did.
         """
-        if job.state not in FINISHED_STATES:
+        if job.state not in TERMINAL_STATES:
             return []
         summaries = tuple(summary for _, summary
                           in self._db.store(job.job_id).replay())
@@ -279,13 +275,10 @@ class CampaignService:
                                 workers=0, wall_time=0.0, summaries=summaries)
         return [cell_json(group) for group in result.groups()]
 
-    def _jobs_like(self, prefix: str = "") -> List[Job]:
-        """Return the jobs whose fingerprint starts with ``prefix``.
-
-        Call with the service lock held.  Jobs come in submission order, a
-        finished one decoded from its row.
-        """
-        return [self._jobs.get(row.fingerprint) or Job.from_row(row)
+    def _known(self, prefix: str = "") -> List[Tuple[JobRow, Optional[Job]]]:
+        """``(row, live job or None)`` of each live or finished job whose
+        fingerprint starts with ``prefix``, by submission (lock held)."""
+        return [(row, self._jobs.get(row.fingerprint))
                 for row in self._db.jobs(prefix)
                 if row.fingerprint in self._jobs or _finished_state(row)]
 
@@ -301,13 +294,15 @@ class CampaignService:
         """
         if token in self._jobs:
             return self._jobs[token]
-        matches = self._jobs_like(token)
-        if not matches:
-            raise KeyError(f"no job matches {token!r}")
+        matches = self._known(token)
         if len(matches) > 1:
             raise KeyError(f"job prefix {token!r} is ambiguous "
                            f"({len(matches)} matches)")
-        return matches[0]
+        for row, live in matches:
+            job = live or Job.from_row(row)
+            if job is not None:
+                return job
+        raise KeyError(f"no job matches {token!r}")
 
     def _handle_submit(self, message: dict) -> dict:
         """Queue one campaign submission (idempotent by fingerprint)."""
@@ -322,13 +317,9 @@ class CampaignService:
         with self._lock:
             if self._stopping:
                 return protocol.error("service is shutting down")
-            try:
-                existing = self._find_job(fingerprint)
-            except KeyError:
-                pass
-            else:
-                return protocol.ok(job=fingerprint,
-                                   state=existing.state.value,
+            for row, live in self._known(fingerprint):
+                state = live.state if live else _finished_state(row)
+                return protocol.ok(job=fingerprint, state=state.value,
                                    duplicate=True)
             # The fingerprint above canonicalized the spec; the jobs row
             # and the store's binding check reuse that encoding.
@@ -347,10 +338,11 @@ class CampaignService:
         token = message.get("job")
         if token is None:
             with self._lock:
-                jobs = self._jobs_like()
+                known = self._known()
                 queued = len(self._queue)
+            jobs = [live or Job.from_row(row) for row, live in known]
             return protocol.ok(jobs=[job.to_json(self._cells(job))
-                                     for job in jobs],
+                                     for job in jobs if job is not None],
                                queued=queued,
                                pool_pids=list(self.pool.worker_pids()),
                                stores_dir=self.stores_dir)
@@ -392,24 +384,25 @@ class CampaignService:
                 self._lock.wait()
             if self._stopping:
                 return protocol.error("service is shutting down")
-            states = {job.fingerprint: job.state.value
-                      for job in self._jobs_like()}
+            states = {row.fingerprint:
+                      (live.state if live else _finished_state(row)).value
+                      for row, live in self._known()}
         return protocol.ok(jobs=states)
 
     def _handle_watch(self, sock: socket.socket, message: dict) -> None:
-        """Stream one job's events until its terminal event (or EOF).
+        """Stream one job's events until its terminal event, EOF or a stop.
 
-        A finished job is served from the database: its rebuilt cells as
-        the snapshot, then its ``done`` event.
+        An ended job's stream is its rebuilt cells, then its ``done`` event.
         """
         subscriber = None
         try:
             with self._lock:
                 job = self._find_job(str(message.get("job", "")))
-                if job.state not in FINISHED_STATES:
-                    subscriber = job.bus.subscribe()
-                    if self._stopping and job.state is JobState.QUEUED:
-                        subscriber.put(None)  # this job will not run here
+                bus = job.bus
+                if bus is not None:
+                    subscriber = bus.subscribe()
+                    if self._stopping:
+                        subscriber.put(None)
         except KeyError as exc:
             protocol.send_frame(sock, protocol.error(str(exc)))
             return
@@ -435,18 +428,18 @@ class CampaignService:
             return  # the client went away
         finally:
             if subscriber is not None:
-                job.bus.unsubscribe(subscriber)
+                bus.unsubscribe(subscriber)
 
     # -- socket plumbing ---------------------------------------------------
 
     def _handle_connection(self, sock: socket.socket) -> None:
         """Serve one client connection (one or more request frames)."""
-        with sock:
+        try:
             while True:
                 with self._lock:
                     if self._stopping:
                         return
-                    self._idle.add(sock)
+                    self._waiting.add(sock)
                 try:
                     message = protocol.recv_frame(sock)
                 except protocol.ProtocolError as exc:
@@ -455,9 +448,6 @@ class CampaignService:
                     return
                 except OSError:
                     return  # the client went away (say, mid-watch)
-                finally:
-                    with self._lock:
-                        self._idle.discard(sock)
                 if message is None:
                     return
                 try:
@@ -466,6 +456,8 @@ class CampaignService:
                     if op == "watch":
                         self._handle_watch(sock, message)
                         continue
+                    with self._lock:  # a stop spares a reply (a drain's)
+                        self._waiting.discard(sock)
                     if op == "shutdown":
                         protocol.send_frame(sock, protocol.ok(stopping=True))
                         self.initiate_shutdown()
@@ -486,23 +478,26 @@ class CampaignService:
                     protocol.send_frame(sock, response)
                 except OSError:
                     return
+        finally:
+            with self._lock:
+                self._waiting.discard(sock)
+            sock.close()
 
     def initiate_shutdown(self) -> None:
         """Stop accepting requests and wake everything that waits.
 
         Graceful: the running job (if any) finishes first; queued jobs stay
-        durably recorded for the next start.  Shutting the listening socket
-        down fails a blocked ``accept``, and shutting down each connection
-        awaiting a request ends its read, even where forked pool workers
-        hold copies of the client's end.
+        durably recorded for the next start.  Every job's stream ends, and
+        shutting sockets down fails a blocked ``accept``, read or ``watch``
+        send, even where forked pool workers hold copies of a client's end.
         """
         with self._lock:
             self._stopping = True
             self._lock.notify_all()
             for job in self._jobs.values():
-                if job.state is JobState.QUEUED:
+                if job.bus is not None:
                     job.bus.publish(None)
-            for sock in (self._server, *self._idle):
+            for sock in (self._server, *self._waiting):
                 with suppress(OSError):  # not listening yet, or peer gone
                     sock.shutdown(socket.SHUT_RDWR)
 
@@ -543,8 +538,10 @@ class CampaignService:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
             self._runner.join(timeout=30.0)
+            # Only a reply its client never reads can still block a handler.
+            deadline = time.monotonic() + 1.0
             for thread in handlers:
-                thread.join()
+                thread.join(max(0.0, deadline - time.monotonic()))
             self.pool.shutdown()
             self._db.close()
 

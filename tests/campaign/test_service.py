@@ -30,8 +30,9 @@ from repro.campaign.cli import main as campaign_main
 from repro.campaign.faults import FAULT_PLAN_ENV_VAR
 from repro.campaign.presets import PRESETS
 from repro.campaign.service import (PROTOCOL_VERSION, CampaignService,
-                                    ProtocolError, ServiceClient, decode_spec,
-                                    encode_spec, recv_frame, send_frame)
+                                    ProtocolError, ServiceClient, ServiceError,
+                                    decode_spec, encode_spec, recv_frame,
+                                    send_frame)
 from repro.campaign.service.events import EventBus, cell_json
 from repro.campaign.store import CRASH_EXIT_CODE, spec_fingerprint
 
@@ -254,6 +255,50 @@ def test_finished_job_is_read_from_the_database(tmp_path):
         assert client.status(job) == status
     finally:
         _stop(svc, thread)
+
+
+def test_finished_job_with_an_undecodable_spec_is_skipped(tmp_path):
+    # A finished row whose spec no longer decodes is left out of every
+    # read that decodes it, as startup leaves out an unfinished one: the
+    # overview and drain still answer.
+    sock = str(tmp_path / "svc.sock")
+    stores = tmp_path / "stores"
+    svc, thread, client = _start(sock, stores)
+    try:
+        job = client.submit(_spec_interlock(), 7)["job"]
+        assert client.drain()["jobs"] == {job: "complete"}
+    finally:
+        _stop(svc, thread)
+    conn = sqlite3.connect(stores / "jobs.db")
+    with conn:
+        conn.execute("UPDATE jobs SET spec = 'not json'")
+    conn.close()
+    svc, thread, client = _start(sock, stores)
+    try:
+        assert client.status()["jobs"] == []
+        assert client.drain()["jobs"] == {job: "complete"}
+        with pytest.raises(ServiceError, match="no job matches"):
+            client.status(job)
+    finally:
+        _stop(svc, thread)
+
+
+def test_failed_job_keeps_no_event_stream(service, monkeypatch):
+    # A FAILED job stays in memory (it is not durable) without its bus:
+    # its status and a late watch are read as a finished job's are.
+    svc, client = service
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("repro.campaign.service.server.run_campaign", failing)
+    job = client.submit(_spec_interlock(), 7)["job"]
+    assert client.drain()["jobs"] == {job: "failed"}
+    assert svc._jobs[job].bus is None
+    done = {"event": "done", "state": "failed", "error": "RuntimeError: boom"}
+    assert list(client.watch(job))[-1] == done
+    status = client.status(job)
+    assert status["state"] == "failed" and status["cells"] == []
 
 
 def test_cancel_queued_job_is_immediate(service):
@@ -584,6 +629,39 @@ def test_drain_in_flight_at_shutdown_gets_an_error_reply(tmp_path):
     assert elapsed < 0.2, f"drain took {elapsed:.3f} s to answer"
 
 
+def test_stop_ends_the_watch_of_a_running_job_whose_client_reads_nothing(
+        tmp_path):
+    # The watcher of the running job reads nothing, so its handler blocks
+    # sending events: stopping has to shut that connection down as well,
+    # or serve() still waits on the handler after the job has ended.
+    sock = str(tmp_path / "svc.sock")
+    svc, thread, client = _start(sock, tmp_path / "stores")
+    try:
+        job = client.submit(
+            PRESETS["table1"].build(replicates=2, duration=600.0), 7)["job"]
+        live = svc._jobs[job]
+        bus = live.bus
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as watcher:
+            watcher.connect(sock)
+            send_frame(watcher, {"v": PROTOCOL_VERSION, "op": "watch",
+                                 "job": job})
+            deadline = time.monotonic() + 30.0
+            while not bus._subscribers:
+                assert time.monotonic() < deadline, "watch never attached"
+                time.sleep(0.01)
+            for _ in range(64):  # far more than the socket buffers hold
+                bus.recovery("flood", "x" * 65536)
+            svc.initiate_shutdown()
+            live.cancel.set()  # end the graceful stop early
+            svc._runner.join(timeout=60.0)
+            started = time.monotonic()
+            thread.join(timeout=10.0)
+            elapsed = time.monotonic() - started
+    finally:
+        _stop(svc, thread)
+    assert elapsed < 0.2, f"serve() took {elapsed:.3f} s after the job ended"
+
+
 def test_restart_restores_finished_jobs_and_resumes_partial_ones(
         tmp_path, monkeypatch):
     from repro.campaign.store import CampaignStore
@@ -746,6 +824,14 @@ def test_daemon_memory_stays_flat_over_a_thousand_jobs(tmp_path):
                                                    "state": "complete"}
             if index in (100, 1000):
                 peaks[index] = _vm_hwm_kib(daemon.pid)
+        # The overview and drain read every job from its jobs row; the
+        # overview also rebuilds each one's cells from its checkpoints.
+        started = time.monotonic()
+        overview = client.status()
+        overview_s = time.monotonic() - started
+        started = time.monotonic()
+        drained = client.drain()["jobs"]
+        drain_s = time.monotonic() - started
         client.shutdown()
         assert daemon.wait(timeout=60) == 0
     finally:
@@ -753,6 +839,8 @@ def test_daemon_memory_stays_flat_over_a_thousand_jobs(tmp_path):
             daemon.kill()
             daemon.wait()
     assert peaks[1000] - peaks[100] <= 1024, peaks
+    assert len(overview["jobs"]) == len(drained) == 1000
+    assert overview_s < 10.0 and drain_s < 2.0, (overview_s, drain_s)
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,9 @@ supervisor times out, respawns, bisects and retries; in
 how a job's rows stay its own, when a submission becomes durable, which
 jobs a restarted daemon takes back, that a cancel holds across a restart,
 that a finished job is read back with its checkpoints' cells and that
-stopping wakes idle connections and drains; in ``src/repro/campaign/presets.py`` that a preset's declared
-defaults name the same campaign.
+stopping wakes idle connections, watches and drains; in
+``src/repro/campaign/presets.py`` that a preset's declared defaults name
+the same campaign.
 The tool copies the repository's ``src/`` and ``tests/`` into a temporary
 directory, checks that the unmutated copy passes, then applies each mutant
 in turn and asserts that the fixed tests listed in ``TESTS`` for the
@@ -242,8 +243,8 @@ MUTANTS = {
           "                                      priority)\n", "")]),
     "recover-skips-incomplete": (
         SERVER, "a restarted daemon takes back none of its unfinished jobs",
-        [("                    self._enqueue(Job.from_row(row))\n",
-          "                    pass\n")]),
+        [("                self._enqueue(job)\n",
+          "                pass\n")]),
     "cancel-ignored": (
         SERVER, "a cancel neither stops a job nor finishes a queued one",
         [("                job.cancel.set()\n"
@@ -264,8 +265,21 @@ MUTANTS = {
           "        except CampaignCancelled:\n")]),
     "stop-leaves-idle-connections": (
         SERVER, "stopping skips the shutdown of open connections",
-        [("            for sock in (self._server, *self._idle):\n",
+        [("            for sock in (self._server, *self._waiting):\n",
           "            for sock in (self._server,):\n")]),
+    "stop-leaves-watches": (
+        SERVER, "stopping leaves a watching connection open, its handler blocked",
+        [("                    if op == \"watch\":\n"
+          "                        self._handle_watch(sock, message)\n"
+          "                        continue\n",
+          ""),
+         ("                        self._waiting.discard(sock)\n"
+          "                    if op == \"shutdown\":\n",
+          "                        self._waiting.discard(sock)\n"
+          "                    if op == \"watch\":\n"
+          "                        self._handle_watch(sock, message)\n"
+          "                        continue\n"
+          "                    if op == \"shutdown\":\n")]),
     "finished-status-without-cells": (
         SERVER, "a finished job's status is built without its checkpoints' cells",
         [("        return protocol.ok(**job.to_json(\n"
