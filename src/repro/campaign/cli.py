@@ -50,6 +50,7 @@ unlinked.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
@@ -59,15 +60,16 @@ from typing import Sequence
 
 from repro.campaign.aggregate import TrialSummary
 from repro.campaign.executor import (CampaignExecutionError,
-                                     CampaignInterrupted, DEFAULT_MAX_RESPAWNS,
-                                     DEFAULT_MAX_RETRIES,
+                                     CampaignInterrupted,
+                                     DEFAULT_CAMPAIGN_ENGINE,
+                                     DEFAULT_MAX_RESPAWNS, DEFAULT_MAX_RETRIES,
                                      default_worker_count, run_campaign)
-from repro.campaign.faults import FaultPlan, FaultPlanError, resolve_fault_plan
+from repro.campaign.faults import FaultPlanError, resolve_fault_plan
 from repro.campaign.presets import PRESETS
 from repro.campaign.service.client import SERVICE_COMMANDS, service_main
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, CampaignStoreError
-from repro.hybrid.simulate import ENGINE_KINDS
+from repro.hybrid.simulate import ENGINE_KINDS, resolve_engine_kind
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -192,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "exceeding this deadline gets its worker "
                              "killed and the batch rescheduled (pooled "
                              "runs only; default: no deadline)")
-    parser.add_argument("--max-respawns", type=int, default=None, metavar="N",
+    parser.add_argument("--max-respawns", type=int,
+                        default=DEFAULT_MAX_RESPAWNS, metavar="N",
                         help="worker-pool respawns (crashed or hung pools) "
                              "tolerated before the campaign aborts with "
                              "exit status 3 (default: "
@@ -209,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
         "multilevel importance splitting over the monitor's risk levels; "
         "'sprt' sequentially tests H0: p <= p0 vs H1: p >= p1 and cancels "
         "the cell's remaining batches the moment it decides; 'crude' is the "
-        "plain Monte-Carlo baseline over the same machinery.  All methods "
-        "are bit-identical across worker counts, engine tiers, and "
+        "plain Monte-Carlo baseline.  crude and sprt run the cell as a "
+        "single-cell campaign, so every executor flag applies to them.  All "
+        "methods are bit-identical across worker counts, engine tiers, and "
         "--resume splits.")
     rare.add_argument("--method", choices=("crude", "split", "sprt"),
                       default=None,
@@ -273,6 +277,15 @@ def _resume_command(argv: Sequence[str] | None) -> str:
     return f"python -m repro.campaign {quoted}"
 
 
+def _print_resume_hint(args: argparse.Namespace,
+                       argv: Sequence[str] | None) -> None:
+    """Tell the operator how to continue a run stopped with ``--store``."""
+    if args.store:
+        print(f"checkpointed progress survives in {args.store}; resume with:",
+              file=sys.stderr)
+        print(f"  {_resume_command(argv)}", file=sys.stderr)
+
+
 def _write_json(args: argparse.Namespace, payload: dict) -> int:
     """Emit a JSON document per the ``--json`` destination.
 
@@ -297,121 +310,70 @@ def _write_json(args: argparse.Namespace, payload: dict) -> int:
     return 0
 
 
-def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
-              engine: str | None, fault_plan: FaultPlan | None,
-              argv: Sequence[str] | None) -> int:
-    """Execute the ``--method`` rare-event estimation path.
+def _method_settings(args: argparse.Namespace):
+    """The ``--method`` run's SPRT or splitting settings, or crude's trial
+    count; the settings' own validation raises ``ValueError``."""
+    from repro.verify.rare import SplitSettings
+    from repro.verify.sprt import SprtSettings
 
-    Estimates one campaign cell's PTE-violation probability by crude
-    Monte Carlo, multilevel importance splitting, or a sequential
-    probability ratio test, honouring ``--store``/``--resume`` through
-    the store's estimator checkpoints (schema v4).
+    budget = args.replicates if args.replicates > 1 else None
+    if args.method == "sprt":
+        return SprtSettings(p0=args.p0, p1=args.p1, alpha=args.alpha,
+                            beta=args.beta, max_trials=budget or 10_000)
+    if args.method == "split":
+        if isinstance(args.levels, tuple):
+            ladder = {"levels": args.levels}
+        elif args.levels is not None:
+            ladder = {"max_levels": args.levels}
+        else:
+            ladder = {}
+        return SplitSettings(trials_per_level=args.trials_per_level,
+                             quantile=args.quantile, **ladder)
+    return budget or 512
 
-    Args:
-        args: The parsed CLI namespace (``args.method`` is set).
-        spec: The campaign spec built from the preset arguments.
-        workers: Resolved worker count.
-        engine: Resolved engine choice (may be ``None``).
-        fault_plan: The resolved fault plan, handed to the store this
-            opens and, for SPRT, to the executor.
-        argv: Original argument vector, for the resume-hint line.
 
-    Returns:
-        Process exit status: 0 on success (SPRT: a within-budget
-        decision; crude/split: an estimate no less precise than
-        ``--rel-error`` when given), 1 when the check fails, 2 for usage
-        errors, ``128 + signum`` on SIGINT/SIGTERM.
+def _run_method(args: argparse.Namespace, spec: CampaignSpec, settings,
+                executor: dict) -> int:
+    """Estimate one cell's PTE-violation probability by ``--method``.
+
+    Crude and SPRT run the cell as a single-cell campaign with every
+    ``run_campaign`` argument in ``executor``; splitting takes the worker
+    count and engine only.  All three use the store this opens with the
+    resolved fault plan.  Returns 0 on success (SPRT: an early decision;
+    crude/split: an estimate no less precise than ``--rel-error``), else 1.
     """
-    from repro.campaign.executor import DEFAULT_CAMPAIGN_ENGINE
-    from repro.hybrid.simulate import resolve_engine_kind
-    from repro.verify.rare import (SplitSettings, crude_estimate_for_cell,
-                                   crude_trials_for, split_estimate_for_cell)
-    from repro.verify.sprt import SprtSettings, run_sprt_campaign
+    from repro.verify.rare import (crude_estimate_for_cell, crude_trials_for,
+                                   split_estimate_for_cell)
+    from repro.verify.sprt import run_sprt_campaign
 
-    if args.cell is not None:
-        if not 0 <= args.cell < len(spec.trials):
-            print(f"error: --cell must be within [0, {len(spec.trials) - 1}] "
-                  f"for this campaign", file=sys.stderr)
-            return 2
-        cell_index = args.cell
-    else:
+    cell_index = args.cell
+    if cell_index is None:
         cell_index = next((i for i, trial in enumerate(spec.trials)
                            if not trial.with_lease), 0)
     cell = spec.trials[cell_index]
-    resolved_engine = resolve_engine_kind(engine,
-                                          default=DEFAULT_CAMPAIGN_ENGINE)
-    budget = args.replicates if args.replicates > 1 else None
     print(f"rare-event estimation ({args.method}) of campaign "
           f"{spec.name!r} cell {cell_index} ({cell.label!r}), "
-          f"{workers} worker(s), engine {resolved_engine}, "
+          f"{executor['max_workers']} worker(s), engine {executor['engine']}, "
           f"master seed {args.seed}")
 
-    if isinstance(args.levels, tuple):
-        split_kwargs = {"levels": args.levels}
-    elif args.levels is not None:
-        split_kwargs = {"max_levels": args.levels}
-    else:
-        split_kwargs = {}
-
-    def raise_interrupt(signum: int, _frame) -> None:
-        raise CampaignInterrupted(signum)
-
-    previous_handlers = {
-        signum: signal.signal(signum, raise_interrupt)
-        for signum in (signal.SIGINT, signal.SIGTERM)
-    }
-    store = None
-    try:
-        store = (CampaignStore(args.store, fault_plan=fault_plan)
-                 if args.store else None)
+    with (CampaignStore(args.store, fault_plan=executor["fault_plan"])
+          if args.store else contextlib.nullcontext()) as store:
         if args.method == "sprt":
-            settings = SprtSettings(p0=args.p0, p1=args.p1, alpha=args.alpha,
-                                    beta=args.beta,
-                                    max_trials=budget or 10_000)
             outcome = run_sprt_campaign(spec, cell_index,
                                         master_seed=args.seed,
-                                        settings=settings,
-                                        max_workers=workers,
-                                        engine=resolved_engine,
-                                        batch_size=args.batch_size,
-                                        store=store, resume=args.resume,
-                                        fault_plan=fault_plan)
+                                        settings=settings, store=store,
+                                        **executor)
         elif args.method == "split":
-            try:
-                settings = SplitSettings(
-                    trials_per_level=args.trials_per_level,
-                    quantile=args.quantile, **split_kwargs)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            outcome = split_estimate_for_cell(spec, cell_index,
-                                              master_seed=args.seed,
-                                              settings=settings,
-                                              engine=resolved_engine,
-                                              max_workers=workers,
-                                              store=store,
-                                              resume=args.resume)
+            outcome = split_estimate_for_cell(
+                spec, cell_index, master_seed=args.seed, settings=settings,
+                engine=executor["engine"],
+                max_workers=executor["max_workers"], store=store,
+                resume=args.resume)
         else:
             outcome = crude_estimate_for_cell(spec, cell_index,
                                               master_seed=args.seed,
-                                              trials=budget or 512,
-                                              engine=resolved_engine,
-                                              max_workers=workers)
-    except CampaignStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        if args.store:
-            print(f"estimator progress survives in {args.store}; resume "
-                  f"with:", file=sys.stderr)
-            print(f"  {_resume_command(argv)}", file=sys.stderr)
-        return 128 + exc.signum
-    finally:
-        if store is not None:
-            store.close()
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
+                                              trials=settings, store=store,
+                                              **executor)
 
     print()
     if args.method == "sprt":
@@ -458,7 +420,7 @@ def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
     if args.json:
         payload = {"method": args.method, "campaign": spec.name,
                    "cell": cell_index, "label": cell.label,
-                   "master_seed": args.seed, "engine": resolved_engine,
+                   "master_seed": args.seed, "engine": executor["engine"],
                    "result": outcome.to_json(), "passed": passed}
         status = _write_json(args, payload)
         if status:
@@ -466,104 +428,12 @@ def _run_rare(args: argparse.Namespace, spec: CampaignSpec, workers: int,
     return 0 if passed else 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the campaign CLI (the ``python -m repro.campaign`` entry point).
-
-    Args:
-        argv: Argument vector (``None`` reads ``sys.argv``).
-
-    Returns:
-        Process exit status: 0 when every experiment check holds, 1 when
-        one fails, 2 for usage errors (including checkpoint-store
-        mismatches and malformed fault plans), 3 when the recovery budget
-        is exhausted, ``128 + signum`` on SIGINT/SIGTERM.
-    """
-    argv_list = list(sys.argv[1:] if argv is None else argv)
-    if argv_list and argv_list[0] in SERVICE_COMMANDS:
-        return service_main(argv_list)
-    args = build_parser().parse_args(argv)
-    preset = PRESETS[args.experiment]
-    try:
-        spec = preset.from_flags(vars(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print("error: --workers must be non-negative", file=sys.stderr)
-        return 2
-    if args.batch_size is not None and args.batch_size < 0:
-        print("error: --batch-size must be non-negative", file=sys.stderr)
-        return 2
-    if args.max_retries < 0:
-        print("error: --max-retries must be non-negative", file=sys.stderr)
-        return 2
-    if args.batch_deadline is not None and args.batch_deadline <= 0:
-        print("error: --batch-deadline must be positive", file=sys.stderr)
-        return 2
-    if args.max_respawns is not None and args.max_respawns < 0:
-        print("error: --max-respawns must be non-negative", file=sys.stderr)
-        return 2
-    if (args.resume or args.status) and not args.store:
-        flag = "--status" if args.status else "--resume"
-        print(f"error: {flag} requires --store PATH", file=sys.stderr)
-        return 2
-    if args.method is not None:
-        if args.rel_error is not None and args.rel_error <= 0:
-            print("error: --rel-error must be positive", file=sys.stderr)
-            return 2
-        if not 0.0 < args.quantile < 1.0:
-            print("error: --quantile must be within (0, 1)", file=sys.stderr)
-            return 2
-        if args.trials_per_level < 2:
-            print("error: --trials-per-level must be at least 2",
-                  file=sys.stderr)
-            return 2
-        if args.method == "crude" and args.fault_plan is not None:
-            print("error: --fault-plan does not apply to --method crude "
-                  "(no store or supervisor to inject into)", file=sys.stderr)
-            return 2
-        if args.method == "sprt":
-            if not 0.0 < args.p0 < args.p1 < 1.0:
-                print("error: SPRT hypotheses must satisfy 0 < --p0 < --p1 "
-                      "< 1", file=sys.stderr)
-                return 2
-            if not 0.0 < args.alpha < 1.0 or not 0.0 < args.beta < 1.0:
-                print("error: --alpha and --beta must be within (0, 1)",
-                      file=sys.stderr)
-                return 2
-    elif args.rel_error is not None or args.levels is not None:
-        print("error: --rel-error/--levels require --method", file=sys.stderr)
-        return 2
-    try:
-        fault_plan = resolve_fault_plan(args.fault_plan)
-    except FaultPlanError as exc:
-        print(f"error: bad fault plan: {exc}", file=sys.stderr)
-        return 2
-    if args.status:
-        if not os.path.exists(args.store):
-            print(f"error: no checkpoint store at {args.store}", file=sys.stderr)
-            return 2
-        try:
-            with CampaignStore(args.store,
-                               read_only=True) as checkpoint_store:
-                status = checkpoint_store.status()
-        except CampaignStoreError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json is not None:
-            body = status.to_json() if status is not None else None
-            return _write_json(args, {"store": args.store, "status": body})
-        print(status.describe() if status is not None else
-              f"{args.store}: empty store (no campaign bound yet)")
-        return 0
-    workers = args.workers or default_worker_count()
-    engine = args.engine
-
-    if args.method is not None:
-        return _run_rare(args, spec, workers, engine, fault_plan, argv)
+def _run_preset(args: argparse.Namespace, preset, spec: CampaignSpec,
+                executor: dict) -> int:
+    """Run ``preset``'s whole campaign; 0 when every check holds, else 1."""
     total = spec.total_trials
     print(f"campaign {spec.name!r}: {total} trials across {len(spec.trials)} "
-          f"cells, {workers} worker(s), master seed {args.seed}")
+          f"cells, {executor['max_workers']} worker(s), master seed {args.seed}")
 
     done = 0
 
@@ -577,52 +447,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"{summary.laser_emissions} emissions, "
                   f"{summary.failures} failures [{verdict}]")
 
-    def raise_interrupt(signum: int, _frame) -> None:
-        raise CampaignInterrupted(signum)
-
-    # SIGINT/SIGTERM unwind through run_campaign's cleanup (flushing the
-    # checkpoint store and unlinking shared memory) instead of dying at a
-    # random bytecode boundary, then map to the conventional 128+signum.
-    previous_handlers = {
-        signum: signal.signal(signum, raise_interrupt)
-        for signum in (signal.SIGINT, signal.SIGTERM)
-    }
-    try:
-        campaign = run_campaign(spec, seed=args.seed, max_workers=workers,
-                                engine=engine,
-                                batch_size=args.batch_size,
-                                on_result=progress,
-                                store=args.store, resume=args.resume,
-                                shm=args.shm,
-                                max_retries=args.max_retries,
-                                batch_deadline=args.batch_deadline,
-                                max_respawns=(args.max_respawns
-                                              if args.max_respawns is not None
-                                              else DEFAULT_MAX_RESPAWNS),
-                                fault_plan=fault_plan)
-    except CampaignStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CampaignExecutionError as exc:
-        if args.store:
-            exc.resume_command = _resume_command(argv)
-            print(f"error: {exc.args[0].splitlines()[0]}", file=sys.stderr)
-            print(f"checkpointed progress survives in {args.store}; "
-                  f"resume with:", file=sys.stderr)
-            print(f"  {exc.resume_command}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CampaignInterrupted as exc:
-        print(f"\n{exc} after {done} trial(s)", file=sys.stderr)
-        if args.store:
-            print(f"checkpointed progress survives in {args.store}; "
-                  f"resume with:", file=sys.stderr)
-            print(f"  {_resume_command(argv)}", file=sys.stderr)
-        return 128 + exc.signum
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
+    campaign = run_campaign(spec, seed=args.seed, on_result=progress,
+                            store=args.store, **executor)
     result = preset.to_result(campaign)
     print()
     print(result.render())
@@ -655,3 +481,119 @@ def main(argv: Sequence[str] | None = None) -> int:
         if status:
             return status
     return 0 if result.passed else 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run the campaign CLI (the ``python -m repro.campaign`` entry point).
+
+    Args:
+        argv: Argument vector (``None`` reads ``sys.argv``).
+
+    Returns:
+        Process exit status: 0 when every experiment check holds, 1 when
+        one fails, 2 for usage errors (including checkpoint-store
+        mismatches and malformed fault plans), 3 when the recovery budget
+        is exhausted, ``128 + signum`` on SIGINT/SIGTERM.
+    """
+    argv_list = list(sys.argv[1:] if argv is None else argv)
+    if argv_list and argv_list[0] in SERVICE_COMMANDS:
+        return service_main(argv_list)
+    args = build_parser().parse_args(argv)
+    preset = PRESETS[args.experiment]
+    try:
+        spec = preset.from_flags(vars(args))
+        settings = _method_settings(args) if args.method is not None else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.workers < 0:
+        print("error: --workers must be non-negative", file=sys.stderr)
+        return 2
+    if args.batch_size is not None and args.batch_size < 0:
+        print("error: --batch-size must be non-negative", file=sys.stderr)
+        return 2
+    if args.max_retries < 0:
+        print("error: --max-retries must be non-negative", file=sys.stderr)
+        return 2
+    if args.batch_deadline is not None and args.batch_deadline <= 0:
+        print("error: --batch-deadline must be positive", file=sys.stderr)
+        return 2
+    if args.max_respawns < 0:
+        print("error: --max-respawns must be non-negative", file=sys.stderr)
+        return 2
+    if (args.resume or args.status) and not args.store:
+        flag = "--status" if args.status else "--resume"
+        print(f"error: {flag} requires --store PATH", file=sys.stderr)
+        return 2
+    if args.method is not None:
+        if args.rel_error is not None and args.rel_error <= 0:
+            print("error: --rel-error must be positive", file=sys.stderr)
+            return 2
+        if args.cell is not None and not 0 <= args.cell < len(spec.trials):
+            print(f"error: --cell must be within [0, {len(spec.trials) - 1}] "
+                  f"for this campaign", file=sys.stderr)
+            return 2
+    elif args.rel_error is not None or args.levels is not None:
+        print("error: --rel-error/--levels require --method", file=sys.stderr)
+        return 2
+    try:
+        fault_plan = resolve_fault_plan(args.fault_plan)
+    except FaultPlanError as exc:
+        print(f"error: bad fault plan: {exc}", file=sys.stderr)
+        return 2
+    if args.status:
+        if not os.path.exists(args.store):
+            print(f"error: no checkpoint store at {args.store}", file=sys.stderr)
+            return 2
+        try:
+            with CampaignStore(args.store,
+                               read_only=True) as checkpoint_store:
+                status = checkpoint_store.status()
+        except CampaignStoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.json is not None:
+            body = status.to_json() if status is not None else None
+            return _write_json(args, {"store": args.store, "status": body})
+        print(status.describe() if status is not None else
+              f"{args.store}: empty store (no campaign bound yet)")
+        return 0
+    executor = {
+        "max_workers": args.workers or default_worker_count(),
+        "engine": resolve_engine_kind(args.engine,
+                                      default=DEFAULT_CAMPAIGN_ENGINE),
+        "batch_size": args.batch_size, "shm": args.shm,
+        "max_retries": args.max_retries,
+        "batch_deadline": args.batch_deadline,
+        "max_respawns": args.max_respawns, "fault_plan": fault_plan,
+        "resume": args.resume,
+    }
+
+    def raise_interrupt(signum: int, _frame) -> None:
+        raise CampaignInterrupted(signum)
+
+    # SIGINT/SIGTERM unwind through run_campaign's cleanup (flushing the
+    # checkpoint store and unlinking shared memory) instead of dying at a
+    # random bytecode boundary, then map to the conventional 128+signum.
+    previous_handlers = {
+        signum: signal.signal(signum, raise_interrupt)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        if args.method is not None:
+            return _run_method(args, spec, settings, executor)
+        return _run_preset(args, preset, spec, executor)
+    except CampaignStoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CampaignExecutionError as exc:
+        print(f"error: {exc.args[0].splitlines()[0]}", file=sys.stderr)
+        _print_resume_hint(args, argv)
+        return 3
+    except CampaignInterrupted as exc:
+        print(f"\n{exc}", file=sys.stderr)
+        _print_resume_hint(args, argv)
+        return 128 + exc.signum
+    finally:
+        for signum, handler in previous_handlers.items():
+            signal.signal(signum, handler)

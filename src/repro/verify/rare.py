@@ -53,7 +53,7 @@ import math
 import sys
 import types
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from repro.casestudy.config import CaseStudyConfig
@@ -906,14 +906,51 @@ def split_estimate_for_cell(spec, cell_index: int = 0, *,
         resume=resume)
 
 
+def cell_campaign(spec, cell_index: int, *, method: str, replicates: int):
+    """The single-cell campaign a crude or SPRT estimate executes.
+
+    The cell is copied with ``replicates`` replicates and derived seeds
+    (explicit seed lists are dropped: the estimators need the unbounded
+    deterministic seed stream).  The campaign is named
+    ``{spec.name}:{method}:{cell_index}``, so its store fingerprint never
+    collides with the plain campaign's or with another method's.
+    """
+    from repro.campaign.spec import CampaignSpec
+
+    cell = replace(spec.trials[cell_index], replicates=replicates, seeds=None)
+    return CampaignSpec(name=f"{spec.name}:{method}:{cell_index}",
+                        trials=(cell,), config=spec.config,
+                        duration=spec.duration)
+
+
+def run_cell_campaign(spec, cell_index: int, *, method: str, replicates: int,
+                      master_seed: int = 0, **campaign):
+    """Run :func:`cell_campaign` on ``run_campaign``, forwarding its keyword
+    arguments (store, resume, fault plan, budgets, ...) unchanged."""
+    from repro.campaign.executor import run_campaign
+
+    return run_campaign(cell_campaign(spec, cell_index, method=method,
+                                      replicates=replicates),
+                        seed=master_seed, **campaign)
+
+
 def crude_estimate_for_cell(spec, cell_index: int = 0, *,
                             master_seed: int = 0, trials: int = 512,
-                            engine: str | None = None, max_workers: int = 1,
-                            confidence: float = 0.95) -> RareEventEstimate:
-    """Crude-MC estimate of one campaign cell's violation probability."""
-    template = cell_template(spec, cell_index, engine=engine)
-    trial_fn = functools.partial(scored_case_trial, template)
-    map_fn = functools.partial(pool_map, max_workers=max_workers)
-    return crude_estimate(trial_fn, master_seed=master_seed, trials=trials,
-                          name=f"crude:{spec.name}:{cell_index}",
-                          map_fn=map_fn, confidence=confidence)
+                            confidence: float = 0.95,
+                            **campaign) -> RareEventEstimate:
+    """Crude-MC estimate of one campaign cell's violation probability.
+
+    The ``trials`` replicates run through :func:`run_cell_campaign`, which
+    forwards ``campaign`` to ``run_campaign``.  A trial is a violation when
+    its summary records a monitor failure (as in SPRT and
+    ``event="violation"``); quarantined trials are left out of the count.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    result = run_cell_campaign(spec, cell_index, method="crude",
+                               replicates=trials, master_seed=master_seed,
+                               **campaign)
+    done = len(result.summaries)
+    violations = sum(1 for summary in result.summaries if summary.failures > 0)
+    return _build_estimate("crude", [violations / done if done else 0.0],
+                           [done], (), confidence, done)

@@ -27,11 +27,10 @@ Two drivers share the same :class:`SequentialProbabilityRatioTest` core:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.util.seeding import ForkPlan, derive_seed
-from repro.verify.rare import MapFn, TrialFn
+from repro.verify.rare import MapFn, TrialFn, cell_campaign, run_cell_campaign
 
 
 @dataclass(frozen=True)
@@ -204,23 +203,6 @@ def run_sprt_trials(trial_fn: TrialFn, *, master_seed: int,
     return _result_of(test)
 
 
-def sprt_cell_spec(spec, cell_index: int, settings: SprtSettings):
-    """The single-cell campaign an SPRT run executes.
-
-    The cell is copied with ``max_trials`` replicates and derived seeds
-    (explicit seed lists are dropped: sequential consumption needs the
-    unbounded deterministic seed stream).  The campaign name is suffixed
-    so its store fingerprint never collides with the plain campaign's.
-    """
-    from repro.campaign.spec import CampaignSpec
-
-    cell = replace(spec.trials[cell_index], replicates=settings.max_trials,
-                   seeds=None)
-    return CampaignSpec(name=f"{spec.name}:sprt:{cell_index}",
-                        trials=(cell,), config=spec.config,
-                        duration=spec.duration)
-
-
 def _sprt_identity(sub_spec, master_seed: int, settings: SprtSettings) -> str:
     """Store key of one cell's sequential test."""
     import hashlib
@@ -234,52 +216,42 @@ def _sprt_identity(sub_spec, master_seed: int, settings: SprtSettings) -> str:
 
 
 def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
-                      settings: SprtSettings,
-                      max_workers: int = 1, engine: str | None = None,
-                      batch_size: int | None = None,
-                      store=None, resume: bool = False,
-                      on_result: Callable | None = None,
-                      fault_plan=None) -> SprtResult:
+                      settings: SprtSettings, **campaign) -> SprtResult:
     """Sequentially test one campaign cell through the real executor.
 
-    The cell's replicates stream back through the executor's
-    ``on_result`` hook; outcomes are consumed in replicate order (pool
-    completions may arrive out of order and are buffered), and the
-    executor's ``stop`` poll cancels all remaining batches once the test
-    decides.  Trials a fast pool completed beyond the decision point are
-    simply not consumed, so the verdict is invariant to worker count,
-    batch size and engine tier.
+    The cell runs as the single-cell campaign
+    ``{spec.name}:sprt:{cell_index}`` with ``settings.max_trials``
+    replicates (:func:`~repro.verify.rare.run_cell_campaign`).  Its
+    replicates stream back through the executor's ``on_result`` hook;
+    outcomes are consumed in replicate order (pool completions may arrive
+    out of order and are buffered), and the executor's ``stop`` poll
+    cancels all remaining batches once the test decides.  Trials a fast
+    pool completed beyond the decision point are simply not consumed, so
+    the verdict is invariant to worker count, batch size and engine tier.
 
     Args:
         spec: The :class:`~repro.campaign.spec.CampaignSpec`.
         cell_index: Which trial cell to test.
         master_seed: Campaign master seed.
         settings: Hypotheses and error budget.
-        max_workers: Worker processes.
-        engine: Simulation kernel (``None`` selects the compiled kernel).
-        batch_size: Executor replicate-batch size (``None`` = auto).
-        store: Optional durable :class:`~repro.campaign.store.CampaignStore`:
-            trial batches checkpoint as usual and the decided test state
-            lands in the ``estimator`` table.
-        resume: Replay the store's checkpointed trials through the test
-            first (bit-identical), or return the stored decided result
-            outright without touching the pool.
-        on_result: Optional passthrough observer of every raw
-            :class:`~repro.campaign.aggregate.TrialSummary`.
-        fault_plan: The fault plan handed to
-            :func:`~repro.campaign.executor.run_campaign` (``None``
-            defers to ``REPRO_FAULT_PLAN``).
+        **campaign: ``run_campaign`` keyword arguments, forwarded
+            unchanged (``stop`` is the test's).  A ``store`` must be an
+            open :class:`~repro.campaign.store.CampaignStore`; the decided
+            test state lands in its ``estimator`` table, and ``resume``
+            returns a stored decided result without touching the pool.
 
     Returns:
         The :class:`SprtResult`.
     """
-    from repro.campaign.executor import CampaignCancelled, run_campaign
+    from repro.campaign.executor import CampaignCancelled
 
-    sub_spec = sprt_cell_spec(spec, cell_index, settings)
+    cell = {"method": "sprt", "replicates": settings.max_trials}
+    store = campaign.get("store")
     identity = None
     if store is not None:
-        identity = _sprt_identity(sub_spec, master_seed, settings)
-        if resume:
+        identity = _sprt_identity(cell_campaign(spec, cell_index, **cell),
+                                  master_seed, settings)
+        if campaign.get("resume"):
             state = store.load_estimator_state("sprt", identity)
             if state is not None and state.get("done"):
                 return SprtResult.from_json(state["result"])
@@ -287,6 +259,7 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
     test = SequentialProbabilityRatioTest(settings)
     pending: dict[int, bool] = {}
     next_replicate = 0
+    on_result = campaign.pop("on_result", None)
 
     def consume(summary) -> None:
         nonlocal next_replicate
@@ -298,10 +271,9 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
             next_replicate += 1
 
     try:
-        run_campaign(sub_spec, seed=master_seed, max_workers=max_workers,
-                     engine=engine, batch_size=batch_size, store=store,
-                     resume=resume, on_result=consume,
-                     stop=lambda: test.decided, fault_plan=fault_plan)
+        run_cell_campaign(spec, cell_index, **cell, master_seed=master_seed,
+                          on_result=consume, stop=lambda: test.decided,
+                          **campaign)
     except CampaignCancelled:
         pass  # The decided test cancelled the remaining batches.
 

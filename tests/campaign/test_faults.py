@@ -435,7 +435,7 @@ class TestCliRecovery:
         assert "fault plan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("via", ["flag", "env"])
-    @pytest.mark.parametrize("method", ["split", "sprt"])
+    @pytest.mark.parametrize("method", ["crude", "split", "sprt"])
     def test_method_runs_apply_the_fault_plan(self, tmp_path, method, via):
         # The flag and the environment reach the estimator's store alike:
         # the process dies right after the store's first commit.
@@ -451,10 +451,48 @@ class TestCliRecovery:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
 
-    def test_fault_plan_with_crude_method_is_a_usage_error(self, capsys):
-        assert campaign_main(["--method", "crude",
-                              "--fault-plan", "raise@trial=1"]) == 2
-        assert "--fault-plan" in capsys.readouterr().err
+    @pytest.mark.parametrize("method", ["crude", "sprt"])
+    def test_method_runs_exit_3_when_the_respawn_budget_is_spent(
+            self, tmp_path, method):
+        db = tmp_path / "rare.db"
+        proc = subprocess.run(
+            _cli_cmd("--method", method, "--duration", "60",
+                     "--replicates", "4", "--workers", "2",
+                     "--batch-size", "2", "--store", str(db),
+                     "--max-respawns", "0", "--fault-plan", "crash@p=1"),
+            cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert "respawn budget (0) exhausted" in proc.stderr
+        assert f"survives in {db}; resume with:" in proc.stderr
+        assert proc.stderr.rstrip().endswith("--resume")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_crude_resumes_bit_identically_after_crash(self, tmp_path,
+                                                       capsys, workers):
+        args = ["--method", "crude", "--replicates", "24", "--duration", "60",
+                "--batch-size", "4", "--workers", workers, "--quiet"]
+        clean = tmp_path / "clean.json"
+        assert campaign_main([*args, "--json", str(clean)]) == 0
+
+        db = tmp_path / "crude.db"
+        proc = subprocess.run(
+            _cli_cmd(*args, "--store", str(db),
+                     "--fault-plan", "crash@commit=3"),
+            cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+        capsys.readouterr()
+        assert campaign_main(["--store", str(db), "--status"]) == 0
+        status = capsys.readouterr().out
+        assert "table1:crude:1" in status and "in progress" in status
+
+        resumed = tmp_path / "resumed.json"
+        assert campaign_main([*args, "--store", str(db), "--resume",
+                              "--json", str(resumed)]) == 0
+        result = json.loads(resumed.read_text())["result"]
+        assert result == json.loads(clean.read_text())["result"]
+        assert result["trials_used"] == 24
 
     def test_recovery_flag_validation(self, capsys):
         assert campaign_main(["--max-retries", "-1"]) == 2

@@ -8,7 +8,9 @@ quiet-stretch loop, the copy of a paused run or the key of a kept
 quiet-step plan; in ``src/repro/hybrid/simulate/rk4.py`` which kernel
 tests and parameters the flow-kernel translator fixes once; in
 ``src/repro/util/seeding.py`` and ``src/repro/verify/rare.py`` how a fork
-group pauses, copies and forks a survivor and puts the results back; in
+group pauses, copies and forks a survivor and puts the results back, and
+that a crude or SPRT estimate's single-cell campaign keeps the caller's
+store and fault plan; in
 ``src/repro/campaign/executor.py`` how trials are sized into tasks that
 span cells, attributed to their own cell, failed by the fault plan's
 ``raise`` clauses and published after their commit, and how the
@@ -67,7 +69,9 @@ CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
                   "tests/campaign/test_store.py::TestStoreLifecycle",
                   "tests/campaign/test_shm.py::TestCampaignEquivalence"]
 #: The fixed tests that must kill a mutant of each file.
-TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS, RARE: ENGINE_TESTS,
+TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS,
+         RARE: [*ENGINE_TESTS, "tests/campaign/test_faults.py::TestCliRecovery"
+                "::test_crude_resumes_bit_identically_after_crash"],
          RK4: ["tests/hybrid/test_lowering.py::TestKernelTranslation",
                "tests/hybrid/test_lowering.py::test_patient_program_inlines_the_kernel",
                "tests/golden"],
@@ -176,6 +180,12 @@ MUTANTS = {
           "            results[slot] = trial\n",
           "        for trial in trials:\n"
           "            results[results.index(None)] = trial\n")]),
+    "estimator-drops-executor-args": (
+        RARE, "a crude or SPRT estimate's single-cell campaign runs without the store and"
+        " the fault plan",
+        [("                        seed=master_seed, **campaign)\n",
+          "                        seed=master_seed, **{key: value for key, value in\n"
+          "                            campaign.items() if key not in (\"store\", \"fault_plan\")})\n")]),
     "ignore-per-worker-cap": (
         EXECUTOR, "auto task sizing ignores the even share of live trials per worker",
         [("        return max(1, min(per_task, per_worker))\n",
