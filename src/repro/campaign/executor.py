@@ -505,16 +505,22 @@ def _watch_parent(parent_pid: int) -> None:
 
 
 def _init_pool_worker(parent_pid: int) -> None:
-    """Pool initializer (job-agnostic): start the orphan watchdog.
+    """Pool initializer (job-agnostic): reset signals, start the orphan watchdog.
 
-    Workers receive no campaign context here — each job ships its context
-    once through a spool file (see :meth:`CampaignPool.lease`) — so one
-    warm pool can serve many campaigns without respawning.
+    A forked worker inherits its parent's signal handlers (the CLI's
+    raise an interrupt on SIGINT/SIGTERM).  The worker ignores SIGINT, so
+    only the parent handles ^C, and dies quietly on SIGTERM, the way the
+    supervisor stops it.  Workers receive no campaign context here — each
+    job ships its context once through a spool file (see
+    :meth:`CampaignPool.lease`) — so one warm pool can serve many
+    campaigns without respawning.
 
     Args:
         parent_pid: Pid of the pool-owning process, watched so a
             hard-killed parent never leaks worker processes.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     threading.Thread(target=_watch_parent, args=(parent_pid,),
                      daemon=True).start()
 

@@ -128,6 +128,19 @@ class TrialFailure:
                 f"{self.replicate}, seed {self.seed}) quarantined after "
                 f"{self.attempts} attempt(s): [{self.kind}] {self.message}")
 
+    @staticmethod
+    def trial_index_of(detail: str) -> int:
+        """Read the trial index back from a :meth:`describe` line.
+
+        Args:
+            detail: A ``quarantine`` recovery event's detail, which is the
+                failure's :meth:`describe` line.
+
+        Returns:
+            The quarantined trial's index.
+        """
+        return int(detail.split(" ", 2)[1])
+
 
 @dataclasses.dataclass(frozen=True)
 class BatchContext:

@@ -49,13 +49,25 @@ a later one writes).  From the first edge a quiet step fires, the same
 round goes on over every later runtime and the normal cascade follows, so
 the firing order is the reference's.
 
-Consecutive quiet steps run as one *stretch*: a loop generated once per
-location vector (:func:`_lower_stretch`, kept on the
-:class:`CompiledSystem` for every later trial) with the locations' clock
-increments and RK4 programs, the couplings as slot moves, the watched
-guard programs and the sample-due test bound in.  It hands back to the
-run loop when a step fires, a generic coupling invalidates the cache, the
-horizon is reached or the next step is not quiet.
+Each step runs through the *step program* of the current location
+vector, generated once per vector
+(:func:`~repro.hybrid.simulate.programs.lower_step`, kept on the
+:class:`CompiledSystem` for every later trial and bound per run).
+Consecutive quiet steps run in it as one *stretch*, a loop that calls
+no Python function but the observers' ``on_sample``: the locations'
+clock increments and RK4 bodies, the couplings as slot moves, the
+watched ASAP guards as inline comparisons (their EPSILON tolerance
+folded into the bound) and sampling, which reads the recorded slots and
+calls each observer's ``on_sample``, are all inline.  The stretch ends when a step fires, a generic coupling
+invalidates the cache, the horizon is reached or the next step is not
+quiet; that step runs as the program's *full step*, whose continuous
+phase, couplings and sampling are the same inline blocks.
+A static-affine location's candidate comes from one generated function
+(:func:`~repro.hybrid.simulate.programs.lower_derive`) that transcribes
+each Linear inequality's and Box's crossing.  A shape the generators
+cannot express keeps its call: a generic flow or coupling, a kernel the
+RK4 translator rejects, a generic predicate node, an equality or And/Or
+crossing.
 
 The *cushion* is ``dt_max + max(EPSILON, EPSILON/|r|)`` for the smallest
 rate ``|r|`` of a moving leaf in any cacheable location:
@@ -114,7 +126,7 @@ sample.  ``tools/engine_mutants.py`` checks that the fixed systems of
 
 A run may pause on a step boundary (``start``, ``advance(until)``,
 ``finish``) and be copied with :func:`copy.deepcopy`; the copy binds its
-own coupling programs and stretches.
+own coupling and step programs.
 
 Observation goes through the same
 :class:`~repro.hybrid.simulate.observers.TraceObserver` pipeline as the
@@ -126,7 +138,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 import sys
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
 
@@ -135,14 +146,13 @@ from repro.hybrid.automaton import HybridAutomaton
 from repro.hybrid.edges import Edge
 from repro.hybrid.expressions import (And, BoxPredicate, Comparison, FalsePredicate,
                                       LinearInequality, Not, Or, Predicate, TruePredicate)
-from repro.hybrid.flows import CallableFlow, CompositeFlow, ConstantFlow, Flow
-from repro.hybrid.simulate.engine import (_MIN_ADVANCE, Network, _PendingEvent,
-                                          remap_wakes)
+from repro.hybrid.flows import CompositeFlow, ConstantFlow, Flow
+from repro.hybrid.simulate.engine import Network, _PendingEvent, remap_wakes
 from repro.hybrid.simulate.observers import TraceObserver, TraceRecorder
 from repro.hybrid.simulate.processes import (Coupling, EnvironmentProcess,
                                              LocationIndicatorCoupling,
                                              VariableCopyCoupling)
-from repro.hybrid.simulate.rk4 import lower_callable_advance
+from repro.hybrid.simulate.programs import BOUNDS, lower_derive, lower_step
 from repro.hybrid.system import HybridSystem
 from repro.hybrid.trace import EventRecord, Trace, TransitionRecord
 from repro.hybrid.variables import Valuation
@@ -261,10 +271,6 @@ def _static_rates(flow: Flow) -> Dict[str, float] | None:
 # results are bit-identical; a node of any other predicate type runs the
 # generic method on ``view``.
 
-#: ``Comparison.evaluate(v, t)`` is ``compare(v, t + tolerance)`` for these.
-_BOUNDS = {Comparison.LE: (operator.le, EPSILON), Comparison.GE: (operator.ge, -EPSILON),
-           Comparison.LT: (operator.lt, -EPSILON), Comparison.GT: (operator.gt, EPSILON)}
-
 
 def _lower_eval(predicate: Predicate, slot_of: Mapping[str, int]):
     """Program ``(values, view) -> bool`` reproducing ``predicate.evaluate``."""
@@ -273,9 +279,9 @@ def _lower_eval(predicate: Predicate, slot_of: Mapping[str, int]):
         return lambda values, view: value
     if isinstance(predicate, (LinearInequality, BoxPredicate)):
         slot, holds = slot_of[predicate.variable], predicate.holds
-        if isinstance(predicate, LinearInequality) and predicate.op in _BOUNDS:
+        if isinstance(predicate, LinearInequality) and predicate.op in BOUNDS:
             # Comparison.evaluate with its tolerance folded into the bound.
-            compare, tolerance = _BOUNDS[predicate.op]
+            _, compare, tolerance = BOUNDS[predicate.op]
             bound = predicate.threshold + tolerance
             return lambda values, view: compare(values[slot], bound)
         return lambda values, view: holds(values[slot])
@@ -449,16 +455,17 @@ class CompiledEdge:
 class CompiledLocation:
     """One lowered location: rate vector, deadline programs, edge table."""
 
-    __slots__ = ("name", "index", "flow", "affine", "invariant", "risky",
-                 "static_rates", "const_items", "advance_program", "edges",
-                 "asap_edges", "has_asap", "deadline_programs",
-                 "program_slots", "guard_slots", "drift_terms")
+    __slots__ = ("name", "index", "slot_of", "flow", "affine", "invariant", "risky",
+                 "static_rates", "const_items", "edges",
+                 "asap_edges", "has_asap", "deadline_programs", "deadline_sources",
+                 "derive", "program_slots", "guard_slots", "drift_terms")
 
     def __init__(self, automaton: HybridAutomaton, name: str, index: int,
                  loc_index: Mapping[str, int], slot_of: Mapping[str, int]):
         location = automaton.location(name)
         self.name = name
         self.index = index
+        self.slot_of = slot_of
         self.flow = location.flow
         self.affine = location.flow.is_affine
         self.invariant = location.invariant
@@ -470,8 +477,6 @@ class CompiledLocation:
                                      if rate != 0.0)
         else:
             self.const_items = None
-        self.advance_program = (lower_callable_advance(location.flow, slot_of)
-                                if isinstance(location.flow, CallableFlow) else None)
         source_edges = [e for e in automaton.edges if e.source == name]
         self.edges = tuple(CompiledEdge(edge, order_index, loc_index[edge.target],
                                         slot_of)
@@ -483,6 +488,10 @@ class CompiledLocation:
         # dynamic-affine and non-affine locations are handled generically
         # by the scheduler.
         self.deadline_programs = ()
+        #: ``(predicate, want)`` of each deadline program, and the generated
+        #: function deriving the location's candidate (built on first use).
+        self.deadline_sources = ()
+        self.derive = None
         # Quiet-step facts: slots read by the deadline programs / ASAP
         # guards (None = some predicate is not fully lowered), and the
         # (slot, |threshold|, 1/|rate|) of every moving program leaf.
@@ -492,16 +501,13 @@ class CompiledLocation:
         self.drift_terms = ()
         if self.affine and self.static_rates is not None:
             programs, sources = [], []
-            for ce in self.asap_edges:
-                program = _lower_crossing(ce.edge.guard, self.static_rates,
-                                          slot_of, True)
+            for predicate, want in [*((ce.edge.guard, True) for ce in self.asap_edges),
+                                    (self.invariant, False)]:
+                program = _lower_crossing(predicate, self.static_rates, slot_of, want)
                 if program is not _STATIC_SKIP:
                     programs.append(program)
-                    sources.append(ce.edge.guard)
-            inv = _lower_crossing(self.invariant, self.static_rates, slot_of, False)
-            if inv is not _STATIC_SKIP:
-                programs.append(inv)
-                sources.append(self.invariant)
+                    sources.append(predicate)
+                    self.deadline_sources += ((predicate, want),)
             self.deadline_programs = tuple(programs)
             self.program_slots = _leaf_slots(sources, slot_of)
             if self.program_slots is not None:
@@ -558,11 +564,12 @@ class CompiledSystem:
         self.entity_of: Dict[str, str] = {ca.name: ca.entity for ca in self.automata}
         #: root -> ((receiver automaton index, receiver name, lossy, entity), ...)
         self.receivers: Dict[str, tuple[tuple[int, str, bool, str], ...]] = {}
-        #: Quiet-stretch programs (:func:`_lower_stretch`), built on demand
-        #: per location vector and engine plan and kept for every later
-        #: trial, and their compiled sources (many vectors share one).
-        self.stretch_programs: Dict[tuple, Callable] = {}
-        self.stretch_code: Dict[str, object] = {}
+        #: Step programs (:func:`~repro.hybrid.simulate.programs.lower_step`),
+        #: built on demand per location vector and engine plan and kept for
+        #: every later trial, and the code of every generated program by
+        #: its source text (many vectors and locations share one).
+        self.step_programs: Dict[tuple, Callable] = {}
+        self.program_code: Dict[str, object] = {}
         #: Quiet-step plans (:meth:`CompiledEngine._plan_quiet_steps`) by
         #: coupling layout and ``dt_max``.
         self.quiet_plans: Dict[tuple, tuple] = {}
@@ -592,169 +599,6 @@ def _is_lowered_coupling(coupling: Coupling) -> bool:
     """Whether the engine runs ``coupling`` as a direct slot move."""
     return (type(coupling) is LocationIndicatorCoupling
             or (type(coupling) is VariableCopyCoupling and coupling.transform is None))
-
-
-def _lower_stretch(locations: Sequence[CompiledLocation], layout: tuple,
-                   watched: tuple, sampling: bool, idempotent: bool,
-                   code_cache: Dict[str, object]):
-    """Generate the quiet-stretch loop for one location vector.
-
-    ``locations`` holds each runtime's current location, ``layout`` the
-    engine's couplings (see :meth:`CompiledEngine._plan_quiet_steps`),
-    ``watched`` the runtimes whose ASAP guards a quiet step evaluates.
-    Returns ``bind(engine) -> stretch``; ``stretch(horizon, until)`` runs
-    quiet steps with the run loop's exact operations -- clock increments,
-    RK4 programs, couplings as slot moves (an indicator is a constant while
-    no location changes), the watched guards and the sample-due test --
-    until a step fires, a coupling invalidates the cache, the horizon is
-    reached, step ``until`` (unless ``None``) is complete or the next step
-    is not quiet.  It
-    returns True in the last case, with that step begun (counted, pre-step
-    couplings applied).  ``engine.steps`` is brought up to date before any
-    firing or sample, so observers read the step they run in.  Programs are
-    bound by name, so vectors with equal rates, couplings and watch lists
-    share one compiled source in ``code_cache``.
-    """
-    env: Dict[str, object] = {"EPSILON": EPSILON, "MIN_ADVANCE": _MIN_ADVANCE}
-
-    def literal(value: float) -> str:
-        if math.isfinite(value):
-            return repr(value)
-        name = f"k{len(env)}"
-        env[name] = value
-        return name
-
-    used: set[int] = set()
-    advance = []
-    for i, loc in enumerate(locations):
-        if loc.const_items is not None:
-            if loc.const_items:
-                used.add(i)
-            advance += [f"v{i}[{slot}] += dt" if rate == 1.0 else
-                        f"v{i}[{slot}] += {literal(rate)} * dt"
-                        for slot, rate in loc.const_items]
-        elif loc.advance_program is not None:
-            env[f"a{i}"] = loc.advance_program
-            used.add(i)
-            advance.append(f"a{i}(v{i}, dt, rt{i})")
-        else:
-            advance.append(f"advance_flow(rt{i}, dt)")
-    generic = False
-    couplings = []
-    for item in layout:
-        if item[0] == "indicator":
-            _, source, wanted, true_value, false_value, target, slot = item
-            value = true_value if locations[source].name in wanted else false_value
-            used.add(target)
-            couplings.append(f"v{target}[{slot}] = {literal(value)}")
-        elif item[0] == "copy":
-            _, source, source_slot, target, slot = item
-            used.update((source, target))
-            couplings.append(f"v{target}[{slot}] = v{source}[{source_slot}]")
-        else:
-            generic = True
-            couplings += [f"c{item[1]}()", "deadline = engine._deadline"]
-    tests = []
-    for i in watched:
-        used.add(i)
-        terms = []
-        for j, ce in enumerate(locations[i].asap_edges):
-            if ce.guard_program is None:
-                terms.append("True")
-            else:
-                env[f"g{i}_{j}"] = ce.guard_program
-                terms.append(f"g{i}_{j}(v{i}, w{i})")
-        tests.append((i, " or ".join(terms) or "False"))
-
-    def block(lines, depth):
-        pad = "    " * depth
-        return [pad + line for line in lines] or [pad + "pass"]
-
-    src = ["def bind(engine):",
-           "    runtimes = engine._runtimes",
-           "    state = engine.state",
-           "    dt_max = engine.dt_max",
-           "    cushion = engine._cushion",
-           "    process = engine._process_discrete",
-           "    wake = engine._wake_processes",
-           "    sample = engine._maybe_sample",
-           "    advance_flow = engine._advance_flow",
-           "    programs = engine._coupling_programs"]
-    src += [f"    rt{i} = runtimes[{i}]" for i in range(len(locations))]
-    src += [f"    v{i} = rt{i}.values" for i in sorted(used)]
-    src += [f"    w{i} = rt{i}.view" for i in watched]
-    src += [f"    c{item[1]} = programs[{item[1]}]" for item in layout if item[0] == "call"]
-    src += ["    def stretch(horizon, until):",
-            "        now = state.time",
-            "        end = horizon - EPSILON",
-            "        deadline = engine._deadline",
-            "        next_sample = engine._next_sample_time",
-            "        base = engine.steps",
-            # -1 never matches: a step count small enough for the
-            # interpreter's fast integer compare.
-            "        room = -1 if until is None else until - base",
-            "        steps = 0",
-            "        settled = begun = done = False",
-            "        while True:",
-            "            start = now",
-            "            next_time = now + dt_max",
-            "            if horizon < next_time:",
-            "                next_time = horizon",
-            "            if next_time <= now + EPSILON:",
-            "                next_time = min(now + MIN_ADVANCE, horizon)",
-            "            dt = next_time - now",
-            "            if dt > 0:"]
-    src += block(advance, 4)
-    src += ["            now = next_time",
-            "            state.time = now"]
-    src += block(couplings, 3)
-    discrete = []
-    for k, (i, test) in enumerate(tests):
-        discrete += [f"{'elif' if k else 'if'} {test}:",
-                     "    engine.steps = base + steps",
-                     f"    process(start + cushion, {i})",
-                     "    settled = False",
-                     "    done = True"]
-    discrete += (["else:", f"    settled = {idempotent}"] if tests
-                 else [f"settled = {idempotent}"])
-    if generic:
-        # A generic coupling may have invalidated the cache: full discrete phase.
-        src += ["            if deadline > start + cushion:"]
-        src += block(discrete, 4)
-        src += ["            else:",
-                "                engine.steps = base + steps",
-                "                wake()",
-                "                process()",
-                "                settled = False",
-                "                done = True"]
-    else:
-        src += block(discrete, 3)
-    if sampling:
-        src += ["            if not now + EPSILON < next_sample:",
-                "                engine.steps = base + steps",
-                "                sample(True)",
-                "                next_sample = engine._next_sample_time"]
-    src += ["            if done or steps == room or not now < end:",
-            "                break",
-            "            steps += 1",
-            "            if not settled:"]
-    src += block(couplings, 4)
-    src += ["            if not deadline > now + cushion:",
-            "                begun = True",
-            "                break",
-            "        engine.steps = base + steps",
-            # One quiet step per pass: ``steps`` counts the passes after
-            # the first, plus the step begun for the run loop.
-            "        engine.quiet_steps += steps if begun else steps + 1",
-            "        engine._settled = settled",
-            "        return begun",
-            "    return stretch"]
-    text = "\n".join(src)
-    code = code_cache.get(text)
-    if code is None:
-        code = code_cache[text] = compile(text, "<quiet stretch>", "exec")
-    exec(code, env)
-    return env["bind"]
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +778,8 @@ class CompiledEngine:
         self._settled = False
         self._couplings_idempotent = False
         self._coupling_layout: tuple = ()
-        #: Bound quiet-stretch loops of this run, by location vector.
-        self._stretches: Dict[tuple, Callable[[float], bool]] = {}
+        #: Bound step programs of this run, by location vector.
+        self._steps: Dict[tuple, Callable[[float, int | None], None]] = {}
 
     # -- public helpers ---------------------------------------------------------
     @property
@@ -998,52 +842,31 @@ class CompiledEngine:
         limit = sys.maxsize if until is None else until
         state = self.state
         runtimes = self._runtimes
-        stretches = self._stretches
-        cushion = self._cushion
+        steps = self._steps
         while state.time < end and self.steps < limit:
-            self.steps += 1
-            if not self._settled:
-                self._apply_couplings()
-            if self._deadline > state.time + cushion:
-                key = tuple([rt.loc for rt in runtimes])
-                stretch = stretches.get(key) or self._bind_stretch(key)
-                if not stretch(horizon, until):
-                    continue
-            # A full step (possibly begun by the stretch).
-            now = state.time
-            next_time = self._next_time(horizon)
-            self._settled = False
-            dt = next_time - now
-            if dt > 0:
-                self._advance_continuous(dt)
-            state.time = next_time
-            self._apply_couplings()
-            threshold = now + cushion
-            if not self._wake_at > threshold:
-                self._wake_processes()
-            self._process_discrete(threshold)
-            self._maybe_sample()
+            key = tuple([rt.loc for rt in runtimes])
+            (steps.get(key) or self._bind_step(key))(horizon, until)
 
     def finish(self) -> Trace | None:
         """End the run at its horizon and return the trace (see :meth:`run`)."""
-        # The bound stretches hold the engine: release them with the run.
-        self._stretches.clear()
+        # The bound step programs hold the engine: release them with the run.
+        self._steps.clear()
         for observer in self.observers:
             observer.end_run(self._horizon)
         return self.trace
 
     def __deepcopy__(self, memo: dict) -> "CompiledEngine":
-        # Coupling programs and stretches are closures over this run's
-        # runtimes: the copy binds its own, never shares them.
+        # Coupling and step programs are closures over this run's runtimes:
+        # the copy binds its own, never shares them.
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         for name, value in self.__dict__.items():
-            if name not in ("_coupling_programs", "_stretches"):
+            if name not in ("_coupling_programs", "_steps"):
                 setattr(clone, name, copy.deepcopy(value, memo))
         # A copy made before start() has no runtimes, so no programs yet.
         clone._coupling_programs = ([clone._lower_coupling(c) for c in clone.couplings]
                                     if clone._runtimes else [])
-        clone._stretches = {}
+        clone._steps = {}
         clone._time_of_last_wake = remap_wakes(self._time_of_last_wake, memo)
         return clone
 
@@ -1061,7 +884,7 @@ class CompiledEngine:
         self.steps = 0
         self.quiet_steps = 0
         self.rescans = 0
-        self._stretches.clear()
+        self._steps.clear()
         self._invalidate()
         self._plan_quiet_steps()
         risky = self.system.risky_locations()
@@ -1147,7 +970,7 @@ class CompiledEngine:
         return idempotent, tuple(tables), cushion
 
     def _layout_coupling(self, index: int, coupling: Coupling) -> tuple:
-        """How a quiet stretch runs ``coupling``: a slot move or a call.
+        """How a step program runs ``coupling``: a slot move or a call.
 
         A lowered coupling's item ends with the ``target, slot`` it writes
         on every step; only a generic coupling's item is ``("call", index)``.
@@ -1167,20 +990,31 @@ class CompiledEngine:
             return ("call", index, target, slot)
         return ("call", index)
 
-    def _bind_stretch(self, key: tuple) -> Callable[[float], bool]:
-        """The quiet-stretch loop for location vector ``key``, bound to this run."""
+    def _bind_step(self, key: tuple) -> Callable[[float, int | None], None]:
+        """The step program for location vector ``key``, bound to this run."""
         watched = tuple(index for index, rt in enumerate(self._runtimes)
                         if rt.quiet_scan[key[index]])
-        code_key = (key, self._coupling_layout, watched, bool(self.record_variables),
+        # The recorded slots, or None: a variable without a slot at lowering
+        # (or a name the program cannot spell) samples through the engine.
+        samples = []
+        for name, variable in self.record_variables:
+            index = self.compiled.index_of.get(name)
+            slot = None if index is None else self.compiled.automata[index].slot_of.get(variable)
+            if slot is None or type(name) is not str or type(variable) is not str:
+                samples = None
+                break
+            samples.append((index, slot, name, variable))
+        code_key = (key, self._coupling_layout, watched,
+                    samples if samples is None else tuple(samples), len(self.observers),
                     self._couplings_idempotent)
-        programs = self.compiled.stretch_programs
+        programs = self.compiled.step_programs
         bind = programs.get(code_key)
         if bind is None:
             locations = [ca.locations[loc] for ca, loc in zip(self.compiled.automata, key)]
-            bind = programs[code_key] = _lower_stretch(locations, *code_key[1:],
-                                                       self.compiled.stretch_code)
-        stretch = self._stretches[key] = bind(self)
-        return stretch
+            bind = programs[code_key] = lower_step(locations, *code_key[1:],
+                                                   self.compiled.program_code)
+        step = self._steps[key] = bind(self)
+        return step
 
     def _drift_margin(self, now: float, deadline: float,
                       rt: _AutomatonRuntime | None = None) -> float:
@@ -1260,7 +1094,12 @@ class CompiledEngine:
                 kept = True
                 continue
             self.rescans += 1
-            candidate, cacheable, samples = self._derive(rt, now)
+            derive = rt.location.derive
+            if derive is None:
+                candidate, cacheable, samples = self._derive(rt, now)
+            else:
+                candidate, cacheable, samples = derive(rt.values, rt.view, now,
+                                                       rt.cache_ok[rt.loc])
             if samples:
                 needs_sampling = True
             if candidate < best:
@@ -1340,35 +1179,11 @@ class CompiledEngine:
                 if candidate < best:
                     best = candidate
             return best, False, needs_sampling
-        cacheable = rt.cache_ok[loc.index]
-        values = rt.values
-        view = rt.view
-        for program in loc.deadline_programs:
-            delay = program(values, view)
-            if delay is None:
-                needs_sampling = True
-                cacheable = False
-            elif delay > EPSILON:
-                if delay != math.inf:
-                    candidate = now + delay
-                    if candidate < best:
-                        best = candidate
-            else:
-                cacheable = False
-        return best, cacheable, needs_sampling
-
-    def _advance_continuous(self, dt: float) -> None:
-        for rt in self._runtimes:
-            loc = rt.location
-            items = loc.const_items
-            if items is not None:
-                values = rt.values
-                for slot, rate in items:
-                    values[slot] += rate * dt
-            elif loc.advance_program is not None:
-                loc.advance_program(rt.values, dt, rt)
-            else:
-                self._advance_flow(rt, dt)
+        # Static rates: the location's generated derive function, which
+        # _next_time calls directly from now on.
+        loc.derive = lower_derive(loc.deadline_programs, loc.deadline_sources,
+                                  loc.static_rates, loc.slot_of, self.compiled.program_code)
+        return loc.derive(rt.values, rt.view, now, rt.cache_ok[loc.index])
 
     def _advance_flow(self, rt: _AutomatonRuntime, dt: float) -> None:
         """Advance ``rt`` through its generic flow's own ``advance``."""
@@ -1477,10 +1292,8 @@ class CompiledEngine:
             for name, value in new_valuation.items():
                 rt.set(name, value)
         rt.move_to(ce.target_index, now)
-        record = TransitionRecord(
-            time=now, automaton=rt.name, source=ce.source_name,
-            target=ce.target_name, reason=ce.reason, trigger_root=trigger_root,
-            emitted=ce.emits)
+        record = TransitionRecord(now, rt.name, ce.source_name, ce.target_name, ce.reason,
+                                  trigger_root, ce.emits)
         for observer in self.observers:
             observer.on_transition(record)
         for process in self.processes:
@@ -1503,9 +1316,8 @@ class CompiledEngine:
                     sender_entity, receiver_entity, root, now)
             else:
                 delivered = True
-            record = EventRecord(
-                time=now, root=root, sender=sender, receiver=receiver_name,
-                delivered=delivered, lossy=lossy and not same_entity)
+            record = EventRecord(now, root, sender, receiver_name, delivered,
+                                 lossy and not same_entity)
             for observer in self.observers:
                 observer.on_event(record)
             if delivered:

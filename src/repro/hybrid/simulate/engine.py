@@ -390,10 +390,8 @@ class SimulationEngine:
         st = self.state.automata[name]
         new_valuation = edge.reset.apply(st.valuation)
         self.state.automata[name] = st.moved_to(edge.target, new_valuation, self.state.time)
-        record = TransitionRecord(
-            time=self.state.time, automaton=name, source=edge.source,
-            target=edge.target, reason=edge.reason, trigger_root=trigger_root,
-            emitted=tuple(edge.emits))
+        record = TransitionRecord(self.state.time, name, edge.source, edge.target,
+                                  edge.reason, trigger_root, tuple(edge.emits))
         for observer in self.observers:
             observer.on_transition(record)
         for process in self.processes:
@@ -419,10 +417,8 @@ class SimulationEngine:
                     sender_entity, receiver_entity, root, self.state.time)
             else:
                 delivered = True
-            record = EventRecord(
-                time=self.state.time, root=root, sender=sender,
-                receiver=receiver_name, delivered=delivered,
-                lossy=lossy and not same_entity)
+            record = EventRecord(self.state.time, root, sender, receiver_name, delivered,
+                                 lossy and not same_entity)
             for observer in self.observers:
                 observer.on_event(record)
             if delivered:

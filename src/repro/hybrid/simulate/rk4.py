@@ -1,10 +1,13 @@
 """RK4 programs for :class:`~repro.hybrid.flows.CallableFlow` locations.
 
-:func:`lower_callable_advance` turns a flow into a generated Python
-function that integrates the flow's outputs in place over a runtime's
-slot floats, with the operations of ``CallableFlow.advance`` in their
-order, so the compiled kernel (and every batched lane) stays
-bit-identical to the reference engine.
+:func:`advance_source` turns a flow into generated Python source that
+integrates the flow's outputs in place over a runtime's slot floats, with
+the operations of ``CallableFlow.advance`` in their order, so the
+compiled kernel (and every batched lane) stays bit-identical to the
+reference engine.  The compiled kernel's step programs
+(:mod:`repro.hybrid.simulate.programs`) inline that source, names
+prefixed per runtime; :func:`lower_callable_advance` compiles it into a
+function of its own.
 
 When :class:`KernelTranslation` can show that it reproduces the flow's
 kernel, the kernel's body is inlined into the four RK4 stages: arguments
@@ -112,7 +115,10 @@ class KernelTranslation:
     stages take the decided branch.  Other tests stay in the stages.
     """
 
-    def __init__(self, flow: CallableFlow):
+    def __init__(self, flow: CallableFlow, prefix: str = ""):
+        #: Prefix of every name the stage source binds (one per runtime
+        #: when several programs share one function).
+        self.prefix = prefix
         definition = _kernel_definition(flow.kernel)
         if definition is None:
             raise _KeepCall
@@ -179,7 +185,7 @@ class KernelTranslation:
         else:
             raise _KeepCall
         sources = [self.expression(item, k)[0] for item in values]
-        targets = ", ".join(f"k{k}_{i}" for i in range(self.outputs))
+        targets = ", ".join(f"{self.prefix}k{k}_{i}" for i in range(self.outputs))
         return f"{targets} = {', '.join(sources)}"
 
     def expression(self, node: ast.expr, k: int) -> tuple[str, bool]:
@@ -213,10 +219,11 @@ class KernelTranslation:
     def name(self, name: str, k: int) -> tuple[str, bool]:
         """What kernel name ``name`` reads at stage ``k``."""
         kind, value = self.bindings.get(name, (None, None))
+        prefix = self.prefix
         if kind == "state":
-            return (f"x{value}" if k == 1 else f"s{k}_{value}"), False
+            return (f"{prefix}x{value}" if k == 1 else f"{prefix}s{k}_{value}"), False
         if kind == "fixed":
-            return f"u{value}", True
+            return f"{prefix}u{value}", True
         if kind == "param" and _is_number(value):
             return self.constant(value), True
         raise _KeepCall  # a global, a builtin, a free variable
@@ -225,13 +232,19 @@ class KernelTranslation:
         """A value bound at lowering: a literal when its text is exact."""
         if not _is_number(value):
             raise _KeepCall
-        if type(value) is bool or math.isfinite(value) and math.copysign(1.0, value) > 0:
+        if _exact_literal(value):
             return repr(value)
         name = self.constant_names.get(repr(value))
         if name is None:
-            name = self.constant_names[repr(value)] = f"c{len(self.constants)}"
+            name = self.constant_names[repr(value)] = (
+                f"{self.prefix}c{len(self.constants)}")
             self.constants[name] = value
         return name
+
+
+def _exact_literal(value) -> bool:
+    """Whether ``repr(value)`` parses back to ``value`` as a positive literal."""
+    return type(value) is bool or math.isfinite(value) and math.copysign(1.0, value) > 0
 
 
 def _indent(lines: List[str]) -> List[str]:
@@ -253,12 +266,13 @@ def lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
 
     The program is ``(values, dt, rt) -> None``: it integrates ``values``
     (the runtime's slot list) in place; ``rt`` only serves inputs that had
-    no slot at lowering time.
+    no slot at lowering time.  Its body is :func:`advance_source`.
     """
-    try:
-        return _generate_advance(flow, slot_of, KernelTranslation(flow))
-    except _KeepCall:
-        return _generate_advance(flow, slot_of, None)
+    env: Dict[str, object] = {}
+    lines = ["def advance_program(values, dt, rt):",
+             *_indent(advance_source(flow, slot_of, env))]
+    exec(_compile_advance("\n".join(lines)), env)
+    return env["advance_program"]
 
 
 @functools.lru_cache(maxsize=256)
@@ -268,17 +282,39 @@ def _compile_advance(source: str):
     return compile(source, "<flow kernel>", "exec")
 
 
-def _generate_advance(flow: CallableFlow, slot_of: Mapping[str, int],
-                      translation: KernelTranslation | None):
-    """The RK4 program, with ``translation``'s stages or kernel calls."""
+def advance_source(flow: CallableFlow, slot_of: Mapping[str, int], env: Dict[str, object],
+                   prefix: str = "", values: str = "values", rt: str = "rt") -> List[str]:
+    """Source lines that advance the slot list named ``values`` by ``dt``.
+
+    The lines read the locals ``dt`` and ``rt`` (the runtime, for inputs
+    with no slot at lowering); every other name they bind or read starts
+    with ``prefix``, so the blocks of several runtimes can share one
+    function, and ``env`` receives the globals they read.  The substep is
+    a literal.  Kernels that :class:`KernelTranslation` cannot reproduce
+    keep their call per stage.
+    """
+    try:
+        return _advance_lines(flow, slot_of, env, prefix, values, rt,
+                              KernelTranslation(flow, prefix))
+    except _KeepCall:
+        return _advance_lines(flow, slot_of, env, prefix, values, rt, None)
+
+
+def _advance_lines(flow: CallableFlow, slot_of: Mapping[str, int], env: Dict[str, object],
+                   p: str, values: str, rt: str,
+                   translation: KernelTranslation | None) -> List[str]:
+    """:func:`advance_source` with ``translation``'s stages or kernel calls."""
     outputs = flow.outputs
-    env: Dict[str, object] = {"inputs": flow.inputs, "substep": flow.substep}
-    lines = ["def advance_program(values, dt, rt):",
-             "    if not dt > 1e-12:",
-             "        return"]
+    substep = flow.substep
+    if _is_number(substep) and _exact_literal(substep):
+        substep = repr(substep)
+    else:
+        env[f"{p}substep"] = substep
+        substep = f"{p}substep"
+    lines = []
     if translation is None:
-        env["kernel"] = flow.kernel
-        env.update((f"p{j}", param) for j, param in enumerate(flow.params))
+        env[f"{p}kernel"] = flow.kernel
+        env.update((f"{p}p{j}", param) for j, param in enumerate(flow.params))
         fixed = [j for j, (name, _) in enumerate(flow.inputs) if name not in outputs]
         test = None
     else:
@@ -286,47 +322,48 @@ def _generate_advance(flow: CallableFlow, slot_of: Mapping[str, int],
         test = translation.decided
     for j in fixed:
         slot = slot_of.get(flow.inputs[j][0])
-        lines.append(f"    u{j} = values[{slot}]" if slot is not None
-                     else f"    u{j} = rt.get(*inputs[{j}])")
-    lines += [f"    x{i} = values[{slot_of[name]}]" for i, name in enumerate(outputs)]
+        if slot is None:
+            env[f"{p}input{j}"] = flow.inputs[j]
+        lines.append(f"{p}u{j} = {values}[{slot}]" if slot is not None
+                     else f"{p}u{j} = {rt}.get(*{p}input{j})")
+    lines += [f"{p}x{i} = {values}[{slot_of[name]}]" for i, name in enumerate(outputs)]
 
     def stage(k, step, outcome):
         """Source of RK4 stage k: outputs probed ``step`` along stage k-1."""
         if translation is not None:
             probes = ([] if step is None else
-                      [f"s{k}_{i} = x{i} + k{k - 1}_{i} * {step}"
+                      [f"{p}s{k}_{i} = {p}x{i} + {p}k{k - 1}_{i} * {p}{step}"
                        for i in translation.probes])
             return probes + translation.stage(k, outcome)
         args = []
         for j, (name, _) in enumerate(flow.inputs):
             if name not in outputs:
-                args.append(f"u{j}")
+                args.append(f"{p}u{j}")
                 continue
             i = outputs.index(name)
-            args.append(f"x{i}" if step is None else f"x{i} + k{k - 1}_{i} * {step}")
-        args += [f"p{j}" for j in range(len(flow.params))]
-        targets = ", ".join(f"k{k}_{i}" for i in range(len(outputs)))
-        return [f"{targets} = kernel({', '.join(args)})"]
+            args.append(f"{p}x{i}" if step is None
+                        else f"{p}x{i} + {p}k{k - 1}_{i} * {p}{step}")
+        args += [f"{p}p{j}" for j in range(len(flow.params))]
+        targets = ", ".join(f"{p}k{k}_{i}" for i in range(len(outputs)))
+        return [f"{targets} = {p}kernel({', '.join(args)})"]
 
     def loop(outcome):
         """The RK4 loop whose stages take the decided test's ``outcome``."""
-        body = ["h = substep if substep <= remaining else remaining",
-                "half = h / 2.0"]
+        body = [f"{p}h = {substep} if {substep} <= {p}remaining else {p}remaining",
+                f"{p}half = {p}h / 2.0"]
         for k, step in ((1, None), (2, "half"), (3, "half"), (4, "h")):
             body += stage(k, step, outcome)
-        body += [f"x{i} = x{i} + (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-                 f" / 6.0 * h" for i in range(len(outputs))]
-        body.append("remaining -= h")
-        return ["while remaining > 1e-12:", *_indent(body)]
+        body += [f"{p}x{i} = {p}x{i} + ({p}k1_{i} + 2.0 * {p}k2_{i} + 2.0 * {p}k3_{i}"
+                 f" + {p}k4_{i}) / 6.0 * {p}h" for i in range(len(outputs))]
+        body.append(f"{p}remaining -= {p}h")
+        return [f"while {p}remaining > 1e-12:", *_indent(body)]
 
-    lines.append("    remaining = dt")
+    lines.append(f"{p}remaining = dt")
     if test is None:
-        lines += _indent(loop(None))
+        lines += loop(None)
     else:
-        lines += _indent([f"if {test}:", *_indent(loop(True)),
-                          "else:", *_indent(loop(False))])
-    lines += [f"    values[{slot_of[name]}] = x{i}" for i, name in enumerate(outputs)]
+        lines += [f"if {test}:", *_indent(loop(True)), "else:", *_indent(loop(False))]
+    lines += [f"{values}[{slot_of[name]}] = {p}x{i}" for i, name in enumerate(outputs)]
     if translation is not None:
         env.update(translation.constants)
-    exec(_compile_advance("\n".join(lines)), env)
-    return env["advance_program"]
+    return ["if dt > 1e-12:", *_indent(lines)]

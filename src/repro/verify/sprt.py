@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.campaign.faults import TrialFailure
 from repro.util.seeding import ForkPlan, derive_seed
 from repro.verify.rare import MapFn, TrialFn, cell_campaign, run_cell_campaign
 
@@ -224,7 +225,9 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
     replicates (:func:`~repro.verify.rare.run_cell_campaign`).  Its
     replicates stream back through the executor's ``on_result`` hook;
     outcomes are consumed in replicate order (pool completions may arrive
-    out of order and are buffered), and the executor's ``stop`` poll
+    out of order and are buffered; a quarantined replicate, announced by
+    its ``quarantine`` event, counts as neither outcome), and the
+    executor's ``stop`` poll
     cancels all remaining batches once the test decides.  Trials a fast
     pool completed beyond the decision point are simply not consumed, so
     the verdict is invariant to worker count, batch size and engine tier.
@@ -257,23 +260,47 @@ def run_sprt_campaign(spec, cell_index: int = 0, *, master_seed: int = 0,
                 return SprtResult.from_json(state["result"])
 
     test = SequentialProbabilityRatioTest(settings)
-    pending: dict[int, bool] = {}
+    #: Replicate -> its outcome, or None for a quarantined replicate,
+    #: which counts as neither outcome.
+    pending: dict[int, bool | None] = {}
     next_replicate = 0
+    replayed_failures = store is not None
     on_result = campaign.pop("on_result", None)
+    on_event = campaign.pop("on_event", None)
+
+    def drain() -> None:
+        nonlocal next_replicate
+        while next_replicate in pending:
+            outcome = pending.pop(next_replicate)
+            if outcome is not None:
+                test.update(outcome)
+            next_replicate += 1
 
     def consume(summary) -> None:
-        nonlocal next_replicate
+        nonlocal replayed_failures
         if on_result is not None:
             on_result(summary)
+        if replayed_failures:
+            # Replicates a resumed run's store already quarantined publish
+            # no event: skip them with the first outcome.
+            replayed_failures = False
+            for failure in store.failures():
+                pending.setdefault(failure.trial_index, None)
         pending[summary.replicate] = summary.failures > 0
-        while next_replicate in pending:
-            test.update(pending.pop(next_replicate))
-            next_replicate += 1
+        drain()
+
+    def observe(kind: str, detail: str) -> None:
+        if on_event is not None:
+            on_event(kind, detail)
+        if kind == "quarantine":
+            # One cell: a trial's index is its replicate.
+            pending[TrialFailure.trial_index_of(detail)] = None
+            drain()
 
     try:
         run_cell_campaign(spec, cell_index, **cell, master_seed=master_seed,
-                          on_result=consume, stop=lambda: test.decided,
-                          **campaign)
+                          on_result=consume, on_event=observe,
+                          stop=lambda: test.decided, **campaign)
     except CampaignCancelled:
         pass  # The decided test cancelled the remaining batches.
 

@@ -494,6 +494,68 @@ class TestCliRecovery:
         assert result == json.loads(clean.read_text())["result"]
         assert result["trials_used"] == 24
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sprt_skips_a_quarantined_replicate(self, capsys, workers):
+        # Replicate 1 is quarantined; the clean run decides after 9
+        # outcomes, so skipping the quarantined one decides well before
+        # the 60-replicate truncation.
+        args = ["--method", "sprt", "--replicates", "60", "--duration", "60",
+                "--p0", "0.01", "--p1", "0.3", "--max-retries", "0",
+                "--workers", workers]
+        assert campaign_main([*args, "--quiet"]) == 0
+        clean = capsys.readouterr().out
+        assert campaign_main([*args, "--fault-plan", "raise@trial=1"]) == 0
+        out = capsys.readouterr().out
+        assert "stopping:    decided early" in clean
+        assert "stopping:    decided early" in out
+        assert "decision:    H0" in out
+        trials = int(out.split("trials:")[1].split()[0])
+        assert trials == 9 < 60
+
+    def test_sprt_resume_skips_a_replayed_quarantine(self, tmp_path):
+        # The interrupted run quarantined replicate 1 and checkpointed
+        # replicate 0; a resume replays both, the quarantine without an
+        # event, and must still decide as the clean run does.
+        args = ["--method", "sprt", "--replicates", "60", "--duration", "60",
+                "--p0", "0.01", "--p1", "0.3", "--max-retries", "0",
+                "--batch-size", "2", "--store", str(tmp_path / "sprt.db")]
+        proc = subprocess.run(
+            _cli_cmd(*args, "--quiet", "--fault-plan", "raise@trial=1;crash@commit=3"),
+            cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+        proc = subprocess.run(
+            _cli_cmd(*args, "--resume", "--fault-plan", "raise@trial=1"),
+            cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "stopping:    decided early" in proc.stdout
+        assert int(proc.stdout.split("trials:")[1].split()[0]) == 9
+
+    def test_stopped_workers_print_no_interrupt(self):
+        proc = subprocess.run(
+            _cli_cmd("--experiment", "table1", "--quiet", "--duration", "60",
+                     "--replicates", "2", "--workers", "2",
+                     "--fault-plan", "crash@p=1"),
+            cwd=_REPO_ROOT, env=_cli_env(), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert "CampaignInterrupted" not in proc.stderr + proc.stdout
+
+    def test_pool_workers_leave_interrupts_to_the_parent(self):
+        # The CLI's handlers are installed before the pool forks; the
+        # worker initializer must drop them whatever the race above does.
+        script = ("import os, signal\n"
+                  "from repro.campaign.executor import _init_pool_worker\n"
+                  "handler = lambda signum, frame: None\n"
+                  "signal.signal(signal.SIGINT, handler)\n"
+                  "signal.signal(signal.SIGTERM, handler)\n"
+                  "_init_pool_worker(os.getppid())\n"
+                  "print(signal.getsignal(signal.SIGINT) is signal.SIG_IGN,\n"
+                  "      signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=_REPO_ROOT,
+                              env=_cli_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout.split() == ["True", "True"], proc.stderr
+
     def test_recovery_flag_validation(self, capsys):
         assert campaign_main(["--max-retries", "-1"]) == 2
         assert campaign_main(["--batch-deadline", "0"]) == 2

@@ -1,5 +1,8 @@
 """Unit tests for HybridAutomaton, HybridSystem and trace bookkeeping."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ModelError
@@ -132,6 +135,50 @@ class TestHybridSystem:
     def test_unknown_member_lookup(self):
         with pytest.raises(ModelError):
             HybridSystem().automaton("missing")
+
+
+class TestTraceRecords:
+    """The records' own constructors keep the frozen-dataclass contract."""
+
+    def test_fields_and_defaults(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(TransitionRecord)] == [
+            ("time", dataclasses.MISSING), ("automaton", dataclasses.MISSING),
+            ("source", dataclasses.MISSING), ("target", dataclasses.MISSING),
+            ("reason", ""), ("trigger_root", None), ("emitted", ())]
+        assert [f.name for f in dataclasses.fields(EventRecord)] == [
+            "time", "root", "sender", "receiver", "delivered", "lossy"]
+        record = TransitionRecord(1.0, "a", "x", "y")
+        assert (record.reason, record.trigger_root, record.emitted) == ("", None, ())
+        assert vars(record) == {"time": 1.0, "automaton": "a", "source": "x", "target": "y",
+                                "reason": "", "trigger_root": None, "emitted": ()}
+
+    def test_equality_hash_repr_and_pickling(self):
+        records = [
+            (TransitionRecord(1.0, "a", "x", "y", "go", "ping", ("pong",)),
+             TransitionRecord(time=1.0, automaton="a", source="x", target="y", reason="go",
+                              trigger_root="ping", emitted=("pong",))),
+            (EventRecord(2.0, "ping", "a", "b", True, False),
+             EventRecord(time=2.0, root="ping", sender="a", receiver="b", delivered=True,
+                         lossy=False)),
+        ]
+        for positional, keyword in records:
+            assert positional == keyword and hash(positional) == hash(keyword)
+            assert positional != dataclasses.replace(positional, time=3.0)
+            assert pickle.loads(pickle.dumps(positional)) == positional
+        assert repr(records[0][0]) == (
+            "TransitionRecord(time=1.0, automaton='a', source='x', target='y', "
+            "reason='go', trigger_root='ping', emitted=('pong',))")
+        assert repr(records[1][0]) == (
+            "EventRecord(time=2.0, root='ping', sender='a', receiver='b', "
+            "delivered=True, lossy=False)")
+
+    def test_records_stay_frozen(self):
+        for record in (TransitionRecord(1.0, "a", "x", "y"),
+                       EventRecord(2.0, "ping", "a", "b", True, False)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.time = 5.0
+        with pytest.raises(TypeError):
+            EventRecord(2.0, "ping", "a", "b", True)
 
 
 class TestTrace:

@@ -1,13 +1,16 @@
 """Property tests of the compiled lowerings against the reference methods.
 
-Two lowerings replace generic calls on the hot path of every fast tier:
+Lowerings replace generic calls on the hot path of every fast tier:
 
 * a :class:`CallableFlow` declaration becomes an RK4 over plain slot
   floats, run by the compiled kernel (and so by every batched lane), with
   the kernel's body inlined into the stages when the translator can
   reproduce it and a call per stage otherwise;
 * True/False/Linear/Box/Not/And/Or predicate trees become slot-indexed
-  ``evaluate`` / ``time_until_true`` / ``time_until_false`` programs.
+  ``evaluate`` / ``time_until_true`` / ``time_until_false`` programs;
+* the generated step programs inline those guards as comparisons, and a
+  static-affine location's crossing candidate becomes one generated
+  function with each Linear/Box crossing transcribed.
 
 Both must agree with the reference methods bit for bit, ``None``
 ("sample instead") results included.
@@ -28,7 +31,8 @@ from repro.hybrid.expressions import (FALSE, TRUE, Comparison, FunctionPredicate
                                       LinearInequality)
 from repro.hybrid.simulate.compiled import (_STATIC_SKIP, SlotValuation, _AutomatonRuntime,
                                             _lower_crossing, _lower_delay, _lower_eval)
-from repro.hybrid.simulate.rk4 import KernelTranslation
+from repro.hybrid.simulate.programs import guard_source, lower_derive
+from repro.hybrid.simulate.rk4 import KernelTranslation, lower_callable_advance
 from repro.hybrid.variables import Valuation
 from repro.util.timebase import EPSILON
 
@@ -69,13 +73,15 @@ def compiled_advance(system, start, dt):
     rt = _AutomatonRuntime(ca)
     for name, value in start.items():
         rt.values[ca.slot_of[name]] = value
-    rt.location.advance_program(rt.values, dt, rt)
+    advance_program(system)(rt.values, dt, rt)
     return {name: rt.values[slot] for name, slot in ca.slot_of.items()}
 
 
 def advance_program(system):
-    """The lowered RK4 program of the system's first automaton."""
-    return compile_system(system).automata[0].locations[0].advance_program
+    """The RK4 program of the system's first automaton: the RK4 body that
+    the compiled tier's step programs inline, as a function."""
+    ca = compile_system(system).automata[0]
+    return lower_callable_advance(ca.locations[0].flow, ca.slot_of)
 
 
 def calls_kernel(program):
@@ -104,9 +110,9 @@ def test_patient_program_inlines_the_kernel():
     system = HybridSystem("patient")
     system.add(build_patient(MODEL, substep=SUBSTEP), entity="patient")
     program = advance_program(system)
-    # No kernel call and no global read but the substep: the model's fields
-    # are literals and ``ventilated`` is decided once per advance.
-    assert program.__code__.co_names == ("substep",)
+    # No kernel call and no global read: the model's fields and the
+    # substep are literals and ``ventilated`` is decided once per advance.
+    assert program.__code__.co_names == ()
     assert KernelTranslation(patient_flow()).decided == "(u1 > 0.5)"
 
 
@@ -291,7 +297,7 @@ class TestKernelTranslation:
         starts = [{"x": x, "mode": 1.0} for x in (-0.5, 0.5, 3.0)]
         program = self.assert_bit_identical(flow, starts)
         # -0.0 and inf have no exact literal: they are bound by name.
-        assert set(program.__code__.co_names) == {"c0", "c1", "substep"}
+        assert set(program.__code__.co_names) == {"c0", "c1"}
 
     def test_a_test_that_may_raise_stays_in_the_stages(self):
         # 1.0 / u raises at u == 0.0, which the kernel never divides by
@@ -408,3 +414,115 @@ def test_and_crossing_returns_none_when_the_probe_fails():
     assert guard.time_until_true(valuation, rates) is None
     program = _lower_delay(guard, rates, SLOTS, True)
     assert program(state, SlotValuation(SLOTS, state)) is None
+
+
+# ---------------------------------------------------------------------------
+# Generated programs vs the closures and the reference methods
+# ---------------------------------------------------------------------------
+
+#: Non-finite thresholds on top of the finite ones.
+WIDE_THRESHOLDS = THRESHOLDS + (math.inf, -math.inf)
+
+wide_leaves = st.one_of(
+    st.builds(LinearInequality, st.sampled_from(VARIABLES),
+              st.sampled_from(list(Comparison)),
+              st.sampled_from(WIDE_THRESHOLDS + (math.nan,))),
+    st.builds(lambda var, low, width: BoxPredicate(var, low, low + width),
+              st.sampled_from(VARIABLES), st.sampled_from(WIDE_THRESHOLDS),
+              st.sampled_from([0.0, 0.5, 2.0, math.inf])),
+    st.sampled_from([TRUE, FALSE]),
+    st.sampled_from(VARIABLES).map(lambda var: FunctionPredicate(
+        lambda valuation, var=var: valuation.get(var, 0.0) > 0.5, f"{var} > 0.5")),
+)
+wide_predicates = st.recursive(
+    wide_leaves,
+    lambda children: st.one_of(
+        children.map(Not),
+        st.lists(children, min_size=0, max_size=3).map(And),
+        st.lists(children, min_size=0, max_size=3).map(Or)),
+    max_leaves=6)
+wide_values = st.one_of(values, st.sampled_from([math.inf, -math.inf, math.nan]))
+# Rates at and below EPSILON reach the generated leaves, which decide
+# ``abs(rate) <= EPSILON`` when they are generated.
+wide_rates = st.dictionaries(st.sampled_from(VARIABLES), st.one_of(
+    rate_values, st.sampled_from([EPSILON / 2, -EPSILON, 2 * EPSILON, 1e-300])))
+
+
+def inline_guard(predicate):
+    """``guard_source``'s expression compiled into ``(values, view) -> bool``."""
+    env = {"EPSILON": EPSILON}
+    text = guard_source(predicate, SLOTS, "values", "view", env)
+    exec(f"def guard(values, view):\n    return bool({text})", env)
+    return env["guard"]
+
+
+def reference_derive(delays, now, cacheable):
+    """``CompiledEngine._derive``'s fold of crossing delays (the closure path)."""
+    best, needs_sampling = math.inf, False
+    for delay in delays:
+        if delay is None:
+            needs_sampling, cacheable = True, False
+        elif delay > EPSILON:
+            if delay != math.inf:
+                best = min(best, now + delay)
+        else:
+            cacheable = False
+    return best, cacheable, needs_sampling
+
+
+def derive_bits(result):
+    best, cacheable, needs_sampling = result
+    return bits(best), cacheable, needs_sampling
+
+
+@settings(max_examples=400, deadline=None)
+@given(predicate=wide_predicates, state=st.tuples(wide_values, wide_values, wide_values))
+def test_inline_guards_are_bit_identical(predicate, state):
+    slots = list(state)
+    view = SlotValuation(SLOTS, slots)
+    expected = predicate.evaluate(Valuation(dict(zip(VARIABLES, state))))
+    assert bool(_lower_eval(predicate, SLOTS)(slots, view)) == expected
+    assert inline_guard(predicate)(slots, view) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(sources=st.lists(st.tuples(wide_predicates, st.booleans()), min_size=1, max_size=3),
+       state=st.tuples(wide_values, wide_values, wide_values), rates=wide_rates,
+       now=st.sampled_from([0.0, 3.25, 1e6]), cacheable=st.booleans())
+def test_generated_derive_is_bit_identical(sources, state, rates, now, cacheable):
+    slots = list(state)
+    view = SlotValuation(SLOTS, slots)
+    valuation = Valuation(dict(zip(VARIABLES, state)))
+    programs = [_lower_delay(predicate, rates, SLOTS, want) for predicate, want in sources]
+    derive = lower_derive(programs, sources, rates, SLOTS, {})
+    closures = [program(slots, view) for program in programs]
+    reference = [predicate.time_until_true(valuation, rates) if want
+                 else predicate.time_until_false(valuation, rates)
+                 for predicate, want in sources]
+    assert [bits(d) for d in closures] == [bits(d) for d in reference]
+    got = derive_bits(derive(slots, view, now, cacheable))
+    assert got == derive_bits(reference_derive(reference, now, cacheable))
+    if now == 0.0:
+        # now + d is d: the candidate pins the generated delay's bits.
+        finite = [d for d in reference if d is not None and EPSILON < d < math.inf]
+        assert got[0] == bits(min(finite, default=math.inf))
+
+
+def test_generated_derive_covers_every_leaf_shape():
+    """Each Linear op, Box and a Not of each, both ways, at crossing rates."""
+    leaves = [LinearInequality("x", op, 1.0) for op in Comparison]
+    leaves += [BoxPredicate("x", -1.0, 1.0)]
+    for leaf in leaves:
+        for predicate in (leaf, Not(leaf)):
+            for want in (True, False):
+                for rate in (1.0, -0.5, EPSILON, 0.0):
+                    for x in (-3.0, -1.0, 0.0, 1.0 - EPSILON, 1.0, 2.0):
+                        slots = [x, 0.0, 0.0]
+                        view = SlotValuation(SLOTS, slots)
+                        rates = {"x": rate}
+                        program = _lower_delay(predicate, rates, SLOTS, want)
+                        derive = lower_derive([program], [(predicate, want)], rates, SLOTS,
+                                              {})
+                        expected = reference_derive([program(slots, view)], 0.0, True)
+                        assert (derive_bits(derive(slots, view, 0.0, True))
+                                == derive_bits(expected)), (predicate, want, rate, x)

@@ -12,6 +12,9 @@ a mutant of each rule.  The generated ones mix long quiet stretches with
 the constructs those rules guard.
 """
 
+import copy
+import dis
+import functools
 import math
 
 import pytest
@@ -579,6 +582,47 @@ class TestStretchesAndDeadlines:
         assert len(times) < 0.5 * compiled.steps
         assert compiled.quiet_steps > 0.9 * compiled.steps
 
+    def test_sampling_a_variable_without_a_slot(self):
+        """A recorded variable no automaton declares samples through the engine."""
+        def build():
+            system = HybridSystem("unslotted")
+            system.add(source_automaton())
+            system.add(one_shot("watch", var_ge("c", 17.33), {"c": 1.0}))
+            return system, [], []
+
+        reference, compiled = run_pair(build, record=(("src", "y"), ("watch", "nope")),
+                                       sample_interval=0.25)
+        times, values = reference.series("watch", "nope")
+        assert len(times) > 100 and set(values) == {0.0}
+        assert compiled.quiet_steps > 0.9 * compiled.steps
+
+    def test_a_copied_run_binds_its_own_generic_coupling(self):
+        """A paused run's copy applies a generic coupling to itself.
+
+        The coupling copies ``src.y`` into ``watch.u`` through the engine
+        API; ``watch`` fires when ``u`` reaches 30 (10 s).
+        """
+        def build():
+            system = HybridSystem("copied")
+            system.add(source_automaton())
+            system.add(one_shot("watch", var_ge("u", 30.0), {"c": 1.0},
+                                initial={"u": 0.0}))
+            coupling = FunctionCoupling(lambda engine: engine.set_variable(
+                "watch", "u", engine.state.value_of("src", "y")))
+            return CompiledEngine(system, couplings=[coupling], seed=11, dt_max=DT_MAX,
+                                  record_variables=[("watch", "u")])
+
+        straight = build().run(20.0)
+        paused = build()
+        paused.start(20.0)
+        paused.advance(50)
+        twin = copy.deepcopy(paused)
+        for engine in (twin, paused):
+            engine.advance()
+            trace = engine.finish()
+            assert trace.transitions == straight.transitions
+            assert trace.series("watch", "u") == straight.series("watch", "u")
+
     def test_two_watched_automata_fire_in_one_quiet_step(self):
         """``u`` and ``v`` copy the ramp ``y = 3t``; both guards turn true at 10 s.
 
@@ -934,3 +978,69 @@ def test_table1_serial_seed1_counters(monkeypatch):
     for (_, full, rescans), parent_full in zip(counters, (1871, 1733)):
         assert full < parent_full
         assert type(rescans) is int and rescans < 3 * full
+
+
+def test_table1_step_programs_call_no_rk4_program_guard_or_sample():
+    """A Table I trial's quiet steps call nothing but the observers.
+
+    The RK4 body, the watched guards and sampling are inline in each step
+    program; what it calls is the full step's scheduler, processes,
+    discrete phase and the observers' ``on_sample``.
+    """
+    config = CaseStudyConfig()
+    case = build_case_study(config, with_lease=True, seed=7)
+    engine = case.engine(seed=7, kind="compiled", record_variables=[("patient", "spo2")])
+    engine.start(300.0)
+    engine.advance()
+    programs = list(engine._steps.values())
+    engine.finish()
+    assert len(programs) >= 10
+    for step in programs:
+        code = step.__code__
+        loaded = {instruction.argval for instruction in dis.get_instructions(code)
+                  if instruction.opname == "LOAD_GLOBAL"}
+        # Globals are constants (rates, indicator values bound by name).
+        calls = {name for name in loaded
+                 if not isinstance(step.__globals__.get(name), (int, float))}
+        assert calls == {"min"}, loaded
+        assert set(code.co_freevars) <= {
+            "engine", "state", "dt_max", "cushion", "process", "wake", "next_time_of",
+            "interval", "o0", *(f"{kind}{i}" for kind in "rvw" for i in range(4))}
+        assert "r3_remaining" in code.co_varnames  # the patient's RK4 body
+    # Some vectors watch the supervisor's guard on the coupled SpO2 slot.
+    assert any("process(start + cushion, 0)" in text and "(not (v0[3] > 92.000000001))" in text
+               for text in engine.compiled.program_code)
+
+
+def test_wrapped_kernel_runs_four_times_per_substep_in_a_stretch():
+    """A kernel the translator rejects keeps its call in every RK4 stage."""
+    calls = [0]
+
+    def decay(x):
+        return -0.5 * x
+
+    @functools.wraps(decay)
+    def counted(*args):
+        calls[0] += 1
+        return decay(*args)
+
+    def build():
+        automaton = HybridAutomaton("plant", variables=["x"], initial_valuation={"x": 1.0})
+        automaton.add_location(Location("Flow", flow=CallableFlow(
+            counted, inputs={"x": 1.0}, outputs=("x",), substep=0.05)))
+        automaton.initial_location = "Flow"
+        system = HybridSystem("wrapped")
+        system.add(automaton, entity="plant")
+        return system, [], []
+
+    counts = []
+    for engine_cls in (SimulationEngine, CompiledEngine):
+        calls[0] = 0
+        system, _, _ = build()
+        engine = engine_cls(system, dt_max=DT_MAX, record_variables=[("plant", "x")],
+                            sample_interval=0.25)
+        engine.run(10.0)
+        counts.append(calls[0])
+    assert engine.quiet_steps > 0.9 * engine.steps
+    # Two 0.05 s substeps per 0.1 s step, four stages each.
+    assert counts[0] == counts[1] == 4 * 2 * engine.steps

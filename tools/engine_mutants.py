@@ -3,9 +3,11 @@
 
 Each mutant below breaks one rule that bit-identity rests on: in
 ``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
-deadlines, wakeup invalidation, the discrete-phase scan filter, the
-quiet-stretch loop, the copy of a paused run or the key of a kept
-quiet-step plan; in ``src/repro/hybrid/simulate/rk4.py`` which kernel
+deadlines, wakeup invalidation, the discrete-phase scan filter, the copy
+of a paused run or the key of a kept quiet-step plan; in
+``src/repro/hybrid/simulate/programs.py`` the step program's quiet loop,
+an inline crossing, an inline guard's tolerance or inline sampling; in
+``src/repro/hybrid/simulate/rk4.py`` which kernel
 tests and parameters the flow-kernel translator fixes once; in
 ``src/repro/util/seeding.py`` and ``src/repro/verify/rare.py`` how a fork
 group pauses, copies and forks a survivor and puts the results back, and
@@ -49,6 +51,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/repro/hybrid/simulate/compiled.py"
+PROGRAMS = "src/repro/hybrid/simulate/programs.py"
 RK4 = "src/repro/hybrid/simulate/rk4.py"
 SEEDING = "src/repro/util/seeding.py"
 RARE = "src/repro/verify/rare.py"
@@ -70,6 +73,7 @@ CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
                   "tests/campaign/test_shm.py::TestCampaignEquivalence"]
 #: The fixed tests that must kill a mutant of each file.
 TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS,
+         PROGRAMS: [*ENGINE_TESTS, "tests/hybrid/test_lowering.py"],
          RARE: [*ENGINE_TESTS, "tests/campaign/test_faults.py::TestCliRecovery"
                 "::test_crude_resumes_bit_identically_after_crash"],
          RK4: ["tests/hybrid/test_lowering.py::TestKernelTranslation",
@@ -100,9 +104,9 @@ MUTANTS = {
           " or rt.quiet_scan[rt.loc])\n",
           "                if ((not rt.deadline > threshold or rt.quiet_scan[rt.loc])\n")]),
     "drop-sample-due-test": (
-        ENGINE, "a quiet stretch samples on every step",
-        [('"            if not now + EPSILON < next_sample:",',
-          '"            if True:",')]),
+        PROGRAMS, "a quiet stretch samples on every step",
+        [('["    if not now + EPSILON < next_sample:",',
+          '["    if True:",')]),
     "kept-candidate-sets-next-time": (
         ENGINE, "a kept candidate's margin-reduced value sets the next time when nothing samples",
         [("            if rt.deadline > near:\n                kept = True\n",
@@ -120,28 +124,28 @@ MUTANTS = {
         ENGINE, "a NaN/-inf wakeup (woken on every step) does not stop caching",
         [("                    wake_ok = False\n", "                    pass\n")]),
     "stale-deadline-after-coupling": (
-        ENGINE, "a quiet stretch ignores a generic coupling's invalidation",
+        PROGRAMS, "a quiet stretch ignores a generic coupling's invalidation",
         [('            couplings += [f"c{item[1]}()", "deadline = engine._deadline"]\n',
           '            couplings += [f"c{item[1]}()"]\n')]),
     "stretch-ignores-horizon": (
-        ENGINE, "a quiet stretch steps past the horizon",
-        [('"            if horizon < next_time:",', '"            if False:",')]),
+        PROGRAMS, "a quiet stretch steps past the horizon",
+        [('"        if horizon < next_time:",', '"        if False:",')]),
     "quiet-firing-keeps-settled": (
-        ENGINE, "the step after a quiet step's firing skips the pre-step couplings",
+        PROGRAMS, "the step after a quiet step's firing skips the pre-step couplings",
         [('''                     f"    process(start + cushion, {i})",
                      "    settled = False",
 ''', '''                     f"    process(start + cushion, {i})",
 ''')]),
     "watch-first-runtime-only": (
-        ENGINE, "a quiet step evaluates only the first watched runtime's guards",
+        PROGRAMS, "a quiet step evaluates only the first watched runtime's guards",
         [("    for i in watched:\n", "    for i in watched[:1]:\n")]),
     "plan-ignores-couplings": (
         ENGINE, "a lowered system's kept quiet-step plan is reused for another coupling layout",
         [("        key = (layout, self.dt_max)\n", "        key = self.dt_max\n")]),
     "decide-output-test": (
         RK4, "the kernel translator decides a test that reads an output once per advance",
-        [('            return (f"x{value}" if k == 1 else f"s{k}_{value}"), False\n',
-          '            return (f"x{value}" if k == 1 else f"s{k}_{value}"), True\n')]),
+        [('            return (f"{prefix}x{value}" if k == 1 else f"{prefix}s{k}_{value}"), False\n',
+          '            return (f"{prefix}x{value}" if k == 1 else f"{prefix}s{k}_{value}"), True\n')]),
     "bind-mutable-parameter": (
         RK4, "the kernel translator binds a field of a mutable parameter at lowering",
         [('            if (kind == "param" and _frozen_dataclass(value)\n',
@@ -159,13 +163,27 @@ MUTANTS = {
         RARE, "a fork group pauses after the crossing step, not before it",
         [("            run.advance(group.step - 1)\n", "            run.advance(group.step)\n")]),
     "stretch-ignores-step-limit": (
-        ENGINE, "a quiet stretch runs on past the step a pause asked for",
-        [('"            if done or steps == room or not now < end:",',
-          '"            if done or not now < end:",')]),
+        PROGRAMS, "a quiet stretch runs on past the step a pause asked for",
+        [('["    if done or steps == room or not now < end:",',
+          '["    if done or not now < end:",')]),
     "stale-step-at-sample": (
-        ENGINE, "a quiet stretch samples without bringing engine.steps up to date",
-        [('''                "                engine.steps = base + steps",
-                "                sample(True)",''', '''                "                sample(True)",''')]),
+        PROGRAMS, "a quiet stretch samples without bringing engine.steps up to date",
+        [('''        step += ["    if not now + EPSILON < next_sample:",
+                 "        engine.steps = base + steps", *_indent(sample, 2)]''',
+          '''        step += ["    if not now + EPSILON < next_sample:", *_indent(sample, 2)]''')]),
+    "crossing-keeps-negative-delay": (
+        PROGRAMS, "an inline Linear crossing keeps a negative delay instead of inf",
+        [('''                        "    if d < 0:", "        d = inf"]''',
+          '''                        ]''')]),
+    "guard-bound-without-tolerance": (
+        PROGRAMS, "an inline guard compares against the threshold without the EPSILON tolerance",
+        [("        return f\"({value} {op} {_literal(env, leaf.threshold + tolerance)})\"\n",
+          "        return f\"({value} {op} {_literal(env, leaf.threshold)})\"\n")]),
+    "sample-keeps-next-sample-time": (
+        PROGRAMS, "inline sampling does not write _next_sample_time back",
+        [('''        sample += ["next_sample = now + interval",
+                   "engine._next_sample_time = next_sample"]''',
+          '''        sample += ["next_sample = now + interval"]''')]),
     "copy-shares-coupling-programs": (
         ENGINE, "a copied engine keeps the coupling programs bound to the original",
         [("        clone._coupling_programs = ([clone._lower_coupling(c) for c in clone.couplings]\n",
