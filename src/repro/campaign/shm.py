@@ -408,13 +408,6 @@ def attach_ring(name: str, capacity: int) -> ResultsRing:
     return ring
 
 
-def detach_all() -> None:
-    """Drop every cached worker-side attachment (tests / pool teardown)."""
-    for ring in _ATTACHED_RINGS.values():
-        ring.close()
-    _ATTACHED_RINGS.clear()
-
-
 def leaked_segments() -> List[str]:
     """Names of ``repro-`` segments currently present in ``/dev/shm``.
 

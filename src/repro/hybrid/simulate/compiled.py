@@ -14,9 +14,12 @@ once per trial:
 * locations, edges and variables become integers; valuations become flat
   ``list[float]`` slot arrays mutated in place;
 * affine flows become pre-resolved rate vectors (``(slot, rate)`` pairs);
-* guards and invariants compile to crossing *programs* -- closures with the
-  affine-crossing coefficients already solved, so the scheduler evaluates a
-  handful of multiplications instead of re-walking predicate trees;
+* guards and invariants become generated source
+  (:mod:`~repro.hybrid.simulate.programs`): an edge's guard is one
+  expression of inline comparisons, and a location's crossings are one
+  function with the affine-crossing arithmetic written out, so the
+  scheduler evaluates a handful of operations instead of re-walking
+  predicate trees; only a generic predicate node keeps a call;
 * event roots map to pre-resolved receiver tables (receiver index, lossy
   flag, hosting entity).
 
@@ -27,7 +30,7 @@ produces **bit-identical** traces, event logs and samples (enforced by
 ``tests/hybrid/test_quiet_steps.py``).  Per-step invalidation is
 structural rather than numeric: a guard whose watched variable cannot move
 in the current location is dropped from the schedule at compile time, and
-an automaton's deadline program only changes when its location does.
+an automaton's deadline sources only change when its location does.
 
 Quiet steps
 -----------
@@ -36,7 +39,7 @@ variables ask for sampling), the reference engine steps by ``dt_max``
 and, on every step, re-derives every crossing and wakeup, polls every
 process and scans every runtime's edges, although almost no step changes
 anything discrete.  The compiled engine instead caches *candidates*: one
-per runtime (the earliest crossing of its deadline programs, minus a
+per runtime (the earliest crossing of its deadline sources, minus a
 rounding-drift margin) and one for process wakeups.  While the earliest
 of them, the *deadline*, lies beyond ``now + cushion``, a step is
 *quiet*: its next time is ``min(now + dt_max, horizon)`` (the value the
@@ -64,10 +67,11 @@ quiet; that step runs as the program's *full step*, whose continuous
 phase, couplings and sampling are the same inline blocks.
 A static-affine location's candidate comes from one generated function
 (:func:`~repro.hybrid.simulate.programs.lower_derive`) that transcribes
-each Linear inequality's and Box's crossing.  A shape the generators
-cannot express keeps its call: a generic flow or coupling, a kernel the
-RK4 translator rejects, a generic predicate node, an equality or And/Or
-crossing.
+every crossing of its deadline sources, And/Or probes included, and the
+discrete phase tests each edge's generated guard
+(:func:`~repro.hybrid.simulate.programs.lower_guard`).  A shape the
+generators cannot express keeps its call: a generic flow or coupling, a
+kernel the RK4 translator rejects, a generic predicate node.
 
 The *cushion* is ``dt_max + max(EPSILON, EPSILON/|r|)`` for the smallest
 rate ``|r|`` of a moving leaf in any cacheable location:
@@ -85,9 +89,9 @@ any more while candidates are kept, all of them are derived again, since
 a kept one could now set the next time.
 
 A runtime's candidate is cached only when sampling is requested, its
-location is not dynamic-affine, and every crossing/invariant program is
-fully lowered (True/False/Linear/Box/Not/And/Or), reads no *hazard* slot
-and returned ``inf`` or a finite delay ``> EPSILON``.  A hazard slot is a
+location is not dynamic-affine, and every deadline source is fully
+lowered (True/False/Linear/Box/Not/And/Or), reads no *hazard* slot and
+returned ``inf`` or a finite delay ``> EPSILON``.  A hazard slot is a
 coupling target (overwritten every step) or a slot whose rate ``r``
 satisfies ``0 < |r| <= max(EPSILON, EPSILON/dt_max)``: a leaf on it turns
 true ``EPSILON/|r| >= dt_max`` seconds before its computed crossing, or
@@ -102,7 +106,7 @@ exactly 0 that no coupling writes cannot change, so it needs no scan.
 Soundness rests on four facts.  *Monotone candidates:* under static rates
 a leaf's absolute candidate goes crossing -> now -> later crossing or
 ``inf``, and min/max/probes keep that order, so between invalidations no
-program's candidate moves earlier than its cached value except by the
+crossing's candidate moves earlier than its cached value except by the
 effects below.  *Locality:* a runtime's candidate and guards read only its
 own slots; a transition resets only the firing runtime's slots, coupled
 slots are hazards, and every other write drops every candidate, so only
@@ -144,25 +148,20 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
 from repro.errors import SimulationError, TimeBlockError, ZenoError
 from repro.hybrid.automaton import HybridAutomaton
 from repro.hybrid.edges import Edge
-from repro.hybrid.expressions import (And, BoxPredicate, Comparison, FalsePredicate,
-                                      LinearInequality, Not, Or, Predicate, TruePredicate)
+from repro.hybrid.expressions import (And, BoxPredicate, FalsePredicate, LinearInequality,
+                                      Not, Or, Predicate, TruePredicate)
 from repro.hybrid.flows import CompositeFlow, ConstantFlow, Flow
 from repro.hybrid.simulate.engine import Network, _PendingEvent, remap_wakes
 from repro.hybrid.simulate.observers import TraceObserver, TraceRecorder
 from repro.hybrid.simulate.processes import (Coupling, EnvironmentProcess,
                                              LocationIndicatorCoupling,
                                              VariableCopyCoupling)
-from repro.hybrid.simulate.programs import BOUNDS, lower_derive, lower_step
+from repro.hybrid.simulate.programs import lower_derive, lower_guard, lower_step
 from repro.hybrid.system import HybridSystem
 from repro.hybrid.trace import EventRecord, Trace, TransitionRecord
 from repro.hybrid.variables import Valuation
 from repro.util.seeding import spawn_rng
 from repro.util.timebase import EPSILON
-
-#: Sentinel: this guard/invariant can never contribute a crossing deadline
-#: (nor a sampling request) in this location, so the scheduler skips it.
-_STATIC_SKIP = object()
-
 
 class SlotValuation(Mapping[str, float]):
     """Read-only :class:`Valuation`-compatible view over a slot array.
@@ -263,118 +262,19 @@ def _static_rates(flow: Flow) -> Dict[str, float] | None:
     return None
 
 
-# -- predicate programs ------------------------------------------------------
-# Slot-indexed twins of Predicate.evaluate / time_until_true /
-# time_until_false for True/False/Linear/Box/Not/And/Or trees, built with the
-# rates already resolved.  Every program takes ``(values, view)`` and
-# performs the reference method's float operations in the same order, so
-# results are bit-identical; a node of any other predicate type runs the
-# generic method on ``view``.
+def _skips(predicate: Predicate, rates: Mapping[str, float]) -> bool:
+    """Whether ``predicate``'s crossing is ``0.0`` or ``inf`` for every
+    valuation under ``rates``: never a finite positive deadline, never a
+    sampling request, so the scheduler skips it.
 
-
-def _lower_eval(predicate: Predicate, slot_of: Mapping[str, int]):
-    """Program ``(values, view) -> bool`` reproducing ``predicate.evaluate``."""
-    if isinstance(predicate, (TruePredicate, FalsePredicate)):
-        value = isinstance(predicate, TruePredicate)
-        return lambda values, view: value
-    if isinstance(predicate, (LinearInequality, BoxPredicate)):
-        slot, holds = slot_of[predicate.variable], predicate.holds
-        if isinstance(predicate, LinearInequality) and predicate.op in BOUNDS:
-            # Comparison.evaluate with its tolerance folded into the bound.
-            _, compare, tolerance = BOUNDS[predicate.op]
-            bound = predicate.threshold + tolerance
-            return lambda values, view: compare(values[slot], bound)
-        return lambda values, view: holds(values[slot])
-    if isinstance(predicate, Not):
-        inner = _lower_eval(predicate.operand, slot_of)
-        return lambda values, view: not inner(values, view)
-    if isinstance(predicate, (And, Or)):
-        parts = tuple(_lower_eval(p, slot_of) for p in predicate.operands)
-        # And stops at the first false operand, Or at the first true one.
-        stop = isinstance(predicate, Or)
-
-        def fold(values, view):
-            for part in parts:
-                if (not part(values, view)) != stop:
-                    return stop
-            return not stop
-
-        return fold
-    return lambda values, view: predicate.evaluate(view)
-
-
-def _lower_delay(predicate: Predicate, rates: Mapping[str, float],
-                 slot_of: Mapping[str, int], want: bool):
-    """Program ``(values, view) -> float | None`` reproducing ``time_until_*``.
-
-    ``want`` selects ``time_until_true`` (True) or ``time_until_false``.
+    True/False, and a Linear/Box leaf whose rate is at most ``EPSILON``
+    (already there, or frozen), looking through Not.
     """
-    if isinstance(predicate, (TruePredicate, FalsePredicate)):
-        value = 0.0 if isinstance(predicate, TruePredicate) == want else math.inf
-        return lambda values, view: value
-    if isinstance(predicate, Not):
-        return _lower_delay(predicate.operand, rates, slot_of, not want)
+    while isinstance(predicate, Not):
+        predicate = predicate.operand
     if isinstance(predicate, (LinearInequality, BoxPredicate)):
-        slot, crossing = slot_of[predicate.variable], predicate._crossing_delay
-        rate = rates.get(predicate.variable, 0.0)
-        return lambda values, view: crossing(values[slot], rate, want)
-    if not isinstance(predicate, (And, Or)):
-        if want:
-            return lambda values, view: predicate.time_until_true(view, rates)
-        return lambda values, view: predicate.time_until_false(view, rates)
-    parts = tuple(_lower_delay(p, rates, slot_of, want) for p in predicate.operands)
-    # And-until-false and Or-until-true take the earliest operand crossing;
-    # And-until-true and Or-until-false the latest, kept only if the probe
-    # just after it confirms that it sticks (And holds there, Or does not).
-    latest = isinstance(predicate, And) == want
-    holds = _lower_eval(predicate, slot_of)
-    moving = tuple((slot_of[name], rate) for name, rate in rates.items()
-                   if name in slot_of)
-
-    def combined(values, view):
-        delays = []
-        for part in parts:
-            delay = part(values, view)
-            if delay is None:
-                return None
-            delays.append(delay)
-        if not latest:
-            return min(delays, default=math.inf)
-        candidate = max(delays, default=0.0)
-        if math.isinf(candidate):
-            return math.inf
-        # The probe is view.advanced(rates, candidate + EPSILON) in slots.
-        dt = candidate + EPSILON
-        probe = list(values)
-        for slot, rate in moving:
-            probe[slot] = probe[slot] + rate * dt
-        if holds(probe, SlotValuation(view._slots, probe)) == want:
-            return candidate
-        return None
-
-    return combined
-
-
-def _lower_crossing(predicate: Predicate, rates: Mapping[str, float],
-                    slot_of: Mapping[str, int], want_true: bool):
-    """Compile ``time_until_true``/``time_until_false`` under constant rates.
-
-    Returns :data:`_STATIC_SKIP` when the answer is provably ``0.0`` or
-    ``inf`` for every reachable valuation (neither is a scheduling
-    candidate, and neither requests sampling), otherwise a program
-    ``(values, view) -> float | None`` that reproduces the reference
-    predicate method bit-for-bit.
-    """
-    if isinstance(predicate, (TruePredicate, FalsePredicate)):
-        return _STATIC_SKIP
-    if isinstance(predicate, Not):
-        return _lower_crossing(predicate.operand, rates, slot_of, not want_true)
-    if isinstance(predicate, (LinearInequality, BoxPredicate)):
-        if abs(rates.get(predicate.variable, 0.0)) <= EPSILON:
-            # The delay is 0.0 (already there) or inf (frozen): never a
-            # finite positive deadline, never a sampling request.
-            return _STATIC_SKIP
-    return _lower_delay(predicate, rates, slot_of, want_true)
+        return abs(rates.get(predicate.variable, 0.0)) <= EPSILON
+    return isinstance(predicate, (TruePredicate, FalsePredicate))
 
 
 def _lowered_leaves(predicate: Predicate) -> list | None:
@@ -419,13 +319,6 @@ def _leaf_slots(predicates: Iterable[Predicate],
     return frozenset(slots)
 
 
-def _lower_guard_eval(predicate: Predicate, slot_of: Mapping[str, int]):
-    """Compile a guard's boolean evaluation; ``None`` means "always true"."""
-    if isinstance(predicate, TruePredicate):
-        return None
-    return _lower_eval(predicate, slot_of)
-
-
 class CompiledEdge:
     """One lowered edge: integer target, pre-solved guard, flat reset."""
 
@@ -434,13 +327,13 @@ class CompiledEdge:
                  "reason", "key")
 
     def __init__(self, edge: Edge, order_index: int, target_index: int,
-                 slot_of: Mapping[str, int]):
+                 slot_of: Mapping[str, int], code_cache: Dict[str, object]):
         self.edge = edge
         self.source_name = edge.source
         self.target_name = edge.target
         self.target_index = target_index
         self.trigger_root = edge.trigger.root if edge.trigger is not None else None
-        self.guard_program = _lower_guard_eval(edge.guard, slot_of)
+        self.guard_program = lower_guard(edge.guard, slot_of, code_cache)
         if edge.reset.function is None:
             self.assignments = tuple((slot_of[name], float(value))
                                      for name, value in edge.reset.assignments.items())
@@ -453,15 +346,16 @@ class CompiledEdge:
 
 
 class CompiledLocation:
-    """One lowered location: rate vector, deadline programs, edge table."""
+    """One lowered location: rate vector, deadline sources, edge table."""
 
     __slots__ = ("name", "index", "slot_of", "flow", "affine", "invariant", "risky",
                  "static_rates", "const_items", "edges",
-                 "asap_edges", "has_asap", "deadline_programs", "deadline_sources",
+                 "asap_edges", "has_asap", "deadline_sources",
                  "derive", "program_slots", "guard_slots", "drift_terms")
 
     def __init__(self, automaton: HybridAutomaton, name: str, index: int,
-                 loc_index: Mapping[str, int], slot_of: Mapping[str, int]):
+                 loc_index: Mapping[str, int], slot_of: Mapping[str, int],
+                 code_cache: Dict[str, object]):
         location = automaton.location(name)
         self.name = name
         self.index = index
@@ -479,36 +373,32 @@ class CompiledLocation:
             self.const_items = None
         source_edges = [e for e in automaton.edges if e.source == name]
         self.edges = tuple(CompiledEdge(edge, order_index, loc_index[edge.target],
-                                        slot_of)
+                                        slot_of, code_cache)
                            for order_index, edge in enumerate(source_edges))
         self.asap_edges = tuple(ce for ce in self.edges if ce.trigger_root is None)
         self.has_asap = bool(self.asap_edges)
-        # Deadline programs (ASAP guard crossings, then the invariant's
-        # exit) exist only for affine locations with static rates;
-        # dynamic-affine and non-affine locations are handled generically
-        # by the scheduler.
-        self.deadline_programs = ()
-        #: ``(predicate, want)`` of each deadline program, and the generated
-        #: function deriving the location's candidate (built on first use).
+        #: ``(predicate, want)`` of each crossing the scheduler derives (ASAP
+        #: guards until true, then the invariant until false), and the
+        #: generated function deriving the location's candidate from them
+        #: (built on first use).  Only affine locations with static rates
+        #: have them; dynamic-affine and non-affine locations are handled
+        #: generically by the scheduler.
         self.deadline_sources = ()
         self.derive = None
-        # Quiet-step facts: slots read by the deadline programs / ASAP
+        # Quiet-step facts: slots read by the deadline sources / ASAP
         # guards (None = some predicate is not fully lowered), and the
-        # (slot, |threshold|, 1/|rate|) of every moving program leaf.
+        # (slot, |threshold|, 1/|rate|) of every moving source leaf.
         self.guard_slots = _leaf_slots((ce.edge.guard for ce in self.asap_edges),
                                        slot_of)
         self.program_slots = frozenset()
         self.drift_terms = ()
         if self.affine and self.static_rates is not None:
-            programs, sources = [], []
-            for predicate, want in [*((ce.edge.guard, True) for ce in self.asap_edges),
-                                    (self.invariant, False)]:
-                program = _lower_crossing(predicate, self.static_rates, slot_of, want)
-                if program is not _STATIC_SKIP:
-                    programs.append(program)
-                    sources.append(predicate)
-                    self.deadline_sources += ((predicate, want),)
-            self.deadline_programs = tuple(programs)
+            self.deadline_sources = tuple(
+                (predicate, want)
+                for predicate, want in [*((ce.edge.guard, True) for ce in self.asap_edges),
+                                        (self.invariant, False)]
+                if not _skips(predicate, self.static_rates))
+            sources = [predicate for predicate, _ in self.deadline_sources]
             self.program_slots = _leaf_slots(sources, slot_of)
             if self.program_slots is not None:
                 self.drift_terms = tuple(
@@ -523,7 +413,8 @@ class CompiledAutomaton:
     __slots__ = ("name", "index", "entity", "slot_of", "initial_values",
                  "initial_location", "locations", "loc_index", "risky_locations")
 
-    def __init__(self, automaton: HybridAutomaton, index: int, entity: str):
+    def __init__(self, automaton: HybridAutomaton, index: int, entity: str,
+                 code_cache: Dict[str, object]):
         automaton.validate()
         self.name = automaton.name
         self.index = index
@@ -547,7 +438,7 @@ class CompiledAutomaton:
                 f"automaton {automaton.name!r} has no initial location")
         self.initial_location = self.loc_index[automaton.initial_location]
         self.locations = tuple(
-            CompiledLocation(automaton, name, i, self.loc_index, self.slot_of)
+            CompiledLocation(automaton, name, i, self.loc_index, self.slot_of, code_cache)
             for name, i in self.loc_index.items())
         self.risky_locations = set(automaton.risky_locations)
 
@@ -557,8 +448,11 @@ class CompiledSystem:
 
     def __init__(self, system: HybridSystem):
         self.system = system
+        #: The code of every generated program by its source text (many
+        #: guards, locations and vectors share one).
+        self.program_code: Dict[str, object] = {}
         self.automata: tuple[CompiledAutomaton, ...] = tuple(
-            CompiledAutomaton(automaton, index, system.entity_of(name))
+            CompiledAutomaton(automaton, index, system.entity_of(name), self.program_code)
             for index, (name, automaton) in enumerate(system.automata.items()))
         self.index_of: Dict[str, int] = {ca.name: ca.index for ca in self.automata}
         self.entity_of: Dict[str, str] = {ca.name: ca.entity for ca in self.automata}
@@ -566,10 +460,8 @@ class CompiledSystem:
         self.receivers: Dict[str, tuple[tuple[int, str, bool, str], ...]] = {}
         #: Step programs (:func:`~repro.hybrid.simulate.programs.lower_step`),
         #: built on demand per location vector and engine plan and kept for
-        #: every later trial, and the code of every generated program by
-        #: its source text (many vectors and locations share one).
+        #: every later trial.
         self.step_programs: Dict[tuple, Callable] = {}
-        self.program_code: Dict[str, object] = {}
         #: Quiet-step plans (:meth:`CompiledEngine._plan_quiet_steps`) by
         #: coupling layout and ``dt_max``.
         self.quiet_plans: Dict[tuple, tuple] = {}
@@ -621,7 +513,7 @@ class _AutomatonRuntime:
         self.location: CompiledLocation = ca.locations[self.loc]
         self.entered_at: float = 0.0
         self.pending: List[_PendingEvent] = []
-        # Per location index: may its deadline programs be cached, and must
+        # Per location index: may its crossing candidate be cached, and must
         # its edges be scanned on quiet steps (set by the engine).
         self.cache_ok: tuple[bool, ...] = ()
         self.quiet_scan: tuple[bool, ...] = ()
@@ -949,7 +841,7 @@ class CompiledEngine:
             cache_ok, quiet_scan = [], []
             for loc in rt.ca.locations:
                 if loc.static_rates is None:
-                    # Non-affine locations have no deadline programs;
+                    # Non-affine locations have no deadline sources;
                     # dynamic-affine ones are never cached.
                     cache_ok.append(not loc.affine)
                     quiet_scan.append(loc.has_asap)
@@ -1181,8 +1073,8 @@ class CompiledEngine:
             return best, False, needs_sampling
         # Static rates: the location's generated derive function, which
         # _next_time calls directly from now on.
-        loc.derive = lower_derive(loc.deadline_programs, loc.deadline_sources,
-                                  loc.static_rates, loc.slot_of, self.compiled.program_code)
+        loc.derive = lower_derive(loc.deadline_sources, loc.static_rates, loc.slot_of,
+                                  self.compiled.program_code)
         return loc.derive(rt.values, rt.view, now, rt.cache_ok[loc.index])
 
     def _advance_flow(self, rt: _AutomatonRuntime, dt: float) -> None:

@@ -1,33 +1,38 @@
-"""Generated step programs of the compiled kernel.
+"""Generated programs of the compiled kernel.
 
 :class:`~repro.hybrid.simulate.compiled.CompiledEngine` runs its hot paths
 as Python source generated here, compiled once per source text into a
 code cache kept on the
-:class:`~repro.hybrid.simulate.compiled.CompiledSystem`:
+:class:`~repro.hybrid.simulate.compiled.CompiledSystem`.  This module is
+the only place where predicates are lowered:
 
+* :func:`lower_guard` -- an edge's guard as one expression
+  (:func:`guard_source`): True/False/Linear/Box/Not/And/Or nodes become
+  inline comparisons, a comparison's EPSILON tolerance folded into its
+  bound;
+* :func:`lower_derive` -- the crossing candidate of one static-affine
+  location, with every crossing transcribed operation for operation:
+  Linear inequalities (equalities included) and Boxes from their
+  ``_crossing_delay``, Not by flipping the wanted truth, And/Or as the
+  ``min``/``max`` of their operands and the probe just after it;
 * :func:`lower_step` -- the step program of one location vector: the
   quiet stretch (consecutive quiet steps as one loop) and the full step
   that follows it, with the RK4 bodies of the locations' flows
   (:func:`~repro.hybrid.simulate.rk4.advance_source`), the couplings as
-  slot moves, the watched ASAP guards as inline comparisons
-  (:func:`guard_source`) and sampling straight into the observers'
-  ``on_sample``;
-* :func:`lower_derive` -- the crossing candidate of one static-affine
-  location, with each Linear inequality's and Box's ``_crossing_delay``
-  transcribed operation for operation.
+  slot moves, the watched ASAP guards inline and sampling straight into
+  the observers' ``on_sample``.
 
 Every block performs the reference engine's float operations in their
 order, so traces stay bit-identical.  A shape a generator cannot express
 keeps its call: a generic flow's ``advance``, a kernel that
 :class:`~repro.hybrid.simulate.rk4.KernelTranslation` rejects, a generic
-coupling, a generic predicate node, an equality or And/Or crossing,
-sampling of a variable that had no slot at lowering.
+coupling, a generic predicate node (its ``evaluate`` or
+``time_until_*``), sampling of a variable that had no slot at lowering.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import Dict, List, Sequence
 
 from repro.hybrid.expressions import (And, BoxPredicate, Comparison, FalsePredicate,
@@ -38,11 +43,11 @@ from repro.hybrid.simulate.rk4 import advance_source
 from repro.util.timebase import EPSILON
 
 #: ``Comparison.evaluate(v, t)`` is ``v <op> t + tolerance`` for these:
-#: the operator's source text, its function and the tolerance.
-BOUNDS = {Comparison.LE: ("<=", operator.le, EPSILON),
-          Comparison.GE: (">=", operator.ge, -EPSILON),
-          Comparison.LT: ("<", operator.lt, -EPSILON),
-          Comparison.GT: (">", operator.gt, EPSILON)}
+#: the operator's source text and the tolerance.
+BOUNDS = {Comparison.LE: ("<=", EPSILON),
+          Comparison.GE: (">=", -EPSILON),
+          Comparison.LT: ("<", -EPSILON),
+          Comparison.GT: (">", EPSILON)}
 
 
 def _literal(env: Dict[str, object], value) -> str:
@@ -74,24 +79,24 @@ def _indent(lines: List[str], depth: int = 1) -> List[str]:
     return [pad + line for line in lines] or [pad + "pass"]
 
 
+# -- guards ----------------------------------------------------------------------
+
 def _leaf_test(leaf, value: str, env: Dict[str, object]) -> str:
     """An expression whose truth is ``leaf.holds(value)`` for a Linear/Box leaf."""
     if isinstance(leaf, LinearInequality) and leaf.op in BOUNDS:
-        op, _, tolerance = BOUNDS[leaf.op]
+        op, tolerance = BOUNDS[leaf.op]
         return f"({value} {op} {_literal(env, leaf.threshold + tolerance)})"
     if type(leaf) is LinearInequality:  # EQ: abs(value - t) <= EPSILON
         return f"(abs({value} - {_literal(env, leaf.threshold)}) <= EPSILON)"
     if type(leaf) is BoxPredicate:
         return (f"({_literal(env, leaf.low - EPSILON)} <= {value}"
                 f" <= {_literal(env, leaf.high + EPSILON)})")
-    name = f"k{len(env)}"
-    env[name] = leaf.holds
-    return f"{name}({value})"
+    return f"{_literal(env, leaf.holds)}({value})"
 
 
 def guard_source(predicate: Predicate, slot_of, values: str, view: str,
                  env: Dict[str, object]) -> str:
-    """An expression whose truth is ``_lower_eval(predicate)``'s result.
+    """An expression whose truth is ``predicate.evaluate``'s on the slots.
 
     True/False/Linear/Box/Not/And/Or nodes become inline comparisons over
     the slot list named ``values``, a comparison's EPSILON tolerance folded
@@ -108,72 +113,135 @@ def guard_source(predicate: Predicate, slot_of, values: str, view: str,
         if not parts:
             return repr(isinstance(predicate, And))
         return "(" + (" and " if isinstance(predicate, And) else " or ").join(parts) + ")"
-    name = f"k{len(env)}"
-    env[name] = predicate.evaluate
-    return f"{name}({view})"
+    return f"{_literal(env, predicate.evaluate)}({view})"
+
+
+def lower_guard(predicate: Predicate, slot_of, code_cache: Dict[str, object]):
+    """An edge's guard as ``guard(values, view)``, true when ``predicate``
+    holds on the slots; ``None`` for TRUE."""
+    if isinstance(predicate, TruePredicate):
+        return None
+    env: Dict[str, object] = {"EPSILON": EPSILON}
+    test = guard_source(predicate, slot_of, "values", "view", env)
+    exec(_compile(f"def guard(values, view):\n    return {test}", code_cache, "<guard>"), env)
+    return env["guard"]
 
 
 # -- crossing candidates -------------------------------------------------------
 
-def _leaf_delay(leaf, want: bool, rate: float, slot: int,
-                env: Dict[str, object]) -> List[str] | None:
-    """Lines setting ``d`` to ``leaf._crossing_delay(values[slot], rate, want)``.
+def _leaf_delay(leaf, want: bool, rate: float, slot: int, out: str,
+                env: Dict[str, object]) -> List[str]:
+    """Lines setting ``out`` to ``leaf._crossing_delay(values[slot], rate, want)``.
 
-    ``None`` when ``leaf`` is not exactly a Linear inequality or a Box (a
-    subclass may override its crossing; an equality keeps its closure).
-    ``max(d, 0.0)`` after the ``d < 0`` test of a Linear leaf is ``d``
-    itself, so it is left out.
+    A subclass of a Linear inequality or a Box may override its crossing,
+    so it keeps the call.  ``max(d, 0.0)`` after the ``d < 0`` test of a
+    Linear leaf is ``d`` itself, so it is left out.
     """
-    if not (type(leaf) is BoxPredicate
-            or type(leaf) is LinearInequality and leaf.op is not Comparison.EQ):
-        return None
+    if type(leaf) not in (LinearInequality, BoxPredicate):
+        return [f"{out} = {_literal(env, leaf._crossing_delay)}"
+                f"(values[{slot}], {_literal(env, rate)}, {want})"]
 
     def lit(value) -> str:
         return _literal(env, value)
 
     lines = [f"x = values[{slot}]",
              f"if {'' if want else 'not '}{_leaf_test(leaf, 'x', env)}:",
-             "    d = 0.0",
+             f"    {out} = 0.0",
              "else:"]
     if abs(rate) <= EPSILON:
-        return lines + ["    d = inf"]
+        return lines + [f"    {out} = inf"]
     if type(leaf) is LinearInequality:
-        return lines + [f"    d = ({lit(leaf.threshold)} - x) / {lit(rate)}",
-                        "    if d < 0:", "        d = inf"]
+        delay = f"    {out} = ({lit(leaf.threshold)} - x) / {lit(rate)}"
+        if leaf.op is not Comparison.EQ:
+            return lines + [delay, f"    if {out} < 0:", f"        {out} = inf"]
+        if want:  # an equality is reached only by moving toward it
+            return lines + [delay, f"    if not {out} > 0:", f"        {out} = inf"]
+        # It holds (within EPSILON of the threshold) and stops holding EPSILON later.
+        return lines + [f"    {out} = EPSILON"]
     low, high = lit(leaf.low), lit(leaf.high)
     if not want:
         bound = high if rate > 0 else low
-        return lines + [f"    d = ({bound} - x) / {lit(rate)}",
-                        "    if 0.0 > d:", "        d = 0.0"]
+        return lines + [f"    {out} = ({bound} - x) / {lit(rate)}",
+                        f"    if 0.0 > {out}:", f"        {out} = 0.0"]
     if rate > 0:
-        return lines + [f"    d = ({low} - x) / {lit(rate)} if x < {low} else inf"]
+        return lines + [f"    {out} = ({low} - x) / {lit(rate)} if x < {low} else inf"]
     if rate < 0:
-        return lines + [f"    d = (x - {high}) / {lit(-rate)} if x > {high} else inf"]
-    return lines + ["    d = inf"]
+        return lines + [f"    {out} = (x - {high}) / {lit(-rate)} if x > {high} else inf"]
+    return lines + [f"    {out} = inf"]
 
 
-def lower_derive(programs: Sequence, sources: Sequence, rates, slot_of,
-                 code_cache: Dict[str, object]):
+def _crossing(predicate: Predicate, want: bool, rates, slot_of, out: str,
+              env: Dict[str, object]) -> tuple[List[str], bool]:
+    """Lines setting ``out`` to ``predicate.time_until_true(view, rates)``
+    (``want``) or ``time_until_false``, and whether that may be ``None``.
+
+    Not nodes flip ``want``; an And/Or node folds its operands' delays
+    into ``out`` as ``min``/``max`` would, operand ``k``'s delay in
+    ``{out}_{k}``, and stops at the first ``None``; a generic node calls
+    its own method.
+    """
+    while isinstance(predicate, Not):
+        predicate, want = predicate.operand, not want
+    if isinstance(predicate, (TruePredicate, FalsePredicate)):
+        return [f"{out} = {0.0 if isinstance(predicate, TruePredicate) == want else 'inf'}"], False
+    if isinstance(predicate, (LinearInequality, BoxPredicate)):
+        lines = _leaf_delay(predicate, want, rates.get(predicate.variable, 0.0),
+                            slot_of[predicate.variable], out, env)
+        return lines, type(predicate) not in (LinearInequality, BoxPredicate)
+    if not isinstance(predicate, (And, Or)):
+        method = predicate.time_until_true if want else predicate.time_until_false
+        return [f"{out} = {_literal(env, method)}(view, rates)"], True
+    # And-until-false and Or-until-true take the earliest operand crossing;
+    # And-until-true and Or-until-false the latest, kept only if the probe
+    # just after it confirms that it sticks (And holds there, Or does not).
+    latest = isinstance(predicate, And) == want
+    compare = ">" if latest else "<"
+    lines = [f"{out} = {0.0 if latest else 'inf'}"] if not predicate.operands else []
+    maybe_none = False
+    for k, operand in enumerate(predicate.operands):
+        name = f"{out}_{k}" if k else out
+        part, part_none = _crossing(operand, want, rates, slot_of, name, env)
+        if k:
+            fold = [f"if {name} {compare} {out}:", f"    {out} = {name}"]
+            if part_none:
+                fold = [f"if {name} is None:", f"    {out} = None", "el" + fold[0], fold[1]]
+            part += fold
+        lines += [f"if {out} is not None:", *_indent(part)] if maybe_none else part
+        maybe_none = maybe_none or part_none
+    if not latest:
+        return lines, maybe_none
+    # The probe is view.advanced(rates, out + EPSILON) in slots.
+    test = guard_source(predicate, slot_of, "probe", "SlotValuation(view._slots, probe)", env)
+    probe = [f"if {out} == inf or {out} == -inf:",
+             f"    {out} = inf",
+             "else:",
+             f"    dt = {out} + EPSILON",
+             "    probe = values[:]"]
+    probe += [f"    probe[{slot_of[name]}] = probe[{slot_of[name]}] + {_literal(env, rate)} * dt"
+              for name, rate in rates.items() if name in slot_of]
+    probe += [f"    if {'not ' if want else ''}{test}:", f"        {out} = None"]
+    return lines + ([f"if {out} is not None:", *_indent(probe)] if maybe_none else probe), True
+
+
+def lower_derive(sources: Sequence, rates, slot_of, code_cache: Dict[str, object]):
     """The crossing candidate of one static-affine location as one function.
 
-    ``programs`` are the location's deadline programs and ``sources`` their
-    ``(predicate, want)`` pairs.  Returns ``derive(values, view, now,
-    cacheable) -> (candidate, cacheable, needs_sampling)``, the result of
-    ``CompiledEngine._derive`` over those programs: a Linear/Box crossing
-    is inline, whether its rate passes ``abs(rate) <= EPSILON`` decided
-    here; an equality, And/Or or generic crossing keeps its program's call.
+    ``sources`` are the location's ``(predicate, want)`` deadline sources
+    (ASAP guards until true, the invariant until false).  Returns
+    ``derive(values, view, now, cacheable) -> (candidate, cacheable,
+    needs_sampling)``, the result of ``CompiledEngine._derive`` over
+    their crossings: every crossing is transcribed (:func:`_crossing`),
+    whether a leaf's rate passes ``abs(rate) <= EPSILON`` decided here.
     """
-    env: Dict[str, object] = {"EPSILON": EPSILON, "inf": math.inf}
+    from repro.hybrid.simulate.compiled import SlotValuation  # compiled imports this module
+
+    env: Dict[str, object] = {"EPSILON": EPSILON, "inf": math.inf, "rates": rates,
+                              "SlotValuation": SlotValuation}
     src = ["def derive(values, view, now, cacheable):",
            "    best = inf",
            "    needs_sampling = False"]
-    for n, (program, (predicate, want)) in enumerate(zip(programs, sources)):
-        while isinstance(predicate, Not):
-            predicate, want = predicate.operand, not want
-        lines = None
-        if isinstance(predicate, (LinearInequality, BoxPredicate)):
-            lines = _leaf_delay(predicate, want, rates.get(predicate.variable, 0.0),
-                                slot_of[predicate.variable], env)
+    for predicate, want in sources:
+        lines, maybe_none = _crossing(predicate, want, rates, slot_of, "d", env)
         consume = ["if d > EPSILON:",
                    "    if d != inf:",
                    "        candidate = now + d",
@@ -181,9 +249,7 @@ def lower_derive(programs: Sequence, sources: Sequence, rates, slot_of,
                    "            best = candidate",
                    "else:",
                    "    cacheable = False"]
-        if lines is None:
-            env[f"p{n}"] = program
-            lines = [f"d = p{n}(values, view)"]
+        if maybe_none:
             consume = ["if d is None:",
                        "    needs_sampling = True",
                        "    cacheable = False",

@@ -6,11 +6,11 @@ Lowerings replace generic calls on the hot path of every fast tier:
   floats, run by the compiled kernel (and so by every batched lane), with
   the kernel's body inlined into the stages when the translator can
   reproduce it and a call per stage otherwise;
-* True/False/Linear/Box/Not/And/Or predicate trees become slot-indexed
-  ``evaluate`` / ``time_until_true`` / ``time_until_false`` programs;
-* the generated step programs inline those guards as comparisons, and a
+* an edge's guard becomes one generated expression of inline
+  comparisons (the step programs inline the same expression), and a
   static-affine location's crossing candidate becomes one generated
-  function with each Linear/Box crossing transcribed.
+  function with every crossing transcribed: Linear/Box leaves, Not,
+  And/Or with their probes, a generic node's own ``time_until_*`` call.
 
 Both must agree with the reference methods bit for bit, ``None``
 ("sample instead") results included.
@@ -29,9 +29,8 @@ from repro.hybrid import (And, BoxPredicate, CallableFlow, HybridAutomaton, Hybr
                           Location, Not, Or, compile_system)
 from repro.hybrid.expressions import (FALSE, TRUE, Comparison, FunctionPredicate,
                                       LinearInequality)
-from repro.hybrid.simulate.compiled import (_STATIC_SKIP, SlotValuation, _AutomatonRuntime,
-                                            _lower_crossing, _lower_delay, _lower_eval)
-from repro.hybrid.simulate.programs import guard_source, lower_derive
+from repro.hybrid.simulate.compiled import SlotValuation, _AutomatonRuntime, _skips
+from repro.hybrid.simulate.programs import lower_derive, lower_guard
 from repro.hybrid.simulate.rk4 import KernelTranslation, lower_callable_advance
 from repro.hybrid.variables import Valuation
 from repro.util.timebase import EPSILON
@@ -350,7 +349,7 @@ def test_reference_func_is_derived_from_the_kernel():
 
 
 # ---------------------------------------------------------------------------
-# Predicate programs vs evaluate / time_until_true / time_until_false
+# Generated guards and crossings vs evaluate / time_until_true / time_until_false
 # ---------------------------------------------------------------------------
 
 VARIABLES = ("x", "y", "z")
@@ -385,40 +384,139 @@ rate_values = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, EPSILON, -EPSILON 
 rate_maps = st.dictionaries(st.sampled_from(VARIABLES), rate_values)
 
 
+def evaluates(predicate, slots):
+    """``lower_guard``'s program on ``slots`` (``None`` is TRUE)."""
+    guard = lower_guard(predicate, SLOTS, {})
+    return True if guard is None else bool(guard(slots, SlotValuation(SLOTS, slots)))
+
+
+def reference_derive(delays, now, cacheable):
+    """``CompiledEngine._derive``'s fold of the reference crossing delays."""
+    best, needs_sampling = math.inf, False
+    for delay in delays:
+        if delay is None:
+            needs_sampling, cacheable = True, False
+        elif delay > EPSILON:
+            if delay != math.inf:
+                best = min(best, now + delay)
+        else:
+            cacheable = False
+    return best, cacheable, needs_sampling
+
+
+def derive_bits(result):
+    best, cacheable, needs_sampling = result
+    return bits(best), cacheable, needs_sampling
+
+
+def reference_delay(predicate, want, state, rates):
+    valuation = Valuation(dict(zip(VARIABLES, state)))
+    if want:
+        return predicate.time_until_true(valuation, rates)
+    return predicate.time_until_false(valuation, rates)
+
+
+def assert_derives(sources, state, rates, now=0.0, cacheable=True):
+    """``lower_derive``'s function agrees with the reference delays' fold.
+
+    At ``now == 0.0`` the candidate is the earliest delay itself, so its
+    bits are pinned.
+    """
+    slots = list(state)
+    derive = lower_derive(sources, rates, SLOTS, {})
+    reference = [reference_delay(predicate, want, state, rates) for predicate, want in sources]
+    got = derive_bits(derive(slots, SlotValuation(SLOTS, slots), now, cacheable))
+    assert got == derive_bits(reference_derive(reference, now, cacheable)), (sources, state)
+    return reference
+
+
 @settings(max_examples=400, deadline=None)
 @given(predicate=predicates, state=st.tuples(values, values, values), rates=rate_maps)
 def test_predicate_programs_are_bit_identical(predicate, state, rates):
-    valuation = Valuation(dict(zip(VARIABLES, state)))
-    slots = list(state)
-    view = SlotValuation(SLOTS, slots)
-    assert _lower_eval(predicate, SLOTS)(slots, view) == predicate.evaluate(valuation)
-    for want, reference in ((True, predicate.time_until_true),
-                            (False, predicate.time_until_false)):
-        expected = reference(valuation, rates)
-        assert bits(_lower_delay(predicate, rates, SLOTS, want)(slots, view)) == bits(expected)
-        crossing = _lower_crossing(predicate, rates, SLOTS, want)
-        if crossing is _STATIC_SKIP:
+    assert evaluates(predicate, list(state)) == predicate.evaluate(
+        Valuation(dict(zip(VARIABLES, state))))
+    for want in (True, False):
+        [expected] = assert_derives([(predicate, want)], state, rates)
+        if _skips(predicate, rates):
             # Skipped crossings never schedule a deadline nor request sampling.
             assert expected is not None
             assert expected == 0.0 or math.isinf(expected)
-        else:
-            assert bits(crossing(slots, view)) == bits(expected)
+
+
+def test_skipped_crossings_are_never_candidates():
+    """The skip rule drops a leaf only at ``|rate| <= EPSILON``."""
+    for leaf in (LinearInequality("x", Comparison.GE, 1.0), BoxPredicate("x", 1.0, 2.0)):
+        for predicate in (leaf, Not(leaf)):
+            for rate in (0.0, EPSILON / 2, EPSILON, -EPSILON, 1.5 * EPSILON, -2 * EPSILON):
+                for x in (1.0 - 3 * EPSILON, 1.0, 2.0 + 3 * EPSILON):
+                    for want in (True, False):
+                        expected = reference_delay(predicate, want, (x, 0.0, 0.0),
+                                                   {"x": rate})
+                        if _skips(predicate, {"x": rate}):
+                            assert expected == 0.0 or math.isinf(expected)
+                        else:
+                            assert abs(rate) > EPSILON
+    assert _skips(TRUE, {}) and _skips(Not(FALSE), {})
+    # And/Or and generic nodes are never skipped, whatever their rates.
+    assert not _skips(And((LinearInequality("x", Comparison.GE, 1.0),)), {})
 
 
 def test_and_crossing_returns_none_when_the_probe_fails():
     # x rises into [0, 1] but leaves it again before y reaches 2: no closed form.
     guard = And((BoxPredicate("x", 0.0, 1.0), LinearInequality("y", Comparison.GE, 2.0)))
     rates = {"x": 1.0, "y": 1.0}
-    state = [-0.5, 0.0, 0.0]
-    valuation = Valuation(dict(zip(VARIABLES, state)))
-    assert guard.time_until_true(valuation, rates) is None
-    program = _lower_delay(guard, rates, SLOTS, True)
-    assert program(state, SlotValuation(SLOTS, state)) is None
+    [expected] = assert_derives([(guard, True)], (-0.5, 0.0, 0.0), rates)
+    assert expected is None
 
 
-# ---------------------------------------------------------------------------
-# Generated programs vs the closures and the reference methods
-# ---------------------------------------------------------------------------
+def test_not_and_until_false_probes_the_and():
+    # Not(And) stops holding when the And starts to: at the later operand
+    # crossing, if the probe just after it holds.
+    guard = Not(And((LinearInequality("x", Comparison.GE, 1.0),
+                     LinearInequality("y", Comparison.GE, 2.0))))
+    assert assert_derives([(guard, False)], (0.0, 0.0, 0.0), {"x": 1.0, "y": 1.0}) == [2.0]
+    # x leaves [0, 1] again before y reaches 2: no closed form.
+    shrinking = Not(And((BoxPredicate("x", 0.0, 1.0), LinearInequality("y", Comparison.GE, 2.0))))
+    assert assert_derives([(shrinking, False)], (-0.5, 0.0, 0.0),
+                          {"x": 1.0, "y": 1.0}) == [None]
+
+
+def test_or_until_false_takes_the_latest_crossing_and_probes_it():
+    # x <= 8 stops holding at 2.0 and y <= 1 at 0.5: the Or at the later.
+    guard = Or((LinearInequality("x", Comparison.LE, 8.0),
+                LinearInequality("y", Comparison.LE, 1.0)))
+    assert assert_derives([(guard, False)], (0.0, 0.0, 0.0), {"x": 4.0, "y": 2.0}) == [2.0]
+    # y >= 0.25 turns true before x <= 1 stops holding: the probe fails.
+    rising = Or((LinearInequality("x", Comparison.LE, 1.0),
+                 LinearInequality("y", Comparison.GE, 0.25)))
+    assert assert_derives([(rising, False)], (0.0, 0.0, 0.0), {"x": 2.0, "y": 1.0}) == [None]
+
+
+def test_equality_crossings_both_ways():
+    equal = LinearInequality("x", Comparison.EQ, 1.0)
+    cases = [((0.0, 0.0, 0.0), 0.5, True, 2.0),           # reached moving toward it
+             ((2.0, 0.0, 0.0), 0.5, True, math.inf),      # moving away
+             ((1.0, 0.0, 0.0), 0.5, True, 0.0),           # holds already
+             ((1.0, 0.0, 0.0), 0.5, False, EPSILON),      # leaves EPSILON later
+             ((0.0, 0.0, 0.0), 0.5, False, 0.0),          # does not hold
+             ((0.0, 0.0, 0.0), EPSILON, True, math.inf)]  # frozen
+    for state, rate, want, expected in cases:
+        for predicate, wanted in ((equal, want), (Not(equal), not want)):
+            assert assert_derives([(predicate, wanted)], state, {"x": rate}) == [expected]
+    # Inside an And the equality's EPSILON sets the probe: x has left the
+    # threshold's tolerance 2*EPSILON later, not yet EPSILON later.
+    guard = And((Not(equal), LinearInequality("y", Comparison.GE, 0.0)))
+    assert assert_derives([(guard, True)], (1.0, 0.0, 0.0), {"x": 0.75}) == [EPSILON]
+
+
+def test_generic_node_in_an_and_probe_reads_the_probed_values():
+    # y < 1 holds now (y = 0.5) but not at the probe after x's crossing.
+    below = FunctionPredicate(lambda valuation: valuation.get("y", 0.0) < 1.0, "y < 1")
+    guard = And((LinearInequality("x", Comparison.GE, 1.0), below))
+    assert assert_derives([(guard, True)], (0.0, 0.5, 0.0), {"x": 1.0, "y": 1.0}) == [None]
+    # It also holds at the probe when y stays put.
+    assert assert_derives([(guard, True)], (0.0, 0.5, 0.0), {"x": 1.0}) == [1.0]
+
 
 #: Non-finite thresholds on top of the finite ones.
 WIDE_THRESHOLDS = THRESHOLDS + (math.inf, -math.inf)
@@ -448,41 +546,11 @@ wide_rates = st.dictionaries(st.sampled_from(VARIABLES), st.one_of(
     rate_values, st.sampled_from([EPSILON / 2, -EPSILON, 2 * EPSILON, 1e-300])))
 
 
-def inline_guard(predicate):
-    """``guard_source``'s expression compiled into ``(values, view) -> bool``."""
-    env = {"EPSILON": EPSILON}
-    text = guard_source(predicate, SLOTS, "values", "view", env)
-    exec(f"def guard(values, view):\n    return bool({text})", env)
-    return env["guard"]
-
-
-def reference_derive(delays, now, cacheable):
-    """``CompiledEngine._derive``'s fold of crossing delays (the closure path)."""
-    best, needs_sampling = math.inf, False
-    for delay in delays:
-        if delay is None:
-            needs_sampling, cacheable = True, False
-        elif delay > EPSILON:
-            if delay != math.inf:
-                best = min(best, now + delay)
-        else:
-            cacheable = False
-    return best, cacheable, needs_sampling
-
-
-def derive_bits(result):
-    best, cacheable, needs_sampling = result
-    return bits(best), cacheable, needs_sampling
-
-
 @settings(max_examples=400, deadline=None)
 @given(predicate=wide_predicates, state=st.tuples(wide_values, wide_values, wide_values))
 def test_inline_guards_are_bit_identical(predicate, state):
-    slots = list(state)
-    view = SlotValuation(SLOTS, slots)
     expected = predicate.evaluate(Valuation(dict(zip(VARIABLES, state))))
-    assert bool(_lower_eval(predicate, SLOTS)(slots, view)) == expected
-    assert inline_guard(predicate)(slots, view) == expected
+    assert evaluates(predicate, list(state)) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -490,22 +558,7 @@ def test_inline_guards_are_bit_identical(predicate, state):
        state=st.tuples(wide_values, wide_values, wide_values), rates=wide_rates,
        now=st.sampled_from([0.0, 3.25, 1e6]), cacheable=st.booleans())
 def test_generated_derive_is_bit_identical(sources, state, rates, now, cacheable):
-    slots = list(state)
-    view = SlotValuation(SLOTS, slots)
-    valuation = Valuation(dict(zip(VARIABLES, state)))
-    programs = [_lower_delay(predicate, rates, SLOTS, want) for predicate, want in sources]
-    derive = lower_derive(programs, sources, rates, SLOTS, {})
-    closures = [program(slots, view) for program in programs]
-    reference = [predicate.time_until_true(valuation, rates) if want
-                 else predicate.time_until_false(valuation, rates)
-                 for predicate, want in sources]
-    assert [bits(d) for d in closures] == [bits(d) for d in reference]
-    got = derive_bits(derive(slots, view, now, cacheable))
-    assert got == derive_bits(reference_derive(reference, now, cacheable))
-    if now == 0.0:
-        # now + d is d: the candidate pins the generated delay's bits.
-        finite = [d for d in reference if d is not None and EPSILON < d < math.inf]
-        assert got[0] == bits(min(finite, default=math.inf))
+    assert_derives(sources, state, rates, now, cacheable)
 
 
 def test_generated_derive_covers_every_leaf_shape():
@@ -517,12 +570,4 @@ def test_generated_derive_covers_every_leaf_shape():
             for want in (True, False):
                 for rate in (1.0, -0.5, EPSILON, 0.0):
                     for x in (-3.0, -1.0, 0.0, 1.0 - EPSILON, 1.0, 2.0):
-                        slots = [x, 0.0, 0.0]
-                        view = SlotValuation(SLOTS, slots)
-                        rates = {"x": rate}
-                        program = _lower_delay(predicate, rates, SLOTS, want)
-                        derive = lower_derive([program], [(predicate, want)], rates, SLOTS,
-                                              {})
-                        expected = reference_derive([program(slots, view)], 0.0, True)
-                        assert (derive_bits(derive(slots, view, 0.0, True))
-                                == derive_bits(expected)), (predicate, want, rate, x)
+                        assert_derives([(predicate, want)], (x, 0.0, 0.0), {"x": rate})

@@ -4,9 +4,11 @@
 Each mutant below breaks one rule that bit-identity rests on: in
 ``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
 deadlines, wakeup invalidation, the discrete-phase scan filter, the copy
-of a paused run or the key of a kept quiet-step plan; in
+of a paused run, the key of a kept quiet-step plan or which crossings
+the scheduler skips; in
 ``src/repro/hybrid/simulate/programs.py`` the step program's quiet loop,
-an inline crossing, an inline guard's tolerance or inline sampling; in
+an inline crossing, an And/Or crossing's fold and probe, an inline
+guard's tolerance or inline sampling; in
 ``src/repro/hybrid/simulate/rk4.py`` which kernel
 tests and parameters the flow-kernel translator fixes once; in
 ``src/repro/util/seeding.py`` and ``src/repro/verify/rare.py`` how a fork
@@ -72,7 +74,7 @@ CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
                   "tests/campaign/test_store.py::TestStoreLifecycle",
                   "tests/campaign/test_shm.py::TestCampaignEquivalence"]
 #: The fixed tests that must kill a mutant of each file.
-TESTS = {ENGINE: ENGINE_TESTS, SEEDING: ENGINE_TESTS,
+TESTS = {ENGINE: [*ENGINE_TESTS, "tests/hybrid/test_lowering.py"], SEEDING: ENGINE_TESTS,
          PROGRAMS: [*ENGINE_TESTS, "tests/hybrid/test_lowering.py"],
          RARE: [*ENGINE_TESTS, "tests/campaign/test_faults.py::TestCliRecovery"
                 "::test_crude_resumes_bit_identically_after_crash"],
@@ -139,6 +141,10 @@ MUTANTS = {
     "watch-first-runtime-only": (
         PROGRAMS, "a quiet step evaluates only the first watched runtime's guards",
         [("    for i in watched:\n", "    for i in watched[:1]:\n")]),
+    "skip-near-frozen-leaves": (
+        ENGINE, "the scheduler skips a leaf's crossing up to |rate| <= 2*EPSILON",
+        [("        return abs(rates.get(predicate.variable, 0.0)) <= EPSILON\n",
+          "        return abs(rates.get(predicate.variable, 0.0)) <= 2 * EPSILON\n")]),
     "plan-ignores-couplings": (
         ENGINE, "a lowered system's kept quiet-step plan is reused for another coupling layout",
         [("        key = (layout, self.dt_max)\n", "        key = self.dt_max\n")]),
@@ -173,8 +179,15 @@ MUTANTS = {
           '''        step += ["    if not now + EPSILON < next_sample:", *_indent(sample, 2)]''')]),
     "crossing-keeps-negative-delay": (
         PROGRAMS, "an inline Linear crossing keeps a negative delay instead of inf",
-        [('''                        "    if d < 0:", "        d = inf"]''',
-          '''                        ]''')]),
+        [('''[delay, f"    if {out} < 0:", f"        {out} = inf"]''', "[delay]")]),
+    "and-crossing-skips-probe": (
+        PROGRAMS, "an And-until-true crossing returns the latest delay without probing",
+        [("    if not latest:\n        return lines, maybe_none\n",
+          "    if not latest or want:\n        return lines, maybe_none\n")]),
+    "or-false-takes-earliest": (
+        PROGRAMS, "an Or-until-false crossing takes the earliest operand delay",
+        [('    compare = ">" if latest else "<"\n',
+          '    compare = ">" if latest and want else "<"\n')]),
     "guard-bound-without-tolerance": (
         PROGRAMS, "an inline guard compares against the threshold without the EPSILON tolerance",
         [("        return f\"({value} {op} {_literal(env, leaf.threshold + tolerance)})\"\n",
