@@ -2,7 +2,7 @@
 
 Declarative parameter sweeps (:mod:`repro.campaign.spec`), a supervised
 executor (in-process or worker pool) with deterministic per-trial seeding
-(:mod:`repro.campaign.executor`), a zero-copy shared-memory
+(:mod:`repro.campaign.executor`), an opt-in zero-copy shared-memory
 results ring for pooled runs (:mod:`repro.campaign.shm`),
 streaming aggregation into experiment-compatible summaries
 (:mod:`repro.campaign.aggregate`), a durable sqlite checkpoint store with

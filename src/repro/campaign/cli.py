@@ -158,13 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "heuristic (default)")
     parser.add_argument("--shm", action=argparse.BooleanOptionalAction,
                         default=None,
-                        help="shared-memory results path: per-trial stats "
-                             "travel as fixed-width records in a shared "
-                             "results ring instead of pickles. Default: "
-                             "auto-on for multi-worker batched runs; "
-                             "--no-shm disables. Falls back to pickling "
-                             "when unavailable; results are bit-identical "
-                             "either way")
+                        help="opt-in shared-memory results path for "
+                             "pooled runs: per-trial stats travel as "
+                             "fixed-width records in a shared results ring "
+                             "instead of pickles. Off by default: it costs "
+                             "NumPy, /dev/shm segments and a resource "
+                             "tracker in memory for no measured speed-up. "
+                             "Falls back to pickling when unavailable; "
+                             "results are bit-identical either way")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="durable sqlite checkpoint store: completed "
                              "replicate batches are committed as they "

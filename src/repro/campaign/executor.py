@@ -95,21 +95,26 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from operator import itemgetter
-from typing import Callable, Deque, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Sequence, Tuple
 
-from repro.campaign import shm as shm_plane
 from repro.campaign.aggregate import CampaignResult, TrialSummary
 from repro.campaign.faults import (BatchContext, FaultPlan, InjectedTrialFault,
                                    TrialFailure, resolve_fault_plan)
 from repro.campaign.spec import CampaignSpec, TrialRun, TrialSpec
-from repro.campaign.store import CampaignStore, CampaignStoreError
 from repro.casestudy.config import CaseStudyConfig
 from repro.casestudy.emulation import TrialResult, run_trial, run_trial_batch
 from repro.hybrid.simulate import resolve_engine_kind
+
+# The process pool (multiprocessing), the results ring (NumPy, shared
+# memory) and the checkpoint store (sqlite3) are imported on the paths
+# that use them, so a serial run without a store loads none of them.
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.campaign import shm as shm_plane
+    from repro.campaign.store import CampaignStore
 
 #: Keep at most this many batch futures in flight per worker, so that
 #: expanding a 100x campaign does not materialize every pending future up
@@ -583,7 +588,9 @@ def _run_batch_in_worker(job: Tuple[int, str], task: _BatchTask,
     stamp = token.generation
     if plan is not None and plan.corrupt_at(ctx.dispatch):
         stamp = -token.generation
-    ring = shm_plane.attach_ring(token.ring_name, token.ring_capacity)
+    from repro.campaign.shm import attach_ring
+
+    ring = attach_ring(token.ring_name, token.ring_capacity)
     for offset, (index, summary) in enumerate(results):
         ring.write(token.ring_start + offset, stamp, index, summary)
     return len(results)
@@ -636,6 +643,8 @@ class CampaignPool:
     def _ensure(self) -> ProcessPoolExecutor:
         """Return the live executor, spawning it if needed."""
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_init_pool_worker, initargs=(os.getpid(),))
@@ -802,16 +811,19 @@ def _describe_cells(task: _BatchTask) -> str:
     return f"cell {first}" if first == last else f"cells {first}-{last}"
 
 
-def _resolve_shm(shm: bool | None, engine: str, pooled: bool) -> bool:
-    """Decide whether the shared-memory fast path runs.
+def _resolve_shm(shm: bool | None, pooled: bool) -> bool:
+    """Decide whether the shared-memory results ring runs.
 
-    ``None`` auto-enables for pooled batched runs; an explicit ``True``
-    extends it to every engine's pools.  Either way the path
-    silently degrades to pickling when ``shared_memory`` is unavailable or
-    the run is serial (nothing crosses a process boundary).
+    The ring is opt-in: only an explicit ``True`` turns it on, for any
+    engine's pool.  It silently degrades to pickling when
+    ``shared_memory`` is unavailable or the run is serial (nothing
+    crosses a process boundary).  Deciding against it imports nothing.
     """
-    wanted = pooled and (shm if shm is not None else engine == "batched")
-    return wanted and shm_plane.shared_memory_available()
+    if not (shm and pooled):
+        return False
+    from repro.campaign.shm import shared_memory_available
+
+    return shared_memory_available()
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor | None, *, kill: bool) -> None:
@@ -953,7 +965,7 @@ class _Supervisor:
             pending = source.popleft()
             try:
                 self._submit_one(pool, pending, isolated)
-            except BrokenProcessPool as exc:
+            except BrokenExecutor as exc:
                 source.appendleft(pending)
                 pool = self._handle_pool_break(pool, exc)
         return pool
@@ -966,7 +978,7 @@ class _Supervisor:
         ctx = BatchContext(dispatch=self.dispatch, attempts=pending.attempts)
         try:
             future = self.backend.submit(pool, pending.task, token, ctx)
-        except BrokenProcessPool:
+        except BrokenExecutor:
             self.release(ticket, len(pending.task))
             raise
         deadline = (time.monotonic() + self.batch_deadline
@@ -1038,9 +1050,14 @@ class _Supervisor:
 
     def _publish_flight(self, flight: _Flight, outcome) -> None:
         """Publish a finished flight, demoting ring corruption to a retry."""
+        if flight.ticket is None:
+            self.publish(flight.pending.task, None, outcome)
+            return
+        from repro.campaign.shm import ShmError
+
         try:
             self.publish(flight.pending.task, flight.ticket, outcome)
-        except shm_plane.ShmError as exc:
+        except ShmError as exc:
             # The worker reported success but its ring records are bad
             # (stale/corrupted generation stamps).  The reservation is
             # recycled and the batch re-runs; its results were never
@@ -1058,7 +1075,7 @@ class _Supervisor:
         if exc is None:
             self._publish_flight(flight, future.result())
             return pool
-        if isinstance(exc, BrokenProcessPool):
+        if isinstance(exc, BrokenExecutor):
             # Put the flight back so the break handler sees the complete
             # in-flight picture when it assigns blame.
             self.inflight[future] = flight
@@ -1085,7 +1102,7 @@ class _Supervisor:
                 continue
             future.cancel()
             broken = future.done() and isinstance(future.exception(),
-                                                  BrokenProcessPool)
+                                                  BrokenExecutor)
             self._release_flight(flight)
             if broken or not future.done():
                 suspects.append(flight.pending)
@@ -1210,13 +1227,15 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
             quarantined by the interrupted run stay quarantined.
         shm: Shared-memory results path: workers publish per-trial
             statistics as fixed-width records in a shared results ring
-            instead of pickling them through the pool's pipe.  ``None``
-            (default) auto-enables it for multi-worker batched runs;
-            ``True`` forces it on for any engine's pool; ``False``
-            disables it.  The path silently falls back to pickling when
-            ``multiprocessing.shared_memory`` is unavailable or the run
-            is serial — and per task when the ring is momentarily
-            exhausted.
+            instead of pickling them through the pool's pipe.  Opt-in:
+            ``True`` turns it on for any engine's pool; ``None``
+            (default) and ``False`` pickle.  The ring costs NumPy, its
+            ``/dev/shm`` segments and multiprocessing's resource tracker
+            in memory, for no measured CPU or wall-time gain (see "The
+            memory plane" in ``docs/ARCHITECTURE.md``).  It silently
+            falls back to pickling when ``multiprocessing.shared_memory``
+            is unavailable or the run is serial — and per task when the
+            ring is momentarily exhausted.
             Results are bit-identical in every mode.
         max_retries: How many times a failing trial is retried beyond its
             first attempt before it is quarantined (recorded as a
@@ -1278,12 +1297,15 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
     events: List[Tuple[str, str]] = _EventLog(on_event)
 
     own_store: CampaignStore | None = None
-    if store is None or isinstance(store, CampaignStore):
-        store_obj: CampaignStore | None = store
-    else:
-        store_obj = own_store = CampaignStore(store)
-    if store_obj is not None and plan is not None:
-        store_obj.set_fault_plan(plan)
+    store_obj: CampaignStore | None = None
+    if store is not None:
+        from repro.campaign.store import CampaignStore
+
+        store_obj = store
+        if not isinstance(store, CampaignStore):
+            store_obj = own_store = CampaignStore(store)
+        if plan is not None:
+            store_obj.set_fault_plan(plan)
 
     def quarantine(pending: _Pending, exc: BaseException) -> None:
         """Record a trial that exhausted its retry budget and move on."""
@@ -1316,6 +1338,8 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         live_runs: Sequence[TrialRun] = runs
         replayed_count = 0
         if store_obj is not None:
+            from repro.campaign.store import CampaignStoreError
+
             replayed = store_obj.begin(spec, seed, resume=resume)
             for index, summary in replayed:
                 if not 0 <= index < len(runs) or summaries[index] is not None:
@@ -1346,7 +1370,9 @@ def run_campaign(spec: CampaignSpec, *, seed: int = 0, max_workers: int = 1,
         if not serial and pool is None:
             pool = own_pool = CampaignPool(min(workers, len(tasks)))
         window = 1 if serial else pool.max_workers * _INFLIGHT_PER_WORKER
-        if _resolve_shm(shm, resolved_engine, not serial):
+        if _resolve_shm(shm, not serial):
+            from repro.campaign import shm as shm_plane
+
             ring_capacity = max(batch, min(len(live_runs),
                                            (window + 1) * batch))
             session = shm_plane.ShmSession(ring_capacity)

@@ -42,6 +42,7 @@ See ``docs/service.md`` for the wire protocol and operational guidance.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import json
 import os
@@ -81,6 +82,20 @@ class JobState(enum.Enum):
 TERMINAL_STATES = (JobState.COMPLETE, JobState.FAILED, JobState.CANCELLED)
 
 
+@functools.lru_cache(maxsize=128)
+def _decode_row_spec(text: str) -> Optional[CampaignSpec]:
+    """The spec a ``jobs`` row stores as JSON ``text`` (``None``: bad spec).
+
+    Memoized by the text: the overview decodes every finished job on each
+    call, and the jobs of one spec share one decode.  Specs are frozen,
+    so the jobs can share the decoded object.
+    """
+    try:
+        return protocol.decode_spec(json.loads(text))
+    except (TypeError, ValueError, protocol.ProtocolError):
+        return None
+
+
 def _finished_state(row: JobRow) -> Optional[JobState]:
     """The durable terminal state a ``jobs`` row records, if any."""
     if row.complete:
@@ -109,9 +124,8 @@ class Job:
     @classmethod
     def from_row(cls, row: JobRow) -> Optional["Job"]:
         """Decode a job in the state its row records (``None``: bad spec)."""
-        try:
-            spec = protocol.decode_spec(json.loads(row.spec))
-        except (TypeError, ValueError, protocol.ProtocolError):
+        spec = _decode_row_spec(row.spec)
+        if spec is None:
             return None
         return cls(fingerprint=row.fingerprint, job_id=row.id, spec=spec,
                    master_seed=row.master_seed, priority=row.priority,

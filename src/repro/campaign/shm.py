@@ -1,4 +1,8 @@
-"""Zero-copy results ring for pooled campaigns.
+"""Zero-copy results ring for pooled campaigns that ask for it.
+
+The ring is opt-in (``run_campaign(shm=True)``, ``--shm``): it costs
+NumPy, the segments and multiprocessing's resource tracker, and a
+pooled run that does not ask for it pickles its results instead.
 
 One kind of segment exists: **the results ring** (:class:`ResultsRing`),
 a plain :mod:`multiprocessing.shared_memory` block holding a single array

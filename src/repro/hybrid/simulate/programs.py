@@ -32,6 +32,7 @@ coupling, a generic predicate node (its ``evaluate`` or
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Sequence
 
@@ -67,9 +68,16 @@ def _bound(env: Dict[str, object], name: str, value) -> str:
     return name
 
 
-def _compile(text: str, code_cache: Dict[str, object], filename: str):
+#: Numbers each compiled source, so no two share a code object's
+#: ``(co_filename, co_firstlineno, co_name)``: profilers key their
+#: statistics by that triple and would merge the programs that share one.
+_SOURCE_NUMBERS = itertools.count()
+
+
+def _compile(text: str, code_cache: Dict[str, object], kind: str):
     code = code_cache.get(text)
     if code is None:
+        filename = f"<{kind} {next(_SOURCE_NUMBERS)}>"
         code = code_cache[text] = compile(text, filename, "exec")
     return code
 
@@ -123,7 +131,7 @@ def lower_guard(predicate: Predicate, slot_of, code_cache: Dict[str, object]):
         return None
     env: Dict[str, object] = {"EPSILON": EPSILON}
     test = guard_source(predicate, slot_of, "values", "view", env)
-    exec(_compile(f"def guard(values, view):\n    return {test}", code_cache, "<guard>"), env)
+    exec(_compile(f"def guard(values, view):\n    return {test}", code_cache, "guard"), env)
     return env["guard"]
 
 
@@ -256,7 +264,7 @@ def lower_derive(sources: Sequence, rates, slot_of, code_cache: Dict[str, object
                        "el" + consume[0], *consume[1:]]
         src += _indent(lines + consume)
     src.append("    return best, cacheable, needs_sampling")
-    exec(_compile("\n".join(src), code_cache, "<crossing candidate>"), env)
+    exec(_compile("\n".join(src), code_cache, "crossing candidate"), env)
     return env["derive"]
 
 
@@ -423,5 +431,5 @@ def lower_step(locations: Sequence, layout: tuple, watched: tuple, samples: tupl
     src += [f"    w{i} = rt{i}.view" for i in range(n)]
     src += ["    def step(horizon, until):", *_indent(step, 2),
             "    return step"]
-    exec(_compile("\n".join(src), code_cache, "<step program>"), env)
+    exec(_compile("\n".join(src), code_cache, "step program"), env)
     return env["bind"]

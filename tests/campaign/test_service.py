@@ -325,6 +325,29 @@ def test_service_status_lists_jobs(service):
     assert overview["jobs"][0]["state"] == "complete"
 
 
+def test_overview_decodes_each_stored_spec_once(service, monkeypatch):
+    # Three finished jobs of one spec (three seeds) store one spec text;
+    # the overview rebuilds all three jobs from one decode of it.
+    from repro.campaign.service import protocol, server
+
+    svc, client = service
+    jobs = [client.submit(_spec_interlock(), seed)["job"] for seed in (7, 8, 9)]
+    assert client.drain()["jobs"] == {job: "complete" for job in jobs}
+    decodes = []
+    original = protocol.decode_spec
+
+    def counting(data):
+        decodes.append(data["name"])
+        return original(data)
+
+    server._decode_row_spec.cache_clear()
+    monkeypatch.setattr(protocol, "decode_spec", counting)
+    overview = client.status()
+    assert [j["job"] for j in overview["jobs"]] == jobs
+    assert overview["jobs"] == client.status()["jobs"]
+    assert decodes == [_spec_interlock().name]
+
+
 def test_small_job_commits_once_per_task(service, monkeypatch):
     # 8 trials of 60 s on the 2-worker pool: two auto-sized tasks of 4.
     # The job's store commits its identity, one row batch per task and

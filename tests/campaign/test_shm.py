@@ -183,12 +183,12 @@ class TestRangeAllocator:
 
 class TestShmResolution:
     def test_auto_and_forced_modes(self):
-        assert _resolve_shm(None, "batched", True) is True
-        assert _resolve_shm(None, "compiled", True) is False
-        assert _resolve_shm(True, "compiled", True) is True
-        assert _resolve_shm(False, "batched", True) is False
+        # The ring is opt-in: the default pickles, whatever the engine.
+        assert _resolve_shm(None, True) is False
+        assert _resolve_shm(True, True) is True
+        assert _resolve_shm(False, True) is False
         # serial runs always fall back
-        assert _resolve_shm(True, "batched", False) is False
+        assert _resolve_shm(True, False) is False
 
 
 class TestCampaignEquivalence:
@@ -222,7 +222,7 @@ class TestCampaignEquivalence:
 
     def test_scalar_engine_ring_only(self, reference_payload,
                                      no_new_segments):
-        # shm=True with the compiled kernel (not auto-enabled for it).
+        # shm=True with the compiled kernel: the ring serves any engine.
         result = run_campaign(_tiny_spec(), seed=7, max_workers=2,
                               engine="compiled", shm=True)
         assert _campaign_payload(result) == reference_payload

@@ -390,6 +390,22 @@ def evaluates(predicate, slots):
     return True if guard is None else bool(guard(slots, SlotValuation(SLOTS, slots)))
 
 
+def test_each_guard_source_gets_its_own_code_identity():
+    # Profilers key their statistics by (file, first line, name): two
+    # guards sharing that triple would be reported as one.
+    def identity(guard):
+        code = guard.__code__
+        return code.co_filename, code.co_firstlineno, code.co_name
+
+    cache = {}
+    low = lower_guard(LinearInequality("x", Comparison.LE, 1.0), SLOTS, cache)
+    high = lower_guard(LinearInequality("y", Comparison.GE, 2.5), SLOTS, cache)
+    again = lower_guard(LinearInequality("x", Comparison.LE, 1.0), SLOTS, cache)
+    assert identity(low) != identity(high)
+    assert again.__code__ is low.__code__
+    assert len(cache) == 2
+
+
 def reference_derive(delays, now, cacheable):
     """``CompiledEngine._derive``'s fold of the reference crossing delays."""
     best, needs_sampling = math.inf, False

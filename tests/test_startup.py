@@ -2,8 +2,11 @@
 
 Each check runs in a new interpreter, since the test session itself has
 long since imported everything.  NumPy backs only the shared-memory
-results ring of pooled batched campaigns; the package facades import
-their re-exports lazily, so building a splitting cell loads neither the
+results ring, which runs only when a pooled campaign asks for it
+(``shm=True``); the executor imports the process pool, the ring and the
+sqlite store only on the paths that use them, so a serial campaign
+without a store loads none of them.  The package facades import their
+re-exports lazily, so building a splitting cell loads neither the
 campaign executor nor the sqlite store.  Workers forked for a splitting
 level must find every module they need already loaded by the parent: the
 estimator starts a fresh pool per level, so a worker-side import would be
@@ -64,16 +67,43 @@ print(json.dumps([name for name in ("numpy", "sqlite3",
 
 
 def test_serial_campaign_does_not_import_numpy():
+    # Nor, without a store, the sqlite store, the process pool or the ring.
     loaded = _run("""
-import dataclasses, json, sys
+import json, sys
 from repro.campaign import run_campaign, table1_spec
 
 spec = table1_spec(mean_toffs=(18.0,), duration=1.0)
 result = run_campaign(spec, engine="compiled", max_workers=1)
 assert result.total_trials == spec.total_trials
-print(json.dumps("numpy" in sys.modules))
+print(json.dumps([name for name in ("numpy", "sqlite3", "multiprocessing",
+                                    "concurrent.futures.process",
+                                    "repro.campaign.store",
+                                    "repro.campaign.shm")
+                  if name in sys.modules]))
 """)
-    assert loaded is False
+    assert loaded == []
+
+
+def test_default_pooled_batched_campaign_pickles_its_results():
+    loaded, leaked = _run("""
+import json, os, sys
+from repro.campaign import run_campaign, table1_spec
+
+def segments():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+    except OSError:
+        return set()
+
+before = segments()
+spec = table1_spec(mean_toffs=(18.0,), duration=30.0, replicates=4)
+result = run_campaign(spec, engine="batched", max_workers=2, batch_size=2)
+assert result.total_trials == spec.total_trials
+loaded = [name for name in ("numpy", "repro.campaign.shm") if name in sys.modules]
+print(json.dumps([loaded, sorted(segments() - before)]))
+""")
+    assert loaded == []
+    assert leaked == []
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
@@ -93,7 +123,8 @@ def counted(self, ticket, count, labels):
 
 ShmSession.read = counted
 spec = table1_spec(mean_toffs=(18.0,), duration=30.0, replicates=4)
-result = run_campaign(spec, engine="batched", max_workers=2, batch_size=2)
+result = run_campaign(spec, engine="batched", max_workers=2, batch_size=2,
+                      shm=True)
 assert result.total_trials == spec.total_trials
 print(json.dumps([sum(reads), "numpy" in sys.modules]))
 """)

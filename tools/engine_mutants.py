@@ -17,8 +17,9 @@ that a crude or SPRT estimate's single-cell campaign keeps the caller's
 store and fault plan; in
 ``src/repro/campaign/executor.py`` how trials are sized into tasks that
 span cells, attributed to their own cell, failed by the fault plan's
-``raise`` clauses and published after their commit, and how the
-supervisor times out, respawns, bisects and retries; in
+``raise`` clauses and published after their commit, how the
+supervisor times out, respawns, bisects and retries, and that the
+results ring runs only when a run asks for it; in
 ``src/repro/campaign/store.py`` and ``src/repro/campaign/service/server.py``
 how a job's rows stay its own, when a submission becomes durable, which
 jobs a restarted daemon takes back, that a cancel holds across a restart,
@@ -72,7 +73,8 @@ CAMPAIGN_TESTS = ["tests/campaign/test_campaign.py::TestDeterminism",
                   "tests/campaign/test_faults.py::TestPooledRecovery"
                   "::test_hung_worker_is_killed_at_the_deadline",
                   "tests/campaign/test_store.py::TestStoreLifecycle",
-                  "tests/campaign/test_shm.py::TestCampaignEquivalence"]
+                  "tests/campaign/test_shm.py::TestCampaignEquivalence",
+                  "tests/test_startup.py"]
 #: The fixed tests that must kill a mutant of each file.
 TESTS = {ENGINE: [*ENGINE_TESTS, "tests/hybrid/test_lowering.py"], SEEDING: ENGINE_TESTS,
          PROGRAMS: [*ENGINE_TESTS, "tests/hybrid/test_lowering.py"],
@@ -267,6 +269,11 @@ MUTANTS = {
           "            self.isolation.appendleft(_Pending(task[:mid], attempts[:mid]))\n",
           "            for k in range(len(task)):\n"
           "                self.quarantine(_Pending(task[k:k + 1], attempts[k:k + 1]), exc)\n")]),
+    "ring-on-by-default": (
+        EXECUTOR, "a pooled batched run turns the results ring on without shm=True",
+        [("        if _resolve_shm(shm, not serial):\n",
+          "        if _resolve_shm(shm if shm is not None else resolved_engine == \"batched\",\n"
+          "                        not serial):\n")]),
     "retry-skips-failed-trial": (
         EXECUTOR, "a failed trial with retries left is logged as retried but never re-run",
         [("        self.isolation.appendleft(_Pending(task, attempts))\n", "")]),
