@@ -32,7 +32,7 @@ _EXPORTS = {
                    "laser_tracheotomy_configuration", "laser_tracheotomy_rules",
                    "synthesize_configuration"),
     "repro.hybrid": ("Edge", "HybridAutomaton", "HybridSystem", "Location",
-                     "SimulationEngine", "elaborate", "simulate"),
+                     "SimulationEngine", "elaborate"),
     "repro.casestudy": ("CaseStudyConfig", "run_table1_trials", "run_trial"),
     "repro.campaign": ("CampaignResult", "CampaignSpec", "TrialSpec", "run_campaign"),
 }
@@ -43,7 +43,7 @@ __all__ = [
     "__version__",
     # hybrid substrate
     "HybridAutomaton", "HybridSystem", "Location", "Edge",
-    "SimulationEngine", "simulate", "elaborate",
+    "SimulationEngine", "elaborate",
     # core contribution
     "PatternConfiguration", "laser_tracheotomy_configuration",
     "synthesize_configuration", "check_conditions",

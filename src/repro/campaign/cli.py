@@ -66,10 +66,14 @@ from repro.campaign.executor import (CampaignExecutionError,
                                      default_worker_count, run_campaign)
 from repro.campaign.faults import FaultPlanError, resolve_fault_plan
 from repro.campaign.presets import PRESETS
-from repro.campaign.service.client import SERVICE_COMMANDS, service_main
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import CampaignStore, CampaignStoreError
 from repro.hybrid.simulate import ENGINE_KINDS, resolve_engine_kind
+
+#: First-argument tokens that route ``python -m repro.campaign`` into the
+#: service CLI; the same tuple as the client's, kept here so a one-shot
+#: run loads neither the client nor ``socket``.
+SERVICE_COMMANDS = ("serve", "submit", "status", "watch", "cancel",
+                    "drain", "shutdown")
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -357,8 +361,12 @@ def _run_method(args: argparse.Namespace, spec: CampaignSpec, settings,
           f"{executor['max_workers']} worker(s), engine {executor['engine']}, "
           f"master seed {args.seed}")
 
-    with (CampaignStore(args.store, fault_plan=executor["fault_plan"])
-          if args.store else contextlib.nullcontext()) as store:
+    if args.store:
+        from repro.campaign.store import CampaignStore
+        opened = CampaignStore(args.store, fault_plan=executor["fault_plan"])
+    else:
+        opened = contextlib.nullcontext()
+    with opened as store:
         if args.method == "sprt":
             outcome = run_sprt_campaign(spec, cell_index,
                                         master_seed=args.seed,
@@ -484,6 +492,14 @@ def _run_preset(args: argparse.Namespace, preset, spec: CampaignSpec,
     return 0 if result.passed else 1
 
 
+def _is_store_error(exc: Exception) -> bool:
+    """Whether ``exc`` is a checkpoint store's refusal.  Only a loaded
+    store module raises one, so a run that never opened a store answers
+    without importing it (and sqlite3)."""
+    store = sys.modules.get("repro.campaign.store")
+    return store is not None and isinstance(exc, store.CampaignStoreError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the campaign CLI (the ``python -m repro.campaign`` entry point).
 
@@ -498,6 +514,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     argv_list = list(sys.argv[1:] if argv is None else argv)
     if argv_list and argv_list[0] in SERVICE_COMMANDS:
+        from repro.campaign.service.client import service_main
         return service_main(argv_list)
     args = build_parser().parse_args(argv)
     preset = PRESETS[args.experiment]
@@ -546,6 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not os.path.exists(args.store):
             print(f"error: no checkpoint store at {args.store}", file=sys.stderr)
             return 2
+        from repro.campaign.store import CampaignStore, CampaignStoreError
         try:
             with CampaignStore(args.store,
                                read_only=True) as checkpoint_store:
@@ -584,9 +602,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.method is not None:
             return _run_method(args, spec, settings, executor)
         return _run_preset(args, preset, spec, executor)
-    except CampaignStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CampaignExecutionError as exc:
         print(f"error: {exc.args[0].splitlines()[0]}", file=sys.stderr)
         _print_resume_hint(args, argv)
@@ -595,6 +610,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"\n{exc}", file=sys.stderr)
         _print_resume_hint(args, argv)
         return 128 + exc.signum
+    except Exception as exc:
+        if not _is_store_error(exc):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)

@@ -91,21 +91,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 #: submission record), so one database holds many campaigns: the service
 #: keeps one per stores directory, and a one-shot file is job 1 of its
 #: own.  The version moved from the ``meta`` table into sqlite's
-#: ``user_version`` header field.
+#: ``user_version`` header field; a file of an older version is refused.
 SCHEMA_VERSION = 5
 
-#: The job id of a one-shot store file's only campaign (and of a
-#: version-4 store migrated to version 5).
+#: The job id of a one-shot store file's only campaign.
 ONE_SHOT_JOB = 1
 
 #: Page-cache bound of every store connection, in KiB.  The service keeps
 #: its one connection for its whole life, and sqlite's default 2 MiB cache
 #: would fill up and stay resident.
 _CACHE_KIB = 128
-
-#: Version-4 ``meta`` keys that version 5 keeps elsewhere: the version in
-#: ``user_version``, the identity in the ``jobs`` row.
-_IDENTITY_KEYS = ("schema_version", "fingerprint", "master_seed")
 
 #: Bounded exponential backoff applied to commits that hit a transient
 #: ``sqlite3.OperationalError`` ("database is locked" / "database is
@@ -362,71 +357,11 @@ def _create_schema(conn: sqlite3.Connection) -> None:
     conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
 
-def _legacy_tables(conn: sqlite3.Connection) -> List[str]:
-    """Names of a pre-v5 file's store tables (empty for a new file)."""
-    return [name for (name,) in conn.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'table' AND name IN"
-        " ('meta', 'trials', 'failures', 'estimator')")]
-
-
-def _migrate_v4(conn: sqlite3.Connection, path: str,
-                tables: List[str]) -> None:
-    """Rewrite a version-4 store as job 1 of a version-5 file.
-
-    Runs inside the caller's transaction, so a crash leaves the file in
-    one layout or the other.  Only a ``summary`` store of version 4 (or
-    one never bound to a campaign) migrates; anything else is refused
-    untouched.
-    """
-    meta = dict(conn.execute("SELECT key, value FROM meta"))
-    version = meta.get("schema_version", "4")
-    if version != "4":
-        raise CampaignStoreError(
-            f"{path}: store schema version {version!r} is not the supported "
-            f"version {SCHEMA_VERSION}")
-    if meta.get("payload", PAYLOAD) != PAYLOAD:
-        raise _removed_payload_error(path, meta["payload"])
-    for name in tables:
-        conn.execute(f"ALTER TABLE {name} RENAME TO v4_{name}")
-    _create_schema(conn)
-    job = ONE_SHOT_JOB
-    if "fingerprint" in meta:
-        conn.execute(
-            "INSERT INTO jobs (id, fingerprint, master_seed) VALUES (?, ?, ?)",
-            (job, meta["fingerprint"], int(meta["master_seed"])))
-    conn.executemany(
-        "INSERT INTO meta (job_id, key, value) VALUES (?, ?, ?)",
-        [(job, key, value) for key, value in meta.items()
-         if key not in _IDENTITY_KEYS])
-    columns = ", ".join(("trial_index", "label") + _SUMMARY_COLUMNS)
-    copies = {"trials": columns,
-              "failures": "trial_index, label, replicate, seed, attempts,"
-                          " kind, message",
-              "estimator": "kind, identity, state"}
-    for name, columns in copies.items():
-        if name in tables:
-            conn.execute(f"INSERT INTO {name} (job_id, {columns}) "
-                         f"SELECT {job}, {columns} FROM v4_{name}")
-    for name in tables:
-        conn.execute(f"DROP TABLE v4_{name}")
-
-
-def _view_legacy(conn: sqlite3.Connection, tables: List[str]) -> None:
-    """Show a read-only pre-v5 file's tables as job 1 of the v5 layout.
-
-    Temporary views live in the connection's own temp schema and shadow
-    the file's tables, so the read queries stay those of the v5 layout
-    while the file itself is never written.
-    """
-    for name in tables:
-        conn.execute(f"CREATE TEMP VIEW {name} AS "
-                     f"SELECT {ONE_SHOT_JOB} AS job_id, * FROM main.{name}")
-    conn.execute(
-        f"CREATE TEMP VIEW jobs AS SELECT {ONE_SHOT_JOB} AS id,"
-        " f.value AS fingerprint, NULL AS spec,"
-        " CAST(s.value AS INTEGER) AS master_seed, 0 AS priority"
-        " FROM main.meta AS f, main.meta AS s"
-        " WHERE f.key = 'fingerprint' AND s.key = 'master_seed'")
+def _has_store_tables(conn: sqlite3.Connection) -> bool:
+    """Whether a file of ``user_version`` 0 already holds store tables."""
+    return conn.execute(
+        "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name IN"
+        " ('meta', 'trials', 'failures', 'estimator')").fetchone() is not None
 
 
 class StoreDatabase:
@@ -443,15 +378,14 @@ class StoreDatabase:
 
     def __init__(self, path: str | os.PathLike, *,
                  read_only: bool = False) -> None:
-        """Open (creating or migrating if necessary) the database at ``path``.
+        """Open (creating if necessary) the database at ``path``.
 
         Writable databases run in WAL journal mode with a 5-second
         ``busy_timeout``, so a writer and a concurrent ``--status`` reader
         coexist instead of racing into "database is locked", and with a
         page cache bounded to :data:`_CACHE_KIB` KiB, so a long-lived
-        connection does not grow the process.  A version-4 file is
-        migrated in place, in one transaction, on its first writable
-        open; a read-only open shows it through temporary views instead.
+        connection does not grow the process.  A file of an older
+        version is refused before anything writes to it.
 
         Args:
             path: Filesystem path of the sqlite database.  Parent
@@ -463,8 +397,8 @@ class StoreDatabase:
 
         Raises:
             CampaignStoreError: If ``read_only`` is requested for a path
-                that does not exist, or the file holds a store layout
-                this version cannot migrate.
+                that does not exist, or the file is not a version-5
+                store (nor, for a writable open, a new file).
         """
         self.path = os.fspath(path)
         self.read_only = bool(read_only)
@@ -476,40 +410,47 @@ class StoreDatabase:
             uri = pathlib.Path(self.path).resolve().as_uri() + "?mode=ro"
             self.conn = sqlite3.connect(uri, uri=True,
                                         check_same_thread=False)
-            version = self._version()
-            tables = _legacy_tables(self.conn) if version == 0 else []
-            if version != SCHEMA_VERSION and "meta" not in tables:
-                self.conn.close()
-                raise CampaignStoreError(
-                    f"{self.path}: not a campaign store of a supported "
-                    f"version (file version {version})")
-            if tables:
-                _view_legacy(self.conn, tables)
+            self._check_version()
             return
         self.conn = sqlite3.connect(self.path, check_same_thread=False)
         self.conn.execute("PRAGMA busy_timeout = 5000")
+        version = self._check_version()
         self.conn.execute("PRAGMA journal_mode = WAL")
         self.conn.execute(f"PRAGMA cache_size = -{_CACHE_KIB}")
-        if self._version() == SCHEMA_VERSION:
+        if version == SCHEMA_VERSION:
             return
         self.conn.execute("BEGIN IMMEDIATE")
         try:
-            version = self._version()
-            if version != SCHEMA_VERSION:
-                if version:
-                    raise CampaignStoreError(
-                        f"{self.path}: not a campaign store of a supported "
-                        f"version (file version {version})")
-                tables = _legacy_tables(self.conn)
-                if tables:
-                    _migrate_v4(self.conn, self.path, tables)
-                else:
-                    _create_schema(self.conn)
+            if self._version() != SCHEMA_VERSION:
+                _create_schema(self.conn)
             self.conn.commit()
         except BaseException:
             self.conn.rollback()
             self.conn.close()
             raise
+
+    def _check_version(self) -> int:
+        """Return the file's version, or close it and refuse the file.
+
+        Version 5 opens, and so does a new file (version 0 with no store
+        tables) on a writable open.  A version-0 file that already holds
+        store tables was written before version 5 moved the version into
+        ``user_version``; it is refused before anything writes to it.
+        """
+        version = self._version()
+        legacy = version == 0 and _has_store_tables(self.conn)
+        new_file = version == 0 and not legacy and not self.read_only
+        if version == SCHEMA_VERSION or new_file:
+            return version
+        self.conn.close()
+        if legacy:
+            raise CampaignStoreError(
+                f"{self.path}: store has schema version 4 or older, which "
+                f"this release neither reads nor migrates; point --store "
+                f"at a fresh path")
+        raise CampaignStoreError(
+            f"{self.path}: not a campaign store of a supported version "
+            f"(file version {version})")
 
     def _version(self) -> int:
         """Return the file's ``user_version`` (0 before version 5)."""
@@ -925,16 +866,11 @@ class CampaignStore:
         """Return the quarantined-trial rows, ordered by trial index.
 
         Returns:
-            The recorded :class:`~repro.campaign.faults.TrialFailure`
-            rows; empty for stores without a ``failures`` table (e.g. a
-            read-only view of a pre-v3 database).
+            The recorded :class:`~repro.campaign.faults.TrialFailure` rows.
         """
-        try:
-            rows = self._read(
-                "SELECT trial_index, label, replicate, seed, attempts, kind,"
-                " message FROM failures WHERE job_id = ? ORDER BY trial_index")
-        except sqlite3.OperationalError:
-            return []
+        rows = self._read(
+            "SELECT trial_index, label, replicate, seed, attempts, kind,"
+            " message FROM failures WHERE job_id = ? ORDER BY trial_index")
         return [TrialFailure(trial_index=int(row[0]), label=row[1],
                              replicate=int(row[2]), seed=int(row[3]),
                              attempts=int(row[4]), kind=row[5],
@@ -980,16 +916,12 @@ class CampaignStore:
 
         Returns:
             The decoded state document, or ``None`` when this estimator
-            has no checkpoint (including read-only views of pre-v4
-            databases, which lack the table entirely).
+            has no checkpoint.
         """
-        try:
-            rows = self._read(
-                "SELECT state FROM estimator"
-                " WHERE job_id = ? AND kind = ? AND identity = ?",
-                kind, identity)
-        except sqlite3.OperationalError:
-            return None
+        rows = self._read(
+            "SELECT state FROM estimator"
+            " WHERE job_id = ? AND kind = ? AND identity = ?",
+            kind, identity)
         return json.loads(rows[0][0]) if rows else None
 
     def mark_complete(self) -> None:

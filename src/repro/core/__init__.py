@@ -15,7 +15,7 @@ from repro.core.monitor import (EmbeddingMeasurement, MonitorReport, PTEMonitor,
 from repro.core.pattern import (EventVocabulary, PatternSystem, Role,
                                 build_baseline_system, build_initializer,
                                 build_participant, build_pattern_system,
-                                build_supervisor, has_lease, strip_lease)
+                                build_supervisor, has_lease)
 from repro.core.rules import (EmbeddingProperty, PTEOrderSpec, PTEPairRequirement,
                               PTERuleSet, RuleKind, SafetyViolation,
                               laser_tracheotomy_rules, uniform_rules)
@@ -35,7 +35,7 @@ __all__ = [
     # design pattern
     "Role", "EventVocabulary", "PatternSystem", "build_pattern_system",
     "build_baseline_system", "build_supervisor", "build_initializer",
-    "build_participant", "strip_lease", "has_lease",
+    "build_participant", "has_lease",
     # Theorem 2 compliance
     "ElaborationClaim", "ComplianceReport", "check_claim", "check_compliance",
 ]

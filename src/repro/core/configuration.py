@@ -21,7 +21,7 @@ a feasible configuration from the safeguard requirements alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.core.rules import PTEOrderSpec, PTERuleSet
 from repro.errors import ConfigurationError
@@ -48,11 +48,6 @@ class EntityTiming:
     def total(self) -> float:
         """``T^max_enter + T^max_run + T_exit`` -- worst-case round trip."""
         return self.t_enter_max + self.t_run_max + self.t_exit
-
-    def scaled(self, factor: float) -> "EntityTiming":
-        """Return a copy with every duration multiplied by ``factor``."""
-        return EntityTiming(self.t_enter_max * factor, self.t_run_max * factor,
-                            self.t_exit * factor)
 
 
 @dataclass(frozen=True)
@@ -197,26 +192,6 @@ class PatternConfiguration:
         timings = list(self.entity_timing)
         timings[index - 1] = timing
         return replace(self, entity_timing=tuple(timings))
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary of every parameter (for reports)."""
-        result: Dict[str, object] = {
-            "N": self.n_entities,
-            "T_fb_min": self.t_fallback_min,
-            "T_wait_max": self.t_wait_max,
-            "T_req_max": self.t_req_max,
-            "T_LS1_max": self.t_ls1_max,
-            "dwelling_bound": self.dwelling_bound,
-        }
-        for i, timing in enumerate(self.entity_timing, start=1):
-            result[f"T_enter_max[{i}]"] = timing.t_enter_max
-            result[f"T_run_max[{i}]"] = timing.t_run_max
-            result[f"T_exit[{i}]"] = timing.t_exit
-        for i, value in enumerate(self.enter_safeguards, start=1):
-            result[f"T_min_risky[{i}->{i + 1}]"] = value
-        for i, value in enumerate(self.exit_safeguards, start=1):
-            result[f"T_min_safe[{i + 1}->{i}]"] = value
-        return result
 
 
 def laser_tracheotomy_configuration(*, supervisor_resend_limit: int = 0) -> PatternConfiguration:

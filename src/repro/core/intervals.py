@@ -39,18 +39,6 @@ class Interval:
         """True when this interval fully covers ``other`` (with tolerance)."""
         return self.start - eps <= other.start and other.end <= self.end + eps
 
-    def intersection(self, other: "Interval") -> "Interval | None":
-        """The overlapping part of two intervals, or ``None`` when disjoint."""
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if end < start - EPSILON:
-            return None
-        return Interval(start, min(max(start, end), end) if end >= start else start)
-
-    def shifted(self, delta: float) -> "Interval":
-        """Return the interval translated by ``delta`` seconds."""
-        return Interval(self.start + delta, self.end + delta)
-
     def __repr__(self) -> str:
         return f"[{self.start:g}, {self.end:g}]"
 
@@ -97,11 +85,6 @@ class IntervalSet:
         return list(self._intervals)
 
     @property
-    def total_duration(self) -> float:
-        """Sum of the member interval durations."""
-        return sum(iv.duration for iv in self._intervals)
-
-    @property
     def max_duration(self) -> float:
         """Duration of the longest member interval (0 when empty).
 
@@ -128,32 +111,3 @@ class IntervalSet:
             if member.contains(time, eps):
                 return member
         return None
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """The pointwise intersection of two interval sets."""
-        result: List[Interval] = []
-        for a in self._intervals:
-            for b in other._intervals:
-                overlap = a.intersection(b)
-                if overlap is not None and overlap.duration > EPSILON:
-                    result.append(overlap)
-        return IntervalSet(result)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        """The union of two interval sets."""
-        return IntervalSet(self._intervals + other._intervals)
-
-    def complement_within(self, horizon: Interval) -> "IntervalSet":
-        """The portion of ``horizon`` not covered by this set."""
-        gaps: List[Interval] = []
-        cursor = horizon.start
-        for member in self._intervals:
-            if member.end < horizon.start or member.start > horizon.end:
-                continue
-            clipped_start = max(member.start, horizon.start)
-            if clipped_start > cursor + EPSILON:
-                gaps.append(Interval(cursor, clipped_start))
-            cursor = max(cursor, min(member.end, horizon.end))
-        if cursor < horizon.end - EPSILON:
-            gaps.append(Interval(cursor, horizon.end))
-        return IntervalSet(gaps)

@@ -58,13 +58,6 @@ class Lease:
         return self.granted_at + self.duration
 
     @property
-    def held_for(self) -> float | None:
-        """Actual risky dwell, when the lease has ended."""
-        if self.released_at is None:
-            return None
-        return self.released_at - self.granted_at
-
-    @property
     def overran(self) -> bool:
         """True when the entity stayed risky beyond the contract.
 
@@ -112,11 +105,6 @@ class LeaseLedger:
     def count(self, holder: str, outcome: LeaseOutcome) -> int:
         """Number of ``holder``'s leases that ended with ``outcome``."""
         return sum(1 for lease in self.of(holder) if lease.outcome is outcome)
-
-    def expirations(self, holder: str | None = None) -> int:
-        """Number of leases that ended by expiring (the ``evtToStop`` events)."""
-        leases = self.all_leases() if holder is None else self.of(holder)
-        return sum(1 for lease in leases if lease.outcome is LeaseOutcome.EXPIRED)
 
     def overruns(self, holder: str | None = None) -> int:
         """Number of leases whose holder overstayed the contract."""

@@ -7,15 +7,8 @@ one while emitting.  Concretely this removes the lease-expiry edge out of
 "Risky Core" in every remote entity, so an entity stuck without incoming
 cancel/abort events stays in its risky locations indefinitely -- which is
 exactly how the failures of Table I arise when the wireless channel drops
-those events.
-
-Two entry points are provided:
-
-* :func:`build_baseline_system` -- assemble a whole pattern system with
-  leases disabled (the normal way to run the baseline);
-* :func:`strip_lease` -- remove the lease-expiry edge from an existing
-  remote-entity automaton, for tests that want to surgically compare the
-  two variants of a single automaton.
+those events.  :func:`build_baseline_system` assembles a whole pattern
+system with leases disabled.
 """
 
 from __future__ import annotations
@@ -34,19 +27,6 @@ def build_baseline_system(config: PatternConfiguration, **kwargs) -> PatternSyst
     """
     kwargs.pop("lease_enabled", None)
     return build_pattern_system(config, lease_enabled=False, **kwargs)
-
-
-def strip_lease(automaton: HybridAutomaton) -> HybridAutomaton:
-    """Return a copy of a remote-entity automaton without its lease-expiry edge.
-
-    The copy is identical except that every edge tagged with the
-    ``"lease_expiry"`` reason is removed and the metadata records
-    ``lease_enabled = False``.
-    """
-    clone = automaton.copy()
-    clone.edges = [edge for edge in clone.edges if edge.reason != "lease_expiry"]
-    clone.metadata["lease_enabled"] = False
-    return clone
 
 
 def has_lease(automaton: HybridAutomaton) -> bool:

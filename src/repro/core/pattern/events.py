@@ -100,11 +100,6 @@ class EventVocabulary:
         """Index of the Initializer (``N``)."""
         return self.n_entities
 
-    @property
-    def participant_indices(self) -> range:
-        """Indices of the Participants (``1 .. N-1``)."""
-        return range(1, self.n_entities)
-
     # -- initializer-side roots ------------------------------------------------
     @property
     def request(self) -> str:
@@ -139,10 +134,6 @@ class EventVocabulary:
     def lease_approve(self, index: int) -> str:
         """Lease acceptance from Participant ``index``."""
         return lease_approve(index)
-
-    def lease_deny(self, index: int) -> str:
-        """Lease refusal from Participant ``index``."""
-        return lease_deny(index)
 
     def cancel(self, index: int) -> str:
         """Supervisor cancel aimed at entity ``index``."""

@@ -46,12 +46,6 @@ def qualified(entity_id: str, base_name: str) -> str:
     return f"{entity_id}.{base_name}"
 
 
-def base_name(qualified_name: str) -> str:
-    """Strip the entity namespace from a qualified location name."""
-    prefix, separator, rest = qualified_name.partition(".")
-    return rest if separator else qualified_name
-
-
 #: Location base names belonging to the risky partition of remote entities.
 REMOTE_RISKY_BASES = frozenset({RISKY_CORE, EXITING_1})
 

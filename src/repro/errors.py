@@ -49,15 +49,6 @@ class ZenoError(SimulationError):
     """
 
 
-class TimeBlockError(SimulationError):
-    """An invariant expired with no enabled outgoing edge.
-
-    The paper assumes every automaton is time-block-free; the simulator
-    raises this error when an execution would have to block time to remain
-    inside a location invariant.
-    """
-
-
 class ConfigurationError(ReproError):
     """A lease design-pattern configuration is invalid.
 

@@ -28,7 +28,7 @@ from repro.hybrid.simulate import (BatchedEngine, CallbackProcess, CompiledEngin
                                    LocationIndicatorCoupling, Network,
                                    PerfectNetwork, SimulationEngine, TraceObserver,
                                    TraceRecorder, VariableCopyCoupling, build_engine,
-                                   compile_system, resolve_engine_kind, simulate)
+                                   compile_system, resolve_engine_kind)
 
 __all__ = [
     # automaton building blocks
@@ -43,7 +43,7 @@ __all__ = [
     "Trace", "TransitionRecord", "EventRecord", "LocationVisit",
     "SimulationEngine", "CompiledEngine", "BatchedEngine", "Lane",
     "CompiledSystem", "compile_system",
-    "build_engine", "resolve_engine_kind", "simulate", "Network", "PerfectNetwork",
+    "build_engine", "resolve_engine_kind", "Network", "PerfectNetwork",
     "TraceObserver", "TraceRecorder", "DwellTracker",
     "EnvironmentProcess", "CallbackProcess", "Coupling", "FunctionCoupling",
     "LocationIndicatorCoupling", "VariableCopyCoupling",

@@ -86,11 +86,6 @@ class HybridAutomaton:
 
     # -- formal-tuple style accessors ---------------------------------------
     @property
-    def dimension(self) -> int:
-        """The number of data state variables (``n`` in the paper)."""
-        return len(self.variables)
-
-    @property
     def location_names(self) -> set[str]:
         """The location set ``V``."""
         return set(self.locations)
@@ -99,11 +94,6 @@ class HybridAutomaton:
     def risky_locations(self) -> set[str]:
         """The risky partition ``V^risky`` (locations flagged risky)."""
         return {name for name, loc in self.locations.items() if loc.risky}
-
-    @property
-    def safe_locations(self) -> set[str]:
-        """The safe partition ``V^safe`` (complement of the risky set)."""
-        return {name for name, loc in self.locations.items() if not loc.risky}
 
     @property
     def initial_valuation(self) -> Valuation:
@@ -137,10 +127,6 @@ class HybridAutomaton:
         """Return all edges whose source is ``location_name``."""
         return [e for e in self.edges if e.source == location_name]
 
-    def edges_to(self, location_name: str) -> list[Edge]:
-        """Return all edges whose target is ``location_name``."""
-        return [e for e in self.edges if e.target == location_name]
-
     def sync_labels(self) -> set[SyncLabel]:
         """The synchronization label set ``L`` of this automaton."""
         labels: set[SyncLabel] = set()
@@ -155,10 +141,6 @@ class HybridAutomaton:
     def emitted_roots(self) -> set[str]:
         """Event roots this automaton can broadcast (``!`` labels)."""
         return {label.root for label in self.sync_labels() if label.is_send}
-
-    def is_risky(self, location_name: str) -> bool:
-        """True when ``location_name`` belongs to the risky partition."""
-        return self.location(location_name).risky
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:

@@ -135,14 +135,6 @@ class Edge:
             labels.add(SyncLabel(Prefix.SEND, root))
         return labels
 
-    def renamed(self, mapping: Mapping[str, str]) -> "Edge":
-        """Return a copy with source/target renamed through ``mapping``."""
-        return replace(
-            self,
-            source=mapping.get(self.source, self.source),
-            target=mapping.get(self.target, self.target),
-        )
-
     def retargeted(self, *, source: str | None = None, target: str | None = None) -> "Edge":
         """Return a copy with the source and/or target replaced."""
         return replace(

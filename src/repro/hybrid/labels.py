@@ -65,11 +65,6 @@ class SyncLabel:
         """True if the event reception is over an unreliable channel."""
         return self.prefix is Prefix.RECEIVE_LOSSY
 
-    @property
-    def is_internal(self) -> bool:
-        """True if the label is internal (event with no receivers)."""
-        return self.prefix is Prefix.INTERNAL
-
     def __str__(self) -> str:
         return f"{self.prefix.value}{self.root}"
 

@@ -23,7 +23,7 @@ from repro.hybrid.simulate.batched import BatchedEngine, Lane
 from repro.hybrid.simulate.compiled import (CompiledEngine, CompiledSystem,
                                             ENGINE_KINDS, build_engine,
                                             compile_system, resolve_engine_kind)
-from repro.hybrid.simulate.engine import Network, PerfectNetwork, SimulationEngine, simulate
+from repro.hybrid.simulate.engine import Network, PerfectNetwork, SimulationEngine
 from repro.hybrid.simulate.observers import DwellTracker, TraceObserver, TraceRecorder
 from repro.hybrid.simulate.processes import (CallbackProcess, Coupling, EnvironmentProcess,
                                              FunctionCoupling, LocationIndicatorCoupling,
@@ -39,7 +39,6 @@ __all__ = [
     "build_engine",
     "resolve_engine_kind",
     "ENGINE_KINDS",
-    "simulate",
     "Network",
     "PerfectNetwork",
     "TraceObserver",

@@ -180,8 +180,3 @@ class BatchedEngine:
 
     def inject_event(self, root: str, *, sender: str = "environment") -> None:
         self._lead.inject_event(root, sender=sender)
-
-    def check_invariants(self) -> None:
-        """Raise :class:`TimeBlockError` if any lane violates an invariant now."""
-        for engine in self.engines:
-            engine.check_invariants()

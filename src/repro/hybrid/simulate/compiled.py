@@ -145,7 +145,7 @@ import math
 import sys
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
 
-from repro.errors import SimulationError, TimeBlockError, ZenoError
+from repro.errors import SimulationError, ZenoError
 from repro.hybrid.automaton import HybridAutomaton
 from repro.hybrid.edges import Edge
 from repro.hybrid.expressions import (And, BoxPredicate, FalsePredicate, LinearInequality,
@@ -501,7 +501,7 @@ class _AutomatonRuntime:
     """Mutable hot-loop state of one member automaton (slots, not objects)."""
 
     __slots__ = ("ca", "name", "slots", "values", "view", "loc", "location",
-                 "entered_at", "pending", "cache_ok", "quiet_scan", "deadline")
+                 "pending", "cache_ok", "quiet_scan", "deadline")
 
     def __init__(self, ca: CompiledAutomaton):
         self.ca = ca
@@ -511,7 +511,6 @@ class _AutomatonRuntime:
         self.view = SlotValuation(self.slots, self.values)
         self.loc: int = ca.initial_location
         self.location: CompiledLocation = ca.locations[self.loc]
-        self.entered_at: float = 0.0
         self.pending: List[_PendingEvent] = []
         # Per location index: may its crossing candidate be cached, and must
         # its edges be scanned on quiet steps (set by the engine).
@@ -521,10 +520,9 @@ class _AutomatonRuntime:
         #: it must be derived again.
         self.deadline: float = -math.inf
 
-    def move_to(self, target_index: int, now: float) -> None:
+    def move_to(self, target_index: int) -> None:
         self.loc = target_index
         self.location = self.ca.locations[target_index]
-        self.entered_at = now
 
     def set(self, name: str, value: float) -> None:
         slot = self.slots.get(name)
@@ -555,13 +553,6 @@ class CompiledAutomatonState:
     def valuation(self) -> SlotValuation:
         return self._runtime.view
 
-    @property
-    def entered_at(self) -> float:
-        return self._runtime.entered_at
-
-    def dwelling_time(self, now: float) -> float:
-        return max(0.0, now - self._runtime.entered_at)
-
 
 class CompiledSystemState:
     """Joint state of a compiled run, exposing the ``SystemState`` read API.
@@ -582,22 +573,12 @@ class CompiledSystemState:
     def runtime(self, automaton_name: str) -> _AutomatonRuntime:
         return self._by_name[automaton_name]
 
-    def state_of(self, automaton_name: str) -> CompiledAutomatonState:
-        return self.automata[automaton_name]
-
     def location_of(self, automaton_name: str) -> str:
         return self._by_name[automaton_name].location.name
-
-    def valuation_of(self, automaton_name: str) -> SlotValuation:
-        return self._by_name[automaton_name].view
 
     def value_of(self, automaton_name: str, variable: str,
                  default: float = 0.0) -> float:
         return self._by_name[automaton_name].get(variable, default)
-
-    def snapshot(self) -> Mapping[str, tuple[str, Mapping[str, float]]]:
-        return {name: (rt.location.name, rt.view.as_dict())
-                for name, rt in self._by_name.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +592,7 @@ class CompiledEngine:
     :class:`~repro.hybrid.simulate.engine.SimulationEngine`: same
     constructor arguments (plus ``observers`` / ``record_trace``), same
     public helpers (``now``, ``state``, ``inject_event``, ``set_variable``,
-    ``location_of``, ``check_invariants``), and bit-identical traces for
+    ``location_of``), and bit-identical traces for
     every seed.  Accepts either a :class:`~repro.hybrid.system.HybridSystem`
     (lowered on the spot) or a pre-built :class:`CompiledSystem`.
     """
@@ -1183,7 +1164,7 @@ class CompiledEngine:
             new_valuation = ce.edge.reset.apply(rt.view)
             for name, value in new_valuation.items():
                 rt.set(name, value)
-        rt.move_to(ce.target_index, now)
+        rt.move_to(ce.target_index)
         record = TransitionRecord(now, rt.name, ce.source_name, ce.target_name, ce.reason,
                                   trigger_root, ce.emits)
         for observer in self.observers:
@@ -1227,16 +1208,6 @@ class CompiledEngine:
             for observer in self.observers:
                 observer.on_sample(automaton_name, variable, now, value)
         self._next_sample_time = now + self.sample_interval
-
-    # -- invariant checking (advisory) ----------------------------------------------------
-    def check_invariants(self) -> None:
-        """Raise :class:`TimeBlockError` if any automaton violates its invariant now."""
-        for rt in self._runtimes:
-            loc = rt.location
-            if not loc.invariant.evaluate(rt.view):
-                raise TimeBlockError(
-                    f"automaton {rt.name!r} violates the invariant of location "
-                    f"{loc.name!r} at t={self.state.time:.6f}s and no edge fired")
 
 
 # ---------------------------------------------------------------------------

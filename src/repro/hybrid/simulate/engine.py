@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
-from repro.errors import SimulationError, TimeBlockError, ZenoError
+from repro.errors import SimulationError, ZenoError
 from repro.hybrid.automaton import HybridAutomaton
 from repro.hybrid.edges import Edge
 from repro.hybrid.state import AutomatonState, SystemState
@@ -254,8 +254,7 @@ class SimulationEngine:
                 raise SimulationError(f"automaton {name!r} has no initial location")
             self.state.automata[name] = AutomatonState(
                 location=automaton.initial_location,
-                valuation=automaton.initial_valuation,
-                entered_at=0.0)
+                valuation=automaton.initial_valuation)
             for observer in self.observers:
                 observer.register_automaton(name, automaton.initial_location,
                                             automaton.risky_locations)
@@ -389,7 +388,7 @@ class SimulationEngine:
     def _take_edge(self, name: str, edge: Edge, trigger_root: str | None) -> None:
         st = self.state.automata[name]
         new_valuation = edge.reset.apply(st.valuation)
-        self.state.automata[name] = st.moved_to(edge.target, new_valuation, self.state.time)
+        self.state.automata[name] = AutomatonState(edge.target, new_valuation)
         record = TransitionRecord(self.state.time, name, edge.source, edge.target,
                                   edge.reason, trigger_root, tuple(edge.emits))
         for observer in self.observers:
@@ -435,25 +434,3 @@ class SimulationEngine:
             for observer in self.observers:
                 observer.on_sample(automaton_name, variable, self.state.time, value)
         self._next_sample_time = self.state.time + self.sample_interval
-
-    # -- invariant checking (advisory) ----------------------------------------------------
-    def check_invariants(self) -> None:
-        """Raise :class:`TimeBlockError` if any automaton violates its invariant now.
-
-        The engine does not call this automatically (ASAP edges normally
-        leave a location before its invariant expires); tests and the
-        analysis module call it to detect time-blocking models.
-        """
-        for name, automaton in self.system.automata.items():
-            st = self.state.automata[name]
-            location = automaton.location(st.location)
-            if not location.invariant.evaluate(st.valuation):
-                raise TimeBlockError(
-                    f"automaton {name!r} violates the invariant of location "
-                    f"{st.location!r} at t={self.state.time:.6f}s and no edge fired")
-
-
-def simulate(system: HybridSystem, horizon: float, **kwargs) -> Trace:
-    """Convenience wrapper: build a :class:`SimulationEngine` and run it."""
-    engine = SimulationEngine(system, **kwargs)
-    return engine.run(horizon)

@@ -6,8 +6,7 @@ the operations of ``CallableFlow.advance`` in their order, so the
 compiled kernel (and every batched lane) stays bit-identical to the
 reference engine.  The compiled kernel's step programs
 (:mod:`repro.hybrid.simulate.programs`) inline that source, names
-prefixed per runtime; :func:`lower_callable_advance` compiles it into a
-function of its own.
+prefixed per runtime; nothing else compiles it.
 
 When :class:`KernelTranslation` can show that it reproduces the flow's
 kernel, the kernel's body is inlined into the four RK4 stages: arguments
@@ -249,37 +248,6 @@ def _exact_literal(value) -> bool:
 
 def _indent(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
-
-
-def lower_callable_advance(flow: CallableFlow, slot_of: Mapping[str, int]):
-    """Compile a :class:`CallableFlow` into an in-place RK4 over slot floats.
-
-    Reproduces ``CallableFlow.advance`` / ``_rk4_step`` /
-    ``Valuation.advanced`` operation for operation on plain floats: the
-    outputs live in locals for the whole advance, the other inputs are read
-    once (nothing else moves during a flow), and every stage runs the
-    declared float kernel.  The kernel's body is inlined into the stages
-    when :class:`KernelTranslation` can reproduce it, with one
-    step-constant test decided once per advance; otherwise each stage
-    calls the kernel with positional arguments.  Either way the integrated
-    values are bit-identical to the reference engine's.
-
-    The program is ``(values, dt, rt) -> None``: it integrates ``values``
-    (the runtime's slot list) in place; ``rt`` only serves inputs that had
-    no slot at lowering time.  Its body is :func:`advance_source`.
-    """
-    env: Dict[str, object] = {}
-    lines = ["def advance_program(values, dt, rt):",
-             *_indent(advance_source(flow, slot_of, env))]
-    exec(_compile_advance("\n".join(lines)), env)
-    return env["advance_program"]
-
-
-@functools.lru_cache(maxsize=256)
-def _compile_advance(source: str):
-    """Code of a generated RK4 program: equal flows (the same patient in
-    every cell of a campaign) compile once per process."""
-    return compile(source, "<flow kernel>", "exec")
 
 
 def advance_source(flow: CallableFlow, slot_of: Mapping[str, int], env: Dict[str, object],

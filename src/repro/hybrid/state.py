@@ -2,14 +2,13 @@
 
 The *state* of a hybrid automaton at time ``t`` is the pair
 ``phi(t) = (l(t), x(t))`` of location counter and data state (paper
-Section II-A, item 2).  :class:`AutomatonState` additionally records when
-the current location was entered, which makes dwelling-time queries cheap.
+Section II-A, item 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.hybrid.variables import Valuation
 
@@ -21,24 +20,14 @@ class AutomatonState:
     Attributes:
         location: Current location name (the location counter ``l(t)``).
         valuation: Current data state ``x(t)``.
-        entered_at: Simulation time at which ``location`` was entered.
     """
 
     location: str
     valuation: Valuation
-    entered_at: float = 0.0
-
-    def dwelling_time(self, now: float) -> float:
-        """Continuous time spent in the current location up to ``now``."""
-        return max(0.0, now - self.entered_at)
 
     def with_valuation(self, valuation: Valuation) -> "AutomatonState":
         """Return a copy with the data state replaced."""
         return replace(self, valuation=valuation)
-
-    def moved_to(self, location: str, valuation: Valuation, now: float) -> "AutomatonState":
-        """Return the state after a discrete transition at time ``now``."""
-        return AutomatonState(location=location, valuation=valuation, entered_at=now)
 
 
 @dataclass
@@ -53,23 +42,10 @@ class SystemState:
     time: float = 0.0
     automata: Dict[str, AutomatonState] = field(default_factory=dict)
 
-    def state_of(self, automaton_name: str) -> AutomatonState:
-        """Return the state of the named member automaton."""
-        return self.automata[automaton_name]
-
     def location_of(self, automaton_name: str) -> str:
         """Return the current location of the named member automaton."""
         return self.automata[automaton_name].location
 
-    def valuation_of(self, automaton_name: str) -> Valuation:
-        """Return the current data state of the named member automaton."""
-        return self.automata[automaton_name].valuation
-
     def value_of(self, automaton_name: str, variable: str, default: float = 0.0) -> float:
         """Return one variable's current value for the named automaton."""
         return self.automata[automaton_name].valuation.get(variable, default)
-
-    def snapshot(self) -> Mapping[str, tuple[str, Mapping[str, float]]]:
-        """Return a plain-data snapshot (useful for logging and debugging)."""
-        return {name: (st.location, st.valuation.as_dict())
-                for name, st in self.automata.items()}

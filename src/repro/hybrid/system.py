@@ -86,10 +86,6 @@ class HybridSystem:
         """Return the entity hosting the named automaton."""
         return self._entity_of[automaton_name]
 
-    def entities(self) -> set[str]:
-        """All entity names present in the system."""
-        return set(self._entity_of.values())
-
     def receivers_of(self, root: str) -> list[tuple[str, bool]]:
         """Automata that can receive event ``root``.
 
@@ -112,16 +108,6 @@ class HybridSystem:
     def emitters_of(self, root: str) -> list[str]:
         """Automata that can broadcast event ``root``."""
         return [a.name for a in self.automata.values() if root in a.emitted_roots()]
-
-    def external_roots(self) -> set[str]:
-        """Event roots communicated across two or more member automata."""
-        roots: set[str] = set()
-        for automaton in self.automata.values():
-            for root in automaton.received_roots():
-                senders = [s for s in self.emitters_of(root) if s != automaton.name]
-                if senders:
-                    roots.add(root)
-        return roots
 
     def risky_locations(self) -> Dict[str, set[str]]:
         """Mapping automaton name -> risky location names (for traces)."""

@@ -223,22 +223,10 @@ class Trace:
         samples = self._samples.get((automaton, variable), [])
         return [s.time for s in samples], [s.value for s in samples]
 
-    def delivered_events(self, root: str | None = None) -> list[EventRecord]:
-        """Event records that were actually delivered (optionally filtered by root)."""
-        return [e for e in self.events
-                if e.delivered and (root is None or e.root == root)]
-
     def lost_events(self, root: str | None = None) -> list[EventRecord]:
         """Event records that were lost in transit (optionally filtered by root)."""
         return [e for e in self.events
                 if not e.delivered and (root is None or e.root == root)]
-
-    def loss_ratio(self) -> float:
-        """Fraction of lossy event deliveries that were lost."""
-        lossy = [e for e in self.events if e.lossy]
-        if not lossy:
-            return 0.0
-        return sum(1 for e in lossy if not e.delivered) / len(lossy)
 
     def __repr__(self) -> str:
         return (f"Trace(automata={self.automata}, transitions={len(self.transitions)}, "

@@ -78,11 +78,6 @@ class Valuation(Mapping[str, float]):
             merged[name] = merged.get(name, 0.0) + rate * dt
         return Valuation(merged)
 
-    def restricted(self, names: Iterable[str]) -> "Valuation":
-        """Return the valuation restricted to the given variable names."""
-        wanted = set(names)
-        return Valuation({k: v for k, v in self._values.items() if k in wanted})
-
 
 def zero_valuation(names: Iterable[str]) -> Valuation:
     """Return the all-zero valuation over ``names``.

@@ -52,7 +52,6 @@ import json
 import math
 import sys
 import types
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
@@ -246,6 +245,8 @@ def pool_map(trial_fn: TrialFn, plans: Sequence[ForkPlan], *,
     """
     if max_workers <= 1:
         return [trial_fn(plan) for plan in plans]
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(trial_fn, plans))
 
@@ -902,7 +903,8 @@ def split_estimate_for_cell(spec, cell_index: int = 0, *,
     return fixed_effort_splitting(
         trial_fn, master_seed=master_seed, settings=settings,
         name=f"split:{spec.name}:{cell_index}", map_fn=map_fn, store=store,
-        identity=split_identity(spec, cell_index, master_seed, settings),
+        identity=(None if store is None
+                  else split_identity(spec, cell_index, master_seed, settings)),
         resume=resume)
 
 

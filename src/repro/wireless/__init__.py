@@ -1,8 +1,7 @@
 """Wireless substrate: sink topology, lossy channels, interference, statistics."""
 
 from repro.wireless.channel import (BernoulliChannel, Channel, GilbertElliottChannel,
-                                    LossWindow, PerfectChannel, ScriptedChannel,
-                                    TraceChannel)
+                                    LossWindow, PerfectChannel, ScriptedChannel)
 from repro.wireless.interference import InterferenceSource
 from repro.wireless.network import SinkWirelessNetwork
 from repro.wireless.packet import DeliveryOutcome, LinkDirection
@@ -15,7 +14,6 @@ __all__ = [
     "GilbertElliottChannel",
     "ScriptedChannel",
     "LossWindow",
-    "TraceChannel",
     "InterferenceSource",
     "SinkWirelessNetwork",
     "DeliveryOutcome",

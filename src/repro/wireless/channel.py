@@ -15,7 +15,6 @@ can span the whole spectrum:
 * :class:`ScriptedChannel` -- deterministic loss windows, used by the
   scenario experiments to re-create the paper's qualitative failure stories
   ("the surgeon's cancel is lost", "the supervisor's abort is lost").
-* :class:`TraceChannel` -- replay an explicit per-packet loss sequence.
 
 All channels expose the same tiny interface: :meth:`Channel.attempt`
 returns a :class:`~repro.wireless.packet.DeliveryOutcome` for one packet at
@@ -190,31 +189,3 @@ class ScriptedChannel(Channel):
     def describe(self) -> str:
         spans = ", ".join(f"[{w.start:g},{w.end:g}]" for w in self.loss_windows)
         return f"scripted(drop during {spans})" if spans else "scripted(no losses)"
-
-
-class TraceChannel(Channel):
-    """Replay an explicit boolean delivery sequence (True = delivered).
-
-    Once the sequence is exhausted the channel keeps repeating its final
-    value (or delivering, when the sequence is empty).
-    """
-
-    def __init__(self, deliveries: Sequence[bool]):
-        self.deliveries = list(deliveries)
-        self._index = 0
-
-    def reset(self, seed: int | None = None, stream: str = "") -> None:
-        self._index = 0
-
-    def attempt(self, now: float) -> DeliveryOutcome:
-        if not self.deliveries:
-            return DeliveryOutcome.DELIVERED
-        if self._index < len(self.deliveries):
-            delivered = self.deliveries[self._index]
-            self._index += 1
-        else:
-            delivered = self.deliveries[-1]
-        return DeliveryOutcome.DELIVERED if delivered else DeliveryOutcome.LOST
-
-    def describe(self) -> str:
-        return f"trace({len(self.deliveries)} entries)"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.wireless.channel import BernoulliChannel, Channel, GilbertElliottChannel
+from repro.wireless.channel import Channel, GilbertElliottChannel
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,3 @@ class InterferenceSource:
             loss_bad=self.in_burst_loss_probability(),
             seed=seed,
         )
-
-    def to_average_channel(self, seed: int | None = None) -> Channel:
-        """Build a memoryless channel with the same *average* loss rate.
-
-        Useful as an ablation: the average-rate channel loses just as many
-        packets overall but without bursts, which is much easier on the
-        no-lease baseline -- demonstrating that burstiness, not just loss
-        rate, drives the failures in Table I.
-        """
-        average = (self.duty_cycle * self.in_burst_loss_probability()
-                   + (1.0 - self.duty_cycle) * self.background_loss_probability())
-        return BernoulliChannel(average, seed=seed)

@@ -84,10 +84,6 @@ class SinkWirelessNetwork(Network):
             return self._uplink.get(sender, self.default_channel)
         return self._downlink.get(receiver, self.default_channel)
 
-    def set_downlink_channel(self, remote_entity: str, channel: Channel) -> None:
-        """Override the downlink channel of one remote entity."""
-        self._downlink[remote_entity] = channel
-
     # -- engine protocol -----------------------------------------------------------
     def attempt_delivery(self, sender_entity: str, receiver_entity: str,
                          root: str, now: float) -> bool:

@@ -27,13 +27,6 @@ class LinkStatistics:
         else:
             self.lost += 1
 
-    @property
-    def loss_ratio(self) -> float:
-        """Fraction of transmissions that did not reach the application."""
-        if self.sent == 0:
-            return 0.0
-        return (self.lost + self.corrupted) / self.sent
-
 
 @dataclass
 class NetworkStatistics:
@@ -70,10 +63,3 @@ class NetworkStatistics:
     def reset(self) -> None:
         """Clear every counter (start of a new trial)."""
         self.links.clear()
-
-    def summary_rows(self) -> list[tuple[str, str, int, int, float]]:
-        """Rows ``(sender, receiver, sent, delivered, loss_ratio)`` for reports."""
-        rows = []
-        for (sender, receiver), link in sorted(self.links.items()):
-            rows.append((sender, receiver, link.sent, link.delivered, link.loss_ratio))
-        return rows

@@ -163,49 +163,70 @@ class TestStoreLifecycle:
         assert "removed" in str(info.value)
         assert "fresh path" in str(info.value)
 
-    def test_summary_store_from_schema_v4_resumes(self, tmp_path):
-        # A partial summary store written by the previous release (a
+    def test_schema_v4_store_is_refused_untouched(self, tmp_path):
+        # A partial summary store written by a release before schema 5 (a
         # crash@commit=3 kill of table1_spec(duration=100.0) at seed 3,
-        # dumped to SQL; its rows carry a NULL ``result`` column) resumes
-        # to the aggregates of an uninterrupted run.
+        # dumped to SQL) is refused by a writable open and by a resume,
+        # before anything writes to the file.
         spec = table1_spec(duration=100.0, replicates=1)
         db = tmp_path / "campaign.db"
         _load_v4_fixture(db)
-        resumed = run_campaign(spec, seed=3, max_workers=1, store=db,
-                               resume=True)
-        assert resumed.replayed_trials == 2
-        baseline = run_campaign(spec, seed=3, max_workers=1)
-        assert _campaign_payload(resumed) == _campaign_payload(baseline)
-        # The first writable open migrated the file to job 1 of version 5.
-        assert _file_layout(db) == (5, {"jobs", "meta", "trials", "failures",
-                                        "estimator"})
+        before = db.read_bytes()
+        with pytest.raises(CampaignStoreError, match="schema version 4") as info:
+            CampaignStore(db)
+        assert "fresh path" in str(info.value)
+        with pytest.raises(CampaignStoreError, match="schema version 4"):
+            run_campaign(spec, seed=3, max_workers=1, store=db, resume=True)
+        assert db.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["campaign.db"]
 
-    def test_status_json_reads_a_v4_store_without_migrating_it(
-            self, tmp_path, capsys):
+    def test_status_refuses_a_v4_store_untouched(self, tmp_path, capsys):
         db = tmp_path / "campaign.db"
         _load_v4_fixture(db)
+        before = db.read_bytes()
+        with pytest.raises(CampaignStoreError, match="schema version 4"):
+            CampaignStore(db, read_only=True)
         assert campaign_main(["--store", str(db), "--status", "--json",
-                              "-"]) == 0
-        body = json.loads(capsys.readouterr().out)
-        assert body == {"store": str(db), "status": {
-            "name": "table1",
-            "fingerprint": "177f72d4c02f6b6df8cf636973f5d44b3a1cd629f0e226ab89"
-                           "d4634563cca7f5",
-            "master_seed": 3, "total_trials": 4, "checkpointed": 2,
-            "complete": False, "quarantined": 0, "stage": "replaying"}}
-        assert _file_layout(db) == (0, {"meta", "trials", "failures",
-                                        "estimator"})
+                              "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema version 4" in captured.err
+        assert "--store at a fresh path" in captured.err
+        assert db.read_bytes() == before
 
     def test_stats_v4_store_is_refused_untouched(self, tmp_path):
+        # A version-4 store in the removed "stats" payload mode is refused
+        # for its version, before its payload mode is read.
         db = tmp_path / "campaign.db"
         _load_v4_fixture(db)
         conn = sqlite3.connect(db)
         conn.execute("UPDATE meta SET value = 'stats' WHERE key = 'payload'")
         conn.commit()
         conn.close()
-        with pytest.raises(CampaignStoreError, match="payload mode 'stats'"):
-            CampaignStore(db)
-        assert _file_layout(db)[0] == 0
+        before = db.read_bytes()
+        for read_only in (False, True):
+            with pytest.raises(CampaignStoreError, match="schema version 4"):
+                CampaignStore(db, read_only=read_only)
+        assert db.read_bytes() == before
+        assert _file_layout(db) == (0, {"meta", "trials", "failures",
+                                        "estimator"})
+
+    def test_unknown_versions_are_refused_untouched(self, tmp_path):
+        # A newer layout, and a new file opened for status, are refused
+        # without the schema-4 advice and without writing to the file.
+        newer = tmp_path / "newer.db"
+        conn = sqlite3.connect(newer)
+        conn.execute("PRAGMA user_version = 6")
+        conn.close()
+        empty = tmp_path / "empty.db"
+        sqlite3.connect(empty).close()
+        for path, read_only in ((newer, False), (newer, True), (empty, True)):
+            before = path.read_bytes()
+            with pytest.raises(CampaignStoreError,
+                               match="not a campaign store") as info:
+                CampaignStore(path, read_only=read_only)
+            assert "schema version 4" not in str(info.value)
+            assert path.read_bytes() == before
 
     def test_one_shot_store_round_trips(self, tmp_path):
         # A version-5 one-shot file holds its campaign as job 1: the jobs
@@ -436,6 +457,20 @@ class TestStoreCLI:
         missing = tmp_path / "nope.db"
         assert campaign_main(["--store", str(missing), "--status"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("method", [[], ["--method", "crude"]],
+                             ids=["preset", "crude"])
+    def test_run_on_a_v4_store_exits_with_usage_error(self, tmp_path, capsys,
+                                                      method):
+        db = tmp_path / "campaign.db"
+        _load_v4_fixture(db)
+        before = db.read_bytes()
+        code = campaign_main(["--experiment", "table1", "--quiet",
+                              "--duration", "100", "--seed", "3",
+                              "--store", str(db), "--resume", *method])
+        assert code == 2
+        assert "schema version 4" in capsys.readouterr().err
+        assert db.read_bytes() == before
 
     def test_store_mismatch_exits_with_usage_error(self, tmp_path, capsys):
         db = tmp_path / "campaign.db"

@@ -32,12 +32,6 @@ class TestPaperConfiguration:
         assert guarantees["exit_margin[2->1]"] == pytest.approx(6.0)
         assert guarantees["exit_margin[2->1]"] >= 1.5
 
-    def test_as_dict_exposes_every_parameter(self):
-        flat = laser_tracheotomy_configuration().as_dict()
-        assert flat["N"] == 2
-        assert flat["T_run_max[1]"] == pytest.approx(35.0)
-        assert flat["T_min_risky[1->2]"] == pytest.approx(3.0)
-
     def test_to_rule_set(self):
         config = laser_tracheotomy_configuration()
         rules = config.to_rule_set(["vent", "laser"])

@@ -17,7 +17,6 @@ class TestIntervals:
     def test_max_duration(self):
         intervals = IntervalSet([(0.0, 2.0), (5.0, 12.0)])
         assert intervals.max_duration == pytest.approx(7.0)
-        assert intervals.total_duration == pytest.approx(9.0)
 
     def test_covers(self):
         intervals = IntervalSet([(0.0, 10.0)])
@@ -27,17 +26,6 @@ class TestIntervals:
     def test_abutting_intervals_merge_for_coverage(self):
         intervals = IntervalSet([(0.0, 5.0), (5.0, 10.0)])
         assert intervals.covers(Interval(3.0, 8.0))
-
-    def test_intersect_and_union(self):
-        a = IntervalSet([(0.0, 5.0)])
-        b = IntervalSet([(3.0, 8.0)])
-        assert [(iv.start, iv.end) for iv in a.intersect(b)] == [(3.0, 5.0)]
-        assert [(iv.start, iv.end) for iv in a.union(b)] == [(0.0, 8.0)]
-
-    def test_complement_within(self):
-        a = IntervalSet([(2.0, 4.0), (6.0, 8.0)])
-        gaps = a.complement_within(Interval(0.0, 10.0))
-        assert [(iv.start, iv.end) for iv in gaps] == [(0.0, 2.0), (4.0, 6.0), (8.0, 10.0)]
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (build_baseline_system, build_pattern_system, check_trace,
-                        laser_tracheotomy_configuration, strip_lease, has_lease,
+                        laser_tracheotomy_configuration, has_lease,
                         synthesize_configuration)
 from repro.core.pattern import events
 from repro.core.pattern.roles import (ENTERING, EXITING_1, FALL_BACK,
@@ -84,9 +84,6 @@ class TestStructure:
         assert not has_lease(baseline.participants[0])
         leased = build_pattern_system(CONFIG)
         assert has_lease(leased.initializer)
-        stripped = strip_lease(leased.initializer)
-        assert not has_lease(stripped)
-        assert len(stripped.edges) == len(leased.initializer.edges) - 1
 
     def test_network_matches_topology(self):
         pattern = build_pattern_system(CONFIG, entity_names=["vent", "laser"],

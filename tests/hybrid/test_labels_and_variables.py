@@ -27,7 +27,6 @@ class TestSyncLabels:
     def test_parse_internal(self):
         label = parse_label("tick")
         assert label.prefix is Prefix.INTERNAL
-        assert label.is_internal
 
     def test_labels_with_different_prefixes_are_distinct(self):
         # The paper treats !l, ?l and ??l as three different labels.
@@ -71,10 +70,6 @@ class TestValuation:
     def test_advanced_rejects_negative_dt(self):
         with pytest.raises(ValueError):
             Valuation({"c": 0.0}).advanced({"c": 1.0}, -1.0)
-
-    def test_restricted(self):
-        valuation = Valuation({"a": 1.0, "b": 2.0, "c": 3.0})
-        assert dict(valuation.restricted(["a", "c"])) == {"a": 1.0, "c": 3.0}
 
     def test_get_with_default(self):
         assert Valuation({}).get("missing", 9.0) == 9.0

@@ -31,7 +31,7 @@ from repro.hybrid.expressions import (FALSE, TRUE, Comparison, FunctionPredicate
                                       LinearInequality)
 from repro.hybrid.simulate.compiled import SlotValuation, _AutomatonRuntime, _skips
 from repro.hybrid.simulate.programs import lower_derive, lower_guard
-from repro.hybrid.simulate.rk4 import KernelTranslation, lower_callable_advance
+from repro.hybrid.simulate.rk4 import KernelTranslation, advance_source
 from repro.hybrid.variables import Valuation
 from repro.util.timebase import EPSILON
 
@@ -80,7 +80,11 @@ def advance_program(system):
     """The RK4 program of the system's first automaton: the RK4 body that
     the compiled tier's step programs inline, as a function."""
     ca = compile_system(system).automata[0]
-    return lower_callable_advance(ca.locations[0].flow, ca.slot_of)
+    env = {}
+    body = advance_source(ca.locations[0].flow, ca.slot_of, env)
+    exec("\n".join(["def advance_program(values, dt, rt):",
+                     *("    " + line for line in body)]), env)
+    return env["advance_program"]
 
 
 def calls_kernel(program):

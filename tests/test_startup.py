@@ -5,7 +5,8 @@ long since imported everything.  NumPy backs only the shared-memory
 results ring, which runs only when a pooled campaign asks for it
 (``shm=True``); the executor imports the process pool, the ring and the
 sqlite store only on the paths that use them, so a serial campaign
-without a store loads none of them.  The package facades import their
+without a store loads none of them; the one-shot CLI imports the store
+only for ``--store`` and the service client only for a service command.  The package facades import their
 re-exports lazily, so building a splitting cell loads neither the
 campaign executor nor the sqlite store.  Workers forked for a splitting
 level must find every module they need already loaded by the parent: the
@@ -82,6 +83,46 @@ print(json.dumps([name for name in ("numpy", "sqlite3", "multiprocessing",
                   if name in sys.modules]))
 """)
     assert loaded == []
+
+
+#: Modules a one-shot CLI run loads only for a store or a service command.
+_CLI_LAZY = ("sqlite3", "socket", "repro.campaign.store",
+             "repro.campaign.service.client")
+#: A short serial one-shot run.
+_RUN = ["--experiment", "table1", "--duration", "10", "--quiet"]
+
+
+@pytest.mark.parametrize("argv, codes, expected", [
+    (_RUN, (0, 1), []),
+    (_RUN + ["--store", "{tmp}/campaign.db"], (0, 1),
+     ["sqlite3", "repro.campaign.store"]),
+    (_RUN + ["--method", "split", "--trials-per-level", "4", "--levels", "2"],
+     (0, 1), []),
+    # No service listens there, so the command exits 2.
+    (["status", "--socket", "{tmp}/none.sock"], (2,), list(_CLI_LAZY)),
+], ids=["no-store", "store", "split-no-store", "service-command"])
+def test_cli_loads_the_store_and_client_only_when_used(argv, codes, expected,
+                                                       tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, loaded = _run(f"""
+import contextlib, io, json, sys
+from repro.campaign.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, [name for name in {_CLI_LAZY!r}
+                         if name in sys.modules]]))
+""")
+    assert code in codes
+    assert loaded == expected
+
+
+def test_cli_routes_the_client_service_commands():
+    from repro.campaign.cli import SERVICE_COMMANDS
+    from repro.campaign.service import client
+
+    assert SERVICE_COMMANDS == client.SERVICE_COMMANDS
 
 
 def test_default_pooled_batched_campaign_pickles_its_results():

@@ -6,7 +6,7 @@ from repro.errors import ModelError
 from repro.wireless import (BernoulliChannel, DeliveryOutcome, GilbertElliottChannel,
                             InterferenceSource, LinkDirection, LossWindow,
                             NetworkStatistics, PerfectChannel, ScriptedChannel,
-                            SinkWirelessNetwork, TraceChannel)
+                            SinkWirelessNetwork)
 
 
 class TestDeliveryOutcome:
@@ -69,11 +69,6 @@ class TestChannels:
         with pytest.raises(ValueError):
             LossWindow(5.0, 1.0)
 
-    def test_trace_channel_replays_and_repeats_last(self):
-        channel = TraceChannel([True, False, True])
-        outcomes = [channel.attempt(float(t)).received_by_application for t in range(5)]
-        assert outcomes == [True, False, True, True, True]
-
 
 class TestInterferenceSource:
     def test_channel_calibration(self):
@@ -84,13 +79,6 @@ class TestInterferenceSource:
         assert channel.mean_bad_duration == pytest.approx(40.0)
         assert channel.mean_good_duration == pytest.approx(160.0)
         assert 0.5 <= source.in_burst_loss_probability() <= 0.99
-
-    def test_average_channel_matches_mean_loss(self):
-        source = InterferenceSource(duty_cycle=0.2, mean_burst_duration=40.0)
-        average = source.to_average_channel(seed=1)
-        expected = (0.2 * source.in_burst_loss_probability()
-                    + 0.8 * source.background_loss_probability())
-        assert average.loss_probability == pytest.approx(expected)
 
     def test_invalid_duty_cycle(self):
         with pytest.raises(ValueError):
@@ -121,8 +109,10 @@ class TestSinkWirelessNetwork:
         assert network.observed_loss_ratio() == 0.0
 
     def test_per_link_channel_overrides(self):
-        network = self._network()
-        network.set_downlink_channel("r1", ScriptedChannel([(0.0, 100.0)]))
+        network = SinkWirelessNetwork(
+            base_station="base", remote_entities=["r1", "r2"],
+            default_channel=PerfectChannel(),
+            downlink_channels={"r1": ScriptedChannel([(0.0, 100.0)])})
         assert not network.attempt_delivery("base", "r1", "evt", 5.0)
         assert network.attempt_delivery("base", "r2", "evt", 5.0)
         assert network.attempt_delivery("r1", "base", "evt", 5.0)  # uplink unaffected
@@ -146,6 +136,4 @@ class TestStatistics:
         stats.record("b", "a", DeliveryOutcome.CORRUPTED)
         assert stats.total_sent == 3
         assert stats.total_delivered == 1
-        assert stats.link("a", "b").loss_ratio == pytest.approx(0.5)
         assert stats.overall_loss_ratio == pytest.approx(2.0 / 3.0)
-        assert len(stats.summary_rows()) == 2

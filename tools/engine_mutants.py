@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the compiled engine, fork groups, task dispatch, the service and presets.
+"""Mutation check of the compiled engine, fork groups, task dispatch, the store, the service and presets.
 
 Each mutant below breaks one rule that bit-identity rests on: in
 ``src/repro/hybrid/simulate/compiled.py`` the cushion, per-automaton
@@ -20,6 +20,9 @@ span cells, attributed to their own cell, failed by the fault plan's
 ``raise`` clauses and published after their commit, how the
 supervisor times out, respawns, bisects and retries, and that the
 results ring runs only when a run asks for it; in
+``src/repro/campaign/store.py`` that a store older than version 5 is
+refused, that a resume replays every checkpoint, that a fingerprint covers
+the master seed and that a commit still locked after its retries fails; in
 ``src/repro/campaign/store.py`` and ``src/repro/campaign/service/server.py``
 how a job's rows stay its own, when a submission becomes durable, which
 jobs a restarted daemon takes back, that a cancel holds across a restart,
@@ -84,7 +87,8 @@ TESTS = {ENGINE: [*ENGINE_TESTS, "tests/hybrid/test_lowering.py"], SEEDING: ENGI
                "tests/hybrid/test_lowering.py::test_patient_program_inlines_the_kernel",
                "tests/golden"],
          EXECUTOR: CAMPAIGN_TESTS,
-         STORE: ["tests/campaign/test_store.py::TestStoreLifecycle"],
+         STORE: ["tests/campaign/test_store.py::TestStoreLifecycle",
+                 "tests/campaign/test_faults.py::TestStoreFaults"],
          SERVER: ["tests/campaign/test_service.py"],
          PRESETS: ["tests/golden/test_golden.py::test_preset_fingerprints_are_frozen"]}
 DESELECTED = ["tests/hybrid/test_quiet_steps.py::test_generated_systems_are_bit_identical",
@@ -281,6 +285,28 @@ MUTANTS = {
         STORE, "a store's replay returns every job's trial rows, not its own",
         [('            "WHERE job_id = ? ORDER BY trial_index")\n',
           '            "WHERE ? IS NOT NULL ORDER BY trial_index")\n')]),
+    "pre-v5-store-opened-fresh": (
+        STORE, "a store file older than version 5 is opened as a new file, not refused",
+        [("        legacy = version == 0 and _has_store_tables(self.conn)\n",
+          "        legacy = False\n")]),
+    "resume-ignores-last-checkpoint": (
+        STORE, "a resume replays every checkpointed trial but the last",
+        [("        return [(int(row[0]), TrialSummary.from_record(row[2:], label=row[1]))\n"
+          "                for row in rows]\n",
+          "        return [(int(row[0]), TrialSummary.from_record(row[2:], label=row[1]))\n"
+          "                for row in rows[:-1]]\n")]),
+    "fingerprint-without-seed": (
+        STORE, "a store's fingerprint leaves out the master seed",
+        [('    payload = {"master_seed": int(master_seed), "spec": canonical_spec(spec)}\n',
+          '    payload = {"master_seed": 0, "spec": canonical_spec(spec)}\n')]),
+    "lock-retry-swallows-error": (
+        STORE, "a commit still locked after its retries is dropped without an error",
+        [("                if attempt >= _COMMIT_RETRY_ATTEMPTS:\n"
+          "                    raise CampaignStoreError(\n"
+          "                        f\"{self.path}: {what} still failing after \"\n"
+          "                        f\"{attempt} attempts: {exc}\") from exc\n",
+          "                if attempt >= _COMMIT_RETRY_ATTEMPTS:\n"
+          "                    break\n")]),
     "jobs-row-before-payload-check": (
         SERVER, "a submission's jobs row is written before its payload is checked",
         [('        payload = str(message.get("payload", PAYLOAD))\n',
